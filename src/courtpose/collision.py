@@ -1,5 +1,8 @@
-"""Nearest-point-on-mesh queries (brute force and BVH) and the garment
-collision detector.
+"""Nearest-point-on-mesh queries and the garment collision detector.
+
+``nearest_triangles`` answers many query points at once with one batched,
+chunked scan over points x faces; ``nearest_triangle_bruteforce`` is its
+one-point reference and gives bit-identical answers.
 
 A body vertex collides with a garment when it sits OUTSIDE the garment
 surface (positive signed offset along the nearest triangle's outward normal)
@@ -70,73 +73,86 @@ def nearest_triangle_bruteforce(p, vertices, faces):
     return best[1], best[2], best[0]
 
 
-class TriangleBVH:
-    """Median-split AABB tree over triangles, exact nearest-triangle queries.
+# point-face pairs per chunk of the batched query; bounds its temporaries
+# (about 20 arrays of this many 3-vectors)
+QUERY_CHUNK_PAIRS = 1 << 16
 
-    Distance ties resolve toward the lower face index, matching the brute
-    force scan exactly.
+
+def nearest_triangles(points, vertices, faces):
+    """Batched exact nearest-triangle query over points x faces.
+
+    Returns (face index (n,), closest point (n, 3), squared distance (n,)).
+    Each point-face pair runs the region tests of ``point_triangle_closest``
+    with the same expressions in the same order, so every result equals
+    ``nearest_triangle_bruteforce`` bit for bit; ties go to the lowest face
+    index.
     """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    vertices = np.asarray(vertices, dtype=float)
+    faces = np.asarray(faces, dtype=int).reshape(-1, 3)
+    if len(faces) == 0:
+        raise ValidationError("mesh has no faces")
+    a, b, c = (vertices[faces[:, k]] for k in range(3))
+    ab = b - a
+    ac = c - a
+    bc = c - b
+    face = np.empty(len(points), dtype=int)
+    closest = np.empty((len(points), 3))
+    dist2 = np.empty(len(points))
+    step = max(1, QUERY_CHUNK_PAIRS // len(faces))
+    for s in range(0, len(points), step):
+        p = points[s:s + step, None, :]
+        q = _closest_points(p, a, b, c, ab, ac, bc)
+        d = p - q
+        # the scalar sum order of np.sum((p - q) ** 2)
+        d2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+        d2[np.isnan(d2)] = np.inf
+        fi = np.argmin(d2, axis=1)
+        r = np.arange(len(fi))
+        face[s:s + step] = fi
+        closest[s:s + step] = q[r, fi]
+        dist2[s:s + step] = d2[r, fi]
+    if not np.all(np.isfinite(dist2)):
+        raise ValidationError("no finite nearest triangle for some query point")
+    return face, closest, dist2
 
-    def __init__(self, vertices: np.ndarray, faces: np.ndarray, leaf_size: int = 8):
-        if len(faces) == 0:
-            raise ValidationError("cannot build a BVH over an empty mesh")
-        self.vertices = np.asarray(vertices, dtype=float)
-        self.faces = np.asarray(faces, dtype=int)
-        tri = self.vertices[self.faces]
-        self._lo = tri.min(axis=1)
-        self._hi = tri.max(axis=1)
-        self._nodes = []
-        order = np.arange(len(faces))
-        self._root = self._build(order, leaf_size)
 
-    def _build(self, idx, leaf_size):
-        lo = self._lo[idx].min(axis=0)
-        hi = self._hi[idx].max(axis=0)
-        node = {"lo": lo, "hi": hi, "faces": None, "left": -1, "right": -1}
-        self._nodes.append(node)
-        me = len(self._nodes) - 1
-        if len(idx) <= leaf_size:
-            node["faces"] = np.sort(idx)
-            return me
-        axis = int(np.argmax(hi - lo))
-        centers = (self._lo[idx, axis] + self._hi[idx, axis]) / 2.0
-        half = np.argsort(centers, kind="stable")
-        mid = len(idx) // 2
-        node["left"] = self._build(idx[half[:mid]], leaf_size)
-        node["right"] = self._build(idx[half[mid:]], leaf_size)
-        return me
-
-    @staticmethod
-    def _box_dist2(p, lo, hi):
-        d = np.maximum(np.maximum(lo - p, 0.0), p - hi)
-        return float(d @ d)
-
-    def nearest(self, p):
-        """(face index, closest point, squared distance) for one query point."""
-        p = np.asarray(p, dtype=float)
-        best = [np.inf, -1, None]
-
-        def visit(ni):
-            node = self._nodes[ni]
-            if self._box_dist2(p, node["lo"], node["hi"]) > best[0]:
-                return
-            if node["faces"] is not None:
-                for fi in node["faces"]:
-                    a, b, c = self.vertices[self.faces[fi]]
-                    q, _ = point_triangle_closest(p, a, b, c)
-                    d2 = float(np.sum((p - q) ** 2))
-                    if d2 < best[0] or (d2 == best[0] and fi < best[1]):
-                        best[0], best[1], best[2] = d2, int(fi), q
-                return
-            l, r = node["left"], node["right"]
-            dl = self._box_dist2(p, self._nodes[l]["lo"], self._nodes[l]["hi"])
-            dr = self._box_dist2(p, self._nodes[r]["lo"], self._nodes[r]["hi"])
-            first, second = (l, r) if (dl, l) <= (dr, r) else (r, l)
-            visit(first)
-            visit(second)
-
-        visit(self._root)
-        return best[1], best[2], best[0]
+def _closest_points(p, a, b, c, ab, ac, bc):
+    """``point_triangle_closest`` for every pair of p (k, 1, 3) and face (m,)."""
+    ap = p - a
+    d1 = np.vecdot(ab, ap)
+    d2 = np.vecdot(ac, ap)
+    bp = p - b
+    d3 = np.vecdot(ab, bp)
+    d4 = np.vecdot(ac, bp)
+    vc = d1 * d4 - d3 * d2
+    cp = p - c
+    d5 = np.vecdot(ab, cp)
+    d6 = np.vecdot(ac, cp)
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # every region's point is formed; np.select keeps the first region
+        # whose test holds, as the scalar early returns do
+        v_ab = (d1 / (d1 - d3))[..., None]
+        w_ac = (d2 / (d2 - d6))[..., None]
+        w_bc = ((d4 - d3) / ((d4 - d3) + (d5 - d6)))[..., None]
+        denom = 1.0 / (va + vb + vc)
+        v = (vb * denom)[..., None]
+        w = (vc * denom)[..., None]
+        regions = [
+            (d1 <= 0.0) & (d2 <= 0.0),
+            (d3 >= 0.0) & (d4 <= d3),
+            (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0),
+            (d6 >= 0.0) & (d5 <= d6),
+            (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),
+            (va <= 0.0) & ((d4 - d3) >= 0.0) & ((d5 - d6) >= 0.0),
+        ]
+        points = [a, b, a + v_ab * ab, c, a + w_ac * ac, b + w_bc * bc]
+        shape = ap.shape
+        return np.select([r[..., None] for r in regions],
+                         [np.broadcast_to(q, shape) for q in points],
+                         default=a + ab * v + ac * w)
 
 
 @dataclass(frozen=True)
@@ -157,18 +173,7 @@ def detect_collisions(body: PartMesh, garment: PartMesh,
     """Flag body vertices outside the garment shell within ``band`` meters."""
     if garment.num_faces == 0:
         raise ValidationError("garment mesh has no faces")
-    bvh = TriangleBVH(garment.vertices, garment.faces)
-    fnorm = face_normals(garment.vertices, garment.faces)
-    idx, pts, nrm = [], [], []
-    for vi, p in enumerate(body.vertices):
-        fi, q, d2 = bvh.nearest(p)
-        n = fnorm[fi]
-        if (p - q) @ n > 0.0 and d2 < band * band:
-            idx.append(vi)
-            pts.append(q)
-            nrm.append(n)
-    return CollisionReport(
-        np.asarray(idx, dtype=int),
-        np.asarray(pts, dtype=float).reshape(-1, 3),
-        np.asarray(nrm, dtype=float).reshape(-1, 3),
-    )
+    fi, q, d2 = nearest_triangles(body.vertices, garment.vertices, garment.faces)
+    n = face_normals(garment.vertices, garment.faces)[fi]
+    hit = (np.vecdot(body.vertices - q, n) > 0.0) & (d2 < band * band)
+    return CollisionReport(np.nonzero(hit)[0], q[hit], n[hit])

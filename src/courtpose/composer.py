@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .collision import COLLISION_BAND, detect_collisions
 from .errors import NumericalError, ValidationError
@@ -34,18 +35,43 @@ class PenetrationWeights:
     w_el: float = 0.1
 
 
+@dataclass(frozen=True)
+class PenetrationTerms:
+    """The parts of the penetration loss fixed by the mesh and its anchor V*:
+    the Laplacian, the edges of nonzero rest length and those rest lengths."""
+
+    laplacian: sp.csr_matrix
+    edges: np.ndarray  # (K, 2)
+    rest: np.ndarray   # (K,)
+
+
+def penetration_terms(mesh: PartMesh, V_star: np.ndarray) -> PenetrationTerms:
+    """Build the loss terms that do not depend on V; zero-length rest edges
+    are excluded with a warning."""
+    edges = mesh_edges(mesh.faces)
+    rest = np.linalg.norm(V_star[edges[:, 0]] - V_star[edges[:, 1]], axis=1)
+    ok = rest > 1e-12
+    if not np.all(ok):
+        warnings.warn(f"{int(np.sum(~ok))} zero-length rest edges excluded "
+                      "from the edge-length term")
+    return PenetrationTerms(uniform_laplacian(mesh), edges[ok], rest[ok])
+
+
 def penetration_loss(V: np.ndarray, V_star: np.ndarray, mesh: PartMesh,
-                     weights: PenetrationWeights = PenetrationWeights()):
+                     weights: PenetrationWeights = PenetrationWeights(),
+                     terms: PenetrationTerms | None = None):
     """w_data*||V-V*||_2 + w_lap*||L(V)-L(V*)||_F + w_el*sum|E/E* - 1|.
 
     Returns (loss, gradient (N,3)). Norm gradients are guarded to zero at
-    the singular point V == V*; zero-length rest edges are excluded with a
-    warning.
+    the singular point V == V*. ``terms`` are ``penetration_terms(mesh,
+    V_star)``, built here when not given.
     """
     V = np.asarray(V, dtype=float)
     V_star = np.asarray(V_star, dtype=float)
     if V.shape != V_star.shape or V.shape != mesh.vertices.shape:
         raise ValidationError("vertex arrays must match the mesh")
+    if terms is None:
+        terms = penetration_terms(mesh, V_star)
     w = weights
     grad = np.zeros_like(V)
 
@@ -55,21 +81,15 @@ def penetration_loss(V: np.ndarray, V_star: np.ndarray, mesh: PartMesh,
     if nd > 1e-12:
         grad += w.w_data * diff / nd
 
-    L = uniform_laplacian(mesh)
+    L = terms.laplacian
     ld = L @ diff
     nl = float(np.linalg.norm(ld))
     loss += w.w_lap * nl
     if nl > 1e-12:
         grad += w.w_lap * (L.T @ ld) / nl
 
-    edges = mesh_edges(mesh.faces)
-    rest = np.linalg.norm(V_star[edges[:, 0]] - V_star[edges[:, 1]], axis=1)
-    ok = rest > 1e-12
-    if not np.all(ok):
-        warnings.warn(f"{int(np.sum(~ok))} zero-length rest edges excluded "
-                      "from the edge-length term")
-    edges = edges[ok]
-    rest = rest[ok]
+    edges = terms.edges
+    rest = terms.rest
     d = V[edges[:, 0]] - V[edges[:, 1]]
     cur = np.linalg.norm(d, axis=1)
     ratio = cur / rest - 1.0
@@ -155,6 +175,7 @@ def resolve_interpenetration(parts: BodyMesh, band: float = COLLISION_BAND,
     anchors = {p.part: p.vertices.copy() for p in parts.parts}  # V* stays the input
     meshes = {p.part: p for p in parts.parts}
     pairs = [(b, g) for b, g in GARMENT_PAIRS if b in meshes and g in meshes]
+    terms = {}  # body part -> penetration_terms, built on its first collision
     report = {"iterations": [], "residual_collisions": 0, "pairs": pairs}
 
     def detect_all():
@@ -183,12 +204,15 @@ def resolve_interpenetration(parts: BodyMesh, band: float = COLLISION_BAND,
             if free.size == 0:
                 continue
             V_star = anchors[body_name]
+            if body_name not in terms:
+                terms[body_name] = penetration_terms(mesh, V_star)
             pinned_snapshot = V[pinned].copy()
 
-            def objective(xfree, V=V, free=free, mesh=mesh, V_star=V_star):
+            def objective(xfree, V=V, free=free, mesh=mesh, V_star=V_star,
+                          part_terms=terms[body_name]):
                 W = V.copy()
                 W[free] = xfree.reshape(-1, 3)
-                loss, grad = penetration_loss(W, V_star, mesh, weights)
+                loss, grad = penetration_loss(W, V_star, mesh, weights, part_terms)
                 return loss, grad[free].ravel()
 
             x, losses = minimize_lbfgs(objective, V[free].ravel(),

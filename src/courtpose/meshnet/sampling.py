@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ..collision import nearest_triangle_bruteforce, point_triangle_closest
+from ..collision import nearest_triangles, point_triangle_closest
 from ..errors import ValidationError
 from ..mesh import PartMesh
 
@@ -117,6 +117,13 @@ def build_sampling(mesh: PartMesh, factor: float) -> SamplingOperator:
     coarse = PartMesh(verts[kept], coarse_faces, mesh.part)
 
     D = sp.csr_matrix((np.ones(nc), (np.arange(nc), kept)), shape=(nc, n))
+    dropped = np.nonzero(~alive)[0]
+    nearest = np.zeros(n, dtype=int)
+    if dropped.size:
+        if len(coarse_faces) == 0:
+            raise ValidationError("decimation removed every face")
+        nearest[dropped] = nearest_triangles(verts[dropped], coarse.vertices,
+                                             coarse_faces)[0]
     rows, cols, vals = [], [], []
     for i in range(n):
         if alive[i]:
@@ -124,9 +131,7 @@ def build_sampling(mesh: PartMesh, factor: float) -> SamplingOperator:
             cols.append(new_index[i])
             vals.append(1.0)
         else:
-            if len(coarse_faces) == 0:
-                raise ValidationError("decimation removed every face")
-            fi, _, _ = nearest_triangle_bruteforce(verts[i], coarse.vertices, coarse_faces)
+            fi = nearest[i]
             a, b, c = coarse.vertices[coarse_faces[fi]]
             _, bary = point_triangle_closest(verts[i], a, b, c)
             for k in range(3):

@@ -340,6 +340,147 @@ def lbs(rest: BodyMesh, weights: SkinningWeights, transforms: BoneTransforms,
 # Keypoint fitting
 # ---------------------------------------------------------------------------
 
+class KeypointObjective:
+    """Residual vector of ``fit_pose_to_keypoints`` and its analytic Jacobian.
+
+    Parameters are the per-joint axis-angle rotations (3J), followed by the
+    root translation (3) for world-frame targets. Residual blocks, in order:
+    sqrt(w3d) * 3D joint error, sqrt(w2d) * 2D reprojection error (zero for
+    invisible joints, 1e3 for joints with camera depth <= 1e-6), and
+    sqrt(wprior) * axis-angle.
+
+    The Jacobian comes from the same FK pass as the residual. For joint j and
+    a descendant i, dp_i/domega_j = -[p_i - p_j]x R_glob(j) J_r(omega_j), with
+    J_r the SO(3) right Jacobian; the root-translation columns are identity.
+    """
+
+    def __init__(self, skeleton: Skeleton, target3d: Pose3D,
+                 target2d: Pose2D | None = None, camera: Camera | None = None,
+                 cfg: FitConfig = FitConfig()):
+        if cfg.w2d > 0 and (camera is None or target2d is None):
+            raise ValidationError("2D term requires a camera and a 2D target")
+        self.skeleton = skeleton
+        self.target3d = target3d
+        self.target2d = target2d
+        self.camera = camera
+        self.cfg = cfg
+        self.world_frame = target3d.frame is Frame.WORLD
+        J = skeleton.num_joints
+        self.num_params = 3 * J + (3 if self.world_frame else 0)
+        # ancestor[i, j]: joint j is joint i or one of its ancestors
+        self._ancestor = np.zeros((J, J), dtype=bool)
+        for j in skeleton._topo_order:
+            p = skeleton.parent[j]
+            if p >= 0:
+                self._ancestor[j] = self._ancestor[p]
+            self._ancestor[j, j] = True
+
+    def unpack(self, params):
+        J = self.skeleton.num_joints
+        om = params[:3 * J].reshape(J, 3)
+        root_t = params[3 * J:] if self.world_frame else np.zeros(3)
+        return om, root_t
+
+    def transforms(self, params) -> BoneTransforms:
+        om, root_t = self.unpack(params)
+        R = np.stack([axis_angle_to_matrix(w) for w in om])
+        tr = np.zeros((len(om), 3))
+        tr[0] = root_t
+        return BoneTransforms(R, tr)
+
+    def _fk(self, om, root_t):
+        # validation-free FK; the optimizer calls this every evaluation
+        sk = self.skeleton
+        J = sk.num_joints
+        R_glob = np.empty((J, 3, 3))
+        pos = np.empty((J, 3))
+        for j in sk._topo_order:
+            Rj = axis_angle_to_matrix(om[j])
+            p = sk.parent[j]
+            if p < 0:
+                R_glob[j] = Rj
+                pos[j] = sk.rest_offsets[j] + root_t
+            else:
+                R_glob[j] = R_glob[p] @ Rj
+                pos[j] = R_glob[p] @ sk.rest_offsets[j] + pos[p]
+        return R_glob, pos
+
+    def residuals(self, params, jacobian: bool = False):
+        """Residual vector r, or (r, dr/dparams) when ``jacobian``."""
+        cfg = self.cfg
+        J = self.skeleton.num_joints
+        om, root_t = self.unpack(params)
+        R_glob, pos_world = self._fk(om, root_t)
+        pos = pos_world if self.world_frame else pos_world - pos_world[0]
+        if jacobian:
+            jpos = self._position_jacobian(om, R_glob, pos_world)
+        parts, jparts = [], []
+        if cfg.w3d > 0:
+            parts.append(np.sqrt(cfg.w3d) * (pos - self.target3d.positions).ravel())
+            if jacobian:
+                jparts.append(np.sqrt(cfg.w3d) * jpos.reshape(3 * J, -1))
+        if cfg.w2d > 0:
+            cam = self.camera
+            uv, z = project_with_depth(cam, pos)
+            r2 = np.sqrt(cfg.w2d) * (uv - self.target2d.pixels)
+            off = ~self.target2d.visibility
+            r2[off] = 0.0
+            bad = z <= 1e-6
+            if bad.any():
+                r2[bad] = 1e3
+            parts.append(r2.ravel())
+            if jacobian:
+                xyz = pos @ cam.R.T + cam.T
+                zs = np.where(np.abs(z) < 1e-12, 1e-12, z)
+                # d(uv)/d(camera xyz) of the pinhole, then through camera.R
+                duv = np.zeros((J, 2, 3))
+                duv[:, 0, 0] = cam.f / zs
+                duv[:, 1, 1] = cam.f / zs
+                duv[:, :, 2] = -cam.f * xyz[:, :2] / (zs * zs)[:, None]
+                j2 = np.sqrt(cfg.w2d) * ((duv @ cam.R) @ jpos)
+                j2[off | bad] = 0.0
+                jparts.append(j2.reshape(2 * J, -1))
+        if cfg.wprior > 0:
+            parts.append(np.sqrt(cfg.wprior) * om.ravel())
+            if jacobian:
+                jparts.append(np.sqrt(cfg.wprior) * np.eye(3 * J, self.num_params))
+        r = np.concatenate(parts)
+        return (r, np.concatenate(jparts)) if jacobian else r
+
+    def _position_jacobian(self, om, R_glob, pos):
+        """(J, 3, num_params) derivative of the fitted joint positions."""
+        J = self.skeleton.num_joints
+        M = R_glob @ so3_right_jacobian(om)
+        D = pos[:, None, :] - pos[None, :, :]
+        # -[d]x m = m x d, for each column m of M_j
+        C = np.cross(M.transpose(0, 2, 1)[None], D[:, :, None, :])
+        C *= self._ancestor[:, :, None, None]
+        jac = np.zeros((J, 3, self.num_params))
+        jac[:, :, :3 * J] = C.transpose(0, 3, 1, 2).reshape(J, 3, 3 * J)
+        if self.world_frame:
+            jac[:, :, 3 * J:] = np.eye(3)
+        # the root position does not depend on omega, so root-relative
+        # positions p - p_root share this Jacobian
+        return jac
+
+
+def so3_right_jacobian(omega: np.ndarray) -> np.ndarray:
+    """Right Jacobians (N, 3, 3) of axis-angle vectors omega (N, 3):
+    exp(omega + d) ~= exp(omega) exp(J_r(omega) d)."""
+    omega = np.asarray(omega, dtype=float).reshape(-1, 3)
+    theta = np.linalg.norm(omega, axis=1)
+    K = np.zeros((len(omega), 3, 3))
+    K[:, 0, 1], K[:, 0, 2] = -omega[:, 2], omega[:, 1]
+    K[:, 1, 0], K[:, 1, 2] = omega[:, 2], -omega[:, 0]
+    K[:, 2, 0], K[:, 2, 1] = -omega[:, 1], omega[:, 0]
+    small = theta < 1e-3
+    t = np.where(small, 1.0, theta)
+    t2 = theta * theta
+    a = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(t)) / (t * t))
+    b = np.where(small, 1.0 / 6.0 - t2 / 120.0, (t - np.sin(t)) / (t * t * t))
+    return np.eye(3) - a[:, None, None] * K + b[:, None, None] * (K @ K)
+
+
 def fit_pose_to_keypoints(skeleton: Skeleton, target3d: Pose3D,
                           target2d: Pose2D | None = None,
                           camera: Camera | None = None,
@@ -347,82 +488,23 @@ def fit_pose_to_keypoints(skeleton: Skeleton, target3d: Pose3D,
                           init: BoneTransforms | None = None):
     """Damped Gauss-Newton over per-joint axis-angle rotations (+ root
     translation for world-frame targets) minimizing 3D keypoint error,
-    optional 2D reprojection error, and an L2 pose prior.
+    optional 2D reprojection error, and an L2 pose prior, with the analytic
+    Jacobian of ``KeypointObjective``.
 
     Returns (BoneTransforms, info dict with cost history and residuals).
     """
+    obj = KeypointObjective(skeleton, target3d, target2d, camera, cfg)
     J = skeleton.num_joints
-    world_frame = target3d.frame is Frame.WORLD
-    if cfg.w2d > 0 and (camera is None or target2d is None):
-        raise ValidationError("2D term requires a camera and a 2D target")
-
     omega0 = np.zeros((J, 3))
     t0 = np.zeros(3)
     if init is not None:
         from .transforms import matrix_to_axis_angle
         omega0 = np.stack([matrix_to_axis_angle(R) for R in init.rotations])
         t0 = init.translations[0].copy()
-    p = np.concatenate([omega0.ravel(), t0]) if world_frame else omega0.ravel()
-
-    vis = target2d.visibility if target2d is not None else None
-    parent = skeleton.parent
-    topo = skeleton._topo_order
-    offsets = skeleton.rest_offsets
-
-    def unpack(params):
-        if world_frame:
-            om = params[:3 * J].reshape(J, 3)
-            root_t = params[3 * J:]
-        else:
-            om = params.reshape(J, 3)
-            root_t = np.zeros(3)
-        return om, root_t
-
-    def fk_positions(params):
-        # validation-free FK; the optimizer calls this thousands of times
-        om, root_t = unpack(params)
-        R_glob = np.empty((J, 3, 3))
-        pos = np.empty((J, 3))
-        for j in topo:
-            Rj = axis_angle_to_matrix(om[j])
-            p = parent[j]
-            if p < 0:
-                R_glob[j] = Rj
-                pos[j] = offsets[j] + root_t
-            else:
-                R_glob[j] = R_glob[p] @ Rj
-                pos[j] = R_glob[p] @ offsets[j] + pos[p]
-        if not world_frame:
-            pos = pos - pos[0]
-        return pos
-
-    def transforms_at(params):
-        om, root_t = unpack(params)
-        R = np.stack([axis_angle_to_matrix(w) for w in om])
-        tr = np.zeros((J, 3))
-        tr[0] = root_t
-        return BoneTransforms(R, tr)
-
-    def residuals(params):
-        om, _ = unpack(params)
-        pos = fk_positions(params)
-        parts = []
-        if cfg.w3d > 0:
-            parts.append(np.sqrt(cfg.w3d) * (pos - target3d.positions).ravel())
-        if cfg.w2d > 0:
-            uv, z = project_with_depth(camera, pos)
-            r2 = np.sqrt(cfg.w2d) * (uv - target2d.pixels)
-            r2[~vis] = 0.0
-            bad = z <= 1e-6
-            if bad.any():
-                r2[bad] = 1e3
-            parts.append(r2.ravel())
-        if cfg.wprior > 0:
-            parts.append(np.sqrt(cfg.wprior) * om.ravel())
-        return np.concatenate(parts)
+    p = np.concatenate([omega0.ravel(), t0]) if obj.world_frame else omega0.ravel()
 
     def cost(params):
-        r = residuals(params)
+        r = obj.residuals(params)
         return float(r @ r)
 
     cur = cost(p)
@@ -431,15 +513,8 @@ def fit_pose_to_keypoints(skeleton: Skeleton, target3d: Pose3D,
     history = [cur]
     lam = 1e-4
     rejected = 0
-    n = len(p)
-    step = 1e-6
     for _ in range(cfg.max_iters):
-        r = residuals(p)
-        Jm = np.empty((len(r), n))
-        for k in range(n):
-            dp = np.zeros(n)
-            dp[k] = step
-            Jm[:, k] = (residuals(p + dp) - residuals(p - dp)) / (2 * step)
+        r, Jm = obj.residuals(p, jacobian=True)
         JtJ = Jm.T @ Jm
         g = Jm.T @ r
         accepted = False
@@ -469,9 +544,9 @@ def fit_pose_to_keypoints(skeleton: Skeleton, target3d: Pose3D,
             continue
         if len(history) > 1 and history[-2] - history[-1] < cfg.tol * max(history[-2], 1.0):
             break
-    bt = transforms_at(p)
+    bt = obj.transforms(p)
     pose = forward_kinematics(skeleton, bt,
-                              frame=Frame.WORLD if world_frame else Frame.ROOT_RELATIVE)
+                              frame=Frame.WORLD if obj.world_frame else Frame.ROOT_RELATIVE)
     info = {
         "cost_history": history,
         "final_cost": cur,

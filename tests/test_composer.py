@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from courtpose.collision import (TriangleBVH, detect_collisions,
-                                 nearest_triangle_bruteforce,
-                                 point_triangle_closest)
+from courtpose import collision
+from courtpose.collision import (detect_collisions, nearest_triangle_bruteforce,
+                                 nearest_triangles, point_triangle_closest)
 from courtpose.composer import (PenetrationWeights, minimize_lbfgs,
                                 penetration_loss, resolve_interpenetration)
 from courtpose.errors import ValidationError
@@ -43,20 +43,43 @@ def test_empty_garment_rejected():
                                          "shirt"))
 
 
-def test_bvh_matches_bruteforce_exactly():
+def test_batched_query_matches_bruteforce_exactly(monkeypatch):
     garment = icosphere(1.0, 2, part="shirt")
-    bvh = TriangleBVH(garment.vertices, garment.faces)
     rng = np.random.default_rng(0)
     pts = np.concatenate([
-        rng.normal(scale=1.2, size=(120, 3)),
+        rng.normal(scale=1.2, size=(123, 3)),
         garment.vertices[:40] * 1.001,  # near-surface queries hit ties
     ])
-    for p in pts:
-        fb, qb, db = nearest_triangle_bruteforce(p, garment.vertices, garment.faces)
-        fv, qv, dv = bvh.nearest(p)
-        assert fb == fv
-        assert db == dv
-        assert np.array_equal(qb, qv)
+    expected = [nearest_triangle_bruteforce(p, garment.vertices, garment.faces)
+                for p in pts]
+    # the default chunking, then 7 points per chunk with a partial last chunk
+    assert len(pts) % 7 != 0
+    for chunk_pairs in (collision.QUERY_CHUNK_PAIRS, 7 * garment.num_faces):
+        monkeypatch.setattr(collision, "QUERY_CHUNK_PAIRS", chunk_pairs)
+        fv, qv, dv = nearest_triangles(pts, garment.vertices, garment.faces)
+        for k, (fb, qb, db) in enumerate(expected):
+            assert fb == fv[k]
+            assert db == dv[k]
+            assert np.array_equal(qb, qv[k])
+
+
+@pytest.mark.parametrize("apex", [(0.5, 1.0, 0.0), (0.5, 1.0, 1.0)])
+def test_batched_query_tie_on_shared_edge_goes_to_lowest_face(apex):
+    # two faces sharing edge (0, 1), mirror images across the plane y = 0;
+    # the query point on that plane is equidistant from both
+    verts = np.array([[0.0, 0, 0], [1.0, 0, 0], apex,
+                      [apex[0], -apex[1], apex[2]]])
+    p = np.array([[0.5, 0.0, 1.0]])
+    for faces in ([[0, 1, 2], [0, 1, 3]], [[0, 1, 3], [0, 1, 2]]):
+        faces = np.array(faces)
+        q0, _ = point_triangle_closest(p[0], *verts[faces[0]])
+        q1, _ = point_triangle_closest(p[0], *verts[faces[1]])
+        assert np.sum((p[0] - q0) ** 2) == np.sum((p[0] - q1) ** 2)
+        fv, qv, dv = nearest_triangles(p, verts, faces)
+        fb, qb, db = nearest_triangle_bruteforce(p[0], verts, faces)
+        assert fv[0] == fb == 0
+        assert dv[0] == db
+        assert np.array_equal(qv[0], qb)
 
 
 def test_point_triangle_closest_regions():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from courtpose.collision import nearest_triangle_bruteforce, point_triangle_closest
 from courtpose.errors import ValidationError
 from courtpose.meshnet import build_sampling
 from courtpose.primitives import capsule, icosphere, plane_grid
@@ -77,3 +78,18 @@ def test_extreme_factor_best_effort_flag():
     assert not op.reached_target
     assert op.coarse.num_vertices >= 3
     assert op.coarse.num_faces >= 1
+
+
+def test_upsampling_rows_match_bruteforce_nearest_triangle():
+    m = icosphere(1.0, 2, part="head")
+    op = build_sampling(m, 4)
+    cv, cf = op.coarse.vertices, op.coarse.faces
+    U = op.U.toarray()
+    removed = np.nonzero(op.D.toarray().sum(axis=0) == 0)[0]
+    assert removed.size > 0
+    for i in removed:
+        fi, _, _ = nearest_triangle_bruteforce(m.vertices[i], cv, cf)
+        _, bary = point_triangle_closest(m.vertices[i], *cv[cf[fi]])
+        expected = np.zeros(len(cv))
+        expected[cf[fi]] = bary
+        assert np.array_equal(U[i], expected)

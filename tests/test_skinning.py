@@ -3,15 +3,18 @@ import json
 import numpy as np
 import pytest
 
+from courtpose.camera import Camera, project
 from courtpose.errors import ValidationError
 from courtpose.mesh import BodyMesh
-from courtpose.model import (BoneTransforms, Frame, Pose3D, Skeleton,
+from courtpose.model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
                              forward_kinematics)
 from courtpose.primitives import capsule
-from courtpose.skinning import (FitConfig, SkinningWeights,
+from courtpose.skinning import (FitConfig, KeypointObjective, SkinningWeights,
                                 fit_pose_to_keypoints, heat_diffusion_weights,
-                                lbs, weights_from_json, weights_to_json)
-from courtpose.transforms import axis_angle_to_matrix, random_rotation
+                                lbs, so3_right_jacobian, weights_from_json,
+                                weights_to_json)
+from courtpose.transforms import (axis_angle_to_matrix, look_at_rotation,
+                                  random_rotation)
 
 
 def chain(n, step=0.3):
@@ -200,3 +203,103 @@ def test_fit_2d_term_requires_camera():
     target = forward_kinematics(sk, BoneTransforms.identity(3))
     with pytest.raises(ValidationError):
         fit_pose_to_keypoints(sk, target, cfg=FitConfig(w2d=1.0))
+
+
+def random_tree(rng, n):
+    parent = [-1] + [int(rng.integers(0, j)) for j in range(1, n)]
+    return Skeleton([f"j{i}" for i in range(n)], parent,
+                    [[0, 0, 0]] + rng.normal(scale=0.25, size=(n - 1, 3)).tolist())
+
+
+def finite_difference_jacobian(obj, params, h=1e-6):
+    cols = []
+    for k in range(len(params)):
+        dp = np.zeros(len(params))
+        dp[k] = h
+        cols.append((obj.residuals(params + dp) - obj.residuals(params - dp)) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+def test_so3_right_jacobian_matches_exp_map():
+    rng = np.random.default_rng(3)
+    for scale in (1e-5, 1e-3, 0.5, 2.0):
+        w = rng.normal(scale=scale, size=3)
+        Jr = so3_right_jacobian(w)[0]
+        R = axis_angle_to_matrix(w)
+        h = 1e-7
+        for k in range(3):
+            d = np.zeros(3)
+            d[k] = h
+            # R^T dR/dw_k = [J_r e_k]x
+            D = R.T @ (axis_angle_to_matrix(w + d) - axis_angle_to_matrix(w - d)) / (2 * h)
+            v = np.array([D[2, 1], D[0, 2], D[1, 0]])
+            assert np.abs(v - Jr[:, k]).max() < 1e-6
+
+
+@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_analytic_jacobian_matches_central_differences_3d(frame, seed):
+    rng = np.random.default_rng(seed)
+    sk = random_tree(rng, 9)
+    target = Pose3D(np.vstack([np.zeros(3), rng.normal(size=(8, 3))]), frame)
+    obj = KeypointObjective(sk, target, cfg=FitConfig(wprior=1e-2))
+    p = rng.normal(scale=0.7, size=obj.num_params)
+    r, Jm = obj.residuals(p, jacobian=True)
+    assert np.array_equal(r, obj.residuals(p))
+    Jfd = finite_difference_jacobian(obj, p)
+    assert np.abs(Jm - Jfd).max() < 1e-6 * max(1.0, np.abs(Jfd).max())
+
+
+@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
+def test_analytic_jacobian_matches_central_differences_2d(frame):
+    rng = np.random.default_rng(4)
+    sk = random_tree(rng, 12)
+    eye = np.array([0.1, 0.2, 0.0])
+    R = look_at_rotation(eye, np.array([0.0, 0.3, 3.0]))
+    cam = Camera(400.0, 128.0, 128.0, R, -R @ eye)
+    visible = np.ones(12, dtype=bool)
+    visible[[3, 7]] = False
+    target2d = Pose2D(rng.uniform(0, 256, size=(12, 2)), visible)
+    target3d = Pose3D(np.vstack([np.zeros(3), rng.normal(size=(11, 3))]), frame)
+    obj = KeypointObjective(sk, target3d, target2d, cam,
+                            FitConfig(w2d=1e-4, wprior=1e-3))
+    p = rng.normal(scale=0.5, size=obj.num_params)
+    if frame is Frame.WORLD:
+        p[-3:] = [0.0, 0.0, 0.1]
+    r, Jm = obj.residuals(p, jacobian=True)
+    # both kinds of zero rows occur: invisible joints and joints behind the camera
+    r2d = r[3 * 12:5 * 12].reshape(12, 2)
+    behind = np.all(r2d == 1e3, axis=1)
+    assert behind.any() and (visible & ~behind).any()
+    Jfd = finite_difference_jacobian(obj, p)
+    assert np.abs(Jm - Jfd).max() < 1e-6 * max(1.0, np.abs(Jfd).max())
+    J2d = Jm[3 * 12:5 * 12].reshape(12, 2, -1)
+    assert np.abs(J2d[~visible | behind]).max() == 0.0
+
+
+def test_fit_with_2d_term_recovers_pose_and_reprojection():
+    sk = chain(6, 0.25)
+    rng = np.random.default_rng(6)
+    rots = np.stack([random_rotation(rng, 0.25) for _ in range(6)])
+    root_t = np.array([0.3, 0.1, -0.2])
+    tr = np.zeros((6, 3))
+    tr[0] = root_t
+    truth = forward_kinematics(sk, BoneTransforms(rots, tr), frame=Frame.WORLD)
+    eye = np.array([0.5, 1.2, -4.0])
+    R = look_at_rotation(eye, truth.positions.mean(axis=0))
+    cam = Camera(600.0, 128.0, 128.0, R, -R @ eye)
+    visible = np.ones(6, dtype=bool)
+    visible[2] = False
+    target2d = Pose2D(project(cam, truth.positions), visible)
+    init = BoneTransforms(
+        np.stack([axis_angle_to_matrix(rng.normal(scale=0.05, size=3)) @ Rj
+                  for Rj in rots]), np.zeros((6, 3)))
+    cfg = FitConfig(w2d=1e-4, wprior=0.0)
+    fitted, info = fit_pose_to_keypoints(sk, truth, target2d, cam, cfg, init=init)
+    hist = info["cost_history"]
+    assert all(b <= a for a, b in zip(hist, hist[1:]))
+    assert info["final_cost"] < 1e-16
+    assert info["joint_residuals"].max() < 1e-3
+    posed = forward_kinematics(sk, fitted, frame=Frame.WORLD)
+    reproj = np.linalg.norm(project(cam, posed.positions) - target2d.pixels, axis=1)
+    assert reproj[visible].max() < 1e-3
