@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.ndimage import label
 
+from . import blas
 from .camera import Camera, project_with_depth
 from .errors import NumericalError, ValidationError
 from .mesh import BodyMesh
@@ -481,6 +482,9 @@ def so3_right_jacobian(omega: np.ndarray) -> np.ndarray:
     return np.eye(3) - a[:, None, None] * K + b[:, None, None] * (K @ K)
 
 
+# the normal equations are 108 x 108 at most: too small to gain from BLAS
+# threads, and a split solve waits for a second core (see ``blas``)
+@blas.single_thread()
 def fit_pose_to_keypoints(skeleton: Skeleton, target3d: Pose3D,
                           target2d: Pose2D | None = None,
                           camera: Camera | None = None,

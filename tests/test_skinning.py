@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from courtpose import blas
 from courtpose.camera import Camera, project
 from courtpose.errors import ValidationError
 from courtpose.mesh import BodyMesh
@@ -203,6 +204,31 @@ def test_fit_2d_term_requires_camera():
     target = forward_kinematics(sk, BoneTransforms.identity(3))
     with pytest.raises(ValidationError):
         fit_pose_to_keypoints(sk, target, cfg=FitConfig(w2d=1.0))
+
+
+def test_fit_solves_on_one_blas_thread(monkeypatch):
+    controls = blas._controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this numpy build")
+
+    def counts():
+        return [get() for get, _ in controls]
+
+    before = counts()
+    seen = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        seen.append(counts())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    sk = chain(4, 0.3)
+    rng = np.random.default_rng(7)
+    rots = np.stack([random_rotation(rng, 0.2) for _ in range(4)])
+    fit_pose_to_keypoints(sk, forward_kinematics(sk, BoneTransforms(rots, np.zeros((4, 3)))))
+    assert seen and all(c == [1] * len(controls) for c in seen)
+    assert counts() == before
 
 
 def random_tree(rng, n):
