@@ -4,11 +4,12 @@ import pytest
 from courtpose import collision
 from courtpose.collision import (detect_collisions, nearest_triangle_bruteforce,
                                  nearest_triangles, point_triangle_closest)
-from courtpose.composer import (PenetrationWeights, minimize_lbfgs,
+from courtpose.composer import (GARMENT_PAIRS, PenetrationWeights, minimize_lbfgs,
                                 penetration_loss, resolve_interpenetration)
 from courtpose.errors import ValidationError
-from courtpose.mesh import BodyMesh, PartMesh, mesh_edges
+from courtpose.mesh import BodyMesh, PartMesh, face_normals, mesh_edges
 from courtpose.primitives import capsule, icosphere, tube
+from courtpose.synth import synth_scene
 
 
 def sleeve_scene(delta):
@@ -36,11 +37,45 @@ def test_concentric_spheres_detection():
     assert rep.count == just_out.num_vertices
 
 
+def test_detection_matches_bruteforce_on_scene():
+    scene = synth_scene(5000).posed_body
+    for body_name, garment_name in GARMENT_PAIRS:
+        body, garment = scene.part(body_name), scene.part(garment_name)
+        nearest = [nearest_triangle_bruteforce(v, garment.vertices, garment.faces)
+                   for v in body.vertices]
+        fi = np.array([f for f, _, _ in nearest])
+        q = np.array([q for _, q, _ in nearest])
+        d2 = np.array([d for _, _, d in nearest])
+        n = face_normals(garment.vertices, garment.faces)[fi]
+        outside = np.vecdot(body.vertices - q, n) > 0.0
+        # the default band flags 2 vertices on this scene, the wide one 67
+        for band in (collision.COLLISION_BAND, 0.3):
+            hit = outside & (d2 < band * band)
+            rep = detect_collisions(body, garment, band=band)
+            assert np.array_equal(rep.vertex_indices, np.nonzero(hit)[0])
+            assert np.array_equal(rep.garment_points, q[hit])
+            assert np.array_equal(rep.garment_normals, n[hit])
+
+
 def test_empty_garment_rejected():
     body = icosphere(1.0, 1, part="arms")
     with pytest.raises(ValidationError):
         detect_collisions(body, PartMesh(np.zeros((3, 3)), np.zeros((0, 3), int),
                                          "shirt"))
+
+
+def _assert_matches_bruteforce(monkeypatch, pts, verts, faces):
+    """The batched query equals the one-point oracle bit for bit, at the
+    default chunking and at 7 points per chunk."""
+    with np.errstate(invalid="ignore"):  # degenerate faces divide 0 by 0
+        expected = [nearest_triangle_bruteforce(p, verts, faces) for p in pts]
+    for chunk_pairs in (collision.QUERY_CHUNK_PAIRS, 7 * len(faces)):
+        monkeypatch.setattr(collision, "QUERY_CHUNK_PAIRS", chunk_pairs)
+        fv, qv, dv = nearest_triangles(pts, verts, faces)
+        for k, (fb, qb, db) in enumerate(expected):
+            assert fb == fv[k]
+            assert db == dv[k]
+            assert np.array_equal(qb, qv[k])
 
 
 def test_batched_query_matches_bruteforce_exactly(monkeypatch):
@@ -50,17 +85,78 @@ def test_batched_query_matches_bruteforce_exactly(monkeypatch):
         rng.normal(scale=1.2, size=(123, 3)),
         garment.vertices[:40] * 1.001,  # near-surface queries hit ties
     ])
-    expected = [nearest_triangle_bruteforce(p, garment.vertices, garment.faces)
-                for p in pts]
-    # the default chunking, then 7 points per chunk with a partial last chunk
+    # a partial last chunk at 7 points per chunk
     assert len(pts) % 7 != 0
-    for chunk_pairs in (collision.QUERY_CHUNK_PAIRS, 7 * garment.num_faces):
-        monkeypatch.setattr(collision, "QUERY_CHUNK_PAIRS", chunk_pairs)
-        fv, qv, dv = nearest_triangles(pts, garment.vertices, garment.faces)
-        for k, (fb, qb, db) in enumerate(expected):
-            assert fb == fv[k]
-            assert db == dv[k]
-            assert np.array_equal(qb, qv[k])
+    _assert_matches_bruteforce(monkeypatch, pts, garment.vertices, garment.faces)
+
+
+def _unreferenced_vertex_case(rng):
+    # each query has an unused vertex 1e-4 away, nearer than any face
+    m = icosphere(1.0, 2)
+    pts = m.vertices[::4] * 1.05 + rng.normal(scale=0.01, size=(len(m.vertices[::4]), 3))
+    verts = np.concatenate([m.vertices, pts + 1e-4])
+    return pts, verts, m.faces
+
+
+def _zero_area_case(rng):
+    # face 0 repeats a vertex and gives no finite distance beside its edge,
+    # so there the nearest face lies beyond the bound its corners set
+    verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [5.0, 0, 0], [6.0, 0, 0], [5.0, 1, 0]])
+    faces = np.array([[0, 0, 1], [2, 3, 4]])
+    pts = np.concatenate([[[0.5, 0.5, 0.0], [0.5, -0.5, 0.2], [-0.1, 0.0, 0.0]],
+                          rng.normal(scale=2.0, size=(10, 3))])
+    return pts, verts, faces
+
+
+def _far_case(rng):
+    m = icosphere(1.0, 2)
+    d = rng.normal(size=(30, 3))
+    pts = d / np.linalg.norm(d, axis=1, keepdims=True) * 10.0 ** rng.uniform(3, 6, (30, 1))
+    return pts, m.vertices, m.faces
+
+
+def _scaled_case(scale):
+    def build(rng):
+        m = icosphere(1.0, 2)
+        verts = m.vertices * scale
+        pts = np.concatenate([rng.normal(scale=1.2 * scale, size=(40, 3)),
+                              verts[::3] * 1.001])
+        return pts, verts, m.faces
+    return build
+
+
+@pytest.mark.parametrize("build", [
+    _unreferenced_vertex_case, _zero_area_case, _far_case,
+    _scaled_case(1e-3), _scaled_case(1e3)],
+    ids=["unreferenced_vertex", "zero_area_face", "far_points", "scale_1e-3", "scale_1e3"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_culled_query_matches_bruteforce_exactly(monkeypatch, build, seed):
+    pts, verts, faces = build(np.random.default_rng(seed))
+    _assert_matches_bruteforce(monkeypatch, pts, verts, faces)
+
+
+def test_cull_bound_ignores_unreferenced_vertices(monkeypatch):
+    # an unused vertex next to the query must not tighten the bound: if it
+    # did, the bound would fail and every point would be scanned against all
+    # faces (here about 2% of the pairs reach the exact pass)
+    pts, verts, faces = _unreferenced_vertex_case(np.random.default_rng(0))
+    closest_points = collision._closest_points
+    pairs = []
+
+    def counting(p, *face_arrays):
+        pairs.append(len(p))
+        return closest_points(p, *face_arrays)
+
+    monkeypatch.setattr(collision, "_closest_points", counting)
+    nearest_triangles(pts, verts, faces)
+    assert sum(pairs) < 0.25 * len(pts) * len(faces)
+
+
+def test_nan_query_point_rejected():
+    m = icosphere(1.0, 1)
+    pts = np.array([[0.0, 0.0, 2.0], [np.nan, 0.0, 0.0]])
+    with pytest.raises(ValidationError):
+        nearest_triangles(pts, m.vertices, m.faces)
 
 
 @pytest.mark.parametrize("apex", [(0.5, 1.0, 0.0), (0.5, 1.0, 1.0)])
@@ -80,6 +176,21 @@ def test_batched_query_tie_on_shared_edge_goes_to_lowest_face(apex):
         assert fv[0] == fb == 0
         assert dv[0] == db
         assert np.array_equal(qv[0], qb)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batched_query_tie_on_shared_vertex_goes_to_lowest_face(seed):
+    # queries exactly on vertices, each shared by 5 or 6 faces at distance 0
+    m = icosphere(0.7, 1)
+    rot, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    verts = m.vertices @ rot + [0.3, -0.2, 0.1]
+    for faces in (m.faces, m.faces[::-1]):
+        fv, qv, dv = nearest_triangles(verts, verts, faces)
+        for k, p in enumerate(verts):
+            fb, qb, db = nearest_triangle_bruteforce(p, verts, faces)
+            assert fv[k] == fb == np.nonzero((faces == k).any(axis=1))[0].min()
+            assert dv[k] == db == 0.0
+            assert np.array_equal(qv[k], qb)
 
 
 def test_point_triangle_closest_regions():
