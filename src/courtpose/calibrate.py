@@ -18,6 +18,7 @@ from scipy.ndimage import distance_transform_edt
 from .camera import Camera, project_with_depth
 from .court import CourtModel, lift_to_plane
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
+from .lsq import lm_solve
 from .transforms import axis_angle_to_matrix, nearest_rotation
 
 HINGE_PX = 1.0
@@ -217,23 +218,23 @@ class RefineResult:
     initial_cost: float
     final_cost: float
     iterations: int
+    stop: str  # ``lsq.LMRecord.stop`` of the long pull
 
 
 def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel,
                         max_iters: int = 100, tol: float = 1e-8,
                         sample_spacing: float = 0.15) -> RefineResult:
-    """Damped Gauss-Newton over (axis-angle rotation, T, f) minimizing the
-    hinged distance-transform cost of the mask at projected court samples."""
+    """Damped Gauss-Newton (``lsq.lm_solve``) over (axis-angle rotation, T,
+    f) minimizing the hinged distance-transform cost of the mask at projected
+    court samples."""
     if not mask.pixels.any():
         raise ValidationError("line mask is empty: no signal to refine against")
     dt = distance_transform_edt(~mask.pixels)
     world = court.sample_points3d(sample_spacing)
     H, W = mask.pixels.shape
 
-    R0 = init.R
-
     def camera_at(p):
-        Rp = axis_angle_to_matrix(p[0:3]) @ R0
+        Rp = axis_angle_to_matrix(p[0:3]) @ init.R
         return Camera(max(p[6], 1e-3), init.px, init.py, Rp, p[3:6])
 
     def residuals(p, hinge=HINGE_PX):
@@ -263,91 +264,10 @@ def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel,
             raise NumericalError("no court sample projects into the frame")
         return float((r ** 2).sum() / n)
 
-    p = np.concatenate([np.zeros(3), init.T, [init.f]])
     steps = np.array([1e-5, 1e-5, 1e-5, 1e-4, 1e-4, 1e-4, 1e-2])
-    initial_cost = cost(p)
-    if not np.isfinite(initial_cost):
-        raise NumericalError("non-finite refinement cost at initialization")
-    # the long pull optimizes the raw mean DT (the hinged cost is reported and
-    # gates the ground-truth fixed point; the centering pass finishes the job)
-    cur_raw = cost(p, hinge=0.0)
-    lam = 1e-3
-    rejected = 0
-    iters = 0
-    moved = False
-    for iters in range(1, max_iters + 1):
-        if cost(p) <= 0.0:
-            break  # already inside the hinged basin: aligned
-        r, vis0 = residuals(p, hinge=0.0)
-        J = np.empty((len(r), 7))
-        for k in range(7):
-            dp = np.zeros(7)
-            dp[k] = steps[k]
-            rp, vp = residuals(p + dp, 0.0)
-            rm, vm = residuals(p - dp, 0.0)
-            col = (rp - rm) / (2 * steps[k])
-            # samples whose frame visibility flips across the stencil would
-            # produce huge bogus derivatives: drop them from the Jacobian
-            col[~(vp & vm & vis0)] = 0.0
-            J[:, k] = col
-        JtJ = J.T @ J
-        g = J.T @ r
-        if np.abs(g).max() < 1e-14:
-            break  # stationary
-        improved = False
-        best_cand = np.inf
-        for _ in range(12):
-            A = JtJ + lam * np.diag(np.maximum(np.diag(JtJ), 1e-12))
-            try:
-                delta = np.linalg.solve(A, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = p + delta
-            cand_cost = cost(cand, hinge=0.0)
-            if not np.isfinite(cand_cost):
-                raise NumericalError("non-finite refinement cost")
-            best_cand = min(best_cand, cand_cost)
-            if cand_cost < cur_raw:
-                improvement = cur_raw - cand_cost
-                p, cur_raw = cand, cand_cost
-                lam = max(lam / 3.0, 1e-10)
-                improved = True
-                moved = True
-                rejected = 0
-                break
-            lam *= 10.0
-        if not improved:
-            if best_cand <= cur_raw + tol:
-                break  # no downhill direction left: converged on the plateau
-            rejected += 1
-            if rejected >= 10:
-                raise NumericalError("refinement diverged: cost increased for "
-                                     "10 consecutive damped steps")
-            continue
-        if improvement < tol:
-            break
-    if moved:
-        budget = max(min(1e-3, initial_cost), cost(p))
-        cand = _center_in_basin(p, residuals, cost, steps, budget)
-        if cost(cand) <= cost(p):
-            p = cand
-    final_cost = cost(p)
-    if final_cost > initial_cost:
-        # the raw pull failed to help under the reported metric: keep the init
-        return RefineResult(init, initial_cost, initial_cost, iters)
-    return RefineResult(camera_at(p), initial_cost, final_cost, iters)
 
-
-def _center_in_basin(p, residuals, cost, steps, hinge_budget, max_iters: int = 40):
-    """Once essentially inside the hinged basin, polish against the raw DT to
-    sit at the line centers rather than the basin boundary. Candidate steps
-    may graze the hinge by at most ``hinge_budget`` so the reported objective
-    stays far below the initial cost."""
-    raw = lambda q: cost(q, hinge=0.0)
-    cur = raw(p)
-    lam = 1e-2
-    for _ in range(max_iters):
+    def residual_jacobian(p):
+        """Raw (unhinged) residuals and their central-difference Jacobian."""
         r, vis0 = residuals(p, hinge=0.0)
         J = np.empty((len(r), len(p)))
         for k in range(len(p)):
@@ -356,26 +276,35 @@ def _center_in_basin(p, residuals, cost, steps, hinge_budget, max_iters: int = 4
             rp, vp = residuals(p + dp, 0.0)
             rm, vm = residuals(p - dp, 0.0)
             col = (rp - rm) / (2 * steps[k])
+            # samples whose frame visibility flips across the stencil would
+            # produce huge bogus derivatives: drop them from the Jacobian
             col[~(vp & vm & vis0)] = 0.0
             J[:, k] = col
-        g = J.T @ r
-        if np.abs(g).max() < 1e-14:
-            break
-        accepted = False
-        for _ in range(8):
-            A = J.T @ J + lam * np.diag(np.maximum(np.diag(J.T @ J), 1e-12))
-            try:
-                delta = np.linalg.solve(A, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = p + delta
-            if raw(cand) < cur - 1e-10 and cost(cand) <= hinge_budget:
-                p, cur = cand, raw(cand)
-                lam = max(lam / 3.0, 1e-10)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            break
-    return p
+        return r, J
+
+    raw = lambda q: cost(q, hinge=0.0)
+    p = np.concatenate([np.zeros(3), init.T, [init.f]])
+    initial_cost = cost(p)
+    # the long pull optimizes the raw mean DT (the hinged cost is reported and
+    # gates the ground-truth fixed point; the centering pass finishes the job)
+    p, rec = lm_solve(residual_jacobian, raw, p, lam=1e-3, lam_min=1e-10, tries=12,
+                      max_iters=max_iters, max_rejects=10, tol=tol, gtol=1e-14,
+                      done=lambda q: cost(q) <= 0.0)
+    if rec.stop == "stalled":
+        raise NumericalError("refinement diverged: cost increased for "
+                             "10 consecutive damped steps")
+    if rec.accepted:
+        # centering pass: polish against the raw DT to sit at the line centers
+        # rather than the hinged basin's boundary; steps may graze the hinge
+        # by the budget at most, so the reported cost stays low
+        budget = max(min(1e-3, initial_cost), cost(p))
+        cand, _ = lm_solve(residual_jacobian, raw, p, lam=1e-2, lam_min=1e-10, tries=8,
+                           max_iters=40, max_rejects=1, gtol=1e-14,
+                           accept=lambda q, c, cur: c < cur - 1e-10 and cost(q) <= budget)
+        if cost(cand) <= cost(p):
+            p = cand
+    final_cost = cost(p)
+    if final_cost > initial_cost:
+        # the raw pull failed to help under the reported metric: keep the init
+        return RefineResult(init, initial_cost, initial_cost, rec.iterations, rec.stop)
+    return RefineResult(camera_at(p), initial_cost, final_cost, rec.iterations, rec.stop)

@@ -108,7 +108,7 @@ def cmd_calibrate(args, cfg):
         ref = refine_camera_lines(cam, mask, make_court_model())
         cam = ref.camera
         result.update(initial_cost=ref.initial_cost, final_cost=ref.final_cost,
-                      iterations=ref.iterations)
+                      iterations=ref.iterations, stop=ref.stop)
     result["camera"] = camera_to_json(cam)
     _write_json(args.out, result)
     return 0

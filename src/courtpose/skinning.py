@@ -19,10 +19,11 @@ from scipy.ndimage import label
 from . import blas
 from .camera import Camera, project_with_depth
 from .errors import NumericalError, ValidationError
+from .lsq import lm_solve
 from .mesh import BodyMesh
 from .model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
                     fk_global, forward_kinematics)
-from .transforms import axis_angle_to_matrix
+from .transforms import axis_angle_to_matrix, matrix_to_axis_angle
 
 MAX_INFLUENCES = 4
 
@@ -493,16 +494,16 @@ def fit_pose_to_keypoints(skeleton: Skeleton, target3d: Pose3D,
     """Damped Gauss-Newton over per-joint axis-angle rotations (+ root
     translation for world-frame targets) minimizing 3D keypoint error,
     optional 2D reprojection error, and an L2 pose prior, with the analytic
-    Jacobian of ``KeypointObjective``.
+    Jacobian of ``KeypointObjective``, by ``lsq.lm_solve``.
 
-    Returns (BoneTransforms, info dict with cost history and residuals).
+    Returns (BoneTransforms, info dict with the cost history, final cost,
+    stop reason and per-joint residuals).
     """
     obj = KeypointObjective(skeleton, target3d, target2d, camera, cfg)
     J = skeleton.num_joints
     omega0 = np.zeros((J, 3))
     t0 = np.zeros(3)
     if init is not None:
-        from .transforms import matrix_to_axis_angle
         omega0 = np.stack([matrix_to_axis_angle(R) for R in init.rotations])
         t0 = init.translations[0].copy()
     p = np.concatenate([omega0.ravel(), t0]) if obj.world_frame else omega0.ravel()
@@ -511,49 +512,18 @@ def fit_pose_to_keypoints(skeleton: Skeleton, target3d: Pose3D,
         r = obj.residuals(params)
         return float(r @ r)
 
-    cur = cost(p)
-    if not np.isfinite(cur):
-        raise NumericalError("non-finite fitting residual at initialization")
-    history = [cur]
-    lam = 1e-4
-    rejected = 0
-    for _ in range(cfg.max_iters):
-        r, Jm = obj.residuals(p, jacobian=True)
-        JtJ = Jm.T @ Jm
-        g = Jm.T @ r
-        accepted = False
-        for _ in range(15):
-            A = JtJ + lam * np.diag(np.maximum(np.diag(JtJ), 1e-12))
-            try:
-                delta = np.linalg.solve(A, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            cand = p + delta
-            c = cost(cand)
-            if not np.isfinite(c):
-                raise NumericalError("non-finite fitting residual")
-            if c < cur:
-                p, cur = cand, c
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                rejected = 0
-                break
-            lam *= 10.0
-        history.append(cur)
-        if not accepted:
-            rejected += 1
-            if rejected >= 10:
-                raise NumericalError("fitting diverged: cost non-decreasing for 10 steps")
-            continue
-        if len(history) > 1 and history[-2] - history[-1] < cfg.tol * max(history[-2], 1.0):
-            break
+    p, rec = lm_solve(lambda q: obj.residuals(q, jacobian=True), cost, p,
+                      lam=1e-4, lam_min=1e-12, tries=15, max_iters=cfg.max_iters,
+                      max_rejects=10, rtol=cfg.tol)
+    if rec.stop == "stalled":
+        raise NumericalError("fitting diverged: cost non-decreasing for 10 steps")
     bt = obj.transforms(p)
     pose = forward_kinematics(skeleton, bt,
                               frame=Frame.WORLD if obj.world_frame else Frame.ROOT_RELATIVE)
     info = {
-        "cost_history": history,
-        "final_cost": cur,
+        "cost_history": rec.cost_history,
+        "final_cost": rec.cost_history[-1],
+        "stop": rec.stop,
         "joint_residuals": np.linalg.norm(pose.positions - target3d.positions, axis=1),
     }
     return bt, info

@@ -302,6 +302,7 @@ def run_pipeline(bundle: SceneBundle, fit_max_iters: int = 20,
                                              bundle.court, bundle.config.image_size)
         return {"pnp_rms_px": pnp_rms, "initial_cost": ref.initial_cost,
                 "final_cost": ref.final_cost, "landmark_reproj_px": reproj,
+                "refine_iterations": ref.iterations, "refine_stop": ref.stop,
                 "camera": camera_to_json(ref.camera)}
 
     cal = stage("calibrate", s_calibrate)
@@ -338,7 +339,8 @@ def run_pipeline(bundle: SceneBundle, fit_max_iters: int = 20,
         mean_res = float(np.mean(info["joint_residuals"]))
         return {"fit_joint_residual_m": mean_res,
                 "final_cost": info["final_cost"],
-                "_posed": posed}
+                "fit_iterations": len(info["cost_history"]) - 1,
+                "fit_stop": info["stop"], "_posed": posed}
 
     skin_out = stage("skin", s_skin)
     posed_fit = skin_out.pop("_posed")

@@ -49,6 +49,8 @@ def test_calibrate_cli(tmp_path, bundle):
     got = json.loads(out.read_text())
     assert got["pnp_rms_px"] < 1e-3
     assert got["final_cost"] <= got["initial_cost"]
+    # exact correspondences put PnP inside the hinged basin: no step taken
+    assert (got["iterations"], got["stop"]) == (1, "done")
     assert got["camera"]["f"] == pytest.approx(bundle.camera.f, rel=1e-3)
 
 

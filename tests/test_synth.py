@@ -84,6 +84,11 @@ def test_run_pipeline_stages_and_thresholds(bundle):
     assert stages["codec"]["max_3d_err_m"] <= 1e-9
     assert stages["place"]["lowest_joint_err_m"] < 1e-3
     assert stages["eval"]["mpvpe_mm"] < 100.0
+    stops = {"converged", "plateau", "gradient", "done", "stalled", "max_iters"}
+    for stage, loop in (("calibrate", "refine"), ("skin", "fit")):
+        assert type(stages[stage][f"{loop}_iterations"]) is int
+        assert stages[stage][f"{loop}_iterations"] >= 1
+        assert stages[stage][f"{loop}_stop"] in stops
 
 
 def test_pipeline_stage_error_is_tagged(bundle, monkeypatch):
