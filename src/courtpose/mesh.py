@@ -15,13 +15,6 @@ from .errors import ValidationError
 
 PART_NAMES = ("head", "arms", "shirt", "pants", "legs", "shoes")
 
-# per-part vertex counts of the released full-body template
-TEMPLATE_PART_VERTICES = {
-    "head": 348, "arms": 842, "shoes": 937, "shirt": 2098, "pants": 1439, "legs": 372,
-}
-TEMPLATE_TOTAL_VERTICES = 6036
-TEMPLATE_TOTAL_FACES = 11576
-
 _DEGENERATE_AREA = 1e-12
 
 
@@ -72,9 +65,6 @@ class BodyMesh:
                 return p
         raise ValidationError(f"body has no part {name!r}")
 
-    def has_part(self, name: str) -> bool:
-        return any(p.part == name for p in self.parts)
-
     @property
     def total_vertices(self) -> int:
         return sum(p.num_vertices for p in self.parts)
@@ -94,10 +84,6 @@ class BodyMesh:
 
     def with_parts(self, parts) -> "BodyMesh":
         return BodyMesh(tuple(parts))
-
-    def matches_template(self) -> bool:
-        return (self.total_vertices == TEMPLATE_TOTAL_VERTICES
-                and self.total_faces == TEMPLATE_TOTAL_FACES)
 
 
 def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import NumericalError, ValidationError
 from . import autograd as ag
-from .network import NetConfig, PartOps, skin_loss_var, tl_training_forward
+from .network import NetConfig, PartOps, tl_training_forward
 
 MAGIC = b"CPNETP1\x00"
 

@@ -6,7 +6,9 @@ Conventions
 * Rest offsets are stored in the parent joint's frame, meters, y up.
 * A per-joint local transform (R, t) maps child coordinates into the parent
   frame as ``x_parent = R @ x_child + offset + t``; forward kinematics
-  composes these down the tree.
+  composes these down the tree, one depth level at a time. ``Skeleton``
+  groups its joints by depth when it checks the tree, and the same loop
+  serves ``fk_global`` and the keypoint fit in ``skinning``.
 * Root-relative poses have the pelvis at the origin.
 """
 from __future__ import annotations
@@ -55,17 +57,21 @@ class Skeleton:
             raise ValidationError("rest offsets must be finite")
         if np.count_nonzero(self.parent < 0) != 1 or self.parent[0] != -1:
             raise ValidationError("skeleton must have exactly one root, at index 0")
-        # tree check: every joint must reach the root without cycles
+        # tree check: every joint must reach the root in fewer than J steps;
+        # the step count is the joint's depth
+        depth = np.zeros(J, dtype=int)
         for j in range(J):
-            seen, k = set(), j
+            k = j
             while self.parent[k] >= 0:
-                if k in seen:
-                    raise ValidationError("parent graph has a cycle")
-                seen.add(k)
                 k = int(self.parent[k])
                 if not 0 <= k < J:
                     raise ValidationError("parent index out of range")
-        object.__setattr__(self, "_topo_order", tuple(_topological_order(self.parent)))
+                depth[j] += 1
+                if depth[j] >= J:
+                    raise ValidationError("parent graph has a cycle")
+        # joints below the root, grouped by depth: FK composes one group at a time
+        object.__setattr__(self, "_levels", tuple(
+            np.nonzero(depth == d)[0] for d in range(1, depth.max() + 1)))
 
     root = 0
 
@@ -189,24 +195,6 @@ class Pose2D:
         return ok | ~self.visibility
 
 
-def _topological_order(parent: np.ndarray) -> list:
-    order, placed = [], np.zeros(len(parent), dtype=bool)
-    pending = list(range(len(parent)))
-    while pending:
-        stay = []
-        for j in pending:
-            p = parent[j]
-            if p < 0 or placed[p]:
-                order.append(j)
-                placed[j] = True
-            else:
-                stay.append(j)
-        if len(stay) == len(pending):
-            raise ValidationError("parent graph is not a tree")
-        pending = stay
-    return order
-
-
 def fk_global(skeleton: Skeleton, transforms: BoneTransforms):
     """Global joint rotations and world positions from local bone transforms.
 
@@ -221,17 +209,22 @@ def fk_global(skeleton: Skeleton, transforms: BoneTransforms):
         d = rotation_defect(transforms.rotations[j])
         if d > 1e-6:
             raise ValidationError(f"rotation {j} not orthonormal within 1e-6")
-    R_glob = np.empty((J, 3, 3))
-    pos = np.empty((J, 3))
-    for j in skeleton._topo_order:
-        p = skeleton.parent[j]
-        local_t = skeleton.rest_offsets[j] + transforms.translations[j]
-        if p < 0:
-            R_glob[j] = transforms.rotations[j]
-            pos[j] = local_t
-        else:
-            R_glob[j] = R_glob[p] @ transforms.rotations[j]
-            pos[j] = R_glob[p] @ local_t + pos[p]
+    return _fk_levels(skeleton, transforms.rotations,
+                      skeleton.rest_offsets + transforms.translations)
+
+
+def _fk_levels(skeleton: Skeleton, rotations: np.ndarray, offsets: np.ndarray):
+    """Forward kinematics without validation: global rotations (J, 3, 3) and
+    positions (J, 3) from local rotations and parent-frame offsets (J, 3),
+    composed one depth level at a time."""
+    R_glob = np.empty_like(rotations)
+    pos = np.empty_like(offsets)
+    R_glob[0] = rotations[0]
+    pos[0] = offsets[0]
+    for idx in skeleton._levels:
+        par = skeleton.parent[idx]
+        R_glob[idx] = R_glob[par] @ rotations[idx]
+        pos[idx] = (R_glob[par] @ offsets[idx, :, None])[:, :, 0] + pos[par]
     return R_glob, pos
 
 

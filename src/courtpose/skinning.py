@@ -22,8 +22,8 @@ from .errors import NumericalError, ValidationError
 from .lsq import lm_solve
 from .mesh import BodyMesh
 from .model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
-                    fk_global, forward_kinematics)
-from .transforms import axis_angle_to_matrix, matrix_to_axis_angle
+                    _fk_levels, fk_global, forward_kinematics)
+from .transforms import axis_angle_to_matrix, matrix_to_axis_angle, skew
 
 MAX_INFLUENCES = 4
 
@@ -370,12 +370,9 @@ class KeypointObjective:
         J = skeleton.num_joints
         self.num_params = 3 * J + (3 if self.world_frame else 0)
         # ancestor[i, j]: joint j is joint i or one of its ancestors
-        self._ancestor = np.zeros((J, J), dtype=bool)
-        for j in skeleton._topo_order:
-            p = skeleton.parent[j]
-            if p >= 0:
-                self._ancestor[j] = self._ancestor[p]
-            self._ancestor[j, j] = True
+        self._ancestor = np.eye(J, dtype=bool)
+        for idx in skeleton._levels:
+            self._ancestor[idx] |= self._ancestor[skeleton.parent[idx]]
 
     def unpack(self, params):
         J = self.skeleton.num_joints
@@ -385,34 +382,18 @@ class KeypointObjective:
 
     def transforms(self, params) -> BoneTransforms:
         om, root_t = self.unpack(params)
-        R = np.stack([axis_angle_to_matrix(w) for w in om])
         tr = np.zeros((len(om), 3))
         tr[0] = root_t
-        return BoneTransforms(R, tr)
-
-    def _fk(self, om, root_t):
-        # validation-free FK; the optimizer calls this every evaluation
-        sk = self.skeleton
-        J = sk.num_joints
-        R_glob = np.empty((J, 3, 3))
-        pos = np.empty((J, 3))
-        for j in sk._topo_order:
-            Rj = axis_angle_to_matrix(om[j])
-            p = sk.parent[j]
-            if p < 0:
-                R_glob[j] = Rj
-                pos[j] = sk.rest_offsets[j] + root_t
-            else:
-                R_glob[j] = R_glob[p] @ Rj
-                pos[j] = R_glob[p] @ sk.rest_offsets[j] + pos[p]
-        return R_glob, pos
+        return BoneTransforms(axis_angle_to_matrix(om), tr)
 
     def residuals(self, params, jacobian: bool = False):
         """Residual vector r, or (r, dr/dparams) when ``jacobian``."""
         cfg = self.cfg
         J = self.skeleton.num_joints
         om, root_t = self.unpack(params)
-        R_glob, pos_world = self._fk(om, root_t)
+        offsets = self.skeleton.rest_offsets.copy()
+        offsets[0] += root_t
+        R_glob, pos_world = _fk_levels(self.skeleton, axis_angle_to_matrix(om), offsets)
         pos = pos_world if self.world_frame else pos_world - pos_world[0]
         if jacobian:
             jpos = self._position_jacobian(om, R_glob, pos_world)
@@ -471,10 +452,7 @@ def so3_right_jacobian(omega: np.ndarray) -> np.ndarray:
     exp(omega + d) ~= exp(omega) exp(J_r(omega) d)."""
     omega = np.asarray(omega, dtype=float).reshape(-1, 3)
     theta = np.linalg.norm(omega, axis=1)
-    K = np.zeros((len(omega), 3, 3))
-    K[:, 0, 1], K[:, 0, 2] = -omega[:, 2], omega[:, 1]
-    K[:, 1, 0], K[:, 1, 2] = omega[:, 2], -omega[:, 0]
-    K[:, 2, 0], K[:, 2, 1] = -omega[:, 1], omega[:, 0]
+    K = skew(omega)
     small = theta < 1e-3
     t = np.where(small, 1.0, theta)
     t2 = theta * theta

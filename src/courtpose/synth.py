@@ -153,12 +153,9 @@ def canonical_body(voxel_res: int):
 def random_pose_transforms(skeleton: Skeleton, rng: np.random.Generator,
                            angle_std: float) -> BoneTransforms:
     J = skeleton.num_joints
-    rots = np.empty((J, 3, 3))
     yaw = rng.uniform(-np.pi, np.pi)
-    rots[0] = axis_angle_to_matrix(np.array([0.0, yaw, 0.0]))
-    for j in range(1, J):
-        rots[j] = axis_angle_to_matrix(rng.normal(0.0, angle_std, size=3))
-    return BoneTransforms(rots, np.zeros((J, 3)))
+    aa = np.vstack([[0.0, yaw, 0.0], rng.normal(0.0, angle_std, size=(J - 1, 3))])
+    return BoneTransforms(axis_angle_to_matrix(aa), np.zeros((J, 3)))
 
 
 def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneBundle:

@@ -15,23 +15,19 @@ def rotation_defect(R: np.ndarray) -> float:
     return max(ortho, abs(np.linalg.det(R) - 1.0))
 
 
-def check_rotation(R: np.ndarray, tol: float = 1e-9, what: str = "rotation") -> None:
-    d = rotation_defect(R)
-    if not np.isfinite(d) or d > tol:
-        raise ValidationError(f"{what} is not orthonormal with det +1 (defect {d:.3g} > {tol:.3g})")
-
-
 def axis_angle_to_matrix(aa: np.ndarray) -> np.ndarray:
-    """Rodrigues' formula; aa is the rotation vector (axis * angle, radians)."""
-    aa = np.asarray(aa, dtype=float).reshape(3)
-    theta = np.linalg.norm(aa)
-    if theta < 1e-12:
-        # second-order series keeps the map smooth through zero
-        K = skew(aa)
-        return np.eye(3) + K + 0.5 * (K @ K)
-    k = aa / theta
-    K = skew(k)
-    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+    """Rodrigues' formula; aa is a rotation vector (axis * angle, radians),
+    (3,) -> (3, 3), or a stack of them, (N, 3) -> (N, 3, 3)."""
+    aa = np.asarray(aa, dtype=float)
+    # |aa| as a dot product, the arithmetic np.linalg.norm uses on one vector,
+    # so a row's matrix does not depend on the batch it arrives in
+    theta = np.sqrt(aa[..., None, :] @ aa[..., :, None])[..., 0, 0]
+    # below 1e-12 the second-order series keeps the map smooth through zero
+    small = theta < 1e-12
+    K = skew(aa / np.where(small, 1.0, theta)[..., None])
+    s = np.where(small, 1.0, np.sin(theta))[..., None, None]
+    c = np.where(small, 0.5, 1.0 - np.cos(theta))[..., None, None]
+    return np.eye(3) + s * K + c * (K @ K)
 
 
 def matrix_to_axis_angle(R: np.ndarray) -> np.ndarray:
@@ -40,25 +36,33 @@ def matrix_to_axis_angle(R: np.ndarray) -> np.ndarray:
     theta = np.arccos(cos)
     if theta < 1e-9:
         return np.zeros(3)
-    if np.pi - theta < 1e-6:
-        # near-pi: extract axis from R + I
-        A = (R + np.eye(3)) / 2.0
-        axis = np.sqrt(np.clip(np.diag(A), 0.0, None))
-        # fix signs from off-diagonals using the largest component
-        i = int(np.argmax(axis))
-        if axis[i] > 0:
-            axis = A[i] / axis[i]
-        n = np.linalg.norm(axis)
-        if n == 0:
-            return np.zeros(3)
-        return axis / n * theta
     v = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    if np.pi - theta < 1e-6:
+        # near pi, v = 2 sin(theta) k is too small to divide by: take the axis
+        # from the symmetric part (1 - cos) k k^T, its sign from v, and the
+        # angle from atan2, which stays exact where arccos does not
+        S = (R + R.T) / 2.0 - cos * np.eye(3)
+        i = int(np.argmax(np.diag(S)))
+        if S[i, i] <= 0:
+            return np.zeros(3)
+        axis = S[i] / np.linalg.norm(S[i])
+        if axis @ v < 0:
+            axis = -axis
+        return axis * np.arctan2(np.linalg.norm(v) / 2.0, cos)
     return v / (2.0 * np.sin(theta)) * theta
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    x, y, z = np.asarray(v, dtype=float).reshape(3)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrices, skew(v) @ w == np.cross(v, w):
+    (3,) -> (3, 3), or (N, 3) -> (N, 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != 3:
+        raise ValidationError(f"expected a (3,) or (N, 3) array, got shape {v.shape}")
+    K = np.zeros(v.shape + (3,))
+    K[..., 0, 1], K[..., 0, 2] = -v[..., 2], v[..., 1]
+    K[..., 1, 0], K[..., 1, 2] = v[..., 2], -v[..., 0]
+    K[..., 2, 0], K[..., 2, 1] = -v[..., 1], v[..., 0]
+    return K
 
 
 def nearest_rotation(M: np.ndarray) -> np.ndarray:
@@ -77,12 +81,6 @@ def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.nd
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(-max_angle, max_angle)
     return axis_angle_to_matrix(axis * angle)
-
-
-def compose_rigid(Ra, ta, Rb, tb):
-    """(Ra,ta) o (Rb,tb): first apply b, then a."""
-    Ra = np.asarray(Ra, float)
-    return Ra @ np.asarray(Rb, float), Ra @ np.asarray(tb, float) + np.asarray(ta, float)
 
 
 def look_at_rotation(eye: np.ndarray, target: np.ndarray, up=(0.0, 1.0, 0.0)) -> np.ndarray:

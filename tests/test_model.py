@@ -5,9 +5,9 @@ import pytest
 
 from courtpose.errors import ValidationError
 from courtpose.model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
-                             bone_lengths, forward_kinematics, lsp14_indices,
-                             pose3d_from_json, pose3d_to_json, rest_pose,
-                             skeleton_from_json, skeleton_to_json,
+                             bone_lengths, fk_global, forward_kinematics,
+                             lsp14_indices, pose3d_from_json, pose3d_to_json,
+                             rest_pose, skeleton_from_json, skeleton_to_json,
                              transforms_from_json, transforms_to_json)
 from courtpose.transforms import axis_angle_to_matrix, random_rotation
 
@@ -161,3 +161,67 @@ def test_json_round_trips():
     back = transforms_from_json(json.loads(json.dumps(transforms_to_json(bt))))
     assert np.allclose(back.rotations, bt.rotations)
     assert np.allclose(back.translations, bt.translations)
+
+
+def shuffled_tree(rng, n):
+    """Random tree rooted at 0 whose other joints get shuffled indices, so
+    some children sit at a lower index than their parent."""
+    label = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    parent = np.empty(n, dtype=int)
+    parent[0] = -1
+    for k in range(1, n):  # the k-th joint attached hangs below an earlier one
+        parent[label[k]] = label[rng.integers(0, k)]
+    offs = rng.normal(scale=0.3, size=(n, 3))
+    return Skeleton([f"j{i}" for i in range(n)], parent, offs)
+
+
+def per_joint_fk(sk, rotations, translations):
+    """Oracle: compose each joint once its parent is placed, one joint at a time."""
+    J = sk.num_joints
+    R_glob = np.full((J, 3, 3), np.nan)
+    pos = np.full((J, 3), np.nan)
+    placed = np.zeros(J, dtype=bool)
+    while not placed.all():
+        for j in range(J):
+            p = sk.parent[j]
+            if placed[j] or (p >= 0 and not placed[p]):
+                continue
+            local_t = sk.rest_offsets[j] + translations[j]
+            if p < 0:
+                R_glob[j], pos[j] = rotations[j], local_t
+            else:
+                R_glob[j] = R_glob[p] @ rotations[j]
+                pos[j] = R_glob[p] @ local_t + pos[p]
+            placed[j] = True
+    return R_glob, pos
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fk_matches_per_joint_oracle_on_random_trees(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 36))
+    sk = shuffled_tree(rng, n)
+    assert (sk.parent[1:] > np.arange(1, n)).any()
+    bt = BoneTransforms(np.stack([random_rotation(rng) for _ in range(n)]),
+                        rng.normal(scale=0.1, size=(n, 3)))
+    R_or, pos_or = per_joint_fk(sk, bt.rotations, bt.translations)
+    R_glob, pos = fk_global(sk, bt)
+    assert np.abs(R_glob - R_or).max() < 1e-12
+    assert np.abs(pos - pos_or).max() < 1e-12
+    world = forward_kinematics(sk, bt, frame=Frame.WORLD)
+    assert np.abs(world.positions - pos_or).max() < 1e-12
+    rr = forward_kinematics(sk, bt)
+    assert np.abs(rr.positions - (pos_or - pos_or[0])).max() < 1e-12
+
+
+@pytest.mark.parametrize("parent", [
+    [-1, 2, 1],          # two joints that are each other's parent
+    [-1, 1],             # a joint that is its own parent
+    [-1, 3, 1, 2],       # a three-joint cycle hanging off nothing
+    [-1, 0, 5],          # parent index past the last joint
+    [-1, 0, -2],         # a second negative parent
+    [0, -1, 0],          # root not at index 0
+])
+def test_bad_parent_arrays_rejected(parent):
+    with pytest.raises(ValidationError):
+        Skeleton([f"j{i}" for i in range(len(parent))], parent, np.zeros((len(parent), 3)))

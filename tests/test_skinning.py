@@ -277,6 +277,23 @@ def test_analytic_jacobian_matches_central_differences_3d(frame, seed):
 
 
 @pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
+def test_objective_matches_forward_kinematics_on_unordered_tree(frame):
+    # children 1, 2 and 4 sit at a lower index than their parent
+    sk = Skeleton([f"j{i}" for i in range(6)], [-1, 3, 5, 0, 5, 3],
+                  [[0, 0, 0], [0.1, 0.2, 0], [0, 0.3, 0.1], [0.2, 0.1, 0],
+                   [-0.1, 0.2, 0.1], [0, 0.25, -0.1]])
+    rng = np.random.default_rng(8)
+    target = Pose3D(np.vstack([np.zeros(3), rng.normal(size=(5, 3))]), frame)
+    obj = KeypointObjective(sk, target, cfg=FitConfig(wprior=0.0))
+    p = rng.normal(scale=0.7, size=obj.num_params)
+    pose = forward_kinematics(sk, obj.transforms(p), frame=frame)
+    r, Jm = obj.residuals(p, jacobian=True)
+    assert np.abs(r - (pose.positions - target.positions).ravel()).max() < 1e-12
+    Jfd = finite_difference_jacobian(obj, p)
+    assert np.abs(Jm - Jfd).max() < 1e-6 * max(1.0, np.abs(Jfd).max())
+
+
+@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
 def test_analytic_jacobian_matches_central_differences_2d(frame):
     rng = np.random.default_rng(4)
     sk = random_tree(rng, 12)

@@ -4,7 +4,7 @@ import pytest
 from courtpose.errors import ValidationError
 from courtpose.transforms import (axis_angle_to_matrix, look_at_rotation,
                                   matrix_to_axis_angle, nearest_rotation,
-                                  random_rotation, rotation_defect)
+                                  random_rotation, rotation_defect, skew)
 
 
 def test_axis_angle_round_trip():
@@ -19,6 +19,63 @@ def test_axis_angle_round_trip():
 
 def test_axis_angle_zero_is_identity():
     assert np.allclose(axis_angle_to_matrix(np.zeros(3)), np.eye(3))
+
+
+def scalar_rodrigues(aa):
+    """Oracle: Rodrigues' formula for one rotation vector."""
+    def cross_matrix(v):
+        x, y, z = v
+        return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+    theta = np.linalg.norm(aa)
+    if theta < 1e-12:
+        K = cross_matrix(aa)
+        return np.eye(3) + K + 0.5 * (K @ K)
+    K = cross_matrix(aa / theta)
+    return np.eye(3) + np.sin(theta) * K + (1.0 - np.cos(theta)) * (K @ K)
+
+
+def test_batched_rodrigues_matches_scalar_formula_per_row():
+    rng = np.random.default_rng(2)
+    axes = rng.normal(size=(40, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    aa = np.vstack([
+        np.zeros((2, 3)),
+        axes[:8] * 10.0 ** rng.uniform(-16, -12, size=(8, 1)),  # series branch
+        axes[8:16] * 1e-12,                                     # the branch edge
+        axes[16:24] * (np.pi - 10.0 ** rng.uniform(-12, -3, size=(8, 1))),
+        axes[24:] * np.pi,
+        rng.normal(scale=1.5, size=(30, 3)),
+    ])
+    batch = axis_angle_to_matrix(aa)
+    assert batch.shape == (len(aa), 3, 3)
+    for v, R in zip(aa, batch):
+        oracle = scalar_rodrigues(v)
+        assert np.abs(R - oracle).max() < 1e-14
+        assert np.abs(axis_angle_to_matrix(v) - R).max() < 1e-15
+    assert axis_angle_to_matrix(np.zeros((0, 3))).shape == (0, 3, 3)
+
+
+def test_skew_matches_cross_product():
+    rng = np.random.default_rng(4)
+    v, w = rng.normal(size=(2, 25, 3))
+    assert np.abs(skew(v) @ w[:, :, None] - np.cross(v, w)[:, :, None]).max() < 1e-15
+    assert np.abs(skew(v[0]) @ w[0] - np.cross(v[0], w[0])).max() < 1e-15
+    assert skew(v).shape == (25, 3, 3)
+    for bad in (np.zeros(4), np.zeros((2, 2)), np.zeros((2, 2, 3))):
+        with pytest.raises(ValidationError):
+            skew(bad)
+
+
+def test_axis_angle_round_trip_near_pi():
+    rng = np.random.default_rng(5)
+    axes = rng.normal(size=(2000, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    theta = np.pi - 10.0 ** rng.uniform(-9, -6, size=2000)
+    for aa in axes * theta[:, None]:
+        R = axis_angle_to_matrix(aa)
+        back = axis_angle_to_matrix(matrix_to_axis_angle(R))
+        assert np.abs(back - R).max() < 1e-9
 
 
 def test_nearest_rotation_projects():
