@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .collision import COLLISION_BAND, detect_collisions
+from .collision import detect_collisions
 from .errors import NumericalError, ValidationError
 from .mesh import BodyMesh, PartMesh, mesh_edges, uniform_laplacian, vertex_normals
 
@@ -102,9 +102,8 @@ def penetration_loss(V: np.ndarray, V_star: np.ndarray, mesh: PartMesh,
     return loss, grad
 
 
-def minimize_lbfgs(fun, x0: np.ndarray, max_iters: int = INNER_ITERATIONS,
-                   memory: int = LBFGS_MEMORY):
-    """L-BFGS with Armijo backtracking. ``fun(x) -> (f, g)``.
+def minimize_lbfgs(fun, x0: np.ndarray, max_iters: int = INNER_ITERATIONS):
+    """L-BFGS (``LBFGS_MEMORY`` pairs), Armijo backtracking. ``fun(x) -> (f, g)``.
 
     Accepted iterates strictly decrease f; returns (x, [f history]).
     """
@@ -152,7 +151,7 @@ def minimize_lbfgs(fun, x0: np.ndarray, max_iters: int = INNER_ITERATIONS,
             s_list.append(s_vec)
             y_list.append(y_vec)
             rho.append(1.0 / sy)
-            if len(s_list) > memory:
+            if len(s_list) > LBFGS_MEMORY:
                 s_list.pop(0)
                 y_list.pop(0)
                 rho.pop(0)
@@ -161,12 +160,9 @@ def minimize_lbfgs(fun, x0: np.ndarray, max_iters: int = INNER_ITERATIONS,
     return x, history
 
 
-def resolve_interpenetration(parts: BodyMesh, band: float = COLLISION_BAND,
-                             push: float = PUSH_DISTANCE,
-                             outer_iterations: int = OUTER_ITERATIONS,
-                             inner_iterations: int = INNER_ITERATIONS,
-                             weights: PenetrationWeights = PenetrationWeights()):
-    """Detect-push-optimize loop over the body/garment pairs.
+def resolve_interpenetration(parts: BodyMesh):
+    """Detect-push-optimize loop over the body/garment pairs, with the
+    module constants and the default ``PenetrationWeights``.
 
     Returns (BodyMesh, report). The report carries per-iteration collision
     counts and inner loss histories plus the residual collision count.
@@ -182,12 +178,12 @@ def resolve_interpenetration(parts: BodyMesh, band: float = COLLISION_BAND,
         found = {}
         for body_name, garment_name in pairs:
             body = meshes[body_name].with_vertices(current[body_name])
-            rep = detect_collisions(body, meshes[garment_name], band=band)
+            rep = detect_collisions(body, meshes[garment_name])
             if rep.count:
                 found.setdefault(body_name, []).append(rep)
         return found
 
-    for _ in range(outer_iterations):
+    for _ in range(OUTER_ITERATIONS):
         found = detect_all()
         total = sum(r.count for reps in found.values() for r in reps)
         entry = {"collisions": total, "losses": {}, "pinned": {}, "pinned_intact": {}}
@@ -199,7 +195,7 @@ def resolve_interpenetration(parts: BodyMesh, band: float = COLLISION_BAND,
             normals = vertex_normals(mesh)
             pinned = np.unique(np.concatenate([r.vertex_indices for r in reps]))
             V = current[body_name]
-            V[pinned] -= push * normals[pinned]
+            V[pinned] -= PUSH_DISTANCE * normals[pinned]
             free = np.setdiff1d(np.arange(len(V)), pinned)
             if free.size == 0:
                 continue
@@ -212,11 +208,10 @@ def resolve_interpenetration(parts: BodyMesh, band: float = COLLISION_BAND,
                           part_terms=terms[body_name]):
                 W = V.copy()
                 W[free] = xfree.reshape(-1, 3)
-                loss, grad = penetration_loss(W, V_star, mesh, weights, part_terms)
+                loss, grad = penetration_loss(W, V_star, mesh, terms=part_terms)
                 return loss, grad[free].ravel()
 
-            x, losses = minimize_lbfgs(objective, V[free].ravel(),
-                                       max_iters=inner_iterations)
+            x, losses = minimize_lbfgs(objective, V[free].ravel())
             V[free] = x.reshape(-1, 3)
             entry["losses"][body_name] = losses
             entry["pinned"][body_name] = pinned.tolist()

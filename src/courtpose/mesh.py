@@ -69,10 +69,6 @@ class BodyMesh:
     def total_vertices(self) -> int:
         return sum(p.num_vertices for p in self.parts)
 
-    @property
-    def total_faces(self) -> int:
-        return sum(p.num_faces for p in self.parts)
-
     def merged(self):
         """Single (vertices, faces) pair with per-part index offsets applied."""
         vs, fs, off = [], [], 0

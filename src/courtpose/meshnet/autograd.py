@@ -62,10 +62,6 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def constant(value) -> Var:
-    return Var(value)
-
-
 def matmul(a: Var, b: Var) -> Var:
     out = Var(a.value @ b.value, (a, b))
     def grad_fn(g):

@@ -125,10 +125,11 @@ class BoneTransforms:
             raise ValidationError("rotations must be (J, 3, 3)")
         if self.translations.shape != (self.rotations.shape[0], 3):
             raise ValidationError("translations must be (J, 3)")
-        for j, R in enumerate(self.rotations):
-            d = rotation_defect(R)
-            if not np.isfinite(d) or d > 1e-9:
-                raise ValidationError(f"rotation {j} not orthonormal within 1e-9 (defect {d:.3g})")
+        d = rotation_defect(self.rotations)
+        bad = np.flatnonzero(~np.isfinite(d) | (d > 1e-9))
+        if bad.size:
+            raise ValidationError(
+                f"rotation {bad[0]} not orthonormal within 1e-9 (defect {d[bad[0]]:.3g})")
 
     @property
     def num_joints(self) -> int:
@@ -164,9 +165,6 @@ class Pose3D:
 
     def translated(self, offset) -> "Pose3D":
         return Pose3D(self.positions + np.asarray(offset, dtype=float), frame=Frame.WORLD)
-
-    def to_root_relative(self) -> "Pose3D":
-        return Pose3D(self.positions - self.positions[0], frame=Frame.ROOT_RELATIVE)
 
 
 @dataclass(frozen=True)
@@ -205,10 +203,9 @@ def fk_global(skeleton: Skeleton, transforms: BoneTransforms):
     if transforms.num_joints != J:
         raise ValidationError(
             f"transform count {transforms.num_joints} does not match joint count {J}")
-    for j in range(J):
-        d = rotation_defect(transforms.rotations[j])
-        if d > 1e-6:
-            raise ValidationError(f"rotation {j} not orthonormal within 1e-6")
+    bad = np.flatnonzero(rotation_defect(transforms.rotations) > 1e-6)
+    if bad.size:
+        raise ValidationError(f"rotation {bad[0]} not orthonormal within 1e-6")
     return _fk_levels(skeleton, transforms.rotations,
                       skeleton.rest_offsets + transforms.translations)
 

@@ -2,19 +2,22 @@
 linear blend skinning, and least-squares fitting of bone transforms to
 target keypoints.
 
-Heat sources: every non-leaf joint owns the bone segments from itself to its
-children; leaf joints (finger tips, toes) carry no source and therefore
-receive zero weight columns. Per bone, unit heat is pinned on the segment's
-voxels and zero on every other bone's voxels; the steady state on the
-interior voxel graph is reached by Jacobi iteration (max change < 1e-6).
+Heat weights (Baran & Popovic 2007, on voxels as in Dionne & de Lasa 2013)
+live on one grid: face samples mark the surface cells and
+``binary_fill_holes`` adds the interior. Every non-leaf joint owns the bone
+segments from itself to its children; leaf joints (finger tips, toes) carry
+no source and therefore receive zero weight columns. Per bone, unit heat is
+pinned on the segment's voxels and zero on every other bone's; Jacobi
+iteration reaches the steady state, which is sampled at the vertices.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.ndimage import label
+from scipy.ndimage import binary_fill_holes
 
 from . import blas
 from .camera import Camera, project_with_depth
@@ -40,6 +43,8 @@ class SkinningWeights:
             raise ValidationError("weights must be (vertices, joints)")
         if self.W.min() < 0:
             raise ValidationError("weights must be nonnegative")
+        if not np.all(np.isfinite(self.W)):
+            raise ValidationError("weights must be finite")
         if np.abs(self.W.sum(axis=1) - 1.0).max() > 1e-6:
             raise ValidationError("weight rows must sum to 1 within 1e-6")
 
@@ -85,6 +90,12 @@ class FitConfig:
 # Heat-diffusion skinning weights
 # ---------------------------------------------------------------------------
 
+JACOBI_TOL = 1e-6  # stop once no voxel's heat changes by this much
+MAX_JACOBI_ITERS = 100000
+GRID_PAD = 2  # empty cells around the mesh's bounding box
+_NEIGHBOURS = np.array([[-1, 0, 0], [1, 0, 0], [0, -1, 0], [0, 1, 0], [0, 0, -1], [0, 0, 1]])
+
+
 def bone_sources(skeleton: Skeleton, rest_pose: Pose3D):
     """Per-joint heat-source segments [(a, b), ...]; empty list for leaves."""
     pos = rest_pose.positions
@@ -93,218 +104,170 @@ def bone_sources(skeleton: Skeleton, rest_pose: Pose3D):
 
 
 def heat_diffusion_weights(mesh: BodyMesh, skeleton: Skeleton, rest_pose: Pose3D,
-                           voxel_res: int = 64, jacobi_tol: float = 1e-6,
-                           max_jacobi_iters: int = 100000) -> SkinningWeights:
+                           voxel_res: int = 64) -> SkinningWeights:
     """Skinning weights from steady-state heat diffusion on the voxelized
-    interior, trilinearly sampled at the vertices, top-4 pruned, renormalized.
-    """
+    interior, trilinearly sampled at the vertices, top-4 pruned, renormalized."""
     if skeleton.num_joints != rest_pose.num_joints:
         raise ValidationError("skeleton and rest pose joint counts differ")
     verts, faces = mesh.merged()
     if len(verts) == 0:
         raise ValidationError("empty mesh")
 
-    occ, origin, h, dims = _voxelize(verts, faces, voxel_res)
-    if not occ.any():
-        raise ValidationError("empty voxelization")
+    grid = _VoxelGrid(verts, voxel_res)
+    occ = _voxelize(grid, verts, faces)
 
     segments = bone_sources(skeleton, rest_pose)
     active = [j for j, segs in enumerate(segments) if segs]
-    src_per_bone = []
-    for j in active:
-        vox = _segment_voxels(segments[j], origin, h, dims)
-        vox = vox[occ.reshape(-1)[vox]] if vox.size else vox
+    if not active:
+        raise ValidationError("skeleton has no bone to carry heat")
+    src_per_bone = [_bone_voxels(grid, occ, segments[j]) for j in active]
+    for j, vox in zip(active, src_per_bone):
         if vox.size == 0:
             raise ValidationError(
                 f"bone of joint {skeleton.joint_names[j]!r} lies outside the voxel volume")
-        src_per_bone.append(np.unique(vox))
 
-    fields = _jacobi_diffusion(occ, src_per_bone, jacobi_tol, max_jacobi_iters)
+    fields, compact = _jacobi_diffusion(grid, occ, src_per_bone)
 
-    J = skeleton.num_joints
-    W = np.zeros((len(verts), J))
-    sampled = _sample_fields(fields, occ, origin, h, dims, verts)
-    for k, j in enumerate(active):
-        W[:, j] = sampled[:, k]
+    W = np.zeros((len(verts), skeleton.num_joints))
+    W[:, active] = _sample_fields(grid, fields, compact, verts)
 
     # top-K pruning + renormalization
     if W.shape[1] > MAX_INFLUENCES:
         order = np.argsort(W, axis=1)
         W[np.arange(len(W))[:, None], order[:, :-MAX_INFLUENCES]] = 0.0
-    sums = W.sum(axis=1)
-    dead = sums <= 1e-12
+    dead = W.sum(axis=1) <= 1e-12
     if dead.any():
         # vertices in source-free pockets: snap to the nearest bone segment
         nearest = _nearest_bone(verts[dead], [segments[j] for j in active])
-        for row, k in zip(np.nonzero(dead)[0], nearest):
-            W[row, :] = 0.0
-            W[row, active[k]] = 1.0
-        sums = W.sum(axis=1)
-    W /= sums[:, None]
+        W[dead] = np.eye(W.shape[1])[np.asarray(active)[nearest]]
+    W /= W.sum(axis=1)[:, None]
     return SkinningWeights(W)
 
 
-def _voxelize(verts, faces, res):
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    extent = hi - lo
-    h = float(extent.max()) / max(res, 1)
-    if h <= 0:
-        raise ValidationError("degenerate mesh bounding box")
-    pad = 2
-    dims = tuple(int(np.ceil(e / h)) + 2 * pad for e in extent)
-    origin = lo - pad * h
-    occ = np.zeros(dims, dtype=bool)
+class _VoxelGrid:
+    """Cubic cells of side h over the vertices' bounding box, ``res`` along
+    its longest side, padded by ``GRID_PAD`` cells; flat indices are C-order."""
 
-    def mark(points):
-        g = np.floor((points - origin) / h).astype(int)
-        ok = np.all((g >= 0) & (g < np.array(dims)), axis=1)
-        g = g[ok]
-        occ[g[:, 0], g[:, 1], g[:, 2]] = True
+    def __init__(self, verts, res):
+        lo = verts.min(axis=0)
+        extent = verts.max(axis=0) - lo
+        self.h = float(extent.max()) / max(res, 1)
+        if self.h <= 0:
+            raise ValidationError("degenerate mesh bounding box")
+        self.dims = tuple(int(np.ceil(e / self.h)) + 2 * GRID_PAD for e in extent)
+        self.origin = lo - GRID_PAD * self.h
 
-    mark(verts)
-    step = h / 2.0
-    for f in faces:
-        a, b, c = verts[f]
-        n1 = max(2, int(np.ceil(max(np.linalg.norm(b - a), np.linalg.norm(c - a)) / step)) + 1)
-        t = np.linspace(0.0, 1.0, n1)
+    def flat(self, cells):
+        """Flat indices of integer cells (N, 3); -1 outside the grid."""
+        inside = np.all((cells >= 0) & (cells < self.dims), axis=1)
+        out = np.full(len(cells), -1)
+        out[inside] = np.ravel_multi_index(tuple(cells[inside].T), self.dims)
+        return out
+
+    def cells_of(self, points):
+        """Flat indices of the cells of those points (N, 3) inside the grid."""
+        idx = self.flat(np.floor((points - self.origin) / self.h).astype(int))
+        return idx[idx >= 0]
+
+
+def _voxelize(grid, verts, faces):
+    """Flat occupancy: the cells of the vertices and of a barycentric sample
+    of each face, at most h/2 apart along its edges from the first corner,
+    plus the cells the outside cannot reach through 6-connected empty ones."""
+    occ = np.zeros(int(np.prod(grid.dims)), dtype=bool)
+    occ[grid.cells_of(verts)] = True
+    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    ab, ac = b - a, c - a
+    longest = np.sqrt(np.maximum(_dots(ab, ab), _dots(ac, ac)))
+    n1 = np.maximum(2, np.ceil(longest / (grid.h / 2.0)).astype(int) + 1)
+    for n in np.unique(n1):
+        t = np.linspace(0.0, 1.0, n)
         u, v = np.meshgrid(t, t, indexing="ij")
         keep = (u + v) <= 1.0
-        u, v = u[keep], v[keep]
-        mark(a + u[:, None] * (b - a) + v[:, None] * (c - a))
-
-    # flood the outside from the grid border; interior = not surface, not outside
-    empty, _ = label(~occ)
-    border_labels = set()
-    for axis in range(3):
-        for side in (0, -1):
-            sl = [slice(None)] * 3
-            sl[axis] = side
-            border_labels |= set(np.unique(empty[tuple(sl)]))
-    border_labels.discard(0)
-    outside = np.isin(empty, sorted(border_labels))
-    occupied = occ | (~occ & ~outside)
-    return occupied, origin, h, dims
+        u, v = u[keep][:, None], v[keep][:, None]
+        f = n1 == n
+        pts = a[f, None] + u * ab[f, None] + v * ac[f, None]
+        occ[grid.cells_of(pts.reshape(-1, 3))] = True
+    return binary_fill_holes(occ.reshape(grid.dims)).reshape(-1)
 
 
-def _segment_voxels(segs, origin, h, dims):
+def _dots(x, y):
+    # row-wise x . y, bit for bit as np.dot (and np.linalg.norm) on vectors
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _bone_voxels(grid, occ, segs):
+    """Occupied cells along the segments, sampled at most h/2 apart."""
     out = []
     for a, b in segs:
-        a = np.asarray(a, float)
-        b = np.asarray(b, float)
-        n = max(2, int(np.ceil(np.linalg.norm(b - a) / (h / 2.0))) + 1)
-        pts = a + np.linspace(0.0, 1.0, n)[:, None] * (b - a)
-        g = np.floor((pts - origin) / h).astype(int)
-        ok = np.all((g >= 0) & (g < np.array(dims)), axis=1)
-        g = g[ok]
-        if g.size:
-            out.append(np.ravel_multi_index((g[:, 0], g[:, 1], g[:, 2]), dims))
-    return np.unique(np.concatenate(out)) if out else np.zeros(0, dtype=int)
+        n = max(2, int(np.ceil(np.linalg.norm(b - a) / (grid.h / 2.0))) + 1)
+        out.append(grid.cells_of(a + np.linspace(0.0, 1.0, n)[:, None] * (b - a)))
+    vox = np.unique(np.concatenate(out))
+    return vox[occ[vox]]
 
 
-def _jacobi_diffusion(occ, src_per_bone, tol, max_iters):
-    dims = occ.shape
-    flat_idx = np.nonzero(occ.reshape(-1))[0]
-    compact = -np.ones(occ.size, dtype=int)
+def _jacobi_diffusion(grid, occ, src_per_bone):
+    """Steady heat on the occupied voxels, one column per bone pinned at 1 on
+    its sources and 0 on other bones'; also the map of flat cell indices to
+    field rows, which sends empty cells and -1 (off the grid) to -1."""
+    flat_idx = np.flatnonzero(occ)
+    compact = np.full(occ.size + 1, -1)
     compact[flat_idx] = np.arange(len(flat_idx))
-    # 6-neighborhood adjacency over occupied voxels
-    coords = np.stack(np.unravel_index(flat_idx, dims), axis=1)
-    rows, cols = [], []
-    for axis in range(3):
-        for d in (-1, 1):
-            nb = coords.copy()
-            nb[:, axis] += d
-            ok = (nb[:, axis] >= 0) & (nb[:, axis] < dims[axis])
-            nb_flat = np.ravel_multi_index((nb[ok, 0], nb[ok, 1], nb[ok, 2]), dims)
-            nb_compact = compact[nb_flat]
-            valid = nb_compact >= 0
-            rows.append(np.nonzero(ok)[0][valid])
-            cols.append(nb_compact[valid])
-    A = sp.csr_matrix((np.ones(sum(len(r) for r in rows)),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(len(flat_idx), len(flat_idx)))
-    deg = np.asarray(A.sum(axis=1)).ravel()
-    dinv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    # field rows of each occupied voxel's 6 neighbours, -1 where empty
+    coords = np.stack(np.unravel_index(flat_idx, grid.dims), axis=1)
+    nbr = compact[grid.flat((coords[:, None] + _NEIGHBOURS).reshape(-1, 3))].reshape(-1, 6)
+    rows, cols = np.nonzero(nbr >= 0)
+    A = sp.csr_matrix((np.ones(len(rows)), (rows, nbr[rows, cols])), shape=(len(flat_idx),) * 2)
+    dinv = 1.0 / np.maximum((nbr >= 0).sum(axis=1), 1)  # an isolated voxel stays 0
 
-    B = len(src_per_bone)
-    u = np.zeros((len(flat_idx), B))
-    pin_rows = np.unique(np.concatenate(src_per_bone)) if B else np.zeros(0, int)
-    pin_vals = np.zeros((len(pin_rows), B))
-    row_of = {int(r): i for i, r in enumerate(pin_rows)}
-    for b, src in enumerate(src_per_bone):
-        for r in src:
-            pin_vals[row_of[int(r)], b] = 1.0
-    pin_compact = compact[pin_rows]
-    u[pin_compact] = pin_vals
+    sources = np.concatenate(src_per_bone)
+    bone = np.repeat(np.arange(len(src_per_bone)), [len(s) for s in src_per_bone])
+    u = np.zeros((len(flat_idx), len(src_per_bone)))
+    u[compact[sources], bone] = 1.0
+    pins = compact[np.unique(sources)]
+    pin_vals = u[pins]
 
-    for _ in range(max_iters):
+    for _ in range(MAX_JACOBI_ITERS):
         nxt = (A @ u) * dinv[:, None]
-        nxt[pin_compact] = pin_vals
-        delta = np.abs(nxt - u).max() if u.size else 0.0
+        nxt[pins] = pin_vals
+        delta = np.abs(nxt - u).max()
         u = nxt
-        if delta < tol:
+        if delta < JACOBI_TOL:
             break
     else:
         raise NumericalError("heat diffusion failed to converge")
-    return u
+    return u, compact
 
 
-def _sample_fields(u, occ, origin, h, dims, verts):
-    """Masked trilinear interpolation of compact fields at vertex positions."""
-    compact = -np.ones(occ.size, dtype=int)
-    compact[np.nonzero(occ.reshape(-1))[0]] = np.arange(u.shape[0])
-    B = u.shape[1]
-    out = np.zeros((len(verts), B))
-    dims_a = np.array(dims)
-    g = (verts - origin) / h - 0.5
+def _sample_fields(grid, u, compact, verts):
+    """Trilinear interpolation at the vertices over the occupied cells among
+    their eight corners, renormalized. A vertex's own cell is occupied and
+    is one of the eight, weighted >= 1/8, so no vertex is left out."""
+    g = (verts - grid.origin) / grid.h - 0.5
     base = np.floor(g).astype(int)
     frac = g - base
-    for vi in range(len(verts)):
-        acc = np.zeros(B)
-        wsum = 0.0
-        for dx in (0, 1):
-            for dy in (0, 1):
-                for dz in (0, 1):
-                    c = base[vi] + (dx, dy, dz)
-                    if np.any(c < 0) or np.any(c >= dims_a):
-                        continue
-                    ci = compact[np.ravel_multi_index(tuple(c), dims)]
-                    if ci < 0:
-                        continue
-                    w = ((frac[vi, 0] if dx else 1 - frac[vi, 0])
-                         * (frac[vi, 1] if dy else 1 - frac[vi, 1])
-                         * (frac[vi, 2] if dz else 1 - frac[vi, 2]))
-                    acc += w * u[ci]
-                    wsum += w
-        if wsum > 1e-12:
-            out[vi] = acc / wsum
-        else:
-            cell = np.clip(np.round(g[vi]).astype(int), 0, dims_a - 1)
-            ci = compact[np.ravel_multi_index(tuple(cell), dims)]
-            if ci >= 0:
-                out[vi] = u[ci]
-    return out
+    acc = np.zeros((len(verts), u.shape[1]))
+    wsum = np.zeros(len(verts))
+    for corner in itertools.product((0, 1), repeat=3):
+        ci = compact[grid.flat(base + corner)]
+        on = ci >= 0
+        w = np.prod(np.where(corner, frac, 1 - frac), axis=1)[on]
+        acc[on] += w[:, None] * u[ci[on]]
+        wsum[on] += w
+    return acc / wsum[:, None]
 
 
 def _nearest_bone(points, seg_lists):
-    """Index of the bone (in seg_lists order) nearest each point."""
-    out = np.zeros(len(points), dtype=int)
-    for i, p in enumerate(points):
-        best, best_d = 0, np.inf
-        for k, segs in enumerate(seg_lists):
-            for a, b in segs:
-                d = _point_segment_distance(p, np.asarray(a), np.asarray(b))
-                if d < best_d:
-                    best, best_d = k, d
-        out[i] = best
-    return out
-
-
-def _point_segment_distance(p, a, b):
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom < 1e-18 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
+    """Index of the bone (seg_lists order) nearest each point; ties go first."""
+    owner = np.array([k for k, segs in enumerate(seg_lists) for _ in segs])
+    a = np.array([a for segs in seg_lists for a, _ in segs], dtype=float)
+    ab = np.array([b for segs in seg_lists for _, b in segs], dtype=float) - a
+    denom = _dots(ab, ab)
+    point = denom < 1e-18
+    t = np.clip(_dots(points[:, None, :] - a, ab) / np.where(point, 1.0, denom), 0.0, 1.0)
+    t[:, point] = 0.0
+    off = points[:, None, :] - (a + t[:, :, None] * ab)
+    return owner[np.argmin(np.sqrt(_dots(off, off)), axis=1)]
 
 
 # ---------------------------------------------------------------------------

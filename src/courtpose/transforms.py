@@ -6,13 +6,16 @@ import numpy as np
 from .errors import ValidationError
 
 
-def rotation_defect(R: np.ndarray) -> float:
-    """Max-abs deviation of R from a proper rotation (orthonormality + det)."""
+def rotation_defect(R: np.ndarray):
+    """Max-abs deviation of R from a proper rotation (orthonormality + det):
+    a float for one (3, 3) matrix, one per matrix for a (..., 3, 3) stack,
+    and inf for any other shape."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
+    if R.ndim < 2 or R.shape[-2:] != (3, 3):
         return np.inf
-    ortho = np.abs(R @ R.T - np.eye(3)).max()
-    return max(ortho, abs(np.linalg.det(R) - 1.0))
+    ortho = np.abs(R @ np.swapaxes(R, -1, -2) - np.eye(3)).max(axis=(-2, -1))
+    d = np.maximum(ortho, np.abs(np.linalg.det(R) - 1.0))
+    return float(d) if R.ndim == 2 else d
 
 
 def axis_angle_to_matrix(aa: np.ndarray) -> np.ndarray:

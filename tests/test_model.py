@@ -107,6 +107,30 @@ def test_bone_transforms_validate_orthonormality():
         BoneTransforms(R, np.zeros((2, 3)))
 
 
+def test_rotation_checks_name_the_first_bad_joint():
+    R = np.stack([random_rotation(np.random.default_rng(j)) for j in range(9)])
+    R[4] *= 1.0 + 1e-6
+    R[6] *= 1.0 + 1e-3
+    with pytest.raises(ValidationError, match=r"^rotation 4 not orthonormal within 1e-9"):
+        BoneTransforms(R, np.zeros((9, 3)))
+    R[4] = R[6] = np.nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(ValidationError, match=r"^rotation 4 .*\(defect nan\)"):
+        BoneTransforms(R, np.zeros((9, 3)))
+
+
+def test_fk_global_checks_every_joint_at_1e_6():
+    sk = chain_skeleton([[0, 0, 0]] + [[0, 0.1, 0]] * 8)
+    bt = BoneTransforms.identity(9)
+    object.__setattr__(bt, "rotations", bt.rotations.copy())
+    bt.rotations[5, 0, 0] = 1.0 + 2e-7  # bypass the constructor check
+    fk_global(sk, bt)
+    bt.rotations[3, 1, 1] = 1.0 + 2e-6
+    bt.rotations[7, 1, 1] = 1.0 + 2e-6
+    with pytest.raises(ValidationError, match=r"^rotation 3 not orthonormal within 1e-6"):
+        fk_global(sk, bt)
+
+
 def test_bone_lengths_basic_and_invariance():
     pose = Pose3D(np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [0.3, 0.5, 0.0]]))
     L = bone_lengths(pose, [(0, 1), (1, 2)])

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.ndimage import binary_erosion, label
 
 from courtpose import blas
 from courtpose.camera import Camera, project
@@ -10,10 +12,13 @@ from courtpose.mesh import BodyMesh
 from courtpose.model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
                              forward_kinematics)
 from courtpose.primitives import capsule
-from courtpose.skinning import (FitConfig, KeypointObjective, SkinningWeights,
+from courtpose.skinning import (MAX_INFLUENCES, FitConfig, KeypointObjective,
+                                SkinningWeights, _nearest_bone, _sample_fields,
+                                _voxelize, _VoxelGrid, bone_sources,
                                 fit_pose_to_keypoints, heat_diffusion_weights,
                                 lbs, so3_right_jacobian, weights_from_json,
                                 weights_to_json)
+from courtpose.synth import build_rest_body
 from courtpose.transforms import (axis_angle_to_matrix, look_at_rotation,
                                   random_rotation)
 
@@ -84,6 +89,19 @@ def test_heat_weights_top4_pruning():
     assert np.abs(w.W.sum(axis=1) - 1.0).max() < 1e-6
 
 
+def test_source_free_pocket_snaps_to_nearest_bone():
+    # a capsule detached from the body holds no bone voxel, so no heat
+    # reaches it; its vertices take the bone nearest to them, j1 -> j2
+    sk = chain(3, 0.3)
+    body = BodyMesh((capsule((0, 0, 0), (0, 0.6, 0), 0.05, part="arms"),
+                     capsule((0.3, 0.5, 0), (0.3, 0.7, 0), 0.05, part="legs")))
+    w = heat_diffusion_weights(body, sk, world_rest(sk), voxel_res=24)
+    pocket = w.W[body.total_vertices - body.part("legs").num_vertices:]
+    assert len(pocket) == 82
+    assert np.array_equal(pocket, np.tile([0.0, 1.0, 0.0], (82, 1)))
+    assert np.abs(w.W.sum(axis=1) - 1.0).max() < 1e-6
+
+
 def test_bone_outside_volume_error():
     # the only bone runs from (3,0,0) to (5,0,0), far outside the capsule
     sk = Skeleton(["root", "far"], [-1, 0], [[3.0, 0, 0], [2.0, 0, 0]])
@@ -104,6 +122,8 @@ def test_weights_validation():
         SkinningWeights(np.array([[0.5, 0.1]]))
     with pytest.raises(ValidationError):
         SkinningWeights(np.array([[-0.1, 1.1]]))
+    with pytest.raises(ValidationError):
+        SkinningWeights(np.array([[np.nan, 1.0]]))
 
 
 def test_lbs_identity_is_exact():
@@ -346,3 +366,258 @@ def test_fit_with_2d_term_recovers_pose_and_reprojection():
     posed = forward_kinematics(sk, fitted, frame=Frame.WORLD)
     reproj = np.linalg.norm(project(cam, posed.positions) - target2d.pixels, axis=1)
     assert reproj[visible].max() < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the heat-diffusion weights: the per-face marking, the
+# flood-fill interior and the per-vertex sampling loops that the grid code
+# replaced, kept to check it bit for bit
+# ---------------------------------------------------------------------------
+
+def oracle_voxelize(verts, faces, res):
+    lo = verts.min(axis=0)
+    hi = verts.max(axis=0)
+    extent = hi - lo
+    h = float(extent.max()) / max(res, 1)
+    pad = 2
+    dims = tuple(int(np.ceil(e / h)) + 2 * pad for e in extent)
+    origin = lo - pad * h
+    occ = np.zeros(dims, dtype=bool)
+
+    def mark(points):
+        g = np.floor((points - origin) / h).astype(int)
+        ok = np.all((g >= 0) & (g < np.array(dims)), axis=1)
+        g = g[ok]
+        occ[g[:, 0], g[:, 1], g[:, 2]] = True
+
+    mark(verts)
+    step = h / 2.0
+    for f in faces:
+        a, b, c = verts[f]
+        n1 = max(2, int(np.ceil(max(np.linalg.norm(b - a), np.linalg.norm(c - a)) / step)) + 1)
+        t = np.linspace(0.0, 1.0, n1)
+        u, v = np.meshgrid(t, t, indexing="ij")
+        keep = (u + v) <= 1.0
+        u, v = u[keep], v[keep]
+        mark(a + u[:, None] * (b - a) + v[:, None] * (c - a))
+
+    # flood the outside from the grid border; interior = not surface, not outside
+    empty, _ = label(~occ)
+    border_labels = set()
+    for axis in range(3):
+        for side in (0, -1):
+            sl = [slice(None)] * 3
+            sl[axis] = side
+            border_labels |= set(np.unique(empty[tuple(sl)]))
+    border_labels.discard(0)
+    outside = np.isin(empty, sorted(border_labels))
+    return occ | ~outside, origin, h, dims
+
+
+def oracle_segment_voxels(segs, origin, h, dims):
+    out = []
+    for a, b in segs:
+        a = np.asarray(a, float)
+        b = np.asarray(b, float)
+        n = max(2, int(np.ceil(np.linalg.norm(b - a) / (h / 2.0))) + 1)
+        pts = a + np.linspace(0.0, 1.0, n)[:, None] * (b - a)
+        g = np.floor((pts - origin) / h).astype(int)
+        ok = np.all((g >= 0) & (g < np.array(dims)), axis=1)
+        g = g[ok]
+        if g.size:
+            out.append(np.ravel_multi_index((g[:, 0], g[:, 1], g[:, 2]), dims))
+    return np.unique(np.concatenate(out)) if out else np.zeros(0, dtype=int)
+
+
+def oracle_jacobi(occ, src_per_bone, tol=1e-6, max_iters=100000):
+    dims = occ.shape
+    flat_idx = np.nonzero(occ.reshape(-1))[0]
+    compact = -np.ones(occ.size, dtype=int)
+    compact[flat_idx] = np.arange(len(flat_idx))
+    coords = np.stack(np.unravel_index(flat_idx, dims), axis=1)
+    rows, cols = [], []
+    for axis in range(3):
+        for d in (-1, 1):
+            nb = coords.copy()
+            nb[:, axis] += d
+            ok = (nb[:, axis] >= 0) & (nb[:, axis] < dims[axis])
+            nb_flat = np.ravel_multi_index((nb[ok, 0], nb[ok, 1], nb[ok, 2]), dims)
+            nb_compact = compact[nb_flat]
+            valid = nb_compact >= 0
+            rows.append(np.nonzero(ok)[0][valid])
+            cols.append(nb_compact[valid])
+    A = sp.csr_matrix((np.ones(sum(len(r) for r in rows)),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(len(flat_idx), len(flat_idx)))
+    deg = np.asarray(A.sum(axis=1)).ravel()
+    dinv = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+    B = len(src_per_bone)
+    u = np.zeros((len(flat_idx), B))
+    pin_rows = np.unique(np.concatenate(src_per_bone))
+    pin_vals = np.zeros((len(pin_rows), B))
+    row_of = {int(r): i for i, r in enumerate(pin_rows)}
+    for b, src in enumerate(src_per_bone):
+        for r in src:
+            pin_vals[row_of[int(r)], b] = 1.0
+    pin_compact = compact[pin_rows]
+    u[pin_compact] = pin_vals
+    for _ in range(max_iters):
+        nxt = (A @ u) * dinv[:, None]
+        nxt[pin_compact] = pin_vals
+        delta = np.abs(nxt - u).max()
+        u = nxt
+        if delta < tol:
+            return u
+    raise AssertionError("oracle heat diffusion did not converge")
+
+
+def oracle_sample_fields(u, occ, origin, h, dims, verts):
+    compact = -np.ones(occ.size, dtype=int)
+    compact[np.nonzero(occ.reshape(-1))[0]] = np.arange(u.shape[0])
+    out = np.zeros((len(verts), u.shape[1]))
+    dims_a = np.array(dims)
+    g = (verts - origin) / h - 0.5
+    base = np.floor(g).astype(int)
+    frac = g - base
+    for vi in range(len(verts)):
+        acc = np.zeros(u.shape[1])
+        wsum = 0.0
+        for dx in (0, 1):
+            for dy in (0, 1):
+                for dz in (0, 1):
+                    c = base[vi] + (dx, dy, dz)
+                    if np.any(c < 0) or np.any(c >= dims_a):
+                        continue
+                    ci = compact[np.ravel_multi_index(tuple(c), dims)]
+                    if ci < 0:
+                        continue
+                    w = ((frac[vi, 0] if dx else 1 - frac[vi, 0])
+                         * (frac[vi, 1] if dy else 1 - frac[vi, 1])
+                         * (frac[vi, 2] if dz else 1 - frac[vi, 2]))
+                    acc += w * u[ci]
+                    wsum += w
+        assert wsum >= 1.0 / 8.0  # the vertex's own, occupied cell
+        out[vi] = acc / wsum
+    return out
+
+
+def oracle_nearest_bone(points, seg_lists):
+    out = np.zeros(len(points), dtype=int)
+    for i, p in enumerate(points):
+        best, best_d = 0, np.inf
+        for k, segs in enumerate(seg_lists):
+            for a, b in segs:
+                a, b = np.asarray(a), np.asarray(b)
+                ab = b - a
+                denom = float(ab @ ab)
+                t = 0.0 if denom < 1e-18 else float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
+                d = float(np.linalg.norm(p - (a + t * ab)))
+                if d < best_d:
+                    best, best_d = k, d
+        out[i] = best
+    return out
+
+
+def oracle_heat_weights(mesh, skeleton, rest_pose, voxel_res):
+    verts, faces = mesh.merged()
+    occ, origin, h, dims = oracle_voxelize(verts, faces, voxel_res)
+    segments = bone_sources(skeleton, rest_pose)
+    active = [j for j, segs in enumerate(segments) if segs]
+    src_per_bone = []
+    for j in active:
+        vox = oracle_segment_voxels(segments[j], origin, h, dims)
+        src_per_bone.append(np.unique(vox[occ.reshape(-1)[vox]]))
+    sampled = oracle_sample_fields(oracle_jacobi(occ, src_per_bone), occ, origin, h,
+                                   dims, verts)
+    W = np.zeros((len(verts), skeleton.num_joints))
+    for k, j in enumerate(active):
+        W[:, j] = sampled[:, k]
+    if W.shape[1] > MAX_INFLUENCES:
+        order = np.argsort(W, axis=1)
+        W[np.arange(len(W))[:, None], order[:, :-MAX_INFLUENCES]] = 0.0
+    sums = W.sum(axis=1)
+    dead = sums <= 1e-12
+    if dead.any():
+        nearest = oracle_nearest_bone(verts[dead], [segments[j] for j in active])
+        for row, k in zip(np.nonzero(dead)[0], nearest):
+            W[row, :] = 0.0
+            W[row, active[k]] = 1.0
+        sums = W.sum(axis=1)
+    return W / sums[:, None]
+
+
+def canonical_rest():
+    sk = Skeleton.canonical()
+    return build_rest_body(sk), sk, world_rest(sk)
+
+
+TEST_BODIES = {
+    "one bone": lambda: (BodyMesh((capsule((0, 0, 0), (0, 0.4, 0), 0.08, part="arms"),)),
+                         chain(2, 0.4)),
+    "two bones": lambda: (BodyMesh((capsule((0, 0, 0), (0, 0.6, 0), 0.07, part="arms",
+                                            n_seg=12, shaft_rings=6),)), chain(3, 0.3)),
+    "seven bones": lambda: (BodyMesh((capsule((0, 0, 0), (0, 0.84, 0), 0.06, part="arms",
+                                              n_seg=10, shaft_rings=8),)), chain(8, 0.12)),
+    "pocket": lambda: (BodyMesh((capsule((0, 0, 0), (0, 0.6, 0), 0.05, part="arms"),
+                                 capsule((0.3, 0.5, 0), (0.3, 0.7, 0), 0.05, part="legs"))),
+                       chain(3, 0.3)),
+}
+
+
+@pytest.mark.parametrize("res", [12, 16, 20, 24])
+@pytest.mark.parametrize("name", sorted(TEST_BODIES))
+def test_heat_weights_match_loop_oracle_on_test_bodies(name, res):
+    body, sk = TEST_BODIES[name]()
+    got = heat_diffusion_weights(body, sk, world_rest(sk), voxel_res=res).W
+    assert np.array_equal(got, oracle_heat_weights(body, sk, world_rest(sk), res))
+
+
+@pytest.mark.parametrize("res", [16, 22])
+def test_heat_weights_match_loop_oracle_on_canonical_body(res):
+    body, sk, rest = canonical_rest()
+    got = heat_diffusion_weights(body, sk, rest, voxel_res=res).W
+    assert np.array_equal(got, oracle_heat_weights(body, sk, rest, res))
+
+
+@pytest.mark.parametrize("res", [12, 22, 40])
+def test_voxelize_matches_face_loop_and_flood_fill(res):
+    body, _, _ = canonical_rest()
+    verts, faces = body.merged()
+    occ, origin, h, dims = oracle_voxelize(verts, faces, res)
+    grid = _VoxelGrid(verts, res)
+    assert (grid.h, grid.dims) == (h, dims) and np.array_equal(grid.origin, origin)
+    assert np.array_equal(_voxelize(grid, verts, faces), occ.reshape(-1))
+    assert binary_erosion(occ).any()  # an interior, not just a surface shell
+
+
+def test_sample_fields_matches_vertex_loop_with_cells_off_the_grid():
+    # points all over the padded grid: near its faces some corners fall off
+    # the grid, and inside it some corner cells are empty
+    rng = np.random.default_rng(0)
+    grid = _VoxelGrid(rng.uniform(0.0, 1.0, size=(20, 3)), 6)
+    pts = grid.origin + rng.uniform(0.0, 1.0, size=(400, 3)) * np.array(grid.dims) * grid.h
+    occ = rng.random(grid.dims) < 0.6
+    occ.reshape(-1)[grid.cells_of(pts)] = True
+    u = rng.random((occ.sum(), 3))
+    compact = np.full(occ.size + 1, -1)
+    compact[np.flatnonzero(occ)] = np.arange(occ.sum())
+    got = _sample_fields(grid, u, compact, pts)
+    assert np.array_equal(got, oracle_sample_fields(u, occ, grid.origin, grid.h, grid.dims, pts))
+
+
+def test_nearest_bone_matches_point_loop():
+    rng = np.random.default_rng(1)
+    pts = rng.normal(size=(200, 3))
+    seg_lists = [[(rng.normal(size=3), rng.normal(size=3))] for _ in range(3)]
+    seg_lists.append([(np.zeros(3), np.zeros(3)), (np.ones(3), -np.ones(3))])
+    seg_lists.append([(np.ones(3), -np.ones(3))])  # a tie: bone 3 wins
+    got = _nearest_bone(pts, seg_lists)
+    assert np.array_equal(got, oracle_nearest_bone(pts, seg_lists))
+    assert 3 in got and 4 not in got
+
+
+def test_skeleton_without_bones_is_rejected():
+    sk = Skeleton(["root"], [-1], [[0.0, 0, 0]])
+    body = BodyMesh((capsule((0, 0, 0), (0, 0.3, 0), 0.05, part="arms"),))
+    with pytest.raises(ValidationError):
+        heat_diffusion_weights(body, sk, world_rest(sk), voxel_res=12)

@@ -17,6 +17,21 @@ def test_axis_angle_round_trip():
         assert np.allclose(axis_angle_to_matrix(back), R, atol=1e-9)
 
 
+def test_rotation_defect_of_a_stack_is_one_per_matrix():
+    rng = np.random.default_rng(4)
+    R = np.stack([random_rotation(rng) for _ in range(6)]).reshape(2, 3, 3, 3)
+    R[1, 2, 0, 1] += 1e-3
+    d = rotation_defect(R)
+    assert d.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        single = rotation_defect(R[idx])
+        assert isinstance(single, float) and abs(d[idx] - single) < 1e-15
+    assert d[1, 2] > 1e-4 and np.delete(d.ravel(), 5).max() < 1e-12
+    assert rotation_defect(np.eye(4)) == np.inf
+    assert rotation_defect(np.ones(3)) == np.inf
+    assert rotation_defect(np.ones((2, 3, 4))) == np.inf
+
+
 def test_axis_angle_zero_is_identity():
     assert np.allclose(axis_angle_to_matrix(np.zeros(3)), np.eye(3))
 
