@@ -1,12 +1,15 @@
 """Camera estimation against the court: planar PnP from point
 correspondences, court-line rasterization, and line-based refinement.
 
-The refinement objective is a chamfer-style cost: the observed line mask's
-distance transform, bilinearly sampled at the projections of densely sampled
-court primitives. Residuals use a hinged kernel ``max(dt - 1, 0)`` so that a
-camera whose projections land within one pixel of the observed lines sits in
-an exact zero-cost basin; this makes a ground-truth initialization an exact
-fixed point of the optimizer and absorbs rasterization quantization.
+The refinement objective is a chamfer-style cost (Borgefors, PAMI 1988): the
+observed line mask's distance transform, bilinearly sampled at the
+projections of densely sampled court primitives. The reported cost uses a
+hinged kernel ``max(dt - 1, 0)``, so a camera whose projections land within
+one pixel of the observed lines sits in an exact zero-cost basin; such a start
+(a ground-truth camera, or PnP from exact correspondences) is returned as it
+is, which absorbs rasterization quantization. Any other start gets one
+Levenberg-Marquardt solve on the raw (unhinged) mean distance, which pulls the
+projections onto the line centres.
 """
 from __future__ import annotations
 
@@ -22,6 +25,8 @@ from .lsq import lm_solve
 from .transforms import axis_angle_to_matrix, nearest_rotation
 
 HINGE_PX = 1.0
+REFINE_MAX_ITERS = 100
+SAMPLE_SPACING_M = 0.15  # arc spacing of the court samples
 
 
 @dataclass(frozen=True)
@@ -218,19 +223,25 @@ class RefineResult:
     initial_cost: float
     final_cost: float
     iterations: int
-    stop: str  # ``lsq.LMRecord.stop`` of the long pull
+    # "done" when the start already sits in the hinged zero-cost basin (no
+    # solve runs); otherwise the ``lsq.LMRecord.stop`` of the one solve
+    stop: str
 
 
 def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel,
-                        max_iters: int = 100, tol: float = 1e-8,
-                        sample_spacing: float = 0.15) -> RefineResult:
-    """Damped Gauss-Newton (``lsq.lm_solve``) over (axis-angle rotation, T,
-    f) minimizing the hinged distance-transform cost of the mask at projected
-    court samples."""
+                        tol: float = 1e-8) -> RefineResult:
+    """Refine ``init`` against the line mask over (axis-angle rotation, T, f).
+
+    A start whose hinged cost is already 0 is returned as it is, stop "done".
+    Otherwise one ``lsq.lm_solve`` minimizes the raw mean distance transform
+    at the projected court samples, to convergence (``tol`` is its absolute
+    tolerance). Reported costs are hinged; if the solve ends above the start's,
+    the start camera is kept. Raises NumericalError when the solve stalls.
+    """
     if not mask.pixels.any():
         raise ValidationError("line mask is empty: no signal to refine against")
     dt = distance_transform_edt(~mask.pixels)
-    world = court.sample_points3d(sample_spacing)
+    world = court.sample_points3d(SAMPLE_SPACING_M)
     H, W = mask.pixels.shape
 
     def camera_at(p):
@@ -282,27 +293,16 @@ def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel,
             J[:, k] = col
         return r, J
 
-    raw = lambda q: cost(q, hinge=0.0)
     p = np.concatenate([np.zeros(3), init.T, [init.f]])
     initial_cost = cost(p)
-    # the long pull optimizes the raw mean DT (the hinged cost is reported and
-    # gates the ground-truth fixed point; the centering pass finishes the job)
-    p, rec = lm_solve(residual_jacobian, raw, p, lam=1e-3, lam_min=1e-10, tries=12,
-                      max_iters=max_iters, max_rejects=10, tol=tol, gtol=1e-14,
-                      done=lambda q: cost(q) <= 0.0)
+    if initial_cost <= 0.0:
+        return RefineResult(init, initial_cost, initial_cost, 1, "done")
+    p, rec = lm_solve(residual_jacobian, lambda q: cost(q, hinge=0.0), p, lam=1e-3,
+                      lam_min=1e-10, tries=12, max_iters=REFINE_MAX_ITERS, max_rejects=10,
+                      tol=tol, gtol=1e-14)
     if rec.stop == "stalled":
         raise NumericalError("refinement diverged: cost increased for "
                              "10 consecutive damped steps")
-    if rec.accepted:
-        # centering pass: polish against the raw DT to sit at the line centers
-        # rather than the hinged basin's boundary; steps may graze the hinge
-        # by the budget at most, so the reported cost stays low
-        budget = max(min(1e-3, initial_cost), cost(p))
-        cand, _ = lm_solve(residual_jacobian, raw, p, lam=1e-2, lam_min=1e-10, tries=8,
-                           max_iters=40, max_rejects=1, gtol=1e-14,
-                           accept=lambda q, c, cur: c < cur - 1e-10 and cost(q) <= budget)
-        if cost(cand) <= cost(p):
-            p = cand
     final_cost = cost(p)
     if final_cost > initial_cost:
         # the raw pull failed to help under the reported metric: keep the init

@@ -1,5 +1,6 @@
 """The package's one Levenberg-Marquardt loop (Madsen, Nielsen & Tingleff,
-*Methods for Non-Linear Least Squares Problems*, 2004).
+*Methods for Non-Linear Least Squares Problems*, 2004). The skin fit and the
+court-line refinement each make one call per solve.
 
 Each outer iteration linearizes once, then runs a sweep of at most ``tries``
 steps on (J^T J + lam D) delta = -J^T r, D = diag(J^T J) floored at 1e-12.
@@ -21,8 +22,8 @@ class LMRecord:
     sweep; the outer-loop entries, including one that stopped before its
     sweep; the accepted and rejected sweeps; and the stop reason: "converged"
     (an accepted step gained less than the tolerance), "plateau" (a sweep
-    accepted nothing, its best step within ``tol``), "gradient", "done",
-    "stalled" (``max_rejects`` empty sweeps in a row) or "max_iters"."""
+    accepted nothing, its best step within ``tol``), "gradient", "stalled"
+    (``max_rejects`` empty sweeps in a row) or "max_iters"."""
 
     cost_history: list
     iterations: int = 0
@@ -32,13 +33,12 @@ class LMRecord:
 
 
 def lm_solve(residual_jacobian, cost, p, *, lam, lam_min, tries, max_iters,
-             max_rejects, tol=None, rtol=None, gtol=None, accept=None, done=None):
+             max_rejects, tol=None, rtol=None, gtol=None):
     """Minimize ``cost`` from ``p``; returns (p, LMRecord).
 
     ``residual_jacobian(p)`` gives (r, J). A step is accepted when its cost
-    is lower, or when ``accept(cand, cand_cost, cur_cost)`` holds if given.
-    An accepted step that gains less than ``tol`` or ``rtol * max(cost, 1)``
-    ends the solve. ``done(p)`` is checked before each linearization.
+    is lower. An accepted step that gains less than ``tol`` or
+    ``rtol * max(cost, 1)`` ends the solve, and so does ``|J^T r| < gtol``.
     Raises NumericalError on a non-finite cost.
     """
     cur = cost(p)
@@ -48,9 +48,6 @@ def lm_solve(residual_jacobian, cost, p, *, lam, lam_min, tries, max_iters,
     stalled = 0
     for it in range(1, max_iters + 1):
         rec.iterations = it
-        if done is not None and done(p):
-            rec.stop = "done"
-            break
         r, J = residual_jacobian(p)
         JtJ = J.T @ J
         g = J.T @ r
@@ -69,8 +66,7 @@ def lm_solve(residual_jacobian, cost, p, *, lam, lam_min, tries, max_iters,
                 if not np.isfinite(c):
                     raise NumericalError("non-finite least-squares cost at a trial step")
                 best = min(best, c)
-                ok = c < cur if accept is None else accept(cand, c, cur)
-                if ok:
+                if c < cur:
                     step = cand, c
                     break
             lam *= 10.0

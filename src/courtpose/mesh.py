@@ -29,6 +29,8 @@ class PartMesh:
         object.__setattr__(self, "faces", np.asarray(self.faces, dtype=int).reshape(-1, 3))
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValidationError("vertices must be (N, 3)")
+        if not np.all(np.isfinite(self.vertices)):
+            raise ValidationError("mesh vertices must be finite")
         if self.part not in PART_NAMES:
             raise ValidationError(f"unknown part {self.part!r}; expected one of {PART_NAMES}")
         if self.faces.size:

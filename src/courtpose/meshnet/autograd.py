@@ -80,15 +80,6 @@ def add(a: Var, b: Var) -> Var:
     return out
 
 
-def sub(a: Var, b: Var) -> Var:
-    out = Var(a.value - b.value, (a, b))
-    def grad_fn(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, -_unbroadcast(g, b.value.shape))
-    out.grad_fn = grad_fn
-    return out
-
-
 def scale(a: Var, s: float) -> Var:
     out = Var(a.value * s, (a,))
     out.grad_fn = lambda g: _accum(a, g * s)

@@ -104,7 +104,7 @@ def bone_sources(skeleton: Skeleton, rest_pose: Pose3D):
 
 
 def heat_diffusion_weights(mesh: BodyMesh, skeleton: Skeleton, rest_pose: Pose3D,
-                           voxel_res: int = 64) -> SkinningWeights:
+                           voxel_res: int) -> SkinningWeights:
     """Skinning weights from steady-state heat diffusion on the voxelized
     interior, trilinearly sampled at the vertices, top-4 pruned, renormalized."""
     if skeleton.num_joints != rest_pose.num_joints:

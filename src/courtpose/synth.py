@@ -34,6 +34,9 @@ from .primitives import capsule, tube
 from .skinning import FitConfig, fit_pose_to_keypoints, heat_diffusion_weights, lbs
 from .transforms import axis_angle_to_matrix, look_at_rotation
 
+FIT_MAX_ITERS = 20   # skin-fit iteration cap in run_pipeline
+EMD_SUBSAMPLE = 256  # points per side of the eval stage's EMD
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -274,8 +277,7 @@ def court_landmark_reprojection(cam_est: Camera, cam_gt: Camera,
 # End-to-end pipeline
 # ---------------------------------------------------------------------------
 
-def run_pipeline(bundle: SceneBundle, fit_max_iters: int = 20,
-                 emd_subsample: int = 256) -> dict:
+def run_pipeline(bundle: SceneBundle) -> dict:
     """calibrate -> codec -> place -> skin -> compose -> eval, against the
     bundle's ground truth. Raises StageError with the failing stage's tag."""
     report = {"seed": bundle.seed, "stages": {}}
@@ -330,7 +332,7 @@ def run_pipeline(bundle: SceneBundle, fit_max_iters: int = 20,
     stage("place", s_place)
 
     def s_skin():
-        cfg = FitConfig(max_iters=fit_max_iters, tol=1e-8)
+        cfg = FitConfig(max_iters=FIT_MAX_ITERS, tol=1e-8)
         fitted, info = fit_pose_to_keypoints(skeleton, pose3d_dec, cfg=cfg)
         posed = lbs(bundle.rest_body, weights, fitted, skeleton)
         mean_res = float(np.mean(info["joint_residuals"]))
@@ -360,7 +362,7 @@ def run_pipeline(bundle: SceneBundle, fit_max_iters: int = 20,
         return {"mpvpe_mm": mpvpe(pred, gt_root),
                 "mpvpe_pa_mm": mpvpe(pred, gt_root, procrustes=True),
                 "chamfer": chamfer(pred, gt_root),
-                "emd": emd(pred, gt_root, subsample=emd_subsample)}
+                "emd": emd(pred, gt_root, subsample=EMD_SUBSAMPLE)}
 
     stage("eval", s_eval)
     return report

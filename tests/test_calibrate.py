@@ -138,6 +138,29 @@ def test_refine_recovers_perturbed_camera():
     assert err < 0.5
 
 
+# From these noisy PnP starts the refinement locks onto the wrong line
+# alignment: known defects of ROADMAP item 3 (a wider basin), kept in the
+# block so that a fix shows. Never drop them.
+WRONG_BASIN_SCENES = {3023, 3028}
+
+
+def test_refine_from_noisy_pnp_starts():
+    from courtpose.synth import court_landmark_reprojection, synth_scene
+    missed = set()
+    for seed in range(3020, 3040):
+        b = synth_scene(seed)
+        rng = np.random.default_rng(seed + 777)
+        noisy = [(tuple(np.asarray(px, dtype=float) + rng.normal(0.0, 1.0, 2)), w)
+                 for px, w in b.correspondences]
+        init, _ = solve_pnp_planar(noisy, b.config.image_size)
+        ref = refine_camera_lines(init, b.line_mask, b.court)
+        assert ref.final_cost <= ref.initial_cost, seed
+        err = court_landmark_reprojection(ref.camera, b.camera, b.court, b.config.image_size)
+        if err >= 0.5:
+            missed.add(seed)
+    assert missed <= WRONG_BASIN_SCENES
+
+
 def test_refine_rejects_empty_mask():
     cam = broadcast_camera(7)
     with pytest.raises(ValidationError):

@@ -138,6 +138,15 @@ def test_eval_cli(tmp_path, bundle):
     assert rep["mpvpe_mm"] < 1e-6
 
 
+def test_eval_non_finite_vertex_exit_code_2(tmp_path):
+    from courtpose.primitives import icosphere
+    save_obj(tmp_path / "gt.obj", icosphere(1.0, 1, part="head"))
+    (tmp_path / "nan.obj").write_text("v nan 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    code = main(["eval", "--pred", str(tmp_path / "nan.obj"),
+                 "--gt", str(tmp_path / "gt.obj"), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+
+
 def test_train_and_infer_cli(tmp_path):
     params = tmp_path / "params.bin"
     code = main(["train-toy", "--seed", "0", "--count", "6", "--steps", "8",

@@ -108,6 +108,14 @@ def test_face_index_validation():
         PartMesh(np.zeros((3, 3)), [[0, 1, 7]], "head")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertex_validation(bad):
+    verts = np.eye(3)
+    verts[1, 2] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        PartMesh(verts, [[0, 1, 2]], "head")
+
+
 def test_mesh_edges_unique_sorted():
     g = plane_grid(3, 3)
     e = mesh_edges(g.faces)

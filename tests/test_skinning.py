@@ -110,6 +110,15 @@ def test_bone_outside_volume_error():
         heat_diffusion_weights(body, sk, world_rest(sk), voxel_res=12)
 
 
+def test_non_finite_vertex_never_reaches_heat_diffusion():
+    # the voxel grid cannot size itself around a NaN vertex: the mesh refuses it
+    arm = capsule((0, 0, 0), (0, 0.3, 0), 0.05, part="arms")
+    verts = arm.vertices.copy()
+    verts[0, 1] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        arm.with_vertices(verts)
+
+
 def test_weights_json_round_trip():
     W = np.array([[0.5, 0.5, 0.0], [0.0, 0.25, 0.75]])
     w = SkinningWeights(W)
