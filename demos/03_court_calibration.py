@@ -2,8 +2,9 @@
 
 Synthesizes a broadcast camera over the court, rasterizes the court lines
 into a mask, recovers the camera from four landmark correspondences, then
-refines against the mask's distance transform. A deliberately perturbed
-start shows the refinement pulling the camera back onto the lines.
+refines against the exact distance to the mask's nearest line pixel. A
+deliberately perturbed start shows the refinement pulling the camera back
+onto the lines.
 """
 import numpy as np
 

@@ -2,21 +2,23 @@
 correspondences, court-line rasterization, and line-based refinement.
 
 The refinement objective is a chamfer-style cost (Borgefors, PAMI 1988): the
-observed line mask's distance transform, bilinearly sampled at the
-projections of densely sampled court primitives. The reported cost uses a
-hinged kernel ``max(dt - 1, 0)``, so a camera whose projections land within
-one pixel of the observed lines sits in an exact zero-cost basin; such a start
-(a ground-truth camera, or PnP from exact correspondences) is returned as it
-is, which absorbs rasterization quantization. Any other start gets one
-Levenberg-Marquardt solve on the raw (unhinged) mean distance, which pulls the
-projections onto the line centres.
+exact Euclidean distance from a pixel to the nearest line pixel of the
+observed mask, bilinearly interpolated at the projections of densely sampled
+court primitives. Distances are answered lazily from a k-d tree over the line
+pixels and memoised per pixel, so only the pixels the solve reads are ever
+computed. The reported cost uses a hinged kernel ``max(d - 1, 0)``, so a
+camera whose projections land within one pixel of the observed lines sits in
+an exact zero-cost basin; such a start (a ground-truth camera, or PnP from
+exact correspondences) is returned as it is, which absorbs rasterization
+quantization. Any other start gets one Levenberg-Marquardt solve on the raw
+(unhinged) mean distance, which pulls the projections onto the line centres.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
+from scipy.spatial import cKDTree
 
 from .camera import Camera, project_with_depth
 from .court import CourtModel, lift_to_plane
@@ -217,6 +219,34 @@ def _world_length(samples: np.ndarray) -> float:
 # Line-based refinement
 # ---------------------------------------------------------------------------
 
+class LineDistance:
+    """Exact distance from a pixel to the nearest line pixel of ``mask``.
+
+    Call it with flat pixel indices (``row * W + col``). Each pixel is
+    answered once from a ``cKDTree`` over the line pixels' (row, col) and
+    memoised (NaN marks a pixel not asked yet). The tree returns the square
+    root of an integer sum of squares, so the values equal the full-frame
+    Euclidean distance transform exactly.
+    """
+
+    def __init__(self, mask: LineMask):
+        if not mask.pixels.any():
+            raise ValidationError("line mask is empty: no signal to refine against")
+        self.width = mask.pixels.shape[1]
+        self.tree = cKDTree(np.argwhere(mask.pixels))
+        self.memo = np.full(mask.pixels.size, np.nan)
+
+    def __call__(self, flat: np.ndarray) -> np.ndarray:
+        d = self.memo[flat]
+        miss = np.isnan(d)
+        if miss.any():
+            new = np.unique(flat[miss])
+            rows, cols = np.divmod(new, self.width)
+            self.memo[new] = self.tree.query(np.column_stack([rows, cols]))[0]
+            d[miss] = self.memo[flat[miss]]
+        return d
+
+
 @dataclass(frozen=True)
 class RefineResult:
     camera: Camera
@@ -232,15 +262,16 @@ def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel,
                         tol: float = 1e-8) -> RefineResult:
     """Refine ``init`` against the line mask over (axis-angle rotation, T, f).
 
-    A start whose hinged cost is already 0 is returned as it is, stop "done".
-    Otherwise one ``lsq.lm_solve`` minimizes the raw mean distance transform
-    at the projected court samples, to convergence (``tol`` is its absolute
-    tolerance). Reported costs are hinged; if the solve ends above the start's,
-    the start camera is kept. Raises NumericalError when the solve stalls.
+    The cost at a projected court sample is the bilinear interpolation of the
+    exact distance to the nearest line pixel at its four neighbouring pixels,
+    answered lazily by a ``LineDistance``. A start whose hinged cost is
+    already 0 is returned as it is, stop "done". Otherwise one
+    ``lsq.lm_solve`` minimizes the raw mean distance at the projected court
+    samples, to convergence (``tol`` is its absolute tolerance). Reported
+    costs are hinged; if the solve ends above the start's, the start camera
+    is kept. Raises NumericalError when the solve stalls.
     """
-    if not mask.pixels.any():
-        raise ValidationError("line mask is empty: no signal to refine against")
-    dt = distance_transform_edt(~mask.pixels)
+    dist = LineDistance(mask)
     world = court.sample_points3d(SAMPLE_SPACING_M)
     H, W = mask.pixels.shape
 
@@ -249,7 +280,7 @@ def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel,
         return Camera(max(p[6], 1e-3), init.px, init.py, Rp, p[3:6])
 
     def residuals(p, hinge=HINGE_PX):
-        """Square roots of the hinged DT per court sample, so that the
+        """Square roots of the hinged distance per court sample, so that the
         Gauss-Newton objective sum(r^2) IS the reported cost (x count).
         Samples behind the camera or outside the frame carry no signal and
         contribute zero (excluded from the mean via the visibility mask)."""
@@ -263,8 +294,11 @@ def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel,
             x0 = x.astype(int)
             y0 = y.astype(int)
             fx, fy = x - x0, y - y0
-            v = (dt[y0, x0] * (1 - fx) * (1 - fy) + dt[y0, x0 + 1] * fx * (1 - fy)
-                 + dt[y0 + 1, x0] * (1 - fx) * fy + dt[y0 + 1, x0 + 1] * fx * fy)
+            i = y0 * W + x0
+            d00, d01, d10, d11 = dist(np.concatenate([i, i + 1, i + W, i + W + 1])
+                                      ).reshape(4, -1)
+            v = (d00 * (1 - fx) * (1 - fy) + d01 * fx * (1 - fy)
+                 + d10 * (1 - fx) * fy + d11 * fx * fy)
             r[vis] = np.sqrt(np.maximum(v - hinge, 0.0))
         return r, vis
 

@@ -105,6 +105,9 @@ def cmd_calibrate(args, cfg):
     result = {"pnp_rms_px": rms}
     if args.mask:
         mask = load_pgm(args.mask)
+        if mask.size != size:
+            raise ValidationError(f"mask {args.mask} is {mask.size[0]}x{mask.size[1]}, "
+                                  f"but --image-size is {size[0]}x{size[1]}")
         ref = refine_camera_lines(cam, mask, make_court_model())
         cam = ref.camera
         result.update(initial_cost=ref.initial_cost, final_cost=ref.final_cost,

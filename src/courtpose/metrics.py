@@ -105,12 +105,19 @@ def farthest_point_subsample(points: np.ndarray, count: int) -> np.ndarray:
     if count >= len(P):
         return P.copy()
     d0 = np.linalg.norm(P - P.mean(axis=0), axis=1)
+    x, y, z = (np.ascontiguousarray(c) for c in P.T)
+
+    def dist_to(i):
+        # the same left-to-right sum of squares that np.linalg.norm reduces
+        dx, dy, dz = x - x[i], y - y[i], z - z[i]
+        return np.sqrt(dx * dx + dy * dy + dz * dz)
+
     chosen = [int(np.argmax(d0))]
-    dmin = np.linalg.norm(P - P[chosen[0]], axis=1)
+    dmin = dist_to(chosen[0])
     for _ in range(count - 1):
         nxt = int(np.argmax(dmin))
         chosen.append(nxt)
-        dmin = np.minimum(dmin, np.linalg.norm(P - P[nxt], axis=1))
+        np.minimum(dmin, dist_to(nxt), out=dmin)
     return P[chosen]
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.ndimage import distance_transform_edt
 
-from courtpose.calibrate import (LineMask, load_pgm, rasterize_court_lines,
-                                 refine_camera_lines, save_pgm,
-                                 solve_pnp_planar)
+from courtpose.calibrate import (LineDistance, LineMask, load_pgm,
+                                 rasterize_court_lines, refine_camera_lines,
+                                 save_pgm, solve_pnp_planar)
 from courtpose.camera import Camera, project
 from courtpose.court import make_court_model
 from courtpose.errors import (DegenerateGeometryError, NumericalError,
@@ -108,6 +109,50 @@ def test_rasterize_deterministic():
     a = rasterize_court_lines(cam, court, SIZE)
     b = rasterize_court_lines(cam, court, SIZE)
     assert np.array_equal(a.pixels, b.pixels)
+
+
+def every_pixel_distance(mask):
+    h, w = mask.pixels.shape
+    return LineDistance(mask)(np.arange(h * w)).reshape(h, w)
+
+
+@pytest.mark.parametrize("seed,size", [(5000, (1280, 720)), (3023, (640, 360))])
+def test_line_distance_equals_edt_on_scene_masks(seed, size):
+    # the full-frame Euclidean distance transform is the oracle
+    from courtpose.synth import SceneConfig, synth_scene
+    mask = synth_scene(seed, SceneConfig(image_size=size)).line_mask
+    assert mask.size == size
+    assert np.array_equal(every_pixel_distance(mask),
+                          distance_transform_edt(~mask.pixels))
+
+
+def edge_masks():
+    h, w = 23, 31
+    one = np.zeros((h, w), bool)
+    one[7, 19] = True
+    borders = np.zeros((h, w), bool)
+    borders[0, 5] = borders[h - 1, 11] = borders[13, 0] = borders[4, w - 1] = True
+    row = np.zeros((h, w), bool)
+    row[9] = True
+    return {"single pixel": one, "four borders": borders, "full row": row}
+
+
+@pytest.mark.parametrize("name", sorted(edge_masks()))
+def test_line_distance_equals_edt_on_edge_masks(name):
+    mask = LineMask(edge_masks()[name])
+    assert np.array_equal(every_pixel_distance(mask),
+                          distance_transform_edt(~mask.pixels))
+
+
+def test_line_distance_answers_repeats_from_the_memo():
+    mask = LineMask(edge_masks()["four borders"])
+    dist = LineDistance(mask)
+    flat = np.array([40, 3, 40, 700, 3, 0])
+    first = dist(flat)
+    assert first[0] == first[2] and first[1] == first[4]
+    dist.tree = None    # a second tree query would now fail
+    assert np.array_equal(dist(flat[::-1]), first[::-1])
+    assert np.array_equal(first, distance_transform_edt(~mask.pixels).ravel()[flat])
 
 
 def test_refine_fixed_point_at_ground_truth():

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from courtpose.calibrate import save_pgm
+from courtpose.calibrate import LineMask, save_pgm
 from courtpose.camera import camera_to_json, project
 from courtpose.cli import main
 from courtpose.mesh import save_obj
@@ -52,6 +52,20 @@ def test_calibrate_cli(tmp_path, bundle):
     # exact correspondences put PnP inside the hinged basin: no step taken
     assert (got["iterations"], got["stop"]) == (1, "done")
     assert got["camera"]["f"] == pytest.approx(bundle.camera.f, rel=1e-3)
+
+
+def test_calibrate_cli_rejects_mask_of_wrong_size(tmp_path, bundle):
+    pts = [{"pixel": list(px), "court": list(w)} for px, w in bundle.correspondences]
+    write_json(tmp_path / "pts.json", pts)
+    # the top-left 640x360 crop of the 1280x720 mask
+    save_pgm(tmp_path / "mask.pgm", LineMask(bundle.line_mask.pixels[:360, :640]))
+    out = tmp_path / "camera.json"
+    code = main(["calibrate", "--image-size", "1280x720",
+                 "--points", str(tmp_path / "pts.json"),
+                 "--mask", str(tmp_path / "mask.pgm"),
+                 "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_place_cli(tmp_path, bundle):

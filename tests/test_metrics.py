@@ -191,6 +191,42 @@ def test_emd_subsampling_deterministic():
     assert emd(A, B, subsample=64) == emd(A, B, subsample=64)
 
 
+def farthest_point_subsample_oracle(P, count):
+    """The original loop: one full np.linalg.norm per pick."""
+    P = np.asarray(P, dtype=float)
+    if count >= len(P):
+        return P.copy()
+    chosen = [int(np.argmax(np.linalg.norm(P - P.mean(axis=0), axis=1)))]
+    dmin = np.linalg.norm(P - P[chosen[0]], axis=1)
+    for _ in range(count - 1):
+        nxt = int(np.argmax(dmin))
+        chosen.append(nxt)
+        dmin = np.minimum(dmin, np.linalg.norm(P - P[nxt], axis=1))
+    return P[chosen]
+
+
+def integer_grid(n):
+    g = np.arange(n, dtype=float)
+    return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("name", ["normal 3000", "skewed 6000", "grid 12^3",
+                                  "root tie"])
+def test_farthest_point_subsample_matches_norm_loop(name):
+    rng = np.random.default_rng(21)
+    P = {"normal 3000": lambda: rng.normal(size=(3000, 3)),
+         "skewed 6000": lambda: rng.normal(size=(6000, 3)) * [3.0, 0.5, 1e-3] + 7.0,
+         # every pick after the first is a tie broken by the lowest index
+         "grid 12^3": lambda: integer_grid(12),
+         # squared distances 1 and 1 + 2^-52 from the origin share the root
+         # 1.0, so the second pick is a tie only after the square root
+         "root tie": lambda: np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                       [1.0, 3 * 2.0 ** -28, 0.0]])}[name]()
+    for count in (1, 2, 64, 255):
+        assert np.array_equal(farthest_point_subsample(P, count),
+                              farthest_point_subsample_oracle(P, count)), count
+
+
 def test_farthest_point_subsample_spreads():
     rng = np.random.default_rng(14)
     P = rng.normal(size=(200, 3))
