@@ -1,9 +1,10 @@
 """Heatmap / location-map codec round trip and the pose loss.
 
 A 2D pose in the 256x256 crop becomes a stack of 64x64 Gaussians; the 3D
-pose rides along in XYZ location maps on the same support. Decoding reads
-the argmax cell back through its center, so 2D error is bounded by half a
-cell (2 px) while 3D values come back exactly.
+pose rides along in XYZ location maps written on the support of that same
+stack, so the Gaussians are stamped once. Decoding reads the argmax cell
+back through its center, so 2D error is bounded by half a cell (2 px) while
+3D values come back exactly.
 """
 import numpy as np
 
@@ -21,7 +22,7 @@ pose2d = Pose2D(pixels, np.ones(35, dtype=bool))
 pose3d = Pose3D(positions)
 
 heat = encode_heatmaps(pose2d, sigma=1.0)
-loc = encode_location_maps(pose3d, pose2d)
+loc = encode_location_maps(pose3d, heat)
 print(f"heatmaps: {heat.values.shape}, peak value {heat.values.max():.1f}")
 print(f"location maps: {loc.values.shape}")
 

@@ -132,7 +132,7 @@ def cmd_codec(args, cfg):
     pose2d = pose2d_from_json(_read_json(args.pose2d))
     pose3d = pose3d_from_json(_read_json(args.pose3d))
     heat = encode_heatmaps(pose2d, sigma=args.sigma)
-    loc = encode_location_maps(pose3d, pose2d, sigma=args.sigma)
+    loc = encode_location_maps(pose3d, heat)
     os.makedirs(args.out_dir, exist_ok=True)
     save_heatmaps(os.path.join(args.out_dir, "heatmaps.bin"), heat)
     save_location_maps(os.path.join(args.out_dir, "location_maps.bin"), loc)

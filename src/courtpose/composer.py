@@ -5,7 +5,10 @@ inward along their vertex normals, pin them, and relax the remaining
 vertices under a data + Laplacian + edge-length objective (limited-memory
 quasi-Newton, 20 iterations) so the push blends smoothly into the part.
 Repeat until no collisions remain or the outer-iteration budget (10) runs
-out; a residual count is reported, never silently dropped.
+out; a residual count is reported, never silently dropped. The detection
+that ends the loop is that count: a run that converges detects once per
+recorded iteration, and one unrecorded pass follows the last push only when
+the budget runs out.
 """
 from __future__ import annotations
 
@@ -165,7 +168,8 @@ def resolve_interpenetration(parts: BodyMesh):
     module constants and the default ``PenetrationWeights``.
 
     Returns (BodyMesh, report). The report carries per-iteration collision
-    counts and inner loss histories plus the residual collision count.
+    counts and inner loss histories plus the residual collision count, which
+    is the count of the detection pass that ended the loop.
     """
     current = {p.part: p.vertices.copy() for p in parts.parts}
     anchors = {p.part: p.vertices.copy() for p in parts.parts}  # V* stays the input
@@ -174,18 +178,16 @@ def resolve_interpenetration(parts: BodyMesh):
     terms = {}  # body part -> penetration_terms, built on its first collision
     report = {"iterations": [], "residual_collisions": 0, "pairs": pairs}
 
-    def detect_all():
+    for outer in range(OUTER_ITERATIONS + 1):
         found = {}
         for body_name, garment_name in pairs:
             body = meshes[body_name].with_vertices(current[body_name])
             rep = detect_collisions(body, meshes[garment_name])
             if rep.count:
                 found.setdefault(body_name, []).append(rep)
-        return found
-
-    for _ in range(OUTER_ITERATIONS):
-        found = detect_all()
         total = sum(r.count for reps in found.values() for r in reps)
+        if outer == OUTER_ITERATIONS:
+            break  # the budget is spent: this pass only counts the residual
         entry = {"collisions": total, "losses": {}, "pinned": {}, "pinned_intact": {}}
         report["iterations"].append(entry)
         if total == 0:
@@ -218,7 +220,6 @@ def resolve_interpenetration(parts: BodyMesh):
             entry["pinned_intact"][body_name] = bool(
                 np.array_equal(V[pinned], pinned_snapshot))
 
-    residual = sum(r.count for reps in detect_all().values() for r in reps)
-    report["residual_collisions"] = int(residual)
+    report["residual_collisions"] = int(total)
     out_parts = [meshes[p.part].with_vertices(current[p.part]) for p in parts.parts]
     return parts.with_parts(out_parts), report

@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import NumericalError, ValidationError
 from . import autograd as ag
-from .network import NetConfig, PartOps, tl_training_forward
+from .network import DEFAULT_WMESH, DEFAULT_WZ, NetConfig, PartOps, tl_training_forward
 
 MAGIC = b"CPNETP1\x00"
 
@@ -22,8 +22,6 @@ class TrainConfig:
     batch_size: int = 16
     epochs: int = 50
     momentum: float = 0.9
-    w_z: float = 5.0
-    w_mesh: float = 50.0
     seed: int = 0
     max_steps: int | None = None  # optional hard cap across epochs
     max_grad_norm: float = 5.0    # global-norm clip; keeps momentum stable
@@ -35,8 +33,9 @@ def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig
 
     Both decoder paths are supervised: the mesh term is applied to the
     decode of Z_gt and to the decode of Z_pred, with the code-consistency
-    term tying the two latents together. Returns (params, loss curve) where
-    the curve has one {"total", "mesh"} entry per step.
+    term tying the two latents together; the terms carry the network's
+    ``DEFAULT_WMESH`` and ``DEFAULT_WZ`` weights. Returns (params, loss
+    curve) where the curve has one {"total", "mesh"} entry per step.
     """
     if not dataset:
         raise ValidationError("training dataset is empty")
@@ -55,11 +54,11 @@ def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig
                 out = tl_training_forward(pose, rest_part, posed_part, params, ops,
                                           config, training=True, rng=rng)
                 consistency = ag.scale(ag.l1_mean(out["Z_pred"], out["Z_gt"]),
-                                       train_cfg.w_z)
+                                       DEFAULT_WZ)
                 mesh_gt = ag.scale(ag.l1_mean(out["V_from_gt"], out["V_posed"]),
-                                   train_cfg.w_mesh)
+                                   DEFAULT_WMESH)
                 mesh_pred = ag.scale(ag.l1_mean(out["V_from_pred"], out["V_posed"]),
-                                     train_cfg.w_mesh)
+                                     DEFAULT_WMESH)
                 losses.append(ag.add_scalars([consistency, mesh_gt, mesh_pred]))
                 mesh_term += float(mesh_gt.value) / len(batch)
             total = ag.scale(ag.add_scalars(losses), 1.0 / len(batch))
@@ -87,14 +86,15 @@ def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig
 
 
 def eval_mesh_term(dataset, params: dict, ops: PartOps,
-                   config: NetConfig = NetConfig(), w_mesh: float = 50.0) -> float:
-    """Mean Z_gt-path mesh loss over a dataset (no dropout)."""
+                   config: NetConfig = NetConfig()) -> float:
+    """Mean Z_gt-path mesh loss over a dataset (no dropout), weighted by
+    ``DEFAULT_WMESH`` as in training."""
     total = 0.0
     for pose, rest_part, posed_part in dataset:
         out = tl_training_forward(pose, rest_part, posed_part, params, ops, config,
                                   training=False)
-        total += w_mesh * float(np.mean(np.abs(out["V_from_gt"].value
-                                               - posed_part.vertices)))
+        total += DEFAULT_WMESH * float(np.mean(np.abs(out["V_from_gt"].value
+                                                      - posed_part.vertices)))
     return total / len(dataset)
 
 

@@ -3,8 +3,9 @@
 Encoding follows the training-target recipe: crop pixels divide by 4 onto a
 64x64 grid, an unnormalized Gaussian (peak 1.0) is stamped at the joint
 cell, and the location map carries the joint's root-relative XYZ on the
-heatmap's support. Decoding takes the per-map argmax (row-major first on
-ties) and maps cells back through the cell center, ``4*c + 2``.
+support of the heatmap stack it is given, so one stamping serves both maps.
+Decoding takes the per-map argmax (row-major first on ties) and maps cells
+back through the cell center, ``4*c + 2``; both decoders share that argmax.
 
 Gaussian values below 1e-8 are truncated to zero so "support" is a finite,
 well-defined cell set.
@@ -124,69 +125,53 @@ def encode_heatmaps(pose: Pose2D, sigma: float = 1.0) -> HeatmapStack:
     """
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
-    J = pose.num_joints
-    maps = np.zeros((J, MAP_RES, MAP_RES))
-    clamped = np.zeros(J, dtype=bool)
+    vis = pose.visibility
+    x, y = pose.pixels[:, 0], pose.pixels[:, 1]
+    clamped = vis & ~((0 <= x) & (x < CROP_SIZE) & (0 <= y) & (y < CROP_SIZE))
+    cx = np.clip(np.floor(x / CELL), 0, MAP_RES - 1)[:, None, None]
+    cy = np.clip(np.floor(y / CELL), 0, MAP_RES - 1)[:, None, None]
     grid = np.arange(MAP_RES, dtype=float)
-    for j in range(J):
-        if not pose.visibility[j]:
-            continue
-        x, y = pose.pixels[j]
-        if not (0 <= x < CROP_SIZE and 0 <= y < CROP_SIZE):
-            clamped[j] = True
-        cx = int(np.clip(np.floor(x / CELL), 0, MAP_RES - 1))
-        cy = int(np.clip(np.floor(y / CELL), 0, MAP_RES - 1))
-        g = np.exp(-((grid[None, :] - cx) ** 2 + (grid[:, None] - cy) ** 2)
-                   / (2.0 * sigma * sigma))
-        g[g < SUPPORT_EPS] = 0.0
-        maps[j] = g
-    return HeatmapStack(maps, clamped=clamped)
+    g = np.exp(-((grid[None, None, :] - cx) ** 2 + (grid[None, :, None] - cy) ** 2)
+               / (2.0 * sigma * sigma))
+    g[g < SUPPORT_EPS] = 0.0
+    return HeatmapStack(np.where(vis[:, None, None], g, 0.0), clamped=clamped)
+
+
+def _peak_cells(heat: HeatmapStack):
+    """(rows, cols, found): each map's argmax cell, row-major first on ties,
+    and whether the map has any support."""
+    flat = heat.values.reshape(heat.num_joints, -1)
+    peak = np.argmax(flat, axis=1)
+    found = flat[np.arange(len(peak)), peak] > 0.0
+    rows, cols = np.divmod(peak, heat.resolution)
+    return rows, cols, found
 
 
 def decode_heatmaps(maps: HeatmapStack) -> Pose2D:
     """Argmax cell back to crop pixels at cell centers; all-zero -> invisible."""
-    J, R = maps.num_joints, maps.resolution
-    pixels = np.zeros((J, 2))
-    vis = np.zeros(J, dtype=bool)
-    for j in range(J):
-        m = maps.values[j]
-        if m.max() <= 0.0:
-            continue
-        flat = int(np.argmax(m))  # row-major, first cell wins ties
-        cy, cx = divmod(flat, R)
-        pixels[j] = (CELL * cx + CELL // 2, CELL * cy + CELL // 2)
-        vis[j] = True
-    return Pose2D(pixels, vis)
+    rows, cols, found = _peak_cells(maps)
+    centers = CELL * np.stack([cols, rows], axis=1) + CELL // 2
+    return Pose2D(np.where(found[:, None], centers, 0), found)
 
 
-def encode_location_maps(pose3d: Pose3D, pose2d: Pose2D, sigma: float = 1.0) -> LocationMapStack:
-    """Write each joint's root-relative XYZ on its heatmap support."""
+def encode_location_maps(pose3d: Pose3D, heat: HeatmapStack) -> LocationMapStack:
+    """Write each joint's root-relative XYZ on the support of its map in
+    ``heat``, the stack ``decode_location_maps`` reads it back with."""
     if pose3d.frame is not Frame.ROOT_RELATIVE:
         raise ValidationError("location maps encode root-relative poses")
-    if pose3d.num_joints != pose2d.num_joints:
-        raise ValidationError("2D/3D joint counts differ")
-    heat = encode_heatmaps(pose2d, sigma)
-    loc = np.zeros((pose3d.num_joints, 3, MAP_RES, MAP_RES))
-    for j in range(pose3d.num_joints):
-        support = heat.values[j] > 0.0
-        for k in range(3):
-            loc[j, k][support] = pose3d.positions[j, k]
-    return LocationMapStack(loc)
+    if pose3d.num_joints != heat.num_joints:
+        raise ValidationError("heatmap and pose joint counts differ")
+    support = heat.values[:, None] > 0.0
+    return LocationMapStack(np.where(support, pose3d.positions[:, :, None, None], 0.0))
 
 
 def decode_location_maps(loc: LocationMapStack, heat: HeatmapStack) -> Pose3D:
     """Read XYZ at each heatmap argmax; zero-support joints decode to the origin."""
     if loc.num_joints != heat.num_joints or loc.resolution != heat.resolution:
         raise ValidationError("heatmap and location stacks are not aligned")
-    J, R = heat.num_joints, heat.resolution
-    out = np.zeros((J, 3))
-    for j in range(J):
-        m = heat.values[j]
-        if m.max() <= 0.0:
-            continue
-        cy, cx = divmod(int(np.argmax(m)), R)
-        out[j] = loc.values[j, :, cy, cx]
-    return Pose3D(out, frame=Frame.ROOT_RELATIVE)
+    rows, cols, found = _peak_cells(heat)
+    xyz = loc.values[np.arange(heat.num_joints), :, rows, cols]
+    return Pose3D(np.where(found[:, None], xyz, 0.0), frame=Frame.ROOT_RELATIVE)
 
 
 def pose_loss(pred: PoseMapTargets, gt: PoseMapTargets, edges, gt_bone_lengths,

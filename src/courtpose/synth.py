@@ -16,7 +16,8 @@ import numpy as np
 
 from .calibrate import (LineMask, load_pgm, rasterize_court_lines,
                         refine_camera_lines, save_pgm, solve_pnp_planar)
-from .camera import Camera, camera_from_json, camera_to_json, project
+from .camera import (Camera, camera_from_json, camera_to_json, project,
+                     project_with_depth)
 from .composer import resolve_interpenetration
 from .court import CourtConfig, CourtModel, make_court_model
 from .errors import StageError, ValidationError
@@ -217,17 +218,23 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneBundle:
     return bundle
 
 
+def _in_frame(camera: Camera, pts: np.ndarray, image_size):
+    """(pixels, mask) of world points: the mask marks points more than 0.1 m
+    in front of the camera that project inside the frame."""
+    W, H = image_size
+    uv, z = project_with_depth(camera, pts)
+    ok = (z > 0.1) & (uv[:, 0] >= 0) & (uv[:, 0] < W) & (uv[:, 1] >= 0) & (uv[:, 1] < H)
+    return uv, ok
+
+
 def _pick_correspondences(camera: Camera, court: CourtModel, image_size):
     """Four well-spread in-frame court landmarks with their exact pixels.
 
     No three selected court points may be collinear, otherwise the planar
     PnP homography is rank deficient.
     """
-    W, H = image_size
     pts = court.landmarks3d()
-    from .camera import project_with_depth
-    uv, z = project_with_depth(camera, pts)
-    ok = (z > 0.1) & (uv[:, 0] >= 0) & (uv[:, 0] < W) & (uv[:, 1] >= 0) & (uv[:, 1] < H)
+    uv, ok = _in_frame(camera, pts, image_size)
     cand = np.nonzero(ok)[0]
     if len(cand) < 4:
         cand = np.arange(len(pts))  # fall back to any landmarks; PnP is happy
@@ -261,12 +268,8 @@ def _pick_correspondences(camera: Camera, court: CourtModel, image_size):
 def court_landmark_reprojection(cam_est: Camera, cam_gt: Camera,
                                 court: CourtModel, image_size) -> float:
     """Mean pixel error of estimated vs true projections of in-frame landmarks."""
-    W, H = image_size
     pts = court.landmarks3d()
-    from .camera import project_with_depth
-    uv_gt, z = project_with_depth(cam_gt, pts)
-    ok = (z > 0.1) & (uv_gt[:, 0] >= 0) & (uv_gt[:, 0] < W) \
-        & (uv_gt[:, 1] >= 0) & (uv_gt[:, 1] < H)
+    uv_gt, ok = _in_frame(cam_gt, pts, image_size)
     if not ok.any():
         raise ValidationError("no court landmarks visible in frame")
     uv_est, _ = project_with_depth(cam_est, pts)
@@ -279,7 +282,11 @@ def court_landmark_reprojection(cam_est: Camera, cam_gt: Camera,
 
 def run_pipeline(bundle: SceneBundle) -> dict:
     """calibrate -> codec -> place -> skin -> compose -> eval, against the
-    bundle's ground truth. Raises StageError with the failing stage's tag."""
+    bundle's ground truth. Raises StageError with the failing stage's tag.
+
+    Each stage returns its report fields and the object the next stages
+    take (the refined camera, the decoded pose, the posed and the composed
+    body), so nothing is rebuilt from the report's JSON."""
     report = {"seed": bundle.seed, "stages": {}}
     skeleton = bundle.skeleton
     _, _, weights = canonical_body(bundle.config.voxel_res)
@@ -287,12 +294,12 @@ def run_pipeline(bundle: SceneBundle) -> dict:
     def stage(name, fn):
         t0 = time.perf_counter()
         try:
-            out = fn()
+            fields, value = fn()
         except Exception as e:
             raise StageError(name, e) from e
-        out["seconds"] = round(time.perf_counter() - t0, 4)
-        report["stages"][name] = out
-        return out
+        fields["seconds"] = round(time.perf_counter() - t0, 4)
+        report["stages"][name] = fields
+        return value
 
     def s_calibrate():
         cam0, pnp_rms = solve_pnp_planar(bundle.correspondences, bundle.config.image_size)
@@ -302,23 +309,21 @@ def run_pipeline(bundle: SceneBundle) -> dict:
         return {"pnp_rms_px": pnp_rms, "initial_cost": ref.initial_cost,
                 "final_cost": ref.final_cost, "landmark_reproj_px": reproj,
                 "refine_iterations": ref.iterations, "refine_stop": ref.stop,
-                "camera": camera_to_json(ref.camera)}
+                "camera": camera_to_json(ref.camera)}, ref.camera
 
-    cal = stage("calibrate", s_calibrate)
-    cam_est = camera_from_json(cal["camera"])
+    cam_est = stage("calibrate", s_calibrate)
 
     def s_codec():
         heat = encode_heatmaps(bundle.pose2d)
-        loc = encode_location_maps(bundle.pose_root, bundle.pose2d)
+        loc = encode_location_maps(bundle.pose_root, heat)
         p2 = decode_heatmaps(heat)
         p3 = decode_location_maps(loc, heat)
         err2 = float(np.abs(p2.pixels - bundle.pose2d.pixels).max())
         err3 = float(np.abs(p3.positions - bundle.pose_root.positions).max())
         return {"max_2d_err_px": err2, "max_3d_err_m": err3,
-                "pose2d": pose2d_to_json(p2), "pose3d": pose3d_to_json(p3)}
+                "pose2d": pose2d_to_json(p2), "pose3d": pose3d_to_json(p3)}, p3
 
-    codec = stage("codec", s_codec)
-    pose3d_dec = pose3d_from_json(codec["pose3d"])
+    pose3d_dec = stage("codec", s_codec)
 
     def s_place():
         crop_est = cam_est.cropped(bundle.crop_origin, bundle.crop_scale)
@@ -327,7 +332,7 @@ def run_pipeline(bundle: SceneBundle) -> dict:
         j = int(np.argmin(bundle.pose_root.positions[:, 1]))
         err = float(np.linalg.norm(placed.positions[j] - bundle.pose_world.positions[j]))
         return {"lowest_joint_err_m": err, "offset": offset.tolist(),
-                "pose_world": pose3d_to_json(placed)}
+                "pose_world": pose3d_to_json(placed)}, None
 
     stage("place", s_place)
 
@@ -335,23 +340,19 @@ def run_pipeline(bundle: SceneBundle) -> dict:
         cfg = FitConfig(max_iters=FIT_MAX_ITERS, tol=1e-8)
         fitted, info = fit_pose_to_keypoints(skeleton, pose3d_dec, cfg=cfg)
         posed = lbs(bundle.rest_body, weights, fitted, skeleton)
-        mean_res = float(np.mean(info["joint_residuals"]))
-        return {"fit_joint_residual_m": mean_res,
+        return {"fit_joint_residual_m": float(np.mean(info["joint_residuals"])),
                 "final_cost": info["final_cost"],
                 "fit_iterations": len(info["cost_history"]) - 1,
-                "fit_stop": info["stop"], "_posed": posed}
+                "fit_stop": info["stop"]}, posed
 
-    skin_out = stage("skin", s_skin)
-    posed_fit = skin_out.pop("_posed")
+    posed_fit = stage("skin", s_skin)
 
     def s_compose():
         combined, rep = resolve_interpenetration(posed_fit)
         return {"residual_collisions": rep["residual_collisions"],
-                "outer_iterations": len(rep["iterations"]),
-                "_body": combined}
+                "outer_iterations": len(rep["iterations"])}, combined
 
-    comp_out = stage("compose", s_compose)
-    body_final = comp_out.pop("_body")
+    body_final = stage("compose", s_compose)
 
     def s_eval():
         pred, _ = body_final.merged()
@@ -362,7 +363,7 @@ def run_pipeline(bundle: SceneBundle) -> dict:
         return {"mpvpe_mm": mpvpe(pred, gt_root),
                 "mpvpe_pa_mm": mpvpe(pred, gt_root, procrustes=True),
                 "chamfer": chamfer(pred, gt_root),
-                "emd": emd(pred, gt_root, subsample=EMD_SUBSAMPLE)}
+                "emd": emd(pred, gt_root, subsample=EMD_SUBSAMPLE)}, None
 
     stage("eval", s_eval)
     return report

@@ -101,7 +101,7 @@ def test_criterion_3_codec_bounds():
         p2 = Pose2D(pix, np.ones(35, bool))
         p3 = Pose3D(pos)
         heat = encode_heatmaps(p2)
-        loc = encode_location_maps(p3, p2)
+        loc = encode_location_maps(p3, heat)
         d2 = decode_heatmaps(heat)
         d3 = decode_location_maps(loc, heat)
         worst2d = max(worst2d, float(np.abs(d2.pixels - pix).max()))
@@ -112,7 +112,8 @@ def test_criterion_3_codec_bounds():
     pos = rng.normal(scale=0.4, size=(35, 3))
     pos[0] = 0
     p3 = Pose3D(pos)
-    heat, loc = encode_heatmaps(p2), encode_location_maps(p3, p2)
+    heat = encode_heatmaps(p2)
+    loc = encode_location_maps(p3, heat)
     edges = [(i, i + 1) for i in range(10)]
     gt_bl = bone_lengths(decode_location_maps(loc, heat), edges)
     t = PoseMapTargets(heat, loc, JumpInfo.from_height(0.4))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from courtpose import collision
+from courtpose import collision, composer
 from courtpose.collision import (detect_collisions, nearest_triangle_bruteforce,
                                  nearest_triangles, point_triangle_closest)
 from courtpose.composer import (GARMENT_PAIRS, PenetrationWeights, minimize_lbfgs,
@@ -320,3 +320,44 @@ def test_inner_losses_non_increasing():
     for it in rep["iterations"]:
         for losses in it["losses"].values():
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def _count_detections(monkeypatch):
+    """Route the composer's detections through a counter; returns the list
+    that gets one entry per call."""
+    calls = []
+
+    def counting(body, garment, *args, **kwargs):
+        calls.append((body.part, garment.part))
+        return detect_collisions(body, garment, *args, **kwargs)
+
+    monkeypatch.setattr(composer, "detect_collisions", counting)
+    return calls
+
+
+def _fresh_residual(body, pairs):
+    return sum(detect_collisions(body.part(b), body.part(g)).count for b, g in pairs)
+
+
+@pytest.mark.parametrize("build", [lambda: sleeve_scene(0.012),
+                                   lambda: synth_scene(5000).posed_body],
+                         ids=["sleeve", "scene5000"])
+def test_converged_run_detects_once_per_iteration(monkeypatch, build):
+    scene = build()
+    calls = _count_detections(monkeypatch)
+    out, rep = resolve_interpenetration(scene)
+    assert rep["residual_collisions"] == 0
+    assert len(rep["iterations"]) >= 2
+    # the detection that finds no collision ends the loop and is the residual
+    assert len(calls) == len(rep["pairs"]) * len(rep["iterations"])
+    assert rep["residual_collisions"] == _fresh_residual(out, rep["pairs"])
+
+
+def test_exhausted_budget_counts_residual_in_one_extra_pass(monkeypatch):
+    monkeypatch.setattr(composer, "OUTER_ITERATIONS", 1)
+    calls = _count_detections(monkeypatch)
+    out, rep = resolve_interpenetration(sleeve_scene(0.012))  # needs two rounds
+    assert len(rep["iterations"]) == 1
+    assert rep["residual_collisions"] > 0
+    assert len(calls) == len(rep["pairs"]) * 2
+    assert rep["residual_collisions"] == _fresh_residual(out, rep["pairs"])

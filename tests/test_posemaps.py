@@ -3,12 +3,14 @@ import pytest
 
 from courtpose.errors import ValidationError
 from courtpose.model import Frame, Pose2D, Pose3D, bone_lengths
-from courtpose.posemaps import (HeatmapStack, JumpInfo, LocationMapStack,
+from courtpose.posemaps import (CELL, CROP_SIZE, MAP_RES, SUPPORT_EPS,
+                                HeatmapStack, JumpInfo, LocationMapStack,
                                 PoseLossWeights, PoseMapTargets,
                                 decode_heatmaps, decode_location_maps,
                                 encode_heatmaps, encode_location_maps,
                                 load_heatmaps, load_location_maps, pose_loss,
                                 save_heatmaps, save_location_maps)
+from courtpose.synth import synth_scene
 
 J = 35
 
@@ -81,7 +83,7 @@ def test_location_maps_constant_fill_and_pelvis_zero():
     rng = np.random.default_rng(1)
     p2, p3 = random_pose_pair(rng)
     heat = encode_heatmaps(p2)
-    loc = encode_location_maps(p3, p2)
+    loc = encode_location_maps(p3, heat)
     for j in (0, 7, 20):
         support = heat.values[j] > 0
         assert support.any()
@@ -97,7 +99,7 @@ def test_location_round_trip_exact():
     for _ in range(50):
         p2, p3 = random_pose_pair(rng)
         heat = encode_heatmaps(p2)
-        loc = encode_location_maps(p3, p2)
+        loc = encode_location_maps(p3, heat)
         dec = decode_location_maps(loc, heat)
         assert np.abs(dec.positions - p3.positions).max() <= 1e-9
 
@@ -116,7 +118,7 @@ def test_location_maps_require_root_relative():
     p2, p3 = random_pose_pair(rng)
     world = Pose3D(p3.positions + 1.0, frame=Frame.WORLD)
     with pytest.raises(ValidationError):
-        encode_location_maps(world, p2)
+        encode_location_maps(world, encode_heatmaps(p2))
 
 
 def test_jump_gating_strict_threshold():
@@ -128,7 +130,7 @@ def test_pose_loss_zero_case_and_defaults():
     rng = np.random.default_rng(4)
     p2, p3 = random_pose_pair(rng)
     heat = encode_heatmaps(p2)
-    loc = encode_location_maps(p3, p2)
+    loc = encode_location_maps(p3, heat)
     edges = [(0, 1), (1, 2), (2, 3)]
     gt_bl = bone_lengths(decode_location_maps(loc, heat), edges)
     t = PoseMapTargets(heat, loc, JumpInfo.from_height(0.5))
@@ -178,10 +180,9 @@ def test_pose_loss_l1_terms_symmetric():
     rng = np.random.default_rng(5)
     p2a, p3a = random_pose_pair(rng)
     p2b, p3b = random_pose_pair(rng)
-    ta = PoseMapTargets(encode_heatmaps(p2a), encode_location_maps(p3a, p2a),
-                        JumpInfo(True, 0.5, score=0.8))
-    tb = PoseMapTargets(encode_heatmaps(p2b), encode_location_maps(p3b, p2b),
-                        JumpInfo(True, 0.5, score=0.8))
+    ha, hb = encode_heatmaps(p2a), encode_heatmaps(p2b)
+    ta = PoseMapTargets(ha, encode_location_maps(p3a, ha), JumpInfo(True, 0.5, score=0.8))
+    tb = PoseMapTargets(hb, encode_location_maps(p3b, hb), JumpInfo(True, 0.5, score=0.8))
     edges = [(0, 1), (3, 4)]
     bl_a = bone_lengths(decode_location_maps(ta.location_maps, ta.heatmaps), edges)
     bl_b = bone_lengths(decode_location_maps(tb.location_maps, tb.heatmaps), edges)
@@ -205,7 +206,7 @@ def test_binary_stack_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     p2, p3 = random_pose_pair(rng)
     heat = encode_heatmaps(p2)
-    loc = encode_location_maps(p3, p2)
+    loc = encode_location_maps(p3, heat)
     hp = tmp_path / "h.bin"
     lp = tmp_path / "l.bin"
     save_heatmaps(hp, heat)
@@ -224,3 +225,104 @@ def test_binary_stack_round_trip(tmp_path):
 def test_jump_height_validation():
     with pytest.raises(ValidationError):
         JumpInfo(True, -0.1)
+
+
+# ---------------------------------------------------------------------------
+# the per-joint loops the array codec replaced, kept as its oracle
+# ---------------------------------------------------------------------------
+
+def loop_encode_heatmaps(pose, sigma):
+    maps = np.zeros((pose.num_joints, MAP_RES, MAP_RES))
+    clamped = np.zeros(pose.num_joints, dtype=bool)
+    grid = np.arange(MAP_RES, dtype=float)
+    for j in range(pose.num_joints):
+        if not pose.visibility[j]:
+            continue
+        x, y = pose.pixels[j]
+        if not (0 <= x < CROP_SIZE and 0 <= y < CROP_SIZE):
+            clamped[j] = True
+        cx = int(np.clip(np.floor(x / CELL), 0, MAP_RES - 1))
+        cy = int(np.clip(np.floor(y / CELL), 0, MAP_RES - 1))
+        g = np.exp(-((grid[None, :] - cx) ** 2 + (grid[:, None] - cy) ** 2)
+                   / (2.0 * sigma * sigma))
+        g[g < SUPPORT_EPS] = 0.0
+        maps[j] = g
+    return maps, clamped
+
+
+def loop_encode_location_maps(pose3d, pose2d, sigma):
+    heat, _ = loop_encode_heatmaps(pose2d, sigma)
+    loc = np.zeros((pose3d.num_joints, 3, MAP_RES, MAP_RES))
+    for j in range(pose3d.num_joints):
+        support = heat[j] > 0.0
+        for k in range(3):
+            loc[j, k][support] = pose3d.positions[j, k]
+    return loc
+
+
+def loop_decode(heat, loc):
+    J, R = heat.shape[0], heat.shape[1]
+    pixels, vis, xyz = np.zeros((J, 2)), np.zeros(J, dtype=bool), np.zeros((J, 3))
+    for j in range(J):
+        if heat[j].max() <= 0.0:
+            continue
+        cy, cx = divmod(int(np.argmax(heat[j])), R)
+        pixels[j] = (CELL * cx + CELL // 2, CELL * cy + CELL // 2)
+        vis[j] = True
+        xyz[j] = loc[j, :, cy, cx]
+    return pixels, vis, xyz
+
+
+def _oracle_cases():
+    for seed in (5000, 1018):
+        b = synth_scene(seed)
+        yield f"scene{seed}", b.pose2d, b.pose_root
+    rng = np.random.default_rng(7)
+    for k in range(6):
+        p2, p3 = random_pose_pair(rng)
+        vis = rng.random(J) > 0.3
+        pix = p2.pixels.copy()
+        pix[rng.random(J) < 0.3] = rng.uniform(-80, 340, size=2)  # some clamp
+        pix[~vis & (rng.random(J) < 0.5)] = np.nan  # invisible: no pixel
+        pos = p3.positions.copy()
+        pos[1] = -0.0  # a signed zero survives on the support
+        yield f"random{k}", Pose2D(pix, vis), Pose3D(pos)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.7])
+def test_array_codec_matches_loop_oracle_bytes(sigma):
+    for name, p2, p3 in _oracle_cases():
+        heat = encode_heatmaps(p2, sigma)
+        loc = encode_location_maps(p3, heat)
+        maps, clamped = loop_encode_heatmaps(p2, sigma)
+        assert heat.values.tobytes() == maps.tobytes(), name
+        assert heat.clamped.tobytes() == clamped.tobytes(), name
+        assert loc.values.tobytes() == loop_encode_location_maps(p3, p2, sigma).tobytes(), name
+        pixels, vis, xyz = loop_decode(maps, loc.values)
+        d2, d3 = decode_heatmaps(heat), decode_location_maps(loc, heat)
+        assert d2.pixels.tobytes() == pixels.tobytes(), name
+        assert d2.visibility.tobytes() == vis.tobytes(), name
+        assert d3.positions.tobytes() == xyz.tobytes(), name
+
+
+def test_array_decode_matches_loop_oracle_on_ties():
+    # maps with many equal maxima and some all-zero maps
+    rng = np.random.default_rng(8)
+    heat = rng.integers(0, 3, size=(J, 16, 16)) / 2.0
+    heat[rng.random(J) < 0.3] = 0.0
+    loc = rng.normal(size=(J, 3, 16, 16))
+    loc[0] = 0.0  # the root-relative pelvis
+    pixels, vis, xyz = loop_decode(heat, loc)
+    stack = HeatmapStack(heat)
+    d2 = decode_heatmaps(stack)
+    d3 = decode_location_maps(LocationMapStack(loc), stack)
+    assert d2.pixels.tobytes() == pixels.tobytes()
+    assert d2.visibility.tobytes() == vis.tobytes()
+    assert d3.positions.tobytes() == xyz.tobytes()
+
+
+def test_visible_nan_pixel_rejected():
+    pix = np.full((J, 2), 100.0)
+    pix[4] = np.nan
+    with pytest.raises(ValidationError):
+        encode_heatmaps(full_pose2d(pix))

@@ -50,7 +50,7 @@ def test_jump_gating_consistent(bundle):
 
 def test_bundle_codec_round_trip_bound(bundle):
     heat = encode_heatmaps(bundle.pose2d)
-    loc = encode_location_maps(bundle.pose_root, bundle.pose2d)
+    loc = encode_location_maps(bundle.pose_root, heat)
     p2 = decode_heatmaps(heat)
     p3 = decode_location_maps(loc, heat)
     assert np.abs(p2.pixels - bundle.pose2d.pixels).max() <= 2.0
