@@ -83,6 +83,14 @@ class BodyMesh:
     def with_parts(self, parts) -> "BodyMesh":
         return BodyMesh(tuple(parts))
 
+    def with_vertices(self, vertices: np.ndarray) -> "BodyMesh":
+        """Inverse of ``merged``: these parts carrying a merged array's rows."""
+        if len(vertices) != self.total_vertices:
+            raise ValidationError("merged vertex count does not match the body")
+        ends = np.cumsum([p.num_vertices for p in self.parts])[:-1]
+        return self.with_parts(map(PartMesh.with_vertices, self.parts,
+                                   np.split(vertices, ends)))
+
 
 def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     a = vertices[faces[:, 1]] - vertices[faces[:, 0]]

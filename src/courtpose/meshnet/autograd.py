@@ -1,10 +1,10 @@
 """Minimal reverse-mode autodiff over numpy arrays (float64).
 
-Just enough machinery for the toy mesh networks: dense/sparse matmul, the
-spiral gather, elementwise activations, dropout masks, concatenation and
-mean-L1 losses. Each op returns a Var whose ``grad_fn`` scatters the output
-gradient back to its parents; ``backward`` runs the tape in reverse
-topological order.
+Just enough machinery for the toy mesh networks: dense matmul, fixed sparse
+operators (spiral gathers and mesh samplers), elementwise activations,
+dropout masks, concatenation and mean-L1 losses. Each op returns a Var whose
+``grad_fn`` scatters the output gradient back to its parents; ``backward``
+runs the tape in reverse topological order.
 """
 from __future__ import annotations
 
@@ -48,9 +48,7 @@ def backward(root: Var) -> None:
 
 
 def _accum(v: Var, g: np.ndarray) -> None:
-    if v.grad is None:
-        v.grad = np.zeros_like(v.value)
-    v.grad += g
+    v.grad = np.array(g, dtype=float) if v.grad is None else v.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -124,23 +122,6 @@ def concat(vars_, axis: int = 0) -> Var:
             sl[axis] = slice(start, start + s)
             _accum(v, g[tuple(sl)])
             start += s
-    out.grad_fn = grad_fn
-    return out
-
-
-def spiral_gather(a: Var, indices: np.ndarray) -> Var:
-    """(N, C) features -> (N, S*C) spiral-concatenated; PAD (-1) gathers zero."""
-    n, c = a.value.shape
-    s = indices.shape[1]
-    valid = indices >= 0
-    safe = np.clip(indices, 0, n - 1)
-    gathered = np.where(valid[:, :, None], a.value[safe], 0.0)
-    out = Var(gathered.reshape(n, s * c), (a,))
-    def grad_fn(g):
-        g3 = g.reshape(n, s, c) * valid[:, :, None]
-        ga = np.zeros_like(a.value)
-        np.add.at(ga, safe.ravel(), g3.reshape(-1, c))
-        _accum(a, ga)
     out.grad_fn = grad_fn
     return out
 

@@ -126,7 +126,8 @@ def init_params(config: NetConfig, ops: PartOps, num_joints: int,
 
 
 def _sc(x, spirals, W, b):
-    return ag.add(ag.matmul(ag.spiral_gather(x, spirals.indices), W), b)
+    gathered = ag.reshape(ag.sparse_mm(spirals.gather, x), (spirals.num_vertices, -1))
+    return ag.add(ag.matmul(gathered, W), b)
 
 
 def _dropout_mask(rng, shape, rate):
@@ -263,12 +264,7 @@ def identity_offsets_graph(template_vertices: np.ndarray, feature: np.ndarray,
 def identity_offsets(template: BodyMesh, feature: np.ndarray, params: dict) -> BodyMesh:
     """Template deformed by per-vertex offsets predicted from [vertex; feature]."""
     verts, _ = template.merged()
-    out = identity_offsets_graph(verts, feature, params).value
-    parts, off = [], 0
-    for p in template.parts:
-        parts.append(p.with_vertices(out[off:off + p.num_vertices]))
-        off += p.num_vertices
-    return template.with_parts(parts)
+    return template.with_vertices(identity_offsets_graph(verts, feature, params).value)
 
 
 def identity_offsets_loss(template: BodyMesh, feature: np.ndarray, params: dict,

@@ -7,12 +7,16 @@ the neighbor whose tangent-plane direction best aligns with a global
 reference axis (+X, falling back to +Y when the normal is parallel to +X).
 Farther BFS rings are appended in the same angular order. Dilation keeps
 every d-th entry of the concatenated sequence; short spirals pad with -1.
+
+A table is applied as a fixed sparse gather matrix, like the samplers: row
+``v*S + k`` picks vertex ``indices[v, k]``; PAD rows are empty (gather zero).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import ValidationError
 from ..mesh import PartMesh, adjacency_lists, vertex_normals
@@ -24,11 +28,19 @@ PAD = -1
 class SpiralIndices:
     indices: np.ndarray  # (N, S), PAD marks missing entries
     dilation: int
+    gather: sp.csr_matrix = field(init=False, repr=False, compare=False)  # (N*S, N)
 
     def __post_init__(self):
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
         if self.indices.ndim != 2:
             raise ValidationError("spiral indices must be (N, S)")
+        n = self.indices.shape[0]
+        flat = self.indices.ravel()
+        if flat.size and (flat.min() < PAD or flat.max() >= n):
+            raise ValidationError(f"spiral indices must lie in [{PAD}, {n})")
+        rows = np.flatnonzero(flat != PAD)
+        object.__setattr__(self, "gather", sp.csr_matrix(
+            (np.ones(rows.size), (rows, flat[rows])), shape=(flat.size, n)))
 
     @property
     def length(self) -> int:
@@ -119,6 +131,4 @@ def spiral_conv(features: np.ndarray, spirals: SpiralIndices,
         raise ValidationError(f"weights expect {W.shape[0]} inputs, spiral gives {s * cin}")
     if b.shape != (W.shape[1],):
         raise ValidationError("bias shape mismatch")
-    idx = spirals.indices
-    gathered = np.where((idx >= 0)[:, :, None], F[np.clip(idx, 0, n - 1)], 0.0)
-    return gathered.reshape(n, s * cin) @ W + b
+    return (spirals.gather @ F).reshape(n, s * cin) @ W + b

@@ -72,6 +72,11 @@ class Skeleton:
         # joints below the root, grouped by depth: FK composes one group at a time
         object.__setattr__(self, "_levels", tuple(
             np.nonzero(depth == d)[0] for d in range(1, depth.max() + 1)))
+        # world-frame joints of the rest pose (identity rotations), shared by
+        # rest_pose, the rest body, its skinning weights and lbs
+        _, rest = _fk_levels(self, np.broadcast_to(np.eye(3), (J, 3, 3)), self.rest_offsets)
+        rest.flags.writeable = False
+        object.__setattr__(self, "_rest_world", rest)
 
     root = 0
 
@@ -234,8 +239,12 @@ def forward_kinematics(skeleton: Skeleton, transforms: BoneTransforms,
     return Pose3D(pos, frame=Frame.WORLD)
 
 
-def rest_pose(skeleton: Skeleton) -> Pose3D:
-    return forward_kinematics(skeleton, BoneTransforms.identity(skeleton.num_joints))
+def rest_pose(skeleton: Skeleton, frame: Frame = Frame.ROOT_RELATIVE) -> Pose3D:
+    """Joint positions under identity bone transforms, in the requested frame."""
+    pos = skeleton._rest_world
+    if frame is Frame.ROOT_RELATIVE:
+        return Pose3D(pos - pos[skeleton.root], frame=Frame.ROOT_RELATIVE)
+    return Pose3D(pos, frame=Frame.WORLD)
 
 
 def bone_lengths(pose: Pose3D, edges) -> np.ndarray:

@@ -284,8 +284,7 @@ def lbs(rest: BodyMesh, weights: SkinningWeights, transforms: BoneTransforms,
     if weights.num_joints != skeleton.num_joints:
         raise ValidationError("weight columns do not match joint count")
     R_glob, p_posed = fk_global(skeleton, transforms)
-    p_rest = forward_kinematics(skeleton, BoneTransforms.identity(skeleton.num_joints),
-                                frame=Frame.WORLD).positions
+    p_rest = skeleton._rest_world
     out = np.zeros_like(verts)
     for j in range(skeleton.num_joints):
         w = weights.W[:, j]
@@ -293,12 +292,7 @@ def lbs(rest: BodyMesh, weights: SkinningWeights, transforms: BoneTransforms,
             continue
         t_j = p_posed[j] - R_glob[j] @ p_rest[j]
         out += w[:, None] * (verts @ R_glob[j].T + t_j)
-    parts = []
-    off = 0
-    for p in rest.parts:
-        parts.append(p.with_vertices(out[off:off + p.num_vertices]))
-        off += p.num_vertices
-    return rest.with_parts(parts)
+    return rest.with_vertices(out)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .mesh import BodyMesh, PartMesh, load_obj, save_obj
 from .metrics import chamfer, emd, mpvpe
 from .model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
                     forward_kinematics, pose2d_from_json, pose2d_to_json,
-                    pose3d_from_json, pose3d_to_json, skeleton_from_json,
+                    pose3d_from_json, pose3d_to_json, rest_pose, skeleton_from_json,
                     skeleton_to_json, transforms_from_json, transforms_to_json)
 from .placement import place_player
 from .posemaps import (JumpInfo, decode_heatmaps, decode_location_maps,
@@ -96,8 +96,7 @@ _BODY_CACHE: dict = {}
 
 def build_rest_body(skeleton: Skeleton) -> BodyMesh:
     """Six-part capsule body around the canonical rest skeleton."""
-    pose = forward_kinematics(skeleton, BoneTransforms.identity(skeleton.num_joints),
-                              frame=Frame.WORLD).positions
+    pose = rest_pose(skeleton, Frame.WORLD).positions
 
     def seg(a, b):
         return pose[skeleton.index(a)], pose[skeleton.index(b)]
@@ -145,10 +144,8 @@ def canonical_body(voxel_res: int):
     if voxel_res not in _BODY_CACHE:
         skeleton = Skeleton.canonical()
         rest_body = build_rest_body(skeleton)
-        rest_pose = forward_kinematics(skeleton,
-                                       BoneTransforms.identity(skeleton.num_joints),
-                                       frame=Frame.WORLD)
-        weights = heat_diffusion_weights(rest_body, skeleton, rest_pose,
+        weights = heat_diffusion_weights(rest_body, skeleton,
+                                         rest_pose(skeleton, Frame.WORLD),
                                          voxel_res=voxel_res)
         _BODY_CACHE[voxel_res] = (skeleton, rest_body, weights)
     return _BODY_CACHE[voxel_res]

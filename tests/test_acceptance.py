@@ -148,13 +148,15 @@ def test_criterion_4_gradient_checks():
         F = ag.Var(rng.normal(size=(mesh.num_vertices, 3)))
         W = ag.Var(rng.normal(size=(18, 4)))
         b = ag.Var(rng.normal(size=4))
-        out = ag.sum_all(ag.add(ag.matmul(ag.spiral_gather(F, sp.indices), W), b))
+        gathered = ag.reshape(ag.sparse_mm(sp.gather, F), (mesh.num_vertices, -1))
+        out = ag.sum_all(ag.add(ag.matmul(gathered, W), b))
         for v in (F, W, b):
             v.zero_grad()
         ag.backward(out)
 
         def f():
-            g = ag.spiral_gather(ag.Var(F.value), sp.indices)
+            g = ag.reshape(ag.sparse_mm(sp.gather, ag.Var(F.value)),
+                           (mesh.num_vertices, -1))
             return float((g.value @ W.value + b.value).sum())
 
         for var in (F, W):

@@ -91,6 +91,18 @@ def test_obj_round_trip(tmp_path):
         assert np.array_equal(a.faces, b.faces)
 
 
+def test_with_vertices_inverts_merged():
+    body = BodyMesh((icosphere(0.5, 1, part="head"), plane_grid(3, 3, part="shirt")))
+    verts, _ = body.merged()
+    back = body.with_vertices(verts + 1.0)
+    for a, b in zip(body.parts, back.parts):
+        assert a.part == b.part
+        assert np.array_equal(a.vertices + 1.0, b.vertices)
+        assert np.array_equal(a.faces, b.faces)
+    with pytest.raises(ValidationError):
+        body.with_vertices(verts[:-1])
+
+
 def test_obj_rejects_degenerate_faces(tmp_path):
     path = tmp_path / "bad.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")

@@ -33,6 +33,15 @@ def test_identity_transforms_give_rest_pose_cumulative_offsets():
     assert np.allclose(pose.positions, expect, atol=1e-15)
 
 
+def test_rest_pose_equals_identity_forward_kinematics():
+    sk = Skeleton.canonical()
+    for frame in (Frame.ROOT_RELATIVE, Frame.WORLD):
+        fk = forward_kinematics(sk, BoneTransforms.identity(sk.num_joints), frame=frame)
+        pose = rest_pose(sk, frame)
+        assert pose.frame is frame
+        assert np.array_equal(pose.positions, fk.positions)
+
+
 def test_root_translation_equivariance():
     sk = chain_skeleton([[0, 0, 0], [0, 0.2, 0], [0.1, 0.2, 0]])
     t = np.array([1.0, -2.0, 0.5])

@@ -3,9 +3,12 @@ import pytest
 
 from courtpose.errors import ValidationError
 from courtpose.mesh import PartMesh, adjacency_lists, vertex_normals
-from courtpose.meshnet import build_spirals, spiral_conv
-from courtpose.meshnet.spirals import PAD
+from courtpose.meshnet import NetConfig, PartOps, build_spirals, spiral_conv
+from courtpose.meshnet import autograd as ag
+from courtpose.meshnet.spirals import PAD, SpiralIndices
 from courtpose.primitives import icosphere, tri_grid
+from courtpose.synth import canonical_body
+from courtpose.toydata import TOY_PART
 
 
 def hex_center(grid_rows=7, grid_cols=7):
@@ -113,3 +116,73 @@ def test_spiral_conv_shape_validation():
     with pytest.raises(ValidationError):
         spiral_conv(np.zeros((mesh.num_vertices, 3)), sp, np.zeros((10, 4)),
                     np.zeros(4))
+
+
+# -- the gather matrix against the hand-written gather it replaced -----------
+
+def spiral_gather_oracle(a: ag.Var, indices: np.ndarray) -> ag.Var:
+    """(N, C) features -> (N, S*C) spiral-concatenated; PAD (-1) gathers zero.
+    Clip-and-mask forward, np.add.at scatter backward."""
+    n, c = a.value.shape
+    s = indices.shape[1]
+    valid = indices >= 0
+    safe = np.clip(indices, 0, n - 1)
+    gathered = np.where(valid[:, :, None], a.value[safe], 0.0)
+    out = ag.Var(gathered.reshape(n, s * c), (a,))
+    def grad_fn(g):
+        g3 = g.reshape(n, s, c) * valid[:, :, None]
+        ga = np.zeros_like(a.value)
+        np.add.at(ga, safe.ravel(), g3.reshape(-1, c))
+        ag._accum(a, ga)
+    out.grad_fn = grad_fn
+    return out
+
+
+@pytest.fixture(scope="module")
+def gather_tables():
+    """Every table of the toy part's default pyramid, plus padded tables:
+    long spirals on a small grid, and an isolated vertex's all-PAD row."""
+    ops = PartOps.build(canonical_body(22)[1].part(TOY_PART), NetConfig())
+    tables = [(f"enc{k}", sp) for k, sp in enumerate(ops.spirals_enc)]
+    tables += [(f"dec{k}", sp) for k, sp in enumerate(ops.spirals_dec)]
+    tables.append(("final", ops.spirals_final))
+    isolated = PartMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0], [9, 9, 9]],
+                        [[0, 1, 2]], "head")
+    return tables + [("long spirals", build_spirals(tri_grid(3, 3), 12, 1)),
+                     ("isolated vertex", build_spirals(isolated, 5, 1))]
+
+
+def test_gather_matrix_equals_hand_written_gather(gather_tables):
+    rng = np.random.default_rng(10)
+    for name, sp in gather_tables:
+        n, c = sp.num_vertices, 5
+        assert sp.gather.shape == (n * sp.length, n)
+        F0 = rng.normal(size=(n, c))
+        upstream = rng.normal(size=(n, sp.length * c))  # dL/d(gathered)
+        grads, values = [], []
+        for gather in (lambda F: ag.reshape(ag.sparse_mm(sp.gather, F), (n, -1)),
+                       lambda F: spiral_gather_oracle(F, sp.indices)):
+            F = ag.Var(F0.copy())
+            g = gather(F)
+            ag.backward(ag.sum_all(ag.dropout(g, upstream)))
+            values.append(g.value)
+            grads.append(F.grad)
+        assert np.array_equal(values[0], values[1]), name
+        assert np.array_equal(grads[0], grads[1]), name
+
+
+def test_gather_matrix_rows():
+    mesh = tri_grid(3, 3)
+    sp = build_spirals(mesh, 12, 1)
+    G = sp.gather.toarray()
+    flat = sp.indices.ravel()
+    assert np.array_equal(G.sum(axis=1), (flat != PAD).astype(float))
+    rows = np.flatnonzero(flat != PAD)
+    assert np.array_equal(G[rows, flat[rows]], np.ones(rows.size))
+
+
+@pytest.mark.parametrize("bad", [[[0, 3], [1, 0], [2, 1]],
+                                 [[0, -2], [1, 0], [2, 1]]])
+def test_spiral_index_out_of_range_is_validation_error(bad):
+    with pytest.raises(ValidationError):
+        SpiralIndices(np.array(bad), 1)

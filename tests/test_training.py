@@ -4,7 +4,9 @@ import pytest
 from courtpose.errors import ValidationError
 from courtpose.meshnet import (NetConfig, PartOps, init_params, load_params,
                                save_params)
-from courtpose.meshnet.training import TrainConfig, eval_mesh_term, train_toy
+from courtpose.meshnet.network import DEFAULT_WMESH
+from courtpose.meshnet.training import (TrainConfig, eval_mesh_term, tl_training_forward,
+                                        train_toy)
 from courtpose.model import Pose3D
 from courtpose.primitives import capsule
 
@@ -73,6 +75,17 @@ def test_short_training_reduces_loss_deterministically(tiny_setup):
     assert [c["total"] for c in curve1] == [c["total"] for c in curve2]
     for k in params1:
         assert np.array_equal(params1[k].value, params2[k].value)
+
+
+def test_eval_mesh_term_is_the_mean_gt_path_mesh_loss(tiny_setup):
+    cfg, ops, dataset = tiny_setup
+    params = init_params(cfg, ops, 35, np.random.default_rng(6))
+    total = 0.0
+    for pose, rest, posed in dataset:
+        out = tl_training_forward(pose, rest, posed, params, ops, cfg, training=False)
+        total += DEFAULT_WMESH * float(np.mean(np.abs(out["V_from_gt"].value
+                                                      - posed.vertices)))
+    assert eval_mesh_term(dataset, params, ops, cfg) == total / len(dataset)
 
 
 def test_params_binary_round_trip(tmp_path, tiny_setup):
