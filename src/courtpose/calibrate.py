@@ -70,7 +70,13 @@ def load_pgm(path) -> LineMask:
                 if line.startswith(b"#"):
                     continue
                 fields += line.split()
-            w, h, maxval = (int(x) for x in fields[:3])
+            try:
+                w, h, maxval = (int(x) for x in fields[:3])
+            except ValueError as e:
+                raise ValidationError(f"{path}: bad PGM header field: {e}") from e
+            if w < 1 or h < 1 or not 1 <= maxval <= 255:
+                raise ValidationError(f"{path}: expected an 8-bit PGM of at least 1x1 "
+                                      f"(maxval 1-255), got {w}x{h}, maxval {maxval}")
             data = np.frombuffer(fh.read(w * h), dtype=np.uint8)
     except OSError as e:
         raise ValidationError(f"cannot read PGM file {path}: {e}") from e

@@ -33,14 +33,28 @@ from .skinning import lbs, weights_from_json
 from .synth import SceneConfig, load_scene, run_pipeline, save_scene, synth_scene
 
 
-def _read_json(path):
+def _load_json(path, from_json):
+    """Read the JSON record in ``path`` and decode it with ``from_json``. An
+    unreadable file, invalid JSON or a record with missing keys or bad
+    shapes is a ValidationError naming the file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            record = json.load(fh)
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ValidationError(f"{path} is not valid JSON: {e}") from e
+    try:
+        return from_json(record)
+    except (LookupError, TypeError, ValueError) as e:
+        raise ValidationError(f"{path} is not a valid record: {e!r}") from e
+
+
+def _correspondences_from_json(points):
+    """[{pixel, court}, ...] -> (pixel xy, court point) pairs."""
+    pixels = np.asarray([p["pixel"] for p in points], dtype=float).reshape(len(points), 2)
+    court = np.asarray([p["court"] for p in points], dtype=float).reshape(len(points), -1)
+    return list(zip(pixels, court))
 
 
 def _write_json(path, payload):
@@ -99,8 +113,7 @@ def _scene_config(cfg):
 
 def cmd_calibrate(args, cfg):
     size = _image_size(args.image_size)
-    pts = _read_json(args.points)
-    corrs = [(p["pixel"], p["court"]) for p in pts]
+    corrs = _load_json(args.points, _correspondences_from_json)
     cam, rms = solve_pnp_planar(corrs, size, focal=args.focal)
     result = {"pnp_rms_px": rms}
     if args.mask:
@@ -118,10 +131,10 @@ def cmd_calibrate(args, cfg):
 
 
 def cmd_place(args, cfg):
-    camera = camera_from_json(_read_json(args.camera))
-    pose2d = pose2d_from_json(_read_json(args.pose2d))
-    pose3d = pose3d_from_json(_read_json(args.pose3d))
-    jump = jump_from_json(_read_json(args.jump))
+    camera = _load_json(args.camera, camera_from_json)
+    pose2d = _load_json(args.pose2d, pose2d_from_json)
+    pose3d = _load_json(args.pose3d, pose3d_from_json)
+    jump = _load_json(args.jump, jump_from_json)
     placed, offset = place_player(camera, pose2d, pose3d, jump)
     _write_json(args.out, {"pose_world": pose3d_to_json(placed),
                            "offset": offset.tolist()})
@@ -129,8 +142,8 @@ def cmd_place(args, cfg):
 
 
 def cmd_codec(args, cfg):
-    pose2d = pose2d_from_json(_read_json(args.pose2d))
-    pose3d = pose3d_from_json(_read_json(args.pose3d))
+    pose2d = _load_json(args.pose2d, pose2d_from_json)
+    pose3d = _load_json(args.pose3d, pose3d_from_json)
     heat = encode_heatmaps(pose2d, sigma=args.sigma)
     loc = encode_location_maps(pose3d, heat)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -156,9 +169,9 @@ def cmd_skin(args, cfg):
     rest = load_obj(args.rest)
     if not isinstance(rest, BodyMesh):
         rest = BodyMesh((rest,))
-    weights = weights_from_json(_read_json(args.weights))
-    transforms = transforms_from_json(_read_json(args.pose))
-    skeleton = (skeleton_from_json(_read_json(args.skeleton)) if args.skeleton
+    weights = _load_json(args.weights, weights_from_json)
+    transforms = _load_json(args.pose, transforms_from_json)
+    skeleton = (_load_json(args.skeleton, skeleton_from_json) if args.skeleton
                 else Skeleton.canonical())
     posed = lbs(rest, weights, transforms, skeleton)
     save_obj(args.out, posed)
@@ -210,7 +223,7 @@ def cmd_infer_part(args, cfg):
 
     _, ops, config = toy_part_dataset(seed=args.seed, count=1)
     params = load_params(args.params)
-    pose = pose3d_from_json(_read_json(args.pose))
+    pose = _load_json(args.pose, pose3d_from_json)
     rest = load_obj(args.rest)
     if isinstance(rest, BodyMesh):
         rest = rest.parts[0]

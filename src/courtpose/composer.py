@@ -2,8 +2,8 @@
 
 The loop: detect body vertices poking outside their garment, push them 10 mm
 inward along their vertex normals, pin them, and relax the remaining
-vertices under a data + Laplacian + edge-length objective (limited-memory
-quasi-Newton, 20 iterations) so the push blends smoothly into the part.
+vertices under a data + Laplacian + edge-length objective (scipy's L-BFGS-B
+inner solves, 20 iterations) so the push blends smoothly into the part.
 Repeat until no collisions remain or the outer-iteration budget (10) runs
 out; a residual count is reported, never silently dropped. The detection
 that ends the loop is that count: a run that converges detects once per
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.optimize import minimize
 
 from .collision import detect_collisions
 from .errors import NumericalError, ValidationError
@@ -106,61 +107,31 @@ def penetration_loss(V: np.ndarray, V_star: np.ndarray, mesh: PartMesh,
 
 
 def minimize_lbfgs(fun, x0: np.ndarray, max_iters: int = INNER_ITERATIONS):
-    """L-BFGS (``LBFGS_MEMORY`` pairs), Armijo backtracking. ``fun(x) -> (f, g)``.
+    """scipy's L-BFGS-B (``LBFGS_MEMORY`` pairs, no bounds) on ``fun(x) -> (f, g)``.
 
-    Accepted iterates strictly decrease f; returns (x, [f history]).
+    Only the budget of ``max_iters`` iterations, a vanishing gradient or a
+    failed line search ends the solve. Returns (x, [f history]): the start
+    value, then the value after each iteration, never increasing.
     """
-    x = x0.copy()
-    f, g = fun(x)
-    if not np.isfinite(f):
-        raise NumericalError("non-finite objective at the initial point")
-    history = [f]
-    s_list, y_list, rho = [], [], []
-    for _ in range(max_iters):
-        gn = np.linalg.norm(g)
-        if gn < 1e-12:
-            break
-        # two-loop recursion
-        q = g.copy()
-        alphas = []
-        for s, y, r in zip(reversed(s_list), reversed(y_list), reversed(rho)):
-            a = r * (s @ q)
-            alphas.append(a)
-            q -= a * y
-        if y_list:
-            gamma = (s_list[-1] @ y_list[-1]) / (y_list[-1] @ y_list[-1])
-            q *= gamma
-        for (s, y, r), a in zip(zip(s_list, y_list, rho), reversed(alphas)):
-            b = r * (y @ q)
-            q += (a - b) * s
-        d = -q
-        if d @ g > -1e-16 * gn:
-            d = -g  # fall back to steepest descent
-        step = 1.0
-        accepted = False
-        for _ in range(30):
-            xn = x + step * d
-            fn, gnew = fun(xn)
-            if np.isfinite(fn) and fn <= f + 1e-4 * step * (g @ d):
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        s_vec = xn - x
-        y_vec = gnew - g
-        sy = s_vec @ y_vec
-        if sy > 1e-12:
-            s_list.append(s_vec)
-            y_list.append(y_vec)
-            rho.append(1.0 / sy)
-            if len(s_list) > LBFGS_MEMORY:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho.pop(0)
-        x, f, g = xn, fn, gnew
-        history.append(f)
-    return x, history
+    if max_iters < 1:  # scipy would still take one iteration
+        raise ValidationError("max_iters must be at least 1")
+    history = []
+
+    def checked(x):
+        f, g = fun(x)
+        if not history:  # scipy's first call is at x0
+            if not np.isfinite(f):
+                raise NumericalError("non-finite objective at the initial point")
+            history.append(float(f))
+        return f, g
+
+    def record(intermediate_result):
+        history.append(float(intermediate_result.fun))
+
+    res = minimize(checked, x0, jac=True, method="L-BFGS-B", callback=record,
+                   options={"maxiter": max_iters, "maxcor": LBFGS_MEMORY,
+                            "ftol": 0.0, "gtol": 1e-12})
+    return res.x, history
 
 
 def resolve_interpenetration(parts: BodyMesh):

@@ -195,23 +195,31 @@ def load_obj(path, default_part: str = "shirt"):
     except OSError as e:
         raise ValidationError(f"cannot read OBJ file {path}: {e}") from e
     with fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line.startswith("# part:"):
-                sections.append((line.split(":", 1)[1].strip(), len(verts)))
-            elif line.startswith("v "):
-                xyz = [float(x) for x in line.split()[1:4]]
-                verts.append(xyz)
-            elif line.startswith("f "):
-                idx = [int(tok.split("/")[0]) - 1 for tok in line.split()[1:]]
-                if len(idx) != 3:
-                    raise ValidationError("only triangle faces are supported")
-                faces.append(idx)
+            try:
+                if line.startswith("# part:"):
+                    sections.append((line.split(":", 1)[1].strip(), len(verts)))
+                elif line.startswith("v "):
+                    xyz = [float(x) for x in line.split()[1:4]]
+                    if len(xyz) != 3:
+                        raise ValueError("a vertex needs 3 coordinates")
+                    verts.append(xyz)
+                elif line.startswith("f "):
+                    idx = [int(tok.split("/")[0]) - 1 for tok in line.split()[1:]]
+                    if len(idx) != 3:
+                        raise ValueError("only triangle faces are supported")
+                    faces.append(idx)
+            except ValueError as e:
+                raise ValidationError(f"OBJ file {path}, line {lineno}: {e}") from e
     if not verts:
         raise ValidationError(f"OBJ file {path} has no vertices")
     verts = np.asarray(verts, dtype=float)
     faces = np.asarray(faces, dtype=int).reshape(-1, 3)
     if faces.size:
+        if faces.min() < 0 or faces.max() >= len(verts):
+            raise ValidationError(f"OBJ file {path} has face indices outside "
+                                  f"1..{len(verts)}")
         bad = np.nonzero(face_areas(verts, faces) < _DEGENERATE_AREA)[0]
         if bad.size:
             raise ValidationError(f"degenerate (zero-area) faces at rows {bad[:8].tolist()}")

@@ -216,14 +216,6 @@ DEFAULT_WZ = 5.0
 DEFAULT_WMESH = 50.0
 
 
-def skin_loss_var(z_pred: ag.Var, z_gt: ag.Var, v_pred: ag.Var, v_posed: ag.Var,
-                  w_z: float = DEFAULT_WZ, w_mesh: float = DEFAULT_WMESH) -> ag.Var:
-    return ag.add_scalars([
-        ag.scale(ag.l1_mean(z_pred, z_gt), w_z),
-        ag.scale(ag.l1_mean(v_pred, v_posed), w_mesh),
-    ])
-
-
 def skin_loss(z_pred, z_gt, v_pred, v_posed,
               w_z: float = DEFAULT_WZ, w_mesh: float = DEFAULT_WMESH) -> float:
     """w_z * mean|Z_pred - Z_gt| + w_mesh * mean|V_pred - V_posed|."""

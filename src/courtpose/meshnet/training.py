@@ -13,19 +13,19 @@ from .network import (DEFAULT_WMESH, DEFAULT_WZ, NetConfig, PartOps, decode, mes
                       tl_training_forward)
 
 MAGIC = b"CPNETP1\x00"
+LR_DECAY = 0.99      # per epoch
+MAX_GRAD_NORM = 5.0  # global-norm clip; keeps momentum stable
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-3
-    lr_decay: float = 0.99       # per epoch
     weight_decay: float = 5e-5
     batch_size: int = 16
     epochs: int = 50
     momentum: float = 0.9
     seed: int = 0
     max_steps: int | None = None  # optional hard cap across epochs
-    max_grad_norm: float = 5.0    # global-norm clip; keeps momentum stable
 
 
 def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig(),
@@ -71,8 +71,7 @@ def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig
             ag.backward(total)
             gnorm = np.sqrt(sum(float(np.sum(v.grad ** 2)) for v in params.values()
                                 if v.grad is not None))
-            clip = (train_cfg.max_grad_norm / gnorm
-                    if gnorm > train_cfg.max_grad_norm else 1.0)
+            clip = MAX_GRAD_NORM / gnorm if gnorm > MAX_GRAD_NORM else 1.0
             for k, v in params.items():
                 g = (v.grad if v.grad is not None else np.zeros_like(v.value)) * clip
                 g = g + train_cfg.weight_decay * v.value
@@ -82,7 +81,7 @@ def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig
             steps += 1
             if train_cfg.max_steps is not None and steps >= train_cfg.max_steps:
                 return params, curve
-        lr *= train_cfg.lr_decay
+        lr *= LR_DECAY
     return params, curve
 
 

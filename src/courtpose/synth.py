@@ -402,22 +402,26 @@ def load_scene(scenedir, config: SceneConfig = SceneConfig()) -> SceneBundle:
             d = json.load(fh)
     except OSError as e:
         raise ValidationError(f"cannot read scene file {path}: {e}") from e
-    cfg = SceneConfig(image_size=tuple(d["image_size"]), court=config.court,
-                      voxel_res=config.voxel_res)
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"scene file {path} is not valid JSON: {e}") from e
     rest = load_obj(os.path.join(scenedir, "rest.obj"))
     posed = load_obj(os.path.join(scenedir, "posed.obj"))
-    bundle = SceneBundle(
-        seed=d["seed"], config=cfg, court=make_court_model(cfg.court),
-        camera=camera_from_json(d["camera"]),
-        crop_origin=tuple(d["crop_origin"]), crop_scale=d["crop_scale"],
-        skeleton=skeleton_from_json(d["skeleton"]),
-        transforms=transforms_from_json(d["transforms"]),
-        pose_root=pose3d_from_json(d["pose_root"]),
-        pose_world=pose3d_from_json(d["pose_world"]),
-        pose2d=pose2d_from_json(d["pose2d"]),
-        jump=jump_from_json(d["jump"]),
-        rest_body=rest, posed_body=posed,
-        line_mask=load_pgm(os.path.join(scenedir, "mask.pgm")),
-        correspondences=tuple((tuple(px), tuple(w)) for px, w in d["correspondences"]),
-    )
-    return bundle
+    line_mask = load_pgm(os.path.join(scenedir, "mask.pgm"))
+    try:
+        cfg = SceneConfig(image_size=tuple(d["image_size"]), court=config.court,
+                          voxel_res=config.voxel_res)
+        return SceneBundle(
+            seed=d["seed"], config=cfg, court=make_court_model(cfg.court),
+            camera=camera_from_json(d["camera"]),
+            crop_origin=tuple(d["crop_origin"]), crop_scale=d["crop_scale"],
+            skeleton=skeleton_from_json(d["skeleton"]),
+            transforms=transforms_from_json(d["transforms"]),
+            pose_root=pose3d_from_json(d["pose_root"]),
+            pose_world=pose3d_from_json(d["pose_world"]),
+            pose2d=pose2d_from_json(d["pose2d"]),
+            jump=jump_from_json(d["jump"]),
+            rest_body=rest, posed_body=posed, line_mask=line_mask,
+            correspondences=tuple((tuple(px), tuple(w)) for px, w in d["correspondences"]),
+        )
+    except (LookupError, TypeError, ValueError) as e:
+        raise ValidationError(f"scene file {path} is not a valid record: {e!r}") from e

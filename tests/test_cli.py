@@ -215,3 +215,126 @@ def test_degenerate_calibration_exit_code(tmp_path):
     code = main(["calibrate", "--image-size", "640x360",
                  "--points", str(tmp_path / "pts.json")])
     assert code == 3  # numerical failure (degenerate geometry)
+
+
+# ---------------------------------------------------------------------------
+# malformed input files exit 2, naming the file
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("text", [
+    "v 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n",    # a vertex with two coordinates
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 x\n",  # a non-numeric face index
+    "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n",  # a face index past the vertices
+], ids=["short_vertex", "non_numeric_face", "face_out_of_range"])
+def test_eval_malformed_obj_exit_code_2(tmp_path, capsys, text):
+    from courtpose.primitives import icosphere
+    save_obj(tmp_path / "gt.obj", icosphere(1.0, 1, part="head"))
+    bad = tmp_path / "bad.obj"
+    bad.write_text(text)
+    code = main(["eval", "--pred", str(bad), "--gt", str(tmp_path / "gt.obj"),
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def _pgm_16bit(mask):
+    h, w = mask.pixels.shape
+    data = np.where(mask.pixels, 65535, 0).astype(">u2")
+    return f"P5\n{w} {h}\n65535\n".encode() + data.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda mask: b"P5\n1280 seven-twenty\n255\n" + bytes(1280 * 720),
+    _pgm_16bit,
+], ids=["non_numeric_header", "maxval_65535"])
+def test_calibrate_malformed_pgm_exit_code_2(tmp_path, capsys, bundle, make):
+    pts = [{"pixel": list(px), "court": list(w)} for px, w in bundle.correspondences]
+    write_json(tmp_path / "pts.json", pts)
+    bad = tmp_path / "mask.pgm"
+    bad.write_bytes(make(bundle.line_mask))
+    out = tmp_path / "camera.json"
+    code = main(["calibrate", "--image-size", "1280x720",
+                 "--points", str(tmp_path / "pts.json"), "--mask", str(bad),
+                 "--out", str(out)])
+    assert code == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def json_inputs(tmp_path_factory, bundle):
+    """A directory of valid inputs for every command that reads JSON."""
+    from courtpose.meshnet import init_params, save_params
+    from courtpose.model import skeleton_to_json
+    from courtpose.synth import canonical_body
+    from courtpose.toydata import toy_part_dataset
+
+    d = tmp_path_factory.mktemp("json_inputs")
+    write_json(d / "pts.json", [{"pixel": list(px), "court": list(w)}
+                                for px, w in bundle.correspondences])
+    write_json(d / "cam.json", camera_to_json(bundle.crop_camera))
+    write_json(d / "p2.json", pose2d_to_json(bundle.pose2d))
+    write_json(d / "p3.json", pose3d_to_json(bundle.pose_root))
+    write_json(d / "jump.json", jump_to_json(bundle.jump))
+    skeleton, rest, weights = canonical_body(bundle.config.voxel_res)
+    save_obj(d / "rest.obj", rest)
+    write_json(d / "w.json", weights_to_json(weights))
+    write_json(d / "t.json", transforms_to_json(bundle.transforms))
+    write_json(d / "sk.json", skeleton_to_json(skeleton))
+    dataset, ops, config = toy_part_dataset(seed=0, count=1)
+    pose, part, _ = dataset[0]
+    params = init_params(config, ops, pose.num_joints, np.random.default_rng(0))
+    save_params(d / "params.bin", params)
+    save_obj(d / "part.obj", part)
+    write_json(d / "pose.json", pose3d_to_json(pose))
+    return d
+
+
+_JSON_COMMANDS = {
+    "calibrate": ["--image-size", "1280x720", "--points", "{inputs}/pts.json"],
+    "place": ["--camera", "{inputs}/cam.json", "--pose2d", "{inputs}/p2.json",
+              "--pose3d", "{inputs}/p3.json", "--jump", "{inputs}/jump.json"],
+    "codec": ["--pose2d", "{inputs}/p2.json", "--pose3d", "{inputs}/p3.json",
+              "--out-dir", "{tmp}/maps"],
+    "skin": ["--rest", "{inputs}/rest.obj", "--weights", "{inputs}/w.json",
+             "--pose", "{inputs}/t.json", "--skeleton", "{inputs}/sk.json",
+             "--out", "{tmp}/posed.obj"],
+    "infer-part": ["--params", "{inputs}/params.bin", "--pose", "{inputs}/pose.json",
+                   "--rest", "{inputs}/part.obj", "--out", "{tmp}/out.obj"],
+}
+
+
+@pytest.mark.parametrize("command,flag,record", [
+    ("calibrate", "--points", [{"pixel": [1.0, 2.0]}]),
+    ("place", "--camera", {"f": 1000}),
+    ("place", "--pose2d", {"pixels": [[0.0, 0.0]]}),
+    ("place", "--pose3d", {"positions": [[0.0, 0.0, 0.0]], "frame": "sideways"}),
+    ("place", "--jump", {"airborne": True}),
+    ("codec", "--pose2d", {"pixels": [[0.0, 0.0]]}),
+    ("codec", "--pose3d", [1, 2]),
+    ("skin", "--weights", {"shape": [2, 2], "rows": [5], "cols": [0], "values": [1.0]}),
+    ("skin", "--pose", {"rotations": [[1.0, 0.0, 0.0]], "translations": []}),
+    ("skin", "--skeleton", {"joints": [{"name": "root"}]}),
+    ("infer-part", "--pose", {"positions": "none"}),
+])
+def test_malformed_json_record_exit_code_2(tmp_path, capsys, json_inputs, command,
+                                           flag, record):
+    argv = [command] + [arg.format(inputs=json_inputs, tmp=tmp_path)
+                        for arg in _JSON_COMMANDS[command]]
+    bad = tmp_path / "bad.json"
+    write_json(bad, record)
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "not a valid record" in err
+
+
+def test_pipeline_malformed_scene_json_exit_code_2(tmp_path, capsys):
+    out = tmp_path / "scene"
+    assert main(["synth", "--seed", "5", "--out", str(out)]) == 0
+    scene = json.loads((out / "scene.json").read_text())
+    del scene["camera"]["px"]
+    write_json(out / "scene.json", scene)
+    code = main(["pipeline", "--scene-dir", str(out), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert str(out / "scene.json") in capsys.readouterr().err

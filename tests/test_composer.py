@@ -6,7 +6,7 @@ from courtpose.collision import (detect_collisions, nearest_triangle_bruteforce,
                                  nearest_triangles, point_triangle_closest)
 from courtpose.composer import (GARMENT_PAIRS, PenetrationWeights, minimize_lbfgs,
                                 penetration_loss, resolve_interpenetration)
-from courtpose.errors import ValidationError
+from courtpose.errors import NumericalError, ValidationError
 from courtpose.mesh import BodyMesh, PartMesh, face_normals, mesh_edges
 from courtpose.primitives import capsule, icosphere, tube
 from courtpose.synth import synth_scene
@@ -267,6 +267,35 @@ def test_lbfgs_decreases_quadratic():
     x, hist = minimize_lbfgs(f, np.zeros(3), max_iters=50)
     assert all(h2 <= h1 + 1e-15 for h1, h2 in zip(hist, hist[1:]))
     assert np.abs(x - np.linalg.solve(A, b)).max() < 1e-6
+
+
+def _rosenbrock(x):
+    f = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+    g = np.array([-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]),
+                  200.0 * (x[1] - x[0] ** 2)])
+    return f, g
+
+
+@pytest.mark.parametrize("max_iters", [1, 5, 200])
+def test_lbfgs_history_contract(max_iters):
+    x0 = np.array([-1.2, 1.0])
+    x, hist = minimize_lbfgs(_rosenbrock, x0, max_iters=max_iters)
+    assert np.array_equal(x0, [-1.2, 1.0])
+    assert hist[0] == _rosenbrock(x0)[0]
+    assert 2 <= len(hist) <= max_iters + 1
+    assert all(b <= a for a, b in zip(hist, hist[1:]))
+    assert hist[-1] == _rosenbrock(x)[0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lbfgs_rejects_non_finite_start(bad):
+    with pytest.raises(NumericalError):
+        minimize_lbfgs(lambda x: (bad, np.zeros_like(x)), np.zeros(3))
+
+
+def test_lbfgs_rejects_empty_budget():
+    with pytest.raises(ValidationError):
+        minimize_lbfgs(_rosenbrock, np.zeros(2), max_iters=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,33 @@
+"""The runtime code imports only the standard library, numpy and scipy."""
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "courtpose"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", "courtpose"}
+
+
+def _imported_roots(tree):
+    """(line, top-level package) of every absolute import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_scanner_sees_nested_and_from_imports():
+    code = ("import os, torch.nn\nfrom . import mesh\n"
+            "def f():\n    from yaml import safe_load\n")
+    assert [root for _, root in _imported_roots(ast.parse(code))] == ["os", "torch", "yaml"]
+
+
+def test_runtime_imports_are_stdlib_numpy_scipy_or_courtpose():
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) > 20
+    foreign = [f"{path.relative_to(SRC)}:{line}: {root}"
+               for path in modules
+               for line, root in _imported_roots(ast.parse(path.read_text(), str(path)))
+               if root not in ALLOWED]
+    assert not foreign

@@ -7,7 +7,7 @@ from courtpose.meshnet import (NetConfig, PartOps, identity_offsets,
                                identity_offsets_loss, init_identity_params,
                                init_params, skin_loss, tl_forward)
 from courtpose.meshnet import autograd as ag
-from courtpose.meshnet.network import decode, skin_loss_var, tl_graph
+from courtpose.meshnet.network import decode, tl_graph
 from courtpose.model import Pose3D
 from courtpose.primitives import capsule
 
@@ -145,17 +145,6 @@ def test_skin_loss_zero_and_weights():
     v2 = np.array([[0.5, 0.0, 0.0], [1.0, 0.0, 1.0]])
     manual = 5.0 * (0.5 + 1.0) / 2 + 50.0 * (0.5 + 1.0) / 6
     assert skin_loss(z1, z2, v1, v2) == pytest.approx(manual, rel=1e-15)
-
-
-def test_skin_loss_var_matches_plain(part_ops):
-    rng = np.random.default_rng(6)
-    zp = ag.Var(rng.normal(size=(1, 32)))
-    zg = ag.Var(rng.normal(size=(1, 32)))
-    vp = ag.Var(rng.normal(size=(20, 3)))
-    vg = ag.Var(rng.normal(size=(20, 3)))
-    lv = skin_loss_var(zp, zg, vp, vg)
-    assert float(lv.value) == pytest.approx(
-        skin_loss(zp.value, zg.value, vp.value, vg.value), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
