@@ -203,10 +203,10 @@ def cmd_train_toy(args, cfg):
     from .meshnet.training import TrainConfig, eval_mesh_term, train_toy
     from .toydata import toy_part_dataset
 
+    tc = TrainConfig(epochs=args.epochs, max_steps=args.steps, seed=args.seed)
     dataset, ops, config = toy_part_dataset(seed=args.seed, count=args.count)
     rng = np.random.default_rng(args.seed)
     params = init_params(config, ops, dataset[0][0].num_joints, rng)
-    tc = TrainConfig(epochs=args.epochs, max_steps=args.steps, seed=args.seed)
     before = eval_mesh_term(dataset, params, ops, config)
     params, curve = train_toy(dataset, params, ops, config, tc)
     after = eval_mesh_term(dataset, params, ops, config)

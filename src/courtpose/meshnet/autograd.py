@@ -48,7 +48,8 @@ def backward(root: Var) -> None:
 
 
 def _accum(v: Var, g: np.ndarray) -> None:
-    v.grad = np.array(g, dtype=float) if v.grad is None else v.grad + g
+    # no gradient is ever updated in place, so the first one is kept uncopied
+    v.grad = g if v.grad is None else v.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -126,10 +127,15 @@ def concat(vars_, axis: int = 0) -> Var:
     return out
 
 
-def sparse_mm(M, a: Var) -> Var:
-    """Fixed sparse matrix times a Var: out = M @ a."""
+def sparse_mm(M, a: Var, MT=None) -> Var:
+    """Fixed sparse matrix times a Var: out = M @ a.
+
+    ``MT`` is ``M``'s transpose as a ready CSR matrix; callers that apply
+    the same operator on every step pass it so that no backward pass
+    builds ``M.T``.
+    """
     out = Var(M @ a.value, (a,))
-    out.grad_fn = lambda g: _accum(a, M.T @ g)
+    out.grad_fn = lambda g: _accum(a, (M.T if MT is None else MT) @ g)
     return out
 
 

@@ -8,14 +8,22 @@ through a fusion linear to give the predicted code; a shared spiral decoder
 encoder embeds the ground-truth posed part during training, and the decoder
 can run from either code.
 
+Features of a batch of B samples are stacked sample-major: vertex features
+are (B*N, C) with sample b on rows b*N .. b*N + N-1, codes are (B, Z) and
+flattened poses (B, 3J). Each fixed mesh operator M then acts as its
+block-diagonal copy kron(I_B, M), so one forward and one backward pass cover
+the whole batch; a single sample is the case B = 1.
+
 All math is float64 and flows through the local autograd tape so analytic
 gradients are available for every parameter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..errors import ValidationError
 from ..mesh import BodyMesh, PartMesh
@@ -50,6 +58,22 @@ class NetConfig:
             raise ValidationError("one decoder dilation per SC layer")
 
 
+class StackedOps(NamedTuple):
+    """A PartOps' operators for B stacked samples: each entry is a
+    ``(kron(I_B, M), its transpose)`` pair of CSR matrices."""
+
+    enc: tuple    # spiral gathers per encoder SC layer
+    down: tuple   # sampler D per level transition
+    up: tuple     # sampler U per level transition
+    dec: tuple    # spiral gathers per decoder SC layer
+    final: tuple  # final decoder SC layer's gather
+
+
+def _block_diagonal(M, batch: int) -> tuple:
+    MB = sp.kron(sp.identity(batch, format="csr"), M, format="csr")
+    return MB, MB.T.tocsr()
+
+
 @dataclass(frozen=True)
 class PartOps:
     """Per-part machinery: mesh pyramid, sampling operators, spiral tables."""
@@ -59,6 +83,8 @@ class PartOps:
     spirals_enc: tuple        # per encoder SC layer (fine -> coarse)
     spirals_dec: tuple        # per decoder SC layer (coarse -> fine)
     spirals_final: SpiralIndices
+    _stacked: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)  # batch size -> StackedOps
 
     @staticmethod
     def build(mesh: PartMesh, config: NetConfig = NetConfig()) -> "PartOps":
@@ -84,21 +110,34 @@ class PartOps:
     def coarsest_vertices(self) -> int:
         return self.meshes[-1].num_vertices
 
+    def stacked(self, batch: int) -> StackedOps:
+        """The operators for ``batch`` stacked samples, built on first use and
+        kept for the life of this PartOps."""
+        out = self._stacked.get(batch)
+        if out is None:
+            out = self._stacked[batch] = StackedOps(
+                enc=tuple(_block_diagonal(s.gather, batch) for s in self.spirals_enc),
+                down=tuple(_block_diagonal(s.D, batch) for s in self.samplers),
+                up=tuple(_block_diagonal(s.U, batch) for s in self.samplers),
+                dec=tuple(_block_diagonal(s.gather, batch) for s in self.spirals_dec),
+                final=_block_diagonal(self.spirals_final.gather, batch))
+        return out
+
 
 def _glorot(rng, fan_in, fan_out):
     s = np.sqrt(2.0 / (fan_in + fan_out))
     return rng.normal(0.0, s, size=(fan_in, fan_out))
 
 
-def init_params(config: NetConfig, ops: PartOps, num_joints: int,
-                rng: np.random.Generator) -> dict:
-    """Fresh parameter dict (name -> autograd Var) for one body part."""
+def param_shapes(config: NetConfig, ops: PartOps, num_joints: int) -> dict:
+    """Parameter layout (name -> shape), in initialisation order, of the TL
+    network for one body part driven by a ``num_joints``-joint pose."""
     S, Z, h = config.spiral_length, config.latent, config.pose_hidden
     p = {}
 
     def lin(name, nin, nout):
-        p[f"{name}.W"] = ag.Var(_glorot(rng, nin, nout))
-        p[f"{name}.b"] = ag.Var(np.zeros(nout))
+        p[f"{name}.W"] = (nin, nout)
+        p[f"{name}.b"] = (nout,)
 
     lin("pose.lin_in", 3 * num_joints, h)
     for blk in ("pose.res1", "pose.res2"):
@@ -125,52 +164,91 @@ def init_params(config: NetConfig, ops: PartOps, num_joints: int,
     return p
 
 
-def _sc(x, spirals, W, b):
-    gathered = ag.reshape(ag.sparse_mm(spirals.gather, x), (spirals.num_vertices, -1))
+def init_params(config: NetConfig, ops: PartOps, num_joints: int,
+                rng: np.random.Generator) -> dict:
+    """Fresh parameter dict (name -> autograd Var) for one body part."""
+    return {name: ag.Var(_glorot(rng, *shape) if name.endswith(".W") else np.zeros(shape))
+            for name, shape in param_shapes(config, ops, num_joints).items()}
+
+
+def check_params(params: dict, config: NetConfig, ops: PartOps, num_joints: int) -> None:
+    """Raise ValidationError naming the first tensor of ``params`` that does
+    not fit ``param_shapes(config, ops, num_joints)``."""
+    expected = param_shapes(config, ops, num_joints)
+    for name, shape in expected.items():
+        if name not in params:
+            raise ValidationError(f"parameter {name} is missing")
+        if params[name].shape != shape:
+            raise ValidationError(
+                f"parameter {name} has shape {params[name].shape}, expected {shape} "
+                f"for a {num_joints}-joint pose and a "
+                f"{ops.meshes[0].num_vertices}-vertex part")
+    extra = sorted(set(params) - set(expected))
+    if extra:
+        raise ValidationError(f"unexpected parameter {extra[0]}")
+
+
+def _sc(x, gather, W, b):
+    """Spiral conv of stacked (rows, C) features through a stacked gather."""
+    G, GT = gather
+    gathered = ag.reshape(ag.sparse_mm(G, x, GT), (x.shape[0], -1))
     return ag.add(ag.matmul(gathered, W), b)
 
 
-def _dropout_mask(rng, shape, rate):
-    keep = 1.0 - rate
-    return (rng.random(shape) < keep).astype(float) / keep
+_POSE_DROPOUT_LAYERS = 4  # two residual blocks of two linear layers
 
 
 def pose_encode(params, pose_flat: ag.Var, config: NetConfig,
                 training: bool = False, rng=None) -> ag.Var:
+    masks = None
+    if training and config.dropout > 0:
+        keep = 1.0 - config.dropout
+        # drawn sample by sample, then layer by layer: one sample's masks
+        # are the same draws whatever batch it sits in
+        draws = rng.random((pose_flat.shape[0], _POSE_DROPOUT_LAYERS, config.pose_hidden))
+        masks = (draws < keep).astype(float) / keep
     x = ag.add(ag.matmul(pose_flat, params["pose.lin_in.W"]), params["pose.lin_in.b"])
+    layer = 0
     for blk in ("pose.res1", "pose.res2"):
         y = x
         for sub in ("l1", "l2"):
             y = ag.add(ag.matmul(y, params[f"{blk}.{sub}.W"]), params[f"{blk}.{sub}.b"])
             y = ag.relu(y)
-            if training and config.dropout > 0:
-                y = ag.dropout(y, _dropout_mask(rng, y.shape, config.dropout))
+            if masks is not None:
+                y = ag.dropout(y, masks[:, layer])
+            layer += 1
         x = ag.add(x, y)
     return ag.add(ag.matmul(x, params["pose.lin_out.W"]), params["pose.lin_out.b"])
 
 
 def mesh_encode(params, prefix: str, verts: ag.Var, ops: PartOps,
                 config: NetConfig) -> ag.Var:
+    """(B*N, 3) stacked vertices -> (B, Z) codes."""
+    batch = verts.shape[0] // ops.meshes[0].num_vertices
+    stacked = ops.stacked(batch)
     x = verts
     for k in range(len(config.encoder_channels)):
-        x = _sc(x, ops.spirals_enc[k], params[f"{prefix}.sc{k}.W"], params[f"{prefix}.sc{k}.b"])
+        x = _sc(x, stacked.enc[k], params[f"{prefix}.sc{k}.W"], params[f"{prefix}.sc{k}.b"])
         x = ag.elu(x)
-        x = ag.sparse_mm(ops.samplers[k].D, x)
-    flat = ag.reshape(x, (1, -1))
+        D, DT = stacked.down[k]
+        x = ag.sparse_mm(D, x, DT)
+    flat = ag.reshape(x, (batch, -1))
     return ag.add(ag.matmul(flat, params[f"{prefix}.lin.W"]), params[f"{prefix}.lin.b"])
 
 
 def decode(params, z: ag.Var, ops: PartOps, config: NetConfig) -> ag.Var:
-    n4 = ops.coarsest_vertices
-    c = config.encoder_channels[-1]
+    """(B, Z) codes -> (B*N, 3) stacked vertices."""
+    batch = z.shape[0]
+    stacked = ops.stacked(batch)
     x = ag.add(ag.matmul(z, params["dec.lin.W"]), params["dec.lin.b"])
-    x = ag.reshape(x, (n4, c))
+    x = ag.reshape(x, (batch * ops.coarsest_vertices, config.encoder_channels[-1]))
     L = len(config.ds_factors)
     for k in range(L):
-        x = ag.sparse_mm(ops.samplers[L - 1 - k].U, x)
-        x = _sc(x, ops.spirals_dec[k], params[f"dec.sc{k}.W"], params[f"dec.sc{k}.b"])
+        U, UT = stacked.up[L - 1 - k]
+        x = ag.sparse_mm(U, x, UT)
+        x = _sc(x, stacked.dec[k], params[f"dec.sc{k}.W"], params[f"dec.sc{k}.b"])
         x = ag.elu(x)
-    return _sc(x, ops.spirals_final, params["dec.sc_final.W"], params["dec.sc_final.b"])
+    return _sc(x, stacked.final, params["dec.sc_final.W"], params["dec.sc_final.b"])
 
 
 def fuse(params, z_pose: ag.Var, z_rest: ag.Var) -> ag.Var:
@@ -180,9 +258,13 @@ def fuse(params, z_pose: ag.Var, z_rest: ag.Var) -> ag.Var:
 
 def tl_graph(pose_positions: np.ndarray, rest_vertices: np.ndarray, params: dict,
              ops: PartOps, config: NetConfig, training: bool = False, rng=None):
-    """Autograd graph of the test-time path: returns (Z_pred, V_pred) Vars."""
-    pose_flat = ag.Var(np.asarray(pose_positions, dtype=float).reshape(1, -1))
+    """Autograd graph of the test-time path: returns (Z_pred, V_pred) Vars.
+
+    Takes one sample, a (J, 3) pose and (N, 3) rest vertices, or B stacked
+    ones, (B, J, 3) poses and (B*N, 3) rest vertices."""
     rest = ag.Var(np.asarray(rest_vertices, dtype=float))
+    batch = rest.shape[0] // ops.meshes[0].num_vertices
+    pose_flat = ag.Var(np.asarray(pose_positions, dtype=float).reshape(batch, -1))
     z_pose = pose_encode(params, pose_flat, config, training, rng)
     z_rest = mesh_encode(params, "enc_rest", rest, ops, config)
     z_pred = fuse(params, z_pose, z_rest)
@@ -195,17 +277,30 @@ def tl_forward(pose: Pose3D, rest_part: PartMesh, params: dict, ops: PartOps,
     """Inference: pose + rest part -> predicted code and posed vertices."""
     if rest_part.num_vertices != ops.meshes[0].num_vertices:
         raise ValidationError("rest part does not match the operator pyramid")
+    check_params(params, config, ops, pose.num_joints)
     z_pred, v_pred = tl_graph(pose.positions, rest_part.vertices, params, ops, config)
     return {"Z_pred": z_pred.value.ravel().copy(), "V_pred": v_pred.value.copy()}
 
 
-def tl_training_forward(pose: Pose3D, rest_part: PartMesh, posed_part: PartMesh,
-                        params: dict, ops: PartOps, config: NetConfig = NetConfig(),
-                        training: bool = True, rng=None) -> dict:
-    """Training path: both codes, plus decodes of Z_gt and Z_pred (Vars)."""
-    z_pred, v_from_pred = tl_graph(pose.positions, rest_part.vertices, params, ops,
-                                   config, training, rng)
-    posed = ag.Var(posed_part.vertices)
+def tl_training_forward(poses, rest_parts, posed_parts, params: dict, ops: PartOps,
+                        config: NetConfig = NetConfig(), training: bool = True,
+                        rng=None) -> dict:
+    """Training path over a batch given as three equal-length sequences.
+
+    Returns stacked Vars: both codes (B, Z), plus the decodes of Z_gt and
+    Z_pred and the posed vertices, each (B*N, 3)."""
+    if not len(poses) == len(rest_parts) == len(posed_parts) >= 1:
+        raise ValidationError("a batch needs one pose, rest part and posed part "
+                              "per sample, and at least one sample")
+    n = ops.meshes[0].num_vertices
+    if any(p.num_vertices != n for p in (*rest_parts, *posed_parts)):
+        raise ValidationError("part does not match the operator pyramid")
+    if len({p.num_joints for p in poses}) != 1:
+        raise ValidationError("poses in a batch must share a joint count")
+    z_pred, v_from_pred = tl_graph(np.stack([p.positions for p in poses]),
+                                   np.concatenate([p.vertices for p in rest_parts]),
+                                   params, ops, config, training, rng)
+    posed = ag.Var(np.concatenate([p.vertices for p in posed_parts]))
     z_gt = mesh_encode(params, "enc_gt", posed, ops, config)
     v_from_gt = decode(params, z_gt, ops, config)
     return {"Z_pred": z_pred, "Z_gt": z_gt, "V_from_pred": v_from_pred,

@@ -1,7 +1,14 @@
 """Momentum gradient-descent training loop for the toy TL network, plus the
-sectioned binary parameter format."""
+sectioned binary parameter format.
+
+Each training step is one forward and one backward pass over the stacked
+batch: the samples' vertex features are stacked sample-major and every fixed
+mesh operator acts as its block-diagonal copy, built with its transpose once
+per batch size and cached on the PartOps (see ``network``)."""
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -27,16 +34,41 @@ class TrainConfig:
     seed: int = 0
     max_steps: int | None = None  # optional hard cap across epochs
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
+        if self.max_steps is not None and self.max_steps < 1:
+            raise ValidationError(f"max steps must be >= 1, got {self.max_steps}")
+        if not self.lr >= 0:
+            raise ValidationError(f"learning rate must be >= 0, got {self.lr}")
+
+
+def tl_loss(out: dict):
+    """(total, mesh) loss Vars of a ``tl_training_forward`` output.
+
+    The total is the code-consistency term plus the mesh term on the decodes
+    of Z_gt and of Z_pred, weighted by ``DEFAULT_WZ`` and ``DEFAULT_WMESH``;
+    ``mesh`` is the weighted Z_gt-path term. Each mean runs over the stacked
+    batch, which equals the average of the per-sample means.
+    """
+    mesh_gt = ag.scale(ag.l1_mean(out["V_from_gt"], out["V_posed"]), DEFAULT_WMESH)
+    total = ag.add_scalars([
+        ag.scale(ag.l1_mean(out["Z_pred"], out["Z_gt"]), DEFAULT_WZ),
+        mesh_gt,
+        ag.scale(ag.l1_mean(out["V_from_pred"], out["V_posed"]), DEFAULT_WMESH)])
+    return total, mesh_gt
+
 
 def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig(),
               train_cfg: TrainConfig = TrainConfig()):
     """Overfit the TL network on (pose, rest part, posed part) triplets.
 
-    Both decoder paths are supervised: the mesh term is applied to the
-    decode of Z_gt and to the decode of Z_pred, with the code-consistency
-    term tying the two latents together; the terms carry the network's
-    ``DEFAULT_WMESH`` and ``DEFAULT_WZ`` weights. Returns (params, loss
-    curve) where the curve has one {"total", "mesh"} entry per step.
+    Both decoder paths are supervised (see ``tl_loss``). Each step runs its
+    whole batch through one ``tl_training_forward`` call and one backward
+    pass. Returns (params, loss curve) where the curve has one
+    {"total", "mesh"} entry per step.
     """
     if not dataset:
         raise ValidationError("training dataset is empty")
@@ -48,21 +80,11 @@ def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig
     for _ in range(train_cfg.epochs):
         order = rng.permutation(len(dataset))
         for start in range(0, len(dataset), train_cfg.batch_size):
-            batch = [dataset[i] for i in order[start:start + train_cfg.batch_size]]
-            losses = []
-            mesh_term = 0.0
-            for pose, rest_part, posed_part in batch:
-                out = tl_training_forward(pose, rest_part, posed_part, params, ops,
-                                          config, training=True, rng=rng)
-                consistency = ag.scale(ag.l1_mean(out["Z_pred"], out["Z_gt"]),
-                                       DEFAULT_WZ)
-                mesh_gt = ag.scale(ag.l1_mean(out["V_from_gt"], out["V_posed"]),
-                                   DEFAULT_WMESH)
-                mesh_pred = ag.scale(ag.l1_mean(out["V_from_pred"], out["V_posed"]),
-                                     DEFAULT_WMESH)
-                losses.append(ag.add_scalars([consistency, mesh_gt, mesh_pred]))
-                mesh_term += float(mesh_gt.value) / len(batch)
-            total = ag.scale(ag.add_scalars(losses), 1.0 / len(batch))
+            poses, rests, posed = zip(*(dataset[i]
+                                        for i in order[start:start + train_cfg.batch_size]))
+            out = tl_training_forward(poses, rests, posed, params, ops, config,
+                                      training=True, rng=rng)
+            total, mesh_gt = tl_loss(out)
             if not np.isfinite(total.value):
                 raise NumericalError(
                     f"non-finite training loss at step {steps}: {total.value!r}")
@@ -77,7 +99,7 @@ def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig
                 g = g + train_cfg.weight_decay * v.value
                 velocity[k] = train_cfg.momentum * velocity[k] + g
                 v.value = v.value - lr * velocity[k]
-            curve.append({"total": float(total.value), "mesh": mesh_term})
+            curve.append({"total": float(total.value), "mesh": float(mesh_gt.value)})
             steps += 1
             if train_cfg.max_steps is not None and steps >= train_cfg.max_steps:
                 return params, curve
@@ -120,17 +142,28 @@ def save_params(path, params: dict) -> None:
 def load_params(path) -> dict:
     try:
         with open(path, "rb") as fh:
+            file_size = os.fstat(fh.fileno()).st_size
+
+            def read(n):
+                if n > file_size - fh.tell():
+                    raise ValidationError(
+                        f"{path}: truncated parameter file (wanted {n} bytes at "
+                        f"offset {fh.tell()}, file has {file_size})")
+                return fh.read(n)
+
             if fh.read(len(MAGIC)) != MAGIC:
                 raise ValidationError(f"{path}: bad parameter-file magic")
-            (count,) = struct.unpack("<I", fh.read(4))
+            (count,) = struct.unpack("<I", read(4))
             out = {}
             for _ in range(count):
-                (nlen,) = struct.unpack("<H", fh.read(2))
-                name = fh.read(nlen).decode()
-                (ndim,) = struct.unpack("<B", fh.read(1))
-                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-                size = int(np.prod(shape)) if ndim else 1
-                data = np.frombuffer(fh.read(8 * size), dtype="<f8").reshape(shape)
+                (nlen,) = struct.unpack("<H", read(2))
+                try:
+                    name = read(nlen).decode()
+                except UnicodeDecodeError as e:
+                    raise ValidationError(f"{path}: tensor name is not UTF-8") from e
+                (ndim,) = struct.unpack("<B", read(1))
+                shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
+                data = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
                 out[name] = ag.Var(data.astype(float))
     except OSError as e:
         raise ValidationError(f"cannot read parameter file {path}: {e}") from e

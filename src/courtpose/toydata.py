@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .meshnet import NetConfig, PartOps
 from .model import forward_kinematics
 from .skinning import lbs
@@ -17,6 +18,8 @@ def toy_part_dataset(seed: int = 0, count: int = 50, part: str = TOY_PART,
                      config: NetConfig = NetConfig()):
     """(dataset, ops, config): `dataset` holds (pose, rest part, posed part)
     triplets in the root-relative frame; `ops` is the part's operator pyramid."""
+    if count < 1:
+        raise ValidationError(f"a toy dataset needs at least one sample, got {count}")
     skeleton, rest_body, weights = canonical_body(voxel_res)
     rest_part = rest_body.part(part)
     ops = PartOps.build(rest_part, config)

@@ -181,6 +181,16 @@ def test_train_and_infer_cli(tmp_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--count", "--epochs", "--steps"])
+def test_train_toy_settings_that_cannot_train_exit_code_2(tmp_path, capsys, flag):
+    argv = ["train-toy", "--count", "4", "--epochs", "1", "--steps", "1",
+            "--out", str(tmp_path / "params.bin")]
+    argv[argv.index(flag) + 1] = "0"
+    assert main(argv) == 2
+    assert "got 0" in capsys.readouterr().err
+    assert not (tmp_path / "params.bin").exists()
+
+
 def test_missing_file_exit_code_2(tmp_path):
     code = main(["place", "--camera", str(tmp_path / "nope.json"),
                  "--pose2d", str(tmp_path / "nope.json"),
@@ -338,3 +348,42 @@ def test_pipeline_malformed_scene_json_exit_code_2(tmp_path, capsys):
     code = main(["pipeline", "--scene-dir", str(out), "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert str(out / "scene.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["header", "name", "payload"])
+def test_infer_part_truncated_params_exit_code_2(tmp_path, capsys, json_inputs, where):
+    data = (json_inputs / "params.bin").read_bytes()
+    # magic (8 bytes) and tensor count (4), then the first name's length (2)
+    # and the name, "dec.lin.W"
+    cut = {"header": 10, "name": 8 + 4 + 2 + 3, "payload": len(data) - 4}[where]
+    bad = tmp_path / "params.bin"
+    bad.write_bytes(data[:cut])
+    argv = [arg.format(inputs=json_inputs, tmp=tmp_path)
+            for arg in _JSON_COMMANDS["infer-part"]]
+    argv[argv.index("--params") + 1] = str(bad)
+    assert main(["infer-part"] + argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "truncated" in err
+
+
+def test_infer_part_params_that_do_not_fit_exit_code_2(tmp_path, capsys, json_inputs):
+    from courtpose.meshnet import autograd as ag
+    from courtpose.meshnet import load_params, save_params
+
+    argv = ["infer-part"] + [arg.format(inputs=json_inputs, tmp=tmp_path)
+                             for arg in _JSON_COMMANDS["infer-part"]]
+    pose = json.loads((json_inputs / "pose.json").read_text())
+    pose["positions"] = pose["positions"][:10]
+    write_json(tmp_path / "pose10.json", pose)
+    short_pose = list(argv)
+    short_pose[short_pose.index("--pose") + 1] = str(tmp_path / "pose10.json")
+
+    params = load_params(json_inputs / "params.bin")
+    params["pose.lin_in.W"] = ag.Var(np.zeros((60, params["pose.lin_in.W"].shape[1])))
+    save_params(tmp_path / "params20.bin", params)
+    joints20 = list(argv)
+    joints20[joints20.index("--params") + 1] = str(tmp_path / "params20.bin")
+
+    for bad_argv in (short_pose, joints20):
+        assert main(bad_argv) == 2
+        assert "pose.lin_in.W" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,30 @@ def test_tl_forward_deterministic(part_ops):
     a = tl_forward(pose, mesh, params, ops, CFG)
     b = tl_forward(pose, mesh, params, ops, CFG)
     assert np.array_equal(a["V_pred"], b["V_pred"])
+
+
+@pytest.mark.parametrize("pose_joints,param_joints", [(10, 35), (35, 20)])
+def test_tl_forward_rejects_params_for_another_joint_count(part_ops, pose_joints,
+                                                           param_joints):
+    mesh, ops = part_ops
+    rng = np.random.default_rng(11)
+    params = init_params(CFG, ops, param_joints, rng)
+    with pytest.raises(ValidationError, match=rf"pose\.lin_in\.W .* {pose_joints}-joint"):
+        tl_forward(random_pose(rng, pose_joints), mesh, params, ops, CFG)
+
+
+@pytest.mark.parametrize("edit,name", [
+    (lambda p: p.update({"dec.sc3.W": ag.Var(np.zeros((5, 5)))}), "dec.sc3.W"),
+    (lambda p: p.pop("fuse.b"), "fuse.b"),
+    (lambda p: p.update({"extra.W": ag.Var(np.zeros(1))}), "extra.W"),
+], ids=["misshapen", "missing", "unexpected"])
+def test_tl_forward_names_the_tensor_that_does_not_fit(part_ops, edit, name):
+    mesh, ops = part_ops
+    rng = np.random.default_rng(12)
+    params = init_params(CFG, ops, 35, rng)
+    edit(params)
+    with pytest.raises(ValidationError, match=re.escape(name)):
+        tl_forward(random_pose(rng), mesh, params, ops, CFG)
 
 
 def test_tl_forward_gradients_match_finite_differences(part_ops):

@@ -3,10 +3,11 @@ import pytest
 
 from courtpose.errors import ValidationError
 from courtpose.meshnet import (NetConfig, PartOps, init_params, load_params,
-                               save_params)
-from courtpose.meshnet.network import DEFAULT_WMESH
-from courtpose.meshnet.training import (TrainConfig, eval_mesh_term, tl_training_forward,
-                                        train_toy)
+                               save_params, training)
+from courtpose.meshnet import autograd as ag
+from courtpose.meshnet.network import DEFAULT_WMESH, DEFAULT_WZ
+from courtpose.meshnet.training import (TrainConfig, eval_mesh_term, tl_loss,
+                                        tl_training_forward, train_toy)
 from courtpose.model import Pose3D
 from courtpose.primitives import capsule
 
@@ -82,7 +83,8 @@ def test_eval_mesh_term_is_the_mean_gt_path_mesh_loss(tiny_setup):
     params = init_params(cfg, ops, 35, np.random.default_rng(6))
     total = 0.0
     for pose, rest, posed in dataset:
-        out = tl_training_forward(pose, rest, posed, params, ops, cfg, training=False)
+        out = tl_training_forward([pose], [rest], [posed], params, ops, cfg,
+                                  training=False)
         total += DEFAULT_WMESH * float(np.mean(np.abs(out["V_from_gt"].value
                                                       - posed.vertices)))
     assert eval_mesh_term(dataset, params, ops, cfg) == total / len(dataset)
@@ -104,3 +106,140 @@ def test_params_bad_magic(tmp_path):
     path.write_bytes(b"NOTPARAMS")
     with pytest.raises(ValidationError):
         load_params(path)
+
+
+# the first tensor, "dec.lin.W", starts after the magic (8 bytes) and the
+# tensor count (4): name length (2), name (9), ndim (1), then its dimensions
+@pytest.mark.parametrize("offset,patch,message", [
+    (14, b"\xff", "not UTF-8"),
+    (24, b"\xff\xff\xff\xff", "truncated"),  # 2**32 - 1 rows
+], ids=["name", "dimension"])
+def test_params_corrupt_tensor_header(tmp_path, tiny_setup, offset, patch, message):
+    cfg, ops, _ = tiny_setup
+    path = tmp_path / "params.bin"
+    save_params(path, init_params(cfg, ops, 35, np.random.default_rng(5)))
+    data = bytearray(path.read_bytes())
+    data[offset:offset + len(patch)] = patch
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValidationError, match=message):
+        load_params(path)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("batch_size", 0, "batch size"), ("epochs", 0, "epochs"),
+    ("max_steps", 0, "max steps"), ("lr", -1e-3, "learning rate")])
+def test_train_config_rejects_settings_that_cannot_train(field, value, message):
+    with pytest.raises(ValidationError, match=message):
+        TrainConfig(**{field: value})
+
+
+# ---------------------------------------------------------------------------
+# The batched step against the per-sample loop it replaced
+# ---------------------------------------------------------------------------
+
+def per_sample_step(batch, params, ops, cfg, rng):
+    """Reference: each sample on its own tape, one sample after another, the
+    total the mean of the per-sample losses."""
+    losses = []
+    mesh_term = 0.0
+    for pose, rest, posed in batch:
+        out = tl_training_forward([pose], [rest], [posed], params, ops, cfg,
+                                  training=True, rng=rng)
+        consistency = ag.scale(ag.l1_mean(out["Z_pred"], out["Z_gt"]), DEFAULT_WZ)
+        mesh_gt = ag.scale(ag.l1_mean(out["V_from_gt"], out["V_posed"]), DEFAULT_WMESH)
+        mesh_pred = ag.scale(ag.l1_mean(out["V_from_pred"], out["V_posed"]),
+                             DEFAULT_WMESH)
+        losses.append(ag.add_scalars([consistency, mesh_gt, mesh_pred]))
+        mesh_term += float(mesh_gt.value) / len(batch)
+    return ag.scale(ag.add_scalars(losses), 1.0 / len(batch)), mesh_term
+
+
+def batched_step(batch, params, ops, cfg, rng):
+    poses, rests, posed = zip(*batch)
+    total, mesh_gt = tl_loss(tl_training_forward(poses, rests, posed, params, ops, cfg,
+                                                 training=True, rng=rng))
+    return total, float(mesh_gt.value)
+
+
+def run_step(step, batch, params, ops, cfg, seed):
+    rng = np.random.default_rng(seed)
+    for v in params.values():
+        v.zero_grad()
+    total, mesh = step(batch, params, ops, cfg, rng)
+    ag.backward(total)
+    return float(total.value), mesh, {k: v.grad for k, v in params.items()}, rng.random()
+
+
+@pytest.mark.parametrize("batch_size", [16, 2])
+def test_batched_step_matches_per_sample_loop(tiny_setup, batch_size):
+    """A 16-sample batch and a final 2-sample one, with dropout on and rest
+    and posed targets mixed: same loss, mesh term, gradients and rng draws."""
+    cfg, ops, dataset = tiny_setup
+    assert cfg.dropout > 0
+    rng = np.random.default_rng(7)
+    batch = []
+    for i in range(batch_size):
+        pose, rest, posed = dataset[i % len(dataset)]
+        pos = pose.positions + rng.normal(scale=0.05, size=pose.positions.shape)
+        pos[0] = 0
+        batch.append((Pose3D(pos), rest, rest if i % 3 == 0 else posed))
+    params = init_params(cfg, ops, 35, np.random.default_rng(8))
+
+    ref_total, ref_mesh, ref_grads, ref_next = run_step(per_sample_step, batch, params,
+                                                        ops, cfg, seed=9)
+    total, mesh, grads, next_draw = run_step(batched_step, batch, params, ops, cfg, seed=9)
+    assert total == pytest.approx(ref_total, rel=1e-12, abs=0)
+    assert mesh == pytest.approx(ref_mesh, rel=1e-12, abs=0)
+    assert next_draw == ref_next
+    assert set(grads) == set(ref_grads)
+    for k, g in grads.items():
+        # 1e-12 relative to the tensor's largest entry too: an entry summed
+        # from cancelling terms carries their rounding, not its own size's
+        np.testing.assert_allclose(g, ref_grads[k], rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref_grads[k]).max(), err_msg=k)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 4])
+def test_step_makes_34_sparse_products_and_builds_no_transpose(tiny_setup, monkeypatch,
+                                                                batch_size):
+    cfg, ops, dataset = tiny_setup
+    params = init_params(cfg, ops, 35, np.random.default_rng(10))
+    tc = TrainConfig(batch_size=batch_size, max_steps=1)
+    train_toy(dataset, params, ops, cfg, tc)  # builds this batch size's operators
+
+    calls = []
+    sparse_mm = ag.sparse_mm
+    monkeypatch.setattr(ag, "sparse_mm", lambda *a: calls.append(a) or sparse_mm(*a))
+    transposes = []
+    csr = type(ops.spirals_final.gather)
+    transpose = csr.transpose
+    monkeypatch.setattr(csr, "transpose",
+                        lambda *a, **k: transposes.append(a) or transpose(*a, **k))
+    train_toy(dataset, params, ops, cfg, tc)
+    assert len(calls) == 34
+    assert transposes == []
+
+
+def test_train_toy_makes_one_forward_call_per_step(tiny_setup, monkeypatch):
+    cfg, ops, dataset = tiny_setup
+    params = init_params(cfg, ops, 35, np.random.default_rng(11))
+    calls = []
+    forward = training.tl_training_forward
+    monkeypatch.setattr(training, "tl_training_forward",
+                        lambda *a, **k: calls.append(len(a[0])) or forward(*a, **k))
+    _, curve = train_toy(dataset, params, ops, cfg,
+                         TrainConfig(batch_size=3, epochs=3, max_steps=5))
+    assert len(curve) == 5
+    assert calls == [3, 1, 3, 1, 3]
+
+
+def test_training_forward_rejects_ragged_batches(tiny_setup):
+    cfg, ops, dataset = tiny_setup
+    params = init_params(cfg, ops, 35, np.random.default_rng(12))
+    (pose, rest, posed), (pose2, _, _) = dataset[:2]
+    short = Pose3D(pose.positions[:10])
+    for poses, rests, posed_parts in (([pose, pose2], [rest], [posed, posed]),
+                                      ([], [], []),
+                                      ([pose, short], [rest, rest], [posed, posed])):
+        with pytest.raises(ValidationError):
+            tl_training_forward(poses, rests, posed_parts, params, ops, cfg)
