@@ -239,7 +239,10 @@ class LineDistance:
         if not mask.pixels.any():
             raise ValidationError("line mask is empty: no signal to refine against")
         self.width = mask.pixels.shape[1]
-        self.tree = cKDTree(np.argwhere(mask.pixels))
+        # the (row, col) pairs of np.argwhere, in its order, without its
+        # full-frame index arrays
+        rows, cols = np.divmod(np.flatnonzero(mask.pixels), self.width)
+        self.tree = cKDTree(np.column_stack([rows, cols]))
         self.memo = np.full(mask.pixels.size, np.nan)
 
     def __call__(self, flat: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import sys
 
 import numpy as np
 
+from . import blas
 from .calibrate import load_pgm, solve_pnp_planar, refine_camera_lines
 from .camera import camera_from_json, camera_to_json
 from .composer import resolve_interpenetration
@@ -258,8 +259,11 @@ def cmd_eval(args, cfg):
 
 
 def _pipeline_one(seed_and_cfg):
+    # the --jobs workers share the cores, so a BLAS call split over threads
+    # would wait for the other workers (see ``blas``)
     seed, config = seed_and_cfg
-    return run_pipeline(synth_scene(seed, config))
+    with blas.single_thread():
+        return run_pipeline(synth_scene(seed, config))
 
 
 def cmd_pipeline(args, cfg):

@@ -2,16 +2,20 @@
 
 ``nearest_triangles`` answers many query points at once, in chunks of
 points x faces. A conservative bounding-sphere cull drops the point-face
-pairs that cannot be nearest (on the bench scenes about 93% of them), and the
-exact region tests run on the pairs left. ``nearest_triangle_bruteforce`` is
-its one-point reference: face, closest point and squared distance are
-bit-identical, ties included.
+pairs that cannot be nearest, and the exact region tests run on the pairs
+left. ``nearest_triangle_bruteforce`` is its one-point reference: face,
+closest point and squared distance are bit-identical, ties included. Given a
+distance limit, the query also drops every face beyond it and answers only
+the points within it.
 
 A body vertex collides with a garment when it sits OUTSIDE the garment
 surface (positive signed offset along the nearest triangle's outward normal)
 and within a proximity band of it. Garments are open shells, so parity-based
 inside/outside tests are undefined; the sign-plus-band predicate is the
-documented stand-in, isolated here for replacement.
+documented stand-in, isolated here for replacement. The detector needs the
+nearest face of in-band vertices only, so it passes the band as the limit:
+on the bench scenes about 96% of the point-face pairs are culled then,
+against 93% without it.
 """
 from __future__ import annotations
 
@@ -77,37 +81,46 @@ def nearest_triangle_bruteforce(p, vertices, faces):
 
 
 # point-face pairs per chunk of the batched query; bounds the temporaries of
-# its cull (a few arrays of this many floats) and of its exact pass
-QUERY_CHUNK_PAIRS = 1 << 16
+# its cull (a few arrays of this many floats) and of its exact pass. Each
+# body part x garment query of compose (at most 328 x 320) fits in one chunk.
+QUERY_CHUNK_PAIRS = 1 << 17
 
 # Margins of the bounding-sphere cull: relative to the magnitudes involved,
 # plus an absolute floor in meters. Each is orders of magnitude above the
 # rounding it covers (a few ulps of those magnitudes), so a face is dropped
-# only when its computed distance must exceed the point's vertex bound.
+# only when its computed distance must exceed the point's bound.
 _CULL_REL = 1e-6
 _CULL_ABS = 1e-12
 
 
-def nearest_triangles(points, vertices, faces):
+def nearest_triangles(points, vertices, faces, limit=None):
     """Batched exact nearest-triangle query.
 
     Returns (face index (n,), closest point (n, 3), squared distance (n,)).
     Every result equals ``nearest_triangle_bruteforce`` bit for bit; ties go
     to the lowest face index.
 
+    With a distance ``limit``, only the points whose squared distance is
+    below ``limit ** 2`` are answered so; every other point gets face -1, a
+    NaN closest point and an infinite distance.
+
     Faces are first culled per point: the nearest vertex that some face
-    references bounds the point's distance to the mesh from above, and a
-    face whose bounding sphere lies beyond that bound cannot be nearest. Each
-    kept point-face pair then runs the region tests of
-    ``point_triangle_closest`` with the same expressions in the same order.
-    A point whose best kept distance exceeds its bound (a degenerate face
-    gives no finite distance) is answered against all faces instead.
+    references bounds the point's distance to the mesh from above, and so
+    does the limit; a face whose bounding sphere lies beyond that bound
+    cannot be the answer. Each kept point-face pair then runs the region
+    tests of ``point_triangle_closest`` with the same expressions in the same
+    order. A point whose best kept distance exceeds its vertex bound while
+    that bound is below the limit (a degenerate face gives no finite
+    distance) is answered against all faces instead.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     vertices = np.asarray(vertices, dtype=float)
     faces = np.asarray(faces, dtype=int).reshape(-1, 3)
     if len(faces) == 0:
         raise ValidationError("mesh has no faces")
+    if not np.all(np.isfinite(points)):
+        raise ValidationError("query points must be finite")
+    limit2 = np.inf if limit is None else float(limit) ** 2
     a, b, c = (vertices[faces[:, k]] for k in range(3))
     tri = (a, b, c, b - a, c - a, c - b)
     centre = (a + b + c) / 3.0
@@ -131,10 +144,12 @@ def nearest_triangles(points, vertices, faces):
         upper = np.min((1 + _CULL_REL) * (pp + vv) - 2.0 * (p @ corners.T), axis=1)
         lower = (1 - _CULL_REL) * (pp + cc) - 2.0 * (p @ centre.T)
         # the factor covers the relative rounding of the exact pass's distances
-        reach = (1 + _CULL_REL) * np.sqrt(upper)[:, None] + radius
+        reach = (1 + _CULL_REL) * np.sqrt(np.minimum(upper, limit2))[:, None] + radius
         keep = lower <= reach * reach
         fi, q, d2 = _nearest_among(p, np.nonzero(keep), tri)
-        redo = ~(d2 <= upper)  # also a NaN point, whose bound is NaN
+        # where the limit is the tighter bound, the cull kept every face
+        # within it, so no answer can be missing
+        redo = ~(d2 <= upper) & ~(upper >= limit2)
         if redo.any():
             every = np.broadcast_to(redo[:, None], keep.shape)
             rf, rq, rd = _nearest_among(p, np.nonzero(every), tri)
@@ -142,7 +157,10 @@ def nearest_triangles(points, vertices, faces):
         face[s:s + step] = fi
         closest[s:s + step] = q
         dist2[s:s + step] = d2
-    if not np.all(np.isfinite(dist2)):
+    if limit is not None:
+        out = ~(dist2 < limit2)
+        face[out], closest[out], dist2[out] = -1, np.nan, np.inf
+    elif not np.all(np.isfinite(dist2)):
         raise ValidationError("no finite nearest triangle for some query point")
     return face, closest, dist2
 
@@ -230,7 +248,9 @@ def detect_collisions(body: PartMesh, garment: PartMesh,
     """Flag body vertices outside the garment shell within ``band`` meters."""
     if garment.num_faces == 0:
         raise ValidationError("garment mesh has no faces")
-    fi, q, d2 = nearest_triangles(body.vertices, garment.vertices, garment.faces)
-    n = face_normals(garment.vertices, garment.faces[fi])
-    hit = (np.vecdot(body.vertices - q, n) > 0.0) & (d2 < band * band)
-    return CollisionReport(np.nonzero(hit)[0], q[hit], n[hit])
+    fi, q, d2 = nearest_triangles(body.vertices, garment.vertices, garment.faces,
+                                  limit=band)
+    near = np.flatnonzero(d2 < band * band)
+    n = face_normals(garment.vertices, garment.faces[fi[near]])
+    hit = np.vecdot(body.vertices[near] - q[near], n) > 0.0
+    return CollisionReport(near[hit], q[near[hit]], n[hit])

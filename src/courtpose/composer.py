@@ -6,9 +6,10 @@ vertices under a data + Laplacian + edge-length objective (scipy's L-BFGS-B
 inner solves, 20 iterations) so the push blends smoothly into the part.
 Repeat until no collisions remain or the outer-iteration budget (10) runs
 out; a residual count is reported, never silently dropped. The detection
-that ends the loop is that count: a run that converges detects once per
-recorded iteration, and one unrecorded pass follows the last push only when
-the budget runs out.
+that ends the loop is that count, and one unrecorded pass follows the last
+push only when the budget runs out. Garments never move, so a pass detects
+again only the (body, garment) pairs whose body part was pushed and relaxed
+since that pair's last detection; every other pair keeps its last report.
 """
 from __future__ import annotations
 
@@ -148,14 +149,17 @@ def resolve_interpenetration(parts: BodyMesh):
     pairs = [(b, g) for b, g in GARMENT_PAIRS if b in meshes and g in meshes]
     terms = {}  # body part -> penetration_terms, built on its first collision
     report = {"iterations": [], "residual_collisions": 0, "pairs": pairs}
+    detected = {}  # pair -> its CollisionReport, until its body part moves
 
     for outer in range(OUTER_ITERATIONS + 1):
         found = {}
-        for body_name, garment_name in pairs:
-            body = meshes[body_name].with_vertices(current[body_name])
-            rep = detect_collisions(body, meshes[garment_name])
-            if rep.count:
-                found.setdefault(body_name, []).append(rep)
+        for pair in pairs:
+            if pair not in detected:
+                body_name, garment_name = pair
+                body = meshes[body_name].with_vertices(current[body_name])
+                detected[pair] = detect_collisions(body, meshes[garment_name])
+            if detected[pair].count:
+                found.setdefault(pair[0], []).append(detected[pair])
         total = sum(r.count for reps in found.values() for r in reps)
         if outer == OUTER_ITERATIONS:
             break  # the budget is spent: this pass only counts the residual
@@ -163,6 +167,8 @@ def resolve_interpenetration(parts: BodyMesh):
         report["iterations"].append(entry)
         if total == 0:
             break
+        # each body part with a collision is pushed and relaxed below
+        detected = {pair: rep for pair, rep in detected.items() if pair[0] not in found}
         for body_name, reps in found.items():
             mesh = meshes[body_name].with_vertices(current[body_name])
             normals = vertex_normals(mesh)

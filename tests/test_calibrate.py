@@ -113,7 +113,10 @@ def test_rasterize_deterministic():
 
 def every_pixel_distance(mask):
     h, w = mask.pixels.shape
-    return LineDistance(mask)(np.arange(h * w)).reshape(h, w)
+    dist = LineDistance(mask)
+    # the tree holds the line pixels' (row, col) in np.argwhere's order
+    assert np.array_equal(dist.tree.data, np.argwhere(mask.pixels))
+    return dist(np.arange(h * w)).reshape(h, w)
 
 
 @pytest.mark.parametrize("seed,size", [(5000, (1280, 720)), (3023, (640, 360))])

@@ -210,13 +210,20 @@ def test_config_file_parsing(tmp_path):
 
 
 def test_pipeline_cli_parallel_scenes(tmp_path):
-    report = tmp_path / "multi.json"
-    code = main(["pipeline", "--seed", "40", "--scenes", "2", "--jobs", "2",
-                 "--out", str(report)])
-    assert code == 0
-    reports = json.loads(report.read_text())
+    def run(jobs):
+        report = tmp_path / f"jobs{jobs}.json"
+        code = main(["pipeline", "--seed", "40", "--scenes", "2", "--jobs", str(jobs),
+                     "--out", str(report)])
+        assert code == 0
+        reports = json.loads(report.read_text())
+        for r in reports:
+            for stage in r["stages"].values():
+                del stage["seconds"]
+        return reports
+
+    reports = run(2)
     assert len(reports) == 2
-    assert all("stages" in r for r in reports)
+    assert reports == run(1)
 
 
 def test_degenerate_calibration_exit_code(tmp_path):

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from courtpose import collision, composer
-from courtpose.collision import (detect_collisions, nearest_triangle_bruteforce,
-                                 nearest_triangles, point_triangle_closest)
+from courtpose.collision import (COLLISION_BAND, CollisionReport, detect_collisions,
+                                 nearest_triangle_bruteforce, nearest_triangles,
+                                 point_triangle_closest)
 from courtpose.composer import (GARMENT_PAIRS, PenetrationWeights, minimize_lbfgs,
                                 penetration_loss, resolve_interpenetration)
 from courtpose.errors import NumericalError, ValidationError
@@ -57,6 +60,38 @@ def test_detection_matches_bruteforce_on_scene():
             assert np.array_equal(rep.garment_normals, n[hit])
 
 
+def unbounded_detect(body, garment, band=COLLISION_BAND):
+    """The detector without the distance limit: the nearest face of every
+    body vertex, then the band test."""
+    fi, q, d2 = nearest_triangles(body.vertices, garment.vertices, garment.faces)
+    n = face_normals(garment.vertices, garment.faces[fi])
+    hit = (np.vecdot(body.vertices - q, n) > 0.0) & (d2 < band * band)
+    return CollisionReport(np.nonzero(hit)[0], q[hit], n[hit])
+
+
+def test_detection_matches_unbounded_detector_through_compose(monkeypatch):
+    # every detection of the compose loop on the criterion-9 scenes, whose
+    # 1018 still has hits after the budget runs out
+    checked = []
+
+    def checking(body, garment, *args, **kwargs):
+        rep = detect_collisions(body, garment, *args, **kwargs)
+        ref = unbounded_detect(body, garment, *args, **kwargs)
+        assert np.array_equal(rep.vertex_indices, ref.vertex_indices)
+        assert np.array_equal(rep.garment_points, ref.garment_points)
+        assert np.array_equal(rep.garment_normals, ref.garment_normals)
+        checked.append(rep.count)
+        return rep
+
+    monkeypatch.setattr(composer, "detect_collisions", checking)
+    residual = {}
+    for seed in range(1000, 1020):
+        _, rep = resolve_interpenetration(synth_scene(seed).posed_body)
+        residual[seed] = rep["residual_collisions"]
+    assert residual[1018] > 0
+    assert len(checked) > 3 * 20 and sum(checked) > 0
+
+
 def test_empty_garment_rejected():
     body = icosphere(1.0, 1, part="arms")
     with pytest.raises(ValidationError):
@@ -66,16 +101,27 @@ def test_empty_garment_rejected():
 
 def _assert_matches_bruteforce(monkeypatch, pts, verts, faces):
     """The batched query equals the one-point oracle bit for bit, at the
-    default chunking and at 7 points per chunk."""
+    default chunking and at 7 points per chunk. With a distance limit it
+    does so on every point within the limit and answers the rest as
+    non-hits; the limits are the collision band, one that splits the points
+    in half and one beyond them all."""
     with np.errstate(invalid="ignore"):  # degenerate faces divide 0 by 0
         expected = [nearest_triangle_bruteforce(p, verts, faces) for p in pts]
+    d2 = np.array([d for _, _, d in expected])
+    limits = (None, COLLISION_BAND, np.sqrt(np.median(d2)), 2.0 * np.sqrt(d2.max()))
     for chunk_pairs in (collision.QUERY_CHUNK_PAIRS, 7 * len(faces)):
         monkeypatch.setattr(collision, "QUERY_CHUNK_PAIRS", chunk_pairs)
-        fv, qv, dv = nearest_triangles(pts, verts, faces)
-        for k, (fb, qb, db) in enumerate(expected):
-            assert fb == fv[k]
-            assert db == dv[k]
-            assert np.array_equal(qb, qv[k])
+        for limit in limits:
+            fv, qv, dv = nearest_triangles(pts, verts, faces, limit=limit)
+            for k, (fb, qb, db) in enumerate(expected):
+                if limit is None or db < limit * limit:
+                    assert fb == fv[k]
+                    assert db == dv[k]
+                    assert np.array_equal(qb, qv[k])
+                else:
+                    assert fv[k] == -1
+                    assert dv[k] == np.inf
+                    assert np.isnan(qv[k]).all()
 
 
 def test_batched_query_matches_bruteforce_exactly(monkeypatch):
@@ -155,8 +201,49 @@ def test_cull_bound_ignores_unreferenced_vertices(monkeypatch):
 def test_nan_query_point_rejected():
     m = icosphere(1.0, 1)
     pts = np.array([[0.0, 0.0, 2.0], [np.nan, 0.0, 0.0]])
-    with pytest.raises(ValidationError):
-        nearest_triangles(pts, m.vertices, m.faces)
+    for limit in (None, COLLISION_BAND):
+        with pytest.raises(ValidationError):
+            nearest_triangles(pts, m.vertices, m.faces, limit=limit)
+
+
+def test_limit_excludes_points_at_exactly_the_limit():
+    # above corner 0 of a face in the plane z = 0, the nearest point is that
+    # corner and the squared distance is z * z, computed exactly as the
+    # band's square when z is the band
+    verts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]])
+    faces = np.array([[0, 1, 2]])
+    band = COLLISION_BAND
+    z = np.array([np.nextafter(band, 0.0), band, np.nextafter(band, 1.0)])
+    pts = np.column_stack([np.zeros(3), np.zeros(3), z])
+    fv, qv, dv = nearest_triangles(pts, verts, faces, limit=band)
+    assert dv[1] == np.inf and fv[1] == -1
+    assert dv[2] == np.inf and fv[2] == -1
+    assert dv[0] == z[0] * z[0] < band * band and fv[0] == 0
+    assert np.array_equal(qv[0], verts[0])
+    # a body vertex there sits outside the face (its normal is +z): only
+    # the one inside the band collides
+    body = PartMesh(pts, [[0, 1, 2]], "arms")
+    rep = detect_collisions(body, PartMesh(verts, faces, "shirt"), band=band)
+    assert rep.vertex_indices.tolist() == [0]
+
+
+def test_limit_caps_the_cull_and_skips_the_full_scan(monkeypatch):
+    # far points keep no face within the limit, and a point that keeps no
+    # pair is simply out of it: no pair reaches the exact region tests
+    pts, verts, faces = _far_case(np.random.default_rng(0))
+    closest_points = collision._closest_points
+    pairs = []
+
+    def counting(p, *face_arrays):
+        pairs.append(len(p))
+        return closest_points(p, *face_arrays)
+
+    monkeypatch.setattr(collision, "_closest_points", counting)
+    face, _, dist2 = nearest_triangles(pts, verts, faces, limit=COLLISION_BAND)
+    assert np.all(face == -1) and np.all(dist2 == np.inf)
+    assert sum(pairs) == 0
+    nearest_triangles(pts, verts, faces)
+    assert sum(pairs) > 0
 
 
 @pytest.mark.parametrize("apex", [(0.5, 1.0, 0.0), (0.5, 1.0, 1.0)])
@@ -166,12 +253,13 @@ def test_batched_query_tie_on_shared_edge_goes_to_lowest_face(apex):
     verts = np.array([[0.0, 0, 0], [1.0, 0, 0], apex,
                       [apex[0], -apex[1], apex[2]]])
     p = np.array([[0.5, 0.0, 1.0]])
-    for faces in ([[0, 1, 2], [0, 1, 3]], [[0, 1, 3], [0, 1, 2]]):
+    for faces, limit in itertools.product(([[0, 1, 2], [0, 1, 3]], [[0, 1, 3], [0, 1, 2]]),
+                                          (None, 2.0)):
         faces = np.array(faces)
         q0, _ = point_triangle_closest(p[0], *verts[faces[0]])
         q1, _ = point_triangle_closest(p[0], *verts[faces[1]])
         assert np.sum((p[0] - q0) ** 2) == np.sum((p[0] - q1) ** 2)
-        fv, qv, dv = nearest_triangles(p, verts, faces)
+        fv, qv, dv = nearest_triangles(p, verts, faces, limit=limit)
         fb, qb, db = nearest_triangle_bruteforce(p[0], verts, faces)
         assert fv[0] == fb == 0
         assert dv[0] == db
@@ -184,8 +272,8 @@ def test_batched_query_tie_on_shared_vertex_goes_to_lowest_face(seed):
     m = icosphere(0.7, 1)
     rot, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
     verts = m.vertices @ rot + [0.3, -0.2, 0.1]
-    for faces in (m.faces, m.faces[::-1]):
-        fv, qv, dv = nearest_triangles(verts, verts, faces)
+    for faces, limit in itertools.product((m.faces, m.faces[::-1]), (None, COLLISION_BAND)):
+        fv, qv, dv = nearest_triangles(verts, verts, faces, limit=limit)
         for k, p in enumerate(verts):
             fb, qb, db = nearest_triangle_bruteforce(p, verts, faces)
             assert fv[k] == fb == np.nonzero((faces == k).any(axis=1))[0].min()
@@ -368,6 +456,16 @@ def _fresh_residual(body, pairs):
     return sum(detect_collisions(body.part(b), body.part(g)).count for b, g in pairs)
 
 
+def _moved_pair_detections(rep):
+    """The pairs the loop detects: all of them once, then after each
+    recorded iteration the pairs whose body part it pushed and relaxed."""
+    pairs = rep["pairs"]
+    calls = list(pairs)
+    for it in rep["iterations"]:
+        calls += [pair for pair in pairs if pair[0] in it["pinned"]]
+    return calls
+
+
 @pytest.mark.parametrize("build", [lambda: sleeve_scene(0.012),
                                    lambda: synth_scene(5000).posed_body],
                          ids=["sleeve", "scene5000"])
@@ -377,9 +475,35 @@ def test_converged_run_detects_once_per_iteration(monkeypatch, build):
     out, rep = resolve_interpenetration(scene)
     assert rep["residual_collisions"] == 0
     assert len(rep["iterations"]) >= 2
-    # the detection that finds no collision ends the loop and is the residual
-    assert len(calls) == len(rep["pairs"]) * len(rep["iterations"])
+    # one detection per pair whose body part moved; the pass that finds no
+    # collision ends the loop and is the residual
+    assert calls == _moved_pair_detections(rep)
     assert rep["residual_collisions"] == _fresh_residual(out, rep["pairs"])
+
+
+def test_second_pass_detects_only_the_moved_pair(monkeypatch):
+    # on scene 5000 only the head pokes out of the shirt
+    scene = synth_scene(5000).posed_body
+    seen = []
+
+    def recording(body, garment, *args, **kwargs):
+        rep = detect_collisions(body, garment, *args, **kwargs)
+        seen.append(((body.part, garment.part), rep.count))
+        return rep
+
+    monkeypatch.setattr(composer, "detect_collisions", recording)
+    out, rep = resolve_interpenetration(scene)
+    pairs = list(GARMENT_PAIRS)
+    assert [pair for pair, _ in seen] == pairs + [("head", "shirt")]
+    first = dict(seen[:3])
+    assert first[("head", "shirt")] > 0
+    assert [it["collisions"] for it in rep["iterations"]] == [first[("head", "shirt")], 0]
+    # the counts carried over for the unmoved pairs equal a fresh detection
+    for body_name, garment_name in pairs[0], pairs[2]:
+        assert np.array_equal(out.part(body_name).vertices, scene.part(body_name).vertices)
+        fresh = detect_collisions(out.part(body_name), out.part(garment_name))
+        assert fresh.count == first[body_name, garment_name] == 0
+    assert rep["residual_collisions"] == _fresh_residual(out, pairs) == seen[3][1]
 
 
 def test_exhausted_budget_counts_residual_in_one_extra_pass(monkeypatch):
@@ -388,5 +512,5 @@ def test_exhausted_budget_counts_residual_in_one_extra_pass(monkeypatch):
     out, rep = resolve_interpenetration(sleeve_scene(0.012))  # needs two rounds
     assert len(rep["iterations"]) == 1
     assert rep["residual_collisions"] > 0
-    assert len(calls) == len(rep["pairs"]) * 2
+    assert calls == _moved_pair_detections(rep) == rep["pairs"] * 2
     assert rep["residual_collisions"] == _fresh_residual(out, rep["pairs"])
