@@ -18,13 +18,13 @@ from .posemaps import (HeatmapStack, JumpInfo, LocationMapStack,
                        encode_location_maps, pose_loss)
 from .placement import lowest_joint, place_player, solve_depth_for_height
 from .skinning import (FitConfig, SkinningWeights, fit_pose_to_keypoints,
-                       heat_diffusion_weights, lbs)
+                       heat_diffusion_weights, lbs, swing_ik)
 from .collision import CollisionReport, detect_collisions
 from .composer import (PenetrationWeights, penetration_loss,
                        resolve_interpenetration)
 from .metrics import (ICPResult, ProcrustesResult, chamfer, emd,
                       farthest_point_subsample, icp, mpjpe, mpvpe,
-                      procrustes_align)
+                      procrustes_align, rotation_error_deg)
 from .synth import SceneBundle, SceneConfig, run_pipeline, synth_scene
 
 __version__ = "0.1.0"
@@ -45,10 +45,11 @@ __all__ = [
     "encode_heatmaps", "encode_location_maps", "pose_loss",
     "lowest_joint", "place_player", "solve_depth_for_height",
     "FitConfig", "SkinningWeights", "fit_pose_to_keypoints",
-    "heat_diffusion_weights", "lbs",
+    "heat_diffusion_weights", "lbs", "swing_ik",
     "CollisionReport", "detect_collisions",
     "PenetrationWeights", "penetration_loss", "resolve_interpenetration",
     "ICPResult", "ProcrustesResult", "chamfer", "emd",
     "farthest_point_subsample", "icp", "mpjpe", "mpvpe", "procrustes_align",
+    "rotation_error_deg",
     "SceneBundle", "SceneConfig", "run_pipeline", "synth_scene",
 ]

@@ -87,6 +87,16 @@ def mpvpe(pred_vertices: np.ndarray, gt_vertices: np.ndarray,
     return float(np.mean(np.linalg.norm(P - G, axis=1)) * 1000.0)
 
 
+def rotation_error_deg(R_pred: np.ndarray, R_gt: np.ndarray) -> np.ndarray:
+    """Geodesic angle between matching rotations (..., 3, 3), in degrees,
+    from both the sine and the cosine, so that it stays exact near 0 and pi."""
+    M = np.swapaxes(np.asarray(R_pred, dtype=float), -1, -2) @ np.asarray(R_gt, dtype=float)
+    # M - M^T = 2 sin(angle) [axis]x and trace(M) - 1 = 2 cos(angle)
+    v = M[..., [2, 0, 1], [1, 2, 0]] - M[..., [1, 2, 0], [2, 0, 1]]
+    return np.degrees(np.arctan2(np.linalg.norm(v, axis=-1),
+                                 np.trace(M, axis1=-2, axis2=-1) - 1.0))
+
+
 def chamfer(A: np.ndarray, B: np.ndarray) -> float:
     """Symmetric mean squared nearest-neighbor distance, scaled by 1000."""
     A = np.asarray(A, dtype=float).reshape(-1, 3)

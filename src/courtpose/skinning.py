@@ -404,6 +404,83 @@ class KeypointObjective:
         return jac
 
 
+MIN_BONE = 1e-9   # m: a shorter rest offset or target bone has no direction
+COLLINEAR = 1e-12  # children are collinear below this ratio of singular values
+
+
+def swing_ik(skeleton: Skeleton, target3d: Pose3D) -> BoneTransforms:
+    """Bone transforms in closed form whose forward kinematics points every
+    bone along its target bone: the swing half of the twist-and-swing
+    decomposition of HybrIK (Li et al., CVPR 2021). With bone lengths equal
+    to the skeleton's, it reaches the target joints exactly.
+
+    One depth level at a time, each joint takes the rotation, in its parent's
+    already-solved frame, that best aligns its children's rest offsets with
+    their target bones (``_align``): the minimal rotation for one child, the
+    Kabsch rotation for several. Leaves keep the identity. For a world-frame
+    target the root translation puts the root on its target joint.
+    """
+    J = skeleton.num_joints
+    if target3d.num_joints != J:
+        raise ValidationError(f"target has {target3d.num_joints} joints, skeleton {J}")
+    tgt = target3d.positions
+    kids = [[] for _ in range(J)]
+    for c in range(1, J):
+        kids[skeleton.parent[c]].append(c)
+    R_loc = np.broadcast_to(np.eye(3), (J, 3, 3)).copy()
+    R_glob = np.empty((J, 3, 3))
+    for j in itertools.chain([0], *skeleton._levels):
+        R_par = R_glob[skeleton.parent[j]] if j else np.eye(3)
+        if kids[j]:
+            # target bones as rows, in the parent's frame: (R_par^T d)^T
+            R_loc[j] = _align(skeleton.rest_offsets[kids[j]], (tgt[kids[j]] - tgt[j]) @ R_par)
+        R_glob[j] = R_par @ R_loc[j]
+    tr = np.zeros((J, 3))
+    if target3d.frame is Frame.WORLD:
+        tr[0] = tgt[0] - skeleton.rest_offsets[0]
+    return BoneTransforms(R_loc, tr)
+
+
+def _align(A, D):
+    """Rotation R maximising sum_c d_c . R a_c over the rows of A and D,
+    skipping pairs shorter than ``MIN_BONE``. Where children are collinear,
+    only the rotation of their common axis is fixed, and R is the minimal
+    one; the identity when no pair is left."""
+    keep = (np.linalg.norm(A, axis=1) > MIN_BONE) & (np.linalg.norm(D, axis=1) > MIN_BONE)
+    A, D = A[keep], D[keep]
+    if len(A) == 0:
+        return np.eye(3)
+    if len(A) == 1:
+        return _swing(A[0], D[0])
+    U, s, Vt = np.linalg.svd(A.T @ D)
+    if s[1] <= COLLINEAR * s[0]:
+        return _swing(U[:, 0], Vt[0])
+    # Kabsch: V U^T, with the last axis flipped if that is a reflection
+    R = Vt.T @ U.T
+    if np.linalg.det(R) < 0:
+        R = Vt.T @ np.diag([1.0, 1.0, -1.0]) @ U.T
+    return R
+
+
+def _swing(a, b):
+    """Minimal rotation taking the direction of a onto that of b; for
+    opposite directions, pi about an axis perpendicular to a."""
+    a = a / np.linalg.norm(a)
+    b = b / np.linalg.norm(b)
+    axis = np.cross(a, b)
+    angle = np.arctan2(np.linalg.norm(axis), a @ b)
+    # drop the rounding along a, which the division below would magnify
+    # near pi, so that R a stays on b
+    axis -= (axis @ a) * a
+    n = np.linalg.norm(axis)
+    if n < 1e-15:  # parallel or opposite to within the rounding of a unit vector
+        if a @ b > 0:
+            return np.eye(3)
+        axis = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
+        n, angle = np.linalg.norm(axis), np.pi
+    return axis_angle_to_matrix(axis / n * angle)
+
+
 def so3_right_jacobian(omega: np.ndarray) -> np.ndarray:
     """Right Jacobians (N, 3, 3) of axis-angle vectors omega (N, 3):
     exp(omega + d) ~= exp(omega) exp(J_r(omega) d)."""
@@ -431,16 +508,19 @@ def fit_pose_to_keypoints(skeleton: Skeleton, target3d: Pose3D,
     optional 2D reprojection error, and an L2 pose prior, with the analytic
     Jacobian of ``KeypointObjective``, by ``lsq.lm_solve``.
 
+    The solve starts from ``init``, or by default from ``swing_ik`` of the 3D
+    target, which already reaches it when the bone lengths agree; the solve
+    then trades the prior against the residual, mostly by twist about the
+    bones. ``init=BoneTransforms.identity(J)`` starts from zero rotations.
+
     Returns (BoneTransforms, info dict with the cost history, final cost,
     stop reason and per-joint residuals).
     """
     obj = KeypointObjective(skeleton, target3d, target2d, camera, cfg)
-    J = skeleton.num_joints
-    omega0 = np.zeros((J, 3))
-    t0 = np.zeros(3)
-    if init is not None:
-        omega0 = np.stack([matrix_to_axis_angle(R) for R in init.rotations])
-        t0 = init.translations[0].copy()
+    if init is None:
+        init = swing_ik(skeleton, target3d)
+    omega0 = np.stack([matrix_to_axis_angle(R) for R in init.rotations])
+    t0 = init.translations[0]
     p = np.concatenate([omega0.ravel(), t0]) if obj.world_frame else omega0.ravel()
 
     def cost(params):

@@ -22,7 +22,7 @@ from .composer import resolve_interpenetration
 from .court import CourtConfig, CourtModel, make_court_model
 from .errors import StageError, ValidationError
 from .mesh import BodyMesh, PartMesh, load_obj, save_obj
-from .metrics import chamfer, emd, mpvpe
+from .metrics import chamfer, emd, mpvpe, rotation_error_deg
 from .model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
                     forward_kinematics, pose2d_from_json, pose2d_to_json,
                     pose3d_from_json, pose3d_to_json, rest_pose, skeleton_from_json,
@@ -35,7 +35,9 @@ from .primitives import capsule, tube
 from .skinning import FitConfig, fit_pose_to_keypoints, heat_diffusion_weights, lbs
 from .transforms import axis_angle_to_matrix, look_at_rotation
 
-FIT_MAX_ITERS = 20   # skin-fit iteration cap in run_pipeline
+# skin-fit iteration cap in run_pipeline: a safety cap only, since from the
+# swing-IK start every pipeline scene's fit converges in under 10 iterations
+FIT_MAX_ITERS = 20
 EMD_SUBSAMPLE = 256  # points per side of the eval stage's EMD
 
 
@@ -340,9 +342,9 @@ def run_pipeline(bundle: SceneBundle) -> dict:
         return {"fit_joint_residual_m": float(np.mean(info["joint_residuals"])),
                 "final_cost": info["final_cost"],
                 "fit_iterations": len(info["cost_history"]) - 1,
-                "fit_stop": info["stop"]}, posed
+                "fit_stop": info["stop"]}, (fitted, posed)
 
-    posed_fit = stage("skin", s_skin)
+    fitted, posed_fit = stage("skin", s_skin)
 
     def s_compose():
         combined, rep = resolve_interpenetration(posed_fit)
@@ -360,7 +362,11 @@ def run_pipeline(bundle: SceneBundle) -> dict:
         return {"mpvpe_mm": mpvpe(pred, gt_root),
                 "mpvpe_pa_mm": mpvpe(pred, gt_root, procrustes=True),
                 "chamfer": chamfer(pred, gt_root),
-                "emd": emd(pred, gt_root, subsample=EMD_SUBSAMPLE)}, None
+                "emd": emd(pred, gt_root, subsample=EMD_SUBSAMPLE),
+                # joint positions carry no twist about a bone and no leaf
+                # rotation: this error is a floor the fit cannot remove
+                "rot_err_deg_mean": float(np.mean(rotation_error_deg(
+                    fitted.rotations, bundle.transforms.rotations)))}, None
 
     stage("eval", s_eval)
     return report

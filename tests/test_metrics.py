@@ -5,7 +5,8 @@ import pytest
 
 from courtpose.errors import ValidationError
 from courtpose.metrics import (chamfer, emd, farthest_point_subsample, icp,
-                               mpjpe, mpvpe, procrustes_align)
+                               mpjpe, mpvpe, procrustes_align,
+                               rotation_error_deg)
 from courtpose.model import Frame, Pose3D
 from courtpose.transforms import axis_angle_to_matrix, random_rotation
 
@@ -116,6 +117,23 @@ def test_mpvpe_mirrors_mpjpe():
 # ---------------------------------------------------------------------------
 # Chamfer
 # ---------------------------------------------------------------------------
+
+def test_rotation_error_is_the_angle_between_rotations():
+    rng = np.random.default_rng(9)
+    G = np.stack([random_rotation(rng) for _ in range(20)])
+    axes = rng.normal(size=(20, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.concatenate([[0.0, 1e-9, 1e-5, np.pi - 1e-7, np.pi],
+                             rng.uniform(0, np.pi, 15)])
+    P = G @ axis_angle_to_matrix(axes * angles[:, None])
+    err = rotation_error_deg(P, G)
+    assert np.abs(err - np.degrees(angles)).max() < 1e-9
+    assert np.array_equal(rotation_error_deg(G, G), np.zeros(20))
+    # the arccos of the trace agrees away from 0 and pi, where it loses digits
+    mid = slice(5, None)
+    cos = (np.trace(np.swapaxes(P, 1, 2) @ G, axis1=1, axis2=2) - 1) / 2
+    assert np.abs(err[mid] - np.degrees(np.arccos(cos[mid]))).max() < 1e-6
+
 
 def test_chamfer_zero_and_singletons():
     rng = np.random.default_rng(7)

@@ -12,15 +12,16 @@ from courtpose.mesh import BodyMesh
 from courtpose.model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
                              forward_kinematics)
 from courtpose.primitives import capsule
+from courtpose.lsq import lm_solve
 from courtpose.skinning import (MAX_INFLUENCES, FitConfig, KeypointObjective,
                                 SkinningWeights, _nearest_bone, _sample_fields,
-                                _voxelize, _VoxelGrid, bone_sources,
+                                _swing, _voxelize, _VoxelGrid, bone_sources,
                                 fit_pose_to_keypoints, heat_diffusion_weights,
-                                lbs, so3_right_jacobian, weights_from_json,
-                                weights_to_json)
+                                lbs, so3_right_jacobian, swing_ik,
+                                weights_from_json, weights_to_json)
 from courtpose.synth import build_rest_body
 from courtpose.transforms import (axis_angle_to_matrix, look_at_rotation,
-                                  random_rotation)
+                                  matrix_to_axis_angle, random_rotation)
 
 
 def chain(n, step=0.3):
@@ -375,6 +376,150 @@ def test_fit_with_2d_term_recovers_pose_and_reprojection():
     posed = forward_kinematics(sk, fitted, frame=Frame.WORLD)
     reproj = np.linalg.norm(project(cam, posed.positions) - target2d.pixels, axis=1)
     assert reproj[visible].max() < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The swing-IK start
+# ---------------------------------------------------------------------------
+
+def posed_target(sk, rng, max_angle, frame):
+    J = sk.num_joints
+    rots = np.stack([random_rotation(rng, max_angle) for _ in range(J)])
+    tr = np.zeros((J, 3))
+    if frame is Frame.WORLD:
+        tr[0] = rng.normal(size=3)
+    return forward_kinematics(sk, BoneTransforms(rots, tr), frame=frame)
+
+
+def assert_reaches(sk, target, tol=1e-12):
+    start = swing_ik(sk, target)
+    reached = forward_kinematics(sk, start, frame=target.frame)
+    assert np.abs(reached.positions - target.positions).max() < tol
+    return start
+
+
+@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
+def test_swing_ik_reaches_canonical_targets(frame):
+    sk = Skeleton.canonical()
+    rng = np.random.default_rng(11)
+    # bends of any angle up to pi, so many joints bend past 90 degrees
+    for max_angle in (0.3, 1.5, np.pi):
+        for _ in range(5):
+            assert_reaches(sk, posed_target(sk, rng, max_angle, frame))
+    # a knee folded to 170 degrees and an elbow to 120 degrees
+    rots = np.broadcast_to(np.eye(3), (sk.num_joints, 3, 3)).copy()
+    rots[sk.index("knee_l")] = axis_angle_to_matrix([np.deg2rad(170), 0, 0])
+    rots[sk.index("elbow_r")] = axis_angle_to_matrix([0, np.deg2rad(120), 0])
+    assert_reaches(sk, forward_kinematics(
+        sk, BoneTransforms(rots, np.zeros((sk.num_joints, 3))), frame=frame))
+
+
+@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
+@pytest.mark.parametrize("seed", range(4))
+def test_swing_ik_reaches_targets_on_small_chains_and_trees(frame, seed):
+    rng = np.random.default_rng(seed)
+    for sk in (chain(2), chain(5, 0.2), random_tree(rng, 6), random_tree(rng, 12)):
+        assert_reaches(sk, posed_target(sk, rng, 2.5, frame))
+
+
+def test_swing_ik_turns_single_bones_without_twist():
+    sk = Skeleton.canonical()
+    target = posed_target(sk, np.random.default_rng(3), 1.0, Frame.ROOT_RELATIVE)
+    start = assert_reaches(sk, target)
+    for j in range(sk.num_joints):
+        kids = sk.children(j)
+        if len(kids) == 1:
+            # the minimal rotation turns about an axis normal to the bone
+            aa = matrix_to_axis_angle(start.rotations[j])
+            assert abs(aa @ sk.rest_offsets[kids[0]]) < 1e-12
+        elif not kids:
+            assert np.array_equal(start.rotations[j], np.eye(3))
+
+
+def test_swing_ik_antiparallel_bone_turns_by_pi():
+    sk = chain(3, 0.3)
+    flip = axis_angle_to_matrix([0.0, 0.0, np.pi])
+    target = forward_kinematics(sk, BoneTransforms(np.stack([flip, np.eye(3), np.eye(3)]),
+                                                   np.zeros((3, 3))))
+    start = assert_reaches(sk, target)
+    aa = matrix_to_axis_angle(start.rotations[0])
+    assert abs(np.linalg.norm(aa) - np.pi) < 1e-12
+    assert abs(aa @ sk.rest_offsets[1]) < 1e-12
+    # generic directions, exactly and nearly opposite
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a = rng.normal(size=3)
+        for b in (-2.0 * a, -a + 1e-13 * rng.normal(size=3), -a + 1e-8 * rng.normal(size=3)):
+            R = _swing(a, b)
+            # a few units of rounding, however close to pi
+            eps = np.finfo(float).eps
+            assert np.abs(R @ a / np.linalg.norm(a) - b / np.linalg.norm(b)).max() < 8 * eps
+            assert np.abs(R @ R.T - np.eye(3)).max() < 16 * eps
+
+
+def test_swing_ik_zero_length_bones_keep_the_identity():
+    # joint 1 sits on the root, so the root has no bone to turn
+    sk = Skeleton(["a", "b", "c"], [-1, 0, 1], [[0, 0, 0], [0, 0, 0], [0, 0.3, 0]])
+    start = assert_reaches(sk, posed_target(sk, np.random.default_rng(2), 1.0, Frame.WORLD))
+    assert np.array_equal(start.rotations[0], np.eye(3))
+    # a target bone of zero length leaves its joint at the identity
+    sk = chain(3, 0.3)
+    target = Pose3D([[0, 0, 0], [0.3, 0, 0], [0.3, 0, 0]])
+    start = swing_ik(sk, target)
+    assert np.array_equal(start.rotations[1], np.eye(3))
+    assert np.abs(forward_kinematics(sk, start).positions[1] - target.positions[1]).max() < 1e-15
+
+
+@pytest.mark.parametrize("offsets", [
+    [[0, 0.2, 0], [0, 0.35, 0]],      # same direction
+    [[0.1, 0.1, 0], [-0.2, -0.2, 0]],  # opposite directions
+])
+def test_swing_ik_collinear_children_take_the_minimal_rotation(offsets):
+    sk = Skeleton(["r", "j", "a", "b"], [-1, 0, 1, 1],
+                  [[0, 0, 0], [0, 0.3, 0]] + offsets)
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        start = assert_reaches(sk, posed_target(sk, rng, 2.0, Frame.ROOT_RELATIVE))
+        aa = matrix_to_axis_angle(start.rotations[1])
+        assert abs(aa @ sk.rest_offsets[2]) < 1e-12
+
+
+def test_swing_ik_rejects_a_target_of_another_size():
+    with pytest.raises(ValidationError):
+        swing_ik(chain(4), Pose3D(np.zeros((3, 3))))
+
+
+def zero_start_fit(sk, target, cfg=FitConfig()):
+    """The fit before its swing-IK start: the same solve from zero rotations."""
+    obj = KeypointObjective(sk, target, cfg=cfg)
+
+    def cost(q):
+        r = obj.residuals(q)
+        return float(r @ r)
+
+    p, rec = lm_solve(lambda q: obj.residuals(q, jacobian=True), cost,
+                      np.zeros(obj.num_params), lam=1e-4, lam_min=1e-12, tries=15,
+                      max_iters=cfg.max_iters, max_rejects=10, rtol=cfg.tol)
+    return obj.transforms(p), rec
+
+
+@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
+@pytest.mark.parametrize("seed", range(6))
+def test_identity_init_is_the_zero_start_and_the_default_start_is_no_worse(frame, seed):
+    rng = np.random.default_rng(seed)
+    sk = random_tree(rng, 10)
+    target = posed_target(sk, rng, 0.8, frame)
+    cfg = FitConfig()
+    ref, rec = zero_start_fit(sk, target, cfg)
+    fitted, info = fit_pose_to_keypoints(sk, target, cfg=cfg, init=BoneTransforms.identity(10))
+    assert info["cost_history"] == rec.cost_history and info["stop"] == rec.stop
+    assert np.array_equal(fitted.rotations, ref.rotations)
+    assert np.array_equal(fitted.translations, ref.translations)
+    _, default = fit_pose_to_keypoints(sk, target, cfg=cfg)
+    # both stop within the solve's tolerance of the same minimum
+    assert default["final_cost"] <= info["final_cost"] + cfg.tol
+    assert default["stop"] == "converged"
+    assert default["joint_residuals"].max() < 1e-3
 
 
 # ---------------------------------------------------------------------------
