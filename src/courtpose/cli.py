@@ -1,8 +1,8 @@
 """Command-line front door.
 
 Subcommands: synth, calibrate, place, codec, skin, compose, train-toy,
-infer-part, eval, pipeline. Options can come from a `key = value` config
-file (--config) with command-line flags taking precedence.
+infer-part, eval, pipeline. A `key = value` config file (--config) sets the
+scene's voxel_res and image_width/image_height, for synth and pipeline only.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -23,7 +23,7 @@ from .court import make_court_model
 from .errors import NumericalError, StageError, ValidationError
 from .mesh import BodyMesh, PART_NAMES, load_obj, save_obj
 from .metrics import chamfer, emd, icp, mpvpe
-from .model import (Skeleton, pose2d_from_json, pose2d_to_json,
+from .model import (Skeleton, load_json_record, pose2d_from_json, pose2d_to_json,
                     pose3d_from_json, pose3d_to_json, skeleton_from_json,
                     transforms_from_json)
 from .placement import place_player
@@ -31,24 +31,8 @@ from .posemaps import (decode_heatmaps, decode_location_maps, encode_heatmaps,
                        encode_location_maps, jump_from_json, load_heatmaps,
                        load_location_maps, save_heatmaps, save_location_maps)
 from .skinning import lbs, weights_from_json
-from .synth import SceneConfig, load_scene, run_pipeline, save_scene, synth_scene
-
-
-def _load_json(path, from_json):
-    """Read the JSON record in ``path`` and decode it with ``from_json``. An
-    unreadable file, invalid JSON or a record with missing keys or bad
-    shapes is a ValidationError naming the file."""
-    try:
-        with open(path) as fh:
-            record = json.load(fh)
-    except OSError as e:
-        raise ValidationError(f"cannot read {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path} is not valid JSON: {e}") from e
-    try:
-        return from_json(record)
-    except (LookupError, TypeError, ValueError) as e:
-        raise ValidationError(f"{path} is not a valid record: {e!r}") from e
+from .synth import (SceneConfig, canonical_body, load_scene, run_pipeline, save_scene,
+                    synth_scene)
 
 
 def _correspondences_from_json(points):
@@ -96,25 +80,44 @@ def _image_size(text):
         raise ValidationError(f"bad --image-size {text!r}; expected WxH") from None
 
 
-def cmd_synth(args, cfg):
-    bundle = synth_scene(args.seed, _scene_config(cfg))
+def _scene_config(path, command):
+    """The SceneConfig that the --config file ``path`` sets: voxel_res and the
+    pair image_width/image_height, read by synth and pipeline only. Any other
+    key, a key given to another command, a lone width or height, or a value
+    that is not an integer is a ValidationError naming the key."""
+    cfg = _parse_config_file(path) if path else {}
+    for key, val in cfg.items():
+        if key not in ("voxel_res", "image_width", "image_height"):
+            raise ValidationError(f"unknown config key {key!r}; expected voxel_res, "
+                                  "image_width or image_height")
+        if command not in ("synth", "pipeline"):
+            raise ValidationError(f"config key {key!r} is read only by synth and pipeline")
+        if key != "voxel_res" and ("image_width" in cfg) != ("image_height" in cfg):
+            raise ValidationError(f"config key {key!r} needs its pair: set both "
+                                  "image_width and image_height")
+        try:
+            cfg[key] = int(val)
+        except (TypeError, ValueError):
+            raise ValidationError(f"config key {key!r} must be an integer, "
+                                  f"got {val!r}") from None
+    kwargs = {}
+    if "voxel_res" in cfg:
+        kwargs["voxel_res"] = cfg["voxel_res"]
+    if "image_width" in cfg:
+        kwargs["image_size"] = (cfg["image_width"], cfg["image_height"])
+    return SceneConfig(**kwargs)
+
+
+def cmd_synth(args, scene_config):
+    bundle = synth_scene(args.seed, scene_config)
     save_scene(bundle, args.out)
     print(f"scene {args.seed} written to {args.out}")
     return 0
 
 
-def _scene_config(cfg):
-    kwargs = {}
-    if "voxel_res" in cfg:
-        kwargs["voxel_res"] = int(cfg["voxel_res"])
-    if "image_width" in cfg and "image_height" in cfg:
-        kwargs["image_size"] = (int(cfg["image_width"]), int(cfg["image_height"]))
-    return SceneConfig(**kwargs)
-
-
-def cmd_calibrate(args, cfg):
+def cmd_calibrate(args, scene_config):
     size = _image_size(args.image_size)
-    corrs = _load_json(args.points, _correspondences_from_json)
+    corrs = load_json_record(args.points, _correspondences_from_json)
     cam, rms = solve_pnp_planar(corrs, size, focal=args.focal)
     result = {"pnp_rms_px": rms}
     if args.mask:
@@ -131,20 +134,20 @@ def cmd_calibrate(args, cfg):
     return 0
 
 
-def cmd_place(args, cfg):
-    camera = _load_json(args.camera, camera_from_json)
-    pose2d = _load_json(args.pose2d, pose2d_from_json)
-    pose3d = _load_json(args.pose3d, pose3d_from_json)
-    jump = _load_json(args.jump, jump_from_json)
+def cmd_place(args, scene_config):
+    camera = load_json_record(args.camera, camera_from_json)
+    pose2d = load_json_record(args.pose2d, pose2d_from_json)
+    pose3d = load_json_record(args.pose3d, pose3d_from_json)
+    jump = load_json_record(args.jump, jump_from_json)
     placed, offset = place_player(camera, pose2d, pose3d, jump)
     _write_json(args.out, {"pose_world": pose3d_to_json(placed),
                            "offset": offset.tolist()})
     return 0
 
 
-def cmd_codec(args, cfg):
-    pose2d = _load_json(args.pose2d, pose2d_from_json)
-    pose3d = _load_json(args.pose3d, pose3d_from_json)
+def cmd_codec(args, scene_config):
+    pose2d = load_json_record(args.pose2d, pose2d_from_json)
+    pose3d = load_json_record(args.pose3d, pose3d_from_json)
     heat = encode_heatmaps(pose2d, sigma=args.sigma)
     loc = encode_location_maps(pose3d, heat)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -166,13 +169,13 @@ def cmd_codec(args, cfg):
     return 0
 
 
-def cmd_skin(args, cfg):
+def cmd_skin(args, scene_config):
     rest = load_obj(args.rest)
     if not isinstance(rest, BodyMesh):
         rest = BodyMesh((rest,))
-    weights = _load_json(args.weights, weights_from_json)
-    transforms = _load_json(args.pose, transforms_from_json)
-    skeleton = (_load_json(args.skeleton, skeleton_from_json) if args.skeleton
+    weights = load_json_record(args.weights, weights_from_json)
+    transforms = load_json_record(args.pose, transforms_from_json)
+    skeleton = (load_json_record(args.skeleton, skeleton_from_json) if args.skeleton
                 else Skeleton.canonical())
     posed = lbs(rest, weights, transforms, skeleton)
     save_obj(args.out, posed)
@@ -180,7 +183,7 @@ def cmd_skin(args, cfg):
     return 0
 
 
-def cmd_compose(args, cfg):
+def cmd_compose(args, scene_config):
     parts = []
     for name in PART_NAMES:
         path = os.path.join(args.parts, f"{name}.obj")
@@ -199,7 +202,7 @@ def cmd_compose(args, cfg):
     return 0
 
 
-def cmd_train_toy(args, cfg):
+def cmd_train_toy(args, scene_config):
     from .meshnet import init_params, save_params
     from .meshnet.training import TrainConfig, eval_mesh_term, train_toy
     from .toydata import toy_part_dataset
@@ -218,13 +221,15 @@ def cmd_train_toy(args, cfg):
     return 0
 
 
-def cmd_infer_part(args, cfg):
-    from .meshnet import load_params, tl_forward
-    from .toydata import toy_part_dataset
+def cmd_infer_part(args, scene_config):
+    from .meshnet import NetConfig, PartOps, load_params, tl_forward
+    from .toydata import TOY_PART
 
-    _, ops, config = toy_part_dataset(seed=args.seed, count=1)
+    _, rest_body, _ = canonical_body(SceneConfig().voxel_res)
+    config = NetConfig()
+    ops = PartOps.build(rest_body.part(TOY_PART), config)
     params = load_params(args.params)
-    pose = _load_json(args.pose, pose3d_from_json)
+    pose = load_json_record(args.pose, pose3d_from_json)
     rest = load_obj(args.rest)
     if isinstance(rest, BodyMesh):
         rest = rest.parts[0]
@@ -234,7 +239,7 @@ def cmd_infer_part(args, cfg):
     return 0
 
 
-def cmd_eval(args, cfg):
+def cmd_eval(args, scene_config):
     pred = load_obj(args.pred)
     gt = load_obj(args.gt)
     pv = pred.merged()[0] if isinstance(pred, BodyMesh) else pred.vertices
@@ -266,18 +271,17 @@ def _pipeline_one(seed_and_cfg):
         return run_pipeline(synth_scene(seed, config))
 
 
-def cmd_pipeline(args, cfg):
-    config = _scene_config(cfg)
+def cmd_pipeline(args, scene_config):
     if args.scene_dir:
-        reports = [run_pipeline(load_scene(args.scene_dir, config))]
+        reports = [run_pipeline(load_scene(args.scene_dir, scene_config))]
     elif args.jobs > 1:
         # stages stay sequential; only independent scenes run in parallel
         import multiprocessing
         with multiprocessing.Pool(args.jobs) as pool:
             reports = pool.map(_pipeline_one,
-                               [(args.seed + k, config) for k in range(args.scenes)])
+                               [(args.seed + k, scene_config) for k in range(args.scenes)])
     else:
-        reports = [run_pipeline(synth_scene(args.seed + k, config))
+        reports = [run_pipeline(synth_scene(args.seed + k, scene_config))
                    for k in range(args.scenes)]
     _write_json(args.out, reports if len(reports) > 1 else reports[0])
     return 0
@@ -286,7 +290,8 @@ def cmd_pipeline(args, cfg):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="courtpose",
                                  description="Court-aware player reconstruction toolkit")
-    ap.add_argument("--config", help="key = value option file")
+    ap.add_argument("--config", help="key = value scene config file (voxel_res, "
+                    "image_width, image_height) for synth and pipeline")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene bundle")
@@ -343,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--pose", required=True)
     p.add_argument("--rest", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_infer_part)
 
@@ -372,9 +376,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    cfg = _parse_config_file(args.config) if args.config else {}
     try:
-        return args.fn(args, cfg)
+        return args.fn(args, _scene_config(args.config, args.command))
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e.cause, ValidationError) else 3

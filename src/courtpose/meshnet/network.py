@@ -33,29 +33,25 @@ from .sampling import SamplingOperator, build_sampling
 from .spirals import SpiralIndices, build_spirals
 
 
+# the TL network layout: four SC layers down, five up, the last one to XYZ
+ENCODER_CHANNELS = (16, 32, 64, 64)
+DECODER_CHANNELS = (64, 32, 16, 16, 3)
+ENCODER_DILATIONS = (2, 2, 1, 1)
+DECODER_DILATIONS = (1, 1, 2, 2, 2)
+POSE_HIDDEN = 64  # width of the pose encoder's residual blocks
+
+
 @dataclass(frozen=True)
 class NetConfig:
     spiral_length: int = 9
-    encoder_channels: tuple = (16, 32, 64, 64)
-    decoder_channels: tuple = (64, 32, 16, 16, 3)
-    encoder_dilations: tuple = (2, 2, 1, 1)
-    decoder_dilations: tuple = (1, 1, 2, 2, 2)
     ds_factors: tuple = (2, 2, 2, 1)
     latent: int = 32
-    pose_hidden: int = 64
     dropout: float = 0.5
 
     def __post_init__(self):
-        if len(self.encoder_channels) != len(self.ds_factors):
-            raise ValidationError("one encoder channel per downsampling stage")
-        if len(self.decoder_channels) != len(self.ds_factors) + 1:
-            raise ValidationError("decoder needs ds_factors+1 channel entries")
-        if self.decoder_channels[-1] != 3:
-            raise ValidationError("decoder must end in 3 channels (XYZ)")
-        if len(self.encoder_dilations) != len(self.encoder_channels):
-            raise ValidationError("one encoder dilation per SC layer")
-        if len(self.decoder_dilations) != len(self.decoder_channels):
-            raise ValidationError("one decoder dilation per SC layer")
+        if len(self.ds_factors) != len(ENCODER_CHANNELS):
+            raise ValidationError(f"ds_factors needs one factor per encoder SC layer "
+                                  f"({len(ENCODER_CHANNELS)}), got {len(self.ds_factors)}")
 
 
 class StackedOps(NamedTuple):
@@ -96,13 +92,12 @@ class PartOps:
             meshes.append(op.coarse)
         L = len(config.ds_factors)
         spirals_enc = tuple(
-            build_spirals(meshes[k], config.spiral_length, config.encoder_dilations[k])
+            build_spirals(meshes[k], config.spiral_length, ENCODER_DILATIONS[k])
             for k in range(L))
         spirals_dec = tuple(
-            build_spirals(meshes[L - 1 - k], config.spiral_length, config.decoder_dilations[k])
+            build_spirals(meshes[L - 1 - k], config.spiral_length, DECODER_DILATIONS[k])
             for k in range(L))
-        spirals_final = build_spirals(meshes[0], config.spiral_length,
-                                      config.decoder_dilations[L])
+        spirals_final = build_spirals(meshes[0], config.spiral_length, DECODER_DILATIONS[L])
         return PartOps(tuple(meshes), tuple(samplers), spirals_enc, spirals_dec,
                        spirals_final)
 
@@ -132,7 +127,7 @@ def _glorot(rng, fan_in, fan_out):
 def param_shapes(config: NetConfig, ops: PartOps, num_joints: int) -> dict:
     """Parameter layout (name -> shape), in initialisation order, of the TL
     network for one body part driven by a ``num_joints``-joint pose."""
-    S, Z, h = config.spiral_length, config.latent, config.pose_hidden
+    S, Z, h = config.spiral_length, config.latent, POSE_HIDDEN
     p = {}
 
     def lin(name, nin, nout):
@@ -148,19 +143,19 @@ def param_shapes(config: NetConfig, ops: PartOps, num_joints: int) -> dict:
     n4 = ops.coarsest_vertices
     for enc in ("enc_rest", "enc_gt"):
         cin = 3
-        for k, cout in enumerate(config.encoder_channels):
+        for k, cout in enumerate(ENCODER_CHANNELS):
             lin(f"{enc}.sc{k}", S * cin, cout)
             cin = cout
-        lin(f"{enc}.lin", n4 * config.encoder_channels[-1], Z)
+        lin(f"{enc}.lin", n4 * ENCODER_CHANNELS[-1], Z)
 
     lin("fuse", 2 * Z, Z)
 
-    lin("dec.lin", Z, n4 * config.encoder_channels[-1])
-    cin = config.encoder_channels[-1]
-    for k, cout in enumerate(config.decoder_channels[:-1]):
+    lin("dec.lin", Z, n4 * ENCODER_CHANNELS[-1])
+    cin = ENCODER_CHANNELS[-1]
+    for k, cout in enumerate(DECODER_CHANNELS[:-1]):
         lin(f"dec.sc{k}", S * cin, cout)
         cin = cout
-    lin("dec.sc_final", S * cin, config.decoder_channels[-1])
+    lin("dec.sc_final", S * cin, DECODER_CHANNELS[-1])
     return p
 
 
@@ -205,7 +200,7 @@ def pose_encode(params, pose_flat: ag.Var, config: NetConfig,
         keep = 1.0 - config.dropout
         # drawn sample by sample, then layer by layer: one sample's masks
         # are the same draws whatever batch it sits in
-        draws = rng.random((pose_flat.shape[0], _POSE_DROPOUT_LAYERS, config.pose_hidden))
+        draws = rng.random((pose_flat.shape[0], _POSE_DROPOUT_LAYERS, POSE_HIDDEN))
         masks = (draws < keep).astype(float) / keep
     x = ag.add(ag.matmul(pose_flat, params["pose.lin_in.W"]), params["pose.lin_in.b"])
     layer = 0
@@ -227,7 +222,7 @@ def mesh_encode(params, prefix: str, verts: ag.Var, ops: PartOps,
     batch = verts.shape[0] // ops.meshes[0].num_vertices
     stacked = ops.stacked(batch)
     x = verts
-    for k in range(len(config.encoder_channels)):
+    for k in range(len(config.ds_factors)):
         x = _sc(x, stacked.enc[k], params[f"{prefix}.sc{k}.W"], params[f"{prefix}.sc{k}.b"])
         x = ag.elu(x)
         D, DT = stacked.down[k]
@@ -241,7 +236,7 @@ def decode(params, z: ag.Var, ops: PartOps, config: NetConfig) -> ag.Var:
     batch = z.shape[0]
     stacked = ops.stacked(batch)
     x = ag.add(ag.matmul(z, params["dec.lin.W"]), params["dec.lin.b"])
-    x = ag.reshape(x, (batch * ops.coarsest_vertices, config.encoder_channels[-1]))
+    x = ag.reshape(x, (batch * ops.coarsest_vertices, ENCODER_CHANNELS[-1]))
     L = len(config.ds_factors)
     for k in range(L):
         U, UT = stacked.up[L - 1 - k]
@@ -326,12 +321,14 @@ def skin_loss(z_pred, z_gt, v_pred, v_posed,
 # Per-vertex identity offsets
 # ---------------------------------------------------------------------------
 
-def init_identity_params(feature_dim: int, rng: np.random.Generator,
-                         hidden: int = 32) -> dict:
+IDENTITY_HIDDEN = 32  # width of the identity-offset MLP's hidden layer
+
+
+def init_identity_params(feature_dim: int, rng: np.random.Generator) -> dict:
     return {
-        "id.l1.W": ag.Var(_glorot(rng, 3 + feature_dim, hidden)),
-        "id.l1.b": ag.Var(np.zeros(hidden)),
-        "id.l2.W": ag.Var(_glorot(rng, hidden, 3)),
+        "id.l1.W": ag.Var(_glorot(rng, 3 + feature_dim, IDENTITY_HIDDEN)),
+        "id.l1.b": ag.Var(np.zeros(IDENTITY_HIDDEN)),
+        "id.l2.W": ag.Var(_glorot(rng, IDENTITY_HIDDEN, 3)),
         "id.l2.b": ag.Var(np.zeros(3)),
     }
 

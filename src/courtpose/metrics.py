@@ -111,6 +111,8 @@ def chamfer(A: np.ndarray, B: np.ndarray) -> float:
 def farthest_point_subsample(points: np.ndarray, count: int) -> np.ndarray:
     """Deterministic FPS: start at the point farthest from the centroid
     (lowest index on ties), then greedily maximize the min distance."""
+    if count < 1:
+        raise ValidationError(f"a subsample needs at least one point, got {count}")
     P = np.asarray(points, dtype=float)
     if count >= len(P):
         return P.copy()

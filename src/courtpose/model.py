@@ -100,12 +100,7 @@ class Skeleton:
     @staticmethod
     def canonical() -> "Skeleton":
         raw = json.loads(resources.files("courtpose.data").joinpath("skeleton_v1.json").read_text())
-        joints = raw["joints"]
-        skel = Skeleton(
-            joint_names=[j["name"] for j in joints],
-            parent=[j["parent"] for j in joints],
-            rest_offsets=[j["offset"] for j in joints],
-        )
+        skel = skeleton_from_json(raw)
         assert skel.num_joints == NUM_JOINTS
         return skel
 
@@ -264,6 +259,23 @@ def bone_lengths(pose: Pose3D, edges) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
+
+def load_json_record(path, from_json):
+    """Read the JSON record in ``path`` and decode it with ``from_json``. An
+    unreadable file, invalid JSON or a record with missing keys or bad
+    shapes is a ValidationError naming the file."""
+    try:
+        with open(path) as fh:
+            record = json.load(fh)
+    except OSError as e:
+        raise ValidationError(f"cannot read {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ValidationError(f"{path} is not valid JSON: {e}") from e
+    try:
+        return from_json(record)
+    except (LookupError, TypeError, ValueError) as e:
+        raise ValidationError(f"{path} is not a valid record: {e!r}") from e
+
 
 def skeleton_to_json(s: Skeleton) -> dict:
     return {

@@ -21,8 +21,7 @@ from .errors import ValidationError
 from .model import Frame, Pose2D, Pose3D, bone_lengths
 
 MAP_RES = 64
-CROP_SIZE = 256
-CELL = CROP_SIZE // MAP_RES  # 4 px per heatmap cell
+CELL = Pose2D.CROP_SIZE // MAP_RES  # 4 px per heatmap cell
 SUPPORT_EPS = 1e-8
 _PROB_FLOOR = 1e-7
 
@@ -102,11 +101,6 @@ class PoseLossWeights:
     wjht: float = 0.4
     wjcls: float = 0.2
 
-    def __post_init__(self):
-        for f in ("w2d", "w3d", "wbl", "wjht", "wjcls"):
-            if getattr(self, f) < 0:
-                raise ValidationError("loss weights must be nonnegative")
-
 
 @dataclass(frozen=True)
 class PoseMapTargets:
@@ -125,16 +119,15 @@ def encode_heatmaps(pose: Pose2D, sigma: float = 1.0) -> HeatmapStack:
     """
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
-    vis = pose.visibility
     x, y = pose.pixels[:, 0], pose.pixels[:, 1]
-    clamped = vis & ~((0 <= x) & (x < CROP_SIZE) & (0 <= y) & (y < CROP_SIZE))
     cx = np.clip(np.floor(x / CELL), 0, MAP_RES - 1)[:, None, None]
     cy = np.clip(np.floor(y / CELL), 0, MAP_RES - 1)[:, None, None]
     grid = np.arange(MAP_RES, dtype=float)
     g = np.exp(-((grid[None, None, :] - cx) ** 2 + (grid[None, :, None] - cy) ** 2)
                / (2.0 * sigma * sigma))
     g[g < SUPPORT_EPS] = 0.0
-    return HeatmapStack(np.where(vis[:, None, None], g, 0.0), clamped=clamped)
+    return HeatmapStack(np.where(pose.visibility[:, None, None], g, 0.0),
+                        clamped=~pose.in_crop())
 
 
 def _peak_cells(heat: HeatmapStack):
@@ -174,11 +167,10 @@ def decode_location_maps(loc: LocationMapStack, heat: HeatmapStack) -> Pose3D:
     return Pose3D(np.where(found[:, None], xyz, 0.0), frame=Frame.ROOT_RELATIVE)
 
 
-def pose_loss(pred: PoseMapTargets, gt: PoseMapTargets, edges, gt_bone_lengths,
-              weights: PoseLossWeights = PoseLossWeights()):
+def pose_loss(pred: PoseMapTargets, gt: PoseMapTargets, edges, gt_bone_lengths):
     """Weighted sum of heatmap L1, location L1, bone-length L1, jump-height L1
     and binary cross-entropy on the jump class. L1 terms are means over
-    elements. Returns (total, per-term dict)."""
+    elements, weighted by ``PoseLossWeights()``. Returns (total, per-term dict)."""
     if pred.heatmaps.values.shape != gt.heatmaps.values.shape:
         raise ValidationError("heatmap shapes differ")
     if pred.location_maps.values.shape != gt.location_maps.values.shape:
@@ -195,7 +187,7 @@ def pose_loss(pred: PoseMapTargets, gt: PoseMapTargets, edges, gt_bone_lengths,
     p = float(np.clip(pred.jump.probability, _PROB_FLOOR, 1.0 - _PROB_FLOOR))
     y = 1.0 if gt.jump.airborne else 0.0
     ljcls = float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-    w = weights
+    w = PoseLossWeights()
     terms = {"l2d": l2d, "l3d": l3d, "lbl": lbl, "ljht": ljht, "ljcls": ljcls}
     total = (w.w2d * l2d + w.w3d * l3d + w.wbl * lbl
              + w.wjht * ljht + w.wjcls * ljcls)

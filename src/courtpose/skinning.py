@@ -75,14 +75,13 @@ def weights_from_json(d: dict) -> SkinningWeights:
 
 @dataclass(frozen=True)
 class FitConfig:
-    w3d: float = 1.0
     w2d: float = 0.0
     wprior: float = 1e-4   # L2 on axis-angle; breaks the twist ambiguity
     max_iters: int = 60
     tol: float = 1e-12
 
     def __post_init__(self):
-        if min(self.w3d, self.w2d, self.wprior) < 0:
+        if min(self.w2d, self.wprior) < 0:
             raise ValidationError("fit weights must be nonnegative")
 
 
@@ -304,9 +303,9 @@ class KeypointObjective:
 
     Parameters are the per-joint axis-angle rotations (3J), followed by the
     root translation (3) for world-frame targets. Residual blocks, in order:
-    sqrt(w3d) * 3D joint error, sqrt(w2d) * 2D reprojection error (zero for
-    invisible joints, 1e3 for joints with camera depth <= 1e-6), and
-    sqrt(wprior) * axis-angle.
+    3D joint error, sqrt(w2d) * 2D reprojection error (zero for invisible
+    joints, 1e3 for joints with camera depth <= 1e-6), and sqrt(wprior) *
+    axis-angle.
 
     The Jacobian comes from the same FK pass as the residual. For joint j and
     a descendant i, dp_i/domega_j = -[p_i - p_j]x R_glob(j) J_r(omega_j), with
@@ -352,13 +351,10 @@ class KeypointObjective:
         offsets[0] += root_t
         R_glob, pos_world = _fk_levels(self.skeleton, axis_angle_to_matrix(om), offsets)
         pos = pos_world if self.world_frame else pos_world - pos_world[0]
+        parts = [(pos - self.target3d.positions).ravel()]
         if jacobian:
             jpos = self._position_jacobian(om, R_glob, pos_world)
-        parts, jparts = [], []
-        if cfg.w3d > 0:
-            parts.append(np.sqrt(cfg.w3d) * (pos - self.target3d.positions).ravel())
-            if jacobian:
-                jparts.append(np.sqrt(cfg.w3d) * jpos.reshape(3 * J, -1))
+            jparts = [jpos.reshape(3 * J, -1)]
         if cfg.w2d > 0:
             cam = self.camera
             uv, z = project_with_depth(cam, pos)

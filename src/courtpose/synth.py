@@ -24,7 +24,7 @@ from .errors import StageError, ValidationError
 from .mesh import BodyMesh, PartMesh, load_obj, save_obj
 from .metrics import chamfer, emd, mpvpe, rotation_error_deg
 from .model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
-                    forward_kinematics, pose2d_from_json, pose2d_to_json,
+                    forward_kinematics, load_json_record, pose2d_from_json, pose2d_to_json,
                     pose3d_from_json, pose3d_to_json, rest_pose, skeleton_from_json,
                     skeleton_to_json, transforms_from_json, transforms_to_json)
 from .placement import place_player
@@ -40,16 +40,18 @@ from .transforms import axis_angle_to_matrix, look_at_rotation
 FIT_MAX_ITERS = 20
 EMD_SUBSAMPLE = 256  # points per side of the eval stage's EMD
 
+# the fixed scene distribution
+FOCAL_RANGE = (800.0, 3000.0)
+ELEVATION_RANGE = (5.0, 15.0)
+STANDOFF_RANGE = (8.0, 20.0)  # camera distance beyond the sideline
+POSE_ANGLE_STD = 0.12         # radians, per-joint randomization
+CROP_MARGIN = 1.4             # crop side over the pose's projected extent
+
 
 @dataclass(frozen=True)
 class SceneConfig:
     image_size: tuple = (1280, 720)
-    focal_range: tuple = (800.0, 3000.0)
-    elevation_range: tuple = (5.0, 15.0)
-    standoff_range: tuple = (8.0, 20.0)   # camera distance beyond the sideline
     jump_range: tuple = (0.0, 1.2)
-    pose_angle_std: float = 0.12          # radians, per-joint randomization
-    crop_margin: float = 1.4
     voxel_res: int = 22
     court: CourtConfig = field(default_factory=CourtConfig)
 
@@ -153,11 +155,10 @@ def canonical_body(voxel_res: int):
     return _BODY_CACHE[voxel_res]
 
 
-def random_pose_transforms(skeleton: Skeleton, rng: np.random.Generator,
-                           angle_std: float) -> BoneTransforms:
+def random_pose_transforms(skeleton: Skeleton, rng: np.random.Generator) -> BoneTransforms:
     J = skeleton.num_joints
     yaw = rng.uniform(-np.pi, np.pi)
-    aa = np.vstack([[0.0, yaw, 0.0], rng.normal(0.0, angle_std, size=(J - 1, 3))])
+    aa = np.vstack([[0.0, yaw, 0.0], rng.normal(0.0, POSE_ANGLE_STD, size=(J - 1, 3))])
     return BoneTransforms(axis_angle_to_matrix(aa), np.zeros((J, 3)))
 
 
@@ -166,7 +167,7 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneBundle:
     court = make_court_model(config.court)
     skeleton, rest_body, weights = canonical_body(config.voxel_res)
 
-    transforms = random_pose_transforms(skeleton, rng, config.pose_angle_std)
+    transforms = random_pose_transforms(skeleton, rng)
     pose_root = forward_kinematics(skeleton, transforms)
 
     # heights in (0, threshold] are not representable as consistent scenes
@@ -183,19 +184,19 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneBundle:
 
     eye = np.array([
         px + rng.uniform(-8.0, 8.0),
-        rng.uniform(*config.elevation_range),
-        court.width / 2.0 + rng.uniform(*config.standoff_range),
+        rng.uniform(*ELEVATION_RANGE),
+        court.width / 2.0 + rng.uniform(*STANDOFF_RANGE),
     ])
     target = np.array([px, 1.0, pz * 0.5])
     R = look_at_rotation(eye, target)
-    cam = Camera(float(rng.uniform(*config.focal_range)),
+    cam = Camera(float(rng.uniform(*FOCAL_RANGE)),
                  config.image_size[0] / 2.0, config.image_size[1] / 2.0,
                  R, -R @ eye)
 
     uv_full = project(cam, pose_world.positions)
     lo = uv_full.min(axis=0)
     hi = uv_full.max(axis=0)
-    side = float(max(hi[0] - lo[0], hi[1] - lo[1], 8.0)) * config.crop_margin
+    side = float(max(hi[0] - lo[0], hi[1] - lo[1], 8.0)) * CROP_MARGIN
     center = (lo + hi) / 2.0
     origin = (float(center[0] - side / 2.0), float(center[1] - side / 2.0))
     scale = Pose2D.CROP_SIZE / side
@@ -326,8 +327,7 @@ def run_pipeline(bundle: SceneBundle) -> dict:
 
     def s_place():
         crop_est = cam_est.cropped(bundle.crop_origin, bundle.crop_scale)
-        placed, offset = place_player(crop_est, bundle.pose2d, bundle.pose_root,
-                                      bundle.jump)
+        placed, offset = place_player(crop_est, bundle.pose2d, pose3d_dec, bundle.jump)
         j = int(np.argmin(bundle.pose_root.positions[:, 1]))
         err = float(np.linalg.norm(placed.positions[j] - bundle.pose_world.positions[j]))
         return {"lowest_joint_err_m": err, "offset": offset.tolist(),
@@ -402,18 +402,11 @@ def save_scene(bundle: SceneBundle, outdir) -> None:
 
 def load_scene(scenedir, config: SceneConfig = SceneConfig()) -> SceneBundle:
     import os
-    path = os.path.join(scenedir, "scene.json")
-    try:
-        with open(path) as fh:
-            d = json.load(fh)
-    except OSError as e:
-        raise ValidationError(f"cannot read scene file {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"scene file {path} is not valid JSON: {e}") from e
     rest = load_obj(os.path.join(scenedir, "rest.obj"))
     posed = load_obj(os.path.join(scenedir, "posed.obj"))
     line_mask = load_pgm(os.path.join(scenedir, "mask.pgm"))
-    try:
+
+    def from_json(d):
         cfg = SceneConfig(image_size=tuple(d["image_size"]), court=config.court,
                           voxel_res=config.voxel_res)
         return SceneBundle(
@@ -429,5 +422,5 @@ def load_scene(scenedir, config: SceneConfig = SceneConfig()) -> SceneBundle:
             rest_body=rest, posed_body=posed, line_mask=line_mask,
             correspondences=tuple((tuple(px), tuple(w)) for px, w in d["correspondences"]),
         )
-    except (LookupError, TypeError, ValueError) as e:
-        raise ValidationError(f"scene file {path} is not a valid record: {e!r}") from e
+
+    return load_json_record(os.path.join(scenedir, "scene.json"), from_json)

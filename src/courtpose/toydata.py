@@ -8,26 +8,25 @@ from .errors import ValidationError
 from .meshnet import NetConfig, PartOps
 from .model import forward_kinematics
 from .skinning import lbs
-from .synth import canonical_body, random_pose_transforms
+from .synth import SceneConfig, canonical_body, random_pose_transforms
 
 TOY_PART = "head"
 
 
-def toy_part_dataset(seed: int = 0, count: int = 50, part: str = TOY_PART,
-                     voxel_res: int = 22, angle_std: float = 0.12,
-                     config: NetConfig = NetConfig()):
+def toy_part_dataset(seed: int = 0, count: int = 50):
     """(dataset, ops, config): `dataset` holds (pose, rest part, posed part)
     triplets in the root-relative frame; `ops` is the part's operator pyramid."""
     if count < 1:
         raise ValidationError(f"a toy dataset needs at least one sample, got {count}")
-    skeleton, rest_body, weights = canonical_body(voxel_res)
-    rest_part = rest_body.part(part)
+    skeleton, rest_body, weights = canonical_body(SceneConfig().voxel_res)
+    rest_part = rest_body.part(TOY_PART)
+    config = NetConfig()
     ops = PartOps.build(rest_part, config)
     rng = np.random.default_rng(seed)
     dataset = []
     for _ in range(count):
-        transforms = random_pose_transforms(skeleton, rng, angle_std)
+        transforms = random_pose_transforms(skeleton, rng)
         pose = forward_kinematics(skeleton, transforms)
-        posed = lbs(rest_body, weights, transforms, skeleton).part(part)
+        posed = lbs(rest_body, weights, transforms, skeleton).part(TOY_PART)
         dataset.append((pose, rest_part, posed))
     return dataset, ops, config

@@ -209,6 +209,31 @@ def test_config_file_parsing(tmp_path):
     assert meta["image_size"] == [640, 360]
 
 
+@pytest.mark.parametrize("text, key", [
+    ("voxel_res = 16\nvoxel_size = 0.1\n", "voxel_size"),
+    ("voxel_res = 16\nimage_width = 640\n", "image_width"),
+    ("image_height = 360\n", "image_height"),
+    ("voxel_res = fine\n", "voxel_res"),
+])
+def test_config_key_synth_cannot_read_exit_code_2(tmp_path, capsys, text, key):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(text)
+    out = tmp_path / "scene"
+    assert main(["--config", str(cfg), "synth", "--seed", "1", "--out", str(out)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_for_a_command_that_reads_none_exit_code_2(tmp_path, capsys):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("voxel_res = 16\n")
+    code = main(["--config", str(cfg), "eval", "--pred", str(tmp_path / "a.obj"),
+                 "--gt", str(tmp_path / "b.obj")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'voxel_res' is read only by synth and pipeline" in err
+
+
 def test_pipeline_cli_parallel_scenes(tmp_path):
     def run(jobs):
         report = tmp_path / f"jobs{jobs}.json"

@@ -253,6 +253,15 @@ def test_farthest_point_subsample_spreads():
     assert len(np.unique(S, axis=0)) == 20
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_subsample_of_fewer_than_one_point_rejected(count):
+    P = np.random.default_rng(15).normal(size=(10, 3))
+    with pytest.raises(ValidationError, match=f"got {count}"):
+        farthest_point_subsample(P, count)
+    with pytest.raises(ValidationError):
+        emd(P, P, subsample=count)
+
+
 # ---------------------------------------------------------------------------
 # ICP
 # ---------------------------------------------------------------------------

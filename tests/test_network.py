@@ -38,6 +38,12 @@ def numeric_grad(fn, var, idx, h=1e-5):
     return (fp - fm) / (2 * h)
 
 
+@pytest.mark.parametrize("ds_factors", [(2, 2, 2), (2, 2, 2, 1, 1)])
+def test_net_config_needs_one_ds_factor_per_encoder_layer(ds_factors):
+    with pytest.raises(ValidationError, match=f"got {len(ds_factors)}"):
+        NetConfig(ds_factors=ds_factors)
+
+
 # ---------------------------------------------------------------------------
 # autograd op-level checks
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from courtpose.errors import ValidationError
 from courtpose.model import Frame, Pose2D, Pose3D, bone_lengths
-from courtpose.posemaps import (CELL, CROP_SIZE, MAP_RES, SUPPORT_EPS,
+from courtpose.posemaps import (CELL, MAP_RES, SUPPORT_EPS,
                                 HeatmapStack, JumpInfo, LocationMapStack,
                                 PoseLossWeights, PoseMapTargets,
                                 decode_heatmaps, decode_location_maps,
@@ -239,7 +239,7 @@ def loop_encode_heatmaps(pose, sigma):
         if not pose.visibility[j]:
             continue
         x, y = pose.pixels[j]
-        if not (0 <= x < CROP_SIZE and 0 <= y < CROP_SIZE):
+        if not (0 <= x < Pose2D.CROP_SIZE and 0 <= y < Pose2D.CROP_SIZE):
             clamped[j] = True
         cx = int(np.clip(np.floor(x / CELL), 0, MAP_RES - 1))
         cy = int(np.clip(np.floor(y / CELL), 0, MAP_RES - 1))

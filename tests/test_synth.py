@@ -3,6 +3,7 @@ import pytest
 
 from courtpose.camera import project
 from courtpose.errors import StageError
+from courtpose.placement import place_player
 from courtpose.posemaps import (decode_heatmaps, decode_location_maps,
                                 encode_heatmaps, encode_location_maps)
 from courtpose.synth import (SceneConfig, load_scene, run_pipeline, save_scene,
@@ -92,6 +93,25 @@ def test_run_pipeline_stages_and_thresholds(bundle):
         assert type(stages[stage][f"{loop}_iterations"]) is int
         assert stages[stage][f"{loop}_iterations"] >= 1
         assert stages[stage][f"{loop}_stop"] in stops
+
+
+def test_place_takes_the_codec_pose(bundle, monkeypatch):
+    from courtpose import synth
+    decoded, placed_from = [], []
+
+    def decode(loc, heat):
+        decoded.append(decode_location_maps(loc, heat))
+        return decoded[-1]
+
+    def place(camera, pose2d, pose3d, jump):
+        placed_from.append(pose3d)
+        return place_player(camera, pose2d, pose3d, jump)
+
+    monkeypatch.setattr(synth, "decode_location_maps", decode)
+    monkeypatch.setattr(synth, "place_player", place)
+    run_pipeline(bundle)
+    assert len(decoded) == len(placed_from) == 1
+    assert placed_from[0] is decoded[0]
 
 
 def test_pipeline_stage_error_is_tagged(bundle, monkeypatch):
