@@ -15,6 +15,7 @@ quantization. Any other start gets one Levenberg-Marquardt solve on the raw
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,23 +194,25 @@ def rasterize_court_lines(camera: Camera, court: CourtModel, size) -> LineMask:
     """
     W, H = size
     img = np.zeros((H, W), dtype=bool)
-    for prim in court.primitives:
-        coarse = lift_to_plane(prim.sample(0.1))
-        uv, z = project_with_depth(camera, coarse)
-        ok = z > 1e-9
-        if not np.any(ok):
+    coarse, start, world_len = _coarse_samples(court)
+    uv, z = project_with_depth(camera, coarse)
+    ok = z > 1e-9
+    # projected arc length over visible stretches decides the density;
+    # primitive k owns rows start[k]:start[k + 1] and the steps between them
+    seg_ok = ok[1:] & ok[:-1]
+    step = np.linalg.norm(np.diff(uv, axis=0), axis=1)
+    fine = []
+    for k, prim in enumerate(court.primitives):
+        lo, hi = start[k], start[k + 1]
+        if not np.any(ok[lo:hi]):
             continue
-        # projected arc length over visible stretches decides the density
-        seg_ok = ok[1:] & ok[:-1]
-        step = np.linalg.norm(np.diff(uv, axis=0), axis=1)
-        px_len = float(np.sum(step[seg_ok]))
-        n = int(np.clip(np.ceil(px_len / 0.5) + 1, len(coarse), 200000))
-        approx_len = _world_length(coarse)
-        spacing = max(approx_len / max(n - 1, 1), 1e-6)
-        world = lift_to_plane(prim.sample(spacing))
-        uv, z = project_with_depth(camera, world)
-        keep = z > 1e-9
-        uv = uv[keep]
+        px_len = float(np.sum(step[lo:hi - 1][seg_ok[lo:hi - 1]]))
+        n = int(np.clip(np.ceil(px_len / 0.5) + 1, hi - lo, 200000))
+        spacing = max(world_len[k] / max(n - 1, 1), 1e-6)
+        fine.append(prim.sample(spacing))
+    if fine:
+        uv, z = project_with_depth(camera, lift_to_plane(np.concatenate(fine)))
+        uv = uv[z > 1e-9]
         cols = np.round(uv[:, 0]).astype(int)
         rows = np.round(uv[:, 1]).astype(int)
         inside = (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
@@ -217,8 +220,19 @@ def rasterize_court_lines(camera: Camera, court: CourtModel, size) -> LineMask:
     return LineMask(img)
 
 
-def _world_length(samples: np.ndarray) -> float:
-    return float(np.sum(np.linalg.norm(np.diff(samples, axis=0), axis=1)))
+@functools.lru_cache(maxsize=8)
+def _coarse_samples(court: CourtModel):
+    """The primitives' 0.1 m samples on the plane, stacked (K, 3); the row
+    where each primitive's samples start, with K appended; and each
+    primitive's length along its samples. Read-only: the cache shares them."""
+    coarse = [lift_to_plane(p.sample(0.1)) for p in court.primitives]
+    stacked = np.concatenate(coarse)
+    start = np.cumsum([0] + [len(c) for c in coarse])
+    world_len = np.array([np.sum(np.linalg.norm(np.diff(c, axis=0), axis=1))
+                          for c in coarse])
+    for a in (stacked, start, world_len):
+        a.setflags(write=False)
+    return stacked, start, world_len
 
 
 # ---------------------------------------------------------------------------

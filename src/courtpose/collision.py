@@ -3,8 +3,12 @@
 ``nearest_triangles`` answers many query points at once, in chunks of
 points x faces. A conservative bounding-sphere cull drops the point-face
 pairs that cannot be nearest, and the exact region tests run on the pairs
-left. ``nearest_triangle_bruteforce`` is its one-point reference: face,
-closest point and squared distance are bit-identical, ties included. Given a
+left: each pair's faces come from one packed (F, 18) table, each pair's
+Voronoi region is classified once and only that region's closest point is
+formed, and each point keeps the first of its pairs at the minimum distance
+(``np.minimum.reduceat``), which is its lowest face on ties.
+``nearest_triangle_bruteforce`` is its one-point reference: face, closest
+point and squared distance are bit-identical, ties included. Given a
 distance limit, the query also drops every face beyond it and answers only
 the points within it.
 
@@ -81,9 +85,10 @@ def nearest_triangle_bruteforce(p, vertices, faces):
 
 
 # point-face pairs per chunk of the batched query; bounds the temporaries of
-# its cull (a few arrays of this many floats) and of its exact pass. Each
-# body part x garment query of compose (at most 328 x 320) fits in one chunk.
-QUERY_CHUNK_PAIRS = 1 << 17
+# its cull (a few arrays of this many floats) and of its exact pass. At 2^15
+# a cull temporary is 256 KiB and stays in cache: compose's largest query
+# (328 x 320) runs in four chunks, about a fifth faster than in one.
+QUERY_CHUNK_PAIRS = 1 << 15
 
 # Margins of the bounding-sphere cull: relative to the magnitudes involved,
 # plus an absolute floor in meters. Each is orders of magnitude above the
@@ -122,7 +127,9 @@ def nearest_triangles(points, vertices, faces, limit=None):
         raise ValidationError("query points must be finite")
     limit2 = np.inf if limit is None else float(limit) ** 2
     a, b, c = (vertices[faces[:, k]] for k in range(3))
-    tri = (a, b, c, b - a, c - a, c - b)
+    # one row per face, (a, b, c, b - a, c - a, c - b): the exact pass
+    # gathers its pairs' faces with one take
+    table = np.concatenate([a, b, c, b - a, c - a, c - b], axis=1)
     centre = (a + b + c) / 3.0
     cc = np.vecdot(centre, centre)
     radius = np.sqrt(np.max([np.vecdot(x - centre, x - centre) for x in (a, b, c)],
@@ -141,18 +148,31 @@ def nearest_triangles(points, vertices, faces, limit=None):
         # |p - x|^2 = |p|^2 + |x|^2 - 2 p.x, whose rounding is a few ulps of
         # |p|^2 + |x|^2: `upper` is at least the squared distance to the
         # nearest corner, `lower` at most that to each face's centre
-        upper = np.min((1 + _CULL_REL) * (pp + vv) - 2.0 * (p @ corners.T), axis=1)
-        lower = (1 - _CULL_REL) * (pp + cc) - 2.0 * (p @ centre.T)
+        # (each formed in place, in the order of the expression
+        # (1 + _CULL_REL) * (pp + vv) - 2.0 * (p @ corners.T))
+        upper = np.add(pp, vv)
+        upper *= 1 + _CULL_REL
+        px = p @ corners.T
+        px *= 2.0
+        upper -= px
+        upper = upper.min(axis=1)
+        lower = np.add(pp, cc)
+        lower *= 1 - _CULL_REL
+        px = p @ centre.T
+        px *= 2.0
+        lower -= px
         # the factor covers the relative rounding of the exact pass's distances
-        reach = (1 + _CULL_REL) * np.sqrt(np.minimum(upper, limit2))[:, None] + radius
-        keep = lower <= reach * reach
-        fi, q, d2 = _nearest_among(p, np.nonzero(keep), tri)
+        reach = np.add(((1 + _CULL_REL) * np.sqrt(np.minimum(upper, limit2)))[:, None],
+                       radius)
+        reach *= reach
+        keep = lower <= reach
+        fi, q, d2 = _nearest_among(p, _pairs(keep), table)
         # where the limit is the tighter bound, the cull kept every face
         # within it, so no answer can be missing
         redo = ~(d2 <= upper) & ~(upper >= limit2)
         if redo.any():
             every = np.broadcast_to(redo[:, None], keep.shape)
-            rf, rq, rd = _nearest_among(p, np.nonzero(every), tri)
+            rf, rq, rd = _nearest_among(p, _pairs(every), table)
             fi[redo], q[redo], d2[redo] = rf[redo], rq[redo], rd[redo]
         face[s:s + step] = fi
         closest[s:s + step] = q
@@ -165,69 +185,98 @@ def nearest_triangles(points, vertices, faces, limit=None):
     return face, closest, dist2
 
 
-def _nearest_among(points, pairs, tri):
+def _pairs(keep):
+    """The (point, face) indices of the True entries of ``keep`` (n, F),
+    sorted by point, then face: ``np.nonzero(keep)`` from one flat scan."""
+    return np.divmod(np.flatnonzero(keep), keep.shape[1])
+
+
+def _nearest_among(points, pairs, table):
     """Nearest face of each of the n points among the (point, face) ``pairs``.
 
-    ``pairs`` is sorted by point, then face, as ``np.nonzero`` gives them.
+    ``pairs`` is sorted by point, then face, as ``_pairs`` gives them;
+    ``table`` holds one (a, b, c, b - a, c - a, c - b) row per face.
     Returns (face, closest point, squared distance) per point; a point
     without pairs gets distance inf.
     """
     pi, fi = pairs
     n = len(points)
-    p = points[pi]
-    q = _closest_points(p, *(x[fi] for x in tri))
-    d = p - q
-    # the scalar sum order of np.sum((p - q) ** 2)
-    d2 = d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2
-    d2[np.isnan(d2)] = np.inf
-    # a stable sort keeps equal distances of one point in ascending face order
-    order = np.lexsort((d2, pi))
-    first = order[np.flatnonzero(np.diff(pi, prepend=-1))]
     face = np.zeros(n, dtype=int)
     closest = np.zeros((n, 3))
     dist2 = np.full(n, np.inf)
+    if len(pi) == 0:
+        return face, closest, dist2
+    tri = table.take(fi, axis=0)
+    # p - a, p - b and p - c of every pair in one subtraction
+    diff = np.tile(points, 3).take(pi, axis=0)
+    diff -= tri[:, :9]
+    q = _closest_points(diff, tri)
+    d = points.take(pi, axis=0) - q
+    # the scalar sum order of np.sum((p - q) ** 2)
+    d2 = d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2
+    d2[np.isnan(d2)] = np.inf
+    # each point's minimum, then the first of its pairs at that minimum:
+    # faces ascend within a point, so ties go to the lowest face
+    start = np.flatnonzero(np.diff(pi, prepend=-1))
+    best = np.minimum.reduceat(d2, start)
+    at_best = np.flatnonzero(d2 == np.repeat(best, np.diff(start, append=len(pi))))
+    first = at_best[np.flatnonzero(np.diff(pi[at_best], prepend=-1))]
     rows = pi[first]
     face[rows], closest[rows], dist2[rows] = fi[first], q[first], d2[first]
     return face, closest, dist2
 
 
-def _closest_points(p, a, b, c, ab, ac, bc):
-    """``point_triangle_closest`` for each row of p against the same row of
-    the face arrays (or any shapes that broadcast)."""
-    ap = p - a
+def _closest_points(diff, tri):
+    """``point_triangle_closest`` for K points against one triangle each.
+
+    Row k of ``tri`` (K, 18) holds the triangle's a, b, c, b - a, c - a and
+    c - b; row k of ``diff`` (K, 9) holds p - a, p - b and p - c. Each row's
+    region is the first whose test holds, as the scalar early returns take
+    it, and only that region's point is formed for the row, with the scalar
+    expressions."""
+    ap, bp, cp = diff[:, 0:3], diff[:, 3:6], diff[:, 6:9]
+    ab, ac = tri[:, 9:12], tri[:, 12:15]
     d1 = np.vecdot(ab, ap)
     d2 = np.vecdot(ac, ap)
-    bp = p - b
     d3 = np.vecdot(ab, bp)
     d4 = np.vecdot(ac, bp)
     vc = d1 * d4 - d3 * d2
-    cp = p - c
     d5 = np.vecdot(ab, cp)
     d6 = np.vecdot(ac, cp)
     vb = d5 * d2 - d1 * d6
     va = d3 * d6 - d5 * d4
+    e43 = d4 - d3
+    e56 = d5 - d6
+    A, B, C, AB, AC, BC = (slice(j, j + 3) for j in range(0, 18, 3))
+
+    def interior(t, i):
+        denom = 1.0 / (va[i] + vb[i] + vc[i])
+        v = (vb[i] * denom)[:, None]
+        w = (vc[i] * denom)[:, None]
+        return t[:, A] + t[:, AB] * v + t[:, AC] * w
+
+    # (test, closest point of the rows t = tri[i] whose region it is)
+    regions = [
+        ((d1 <= 0.0) & (d2 <= 0.0), lambda t, i: t[:, A]),
+        ((d3 >= 0.0) & (d4 <= d3), lambda t, i: t[:, B]),
+        ((vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0),
+         lambda t, i: t[:, A] + (d1[i] / (d1[i] - d3[i]))[:, None] * t[:, AB]),
+        ((d6 >= 0.0) & (d5 <= d6), lambda t, i: t[:, C]),
+        ((vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),
+         lambda t, i: t[:, A] + (d2[i] / (d2[i] - d6[i]))[:, None] * t[:, AC]),
+        ((va <= 0.0) & (e43 >= 0.0) & (e56 >= 0.0),
+         lambda t, i: t[:, B] + (e43[i] / (e43[i] + e56[i]))[:, None] * t[:, BC]),
+        (np.ones(len(tri), dtype=bool), interior),
+    ]
+    q = np.empty((len(tri), 3))
+    left = np.ones(len(tri), dtype=bool)  # rows whose region is still open
     with np.errstate(divide="ignore", invalid="ignore"):
-        # every region's point is formed; np.select keeps the first region
-        # whose test holds, as the scalar early returns do
-        v_ab = (d1 / (d1 - d3))[..., None]
-        w_ac = (d2 / (d2 - d6))[..., None]
-        w_bc = ((d4 - d3) / ((d4 - d3) + (d5 - d6)))[..., None]
-        denom = 1.0 / (va + vb + vc)
-        v = (vb * denom)[..., None]
-        w = (vc * denom)[..., None]
-        regions = [
-            (d1 <= 0.0) & (d2 <= 0.0),
-            (d3 >= 0.0) & (d4 <= d3),
-            (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0),
-            (d6 >= 0.0) & (d5 <= d6),
-            (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),
-            (va <= 0.0) & ((d4 - d3) >= 0.0) & ((d5 - d6) >= 0.0),
-        ]
-        points = [a, b, a + v_ab * ab, c, a + w_ac * ac, b + w_bc * bc]
-        shape = ap.shape
-        return np.select([r[..., None] for r in regions],
-                         [np.broadcast_to(q, shape) for q in points],
-                         default=a + ab * v + ac * w)
+        for test, point in regions:
+            i = np.flatnonzero(test & left)
+            left &= ~test
+            if len(i):
+                q[i] = point(tri.take(i, axis=0), i)
+    return q
 
 
 @dataclass(frozen=True)

@@ -158,9 +158,3 @@ def add_scalars(vars_) -> Var:
             _accum(v, g)
     out.grad_fn = grad_fn
     return out
-
-
-def sum_all(a: Var) -> Var:
-    out = Var(a.value.sum(), (a,))
-    out.grad_fn = lambda g: _accum(a, np.full_like(a.value, float(g)))
-    return out

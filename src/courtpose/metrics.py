@@ -2,8 +2,15 @@
 distance (x1000, squared convention) and exact earth-mover distance on
 farthest-point subsamples.
 
+EMD's two kernels keep the bits of their norm-based forms: farthest-point
+sampling runs on a (3, N) copy of the points with preallocated buffers,
+seven in-place ufunc calls per pick, and the cost matrix sums the squared
+differences per axis, in the left-to-right order that ``np.linalg.norm``
+reduces in.
+
 Every accelerated implementation here has a brute-force oracle in the test
-suite (quadratic scans, permutation enumeration, random-restart alignment).
+suite (quadratic scans, permutation enumeration, random-restart alignment,
+the norm-based loops).
 """
 from __future__ import annotations
 
@@ -116,20 +123,23 @@ def farthest_point_subsample(points: np.ndarray, count: int) -> np.ndarray:
     P = np.asarray(points, dtype=float)
     if count >= len(P):
         return P.copy()
-    d0 = np.linalg.norm(P - P.mean(axis=0), axis=1)
-    x, y, z = (np.ascontiguousarray(c) for c in P.T)
-
-    def dist_to(i):
-        # the same left-to-right sum of squares that np.linalg.norm reduces
-        dx, dy, dz = x - x[i], y - y[i], z - z[i]
-        return np.sqrt(dx * dx + dy * dy + dz * dz)
-
-    chosen = [int(np.argmax(d0))]
-    dmin = dist_to(chosen[0])
-    for _ in range(count - 1):
-        nxt = int(np.argmax(dmin))
-        chosen.append(nxt)
-        np.minimum(dmin, dist_to(nxt), out=dmin)
+    # one row per axis, so that each pick is seven in-place ufunc calls on
+    # preallocated buffers
+    X = np.ascontiguousarray(P.T)
+    diff = np.empty_like(X)
+    dist = np.empty(len(P))
+    dmin = np.full(len(P), np.inf)
+    chosen = np.empty(count, dtype=int)
+    chosen[0] = np.argmax(np.linalg.norm(P - P.mean(axis=0), axis=1))
+    for k in range(1, count):
+        np.subtract(X, X[:, chosen[k - 1], None], out=diff)
+        np.multiply(diff, diff, out=diff)
+        # the left-to-right sum of squares that np.linalg.norm reduces
+        np.add(diff[0], diff[1], out=dist)
+        np.add(dist, diff[2], out=dist)
+        np.sqrt(dist, out=dist)
+        np.minimum(dmin, dist, out=dmin)
+        chosen[k] = dmin.argmax()
     return P[chosen]
 
 
@@ -143,9 +153,23 @@ def emd(A: np.ndarray, B: np.ndarray, subsample: int = 512) -> float:
     m = min(subsample, len(A), len(B))
     Am = farthest_point_subsample(A, m)
     Bm = farthest_point_subsample(B, m)
-    cost = np.linalg.norm(Am[:, None, :] - Bm[None, :, :], axis=2)
+    cost = _distance_matrix(Am, Bm)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
+
+
+def _distance_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of A and B, bit for bit as
+    ``np.linalg.norm(A[:, None] - B[None], axis=2)``: the squares are summed
+    per axis in the left-to-right order that the norm reduces in."""
+    cost = np.subtract.outer(A[:, 0], B[:, 0])
+    np.multiply(cost, cost, out=cost)
+    diff = np.empty_like(cost)
+    for k in (1, 2):
+        np.subtract.outer(A[:, k], B[:, k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(cost, diff, out=cost)
+    return np.sqrt(cost, out=cost)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Procedural test/demo geometry: capsules, icospheres, tubes, grids.
+"""Procedural body and demo geometry: capsules, tubes and triangle grids.
 
 Everything returns a PartMesh with outward-facing (CCW) winding.
 """
@@ -8,49 +8,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .mesh import PartMesh
-
-_GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
-
-_ICO_VERTS = np.array([
-    (-1, _GOLDEN, 0), (1, _GOLDEN, 0), (-1, -_GOLDEN, 0), (1, -_GOLDEN, 0),
-    (0, -1, _GOLDEN), (0, 1, _GOLDEN), (0, -1, -_GOLDEN), (0, 1, -_GOLDEN),
-    (_GOLDEN, 0, -1), (_GOLDEN, 0, 1), (-_GOLDEN, 0, -1), (-_GOLDEN, 0, 1),
-], dtype=float)
-
-_ICO_FACES = np.array([
-    (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-    (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-    (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-    (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-], dtype=int)
-
-
-def icosphere(radius: float = 1.0, subdivisions: int = 2, center=(0, 0, 0),
-              part: str = "shirt") -> PartMesh:
-    verts = _ICO_VERTS / np.linalg.norm(_ICO_VERTS, axis=1, keepdims=True)
-    faces = _ICO_FACES
-    for _ in range(subdivisions):
-        verts, faces = _subdivide(verts, faces)
-        verts /= np.linalg.norm(verts, axis=1, keepdims=True)
-    return PartMesh(verts * radius + np.asarray(center, dtype=float), faces, part)
-
-
-def _subdivide(verts, faces):
-    verts = list(map(tuple, verts))
-    cache = {}
-
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in cache:
-            cache[key] = len(verts)
-            verts.append(tuple((np.array(verts[i]) + np.array(verts[j])) / 2.0))
-        return cache[key]
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-    return np.asarray(verts, dtype=float), np.asarray(out, dtype=int)
 
 
 def _frame_from_axis(axis: np.ndarray) -> np.ndarray:
@@ -134,21 +91,6 @@ def tube(p0, p1, radius: float, n_seg: int = 12, n_rings: int = 4,
     verts, faces = _lathe(profile, n_seg)
     R = _frame_from_axis(p1 - p0)
     return PartMesh(verts @ R.T + p0, faces, part)
-
-
-def plane_grid(nx: int, ny: int, spacing: float = 1.0, part: str = "shirt") -> PartMesh:
-    """Regular right-triangle grid in the z=0 plane, normals +z."""
-    xs, ys = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    verts = np.stack([xs.ravel() * spacing, ys.ravel() * spacing,
-                      np.zeros(nx * ny)], axis=1)
-    faces = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            a = i * ny + j
-            b = (i + 1) * ny + j
-            faces.append((a, b, b + 1))
-            faces.append((a, b + 1, a + 1))
-    return PartMesh(verts, np.asarray(faces, dtype=int), part)
 
 
 def tri_grid(rows: int, cols: int, spacing: float = 1.0, part: str = "shirt") -> PartMesh:

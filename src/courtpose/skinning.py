@@ -3,8 +3,8 @@ linear blend skinning, and least-squares fitting of bone transforms to
 target keypoints.
 
 Heat weights (Baran & Popovic 2007, on voxels as in Dionne & de Lasa 2013)
-live on one grid: face samples mark the surface cells and
-``binary_fill_holes`` adds the interior. Every non-leaf joint owns the bone
+live on one grid: face samples mark the surface cells and a flood fill from
+the grid's border adds the interior. Every non-leaf joint owns the bone
 segments from itself to its children; leaf joints (finger tips, toes) carry
 no source and therefore receive zero weight columns. Per bone, unit heat is
 pinned on the segment's voxels and zero on every other bone's; Jacobi
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.ndimage import binary_fill_holes
 
 from . import blas
 from .camera import Camera, project_with_depth
@@ -55,16 +54,6 @@ class SkinningWeights:
     @property
     def num_joints(self) -> int:
         return self.W.shape[1]
-
-
-def weights_to_json(w: SkinningWeights) -> dict:
-    rows, cols = np.nonzero(w.W)
-    return {
-        "shape": list(w.W.shape),
-        "rows": rows.tolist(),
-        "cols": cols.tolist(),
-        "values": w.W[rows, cols].tolist(),
-    }
 
 
 def weights_from_json(d: dict) -> SkinningWeights:
@@ -187,7 +176,30 @@ def _voxelize(grid, verts, faces):
         f = n1 == n
         pts = a[f, None] + u * ab[f, None] + v * ac[f, None]
         occ[grid.cells_of(pts.reshape(-1, 3))] = True
-    return binary_fill_holes(occ.reshape(grid.dims)).reshape(-1)
+    return _fill_holes(occ.reshape(grid.dims)).reshape(-1)
+
+
+def _fill_holes(occ):
+    """``scipy.ndimage.binary_fill_holes`` with its default 6-connected
+    structure: every cell but the empty ones that the grid's border reaches
+    through 6-connected empty cells, flooded one layer per pass."""
+    empty = ~occ
+    outside = np.zeros_like(occ)
+    for axis in range(occ.ndim):
+        for end in (0, -1):
+            border = (slice(None),) * axis + (end,)
+            outside[border] = empty[border]
+    while True:
+        grown = outside.copy()
+        for axis in range(occ.ndim):
+            lo = (slice(None),) * axis + (slice(None, -1),)
+            hi = (slice(None),) * axis + (slice(1, None),)
+            grown[hi] |= outside[lo]
+            grown[lo] |= outside[hi]
+        grown &= empty
+        if np.array_equal(grown, outside):
+            return ~outside
+        outside = grown
 
 
 def _dots(x, y):
@@ -283,14 +295,17 @@ def lbs(rest: BodyMesh, weights: SkinningWeights, transforms: BoneTransforms,
     if weights.num_joints != skeleton.num_joints:
         raise ValidationError("weight columns do not match joint count")
     R_glob, p_posed = fk_global(skeleton, transforms)
-    p_rest = skeleton._rest_world
+    active = np.flatnonzero(weights.W.any(axis=0))
+    R = R_glob[active]
+    t = p_posed[active] - (R @ skeleton._rest_world[active][..., None])[..., 0]
+    # every influencing joint's transform of every vertex in one stacked
+    # product, weighted, then summed in joint order from zero
+    G = verts @ R.transpose(0, 2, 1)
+    G += t[:, None, :]
+    G *= weights.W.T[active][..., None]
     out = np.zeros_like(verts)
-    for j in range(skeleton.num_joints):
-        w = weights.W[:, j]
-        if not np.any(w):
-            continue
-        t_j = p_posed[j] - R_glob[j] @ p_rest[j]
-        out += w[:, None] * (verts @ R_glob[j].T + t_j)
+    for g in G:
+        out += g
     return rest.with_vertices(out)
 
 

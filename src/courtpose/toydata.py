@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .mesh import BodyMesh
 from .meshnet import NetConfig, PartOps
 from .model import forward_kinematics
-from .skinning import lbs
+from .skinning import SkinningWeights, lbs
 from .synth import SceneConfig, canonical_body, random_pose_transforms
 
 TOY_PART = "head"
@@ -20,6 +21,11 @@ def toy_part_dataset(seed: int = 0, count: int = 50):
         raise ValidationError(f"a toy dataset needs at least one sample, got {count}")
     skeleton, rest_body, weights = canonical_body(SceneConfig().voxel_res)
     rest_part = rest_body.part(TOY_PART)
+    # LBS is per vertex, so the part is skinned alone, with its weight rows
+    names = [p.part for p in rest_body.parts]
+    start = sum(p.num_vertices for p in rest_body.parts[:names.index(TOY_PART)])
+    part_body = BodyMesh((rest_part,))
+    part_weights = SkinningWeights(weights.W[start:start + rest_part.num_vertices])
     config = NetConfig()
     ops = PartOps.build(rest_part, config)
     rng = np.random.default_rng(seed)
@@ -27,6 +33,6 @@ def toy_part_dataset(seed: int = 0, count: int = 50):
     for _ in range(count):
         transforms = random_pose_transforms(skeleton, rng)
         pose = forward_kinematics(skeleton, transforms)
-        posed = lbs(rest_body, weights, transforms, skeleton).part(TOY_PART)
+        posed = lbs(part_body, part_weights, transforms, skeleton).parts[0]
         dataset.append((pose, rest_part, posed))
     return dataset, ops, config

@@ -38,6 +38,7 @@ from courtpose.synth import (SceneConfig, court_landmark_reprojection,
                              run_pipeline, synth_scene)
 from courtpose.toydata import toy_part_dataset
 from courtpose.transforms import axis_angle_to_matrix, look_at_rotation, random_rotation
+from helpers import sum_all
 
 SIZE = (1280, 720)
 
@@ -149,7 +150,7 @@ def test_criterion_4_gradient_checks():
         W = ag.Var(rng.normal(size=(18, 4)))
         b = ag.Var(rng.normal(size=4))
         gathered = ag.reshape(ag.sparse_mm(sp.gather, F), (mesh.num_vertices, -1))
-        out = ag.sum_all(ag.add(ag.matmul(gathered, W), b))
+        out = sum_all(ag.add(ag.matmul(gathered, W), b))
         for v in (F, W, b):
             v.zero_grad()
         ag.backward(out)
@@ -178,7 +179,7 @@ def test_criterion_4_gradient_checks():
         pos = rng.normal(scale=0.3, size=(35, 3))
         pos[0] = 0
         _, v = tl_graph(pos, mesh.vertices, params, ops, cfg)
-        loss = ag.sum_all(v)
+        loss = sum_all(v)
         for p in params.values():
             p.zero_grad()
         ag.backward(loss)

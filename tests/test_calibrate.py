@@ -5,10 +5,11 @@ from scipy.ndimage import distance_transform_edt
 from courtpose.calibrate import (LineDistance, LineMask, load_pgm,
                                  rasterize_court_lines, refine_camera_lines,
                                  save_pgm, solve_pnp_planar)
-from courtpose.camera import Camera, project
-from courtpose.court import make_court_model
+from courtpose.camera import Camera, project, project_with_depth
+from courtpose.court import CourtConfig, lift_to_plane, make_court_model
 from courtpose.errors import (DegenerateGeometryError, NumericalError,
                               ValidationError)
+from courtpose.synth import synth_scene
 from courtpose.transforms import axis_angle_to_matrix, look_at_rotation
 
 SIZE = (1280, 720)
@@ -109,6 +110,55 @@ def test_rasterize_deterministic():
     a = rasterize_court_lines(cam, court, SIZE)
     b = rasterize_court_lines(cam, court, SIZE)
     assert np.array_equal(a.pixels, b.pixels)
+
+
+def rasterize_primitive_loop(camera, court, size):
+    """The per-primitive rasterizer the batched one replaced: two projections
+    and one stamp per primitive."""
+    W, H = size
+    img = np.zeros((H, W), dtype=bool)
+    for prim in court.primitives:
+        coarse = lift_to_plane(prim.sample(0.1))
+        uv, z = project_with_depth(camera, coarse)
+        ok = z > 1e-9
+        if not np.any(ok):
+            continue
+        seg_ok = ok[1:] & ok[:-1]
+        step = np.linalg.norm(np.diff(uv, axis=0), axis=1)
+        px_len = float(np.sum(step[seg_ok]))
+        n = int(np.clip(np.ceil(px_len / 0.5) + 1, len(coarse), 200000))
+        approx_len = float(np.sum(np.linalg.norm(np.diff(coarse, axis=0), axis=1)))
+        spacing = max(approx_len / max(n - 1, 1), 1e-6)
+        uv, z = project_with_depth(camera, lift_to_plane(prim.sample(spacing)))
+        uv = uv[z > 1e-9]
+        cols = np.round(uv[:, 0]).astype(int)
+        rows = np.round(uv[:, 1]).astype(int)
+        inside = (cols >= 0) & (cols < W) & (rows >= 0) & (rows < H)
+        img[rows[inside], cols[inside]] = True
+    return img
+
+
+def test_rasterize_matches_primitive_loop_on_scenes():
+    for seed in range(100):
+        b = synth_scene(seed)
+        got = rasterize_court_lines(b.camera, b.court, b.config.image_size).pixels
+        assert np.array_equal(got, rasterize_primitive_loop(b.camera, b.court,
+                                                            b.config.image_size)), seed
+
+
+def test_rasterize_matches_primitive_loop_partly_behind_camera():
+    # standing on the court facing a baseline: the other half of the court,
+    # and parts of the centre circle and of the long lines, lie behind
+    eye = np.array([2.0, 1.7, 0.5])
+    R = look_at_rotation(eye, np.array([14.0, 0.0, 0.0]))
+    cam = Camera(900.0, SIZE[0] / 2, SIZE[1] / 2, R, -R @ eye)
+    for court in (make_court_model(), make_court_model(CourtConfig().scaled(0.5))):
+        got = rasterize_court_lines(cam, court, SIZE).pixels
+        assert got.any()
+        assert np.array_equal(got, rasterize_primitive_loop(cam, court, SIZE))
+        coarse = lift_to_plane(np.concatenate([p.sample(0.1) for p in court.primitives]))
+        z = project_with_depth(cam, coarse)[1]
+        assert (z <= 1e-9).any() and (z > 1e-9).any()
 
 
 def every_pixel_distance(mask):

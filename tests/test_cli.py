@@ -10,8 +10,8 @@ from courtpose.cli import main
 from courtpose.mesh import save_obj
 from courtpose.model import pose2d_to_json, pose3d_to_json, transforms_to_json
 from courtpose.posemaps import jump_to_json
-from courtpose.skinning import weights_to_json
 from courtpose.synth import synth_scene
+from helpers import icosphere, weights_to_json
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +136,6 @@ def test_compose_cli(tmp_path):
 
 
 def test_eval_cli(tmp_path, bundle):
-    from courtpose.primitives import icosphere
     a = icosphere(1.0, 2, part="head")
     b = icosphere(1.0, 2, part="head")
     save_obj(tmp_path / "a.obj", a)
@@ -153,7 +152,6 @@ def test_eval_cli(tmp_path, bundle):
 
 
 def test_eval_non_finite_vertex_exit_code_2(tmp_path):
-    from courtpose.primitives import icosphere
     save_obj(tmp_path / "gt.obj", icosphere(1.0, 1, part="head"))
     (tmp_path / "nan.obj").write_text("v nan 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
     code = main(["eval", "--pred", str(tmp_path / "nan.obj"),
@@ -269,7 +267,6 @@ def test_degenerate_calibration_exit_code(tmp_path):
     "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n",  # a face index past the vertices
 ], ids=["short_vertex", "non_numeric_face", "face_out_of_range"])
 def test_eval_malformed_obj_exit_code_2(tmp_path, capsys, text):
-    from courtpose.primitives import icosphere
     save_obj(tmp_path / "gt.obj", icosphere(1.0, 1, part="head"))
     bad = tmp_path / "bad.obj"
     bad.write_text(text)

@@ -11,8 +11,9 @@ from courtpose.composer import (GARMENT_PAIRS, PenetrationWeights, minimize_lbfg
                                 penetration_loss, resolve_interpenetration)
 from courtpose.errors import NumericalError, ValidationError
 from courtpose.mesh import BodyMesh, PartMesh, face_normals, mesh_edges
-from courtpose.primitives import capsule, icosphere, tube
+from courtpose.primitives import capsule, tube
 from courtpose.synth import synth_scene
+from helpers import icosphere, plane_grid
 
 
 def sleeve_scene(delta):
@@ -279,6 +280,114 @@ def test_batched_query_tie_on_shared_vertex_goes_to_lowest_face(seed):
             assert fv[k] == fb == np.nonzero((faces == k).any(axis=1))[0].min()
             assert dv[k] == db == 0.0
             assert np.array_equal(qv[k], qb)
+
+
+# The exact pass as it was before it formed each region's point for its own
+# pairs only and picked the minima by reduceat: every region's point for
+# every pair, np.select, and a lexsort per point. Kept as the oracle.
+
+def closest_points_select_oracle(p, a, b, c, ab, ac, bc):
+    ap = p - a
+    d1 = np.vecdot(ab, ap)
+    d2 = np.vecdot(ac, ap)
+    bp = p - b
+    d3 = np.vecdot(ab, bp)
+    d4 = np.vecdot(ac, bp)
+    vc = d1 * d4 - d3 * d2
+    cp = p - c
+    d5 = np.vecdot(ab, cp)
+    d6 = np.vecdot(ac, cp)
+    vb = d5 * d2 - d1 * d6
+    va = d3 * d6 - d5 * d4
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_ab = (d1 / (d1 - d3))[..., None]
+        w_ac = (d2 / (d2 - d6))[..., None]
+        w_bc = ((d4 - d3) / ((d4 - d3) + (d5 - d6)))[..., None]
+        denom = 1.0 / (va + vb + vc)
+        v = (vb * denom)[..., None]
+        w = (vc * denom)[..., None]
+        regions = [
+            (d1 <= 0.0) & (d2 <= 0.0),
+            (d3 >= 0.0) & (d4 <= d3),
+            (vc <= 0.0) & (d1 >= 0.0) & (d3 <= 0.0),
+            (d6 >= 0.0) & (d5 <= d6),
+            (vb <= 0.0) & (d2 >= 0.0) & (d6 <= 0.0),
+            (va <= 0.0) & ((d4 - d3) >= 0.0) & ((d5 - d6) >= 0.0),
+        ]
+        points = [a, b, a + v_ab * ab, c, a + w_ac * ac, b + w_bc * bc]
+        return np.select([r[..., None] for r in regions],
+                         [np.broadcast_to(q, ap.shape) for q in points],
+                         default=a + ab * v + ac * w)
+
+
+def nearest_among_lexsort_oracle(points, pairs, vertices, faces):
+    pi, fi = pairs
+    a, b, c = (vertices[faces[fi, k]] for k in range(3))
+    p = points[pi]
+    q = closest_points_select_oracle(p, a, b, c, b - a, c - a, c - b)
+    d = p - q
+    d2 = d[:, 0] ** 2 + d[:, 1] ** 2 + d[:, 2] ** 2
+    d2[np.isnan(d2)] = np.inf
+    order = np.lexsort((d2, pi))
+    first = order[np.flatnonzero(np.diff(pi[order], prepend=-1))]
+    n = len(points)
+    face, closest, dist2 = np.zeros(n, dtype=int), np.zeros((n, 3)), np.full(n, np.inf)
+    rows = pi[first]
+    face[rows], closest[rows], dist2[rows] = fi[first], q[first], d2[first]
+    return face, closest, dist2
+
+
+def tie_and_degenerate_case(rng):
+    """A square grid queried at lattice points, edge midpoints and above
+    them, where up to six faces tie, plus zero-area faces: a repeated
+    vertex, three collinear vertices and three equal ones."""
+    grid = plane_grid(6, 6, spacing=0.5)
+    extra = np.array([[1.0, 1.0, 0.2], [1.5, 1.0, 0.2], [2.0, 1.0, 0.2],
+                      [0.7, 0.7, -0.3]])
+    verts = np.concatenate([grid.vertices, extra])
+    n = len(grid.vertices)
+    faces = np.concatenate([grid.faces, [[n, n, n + 1], [n, n + 1, n + 2],
+                                         [n + 3, n + 3, n + 3], [0, 0, 1]]])
+    lattice = np.stack(np.meshgrid(np.arange(0.0, 3.0, 0.25), np.arange(0.0, 3.0, 0.25),
+                                   indexing="ij"), axis=-1).reshape(-1, 2)
+    pts = np.concatenate([
+        np.column_stack([lattice, np.zeros(len(lattice))]),
+        np.column_stack([lattice, np.full(len(lattice), 0.25)]),
+        verts + [0.0, 0.0, 0.1],
+        rng.uniform(-0.5, 3.0, size=(40, 3)),
+    ])
+    return pts, verts, faces
+
+
+def test_ties_and_degenerate_faces_match_bruteforce_exactly(monkeypatch):
+    pts, verts, faces = tie_and_degenerate_case(np.random.default_rng(3))
+    _assert_matches_bruteforce(monkeypatch, pts, verts, faces)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exact_pass_matches_select_and_lexsort_oracle(seed):
+    rng = np.random.default_rng(seed)
+    pts, verts, faces = tie_and_degenerate_case(rng)
+    pts = np.concatenate([pts, rng.normal(scale=2.0, size=(50, 3))])
+    a, b, c = (verts[faces[:, k]] for k in range(3))
+    table = np.concatenate([a, b, c, b - a, c - a, c - b], axis=1)
+    keep = rng.random((len(pts), len(faces))) < [0.05, 0.5, 1.0][seed]
+    keep[:7] = False  # points without pairs
+    pairs = np.nonzero(keep)
+    assert all(np.array_equal(x, y) for x, y in zip(collision._pairs(keep), pairs))
+    with np.errstate(invalid="ignore"):
+        got = collision._nearest_among(pts, pairs, table)
+        want = nearest_among_lexsort_oracle(pts, pairs, verts, faces)
+        pi, fi = pairs
+        diff = pts[pi][:, None, :] - table[fi, :9].reshape(-1, 3, 3)
+        q = collision._closest_points(diff.reshape(-1, 9), table[fi])
+        q_want = closest_points_select_oracle(pts[pi], a[fi], b[fi], c[fi],
+                                              *(x[fi] for x in (b - a, c - a, c - b)))
+    assert np.array_equal(q, q_want, equal_nan=True)
+    assert np.isnan(q).any()  # the degenerate faces reach the default region
+    # a point whose only pairs are zero-area faces keeps a NaN closest point
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y, equal_nan=True)
 
 
 def test_point_triangle_closest_regions():

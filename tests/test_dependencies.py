@@ -1,5 +1,7 @@
 """The runtime code imports only the standard library, numpy and scipy."""
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +33,13 @@ def test_runtime_imports_are_stdlib_numpy_scipy_or_courtpose():
                for line, root in _imported_roots(ast.parse(path.read_text(), str(path)))
                if root not in ALLOWED]
     assert not foreign
+
+
+def test_cli_and_pipeline_do_not_import_scipy_ndimage():
+    # the voxel interior is a numpy flood fill; scipy.ndimage costs every
+    # fresh process tens of milliseconds of import for one small fill
+    code = ("import sys, courtpose, courtpose.cli, courtpose.synth, courtpose.toydata; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.ndimage')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert out.stdout.strip() == "[]"

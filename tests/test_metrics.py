@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from courtpose.errors import ValidationError
-from courtpose.metrics import (chamfer, emd, farthest_point_subsample, icp,
+from courtpose.metrics import (_distance_matrix, chamfer, emd,
+                               farthest_point_subsample, icp,
                                mpjpe, mpvpe, procrustes_align,
                                rotation_error_deg)
 from courtpose.model import Frame, Pose3D
@@ -223,6 +225,27 @@ def farthest_point_subsample_oracle(P, count):
     return P[chosen]
 
 
+def farthest_point_subsample_axis_loop(P, count):
+    """The per-axis loop the buffered kernel replaced: three coordinate
+    differences and a new distance array per pick."""
+    P = np.asarray(P, dtype=float)
+    if count >= len(P):
+        return P.copy()
+    x, y, z = (np.ascontiguousarray(c) for c in P.T)
+
+    def dist_to(i):
+        dx, dy, dz = x - x[i], y - y[i], z - z[i]
+        return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+    chosen = [int(np.argmax(np.linalg.norm(P - P.mean(axis=0), axis=1)))]
+    dmin = dist_to(chosen[0])
+    for _ in range(count - 1):
+        nxt = int(np.argmax(dmin))
+        chosen.append(nxt)
+        np.minimum(dmin, dist_to(nxt), out=dmin)
+    return P[chosen]
+
+
 def integer_grid(n):
     g = np.arange(n, dtype=float)
     return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -241,8 +264,39 @@ def test_farthest_point_subsample_matches_norm_loop(name):
          "root tie": lambda: np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                                        [1.0, 3 * 2.0 ** -28, 0.0]])}[name]()
     for count in (1, 2, 64, 255):
-        assert np.array_equal(farthest_point_subsample(P, count),
-                              farthest_point_subsample_oracle(P, count)), count
+        got = farthest_point_subsample(P, count)
+        assert np.array_equal(got, farthest_point_subsample_oracle(P, count)), count
+        assert np.array_equal(got, farthest_point_subsample_axis_loop(P, count)), count
+
+
+def emd_oracle(A, B, subsample):
+    """The original EMD: the norm-loop subsamples and a broadcast norm cost."""
+    m = min(subsample, len(A), len(B))
+    Am = farthest_point_subsample_oracle(A, m)
+    Bm = farthest_point_subsample_oracle(B, m)
+    cost = np.linalg.norm(Am[:, None, :] - Bm[None, :, :], axis=2)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].mean())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distance_matrix_matches_broadcast_norm(seed):
+    rng = np.random.default_rng(seed)
+    scale = [1.0, 1e-3, 1e3, 7.0][seed]
+    A = rng.normal(size=(200, 3)) * scale + rng.normal(size=3)
+    B = rng.normal(size=(150, 3)) * scale
+    B[:5] = A[:5]  # zero distances
+    assert np.array_equal(_distance_matrix(A, B),
+                          np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_emd_matches_norm_oracle(seed):
+    rng = np.random.default_rng(30 + seed)
+    A = rng.normal(size=(700, 3))
+    B = A[rng.permutation(700)][:650] + 0.01 * rng.normal(size=(650, 3))
+    for subsample in (32, 256):
+        assert emd(A, B, subsample=subsample) == emd_oracle(A, B, subsample)
 
 
 def test_farthest_point_subsample_spreads():

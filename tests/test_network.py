@@ -12,6 +12,7 @@ from courtpose.meshnet import autograd as ag
 from courtpose.meshnet.network import decode, tl_graph
 from courtpose.model import Pose3D
 from courtpose.primitives import capsule
+from helpers import sum_all
 
 CFG = NetConfig()
 
@@ -53,7 +54,7 @@ def test_autograd_elementary_ops():
     a = ag.Var(rng.normal(size=(4, 3)))
     b = ag.Var(rng.normal(size=(3, 5)))
     c = ag.Var(rng.normal(size=5))
-    out = ag.sum_all(ag.elu(ag.add(ag.matmul(a, b), c)))
+    out = sum_all(ag.elu(ag.add(ag.matmul(a, b), c)))
     ag.backward(out)
 
     def f():
@@ -144,7 +145,7 @@ def test_tl_forward_gradients_match_finite_differences(part_ops):
     pose = random_pose(rng)
 
     _, v = tl_graph(pose.positions, mesh.vertices, params, ops, CFG)
-    loss = ag.sum_all(v)
+    loss = sum_all(v)
     for p in params.values():
         p.zero_grad()
     ag.backward(loss)

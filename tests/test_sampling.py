@@ -4,7 +4,8 @@ import pytest
 from courtpose.collision import nearest_triangle_bruteforce, point_triangle_closest
 from courtpose.errors import ValidationError
 from courtpose.meshnet import build_sampling
-from courtpose.primitives import capsule, icosphere, plane_grid
+from courtpose.primitives import capsule
+from helpers import icosphere, plane_grid
 
 
 def test_factor_one_is_identity():

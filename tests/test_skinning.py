@@ -3,25 +3,27 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.ndimage import binary_erosion, label
+from scipy.ndimage import binary_erosion, binary_fill_holes, label
 
-from courtpose import blas
+from courtpose import blas, skinning
 from courtpose.camera import Camera, project
 from courtpose.errors import ValidationError
 from courtpose.mesh import BodyMesh
 from courtpose.model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
-                             forward_kinematics)
+                             fk_global, forward_kinematics)
 from courtpose.primitives import capsule
 from courtpose.lsq import lm_solve
 from courtpose.skinning import (MAX_INFLUENCES, FitConfig, KeypointObjective,
-                                SkinningWeights, _nearest_bone, _sample_fields,
-                                _swing, _voxelize, _VoxelGrid, bone_sources,
-                                fit_pose_to_keypoints, heat_diffusion_weights,
-                                lbs, so3_right_jacobian, swing_ik,
-                                weights_from_json, weights_to_json)
-from courtpose.synth import build_rest_body
+                                SkinningWeights, _fill_holes, _nearest_bone,
+                                _sample_fields, _swing, _voxelize, _VoxelGrid,
+                                bone_sources, fit_pose_to_keypoints,
+                                heat_diffusion_weights, lbs, so3_right_jacobian,
+                                swing_ik, weights_from_json)
+from courtpose.synth import (SceneConfig, build_rest_body, canonical_body,
+                             random_pose_transforms)
 from courtpose.transforms import (axis_angle_to_matrix, look_at_rotation,
                                   matrix_to_axis_angle, random_rotation)
+from helpers import weights_to_json
 
 
 def chain(n, step=0.3):
@@ -171,6 +173,50 @@ def test_lbs_blend_of_translations_is_average():
     posed = lbs(body, w, bt, sk)
     expect = body.merged()[0] + (t1 + t2) / 2.0
     assert np.abs(posed.merged()[0] - expect).max() < 1e-12
+
+
+def lbs_joint_loop(rest, weights, transforms, skeleton):
+    """The per-joint loop the stacked product replaced: one matmul per joint
+    with a nonzero weight column, accumulated in joint order."""
+    verts, _ = rest.merged()
+    R_glob, p_posed = fk_global(skeleton, transforms)
+    out = np.zeros_like(verts)
+    for j in range(skeleton.num_joints):
+        w = weights.W[:, j]
+        if not np.any(w):
+            continue
+        t_j = p_posed[j] - R_glob[j] @ skeleton._rest_world[j]
+        out += w[:, None] * (verts @ R_glob[j].T + t_j)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lbs_matches_joint_loop_on_canonical_body(seed):
+    sk, rest, weights = canonical_body(SceneConfig().voxel_res)
+    rng = np.random.default_rng(seed)
+    bt = random_pose_transforms(sk, rng)
+    if seed % 2:  # with a root translation
+        bt = BoneTransforms(bt.rotations, np.vstack([rng.normal(size=3),
+                                                     np.zeros((sk.num_joints - 1, 3))]))
+    got = lbs(rest, weights, bt, sk).merged()[0]
+    want = lbs_joint_loop(rest, weights, bt, sk)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_lbs_matches_joint_loop_with_unweighted_joints():
+    # joint 1 carries no weight column at all and is skipped by both
+    sk = chain(4, 0.25)
+    body = BodyMesh((capsule((0, 0, 0), (0, 0.75, 0), 0.06, part="arms"),))
+    W = heat_diffusion_weights(body, sk, world_rest(sk), voxel_res=16).W.copy()
+    W[:, 2] += W[:, 1]
+    W[:, 1] = 0.0
+    w = SkinningWeights(W)
+    rng = np.random.default_rng(4)
+    bt = BoneTransforms(np.stack([random_rotation(rng, 0.4) for _ in range(4)]),
+                        rng.normal(size=(4, 3)))
+    assert np.array_equal(lbs(body, w, bt, sk).merged()[0],
+                          lbs_joint_loop(body, w, bt, sk))
 
 
 def test_lbs_commutes_with_global_rigid_motion():
@@ -742,6 +788,33 @@ def test_voxelize_matches_face_loop_and_flood_fill(res):
     assert (grid.h, grid.dims) == (h, dims) and np.array_equal(grid.origin, origin)
     assert np.array_equal(_voxelize(grid, verts, faces), occ.reshape(-1))
     assert binary_erosion(occ).any()  # an interior, not just a surface shell
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fill_holes_matches_scipy_on_random_grids(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        shape = tuple(rng.integers(1, 12, 3))
+        occ = rng.random(shape) < rng.uniform(0.2, 0.8)
+        assert np.array_equal(_fill_holes(occ), binary_fill_holes(occ)), shape
+    # nested shells: a cavity, a solid core inside it, a cavity in the core
+    occ = np.zeros((13, 13, 13), dtype=bool)
+    for k, fill in enumerate([True, False, True, False, True]):
+        occ[1 + k:12 - k, 1 + k:12 - k, 1 + k:12 - k] = fill
+    assert np.array_equal(_fill_holes(occ), binary_fill_holes(occ))
+    assert _fill_holes(occ)[1:12, 1:12, 1:12].all()
+
+
+@pytest.mark.parametrize("res", [12, 16, 22, 40])
+def test_voxelize_and_weights_match_binary_fill_holes(monkeypatch, res):
+    body, sk, rest = canonical_rest()
+    verts, faces = body.merged()
+    grid = _VoxelGrid(verts, res)
+    occ = _voxelize(grid, verts, faces)
+    weights = heat_diffusion_weights(body, sk, rest, voxel_res=res).W
+    monkeypatch.setattr(skinning, "_fill_holes", binary_fill_holes)
+    assert np.array_equal(occ, _voxelize(grid, verts, faces))
+    assert np.array_equal(weights, heat_diffusion_weights(body, sk, rest, voxel_res=res).W)
 
 
 def test_sample_fields_matches_vertex_loop_with_cells_off_the_grid():

@@ -6,9 +6,10 @@ from courtpose.mesh import PartMesh, adjacency_lists, vertex_normals
 from courtpose.meshnet import NetConfig, PartOps, build_spirals, spiral_conv
 from courtpose.meshnet import autograd as ag
 from courtpose.meshnet.spirals import PAD, SpiralIndices
-from courtpose.primitives import icosphere, tri_grid
+from courtpose.primitives import tri_grid
 from courtpose.synth import canonical_body
 from courtpose.toydata import TOY_PART
+from helpers import icosphere, sum_all
 
 
 def hex_center(grid_rows=7, grid_cols=7):
@@ -164,7 +165,7 @@ def test_gather_matrix_equals_hand_written_gather(gather_tables):
                        lambda F: spiral_gather_oracle(F, sp.indices)):
             F = ag.Var(F0.copy())
             g = gather(F)
-            ag.backward(ag.sum_all(ag.dropout(g, upstream)))
+            ag.backward(sum_all(ag.dropout(g, upstream)))
             values.append(g.value)
             grads.append(F.grad)
         assert np.array_equal(values[0], values[1]), name

@@ -8,8 +8,11 @@ from courtpose.meshnet import autograd as ag
 from courtpose.meshnet.network import DEFAULT_WMESH, DEFAULT_WZ
 from courtpose.meshnet.training import (TrainConfig, eval_mesh_term, tl_loss,
                                         tl_training_forward, train_toy)
-from courtpose.model import Pose3D
+from courtpose.model import Pose3D, forward_kinematics
 from courtpose.primitives import capsule
+from courtpose.skinning import lbs
+from courtpose.synth import SceneConfig, canonical_body, random_pose_transforms
+from courtpose.toydata import TOY_PART, toy_part_dataset
 
 
 @pytest.fixture(scope="module")
@@ -243,3 +246,20 @@ def test_training_forward_rejects_ragged_batches(tiny_setup):
                                       ([pose, short], [rest, rest], [posed, posed])):
         with pytest.raises(ValidationError):
             tl_training_forward(poses, rests, posed_parts, params, ops, cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_toy_dataset_part_skinning_equals_full_body(seed):
+    # the full-body path: skin all vertices, then keep the toy part's rows
+    skeleton, rest_body, weights = canonical_body(SceneConfig().voxel_res)
+    rng = np.random.default_rng(seed)
+    dataset, _, _ = toy_part_dataset(seed=seed, count=50)
+    assert len(dataset) == 50
+    for pose, rest_part, posed in dataset:
+        transforms = random_pose_transforms(skeleton, rng)
+        assert np.array_equal(pose.positions,
+                              forward_kinematics(skeleton, transforms).positions)
+        full = lbs(rest_body, weights, transforms, skeleton).part(TOY_PART)
+        assert rest_part is rest_body.part(TOY_PART)
+        assert posed.part == TOY_PART and np.array_equal(posed.faces, full.faces)
+        assert np.array_equal(posed.vertices, full.vertices)
