@@ -4,14 +4,15 @@ correspondences, court-line rasterization, and line-based refinement.
 The refinement objective is a chamfer-style cost (Borgefors, PAMI 1988): the
 exact Euclidean distance from a pixel to the nearest line pixel of the
 observed mask, bilinearly interpolated at the projections of densely sampled
-court primitives. Distances are answered lazily from a k-d tree over the line
-pixels and memoised per pixel, so only the pixels the solve reads are ever
-computed. The reported cost uses a hinged kernel ``max(d - 1, 0)``, so a
-camera whose projections land within one pixel of the observed lines sits in
-an exact zero-cost basin; such a start (a ground-truth camera, or PnP from
-exact correspondences) is returned as it is, which absorbs rasterization
-quantization. Any other start gets one Levenberg-Marquardt solve on the raw
-(unhinged) mean distance, which pulls the projections onto the line centres.
+court primitives. Only the pixels the solve reads are ever computed: each from
+its 5x5 window when that holds a line pixel, otherwise from a k-d tree over
+the line pixels that is built on the first such pixel. The reported cost uses
+a hinged kernel ``max(d - 1, 0)``, so a camera whose projections land within
+one pixel of the observed lines sits in an exact zero-cost basin; such a start
+(a ground-truth camera, or PnP from exact correspondences) is returned as it
+is, which absorbs rasterization quantization. Any other start gets one
+Levenberg-Marquardt solve on the raw (unhinged) mean distance, which pulls the
+projections onto the line centres.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .camera import Camera, project_with_depth
-from .court import CourtModel, lift_to_plane
+from .court import Arc2D, CourtModel, lift_to_plane
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
 from .lsq import lm_solve
 from .transforms import axis_angle_to_matrix, nearest_rotation
@@ -190,26 +191,41 @@ def solve_pnp_planar(correspondences, image_size, focal: float | None = None):
 def rasterize_court_lines(camera: Camera, court: CourtModel, size) -> LineMask:
     """Project court primitives and stamp 1-px dots at <= 0.5 px arc spacing.
 
-    Samples behind the camera or outside the frame are culled.
+    Each primitive's fine spacing comes from the projected length of its
+    visible 0.1 m samples. Only the fine samples that can reach the frame are
+    evaluated: the interval between two consecutive 0.1 m samples is dropped
+    when its hull (the two samples, plus the tangent apex on an arc) lies in
+    front of the camera and more than 1 px beyond one frame edge (the outcode
+    test of Cohen-Sutherland clipping). The curve stays inside its hull, so a
+    dropped fine sample would have rounded to a pixel outside the frame. The
+    remaining samples behind the camera or outside the frame are culled.
     """
     W, H = size
     img = np.zeros((H, W), dtype=bool)
-    coarse, start, world_len = _coarse_samples(court)
+    coarse, start, world_len, apex = _coarse_samples(court)
     uv, z = project_with_depth(camera, coarse)
     ok = z > 1e-9
     # projected arc length over visible stretches decides the density;
     # primitive k owns rows start[k]:start[k + 1] and the steps between them
     seg_ok = ok[1:] & ok[:-1]
     step = np.linalg.norm(np.diff(uv, axis=0), axis=1)
+    uv_apex, z_apex = project_with_depth(camera, apex)
+    hull = np.stack([uv[:-1], uv_apex, uv[1:]])
+    beyond = ((hull.max(axis=0) < -1.0).any(axis=1)
+              | (hull.min(axis=0) > (W, H)).any(axis=1))
+    kept = ~(beyond & seg_ok & (z_apex > 1e-9))
     fine = []
     for k, prim in enumerate(court.primitives):
         lo, hi = start[k], start[k + 1]
-        if not np.any(ok[lo:hi]):
+        if not np.any(ok[lo:hi]) or not np.any(kept[lo:hi - 1]):
             continue
         px_len = float(np.sum(step[lo:hi - 1][seg_ok[lo:hi - 1]]))
         n = int(np.clip(np.ceil(px_len / 0.5) + 1, hi - lo, 200000))
         spacing = max(world_len[k] / max(n - 1, 1), 1e-6)
-        fine.append(prim.sample(spacing))
+        params = prim.params(spacing)
+        if not np.all(kept[lo:hi - 1]):
+            params = params[_near_kept(kept[lo:hi - 1], len(params))]
+        fine.append(prim.points(params))
     if fine:
         uv, z = project_with_depth(camera, lift_to_plane(np.concatenate(fine)))
         uv = uv[z > 1e-9]
@@ -220,53 +236,134 @@ def rasterize_court_lines(camera: Camera, court: CourtModel, size) -> LineMask:
     return LineMask(img)
 
 
+def _near_kept(kept: np.ndarray, count: int) -> np.ndarray:
+    """Which of ``count`` evenly spaced fine parameters fall in a kept one of
+    the ``len(kept)`` closed coarse intervals over the same range, plus one
+    parameter on each side of every kept run."""
+    m = len(kept)
+    at = np.arange(count) * m   # over count - 1: the position in intervals
+    fine = (kept[np.minimum(at // (count - 1), m - 1)]
+            | kept[np.maximum(-(-at // (count - 1)) - 1, 0)])
+    near = fine.copy()
+    near[1:] |= fine[:-1]
+    near[:-1] |= fine[1:]
+    return near
+
+
 @functools.lru_cache(maxsize=8)
 def _coarse_samples(court: CourtModel):
     """The primitives' 0.1 m samples on the plane, stacked (K, 3); the row
-    where each primitive's samples start, with K appended; and each
-    primitive's length along its samples. Read-only: the cache shares them."""
-    coarse = [lift_to_plane(p.sample(0.1)) for p in court.primitives]
+    where each primitive's samples start, with K appended; each primitive's
+    length along its samples; and, for each pair of consecutive rows (K - 1,
+    3), the third point of the pair's hull. On an arc that is where the
+    tangents at the two samples meet; a segment repeats its first sample, and
+    an arc step too wide for a tight apex (or a pair that spans two
+    primitives) gets NaN, which no cull accepts. Read-only: the cache shares
+    them."""
+    coarse, apex = [], []
+    for p in court.primitives:
+        params = p.params(0.1)
+        coarse.append(lift_to_plane(p.points(params)))
+        if isinstance(p, Arc2D):
+            half = np.diff(params) / 2.0
+            mid = params[:-1] + half
+            reach = np.where(np.abs(half) < np.pi / 4, p.radius / np.cos(half), np.nan)
+            tip = p.center + reach[:, None] * np.stack([np.cos(mid), np.sin(mid)], axis=1)
+        else:
+            tip = coarse[-1][:-1, [0, 2]]
+        apex += [tip, np.full((1, 2), np.nan)]
     stacked = np.concatenate(coarse)
     start = np.cumsum([0] + [len(c) for c in coarse])
     world_len = np.array([np.sum(np.linalg.norm(np.diff(c, axis=0), axis=1))
                           for c in coarse])
-    for a in (stacked, start, world_len):
+    apex = lift_to_plane(np.concatenate(apex)[:-1])
+    for a in (stacked, start, world_len, apex):
         a.setflags(write=False)
-    return stacked, start, world_len
+    return stacked, start, world_len, apex
+
+
+@functools.lru_cache(maxsize=8)
+def _court_samples(court: CourtModel) -> np.ndarray:
+    """``court.sample_points3d(SAMPLE_SPACING_M)``, read-only: the cache shares it."""
+    world = court.sample_points3d(SAMPLE_SPACING_M)
+    world.setflags(write=False)
+    return world
 
 
 # ---------------------------------------------------------------------------
 # Line-based refinement
 # ---------------------------------------------------------------------------
 
+# the 5x5 window's offsets, grouped by squared length, nearest ring first
+_RINGS = [(sq, np.array([(dr, dc) for dr in range(-2, 3) for dc in range(-2, 3)
+                         if dr * dr + dc * dc == sq]))
+          for sq in (0, 1, 2, 4, 5, 8)]
+
+
 class LineDistance:
     """Exact distance from a pixel to the nearest line pixel of ``mask``.
 
-    Call it with flat pixel indices (``row * W + col``). Each pixel is
-    answered once from a ``cKDTree`` over the line pixels' (row, col) and
-    memoised (NaN marks a pixel not asked yet). The tree returns the square
-    root of an integer sum of squares, so the values equal the full-frame
-    Euclidean distance transform exactly.
+    Call it with flat pixel indices (``row * W + col``). A pixel is answered
+    from its 5x5 window, nearest ring first: every window pixel lies within
+    sqrt(8) of it and every other pixel at least 3 away, so a line pixel in
+    the window is the nearest one. Pixels with an empty window go to a
+    ``cKDTree`` over the line pixels' (row, col), built on the first of them.
+    A per-pixel memo (NaN: not asked yet) keeps the tree's answers, and every
+    answer from the second call on, so a single call, such as the cost of a
+    start already on the lines, fills no full-frame memo unless the tree
+    runs. Both paths take the square root of an integer sum of squares, so
+    the values equal the full-frame Euclidean distance transform exactly.
     """
 
     def __init__(self, mask: LineMask):
         if not mask.pixels.any():
             raise ValidationError("line mask is empty: no signal to refine against")
+        self.pixels = mask.pixels
         self.width = mask.pixels.shape[1]
+        # two blank pixels around the frame: every window reads inside it
+        self._padded = np.pad(mask.pixels, 2).ravel()
+        self._offsets = [(np.sqrt(float(sq)), off[:, 0] * (self.width + 4) + off[:, 1])
+                         for sq, off in _RINGS]
+        self._asked = False
+
+    @functools.cached_property
+    def tree(self) -> cKDTree:
         # the (row, col) pairs of np.argwhere, in its order, without its
         # full-frame index arrays
-        rows, cols = np.divmod(np.flatnonzero(mask.pixels), self.width)
-        self.tree = cKDTree(np.column_stack([rows, cols]))
-        self.memo = np.full(mask.pixels.size, np.nan)
+        rows, cols = np.divmod(np.flatnonzero(self.pixels), self.width)
+        return cKDTree(np.column_stack([rows, cols]))
+
+    @functools.cached_property
+    def memo(self) -> np.ndarray:
+        return np.full(self.pixels.size, np.nan)
 
     def __call__(self, flat: np.ndarray) -> np.ndarray:
+        if not self._asked:
+            self._asked = True
+            return self._answer(flat)
         d = self.memo[flat]
         miss = np.isnan(d)
         if miss.any():
             new = np.unique(flat[miss])
-            rows, cols = np.divmod(new, self.width)
-            self.memo[new] = self.tree.query(np.column_stack([rows, cols]))[0]
+            self.memo[new] = self._answer(new)
             d[miss] = self.memo[flat[miss]]
+        return d
+
+    def _answer(self, flat: np.ndarray) -> np.ndarray:
+        rows, cols = np.divmod(flat, self.width)
+        at = (rows + 2) * (self.width + 4) + cols + 2
+        d = np.empty(len(flat))
+        todo = np.arange(len(flat))
+        for dist, off in self._offsets:
+            hit = self._padded[at[:, None] + off].any(axis=1)
+            d[todo[hit]] = dist
+            todo, at = todo[~hit], at[~hit]
+            if not len(todo):
+                return d
+        # at least 3 px from every line pixel: the tree answers, the memo keeps it
+        far = flat[todo]
+        self.memo[far] = self.tree.query(np.column_stack(np.divmod(far, self.width)))[0]
+        d[todo] = self.memo[far]
         return d
 
 
@@ -295,7 +392,7 @@ def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel,
     is kept. Raises NumericalError when the solve stalls.
     """
     dist = LineDistance(mask)
-    world = court.sample_points3d(SAMPLE_SPACING_M)
+    world = _court_samples(court)
     H, W = mask.pixels.shape
 
     def camera_at(p):

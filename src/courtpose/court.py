@@ -24,10 +24,16 @@ class LineSegment2D:
     p1: tuple
 
     def sample(self, spacing: float) -> np.ndarray:
+        return self.points(self.params(spacing))
+
+    def params(self, spacing: float) -> np.ndarray:
+        """The sample parameters t in [0, 1] for points at most ``spacing`` apart."""
+        length = np.linalg.norm(np.subtract(self.p1, self.p0, dtype=float))
+        return np.linspace(0.0, 1.0, max(2, int(np.ceil(length / spacing)) + 1))
+
+    def points(self, t: np.ndarray) -> np.ndarray:
         p0 = np.asarray(self.p0, dtype=float)
         p1 = np.asarray(self.p1, dtype=float)
-        n = max(2, int(np.ceil(np.linalg.norm(p1 - p0) / spacing)) + 1)
-        t = np.linspace(0.0, 1.0, n)
         return p0 + t[:, None] * (p1 - p0)
 
     def scaled(self, s: float) -> "LineSegment2D":
@@ -42,9 +48,15 @@ class Arc2D:
     angle_end: float
 
     def sample(self, spacing: float) -> np.ndarray:
+        return self.points(self.params(spacing))
+
+    def params(self, spacing: float) -> np.ndarray:
+        """The sample angles for points at most ``spacing`` apart along the arc."""
         span = abs(self.angle_end - self.angle_start)
         n = max(2, int(np.ceil(span * self.radius / spacing)) + 1)
-        a = np.linspace(self.angle_start, self.angle_end, n)
+        return np.linspace(self.angle_start, self.angle_end, n)
+
+    def points(self, a: np.ndarray) -> np.ndarray:
         c = np.asarray(self.center, dtype=float)
         return c + self.radius * np.stack([np.cos(a), np.sin(a)], axis=1)
 

@@ -8,14 +8,19 @@ Decoding takes the per-map argmax (row-major first on ties) and maps cells
 back through the cell center, ``4*c + 2``; both decoders share that argmax.
 
 Gaussian values below 1e-8 are truncated to zero so "support" is a finite,
-well-defined cell set.
+well-defined cell set. The Gaussian depends only on the integer offset from
+the joint cell, so every map is a slice of one thresholded (127, 127) kernel,
+computed once per ``sigma``: the encoder evaluates no ``exp`` of its own, and
+its bytes equal those of a map stamped joint by joint.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .model import Frame, Pose2D, Pose3D, bone_lengths
@@ -115,19 +120,37 @@ def encode_heatmaps(pose: Pose2D, sigma: float = 1.0) -> HeatmapStack:
     """Per-joint 64x64 Gaussians; invisible joints map to all-zero maps.
 
     Visible joints outside the crop are clamped to the border cell and
-    flagged in the returned stack's ``clamped`` array.
+    flagged in the returned stack's ``clamped`` array. A visible joint needs
+    a finite pixel; an invisible one may carry none (NaN).
     """
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
-    x, y = pose.pixels[:, 0], pose.pixels[:, 1]
-    cx = np.clip(np.floor(x / CELL), 0, MAP_RES - 1)[:, None, None]
-    cy = np.clip(np.floor(y / CELL), 0, MAP_RES - 1)[:, None, None]
-    grid = np.arange(MAP_RES, dtype=float)
-    g = np.exp(-((grid[None, None, :] - cx) ** 2 + (grid[None, :, None] - cy) ** 2)
-               / (2.0 * sigma * sigma))
-    g[g < SUPPORT_EPS] = 0.0
-    return HeatmapStack(np.where(pose.visibility[:, None, None], g, 0.0),
-                        clamped=~pose.in_crop())
+    vis = pose.visibility
+    bad = np.flatnonzero(vis & ~np.isfinite(pose.pixels).all(axis=1))
+    if bad.size:
+        j = int(bad[0])
+        raise ValidationError(f"joint {j} is visible but its pixel "
+                              f"{tuple(pose.pixels[j].tolist())} is not finite")
+    cells = np.clip(np.floor(pose.pixels[vis] / CELL), 0, MAP_RES - 1).astype(int)
+    maps = np.zeros((pose.num_joints, MAP_RES, MAP_RES))
+    maps[vis] = _kernel_windows(float(sigma))[MAP_RES - 1 - cells[:, 1],
+                                              MAP_RES - 1 - cells[:, 0]]
+    return HeatmapStack(maps, clamped=~pose.in_crop())
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_windows(sigma: float) -> np.ndarray:
+    """Every cell's map at once: a read-only (64, 64, 64, 64) view whose
+    ``[63 - cy, 63 - cx]`` is the thresholded Gaussian centred on cell
+    (cy, cx). It slides over one (127, 127) kernel of the integer cell
+    offsets -63..63, so each value is the ``exp`` of the same exact integer
+    squared distance that a map stamped on its own would compute."""
+    offsets = np.arange(1 - MAP_RES, MAP_RES, dtype=float)
+    kernel = np.exp(-(offsets[None, :] ** 2 + offsets[:, None] ** 2)
+                    / (2.0 * sigma * sigma))
+    kernel[kernel < SUPPORT_EPS] = 0.0
+    kernel.setflags(write=False)
+    return sliding_window_view(kernel, (MAP_RES, MAP_RES))
 
 
 def _peak_cells(heat: HeatmapStack):

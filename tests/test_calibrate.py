@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from scipy.ndimage import distance_transform_edt
+from scipy.spatial import cKDTree
 
-from courtpose.calibrate import (LineDistance, LineMask, load_pgm,
+from courtpose import calibrate
+from courtpose.calibrate import (LineDistance, LineMask, _near_kept, load_pgm,
                                  rasterize_court_lines, refine_camera_lines,
                                  save_pgm, solve_pnp_planar)
 from courtpose.camera import Camera, project, project_with_depth
-from courtpose.court import CourtConfig, lift_to_plane, make_court_model
+from courtpose.court import CourtConfig, CourtModel, lift_to_plane, make_court_model
 from courtpose.errors import (DegenerateGeometryError, NumericalError,
                               ValidationError)
 from courtpose.synth import synth_scene
@@ -161,12 +163,101 @@ def test_rasterize_matches_primitive_loop_partly_behind_camera():
         assert (z <= 1e-9).any() and (z > 1e-9).any()
 
 
+def wide_camera(rng, size):
+    """A camera from far wider ranges than synth's: anywhere from 0.3 to 40 m
+    up, inside or around the court, aimed near it, with a focal length from
+    fisheye-like to telephoto."""
+    eye = np.array([rng.uniform(-30, 30), rng.uniform(0.3, 40), rng.uniform(-30, 30)])
+    target = np.array([rng.uniform(-20, 20), rng.uniform(-1, 2), rng.uniform(-12, 12)])
+    R = look_at_rotation(eye, target)
+    return Camera(rng.uniform(150.0, 6000.0), size[0] / 2, size[1] / 2, R, -R @ eye)
+
+
+def test_rasterize_matches_primitive_loop_on_wide_cameras():
+    rng = np.random.default_rng(17)
+    court = make_court_model()
+    stamped = 0
+    for k in range(200):
+        size = SIZE if k % 4 else (640, 360)
+        cam = wide_camera(rng, size)
+        got = rasterize_court_lines(cam, court, size).pixels
+        assert np.array_equal(got, rasterize_primitive_loop(cam, court, size)), k
+        stamped += got.any()
+    assert 50 < stamped < 200   # both seen and unseen courts among them
+
+
+def only(prim, court):
+    return CourtModel((prim,), court.length, court.width)
+
+
+def test_rasterize_matches_primitive_loop_low_close_cameras():
+    court = make_court_model()
+    ft_circle = court.primitives[-1]
+    centre = lift_to_plane(ft_circle.center)[0]
+    # 0.4-1.5 m straight above the free-throw circle, the circle 700 px
+    # across: it leaves the 1280 x 720 frame through every edge
+    for height, up in [(0.4, (1.0, 0.0, 0.0)), (0.9, (1.0, 0.0, 0.5)),
+                       (1.5, (-0.3, 0.0, 1.0))]:
+        eye = centre + np.array([0.0, height, 0.0])
+        R = look_at_rotation(eye, centre, up=up)
+        f = 700.0 * height / ft_circle.radius
+        cam = Camera(f, SIZE[0] / 2, SIZE[1] / 2, R, -R @ eye)
+        got = rasterize_court_lines(cam, court, SIZE).pixels
+        assert np.array_equal(got, rasterize_primitive_loop(cam, court, SIZE)), height
+        arc = rasterize_primitive_loop(cam, only(ft_circle, court), SIZE)
+        assert arc[0].any() and arc[-1].any() and arc[:, 0].any() and arc[:, -1].any()
+    # eyes in the key at 0.3-1.7 m, aimed low across the circle and the lane
+    for k, height in enumerate([0.3, 1.0, 1.7]):
+        eye = centre + np.array([1.2, height, 0.4 * k - 0.4])
+        R = look_at_rotation(eye, centre + np.array([-2.0, 0.0, 0.5 - 0.5 * k]))
+        cam = Camera(250.0 + 150.0 * k, SIZE[0] / 2, SIZE[1] / 2, R, -R @ eye)
+        got = rasterize_court_lines(cam, court, SIZE).pixels
+        assert np.array_equal(got, rasterize_primitive_loop(cam, court, SIZE)), height
+
+
+def test_rasterize_matches_primitive_loop_on_one_corner():
+    court = make_court_model()
+    corner = np.array([-court.length / 2, 0.0, -court.width / 2])
+    eye = corner + np.array([-2.0, 3.0, -2.0])
+    R = look_at_rotation(eye, corner)
+    cam = Camera(6000.0, SIZE[0] / 2, SIZE[1] / 2, R, -R @ eye)
+    got = rasterize_court_lines(cam, court, SIZE).pixels
+    assert np.array_equal(got, rasterize_primitive_loop(cam, court, SIZE))
+    seen = [k for k, p in enumerate(court.primitives)
+            if rasterize_primitive_loop(cam, only(p, court), SIZE).any()]
+    assert seen == [0, 3]   # the baseline and the sideline through the corner
+
+
+def test_rasterize_court_in_front_but_out_of_frame_is_empty():
+    # aimed at the floor beyond a sideline: every court sample lies in front
+    # of the camera and outside the frame, so every interval is dropped
+    court = make_court_model()
+    eye = np.array([0.0, 20.0, 30.0])
+    R = look_at_rotation(eye, np.array([0.0, 0.0, 25.0]))
+    cam = Camera(3000.0, SIZE[0] / 2, SIZE[1] / 2, R, -R @ eye)
+    z = project_with_depth(cam, court.sample_points3d(0.1))[1]
+    assert (z > 1e-9).all()
+    assert not rasterize_court_lines(cam, court, SIZE).pixels.any()
+    assert not rasterize_primitive_loop(cam, court, SIZE).any()
+
+
+def test_near_kept_adds_one_parameter_on_each_side():
+    kept = np.array([False, True, False, False])
+    # 13 fine parameters over 4 intervals: the second holds 3, 4, 5 and 6
+    assert np.flatnonzero(_near_kept(kept, 13)).tolist() == [2, 3, 4, 5, 6, 7]
+    # 11 over 4: the second holds 3, 4 and 5, the last at its end
+    assert np.flatnonzero(_near_kept(kept, 11)).tolist() == [2, 3, 4, 5, 6]
+    assert _near_kept(np.ones(1, bool), 2).all()
+    assert not _near_kept(np.zeros(3, bool), 50).any()
+
+
 def every_pixel_distance(mask):
     h, w = mask.pixels.shape
     dist = LineDistance(mask)
+    d = dist(np.arange(h * w)).reshape(h, w)
     # the tree holds the line pixels' (row, col) in np.argwhere's order
     assert np.array_equal(dist.tree.data, np.argwhere(mask.pixels))
-    return dist(np.arange(h * w)).reshape(h, w)
+    return d
 
 
 @pytest.mark.parametrize("seed,size", [(5000, (1280, 720)), (3023, (640, 360))])
@@ -187,7 +278,15 @@ def edge_masks():
     borders[0, 5] = borders[h - 1, 11] = borders[13, 0] = borders[4, w - 1] = True
     row = np.zeros((h, w), bool)
     row[9] = True
-    return {"single pixel": one, "four borders": borders, "full row": row}
+    masks = {"single pixel": one, "four borders": borders, "full row": row}
+    # line pixels on one border only, and in one corner only: windows there
+    # reach past the frame on one or two sides
+    for name, where in [("top row", np.s_[0, 3:]), ("bottom row", np.s_[h - 1, :-4]),
+                        ("left column", np.s_[2:, 0]), ("right column", np.s_[:-5, w - 1]),
+                        ("corner", np.s_[h - 1, w - 1])]:
+        masks[name] = np.zeros((h, w), bool)
+        masks[name][where] = True
+    return masks
 
 
 @pytest.mark.parametrize("name", sorted(edge_masks()))
@@ -206,6 +305,57 @@ def test_line_distance_answers_repeats_from_the_memo():
     dist.tree = None    # a second tree query would now fail
     assert np.array_equal(dist(flat[::-1]), first[::-1])
     assert np.array_equal(first, distance_transform_edt(~mask.pixels).ravel()[flat])
+
+
+def counting_trees(monkeypatch):
+    """Patch ``calibrate.cKDTree`` to count the trees built."""
+    built = []
+
+    def tree(data):
+        built.append(len(data))
+        return cKDTree(data)
+
+    monkeypatch.setattr(calibrate, "cKDTree", tree)
+    return built
+
+
+def test_line_distance_window_edge_and_tree_edge(monkeypatch):
+    built = counting_trees(monkeypatch)
+    pixels = np.zeros((20, 30), bool)
+    pixels[10, 10] = True
+    edt = distance_transform_edt(~pixels).ravel()
+    dist = LineDistance(LineMask(pixels))
+    # offsets (2, 2) and (-2, 1): the window's far corner and a knight's move
+    window = np.array([12 * 30 + 12, 8 * 30 + 11, 10 * 30 + 10])
+    assert np.array_equal(dist(window), edt[window])
+    assert dist(window)[0] == np.sqrt(8.0)
+    assert built == []
+    # offsets (3, 0) and (0, -3): just outside the window, so the tree answers
+    tree = np.array([13 * 30 + 10, 10 * 30 + 7])
+    assert np.array_equal(dist(tree), [3.0, 3.0])
+    assert np.array_equal(dist(tree), edt[tree])
+    assert built == [1]
+
+
+def test_line_distance_one_call_fills_no_memo():
+    mask = LineMask(edge_masks()["full row"])
+    dist = LineDistance(mask)
+    near = np.array([9 * 31 + 4, 10 * 31 + 4, 11 * 31])
+    first = dist(near)
+    assert "memo" not in vars(dist) and "tree" not in vars(dist)
+    assert np.array_equal(dist(near), first)
+    assert np.array_equal(dist.memo[near], first)   # kept from the second call on
+
+
+def test_refine_from_scene_starts_builds_no_tree(monkeypatch):
+    # PnP from the scenes' exact correspondences lands on the lines: every
+    # pixel the basin check reads has a line pixel in its 5x5 window
+    built = counting_trees(monkeypatch)
+    for seed in range(5000, 5008):
+        b = synth_scene(seed)
+        cam0, _ = solve_pnp_planar(b.correspondences, b.config.image_size)
+        assert refine_camera_lines(cam0, b.line_mask, b.court).stop == "done", seed
+    assert built == []
 
 
 def test_refine_fixed_point_at_ground_truth():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -326,3 +328,30 @@ def test_visible_nan_pixel_rejected():
     pix[4] = np.nan
     with pytest.raises(ValidationError):
         encode_heatmaps(full_pose2d(pix))
+
+
+@pytest.mark.parametrize("bad", [(np.nan, 100.0), (100.0, np.inf), (-np.inf, np.nan)])
+def test_visible_non_finite_pixel_names_the_joint(bad):
+    pix = np.full((J, 2), 100.0)
+    pix[7] = bad
+    pix[3] = np.nan   # invisible: allowed
+    vis = np.ones(J, dtype=bool)
+    vis[3] = False
+    with pytest.raises(ValidationError, match="joint 7 is visible"):
+        encode_heatmaps(Pose2D(pix, vis))
+
+
+def test_invisible_nan_pixels_encode_to_zero_maps_without_warnings():
+    pix = np.full((J, 2), 100.0)
+    vis = np.ones(J, dtype=bool)
+    pix[[2, 9]] = np.nan
+    pix[11] = (np.inf, -np.inf)
+    vis[[2, 9, 11]] = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        heat = encode_heatmaps(Pose2D(pix, vis), sigma=2.0)
+    assert not heat.values[[2, 9, 11]].any()
+    assert heat.values[[0, 5]].max() == 1.0
+    assert not heat.clamped.any()
+    assert heat.values.tobytes() == loop_encode_heatmaps(Pose2D(pix, vis), 2.0)[0].tobytes()
+
