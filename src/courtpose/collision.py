@@ -1,9 +1,11 @@
 """Nearest-point-on-mesh queries and the garment collision detector.
 
-``nearest_triangles`` answers many query points at once, in chunks of
-points x faces. A conservative bounding-sphere cull drops the point-face
-pairs that cannot be nearest, and the exact region tests run on the pairs
-left: each pair's faces come from one packed (F, 18) table, each pair's
+``nearest_triangles`` answers many query points at once. A conservative
+bounding-sphere cull, run in cache-sized chunks of points x faces, drops
+the point-face pairs that cannot be nearest, and the exact region tests run
+once on the pairs left in all chunks, then once more on the points that
+need the all-faces fallback: each pair's faces come from one packed (F, 18)
+table (``FaceTable``, which a mesh that never moves keeps), each pair's
 Voronoi region is classified once and only that region's closest point is
 formed, and each point keeps the first of its pairs at the minimum distance
 (``np.minimum.reduceat``), which is its lowest face on ties.
@@ -19,7 +21,8 @@ inside/outside tests are undefined; the sign-plus-band predicate is the
 documented stand-in, isolated here for replacement. The detector needs the
 nearest face of in-band vertices only, so it passes the band as the limit:
 on the bench scenes about 96% of the point-face pairs are culled then,
-against 93% without it.
+against 93% without it. Only the one-point reference
+``point_triangle_closest`` and the chunk loop of the cull stay in Python.
 """
 from __future__ import annotations
 
@@ -98,6 +101,87 @@ _CULL_REL = 1e-6
 _CULL_ABS = 1e-12
 
 
+class FaceTable:
+    """What the nearest-triangle query needs of a triangle mesh, formed once:
+    one packed (F, 18) row per face, (a, b, c, b - a, c - a, c - b), with the
+    faces' unit normals, the padded bounding spheres of the cull and the
+    vertices some face references. A mesh that does not move (compose's
+    garments) keeps one table over all its queries."""
+
+    def __init__(self, vertices, faces):
+        vertices = np.asarray(vertices, dtype=float)
+        faces = np.asarray(faces, dtype=int).reshape(-1, 3)
+        if len(faces) == 0:
+            raise ValidationError("mesh has no faces")
+        a, b, c = (vertices[faces[:, k]] for k in range(3))
+        self.table = np.concatenate([a, b, c, b - a, c - a, c - b], axis=1)
+        self.normals = face_normals(vertices, faces)
+        self.centre = (a + b + c) / 3.0
+        self.cc = np.vecdot(self.centre, self.centre)
+        radius = np.sqrt(np.max([np.vecdot(x - self.centre, x - self.centre)
+                                 for x in (a, b, c)], axis=0))
+        # also covers a computed closest point's offset from its triangle
+        radius += _CULL_REL * (radius + np.sqrt(self.cc)) + _CULL_ABS
+        self.radius = radius
+        self.corners = vertices[np.unique(faces)]
+        self.vv = np.vecdot(self.corners, self.corners)
+
+    def nearest(self, points, limit=None):
+        """``nearest_triangles`` of ``points`` against this mesh."""
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        if not np.all(np.isfinite(points)):
+            raise ValidationError("query points must be finite")
+        limit2 = np.inf if limit is None else float(limit) ** 2
+        F = len(self.table)
+        upper = np.empty(len(points))
+        kept = [(np.zeros(0, dtype=int),) * 2]  # (point, face) pairs; none for no points
+        step = max(1, QUERY_CHUNK_PAIRS // F)
+        for s in range(0, len(points), step):
+            p = points[s:s + step]
+            pp = np.vecdot(p, p)[:, None]
+            # |p - x|^2 = |p|^2 + |x|^2 - 2 p.x, whose rounding is a few ulps of
+            # |p|^2 + |x|^2: `upper` is at least the squared distance to the
+            # nearest corner, `lower` at most that to each face's centre
+            # (each formed in place, in the order of the expression
+            # (1 + _CULL_REL) * (pp + vv) - 2.0 * (p @ corners.T))
+            to_corner = np.add(pp, self.vv)
+            to_corner *= 1 + _CULL_REL
+            px = p @ self.corners.T
+            px *= 2.0
+            to_corner -= px
+            up = upper[s:s + step] = to_corner.min(axis=1)
+            lower = np.add(pp, self.cc)
+            lower *= 1 - _CULL_REL
+            px = p @ self.centre.T
+            px *= 2.0
+            lower -= px
+            # the factor covers the relative rounding of the exact pass's distances
+            reach = np.add(((1 + _CULL_REL) * np.sqrt(np.minimum(up, limit2)))[:, None],
+                           self.radius)
+            reach *= reach
+            pi, fi = _pairs(lower <= reach)
+            kept.append((pi + s, fi))
+        # one exact pass over every chunk's kept pairs, sorted by point, then face
+        face, closest, dist2 = _nearest_among(
+            points, tuple(map(np.concatenate, zip(*kept))), self.table)
+        # a point whose best kept distance exceeds its vertex bound while that
+        # bound is below the limit (a degenerate face gives no finite
+        # distance) is answered against all faces; where the limit is the
+        # tighter bound, the cull kept every face within it, so no answer
+        # can be missing
+        redo = np.flatnonzero(~(dist2 <= upper) & ~(upper >= limit2))
+        if len(redo):
+            every = _pairs(np.ones((len(redo), F), dtype=bool))
+            face[redo], closest[redo], dist2[redo] = _nearest_among(
+                points[redo], every, self.table)
+        if limit is not None:
+            out = ~(dist2 < limit2)
+            face[out], closest[out], dist2[out] = -1, np.nan, np.inf
+        elif not np.all(np.isfinite(dist2)):
+            raise ValidationError("no finite nearest triangle for some query point")
+        return face, closest, dist2
+
+
 def nearest_triangles(points, vertices, faces, limit=None):
     """Batched exact nearest-triangle query.
 
@@ -109,80 +193,18 @@ def nearest_triangles(points, vertices, faces, limit=None):
     below ``limit ** 2`` are answered so; every other point gets face -1, a
     NaN closest point and an infinite distance.
 
-    Faces are first culled per point: the nearest vertex that some face
+    Faces are first culled per point, in chunks of at most
+    ``QUERY_CHUNK_PAIRS`` point-face pairs: the nearest vertex that some face
     references bounds the point's distance to the mesh from above, and so
     does the limit; a face whose bounding sphere lies beyond that bound
-    cannot be the answer. Each kept point-face pair then runs the region
-    tests of ``point_triangle_closest`` with the same expressions in the same
-    order. A point whose best kept distance exceeds its vertex bound while
-    that bound is below the limit (a degenerate face gives no finite
-    distance) is answered against all faces instead.
+    cannot be the answer. The kept pairs of all chunks then run the region
+    tests of ``point_triangle_closest`` in one pass, with the same
+    expressions in the same order. A point whose best kept distance exceeds
+    its vertex bound while that bound is below the limit (a degenerate face
+    gives no finite distance) is answered against all faces instead, in one
+    more pass over all such points.
     """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    vertices = np.asarray(vertices, dtype=float)
-    faces = np.asarray(faces, dtype=int).reshape(-1, 3)
-    if len(faces) == 0:
-        raise ValidationError("mesh has no faces")
-    if not np.all(np.isfinite(points)):
-        raise ValidationError("query points must be finite")
-    limit2 = np.inf if limit is None else float(limit) ** 2
-    a, b, c = (vertices[faces[:, k]] for k in range(3))
-    # one row per face, (a, b, c, b - a, c - a, c - b): the exact pass
-    # gathers its pairs' faces with one take
-    table = np.concatenate([a, b, c, b - a, c - a, c - b], axis=1)
-    centre = (a + b + c) / 3.0
-    cc = np.vecdot(centre, centre)
-    radius = np.sqrt(np.max([np.vecdot(x - centre, x - centre) for x in (a, b, c)],
-                            axis=0))
-    # also covers a computed closest point's offset from its triangle
-    radius += _CULL_REL * (radius + np.sqrt(cc)) + _CULL_ABS
-    corners = vertices[np.unique(faces)]  # only vertices some face references
-    vv = np.vecdot(corners, corners)
-    face = np.empty(len(points), dtype=int)
-    closest = np.empty((len(points), 3))
-    dist2 = np.empty(len(points))
-    step = max(1, QUERY_CHUNK_PAIRS // len(faces))
-    for s in range(0, len(points), step):
-        p = points[s:s + step]
-        pp = np.vecdot(p, p)[:, None]
-        # |p - x|^2 = |p|^2 + |x|^2 - 2 p.x, whose rounding is a few ulps of
-        # |p|^2 + |x|^2: `upper` is at least the squared distance to the
-        # nearest corner, `lower` at most that to each face's centre
-        # (each formed in place, in the order of the expression
-        # (1 + _CULL_REL) * (pp + vv) - 2.0 * (p @ corners.T))
-        upper = np.add(pp, vv)
-        upper *= 1 + _CULL_REL
-        px = p @ corners.T
-        px *= 2.0
-        upper -= px
-        upper = upper.min(axis=1)
-        lower = np.add(pp, cc)
-        lower *= 1 - _CULL_REL
-        px = p @ centre.T
-        px *= 2.0
-        lower -= px
-        # the factor covers the relative rounding of the exact pass's distances
-        reach = np.add(((1 + _CULL_REL) * np.sqrt(np.minimum(upper, limit2)))[:, None],
-                       radius)
-        reach *= reach
-        keep = lower <= reach
-        fi, q, d2 = _nearest_among(p, _pairs(keep), table)
-        # where the limit is the tighter bound, the cull kept every face
-        # within it, so no answer can be missing
-        redo = ~(d2 <= upper) & ~(upper >= limit2)
-        if redo.any():
-            every = np.broadcast_to(redo[:, None], keep.shape)
-            rf, rq, rd = _nearest_among(p, _pairs(every), table)
-            fi[redo], q[redo], d2[redo] = rf[redo], rq[redo], rd[redo]
-        face[s:s + step] = fi
-        closest[s:s + step] = q
-        dist2[s:s + step] = d2
-    if limit is not None:
-        out = ~(dist2 < limit2)
-        face[out], closest[out], dist2[out] = -1, np.nan, np.inf
-    elif not np.all(np.isfinite(dist2)):
-        raise ValidationError("no finite nearest triangle for some query point")
-    return face, closest, dist2
+    return FaceTable(vertices, faces).nearest(points, limit)
 
 
 def _pairs(keep):
@@ -292,14 +314,29 @@ class CollisionReport:
         return len(self.vertex_indices)
 
 
+@dataclass(frozen=True)
+class IndexedMesh(PartMesh):
+    """A part mesh with its ``FaceTable``, formed once, for a mesh that is
+    queried many times and never moves, such as compose's garments."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.num_faces == 0:
+            raise ValidationError(f"{self.part} mesh has no faces")
+        object.__setattr__(self, "table", FaceTable(self.vertices, self.faces))
+
+
 def detect_collisions(body: PartMesh, garment: PartMesh,
                       band: float = COLLISION_BAND) -> CollisionReport:
-    """Flag body vertices outside the garment shell within ``band`` meters."""
+    """Flag body vertices outside the garment shell within ``band`` meters.
+    An ``IndexedMesh`` garment brings its face table; any other is indexed
+    for this call."""
     if garment.num_faces == 0:
         raise ValidationError("garment mesh has no faces")
-    fi, q, d2 = nearest_triangles(body.vertices, garment.vertices, garment.faces,
-                                  limit=band)
+    table = (garment.table if isinstance(garment, IndexedMesh)
+             else FaceTable(garment.vertices, garment.faces))
+    fi, q, d2 = table.nearest(body.vertices, limit=band)
     near = np.flatnonzero(d2 < band * band)
-    n = face_normals(garment.vertices, garment.faces[fi[near]])
+    n = table.normals[fi[near]]
     hit = np.vecdot(body.vertices[near] - q[near], n) > 0.0
     return CollisionReport(near[hit], q[near[hit]], n[hit])

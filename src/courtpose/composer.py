@@ -10,6 +10,12 @@ that ends the loop is that count, and one unrecorded pass follows the last
 push only when the budget runs out. Garments never move, so a pass detects
 again only the (body, garment) pairs whose body part was pushed and relaxed
 since that pair's last detection; every other pair keeps its last report.
+
+What each pass can share is built once per call: each garment becomes an
+``IndexedMesh`` (face table, bounding spheres, face normals) for all its
+detections, and each relaxed body part's ``PenetrationTerms`` (Laplacian,
+edges, rest lengths) serve all its relaxations. The push, the loss and the
+L-BFGS-B iterations stay per body part.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
 
-from .collision import detect_collisions
+from .collision import IndexedMesh, detect_collisions
 from .errors import NumericalError, ValidationError
 from .mesh import BodyMesh, PartMesh, mesh_edges, uniform_laplacian, vertex_normals
 
@@ -147,6 +153,9 @@ def resolve_interpenetration(parts: BodyMesh):
     anchors = {p.part: p.vertices.copy() for p in parts.parts}  # V* stays the input
     meshes = {p.part: p for p in parts.parts}
     pairs = [(b, g) for b, g in GARMENT_PAIRS if b in meshes and g in meshes]
+    # garments never move: each one's face table serves all its detections
+    garments = {g: IndexedMesh(meshes[g].vertices, meshes[g].faces, g)
+                for g in {g for _, g in pairs}}
     terms = {}  # body part -> penetration_terms, built on its first collision
     report = {"iterations": [], "residual_collisions": 0, "pairs": pairs}
     detected = {}  # pair -> its CollisionReport, until its body part moves
@@ -157,7 +166,7 @@ def resolve_interpenetration(parts: BodyMesh):
             if pair not in detected:
                 body_name, garment_name = pair
                 body = meshes[body_name].with_vertices(current[body_name])
-                detected[pair] = detect_collisions(body, meshes[garment_name])
+                detected[pair] = detect_collisions(body, garments[garment_name])
             if detected[pair].count:
                 found.setdefault(pair[0], []).append(detected[pair])
         total = sum(r.count for reps in found.values() for r in reps)

@@ -3,6 +3,12 @@ the rest of the library leans on (normals, uniform Laplacian, OBJ files).
 
 Meshes may be non-watertight and may contain multiple connected components;
 nothing here assumes manifoldness.
+
+``mesh_edges`` sorts one integer code per edge (a 1-D ``np.unique``), and
+``uniform_laplacian`` builds its CSR arrays from ``np.bincount`` degrees,
+with no per-vertex Python loop; both equal the row-unique and set-based
+constructions they replaced, array for array. ``adjacency_lists``, used
+only when spirals are built, stays a loop over the edges.
 """
 from __future__ import annotations
 
@@ -125,10 +131,12 @@ def vertex_normals(mesh: PartMesh) -> np.ndarray:
 
 def mesh_edges(faces: np.ndarray) -> np.ndarray:
     """Unique undirected edges (K, 2) with i < j, sorted lexicographically."""
-    faces = np.asarray(faces, dtype=int)
+    faces = np.asarray(faces, dtype=int).reshape(-1, 3)
     e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]], axis=0)
     e.sort(axis=1)
-    return np.unique(e, axis=0)
+    # one code per edge: i * n + j with j < n sorts as the rows (i, j) do
+    n = int(e.max()) + 1 if e.size else 1
+    return np.stack(np.divmod(np.unique(e[:, 0] * n + e[:, 1]), n), axis=1)
 
 
 def adjacency_lists(num_vertices: int, faces: np.ndarray) -> list:
@@ -142,24 +150,31 @@ def adjacency_lists(num_vertices: int, faces: np.ndarray) -> list:
 def uniform_laplacian(mesh: PartMesh) -> sp.csr_matrix:
     """Sparse N x N operator; row i maps vertices to (mean of neighbors) - v_i.
 
-    Isolated vertices get an all-zero row.
+    Isolated vertices get an all-zero row. A face that repeats a vertex
+    makes the vertex its own neighbour, whose diagonal is then 1/degree - 1.
+    The CSR arrays are built directly, each row's columns ascending.
     """
     n = mesh.num_vertices
     if mesh.num_faces == 0:
         raise ValidationError("mesh has no faces, Laplacian undefined")
-    rows, cols, vals = [], [], []
-    for i, nbrs in enumerate(adjacency_lists(n, mesh.faces)):
-        if not nbrs:
-            continue
-        w = 1.0 / len(nbrs)
-        for j in nbrs:
-            rows.append(i)
-            cols.append(j)
-            vals.append(w)
-        rows.append(i)
-        cols.append(i)
-        vals.append(-1.0)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    i, j = mesh_edges(mesh.faces).T
+    loop = i == j
+    # each edge in both directions, a self-loop once, at 1/degree of its row
+    rows = np.concatenate([i, j[~loop]])
+    cols = np.concatenate([j, i[~loop]])
+    degree = np.bincount(rows, minlength=n)
+    vals = 1.0 / degree[rows]
+    vals[rows == cols] -= 1.0
+    # -1 on the diagonal of every other vertex with a neighbour
+    own = np.zeros(n, dtype=bool)
+    own[i[loop]] = True
+    diag = np.flatnonzero((degree > 0) & ~own)
+    rows = np.concatenate([rows, diag])
+    cols = np.concatenate([cols, diag])
+    vals = np.concatenate([vals, np.full(len(diag), -1.0)])
+    order = np.argsort(rows * n + cols)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------

@@ -177,8 +177,13 @@ def encode_location_maps(pose3d: Pose3D, heat: HeatmapStack) -> LocationMapStack
         raise ValidationError("location maps encode root-relative poses")
     if pose3d.num_joints != heat.num_joints:
         raise ValidationError("heatmap and pose joint counts differ")
-    support = heat.values[:, None] > 0.0
-    return LocationMapStack(np.where(support, pose3d.positions[:, :, None, None], 0.0))
+    # zeros, then the support cells alone (about 3% of them): one flat
+    # scan finds them, and a 3-D np.nonzero would cost more than it saves
+    J, cells = heat.num_joints, heat.resolution ** 2
+    values = np.zeros((J, 3, cells))
+    j, cell = np.divmod(np.flatnonzero(heat.values > 0.0), cells)
+    values[j, :, cell] = pose3d.positions[j]
+    return LocationMapStack(values.reshape(J, 3, heat.resolution, heat.resolution))
 
 
 def decode_location_maps(loc: LocationMapStack, heat: HeatmapStack) -> Pose3D:

@@ -9,6 +9,15 @@ segments from itself to its children; leaf joints (finger tips, toes) carry
 no source and therefore receive zero weight columns. Per bone, unit heat is
 pinned on the segment's voxels and zero on every other bone's; Jacobi
 iteration reaches the steady state, which is sampled at the vertices.
+
+The keypoint fit runs at batch width: ``swing_ik`` turns each depth level's
+single-child joints in one batched swing, the start's axis-angles come from
+one stacked ``matrix_to_axis_angle``, and the Jacobian forms cross products
+for the (descendant, ancestor) joint pairs only. What stays scalar is the
+Kabsch rotation of a joint with several children and the degenerate swings
+(a bone shorter than ``MIN_BONE``, a (near-)parallel pair), each through
+``_align``, and the depth-level loops of swing IK and FK. Every result
+equals the per-joint loops these replaced bit for bit.
 """
 from __future__ import annotations
 
@@ -70,8 +79,13 @@ class FitConfig:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if min(self.w2d, self.wprior) < 0:
-            raise ValidationError("fit weights must be nonnegative")
+        # `not v >= 0` also catches NaN, which would silently drop a term
+        for name in ("w2d", "wprior", "tol"):
+            v = getattr(self, name)
+            if not (v >= 0 and np.isfinite(v)):
+                raise ValidationError(f"{name} must be finite and >= 0, got {v}")
+        if self.max_iters < 1:
+            raise ValidationError(f"max iters must be >= 1, got {self.max_iters}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +339,20 @@ class KeypointObjective:
     The Jacobian comes from the same FK pass as the residual. For joint j and
     a descendant i, dp_i/domega_j = -[p_i - p_j]x R_glob(j) J_r(omega_j), with
     J_r the SO(3) right Jacobian; the root-translation columns are identity.
+    Only the (descendant, ancestor) pairs are formed: 196 of the 1,225 joint
+    pairs of the 35-joint skeleton. The FK of the last evaluation is kept,
+    so the linearization at the step ``lm_solve`` just accepted (the step its
+    cost call evaluated last) runs no second FK.
     """
 
     def __init__(self, skeleton: Skeleton, target3d: Pose3D,
                  target2d: Pose2D | None = None, camera: Camera | None = None,
                  cfg: FitConfig = FitConfig()):
+        J = skeleton.num_joints
+        if target3d.num_joints != J:
+            raise ValidationError(f"target has {target3d.num_joints} joints, skeleton {J}")
+        if target2d is not None and target2d.num_joints != J:
+            raise ValidationError(f"2D target has {target2d.num_joints} joints, skeleton {J}")
         if cfg.w2d > 0 and (camera is None or target2d is None):
             raise ValidationError("2D term requires a camera and a 2D target")
         self.skeleton = skeleton
@@ -338,12 +361,14 @@ class KeypointObjective:
         self.camera = camera
         self.cfg = cfg
         self.world_frame = target3d.frame is Frame.WORLD
-        J = skeleton.num_joints
         self.num_params = 3 * J + (3 if self.world_frame else 0)
         # ancestor[i, j]: joint j is joint i or one of its ancestors
-        self._ancestor = np.eye(J, dtype=bool)
+        ancestor = np.eye(J, dtype=bool)
         for idx in skeleton._levels:
-            self._ancestor[idx] |= self._ancestor[skeleton.parent[idx]]
+            ancestor[idx] |= ancestor[skeleton.parent[idx]]
+        self._desc, self._anc = np.nonzero(ancestor)
+        self._cols = 3 * self._anc[:, None] + np.arange(3)
+        self._fk = None  # (params bytes, R_glob, world positions) of the last FK
 
     def unpack(self, params):
         J = self.skeleton.num_joints
@@ -357,14 +382,23 @@ class KeypointObjective:
         tr[0] = root_t
         return BoneTransforms(axis_angle_to_matrix(om), tr)
 
+    def _forward(self, params):
+        """Global rotations and world joint positions at ``params``; the last
+        evaluation's when the parameters are the same to the bit."""
+        key = params.tobytes()
+        if self._fk is None or self._fk[0] != key:
+            om, root_t = self.unpack(params)
+            offsets = self.skeleton.rest_offsets.copy()
+            offsets[0] += root_t
+            self._fk = (key, *_fk_levels(self.skeleton, axis_angle_to_matrix(om), offsets))
+        return self._fk[1:]
+
     def residuals(self, params, jacobian: bool = False):
         """Residual vector r, or (r, dr/dparams) when ``jacobian``."""
         cfg = self.cfg
         J = self.skeleton.num_joints
-        om, root_t = self.unpack(params)
-        offsets = self.skeleton.rest_offsets.copy()
-        offsets[0] += root_t
-        R_glob, pos_world = _fk_levels(self.skeleton, axis_angle_to_matrix(om), offsets)
+        om, _ = self.unpack(params)
+        R_glob, pos_world = self._forward(params)
         pos = pos_world if self.world_frame else pos_world - pos_world[0]
         parts = [(pos - self.target3d.positions).ravel()]
         if jacobian:
@@ -401,13 +435,13 @@ class KeypointObjective:
     def _position_jacobian(self, om, R_glob, pos):
         """(J, 3, num_params) derivative of the fitted joint positions."""
         J = self.skeleton.num_joints
+        i, j = self._desc, self._anc
         M = R_glob @ so3_right_jacobian(om)
-        D = pos[:, None, :] - pos[None, :, :]
-        # -[d]x m = m x d, for each column m of M_j
-        C = np.cross(M.transpose(0, 2, 1)[None], D[:, :, None, :])
-        C *= self._ancestor[:, :, None, None]
+        # -[p_i - p_j]x m = m x (p_i - p_j), for each column m of M_j:
+        # C[pair, k] is the column of omega_j[k]
+        C = np.cross(M.transpose(0, 2, 1)[j], (pos[i] - pos[j])[:, None, :])
         jac = np.zeros((J, 3, self.num_params))
-        jac[:, :, :3 * J] = C.transpose(0, 3, 1, 2).reshape(J, 3, 3 * J)
+        jac[i[:, None], :, self._cols] = C
         if self.world_frame:
             jac[:, :, 3 * J:] = np.eye(3)
         # the root position does not depend on omega, so root-relative
@@ -430,26 +464,61 @@ def swing_ik(skeleton: Skeleton, target3d: Pose3D) -> BoneTransforms:
     their target bones (``_align``): the minimal rotation for one child, the
     Kabsch rotation for several. Leaves keep the identity. For a world-frame
     target the root translation puts the root on its target joint.
+
+    A level's single-child joints take their minimal rotations in one batched
+    swing, with the arithmetic of the scalar ``_swing``; the joints with
+    several children, and the rows with a bone shorter than ``MIN_BONE`` or
+    a (near-)parallel pair, take the scalar ``_align``.
     """
     J = skeleton.num_joints
     if target3d.num_joints != J:
         raise ValidationError(f"target has {target3d.num_joints} joints, skeleton {J}")
     tgt = target3d.positions
+    parent = skeleton.parent
     kids = [[] for _ in range(J)]
     for c in range(1, J):
-        kids[skeleton.parent[c]].append(c)
+        kids[parent[c]].append(c)
+    num_kids = np.array([len(k) for k in kids])
+    only_kid = np.array([k[0] if len(k) == 1 else 0 for k in kids])
     R_loc = np.broadcast_to(np.eye(3), (J, 3, 3)).copy()
-    R_glob = np.empty((J, 3, 3))
-    for j in itertools.chain([0], *skeleton._levels):
-        R_par = R_glob[skeleton.parent[j]] if j else np.eye(3)
-        if kids[j]:
-            # target bones as rows, in the parent's frame: (R_par^T d)^T
-            R_loc[j] = _align(skeleton.rest_offsets[kids[j]], (tgt[kids[j]] - tgt[j]) @ R_par)
-        R_glob[j] = R_par @ R_loc[j]
+    # one row more than the joints: the root's parent index -1 reads the
+    # identity frame there
+    R_glob = np.empty((J + 1, 3, 3))
+    R_glob[-1] = np.eye(3)
+    for idx in itertools.chain([np.zeros(1, dtype=int)], skeleton._levels):
+        one = idx[num_kids[idx] == 1]
+        c = only_kid[one]
+        # target bones as rows, in the parent's frame: (R_par^T d)^T
+        D = ((tgt[c] - tgt[one])[:, None, :] @ R_glob[parent[one]])[:, 0]
+        rot, ok = _swing_rows(skeleton.rest_offsets[c], D)
+        R_loc[one[ok]] = rot
+        for j in itertools.chain(idx[num_kids[idx] > 1], one[~ok]):
+            R_loc[j] = _align(skeleton.rest_offsets[kids[j]],
+                              (tgt[kids[j]] - tgt[j]) @ R_glob[parent[j]])
+        R_glob[idx] = R_glob[parent[idx]] @ R_loc[idx]
     tr = np.zeros((J, 3))
     if target3d.frame is Frame.WORLD:
         tr[0] = tgt[0] - skeleton.rest_offsets[0]
     return BoneTransforms(R_loc, tr)
+
+
+def _swing_rows(A, D):
+    """``_swing`` of each row pair of A and D (n, 3), batched. Returns the
+    rotations of the rows it forms and the mask of those rows: the others
+    have a vector shorter than ``MIN_BONE`` or a swing axis below the
+    rounding of a unit vector, and are left to the scalar ``_align``."""
+    if len(A) == 0:  # a level without single-child joints
+        return np.empty((0, 3, 3)), np.zeros(0, dtype=bool)
+    ok = (np.linalg.norm(A, axis=1) > MIN_BONE) & (np.linalg.norm(D, axis=1) > MIN_BONE)
+    a = A[ok] / np.sqrt(_dots(A[ok], A[ok]))[:, None]
+    b = D[ok] / np.sqrt(_dots(D[ok], D[ok]))[:, None]
+    axis = np.cross(a, b)
+    angle = np.arctan2(np.sqrt(_dots(axis, axis)), _dots(a, b))
+    axis -= _dots(axis, a)[:, None] * a
+    n = np.sqrt(_dots(axis, axis))
+    turn = n >= 1e-15
+    ok[ok] = turn
+    return axis_angle_to_matrix(axis[turn] / n[turn, None] * angle[turn, None]), ok
 
 
 def _align(A, D):
@@ -530,7 +599,10 @@ def fit_pose_to_keypoints(skeleton: Skeleton, target3d: Pose3D,
     obj = KeypointObjective(skeleton, target3d, target2d, camera, cfg)
     if init is None:
         init = swing_ik(skeleton, target3d)
-    omega0 = np.stack([matrix_to_axis_angle(R) for R in init.rotations])
+    elif init.num_joints != skeleton.num_joints:
+        raise ValidationError(
+            f"init has {init.num_joints} joints, skeleton {skeleton.num_joints}")
+    omega0 = matrix_to_axis_angle(init.rotations)
     t0 = init.translations[0]
     p = np.concatenate([omega0.ravel(), t0]) if obj.world_frame else omega0.ravel()
 

@@ -34,25 +34,39 @@ def axis_angle_to_matrix(aa: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_axis_angle(R: np.ndarray) -> np.ndarray:
+    """Inverse of ``axis_angle_to_matrix``, angle in [0, pi]: (3, 3) -> (3,),
+    or a stack of them, (N, 3, 3) -> (N, 3). Rows are formed together; only
+    those within 1e-9 of the identity or 1e-6 of a half turn take the scalar
+    branches, so a row's vector does not depend on the batch it arrives in."""
     R = np.asarray(R, dtype=float)
-    cos = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
+    if R.ndim == 2:
+        return matrix_to_axis_angle(R[None])[0]
+    cos = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) / 2.0, -1.0, 1.0)
     theta = np.arccos(cos)
+    v = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0],
+                  R[:, 1, 0] - R[:, 0, 1]], axis=1)
+    edge = (theta < 1e-9) | (np.pi - theta < 1e-6)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = v / (2.0 * np.sin(theta))[:, None] * theta[:, None]
+    for i in np.flatnonzero(edge):
+        out[i] = _near_identity_or_half_turn(R[i], cos[i], theta[i], v[i])
+    return out
+
+
+def _near_identity_or_half_turn(R, cos, theta, v):
     if theta < 1e-9:
         return np.zeros(3)
-    v = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    if np.pi - theta < 1e-6:
-        # near pi, v = 2 sin(theta) k is too small to divide by: take the axis
-        # from the symmetric part (1 - cos) k k^T, its sign from v, and the
-        # angle from atan2, which stays exact where arccos does not
-        S = (R + R.T) / 2.0 - cos * np.eye(3)
-        i = int(np.argmax(np.diag(S)))
-        if S[i, i] <= 0:
-            return np.zeros(3)
-        axis = S[i] / np.linalg.norm(S[i])
-        if axis @ v < 0:
-            axis = -axis
-        return axis * np.arctan2(np.linalg.norm(v) / 2.0, cos)
-    return v / (2.0 * np.sin(theta)) * theta
+    # near pi, v = 2 sin(theta) k is too small to divide by: take the axis
+    # from the symmetric part (1 - cos) k k^T, its sign from v, and the
+    # angle from atan2, which stays exact where arccos does not
+    S = (R + R.T) / 2.0 - cos * np.eye(3)
+    i = int(np.argmax(np.diag(S)))
+    if S[i, i] <= 0:
+        return np.zeros(3)
+    axis = S[i] / np.linalg.norm(S[i])
+    if axis @ v < 0:
+        axis = -axis
+    return axis * np.arctan2(np.linalg.norm(v) / 2.0, cos)
 
 
 def skew(v: np.ndarray) -> np.ndarray:

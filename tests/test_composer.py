@@ -100,6 +100,13 @@ def test_empty_garment_rejected():
                                          "shirt"))
 
 
+def test_compose_names_an_empty_garment():
+    # compose indexes each garment once, up front
+    empty = PartMesh(np.zeros((3, 3)), np.zeros((0, 3), int), "shirt")
+    with pytest.raises(ValidationError, match="shirt mesh has no faces"):
+        resolve_interpenetration(BodyMesh((icosphere(1.0, 1, part="arms"), empty)))
+
+
 def _assert_matches_bruteforce(monkeypatch, pts, verts, faces):
     """The batched query equals the one-point oracle bit for bit, at the
     default chunking and at 7 points per chunk. With a distance limit it

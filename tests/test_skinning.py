@@ -282,6 +282,41 @@ def test_fit_2d_term_requires_camera():
         fit_pose_to_keypoints(sk, target, cfg=FitConfig(w2d=1.0))
 
 
+@pytest.mark.parametrize("field", ["w2d", "wprior", "tol"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3])
+def test_fit_config_rejects_weights_and_tolerances_that_cannot_fit(field, bad):
+    # a NaN weight used to drop its term silently, and a NaN tol ended in
+    # a misleading "fitting diverged"
+    with pytest.raises(ValidationError, match=field):
+        FitConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_fit_config_rejects_an_empty_iteration_budget(max_iters):
+    # zero iterations returned the unfitted start with stop "max_iters"
+    with pytest.raises(ValidationError, match="max iters"):
+        FitConfig(max_iters=max_iters)
+
+
+def test_fit_config_accepts_zero_weights_and_tolerance():
+    FitConfig(w2d=0.0, wprior=0.0, tol=0.0, max_iters=1)
+
+
+def test_fit_rejects_targets_and_starts_of_another_size():
+    sk = Skeleton.canonical()
+    small = forward_kinematics(chain(20), BoneTransforms.identity(20))
+    with pytest.raises(ValidationError, match="20 joints, skeleton 35"):
+        KeypointObjective(sk, small)
+    with pytest.raises(ValidationError, match="20 joints, skeleton 35"):
+        fit_pose_to_keypoints(sk, small, init=BoneTransforms.identity(35))
+    target = forward_kinematics(sk, BoneTransforms.identity(35))
+    with pytest.raises(ValidationError, match="init has 10 joints, skeleton 35"):
+        fit_pose_to_keypoints(sk, target, init=BoneTransforms.identity(10))
+    pixels = Pose2D(np.zeros((20, 2)), np.ones(20, dtype=bool))
+    with pytest.raises(ValidationError, match="2D target has 20 joints, skeleton 35"):
+        KeypointObjective(sk, target, target2d=pixels)
+
+
 def test_fit_solves_on_one_blas_thread(monkeypatch):
     controls = blas._controls()
     if not controls:
