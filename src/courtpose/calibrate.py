@@ -13,6 +13,10 @@ one pixel of the observed lines sits in an exact zero-cost basin; such a start
 is, which absorbs rasterization quantization. Any other start gets one
 Levenberg-Marquardt solve on the raw (unhinged) mean distance, which pulls the
 projections onto the line centres.
+
+``scipy.spatial`` is imported in ``LineDistance.tree``, on the first pixel
+with an empty window, so a refinement that never needs the tree, and every
+process that only imports this module, loads none of it.
 """
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .camera import Camera, project_with_depth
 from .court import Arc2D, CourtModel, lift_to_plane
@@ -327,7 +330,8 @@ class LineDistance:
         self._asked = False
 
     @functools.cached_property
-    def tree(self) -> cKDTree:
+    def tree(self):
+        from scipy.spatial import cKDTree
         # the (row, col) pairs of np.argwhere, in its order, without its
         # full-frame index arrays
         rows, cols = np.divmod(np.flatnonzero(self.pixels), self.width)

@@ -277,6 +277,12 @@ def cmd_pipeline(args, scene_config):
     elif args.jobs > 1:
         # stages stay sequential; only independent scenes run in parallel
         import multiprocessing
+
+        # load and build once what every scene needs, before the workers
+        # fork, so that they inherit it instead of each doing it at once
+        import scipy.optimize  # noqa: F401 - compose and eval use them
+        import scipy.spatial  # noqa: F401
+        canonical_body(scene_config.voxel_res)
         with multiprocessing.Pool(args.jobs) as pool:
             reports = pool.map(_pipeline_one,
                                [(args.seed + k, scene_config) for k in range(args.scenes)])

@@ -16,6 +16,9 @@ What each pass can share is built once per call: each garment becomes an
 detections, and each relaxed body part's ``PenetrationTerms`` (Laplacian,
 edges, rest lengths) serve all its relaxations. The push, the loss and the
 L-BFGS-B iterations stay per body part.
+
+``scipy.optimize`` is imported in ``minimize_lbfgs``, where it is used, so
+that importing this module loads none of it.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize
 
 from .collision import IndexedMesh, detect_collisions
 from .errors import NumericalError, ValidationError
@@ -135,6 +137,7 @@ def minimize_lbfgs(fun, x0: np.ndarray, max_iters: int = INNER_ITERATIONS):
     def record(intermediate_result):
         history.append(float(intermediate_result.fun))
 
+    from scipy.optimize import minimize
     res = minimize(checked, x0, jac=True, method="L-BFGS-B", callback=record,
                    options={"maxiter": max_iters, "maxcor": LBFGS_MEMORY,
                             "ftol": 0.0, "gtol": 1e-12})

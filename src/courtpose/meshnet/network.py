@@ -29,7 +29,7 @@ from ..errors import ValidationError
 from ..mesh import BodyMesh, PartMesh
 from ..model import Pose3D
 from . import autograd as ag
-from .sampling import SamplingOperator, build_sampling
+from .sampling import SamplingOperator, build_sampling, check_sampling_factor
 from .spirals import SpiralIndices, build_spirals
 
 
@@ -52,6 +52,10 @@ class NetConfig:
         if len(self.ds_factors) != len(ENCODER_CHANNELS):
             raise ValidationError(f"ds_factors needs one factor per encoder SC layer "
                                   f"({len(ENCODER_CHANNELS)}), got {len(self.ds_factors)}")
+        for f in self.ds_factors:
+            check_sampling_factor(f)
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout!r}")
 
 
 class StackedOps(NamedTuple):
@@ -72,7 +76,14 @@ def _block_diagonal(M, batch: int) -> tuple:
 
 @dataclass(frozen=True)
 class PartOps:
-    """Per-part machinery: mesh pyramid, sampling operators, spiral tables."""
+    """Per-part machinery: mesh pyramid, sampling operators, spiral tables.
+
+    A decoder SC layer runs on the level and with the dilation of an encoder
+    layer (``DECODER_DILATIONS`` is ``ENCODER_DILATIONS`` reversed, then the
+    finest level's again), so the build makes one ``SpiralIndices`` per
+    distinct (level, dilation) and the layers that share one hold the same
+    object: 4 tables for 9 layers. ``stacked`` forms one block-diagonal pair
+    per distinct table."""
 
     meshes: tuple
     samplers: tuple           # SamplingOperator per level transition
@@ -90,14 +101,18 @@ class PartOps:
             op = build_sampling(meshes[-1], f)
             samplers.append(op)
             meshes.append(op.coarse)
+        tables = {}  # (level, dilation) -> SpiralIndices
+
+        def spirals(level, dilation):
+            if (level, dilation) not in tables:
+                tables[level, dilation] = build_spirals(meshes[level], config.spiral_length,
+                                                        dilation)
+            return tables[level, dilation]
+
         L = len(config.ds_factors)
-        spirals_enc = tuple(
-            build_spirals(meshes[k], config.spiral_length, ENCODER_DILATIONS[k])
-            for k in range(L))
-        spirals_dec = tuple(
-            build_spirals(meshes[L - 1 - k], config.spiral_length, DECODER_DILATIONS[k])
-            for k in range(L))
-        spirals_final = build_spirals(meshes[0], config.spiral_length, DECODER_DILATIONS[L])
+        spirals_enc = tuple(spirals(k, ENCODER_DILATIONS[k]) for k in range(L))
+        spirals_dec = tuple(spirals(L - 1 - k, DECODER_DILATIONS[k]) for k in range(L))
+        spirals_final = spirals(0, DECODER_DILATIONS[L])
         return PartOps(tuple(meshes), tuple(samplers), spirals_enc, spirals_dec,
                        spirals_final)
 
@@ -110,12 +125,19 @@ class PartOps:
         kept for the life of this PartOps."""
         out = self._stacked.get(batch)
         if out is None:
+            pairs = {}  # id(table) -> its pair, one per distinct spiral table
+
+            def gather(table):
+                if id(table) not in pairs:
+                    pairs[id(table)] = _block_diagonal(table.gather, batch)
+                return pairs[id(table)]
+
             out = self._stacked[batch] = StackedOps(
-                enc=tuple(_block_diagonal(s.gather, batch) for s in self.spirals_enc),
+                enc=tuple(gather(s) for s in self.spirals_enc),
                 down=tuple(_block_diagonal(s.D, batch) for s in self.samplers),
                 up=tuple(_block_diagonal(s.U, batch) for s in self.samplers),
-                dec=tuple(_block_diagonal(s.gather, batch) for s in self.spirals_dec),
-                final=_block_diagonal(self.spirals_final.gather, batch))
+                dec=tuple(gather(s) for s in self.spirals_dec),
+                final=gather(self.spirals_final))
         return out
 
 

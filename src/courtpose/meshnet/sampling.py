@@ -5,10 +5,18 @@ error (collapses that would invalidate faces are skipped). D selects the
 surviving vertices; U returns removed vertices through the barycentric
 coordinates of their projection onto the nearest kept triangle, so D @ U is
 the identity on coarse vertex features.
+
+A collapse cost reads only its two vertices' quadrics and the target's
+position, which never moves, so each cost is computed once and kept until a
+collapse changes one of its two quadrics, which drops it. The heap entries,
+and with them D, U and the coarse mesh, are those of recomputing every cost
+on every push.
 """
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +37,14 @@ class SamplingOperator:
     reached_target: bool
 
 
+def check_sampling_factor(factor) -> None:
+    """A sampling factor is a finite number >= 1: ValidationError otherwise."""
+    if not (isinstance(factor, numbers.Real) and math.isfinite(factor) and factor >= 1):
+        raise ValidationError(f"sampling factor must be a finite number >= 1, got {factor!r}")
+
+
 def build_sampling(mesh: PartMesh, factor: float) -> SamplingOperator:
-    if factor < 1:
-        raise ValidationError("sampling factor must be >= 1")
+    check_sampling_factor(factor)
     n = mesh.num_vertices
     target = int(np.floor(n / factor))
     if factor == 1 or target >= n:
@@ -55,9 +68,16 @@ def build_sampling(mesh: PartMesh, factor: float) -> SamplingOperator:
         p = np.append(verts[v], 1.0)
         return float(p @ Q @ p)
 
+    costs = {}                          # (u, v) -> cost, while both quadrics hold
+    cost_keys = [[] for _ in range(n)]  # per vertex: the keys of costs that read it
     heap = []
     def push(u, v):
-        heapq.heappush(heap, (collapse_cost(u, v), u, v, version[u], version[v]))
+        cost = costs.get((u, v))
+        if cost is None:
+            cost = costs[u, v] = collapse_cost(u, v)
+            cost_keys[u].append((u, v))
+            cost_keys[v].append((u, v))
+        heapq.heappush(heap, (cost, u, v, version[u], version[v]))
 
     edges = set()
     for a, b, c in faces:
@@ -83,6 +103,10 @@ def build_sampling(mesh: PartMesh, factor: float) -> SamplingOperator:
             continue  # never decimate the mesh out of existence
         # collapse u -> v
         quadrics[v] = quadrics[u] + quadrics[v]
+        for w in (u, v):
+            for key in cost_keys[w]:
+                costs.pop(key, None)
+            cost_keys[w] = []
         alive[u] = False
         removed += 1
         alive_faces -= dying
@@ -152,9 +176,9 @@ def _neighbors(v, faces, vert_faces):
 
 def _vertex_quadrics(verts, faces):
     q = np.zeros((len(verts), 4, 4))
-    for f in faces:
-        a, b, c = verts[f]
-        nrm = np.cross(b - a, c - a)
+    corners = verts[faces[:, 0]]
+    normals = np.cross(verts[faces[:, 1]] - corners, verts[faces[:, 2]] - corners)
+    for f, a, nrm in zip(faces, corners, normals):
         area = 0.5 * np.linalg.norm(nrm)
         if area < _AREA_EPS:
             continue

@@ -13,6 +13,7 @@ A table is applied as a fixed sparse gather matrix, like the samplers: row
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,8 +53,9 @@ class SpiralIndices:
 
 
 def build_spirals(mesh: PartMesh, length: int = 9, dilation: int = 1) -> SpiralIndices:
-    if length < 1 or dilation < 1:
-        raise ValidationError("spiral length and dilation must be >= 1")
+    for name, value in (("length", length), ("dilation", dilation)):
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValidationError(f"spiral {name} must be an integer >= 1, got {value!r}")
     n = mesh.num_vertices
     adj = adjacency_lists(n, mesh.faces)
     normals = vertex_normals(mesh)

@@ -6,7 +6,14 @@ EMD's two kernels keep the bits of their norm-based forms: farthest-point
 sampling runs on a (3, N) copy of the points with preallocated buffers,
 seven in-place ufunc calls per pick, and the cost matrix sums the squared
 differences per axis, in the left-to-right order that ``np.linalg.norm``
-reduces in.
+reduces in. ``emd`` samples both clouds in lock step, as the two rows of
+one (3, 2, n) buffer: per pick, a scalar subtraction per coordinate row and
+cloud, the rest of the distance update once over both, and one ``argmax``
+along the rows.
+
+scipy is imported where it is used, so that a process that never evaluates
+pays none of its import: ``scipy.spatial`` in ``chamfer`` and ``icp``,
+``scipy.optimize`` in ``emd``.
 
 Every accelerated implementation here has a brute-force oracle in the test
 suite (quadratic scans, permutation enumeration, random-restart alignment,
@@ -17,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 from .model import Pose3D
@@ -110,6 +115,7 @@ def chamfer(A: np.ndarray, B: np.ndarray) -> float:
     B = np.asarray(B, dtype=float).reshape(-1, 3)
     if len(A) == 0 or len(B) == 0:
         raise ValidationError("chamfer distance of an empty point set")
+    from scipy.spatial import cKDTree
     da, _ = cKDTree(B).query(A)
     db, _ = cKDTree(A).query(B)
     return 1000.0 * float(np.mean(da ** 2) + np.mean(db ** 2))
@@ -130,7 +136,7 @@ def farthest_point_subsample(points: np.ndarray, count: int) -> np.ndarray:
     dist = np.empty(len(P))
     dmin = np.full(len(P), np.inf)
     chosen = np.empty(count, dtype=int)
-    chosen[0] = np.argmax(np.linalg.norm(P - P.mean(axis=0), axis=1))
+    chosen[0] = _farthest_from_centroid(P)
     for k in range(1, count):
         np.subtract(X, X[:, chosen[k - 1], None], out=diff)
         np.multiply(diff, diff, out=diff)
@@ -143,6 +149,12 @@ def farthest_point_subsample(points: np.ndarray, count: int) -> np.ndarray:
     return P[chosen]
 
 
+def _farthest_from_centroid(P: np.ndarray) -> int:
+    """FPS's first pick: the point farthest from the centroid, lowest index
+    on ties."""
+    return int(np.argmax(np.linalg.norm(P - P.mean(axis=0), axis=1)))
+
+
 def emd(A: np.ndarray, B: np.ndarray, subsample: int = 512) -> float:
     """Mean matched distance of the exact min-cost perfect matching between
     equal-size farthest-point subsamples (shortest augmenting path)."""
@@ -151,11 +163,55 @@ def emd(A: np.ndarray, B: np.ndarray, subsample: int = 512) -> float:
     if len(A) == 0 or len(B) == 0:
         raise ValidationError("earth-mover distance of an empty point set")
     m = min(subsample, len(A), len(B))
-    Am = farthest_point_subsample(A, m)
-    Bm = farthest_point_subsample(B, m)
+    if 1 <= m < min(len(A), len(B)):
+        Am, Bm = _farthest_point_pair(A, B, m)
+    else:  # a whole cloud is its own subsample; fewer than one point is rejected
+        Am, Bm = farthest_point_subsample(A, m), farthest_point_subsample(B, m)
     cost = _distance_matrix(Am, Bm)
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
+
+
+def _farthest_point_pair(A: np.ndarray, B: np.ndarray, count: int):
+    """``farthest_point_subsample`` of A and of B, bit for bit, in one loop.
+
+    The clouds are the two rows of a (3, 2, n) buffer, n the larger size; the
+    smaller one is padded with copies of its first point, whose distances
+    equal that point's and so never win ``argmax``'s lowest-index tie-break.
+    Each pick subtracts each cloud's last pick from its own coordinate rows,
+    then squares, sums, roots and takes the minimum over both clouds at once,
+    and one ``argmax`` along the rows picks for both. Needs
+    ``1 <= count < min(NA, NB)``."""
+    n = max(len(A), len(B))
+    X = np.empty((3, 2, n))
+    for row, P in enumerate((A, B)):
+        X[:, row, :len(P)] = P.T
+        X[:, row, len(P):] = P[0, :, None]
+    diff = np.empty_like(X)
+    dist = np.empty((2, n))
+    dmin = np.full((2, n), np.inf)
+    chosen = np.empty((count, 2), dtype=np.intp)
+    chosen[0] = _farthest_from_centroid(A), _farthest_from_centroid(B)
+    # a scalar subtraction per contiguous row runs faster than one
+    # broadcast subtraction of a (3, 2, 1) column
+    (xa, xb), (ya, yb), (za, zb) = X
+    (dxa, dxb), (dya, dyb), (dza, dzb) = diff
+    for k in range(1, count):
+        i, j = chosen[k - 1]
+        np.subtract(xa, xa[i], out=dxa)
+        np.subtract(ya, ya[i], out=dya)
+        np.subtract(za, za[i], out=dza)
+        np.subtract(xb, xb[j], out=dxb)
+        np.subtract(yb, yb[j], out=dyb)
+        np.subtract(zb, zb[j], out=dzb)
+        np.multiply(diff, diff, out=diff)
+        np.add(diff[0], diff[1], out=dist)
+        np.add(dist, diff[2], out=dist)
+        np.sqrt(dist, out=dist)
+        np.minimum(dmin, dist, out=dmin)
+        dmin.argmax(axis=1, out=chosen[k])
+    return A[chosen[:, 0]], B[chosen[:, 1]]
 
 
 def _distance_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -187,6 +243,7 @@ def icp(A: np.ndarray, B: np.ndarray, max_iters: int = 50, tol: float = 1e-8) ->
     B = np.asarray(B, dtype=float).reshape(-1, 3)
     if len(A) < 3 or len(B) < 3:
         raise ValidationError("ICP needs at least 3 points per set")
+    from scipy.spatial import cKDTree
     tree = cKDTree(B)
     R = np.eye(3)
     t = np.zeros(3)

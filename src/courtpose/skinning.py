@@ -13,7 +13,7 @@ iteration reaches the steady state, which is sampled at the vertices.
 The keypoint fit runs at batch width: ``swing_ik`` turns each depth level's
 single-child joints in one batched swing, the start's axis-angles come from
 one stacked ``matrix_to_axis_angle``, and the Jacobian forms cross products
-for the (descendant, ancestor) joint pairs only. What stays scalar is the
+for the proper (descendant, ancestor) joint pairs only. What stays scalar is the
 Kabsch rotation of a joint with several children and the degenerate swings
 (a bone shorter than ``MIN_BONE``, a (near-)parallel pair), each through
 ``_align``, and the depth-level loops of swing IK and FK. Every result
@@ -339,8 +339,10 @@ class KeypointObjective:
     The Jacobian comes from the same FK pass as the residual. For joint j and
     a descendant i, dp_i/domega_j = -[p_i - p_j]x R_glob(j) J_r(omega_j), with
     J_r the SO(3) right Jacobian; the root-translation columns are identity.
-    Only the (descendant, ancestor) pairs are formed: 196 of the 1,225 joint
-    pairs of the 35-joint skeleton. The FK of the last evaluation is kept,
+    Only the proper (descendant, ancestor) pairs are formed: 161 of the
+    1,225 joint pairs of the 35-joint skeleton. A joint's own rotation does
+    not move it, so its (i, i) pair, a cross product with p_i - p_i = 0,
+    stays zero. The FK of the last evaluation is kept,
     so the linearization at the step ``lm_solve`` just accepted (the step its
     cost call evaluated last) runs no second FK.
     """
@@ -366,7 +368,7 @@ class KeypointObjective:
         ancestor = np.eye(J, dtype=bool)
         for idx in skeleton._levels:
             ancestor[idx] |= ancestor[skeleton.parent[idx]]
-        self._desc, self._anc = np.nonzero(ancestor)
+        self._desc, self._anc = np.nonzero(ancestor & ~np.eye(J, dtype=bool))
         self._cols = 3 * self._anc[:, None] + np.arange(3)
         self._fk = None  # (params bytes, R_glob, world positions) of the last FK
 

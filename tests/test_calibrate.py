@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.ndimage import distance_transform_edt
 from scipy.spatial import cKDTree
 
-from courtpose import calibrate
 from courtpose.calibrate import (LineDistance, LineMask, _near_kept, load_pgm,
                                  rasterize_court_lines, refine_camera_lines,
                                  save_pgm, solve_pnp_planar)
@@ -308,14 +308,15 @@ def test_line_distance_answers_repeats_from_the_memo():
 
 
 def counting_trees(monkeypatch):
-    """Patch ``calibrate.cKDTree`` to count the trees built."""
+    """Patch ``scipy.spatial.cKDTree``, which ``LineDistance.tree`` imports
+    when it builds, to count the trees built."""
     built = []
 
     def tree(data):
         built.append(len(data))
         return cKDTree(data)
 
-    monkeypatch.setattr(calibrate, "cKDTree", tree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", tree)
     return built
 
 

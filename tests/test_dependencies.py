@@ -43,3 +43,16 @@ def test_cli_and_pipeline_do_not_import_scipy_ndimage():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_pipeline_and_toy_data_do_not_import_scipy_optimize_or_spatial():
+    # compose, eval and the calibration k-d tree import them where they are
+    # used, so a process that imports the package, or builds the toy data
+    # that training reads, pays none of their import
+    code = ("import sys, courtpose, courtpose.cli, courtpose.synth, courtpose.toydata; "
+            "courtpose.toydata.toy_part_dataset(0, 4); "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.optimize', 'scipy.spatial'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from courtpose.errors import ValidationError
-from courtpose.metrics import (_distance_matrix, chamfer, emd,
+from courtpose.metrics import (_distance_matrix, _farthest_point_pair, chamfer, emd,
                                farthest_point_subsample, icp,
                                mpjpe, mpvpe, procrustes_align,
                                rotation_error_deg)
@@ -267,6 +267,34 @@ def test_farthest_point_subsample_matches_norm_loop(name):
         got = farthest_point_subsample(P, count)
         assert np.array_equal(got, farthest_point_subsample_oracle(P, count)), count
         assert np.array_equal(got, farthest_point_subsample_axis_loop(P, count)), count
+
+
+@pytest.mark.parametrize("name", ["normal 3000 / 700", "grid 12^3 / skewed 500",
+                                  "root tie / normal 40"])
+def test_lock_step_pair_matches_one_cloud_at_a_time(name):
+    rng = np.random.default_rng(22)
+    A, B = {"normal 3000 / 700": lambda: (rng.normal(size=(3000, 3)),
+                                          rng.normal(size=(700, 3)) + 2.0),
+            "grid 12^3 / skewed 500": lambda: (
+                integer_grid(12), rng.normal(size=(500, 3)) * [3.0, 0.5, 1e-3]),
+            "root tie / normal 40": lambda: (
+                np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 3 * 2.0 ** -28, 0.0],
+                          [0.5, 0.5, 0.0]]), rng.normal(size=(40, 3)))}[name]()
+    for count in (1, 2, 3, min(len(A), len(B)) - 1):
+        Am, Bm = _farthest_point_pair(A, B, count)
+        assert np.array_equal(Am, farthest_point_subsample(A, count)), count
+        assert np.array_equal(Bm, farthest_point_subsample(B, count)), count
+        Bm2, Am2 = _farthest_point_pair(B, A, count)
+        assert np.array_equal(Am2, Am) and np.array_equal(Bm2, Bm), count
+
+
+@pytest.mark.parametrize("sizes", [(40, 40), (40, 25), (25, 40), (1, 30)])
+def test_emd_of_a_whole_cloud_matches_oracle(sizes):
+    # the subsample is a whole cloud: emd takes the one-cloud path
+    rng = np.random.default_rng(sum(sizes))
+    A, B = rng.normal(size=(sizes[0], 3)), rng.normal(size=(sizes[1], 3))
+    for subsample in (min(sizes), 512):
+        assert emd(A, B, subsample=subsample) == emd_oracle(A, B, subsample)
 
 
 def emd_oracle(A, B, subsample):

@@ -5,13 +5,16 @@ import pytest
 
 from courtpose.errors import ValidationError
 from courtpose.mesh import BodyMesh
-from courtpose.meshnet import (NetConfig, PartOps, identity_offsets,
+from courtpose.meshnet import (NetConfig, PartOps, build_spirals, identity_offsets,
                                identity_offsets_loss, init_identity_params,
                                init_params, skin_loss, tl_forward)
 from courtpose.meshnet import autograd as ag
-from courtpose.meshnet.network import decode, tl_graph
+from courtpose.meshnet import network
+from courtpose.meshnet.network import (DECODER_DILATIONS, ENCODER_DILATIONS, decode,
+                                       tl_graph)
 from courtpose.model import Pose3D
-from courtpose.primitives import capsule
+from courtpose.primitives import capsule, tri_grid
+from courtpose.synth import SceneConfig, canonical_body
 from helpers import sum_all
 
 CFG = NetConfig()
@@ -43,6 +46,83 @@ def numeric_grad(fn, var, idx, h=1e-5):
 def test_net_config_needs_one_ds_factor_per_encoder_layer(ds_factors):
     with pytest.raises(ValidationError, match=f"got {len(ds_factors)}"):
         NetConfig(ds_factors=ds_factors)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.5, 0, "2"])
+def test_net_config_ds_factors_are_finite_numbers_of_at_least_one(factor):
+    with pytest.raises(ValidationError, match=f"got {factor!r}"):
+        NetConfig(ds_factors=(2, factor, 2, 1))
+
+
+@pytest.mark.parametrize("dropout", [1.0, -0.5, 1.5, float("nan")])
+def test_net_config_dropout_lies_in_zero_to_one(dropout):
+    with pytest.raises(ValidationError, match=f"got {dropout!r}"):
+        NetConfig(dropout=dropout)
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5, 0.999])
+def test_net_config_accepts_dropout_below_one(dropout):
+    assert NetConfig(dropout=dropout).dropout == dropout
+
+
+# ---------------------------------------------------------------------------
+# PartOps: one spiral table per distinct (level, dilation)
+# ---------------------------------------------------------------------------
+
+def body_parts():
+    return canonical_body(SceneConfig().voxel_res)[1].parts
+
+
+def assert_tables_match_per_layer_builds(mesh, config):
+    """The oracle builds every SC layer's table on its own, one call per
+    layer, on the layer's pyramid level."""
+    ops = PartOps.build(mesh, config)
+    L = len(config.ds_factors)
+    per_layer = (
+        [(ops.spirals_enc[k], ops.meshes[k], ENCODER_DILATIONS[k]) for k in range(L)]
+        + [(ops.spirals_dec[k], ops.meshes[L - 1 - k], DECODER_DILATIONS[k])
+           for k in range(L)]
+        + [(ops.spirals_final, ops.meshes[0], DECODER_DILATIONS[L])])
+    for table, level_mesh, dilation in per_layer:
+        want = build_spirals(level_mesh, config.spiral_length, dilation)
+        assert np.array_equal(table.indices, want.indices), mesh.part
+        assert table.dilation == dilation
+
+
+def test_partops_tables_match_per_layer_builds_on_body_parts():
+    for mesh in body_parts():
+        assert_tables_match_per_layer_builds(mesh, CFG)
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+def test_partops_tables_match_per_layer_builds_on_tri_grids(factor):
+    assert_tables_match_per_layer_builds(tri_grid(12, 11),
+                                         NetConfig(ds_factors=(factor, factor, 1, 1)))
+
+
+def test_partops_layers_share_one_table_per_level_and_dilation(part_ops):
+    _, ops = part_ops
+    enc, dec = ops.spirals_enc, ops.spirals_dec
+    assert [dec[k] is enc[3 - k] for k in range(4)] == [True] * 4
+    assert ops.spirals_final is enc[0]
+    assert len({id(t) for t in (*enc, *dec, ops.spirals_final)}) == 4
+    stacked = ops.stacked(3)
+    assert [stacked.dec[k] is stacked.enc[3 - k] for k in range(4)] == [True] * 4
+    assert stacked.final is stacked.enc[0]
+    assert ops.stacked(3) is stacked
+
+
+def test_partops_build_calls_build_spirals_once_per_table(monkeypatch, part_ops):
+    mesh, _ = part_ops
+    calls = []
+
+    def counting(m, length, dilation):
+        calls.append(dilation)
+        return build_spirals(m, length, dilation)
+
+    monkeypatch.setattr(network, "build_spirals", counting)
+    PartOps.build(mesh, CFG)
+    assert sorted(calls) == [1, 1, 2, 2]
 
 
 # ---------------------------------------------------------------------------

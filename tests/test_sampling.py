@@ -1,10 +1,18 @@
+import heapq
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from courtpose.collision import nearest_triangle_bruteforce, point_triangle_closest
+from courtpose.collision import (nearest_triangle_bruteforce, nearest_triangles,
+                                 point_triangle_closest)
 from courtpose.errors import ValidationError
-from courtpose.meshnet import build_sampling
-from courtpose.primitives import capsule
+from courtpose.mesh import PartMesh
+from courtpose.meshnet import NetConfig, build_sampling
+from courtpose.meshnet import sampling
+from courtpose.meshnet.sampling import _AREA_EPS, _collapse_valid, _neighbors
+from courtpose.primitives import capsule, tri_grid
+from courtpose.synth import SceneConfig, canonical_body
 from helpers import icosphere, plane_grid
 
 
@@ -94,3 +102,161 @@ def test_upsampling_rows_match_bruteforce_nearest_triangle():
         expected = np.zeros(len(cv))
         expected[cf[fi]] = bary
         assert np.array_equal(U[i], expected)
+
+
+@pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.5, -2, "2", None])
+def test_factor_must_be_a_finite_number_of_at_least_one(factor):
+    with pytest.raises(ValidationError, match=f"got {factor!r}"):
+        build_sampling(icosphere(1.0, 1), factor)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the decimation loop that recomputes every collapse cost per push
+# ---------------------------------------------------------------------------
+
+def vertex_quadrics_loop(verts, faces):
+    """The quadrics with one np.cross per face."""
+    q = np.zeros((len(verts), 4, 4))
+    for f in faces:
+        a, b, c = verts[f]
+        nrm = np.cross(b - a, c - a)
+        area = 0.5 * np.linalg.norm(nrm)
+        if area < _AREA_EPS:
+            continue
+        nrm = nrm / (2.0 * area)
+        plane = np.append(nrm, -nrm @ a)
+        K = area * np.outer(plane, plane)
+        for v in f:
+            q[v] += K
+    return q
+
+
+def build_sampling_uncached(mesh, factor):
+    """``build_sampling`` as it was before the collapse costs were kept: every
+    push computes its cost from the current quadrics."""
+    n = mesh.num_vertices
+    target = int(np.floor(n / factor))
+    if factor == 1 or target >= n:
+        eye = sp.identity(n, format="csr")
+        return eye, eye.copy(), mesh, True
+    verts = mesh.vertices
+    faces = [tuple(f) for f in mesh.faces]
+    face_alive = [True] * len(faces)
+    vert_faces = [set() for _ in range(n)]
+    for fi, f in enumerate(faces):
+        for v in f:
+            vert_faces[v].add(fi)
+    alive = np.ones(n, dtype=bool)
+    quadrics = vertex_quadrics_loop(verts, mesh.faces)
+    version = np.zeros(n, dtype=int)
+    heap = []
+
+    def push(u, v):
+        Q = quadrics[u] + quadrics[v]
+        p = np.append(verts[v], 1.0)
+        heapq.heappush(heap, (float(p @ Q @ p), u, v, version[u], version[v]))
+
+    edges = set()
+    for a, b, c in faces:
+        for u, v in ((a, b), (b, c), (c, a)):
+            e = (min(u, v), max(u, v))
+            if e not in edges:
+                edges.add(e)
+                push(e[0], e[1])
+                push(e[1], e[0])
+    removed = 0
+    alive_faces = len(faces)
+    while n - removed > target and heap:
+        _, u, v, vu, vv = heapq.heappop(heap)
+        if not (alive[u] and alive[v]) or vu != version[u] or vv != version[v]:
+            continue
+        if v not in _neighbors(u, faces, vert_faces):
+            continue
+        if not _collapse_valid(u, v, verts, faces, face_alive, vert_faces):
+            continue
+        dying = sum(1 for fi in vert_faces[u] if v in faces[fi])
+        if alive_faces - dying < 1:
+            continue
+        quadrics[v] = quadrics[u] + quadrics[v]
+        alive[u] = False
+        removed += 1
+        alive_faces -= dying
+        for fi in [fi for fi in vert_faces[u] if v in faces[fi]]:
+            face_alive[fi] = False
+            for w in faces[fi]:
+                vert_faces[w].discard(fi)
+        for fi in list(vert_faces[u]):
+            faces[fi] = tuple(v if w == u else w for w in faces[fi])
+            vert_faces[v].add(fi)
+        vert_faces[u] = set()
+        version[u] += 1
+        version[v] += 1
+        for w in _neighbors(v, faces, vert_faces):
+            version[w] += 1
+            push(w, v)
+            push(v, w)
+            for x in _neighbors(w, faces, vert_faces):
+                if alive[x]:
+                    push(w, x)
+                    push(x, w)
+    kept = np.nonzero(alive)[0]
+    nc = len(kept)
+    new_index = -np.ones(n, dtype=int)
+    new_index[kept] = np.arange(nc)
+    coarse_faces = np.asarray(
+        [[new_index[w] for w in faces[fi]] for fi in range(len(faces)) if face_alive[fi]],
+        dtype=int).reshape(-1, 3)
+    coarse = PartMesh(verts[kept], coarse_faces, mesh.part)
+    D = sp.csr_matrix((np.ones(nc), (np.arange(nc), kept)), shape=(nc, n))
+    dropped = np.nonzero(~alive)[0]
+    nearest = np.zeros(n, dtype=int)
+    if dropped.size:
+        nearest[dropped] = nearest_triangles(verts[dropped], coarse.vertices,
+                                             coarse_faces)[0]
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        if alive[i]:
+            rows.append(i)
+            cols.append(new_index[i])
+            vals.append(1.0)
+        else:
+            fi = nearest[i]
+            _, bary = point_triangle_closest(verts[i], *coarse.vertices[coarse_faces[fi]])
+            for k in range(3):
+                rows.append(i)
+                cols.append(int(coarse_faces[fi][k]))
+                vals.append(float(bary[k]))
+    U = sp.csr_matrix((vals, (rows, cols)), shape=(n, nc))
+    return D, U, coarse, n - removed <= target
+
+
+def assert_sampling_matches_uncached(mesh, factor):
+    op = build_sampling(mesh, factor)
+    D, U, coarse, reached = build_sampling_uncached(mesh, factor)
+    for got, want in ((op.D, D), (op.U, U)):
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    assert np.array_equal(op.coarse.vertices, coarse.vertices)
+    assert np.array_equal(op.coarse.faces, coarse.faces)
+    assert op.reached_target == reached
+    return op
+
+
+def test_quadrics_match_the_per_face_loop():
+    for mesh in canonical_body(SceneConfig().voxel_res)[1].parts:
+        assert np.array_equal(sampling._vertex_quadrics(mesh.vertices, mesh.faces),
+                              vertex_quadrics_loop(mesh.vertices, mesh.faces))
+
+
+def test_kept_collapse_costs_match_uncached_on_body_part_pyramids():
+    for mesh in canonical_body(SceneConfig().voxel_res)[1].parts:
+        for factor in NetConfig().ds_factors:
+            mesh = assert_sampling_matches_uncached(mesh, factor).coarse
+
+
+@pytest.mark.parametrize("factor", [1, 2, 3, 4])
+def test_kept_collapse_costs_match_uncached_on_tri_grids(factor):
+    # planar grids: every interior collapse costs 0, so the heap's order
+    # rests on the tie-breaking vertex ids and versions
+    for rows, cols in ((5, 6), (8, 9), (12, 11)):
+        assert_sampling_matches_uncached(tri_grid(rows, cols), factor)

@@ -187,3 +187,11 @@ def test_gather_matrix_rows():
 def test_spiral_index_out_of_range_is_validation_error(bad):
     with pytest.raises(ValidationError):
         SpiralIndices(np.array(bad), 1)
+
+
+@pytest.mark.parametrize("length, dilation, bad", [
+    (2.5, 1, "length"), (9, 1.0, "dilation"), (0, 1, "length"), (9, 0, "dilation")])
+def test_spiral_length_and_dilation_are_integers_of_at_least_one(length, dilation, bad):
+    value = length if bad == "length" else dilation
+    with pytest.raises(ValidationError, match=f"spiral {bad} .* got {value!r}"):
+        build_spirals(tri_grid(3, 3), length, dilation)
