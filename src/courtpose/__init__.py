@@ -17,7 +17,7 @@ from .posemaps import (HeatmapStack, JumpInfo, LocationMapStack,
                        decode_location_maps, encode_heatmaps,
                        encode_location_maps, pose_loss)
 from .placement import lowest_joint, place_player, solve_depth_for_height
-from .skinning import (FitConfig, SkinningWeights, fit_pose_to_keypoints,
+from .skinning import (SkinningWeights, fit_pose_to_keypoints,
                        heat_diffusion_weights, lbs, swing_ik)
 from .collision import CollisionReport, detect_collisions
 from .composer import (PenetrationWeights, penetration_loss,
@@ -44,7 +44,7 @@ __all__ = [
     "PoseMapTargets", "decode_heatmaps", "decode_location_maps",
     "encode_heatmaps", "encode_location_maps", "pose_loss",
     "lowest_joint", "place_player", "solve_depth_for_height",
-    "FitConfig", "SkinningWeights", "fit_pose_to_keypoints",
+    "SkinningWeights", "fit_pose_to_keypoints",
     "heat_diffusion_weights", "lbs", "swing_ik",
     "CollisionReport", "detect_collisions",
     "PenetrationWeights", "penetration_loss", "resolve_interpenetration",

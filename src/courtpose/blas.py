@@ -1,7 +1,7 @@
 """Run small dense linear algebra on one OpenBLAS thread.
 
 OpenBLAS splits even small products and factorisations, such as the skin
-fit's 108 x 108 normal equations, over all of its threads. Where the cores
+fit's 105 x 105 normal equations, over all of its threads. Where the cores
 are shared (``--jobs`` workers that each bring a full thread pool, or other
 programs on the host) a split call waits until its other threads are
 scheduled, so it is slower and its time erratic: under

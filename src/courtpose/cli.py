@@ -230,9 +230,13 @@ def cmd_infer_part(args, scene_config):
     ops = PartOps.build(rest_body.part(TOY_PART), config)
     params = load_params(args.params)
     pose = load_json_record(args.pose, pose3d_from_json)
-    rest = load_obj(args.rest)
-    if isinstance(rest, BodyMesh):
-        rest = rest.parts[0]
+    # the network's part from a body OBJ in any part order, or an untagged OBJ
+    loaded = load_obj(args.rest, default_part=TOY_PART)
+    parts = loaded.parts if isinstance(loaded, BodyMesh) else (loaded,)
+    rest = next((p for p in parts if p.part == TOY_PART), None)
+    if rest is None:
+        raise ValidationError(f"OBJ file {args.rest} has no {TOY_PART!r} part, only "
+                              f"{[p.part for p in parts]}")
     out = tl_forward(pose, rest, params, ops, config)
     save_obj(args.out, rest.with_vertices(out["V_pred"]))
     print(f"inferred part written to {args.out}")
@@ -353,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer-part", help="run the mesh network on one part")
     p.add_argument("--params", required=True)
     p.add_argument("--pose", required=True)
-    p.add_argument("--rest", required=True)
+    p.add_argument("--rest", required=True, help="OBJ with the head: a body or one part")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_infer_part)
 

@@ -1,6 +1,6 @@
 """Classical skinning pipeline: voxel heat-diffusion weight initialization,
-linear blend skinning, and least-squares fitting of bone transforms to
-target keypoints.
+linear blend skinning, and least-squares fitting of bone rotations to a
+root-relative 3D pose.
 
 Heat weights (Baran & Popovic 2007, on voxels as in Dionne & de Lasa 2013)
 live on one grid: face samples mark the surface cells and a flood fill from
@@ -10,7 +10,11 @@ no source and therefore receive zero weight columns. Per bone, unit heat is
 pinned on the segment's voxels and zero on every other bone's; Jacobi
 iteration reaches the steady state, which is sampled at the vertices.
 
-The keypoint fit runs at batch width: ``swing_ik`` turns each depth level's
+The keypoint fit has the one configuration ``run_pipeline`` runs, on a
+root-relative target; a world-frame body is the fitted body moved by the
+placement offset, since LBS commutes with a translation.
+
+The fit runs at batch width: ``swing_ik`` turns each depth level's
 single-child joints in one batched swing, the start's axis-angles come from
 one stacked ``matrix_to_axis_angle``, and the Jacobian forms cross products
 for the proper (descendant, ancestor) joint pairs only. What stays scalar is the
@@ -28,12 +32,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import blas
-from .camera import Camera, project_with_depth
 from .errors import NumericalError, ValidationError
 from .lsq import lm_solve
 from .mesh import BodyMesh
-from .model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
-                    _fk_levels, fk_global, forward_kinematics)
+from .model import (BoneTransforms, Frame, Pose3D, Skeleton, _fk_levels,
+                    fk_global, forward_kinematics)
 from .transforms import axis_angle_to_matrix, matrix_to_axis_angle, skew
 
 MAX_INFLUENCES = 4
@@ -69,23 +72,6 @@ def weights_from_json(d: dict) -> SkinningWeights:
     W = np.zeros(tuple(d["shape"]))
     W[np.asarray(d["rows"], int), np.asarray(d["cols"], int)] = d["values"]
     return SkinningWeights(W)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    w2d: float = 0.0
-    wprior: float = 1e-4   # L2 on axis-angle; breaks the twist ambiguity
-    max_iters: int = 60
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        # `not v >= 0` also catches NaN, which would silently drop a term
-        for name in ("w2d", "wprior", "tol"):
-            v = getattr(self, name)
-            if not (v >= 0 and np.isfinite(v)):
-                raise ValidationError(f"{name} must be finite and >= 0, got {v}")
-        if self.max_iters < 1:
-            raise ValidationError(f"max iters must be >= 1, got {self.max_iters}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,43 +313,42 @@ def lbs(rest: BodyMesh, weights: SkinningWeights, transforms: BoneTransforms,
 # Keypoint fitting
 # ---------------------------------------------------------------------------
 
+WPRIOR = 1e-4  # L2 on the axis-angles; breaks the twist ambiguity
+FIT_MAX_ITERS = 20  # a safety cap: pipeline fits converge in 3-9 iterations
+FIT_RTOL = 1e-8  # stop once an accepted step gains less than FIT_RTOL * max(cost, 1)
+
+
+def _check_target(skeleton: Skeleton, target3d: Pose3D):
+    J = skeleton.num_joints
+    if target3d.num_joints != J:
+        raise ValidationError(f"target has {target3d.num_joints} joints, skeleton {J}")
+    if target3d.frame is not Frame.ROOT_RELATIVE:
+        raise ValidationError(f"the fit takes a root-relative target, not {target3d.frame.value}")
+
+
 class KeypointObjective:
     """Residual vector of ``fit_pose_to_keypoints`` and its analytic Jacobian.
 
-    Parameters are the per-joint axis-angle rotations (3J), followed by the
-    root translation (3) for world-frame targets. Residual blocks, in order:
-    3D joint error, sqrt(w2d) * 2D reprojection error (zero for invisible
-    joints, 1e3 for joints with camera depth <= 1e-6), and sqrt(wprior) *
-    axis-angle.
+    Parameters are the per-joint axis-angle rotations (3J) that pose the
+    skeleton onto a root-relative target. Residual blocks, in order: the 3D
+    joint error (3J), then sqrt(WPRIOR) * axis-angle (3J).
 
     The Jacobian comes from the same FK pass as the residual. For joint j and
     a descendant i, dp_i/domega_j = -[p_i - p_j]x R_glob(j) J_r(omega_j), with
-    J_r the SO(3) right Jacobian; the root-translation columns are identity.
-    Only the proper (descendant, ancestor) pairs are formed: 161 of the
-    1,225 joint pairs of the 35-joint skeleton. A joint's own rotation does
-    not move it, so its (i, i) pair, a cross product with p_i - p_i = 0,
-    stays zero. The FK of the last evaluation is kept,
-    so the linearization at the step ``lm_solve`` just accepted (the step its
-    cost call evaluated last) runs no second FK.
+    J_r the SO(3) right Jacobian. Only the proper (descendant, ancestor)
+    pairs are formed: 161 of the 1,225 joint pairs of the 35-joint skeleton.
+    A joint's own rotation does not move it, so its (i, i) pair, a cross
+    product with p_i - p_i = 0, stays zero. The FK of the last evaluation is
+    kept, so the linearization at the step ``lm_solve`` just accepted (the
+    step its cost call evaluated last) runs no second FK.
     """
 
-    def __init__(self, skeleton: Skeleton, target3d: Pose3D,
-                 target2d: Pose2D | None = None, camera: Camera | None = None,
-                 cfg: FitConfig = FitConfig()):
+    def __init__(self, skeleton: Skeleton, target3d: Pose3D):
+        _check_target(skeleton, target3d)
         J = skeleton.num_joints
-        if target3d.num_joints != J:
-            raise ValidationError(f"target has {target3d.num_joints} joints, skeleton {J}")
-        if target2d is not None and target2d.num_joints != J:
-            raise ValidationError(f"2D target has {target2d.num_joints} joints, skeleton {J}")
-        if cfg.w2d > 0 and (camera is None or target2d is None):
-            raise ValidationError("2D term requires a camera and a 2D target")
         self.skeleton = skeleton
         self.target3d = target3d
-        self.target2d = target2d
-        self.camera = camera
-        self.cfg = cfg
-        self.world_frame = target3d.frame is Frame.WORLD
-        self.num_params = 3 * J + (3 if self.world_frame else 0)
+        self.num_params = 3 * J
         # ancestor[i, j]: joint j is joint i or one of its ancestors
         ancestor = np.eye(J, dtype=bool)
         for idx in skeleton._levels:
@@ -372,70 +357,35 @@ class KeypointObjective:
         self._cols = 3 * self._anc[:, None] + np.arange(3)
         self._fk = None  # (params bytes, R_glob, world positions) of the last FK
 
-    def unpack(self, params):
-        J = self.skeleton.num_joints
-        om = params[:3 * J].reshape(J, 3)
-        root_t = params[3 * J:] if self.world_frame else np.zeros(3)
-        return om, root_t
-
     def transforms(self, params) -> BoneTransforms:
-        om, root_t = self.unpack(params)
-        tr = np.zeros((len(om), 3))
-        tr[0] = root_t
-        return BoneTransforms(axis_angle_to_matrix(om), tr)
+        om = params.reshape(-1, 3)
+        return BoneTransforms(axis_angle_to_matrix(om), np.zeros((len(om), 3)))
 
     def _forward(self, params):
         """Global rotations and world joint positions at ``params``; the last
         evaluation's when the parameters are the same to the bit."""
         key = params.tobytes()
         if self._fk is None or self._fk[0] != key:
-            om, root_t = self.unpack(params)
-            offsets = self.skeleton.rest_offsets.copy()
-            offsets[0] += root_t
-            self._fk = (key, *_fk_levels(self.skeleton, axis_angle_to_matrix(om), offsets))
+            rotations = axis_angle_to_matrix(params.reshape(-1, 3))
+            self._fk = (key, *_fk_levels(self.skeleton, rotations, self.skeleton.rest_offsets))
         return self._fk[1:]
 
     def residuals(self, params, jacobian: bool = False):
         """Residual vector r, or (r, dr/dparams) when ``jacobian``."""
-        cfg = self.cfg
-        J = self.skeleton.num_joints
-        om, _ = self.unpack(params)
         R_glob, pos_world = self._forward(params)
-        pos = pos_world if self.world_frame else pos_world - pos_world[0]
-        parts = [(pos - self.target3d.positions).ravel()]
-        if jacobian:
-            jpos = self._position_jacobian(om, R_glob, pos_world)
-            jparts = [jpos.reshape(3 * J, -1)]
-        if cfg.w2d > 0:
-            cam = self.camera
-            uv, z = project_with_depth(cam, pos)
-            r2 = np.sqrt(cfg.w2d) * (uv - self.target2d.pixels)
-            off = ~self.target2d.visibility
-            r2[off] = 0.0
-            bad = z <= 1e-6
-            if bad.any():
-                r2[bad] = 1e3
-            parts.append(r2.ravel())
-            if jacobian:
-                xyz = pos @ cam.R.T + cam.T
-                zs = np.where(np.abs(z) < 1e-12, 1e-12, z)
-                # d(uv)/d(camera xyz) of the pinhole, then through camera.R
-                duv = np.zeros((J, 2, 3))
-                duv[:, 0, 0] = cam.f / zs
-                duv[:, 1, 1] = cam.f / zs
-                duv[:, :, 2] = -cam.f * xyz[:, :2] / (zs * zs)[:, None]
-                j2 = np.sqrt(cfg.w2d) * ((duv @ cam.R) @ jpos)
-                j2[off | bad] = 0.0
-                jparts.append(j2.reshape(2 * J, -1))
-        if cfg.wprior > 0:
-            parts.append(np.sqrt(cfg.wprior) * om.ravel())
-            if jacobian:
-                jparts.append(np.sqrt(cfg.wprior) * np.eye(3 * J, self.num_params))
-        r = np.concatenate(parts)
-        return (r, np.concatenate(jparts)) if jacobian else r
+        pos = pos_world - pos_world[0]
+        r = np.concatenate([(pos - self.target3d.positions).ravel(),
+                            np.sqrt(WPRIOR) * params])
+        if not jacobian:
+            return r
+        jpos = self._position_jacobian(params.reshape(-1, 3), R_glob, pos_world)
+        return r, np.concatenate([jpos.reshape(self.num_params, -1),
+                                  np.sqrt(WPRIOR) * np.eye(self.num_params)])
 
     def _position_jacobian(self, om, R_glob, pos):
-        """(J, 3, num_params) derivative of the fitted joint positions."""
+        """(J, 3, 3J) derivative of the joint positions. The root position
+        does not depend on omega, so root-relative positions p - p_root
+        share it."""
         J = self.skeleton.num_joints
         i, j = self._desc, self._anc
         M = R_glob @ so3_right_jacobian(om)
@@ -444,10 +394,6 @@ class KeypointObjective:
         C = np.cross(M.transpose(0, 2, 1)[j], (pos[i] - pos[j])[:, None, :])
         jac = np.zeros((J, 3, self.num_params))
         jac[i[:, None], :, self._cols] = C
-        if self.world_frame:
-            jac[:, :, 3 * J:] = np.eye(3)
-        # the root position does not depend on omega, so root-relative
-        # positions p - p_root share this Jacobian
         return jac
 
 
@@ -464,17 +410,16 @@ def swing_ik(skeleton: Skeleton, target3d: Pose3D) -> BoneTransforms:
     One depth level at a time, each joint takes the rotation, in its parent's
     already-solved frame, that best aligns its children's rest offsets with
     their target bones (``_align``): the minimal rotation for one child, the
-    Kabsch rotation for several. Leaves keep the identity. For a world-frame
-    target the root translation puts the root on its target joint.
+    Kabsch rotation for several. Leaves keep the identity, and the target
+    is root-relative, so every translation is zero.
 
     A level's single-child joints take their minimal rotations in one batched
     swing, with the arithmetic of the scalar ``_swing``; the joints with
     several children, and the rows with a bone shorter than ``MIN_BONE`` or
     a (near-)parallel pair, take the scalar ``_align``.
     """
+    _check_target(skeleton, target3d)
     J = skeleton.num_joints
-    if target3d.num_joints != J:
-        raise ValidationError(f"target has {target3d.num_joints} joints, skeleton {J}")
     tgt = target3d.positions
     parent = skeleton.parent
     kids = [[] for _ in range(J)]
@@ -498,10 +443,7 @@ def swing_ik(skeleton: Skeleton, target3d: Pose3D) -> BoneTransforms:
             R_loc[j] = _align(skeleton.rest_offsets[kids[j]],
                               (tgt[kids[j]] - tgt[j]) @ R_glob[parent[j]])
         R_glob[idx] = R_glob[parent[idx]] @ R_loc[idx]
-    tr = np.zeros((J, 3))
-    if target3d.frame is Frame.WORLD:
-        tr[0] = tgt[0] - skeleton.rest_offsets[0]
-    return BoneTransforms(R_loc, tr)
+    return BoneTransforms(R_loc, np.zeros((J, 3)))
 
 
 def _swing_rows(A, D):
@@ -577,49 +519,45 @@ def so3_right_jacobian(omega: np.ndarray) -> np.ndarray:
     return np.eye(3) - a[:, None, None] * K + b[:, None, None] * (K @ K)
 
 
-# the normal equations are 108 x 108 at most: too small to gain from BLAS
+# the normal equations are 105 x 105: too small to gain from BLAS
 # threads, and a split solve waits for a second core (see ``blas``)
 @blas.single_thread()
 def fit_pose_to_keypoints(skeleton: Skeleton, target3d: Pose3D,
-                          target2d: Pose2D | None = None,
-                          camera: Camera | None = None,
-                          cfg: FitConfig = FitConfig(),
                           init: BoneTransforms | None = None):
-    """Damped Gauss-Newton over per-joint axis-angle rotations (+ root
-    translation for world-frame targets) minimizing 3D keypoint error,
-    optional 2D reprojection error, and an L2 pose prior, with the analytic
-    Jacobian of ``KeypointObjective``, by ``lsq.lm_solve``.
+    """Damped Gauss-Newton over per-joint axis-angle rotations minimizing
+    the 3D error to a root-relative target plus the L2 pose prior
+    ``WPRIOR``, with the analytic Jacobian of ``KeypointObjective``, by
+    ``lsq.lm_solve`` (at most ``FIT_MAX_ITERS`` iterations, tolerance
+    ``FIT_RTOL``).
 
-    The solve starts from ``init``, or by default from ``swing_ik`` of the 3D
+    The solve starts from ``init``, or by default from ``swing_ik`` of the
     target, which already reaches it when the bone lengths agree; the solve
     then trades the prior against the residual, mostly by twist about the
-    bones. ``init=BoneTransforms.identity(J)`` starts from zero rotations.
+    bones. ``init=BoneTransforms.identity(J)`` starts from zero rotations;
+    only the rotations of ``init`` are read.
 
     Returns (BoneTransforms, info dict with the cost history, final cost,
     stop reason and per-joint residuals).
     """
-    obj = KeypointObjective(skeleton, target3d, target2d, camera, cfg)
+    obj = KeypointObjective(skeleton, target3d)
     if init is None:
         init = swing_ik(skeleton, target3d)
     elif init.num_joints != skeleton.num_joints:
         raise ValidationError(
             f"init has {init.num_joints} joints, skeleton {skeleton.num_joints}")
-    omega0 = matrix_to_axis_angle(init.rotations)
-    t0 = init.translations[0]
-    p = np.concatenate([omega0.ravel(), t0]) if obj.world_frame else omega0.ravel()
 
     def cost(params):
         r = obj.residuals(params)
         return float(r @ r)
 
-    p, rec = lm_solve(lambda q: obj.residuals(q, jacobian=True), cost, p,
-                      lam=1e-4, lam_min=1e-12, tries=15, max_iters=cfg.max_iters,
-                      max_rejects=10, rtol=cfg.tol)
+    p, rec = lm_solve(lambda q: obj.residuals(q, jacobian=True), cost,
+                      matrix_to_axis_angle(init.rotations).ravel(),
+                      lam=1e-4, lam_min=1e-12, tries=15, max_iters=FIT_MAX_ITERS,
+                      max_rejects=10, rtol=FIT_RTOL)
     if rec.stop == "stalled":
         raise NumericalError("fitting diverged: cost non-decreasing for 10 steps")
     bt = obj.transforms(p)
-    pose = forward_kinematics(skeleton, bt,
-                              frame=Frame.WORLD if obj.world_frame else Frame.ROOT_RELATIVE)
+    pose = forward_kinematics(skeleton, bt)
     info = {
         "cost_history": rec.cost_history,
         "final_cost": rec.cost_history[-1],

@@ -32,12 +32,9 @@ from .posemaps import (JumpInfo, decode_heatmaps, decode_location_maps,
                        encode_heatmaps, encode_location_maps, jump_from_json,
                        jump_to_json)
 from .primitives import capsule, tube
-from .skinning import FitConfig, fit_pose_to_keypoints, heat_diffusion_weights, lbs
+from .skinning import fit_pose_to_keypoints, heat_diffusion_weights, lbs
 from .transforms import axis_angle_to_matrix, look_at_rotation
 
-# skin-fit iteration cap in run_pipeline: a safety cap only, since from the
-# swing-IK start every pipeline scene's fit converges in under 10 iterations
-FIT_MAX_ITERS = 20
 EMD_SUBSAMPLE = 256  # points per side of the eval stage's EMD
 
 # the fixed scene distribution
@@ -336,8 +333,7 @@ def run_pipeline(bundle: SceneBundle) -> dict:
     stage("place", s_place)
 
     def s_skin():
-        cfg = FitConfig(max_iters=FIT_MAX_ITERS, tol=1e-8)
-        fitted, info = fit_pose_to_keypoints(skeleton, pose3d_dec, cfg=cfg)
+        fitted, info = fit_pose_to_keypoints(skeleton, pose3d_dec)
         posed = lbs(bundle.rest_body, weights, fitted, skeleton)
         return {"fit_joint_residual_m": float(np.mean(info["joint_residuals"])),
                 "final_cost": info["final_cost"],

@@ -31,9 +31,8 @@ from courtpose.posemaps import (JumpInfo, PoseLossWeights, PoseMapTargets,
                                 encode_heatmaps, encode_location_maps,
                                 pose_loss)
 from courtpose.primitives import capsule, tube
-from courtpose.skinning import (FitConfig, SkinningWeights,
-                                fit_pose_to_keypoints, heat_diffusion_weights,
-                                lbs)
+from courtpose.skinning import (SkinningWeights, fit_pose_to_keypoints,
+                                heat_diffusion_weights, lbs)
 from courtpose.synth import (SceneConfig, court_landmark_reprojection,
                              run_pipeline, synth_scene)
 from courtpose.toydata import toy_part_dataset

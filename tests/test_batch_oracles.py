@@ -12,8 +12,8 @@ oracle, and every comparison is exact (``np.array_equal``):
 - ``encode_location_maps``: ``np.where`` over the whole stack.
 
 Each runs on the 36 pipeline scenes (5000-5007, 6000-6007 and 1000-1019),
-in both frames where a frame applies, and on small cases with degenerate
-rows.
+the skin fit on their root-relative targets, and on small cases with
+degenerate rows.
 """
 import itertools
 
@@ -26,17 +26,16 @@ from courtpose.collision import (COLLISION_BAND, IndexedMesh, detect_collisions,
                                  nearest_triangles)
 from courtpose.composer import GARMENT_PAIRS
 from courtpose.mesh import PartMesh, face_normals, mesh_edges, uniform_laplacian
-from courtpose.model import (BoneTransforms, Frame, Pose3D, Skeleton, _fk_levels,
+from courtpose.model import (BoneTransforms, Pose3D, Skeleton, _fk_levels,
                              forward_kinematics)
 from courtpose.posemaps import encode_heatmaps, encode_location_maps
-from courtpose.skinning import (FitConfig, KeypointObjective, _align,
-                                fit_pose_to_keypoints, so3_right_jacobian, swing_ik)
+from courtpose.skinning import (KeypointObjective, _align, fit_pose_to_keypoints,
+                                so3_right_jacobian, swing_ik)
 from courtpose.synth import synth_scene
 from courtpose.transforms import axis_angle_to_matrix, matrix_to_axis_angle, random_rotation
 from helpers import icosphere
 
 PIPELINE_SEEDS = [*range(5000, 5008), *range(6000, 6008), *range(1000, 1020)]
-FRAMES = [Frame.ROOT_RELATIVE, Frame.WORLD]
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +46,6 @@ def scenes():
 def scene_targets(scenes):
     for b in scenes:
         yield b.skeleton, b.pose_root
-        yield b.skeleton, b.pose_world
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +66,7 @@ def swing_ik_loop(skeleton, target3d):
         if kids[j]:
             R_loc[j] = _align(skeleton.rest_offsets[kids[j]], (tgt[kids[j]] - tgt[j]) @ R_par)
         R_glob[j] = R_par @ R_loc[j]
-    tr = np.zeros((J, 3))
-    if target3d.frame is Frame.WORLD:
-        tr[0] = tgt[0] - skeleton.rest_offsets[0]
-    return BoneTransforms(R_loc, tr)
+    return BoneTransforms(R_loc, np.zeros((J, 3)))
 
 
 def matrix_to_axis_angle_one(R):
@@ -93,15 +88,12 @@ def matrix_to_axis_angle_one(R):
     return v / (2.0 * np.sin(theta)) * theta
 
 
-def dense_position_jacobian(skeleton, params, world_frame):
+def dense_position_jacobian(skeleton, params):
     """The position Jacobian over all J x J joint pairs, masked to the
     ancestors after the cross products."""
     J = skeleton.num_joints
-    om = params[:3 * J].reshape(J, 3)
-    offsets = skeleton.rest_offsets.copy()
-    if world_frame:
-        offsets[0] += params[3 * J:]
-    R_glob, pos = _fk_levels(skeleton, axis_angle_to_matrix(om), offsets)
+    om = params.reshape(J, 3)
+    R_glob, pos = _fk_levels(skeleton, axis_angle_to_matrix(om), skeleton.rest_offsets)
     ancestor = np.eye(J, dtype=bool)
     for idx in skeleton._levels:
         ancestor[idx] |= ancestor[skeleton.parent[idx]]
@@ -109,19 +101,12 @@ def dense_position_jacobian(skeleton, params, world_frame):
     D = pos[:, None, :] - pos[None, :, :]
     C = np.cross(M.transpose(0, 2, 1)[None], D[:, :, None, :])
     C *= ancestor[:, :, None, None]
-    jac = np.zeros((J, 3, len(params)))
-    jac[:, :, :3 * J] = C.transpose(0, 3, 1, 2).reshape(J, 3, 3 * J)
-    if world_frame:
-        jac[:, :, 3 * J:] = np.eye(3)
-    return jac.reshape(3 * J, -1)
+    return C.transpose(0, 3, 1, 2).reshape(3 * J, 3 * J)
 
 
 def start_params(skeleton, target, rng=None):
     """The fit's start, or a random step from it when ``rng`` is given."""
-    start = swing_ik(skeleton, target)
-    p = matrix_to_axis_angle(start.rotations).ravel()
-    if target.frame is Frame.WORLD:
-        p = np.concatenate([p, start.translations[0]])
+    p = matrix_to_axis_angle(swing_ik(skeleton, target).rotations).ravel()
     if rng is not None:
         p = p + rng.normal(scale=0.3, size=len(p))
     return p
@@ -133,7 +118,7 @@ def skeleton(parent, offsets):
 
 def degenerate_cases():
     """(skeleton, target) pairs with the rows the batch leaves to ``_align``
-    or that sit at the edges of the swing's arithmetic, in both frames."""
+    or that sit at the edges of the swing's arithmetic."""
     rng = np.random.default_rng(0)
     up = [0.0, 0.3, 0.0]
     # a root whose children are all leaves, so level 1 holds leaves only
@@ -156,21 +141,17 @@ def degenerate_cases():
         rots = np.broadcast_to(np.eye(3), (sk.num_joints, 3, 3)).copy()
         for j, angle in turns.items():
             rots[j] = axis_angle_to_matrix(z * angle)
-        for frame in FRAMES:
-            tr = np.zeros((sk.num_joints, 3))
-            tr[0] = rng.normal(size=3) if frame is Frame.WORLD else 0.0
-            cases.append((sk, forward_kinematics(sk, BoneTransforms(rots, tr), frame=frame)))
+        zero = np.zeros((sk.num_joints, 3))
+        cases.append((sk, forward_kinematics(sk, BoneTransforms(rots, zero))))
     # target bones of zero length, then random trees
     cases.append((chain, Pose3D(np.array([[0, 0, 0], up, up, [0, 0.6, 0], [0, 0.6, 0],
                                            [0, 0.7, 0], [0, 0.7, 0.2]]))))
     for n in (6, 12, 20):
         parent = [-1] + [int(rng.integers(0, j)) for j in range(1, n)]
         sk = skeleton(parent, [[0, 0, 0]] + rng.normal(scale=0.25, size=(n - 1, 3)).tolist())
-        for frame, max_angle in itertools.product(FRAMES, (1e-9, 1.0, np.pi)):
+        for max_angle in (1e-9, 1.0, np.pi):
             rots = np.stack([random_rotation(rng, max_angle) for _ in range(n)])
-            tr = np.zeros((n, 3))
-            tr[0] = rng.normal(size=3) if frame is Frame.WORLD else 0.0
-            cases.append((sk, forward_kinematics(sk, BoneTransforms(rots, tr), frame=frame)))
+            cases.append((sk, forward_kinematics(sk, BoneTransforms(rots, np.zeros((n, 3))))))
     return cases
 
 
@@ -238,8 +219,7 @@ def assert_jacobian_matches_dense(sk, target, params):
     obj = KeypointObjective(sk, target)
     _, jac = obj.residuals(params, jacobian=True)
     J = sk.num_joints
-    assert np.array_equal(jac[:3 * J],
-                          dense_position_jacobian(sk, params, obj.world_frame))
+    assert np.array_equal(jac[:3 * J], dense_position_jacobian(sk, params))
 
 
 def test_ancestor_pair_jacobian_matches_dense_on_pipeline_scenes(scenes):
@@ -265,12 +245,12 @@ def test_linearizing_at_the_last_evaluated_step_runs_no_second_fk(monkeypatch, s
 
     monkeypatch.setattr(skinning, "_fk_levels", counting_fk)
     b = scenes[0]
-    obj = KeypointObjective(b.skeleton, b.pose_world)
-    p = start_params(b.skeleton, b.pose_world)
+    obj = KeypointObjective(b.skeleton, b.pose_root)
+    p = start_params(b.skeleton, b.pose_root)
     r = obj.residuals(p)
     r_again, jac = obj.residuals(p.copy(), jacobian=True)  # equal values, another array
     assert len(fk_calls) == 1
-    fresh = KeypointObjective(b.skeleton, b.pose_world).residuals(p, jacobian=True)
+    fresh = KeypointObjective(b.skeleton, b.pose_root).residuals(p, jacobian=True)
     assert np.array_equal(r_again, r) and np.array_equal(r, fresh[0])
     assert np.array_equal(jac, fresh[1])
     obj.residuals(p + 1e-3, jacobian=True)
@@ -297,7 +277,7 @@ def test_linearizing_at_the_last_evaluated_step_runs_no_second_fk(monkeypatch, s
         fk_calls.clear()
         cost_calls.clear()
         repeats.clear()
-        fit_pose_to_keypoints(b.skeleton, b.pose_root, cfg=FitConfig(max_iters=16, tol=1e-8))
+        fit_pose_to_keypoints(b.skeleton, b.pose_root)
         assert len(repeats) >= 2 and all(repeats)
         assert len(fk_calls) == len(cost_calls)
 

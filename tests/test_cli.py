@@ -7,7 +7,7 @@ import pytest
 from courtpose.calibrate import LineMask, save_pgm
 from courtpose.camera import camera_to_json, project
 from courtpose.cli import main
-from courtpose.mesh import save_obj
+from courtpose.mesh import BodyMesh, load_obj, save_obj
 from courtpose.model import pose2d_to_json, pose3d_to_json, transforms_to_json
 from courtpose.posemaps import jump_to_json
 from courtpose.synth import synth_scene
@@ -393,6 +393,28 @@ def test_infer_part_truncated_params_exit_code_2(tmp_path, capsys, json_inputs, 
     assert main(["infer-part"] + argv) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and "truncated" in err
+
+
+def test_infer_part_takes_the_head_of_a_body_in_any_part_order(tmp_path, capsys,
+                                                               json_inputs):
+    # the first group used to be taken, so a body whose head is not first
+    # exited 2 with "rest part does not match the operator pyramid"
+    argv = [arg.format(inputs=json_inputs, tmp=tmp_path)
+            for arg in _JSON_COMMANDS["infer-part"]]
+    assert main(["infer-part"] + argv) == 0
+    body = load_obj(json_inputs / "rest.obj")
+    assert body.parts[0].part == "head"
+    save_obj(tmp_path / "reversed.obj", BodyMesh(body.parts[::-1]))
+    argv[argv.index("--rest") + 1] = str(tmp_path / "reversed.obj")
+    argv[argv.index("--out") + 1] = str(tmp_path / "from_body.obj")
+    assert main(["infer-part"] + argv) == 0
+    assert (tmp_path / "from_body.obj").read_text() == (tmp_path / "out.obj").read_text()
+
+    save_obj(tmp_path / "shirt.obj", body.part("shirt"))
+    argv[argv.index("--rest") + 1] = str(tmp_path / "shirt.obj")
+    assert main(["infer-part"] + argv) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "shirt.obj") in err and "'shirt'" in err
 
 
 def test_infer_part_params_that_do_not_fit_exit_code_2(tmp_path, capsys, json_inputs):

@@ -56,3 +56,15 @@ def test_cli_pipeline_and_toy_data_do_not_import_scipy_optimize_or_spatial():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from the package but left in __all__ breaks
+    # `from courtpose import *` with an AttributeError
+    import courtpose
+
+    assert [name for name in courtpose.__all__ if not hasattr(courtpose, name)] == []
+    assert len(set(courtpose.__all__)) == len(courtpose.__all__)
+    namespace = {}
+    exec("from courtpose import *", namespace)
+    assert set(courtpose.__all__) <= set(namespace)

@@ -6,14 +6,13 @@ import scipy.sparse as sp
 from scipy.ndimage import binary_erosion, binary_fill_holes, label
 
 from courtpose import blas, skinning
-from courtpose.camera import Camera, project
 from courtpose.errors import ValidationError
 from courtpose.mesh import BodyMesh
-from courtpose.model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
-                             fk_global, forward_kinematics)
+from courtpose.model import (BoneTransforms, Frame, Pose3D, Skeleton, fk_global,
+                             forward_kinematics)
 from courtpose.primitives import capsule
 from courtpose.lsq import lm_solve
-from courtpose.skinning import (MAX_INFLUENCES, FitConfig, KeypointObjective,
+from courtpose.skinning import (MAX_INFLUENCES, KeypointObjective,
                                 SkinningWeights, _fill_holes, _nearest_bone,
                                 _sample_fields, _swing, _voxelize, _VoxelGrid,
                                 bone_sources, fit_pose_to_keypoints,
@@ -21,8 +20,8 @@ from courtpose.skinning import (MAX_INFLUENCES, FitConfig, KeypointObjective,
                                 swing_ik, weights_from_json)
 from courtpose.synth import (SceneConfig, build_rest_body, canonical_body,
                              random_pose_transforms)
-from courtpose.transforms import (axis_angle_to_matrix, look_at_rotation,
-                                  matrix_to_axis_angle, random_rotation)
+from courtpose.transforms import (axis_angle_to_matrix, matrix_to_axis_angle,
+                                  random_rotation)
 from helpers import weights_to_json
 
 
@@ -244,10 +243,15 @@ def test_fit_fixed_point_at_truth():
     rots = np.stack([random_rotation(rng, 0.3) for _ in range(5)])
     bt = BoneTransforms(rots, np.zeros((5, 3)))
     target = forward_kinematics(sk, bt)
-    cfg = FitConfig(wprior=0.0)
-    fitted, info = fit_pose_to_keypoints(sk, target, cfg=cfg, init=bt)
-    assert np.abs(fitted.rotations - rots).max() < 1e-12
-    assert info["final_cost"] < 1e-20
+    # the data rows, the first 3J, vanish at the truth, and so does their
+    # gradient: the fit's steps from there are the prior's
+    p = matrix_to_axis_angle(rots).ravel()
+    r, jac = KeypointObjective(sk, target).residuals(p, jacobian=True)
+    assert np.abs(r[:15]).max() < 1e-12
+    assert np.abs(jac[:15].T @ r[:15]).max() < 1e-12
+    _, info = fit_pose_to_keypoints(sk, target, init=bt)
+    assert info["cost_history"][0] == r @ r
+    assert info["final_cost"] < r @ r and info["joint_residuals"].max() < 1e-3
 
 
 def test_fit_recovers_perturbed_chain_within_1mm():
@@ -270,36 +274,8 @@ def test_fit_pure_3d_runs_without_camera():
     rng = np.random.default_rng(5)
     rots = np.stack([random_rotation(rng, 0.2) for _ in range(4)])
     target = forward_kinematics(sk, BoneTransforms(rots, np.zeros((4, 3))))
-    cfg = FitConfig(w2d=0.0)
-    fitted, info = fit_pose_to_keypoints(sk, target, cfg=cfg)
+    fitted, info = fit_pose_to_keypoints(sk, target)
     assert info["joint_residuals"].max() < 1e-3
-
-
-def test_fit_2d_term_requires_camera():
-    sk = chain(3, 0.3)
-    target = forward_kinematics(sk, BoneTransforms.identity(3))
-    with pytest.raises(ValidationError):
-        fit_pose_to_keypoints(sk, target, cfg=FitConfig(w2d=1.0))
-
-
-@pytest.mark.parametrize("field", ["w2d", "wprior", "tol"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3])
-def test_fit_config_rejects_weights_and_tolerances_that_cannot_fit(field, bad):
-    # a NaN weight used to drop its term silently, and a NaN tol ended in
-    # a misleading "fitting diverged"
-    with pytest.raises(ValidationError, match=field):
-        FitConfig(**{field: bad})
-
-
-@pytest.mark.parametrize("max_iters", [0, -1])
-def test_fit_config_rejects_an_empty_iteration_budget(max_iters):
-    # zero iterations returned the unfitted start with stop "max_iters"
-    with pytest.raises(ValidationError, match="max iters"):
-        FitConfig(max_iters=max_iters)
-
-
-def test_fit_config_accepts_zero_weights_and_tolerance():
-    FitConfig(w2d=0.0, wprior=0.0, tol=0.0, max_iters=1)
 
 
 def test_fit_rejects_targets_and_starts_of_another_size():
@@ -312,9 +288,16 @@ def test_fit_rejects_targets_and_starts_of_another_size():
     target = forward_kinematics(sk, BoneTransforms.identity(35))
     with pytest.raises(ValidationError, match="init has 10 joints, skeleton 35"):
         fit_pose_to_keypoints(sk, target, init=BoneTransforms.identity(10))
-    pixels = Pose2D(np.zeros((20, 2)), np.ones(20, dtype=bool))
-    with pytest.raises(ValidationError, match="2D target has 20 joints, skeleton 35"):
-        KeypointObjective(sk, target, target2d=pixels)
+
+
+def test_fit_and_swing_ik_reject_a_world_frame_target():
+    # the fit has no root translation: a world-frame body is the fitted
+    # root-relative body moved by the placement offset
+    sk = chain(4)
+    world = forward_kinematics(sk, BoneTransforms.identity(4), frame=Frame.WORLD)
+    for fit in (KeypointObjective, fit_pose_to_keypoints, swing_ik):
+        with pytest.raises(ValidationError, match="root-relative target, not world"):
+            fit(sk, world)
 
 
 def test_fit_solves_on_one_blas_thread(monkeypatch):
@@ -373,13 +356,13 @@ def test_so3_right_jacobian_matches_exp_map():
             assert np.abs(v - Jr[:, k]).max() < 1e-6
 
 
-@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
+@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_analytic_jacobian_matches_central_differences_3d(frame, seed):
     rng = np.random.default_rng(seed)
     sk = random_tree(rng, 9)
     target = Pose3D(np.vstack([np.zeros(3), rng.normal(size=(8, 3))]), frame)
-    obj = KeypointObjective(sk, target, cfg=FitConfig(wprior=1e-2))
+    obj = KeypointObjective(sk, target)
     p = rng.normal(scale=0.7, size=obj.num_params)
     r, Jm = obj.residuals(p, jacobian=True)
     assert np.array_equal(r, obj.residuals(p))
@@ -387,7 +370,7 @@ def test_analytic_jacobian_matches_central_differences_3d(frame, seed):
     assert np.abs(Jm - Jfd).max() < 1e-6 * max(1.0, np.abs(Jfd).max())
 
 
-@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
+@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE])
 def test_objective_matches_forward_kinematics_on_unordered_tree(frame):
     # children 1, 2 and 4 sit at a lower index than their parent
     sk = Skeleton([f"j{i}" for i in range(6)], [-1, 3, 5, 0, 5, 3],
@@ -395,81 +378,25 @@ def test_objective_matches_forward_kinematics_on_unordered_tree(frame):
                    [-0.1, 0.2, 0.1], [0, 0.25, -0.1]])
     rng = np.random.default_rng(8)
     target = Pose3D(np.vstack([np.zeros(3), rng.normal(size=(5, 3))]), frame)
-    obj = KeypointObjective(sk, target, cfg=FitConfig(wprior=0.0))
+    obj = KeypointObjective(sk, target)
     p = rng.normal(scale=0.7, size=obj.num_params)
     pose = forward_kinematics(sk, obj.transforms(p), frame=frame)
     r, Jm = obj.residuals(p, jacobian=True)
-    assert np.abs(r - (pose.positions - target.positions).ravel()).max() < 1e-12
+    # the data rows, the first 3J, then the prior's
+    assert np.abs(r[:18] - (pose.positions - target.positions).ravel()).max() < 1e-12
+    assert np.array_equal(r[18:], np.sqrt(skinning.WPRIOR) * p)
     Jfd = finite_difference_jacobian(obj, p)
     assert np.abs(Jm - Jfd).max() < 1e-6 * max(1.0, np.abs(Jfd).max())
-
-
-@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
-def test_analytic_jacobian_matches_central_differences_2d(frame):
-    rng = np.random.default_rng(4)
-    sk = random_tree(rng, 12)
-    eye = np.array([0.1, 0.2, 0.0])
-    R = look_at_rotation(eye, np.array([0.0, 0.3, 3.0]))
-    cam = Camera(400.0, 128.0, 128.0, R, -R @ eye)
-    visible = np.ones(12, dtype=bool)
-    visible[[3, 7]] = False
-    target2d = Pose2D(rng.uniform(0, 256, size=(12, 2)), visible)
-    target3d = Pose3D(np.vstack([np.zeros(3), rng.normal(size=(11, 3))]), frame)
-    obj = KeypointObjective(sk, target3d, target2d, cam,
-                            FitConfig(w2d=1e-4, wprior=1e-3))
-    p = rng.normal(scale=0.5, size=obj.num_params)
-    if frame is Frame.WORLD:
-        p[-3:] = [0.0, 0.0, 0.1]
-    r, Jm = obj.residuals(p, jacobian=True)
-    # both kinds of zero rows occur: invisible joints and joints behind the camera
-    r2d = r[3 * 12:5 * 12].reshape(12, 2)
-    behind = np.all(r2d == 1e3, axis=1)
-    assert behind.any() and (visible & ~behind).any()
-    Jfd = finite_difference_jacobian(obj, p)
-    assert np.abs(Jm - Jfd).max() < 1e-6 * max(1.0, np.abs(Jfd).max())
-    J2d = Jm[3 * 12:5 * 12].reshape(12, 2, -1)
-    assert np.abs(J2d[~visible | behind]).max() == 0.0
-
-
-def test_fit_with_2d_term_recovers_pose_and_reprojection():
-    sk = chain(6, 0.25)
-    rng = np.random.default_rng(6)
-    rots = np.stack([random_rotation(rng, 0.25) for _ in range(6)])
-    root_t = np.array([0.3, 0.1, -0.2])
-    tr = np.zeros((6, 3))
-    tr[0] = root_t
-    truth = forward_kinematics(sk, BoneTransforms(rots, tr), frame=Frame.WORLD)
-    eye = np.array([0.5, 1.2, -4.0])
-    R = look_at_rotation(eye, truth.positions.mean(axis=0))
-    cam = Camera(600.0, 128.0, 128.0, R, -R @ eye)
-    visible = np.ones(6, dtype=bool)
-    visible[2] = False
-    target2d = Pose2D(project(cam, truth.positions), visible)
-    init = BoneTransforms(
-        np.stack([axis_angle_to_matrix(rng.normal(scale=0.05, size=3)) @ Rj
-                  for Rj in rots]), np.zeros((6, 3)))
-    cfg = FitConfig(w2d=1e-4, wprior=0.0)
-    fitted, info = fit_pose_to_keypoints(sk, truth, target2d, cam, cfg, init=init)
-    hist = info["cost_history"]
-    assert all(b <= a for a, b in zip(hist, hist[1:]))
-    assert info["final_cost"] < 1e-16
-    assert info["joint_residuals"].max() < 1e-3
-    posed = forward_kinematics(sk, fitted, frame=Frame.WORLD)
-    reproj = np.linalg.norm(project(cam, posed.positions) - target2d.pixels, axis=1)
-    assert reproj[visible].max() < 1e-3
 
 
 # ---------------------------------------------------------------------------
 # The swing-IK start
 # ---------------------------------------------------------------------------
 
-def posed_target(sk, rng, max_angle, frame):
+def posed_target(sk, rng, max_angle, frame=Frame.ROOT_RELATIVE):
     J = sk.num_joints
     rots = np.stack([random_rotation(rng, max_angle) for _ in range(J)])
-    tr = np.zeros((J, 3))
-    if frame is Frame.WORLD:
-        tr[0] = rng.normal(size=3)
-    return forward_kinematics(sk, BoneTransforms(rots, tr), frame=frame)
+    return forward_kinematics(sk, BoneTransforms(rots, np.zeros((J, 3))), frame=frame)
 
 
 def assert_reaches(sk, target, tol=1e-12):
@@ -479,7 +406,7 @@ def assert_reaches(sk, target, tol=1e-12):
     return start
 
 
-@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
+@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE])
 def test_swing_ik_reaches_canonical_targets(frame):
     sk = Skeleton.canonical()
     rng = np.random.default_rng(11)
@@ -495,7 +422,7 @@ def test_swing_ik_reaches_canonical_targets(frame):
         sk, BoneTransforms(rots, np.zeros((sk.num_joints, 3))), frame=frame))
 
 
-@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
+@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE])
 @pytest.mark.parametrize("seed", range(4))
 def test_swing_ik_reaches_targets_on_small_chains_and_trees(frame, seed):
     rng = np.random.default_rng(seed)
@@ -505,7 +432,7 @@ def test_swing_ik_reaches_targets_on_small_chains_and_trees(frame, seed):
 
 def test_swing_ik_turns_single_bones_without_twist():
     sk = Skeleton.canonical()
-    target = posed_target(sk, np.random.default_rng(3), 1.0, Frame.ROOT_RELATIVE)
+    target = posed_target(sk, np.random.default_rng(3), 1.0)
     start = assert_reaches(sk, target)
     for j in range(sk.num_joints):
         kids = sk.children(j)
@@ -541,7 +468,7 @@ def test_swing_ik_antiparallel_bone_turns_by_pi():
 def test_swing_ik_zero_length_bones_keep_the_identity():
     # joint 1 sits on the root, so the root has no bone to turn
     sk = Skeleton(["a", "b", "c"], [-1, 0, 1], [[0, 0, 0], [0, 0, 0], [0, 0.3, 0]])
-    start = assert_reaches(sk, posed_target(sk, np.random.default_rng(2), 1.0, Frame.WORLD))
+    start = assert_reaches(sk, posed_target(sk, np.random.default_rng(2), 1.0))
     assert np.array_equal(start.rotations[0], np.eye(3))
     # a target bone of zero length leaves its joint at the identity
     sk = chain(3, 0.3)
@@ -560,7 +487,7 @@ def test_swing_ik_collinear_children_take_the_minimal_rotation(offsets):
                   [[0, 0, 0], [0, 0.3, 0]] + offsets)
     rng = np.random.default_rng(4)
     for _ in range(10):
-        start = assert_reaches(sk, posed_target(sk, rng, 2.0, Frame.ROOT_RELATIVE))
+        start = assert_reaches(sk, posed_target(sk, rng, 2.0))
         aa = matrix_to_axis_angle(start.rotations[1])
         assert abs(aa @ sk.rest_offsets[2]) < 1e-12
 
@@ -570,9 +497,9 @@ def test_swing_ik_rejects_a_target_of_another_size():
         swing_ik(chain(4), Pose3D(np.zeros((3, 3))))
 
 
-def zero_start_fit(sk, target, cfg=FitConfig()):
+def zero_start_fit(sk, target):
     """The fit before its swing-IK start: the same solve from zero rotations."""
-    obj = KeypointObjective(sk, target, cfg=cfg)
+    obj = KeypointObjective(sk, target)
 
     def cost(q):
         r = obj.residuals(q)
@@ -580,27 +507,33 @@ def zero_start_fit(sk, target, cfg=FitConfig()):
 
     p, rec = lm_solve(lambda q: obj.residuals(q, jacobian=True), cost,
                       np.zeros(obj.num_params), lam=1e-4, lam_min=1e-12, tries=15,
-                      max_iters=cfg.max_iters, max_rejects=10, rtol=cfg.tol)
+                      max_iters=skinning.FIT_MAX_ITERS, max_rejects=10,
+                      rtol=skinning.FIT_RTOL)
     return obj.transforms(p), rec
 
 
-@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE, Frame.WORLD])
+@pytest.mark.parametrize("frame", [Frame.ROOT_RELATIVE])
 @pytest.mark.parametrize("seed", range(6))
-def test_identity_init_is_the_zero_start_and_the_default_start_is_no_worse(frame, seed):
+def test_identity_init_is_the_zero_start_and_the_default_start_is_no_worse(monkeypatch,
+                                                                          frame, seed):
     rng = np.random.default_rng(seed)
     sk = random_tree(rng, 10)
     target = posed_target(sk, rng, 0.8, frame)
-    cfg = FitConfig()
-    ref, rec = zero_start_fit(sk, target, cfg)
-    fitted, info = fit_pose_to_keypoints(sk, target, cfg=cfg, init=BoneTransforms.identity(10))
+    ref, rec = zero_start_fit(sk, target)
+    fitted, info = fit_pose_to_keypoints(sk, target, init=BoneTransforms.identity(10))
     assert info["cost_history"] == rec.cost_history and info["stop"] == rec.stop
     assert np.array_equal(fitted.rotations, ref.rotations)
     assert np.array_equal(fitted.translations, ref.translations)
-    _, default = fit_pose_to_keypoints(sk, target, cfg=cfg)
-    # both stop within the solve's tolerance of the same minimum
-    assert default["final_cost"] <= info["final_cost"] + cfg.tol
+    _, default = fit_pose_to_keypoints(sk, target)
     assert default["stop"] == "converged"
     assert default["joint_residuals"].max() < 1e-3
+    # both starts reach the same minimum: run both solves to a gain of 1e-12
+    # in at most 60 iterations, past the pipeline's stopping rule
+    monkeypatch.setattr(skinning, "FIT_MAX_ITERS", 60)
+    monkeypatch.setattr(skinning, "FIT_RTOL", 1e-12)
+    _, info = fit_pose_to_keypoints(sk, target, init=BoneTransforms.identity(10))
+    _, default = fit_pose_to_keypoints(sk, target)
+    assert default["final_cost"] <= info["final_cost"] + 1e-12
 
 
 # ---------------------------------------------------------------------------
