@@ -8,10 +8,9 @@ back through its center, so 2D error is bounded by half a cell (2 px) while
 """
 import numpy as np
 
-from courtpose import (JumpInfo, Pose2D, Pose3D, PoseLossWeights,
-                       PoseMapTargets, bone_lengths, decode_heatmaps,
-                       decode_location_maps, encode_heatmaps,
-                       encode_location_maps, pose_loss)
+from courtpose import (JumpInfo, Pose2D, Pose3D, PoseMapTargets, bone_lengths,
+                       decode_heatmaps, decode_location_maps, encode_heatmaps,
+                       encode_location_maps, pose_loss, posemaps)
 
 rng = np.random.default_rng(1)
 pixels = rng.uniform(0, 256, size=(35, 2))
@@ -35,8 +34,8 @@ edges = [(i, i + 1) for i in range(6)]
 gt_bl = bone_lengths(dec3, edges)
 targets = PoseMapTargets(heat, loc, JumpInfo.from_height(0.35))
 total, terms = pose_loss(targets, targets, edges, gt_bl)
-w = PoseLossWeights()
-print(f"loss weights: {w.w2d}, {w.w3d}, {w.wbl}, {w.wjht}, {w.wjcls}")
+print(f"loss weights: {posemaps.W2D}, {posemaps.W3D}, {posemaps.WBL}, "
+      f"{posemaps.WJHT}, {posemaps.WJCLS}")
 print(f"self-loss (should be ~0 up to the class floor): {total:.2e}  terms: "
       + ", ".join(f"{k}={v:.1e}" for k, v in terms.items()))
 

@@ -13,15 +13,13 @@ from .court import CourtConfig, CourtModel, make_court_model
 from .calibrate import (LineMask, load_pgm, rasterize_court_lines,
                         refine_camera_lines, save_pgm, solve_pnp_planar)
 from .posemaps import (HeatmapStack, JumpInfo, LocationMapStack,
-                       PoseLossWeights, PoseMapTargets, decode_heatmaps,
-                       decode_location_maps, encode_heatmaps,
-                       encode_location_maps, pose_loss)
+                       PoseMapTargets, decode_heatmaps, decode_location_maps,
+                       encode_heatmaps, encode_location_maps, pose_loss)
 from .placement import lowest_joint, place_player, solve_depth_for_height
 from .skinning import (SkinningWeights, fit_pose_to_keypoints,
                        heat_diffusion_weights, lbs, swing_ik)
 from .collision import CollisionReport, detect_collisions
-from .composer import (PenetrationWeights, penetration_loss,
-                       resolve_interpenetration)
+from .composer import penetration_loss, resolve_interpenetration
 from .metrics import (ICPResult, ProcrustesResult, chamfer, emd,
                       farthest_point_subsample, icp, mpjpe, mpvpe,
                       procrustes_align, rotation_error_deg)
@@ -40,14 +38,14 @@ __all__ = [
     "CourtConfig", "CourtModel", "make_court_model",
     "LineMask", "load_pgm", "rasterize_court_lines", "refine_camera_lines",
     "save_pgm", "solve_pnp_planar",
-    "HeatmapStack", "JumpInfo", "LocationMapStack", "PoseLossWeights",
-    "PoseMapTargets", "decode_heatmaps", "decode_location_maps",
-    "encode_heatmaps", "encode_location_maps", "pose_loss",
+    "HeatmapStack", "JumpInfo", "LocationMapStack", "PoseMapTargets",
+    "decode_heatmaps", "decode_location_maps", "encode_heatmaps",
+    "encode_location_maps", "pose_loss",
     "lowest_joint", "place_player", "solve_depth_for_height",
     "SkinningWeights", "fit_pose_to_keypoints",
     "heat_diffusion_weights", "lbs", "swing_ik",
     "CollisionReport", "detect_collisions",
-    "PenetrationWeights", "penetration_loss", "resolve_interpenetration",
+    "penetration_loss", "resolve_interpenetration",
     "ICPResult", "ProcrustesResult", "chamfer", "emd",
     "farthest_point_subsample", "icp", "mpjpe", "mpvpe", "procrustes_align",
     "rotation_error_deg",

@@ -28,11 +28,12 @@ import numpy as np
 from .camera import Camera, project_with_depth
 from .court import Arc2D, CourtModel, lift_to_plane
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
-from .lsq import lm_solve
+from .lsq import MAX_REJECTS, lm_solve
 from .transforms import axis_angle_to_matrix, nearest_rotation
 
 HINGE_PX = 1.0
 REFINE_MAX_ITERS = 100
+REFINE_TOL = 1e-8  # absolute tolerance of the refinement solve
 SAMPLE_SPACING_M = 0.15  # arc spacing of the court samples
 
 
@@ -382,8 +383,7 @@ class RefineResult:
     stop: str
 
 
-def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel,
-                        tol: float = 1e-8) -> RefineResult:
+def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel) -> RefineResult:
     """Refine ``init`` against the line mask over (axis-angle rotation, T, f).
 
     The cost at a projected court sample is the bilinear interpolation of the
@@ -391,9 +391,9 @@ def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel,
     answered lazily by a ``LineDistance``. A start whose hinged cost is
     already 0 is returned as it is, stop "done". Otherwise one
     ``lsq.lm_solve`` minimizes the raw mean distance at the projected court
-    samples, to convergence (``tol`` is its absolute tolerance). Reported
-    costs are hinged; if the solve ends above the start's, the start camera
-    is kept. Raises NumericalError when the solve stalls.
+    samples, to convergence (``REFINE_TOL`` is its absolute tolerance).
+    Reported costs are hinged; if the solve ends above the start's, the start
+    camera is kept. Raises NumericalError when the solve stalls.
     """
     dist = LineDistance(mask)
     world = _court_samples(court)
@@ -456,11 +456,11 @@ def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel,
     if initial_cost <= 0.0:
         return RefineResult(init, initial_cost, initial_cost, 1, "done")
     p, rec = lm_solve(residual_jacobian, lambda q: cost(q, hinge=0.0), p, lam=1e-3,
-                      lam_min=1e-10, tries=12, max_iters=REFINE_MAX_ITERS, max_rejects=10,
-                      tol=tol, gtol=1e-14)
+                      lam_min=1e-10, tries=12, max_iters=REFINE_MAX_ITERS, tol=REFINE_TOL,
+                      gtol=1e-14)
     if rec.stop == "stalled":
         raise NumericalError("refinement diverged: cost increased for "
-                             "10 consecutive damped steps")
+                             f"{MAX_REJECTS} consecutive damped steps")
     final_cost = cost(p)
     if final_cost > initial_cost:
         # the raw pull failed to help under the reported metric: keep the init

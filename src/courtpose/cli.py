@@ -171,8 +171,6 @@ def cmd_codec(args, scene_config):
 
 def cmd_skin(args, scene_config):
     rest = load_obj(args.rest)
-    if not isinstance(rest, BodyMesh):
-        rest = BodyMesh((rest,))
     weights = load_json_record(args.weights, weights_from_json)
     transforms = load_json_record(args.pose, transforms_from_json)
     skeleton = (load_json_record(args.skeleton, skeleton_from_json) if args.skeleton
@@ -188,8 +186,7 @@ def cmd_compose(args, scene_config):
     for name in PART_NAMES:
         path = os.path.join(args.parts, f"{name}.obj")
         if os.path.exists(path):
-            m = load_obj(path, default_part=name)
-            parts.extend(m.parts if isinstance(m, BodyMesh) else [m])
+            parts.extend(load_obj(path, default_part=name).parts)
     if not parts:
         raise ValidationError(f"no part OBJ files found under {args.parts}")
     body, rep = resolve_interpenetration(BodyMesh(tuple(parts)))
@@ -231,8 +228,7 @@ def cmd_infer_part(args, scene_config):
     params = load_params(args.params)
     pose = load_json_record(args.pose, pose3d_from_json)
     # the network's part from a body OBJ in any part order, or an untagged OBJ
-    loaded = load_obj(args.rest, default_part=TOY_PART)
-    parts = loaded.parts if isinstance(loaded, BodyMesh) else (loaded,)
+    parts = load_obj(args.rest, default_part=TOY_PART).parts
     rest = next((p for p in parts if p.part == TOY_PART), None)
     if rest is None:
         raise ValidationError(f"OBJ file {args.rest} has no {TOY_PART!r} part, only "
@@ -244,10 +240,8 @@ def cmd_infer_part(args, scene_config):
 
 
 def cmd_eval(args, scene_config):
-    pred = load_obj(args.pred)
-    gt = load_obj(args.gt)
-    pv = pred.merged()[0] if isinstance(pred, BodyMesh) else pred.vertices
-    gv = gt.merged()[0] if isinstance(gt, BodyMesh) else gt.vertices
+    pv, _ = load_obj(args.pred).merged()
+    gv, _ = load_obj(args.gt).merged()
     if args.icp:
         fit = icp(pv, gv)
         pv = pv @ fit.R.T + fit.t
@@ -276,6 +270,9 @@ def _pipeline_one(seed_and_cfg):
 
 
 def cmd_pipeline(args, scene_config):
+    for flag, val in (("--scenes", args.scenes), ("--jobs", args.jobs)):
+        if val < 1:
+            raise ValidationError(f"{flag} must be at least 1, got {val}")
     if args.scene_dir:
         reports = [run_pipeline(load_scene(args.scene_dir, scene_config))]
     elif args.jobs > 1:

@@ -326,17 +326,16 @@ class IndexedMesh(PartMesh):
         object.__setattr__(self, "table", FaceTable(self.vertices, self.faces))
 
 
-def detect_collisions(body: PartMesh, garment: PartMesh,
-                      band: float = COLLISION_BAND) -> CollisionReport:
-    """Flag body vertices outside the garment shell within ``band`` meters.
-    An ``IndexedMesh`` garment brings its face table; any other is indexed
-    for this call."""
+def detect_collisions(body: PartMesh, garment: PartMesh) -> CollisionReport:
+    """Flag body vertices outside the garment shell within ``COLLISION_BAND``
+    meters. An ``IndexedMesh`` garment brings its face table; any other is
+    indexed for this call."""
     if garment.num_faces == 0:
         raise ValidationError("garment mesh has no faces")
     table = (garment.table if isinstance(garment, IndexedMesh)
              else FaceTable(garment.vertices, garment.faces))
-    fi, q, d2 = table.nearest(body.vertices, limit=band)
-    near = np.flatnonzero(d2 < band * band)
+    fi, q, d2 = table.nearest(body.vertices, limit=COLLISION_BAND)
+    near = np.flatnonzero(d2 < COLLISION_BAND * COLLISION_BAND)
     n = table.normals[fi[near]]
     hit = np.vecdot(body.vertices[near] - q[near], n) > 0.0
     return CollisionReport(near[hit], q[near[hit]], n[hit])

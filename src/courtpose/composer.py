@@ -36,16 +36,13 @@ PUSH_DISTANCE = 0.010  # meters, along the inward vertex normal
 OUTER_ITERATIONS = 10
 INNER_ITERATIONS = 20
 LBFGS_MEMORY = 10
+# penetration_loss weights: data, Laplacian, edge length
+W_DATA = 1.0
+W_LAP = 0.1
+W_EL = 0.1
 
 # (body part, garment) pairs that are checked for interpenetration
 GARMENT_PAIRS = (("arms", "shirt"), ("head", "shirt"), ("legs", "pants"))
-
-
-@dataclass(frozen=True)
-class PenetrationWeights:
-    w_data: float = 1.0
-    w_lap: float = 0.1
-    w_el: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,9 @@ def penetration_terms(mesh: PartMesh, V_star: np.ndarray) -> PenetrationTerms:
 
 
 def penetration_loss(V: np.ndarray, V_star: np.ndarray, mesh: PartMesh,
-                     weights: PenetrationWeights = PenetrationWeights(),
                      terms: PenetrationTerms | None = None):
-    """w_data*||V-V*||_2 + w_lap*||L(V)-L(V*)||_F + w_el*sum|E/E* - 1|.
+    """W_DATA*||V-V*||_2 + W_LAP*||L(V)-L(V*)||_F + W_EL*sum|E/E* - 1|, with
+    the module's weights.
 
     Returns (loss, gradient (N,3)). Norm gradients are guarded to zero at
     the singular point V == V*. ``terms`` are ``penetration_terms(mesh,
@@ -85,45 +82,42 @@ def penetration_loss(V: np.ndarray, V_star: np.ndarray, mesh: PartMesh,
         raise ValidationError("vertex arrays must match the mesh")
     if terms is None:
         terms = penetration_terms(mesh, V_star)
-    w = weights
     grad = np.zeros_like(V)
 
     diff = V - V_star
     nd = float(np.linalg.norm(diff))
-    loss = w.w_data * nd
+    loss = W_DATA * nd
     if nd > 1e-12:
-        grad += w.w_data * diff / nd
+        grad += W_DATA * diff / nd
 
     L = terms.laplacian
     ld = L @ diff
     nl = float(np.linalg.norm(ld))
-    loss += w.w_lap * nl
+    loss += W_LAP * nl
     if nl > 1e-12:
-        grad += w.w_lap * (L.T @ ld) / nl
+        grad += W_LAP * (L.T @ ld) / nl
 
     edges = terms.edges
     rest = terms.rest
     d = V[edges[:, 0]] - V[edges[:, 1]]
     cur = np.linalg.norm(d, axis=1)
     ratio = cur / rest - 1.0
-    loss += w.w_el * float(np.sum(np.abs(ratio)))
+    loss += W_EL * float(np.sum(np.abs(ratio)))
     safe = np.where(cur > 1e-12, cur, 1.0)
-    coef = w.w_el * np.sign(ratio) / rest / safe
+    coef = W_EL * np.sign(ratio) / rest / safe
     contrib = coef[:, None] * d
     np.add.at(grad, edges[:, 0], contrib)
     np.add.at(grad, edges[:, 1], -contrib)
     return loss, grad
 
 
-def minimize_lbfgs(fun, x0: np.ndarray, max_iters: int = INNER_ITERATIONS):
+def minimize_lbfgs(fun, x0: np.ndarray):
     """scipy's L-BFGS-B (``LBFGS_MEMORY`` pairs, no bounds) on ``fun(x) -> (f, g)``.
 
-    Only the budget of ``max_iters`` iterations, a vanishing gradient or a
-    failed line search ends the solve. Returns (x, [f history]): the start
-    value, then the value after each iteration, never increasing.
+    Only the budget of ``INNER_ITERATIONS`` iterations, a vanishing gradient
+    or a failed line search ends the solve. Returns (x, [f history]): the
+    start value, then the value after each iteration, never increasing.
     """
-    if max_iters < 1:  # scipy would still take one iteration
-        raise ValidationError("max_iters must be at least 1")
     history = []
 
     def checked(x):
@@ -139,14 +133,14 @@ def minimize_lbfgs(fun, x0: np.ndarray, max_iters: int = INNER_ITERATIONS):
 
     from scipy.optimize import minimize
     res = minimize(checked, x0, jac=True, method="L-BFGS-B", callback=record,
-                   options={"maxiter": max_iters, "maxcor": LBFGS_MEMORY,
+                   options={"maxiter": INNER_ITERATIONS, "maxcor": LBFGS_MEMORY,
                             "ftol": 0.0, "gtol": 1e-12})
     return res.x, history
 
 
 def resolve_interpenetration(parts: BodyMesh):
     """Detect-push-optimize loop over the body/garment pairs, with the
-    module constants and the default ``PenetrationWeights``.
+    module constants.
 
     Returns (BodyMesh, report). The report carries per-iteration collision
     counts and inner loss histories plus the residual collision count, which

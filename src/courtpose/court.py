@@ -36,9 +36,6 @@ class LineSegment2D:
         p1 = np.asarray(self.p1, dtype=float)
         return p0 + t[:, None] * (p1 - p0)
 
-    def scaled(self, s: float) -> "LineSegment2D":
-        return LineSegment2D(tuple(np.asarray(self.p0) * s), tuple(np.asarray(self.p1) * s))
-
 
 @dataclass(frozen=True)
 class Arc2D:
@@ -59,10 +56,6 @@ class Arc2D:
     def points(self, a: np.ndarray) -> np.ndarray:
         c = np.asarray(self.center, dtype=float)
         return c + self.radius * np.stack([np.cos(a), np.sin(a)], axis=1)
-
-    def scaled(self, s: float) -> "Arc2D":
-        return Arc2D(tuple(np.asarray(self.center) * s), self.radius * s,
-                     self.angle_start, self.angle_end)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import NumericalError
 
+MAX_REJECTS = 10  # empty sweeps in a row that stall a solve
+
 
 @dataclass
 class LMRecord:
@@ -23,7 +25,7 @@ class LMRecord:
     sweep; the accepted and rejected sweeps; and the stop reason: "converged"
     (an accepted step gained less than the tolerance), "plateau" (a sweep
     accepted nothing, its best step within ``tol``), "gradient", "stalled"
-    (``max_rejects`` empty sweeps in a row) or "max_iters"."""
+    (``MAX_REJECTS`` empty sweeps in a row) or "max_iters"."""
 
     cost_history: list
     iterations: int = 0
@@ -33,7 +35,7 @@ class LMRecord:
 
 
 def lm_solve(residual_jacobian, cost, p, *, lam, lam_min, tries, max_iters,
-             max_rejects, tol=None, rtol=None, gtol=None):
+             tol=None, rtol=None, gtol=None):
     """Minimize ``cost`` from ``p``; returns (p, LMRecord).
 
     ``residual_jacobian(p)`` gives (r, J). A step is accepted when its cost
@@ -77,7 +79,7 @@ def lm_solve(residual_jacobian, cost, p, *, lam, lam_min, tries, max_iters,
             if tol is not None and best <= cur + tol:
                 rec.stop = "plateau"
                 break
-            if stalled >= max_rejects:
+            if stalled >= MAX_REJECTS:
                 rec.stop = "stalled"
                 break
             continue

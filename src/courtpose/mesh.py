@@ -198,10 +198,11 @@ def save_obj(path, mesh) -> None:
 
 
 def load_obj(path, default_part: str = "shirt"):
-    """Read an OBJ written by save_obj (or a plain single-part OBJ).
+    """Read an OBJ written by save_obj (or a plain untagged OBJ, whose one
+    part is ``default_part``).
 
-    Returns a BodyMesh when the file tags multiple parts, else a PartMesh.
-    Faces with area below 1e-12 are rejected.
+    Returns a BodyMesh with one part per `# part:` section, so a single-part
+    file gives a one-part body. Faces with area below 1e-12 are rejected.
     """
     sections = []  # (part, first_vertex_index)
     verts, faces = [], []
@@ -248,6 +249,4 @@ def load_obj(path, default_part: str = "shirt"):
         mask = np.all((faces >= lo) & (faces < hi), axis=1) if faces.size else np.zeros(0, bool)
         pf = faces[mask] - lo
         parts.append(PartMesh(pv, pf, name))
-    if len(parts) == 1:
-        return parts[0]
     return BodyMesh(tuple(parts))

@@ -22,21 +22,19 @@ from .network import (DEFAULT_WMESH, DEFAULT_WZ, NetConfig, PartOps, decode, mes
 MAGIC = b"CPNETP1\x00"
 LR_DECAY = 0.99      # per epoch
 MAX_GRAD_NORM = 5.0  # global-norm clip; keeps momentum stable
+WEIGHT_DECAY = 5e-5
+BATCH_SIZE = 16
+MOMENTUM = 0.9
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-3
-    weight_decay: float = 5e-5
-    batch_size: int = 16
     epochs: int = 50
-    momentum: float = 0.9
     seed: int = 0
     max_steps: int | None = None  # optional hard cap across epochs
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValidationError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.max_steps is not None and self.max_steps < 1:
@@ -66,8 +64,9 @@ def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig
     """Overfit the TL network on (pose, rest part, posed part) triplets.
 
     Both decoder paths are supervised (see ``tl_loss``). Each step runs its
-    whole batch through one ``tl_training_forward`` call and one backward
-    pass. Returns (params, loss curve) where the curve has one
+    batch of ``BATCH_SIZE`` samples through one ``tl_training_forward`` call
+    and one backward pass, then takes a clipped momentum step (``MOMENTUM``,
+    ``WEIGHT_DECAY``). Returns (params, loss curve) where the curve has one
     {"total", "mesh"} entry per step.
     """
     if not dataset:
@@ -79,9 +78,9 @@ def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig
     steps = 0
     for _ in range(train_cfg.epochs):
         order = rng.permutation(len(dataset))
-        for start in range(0, len(dataset), train_cfg.batch_size):
+        for start in range(0, len(dataset), BATCH_SIZE):
             poses, rests, posed = zip(*(dataset[i]
-                                        for i in order[start:start + train_cfg.batch_size]))
+                                        for i in order[start:start + BATCH_SIZE]))
             out = tl_training_forward(poses, rests, posed, params, ops, config,
                                       training=True, rng=rng)
             total, mesh_gt = tl_loss(out)
@@ -96,8 +95,8 @@ def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig
             clip = MAX_GRAD_NORM / gnorm if gnorm > MAX_GRAD_NORM else 1.0
             for k, v in params.items():
                 g = (v.grad if v.grad is not None else np.zeros_like(v.value)) * clip
-                g = g + train_cfg.weight_decay * v.value
-                velocity[k] = train_cfg.momentum * velocity[k] + g
+                g = g + WEIGHT_DECAY * v.value
+                velocity[k] = MOMENTUM * velocity[k] + g
                 v.value = v.value - lr * velocity[k]
             curve.append({"total": float(total.value), "mesh": float(mesh_gt.value)})
             steps += 1

@@ -3,13 +3,12 @@ distance (x1000, squared convention) and exact earth-mover distance on
 farthest-point subsamples.
 
 EMD's two kernels keep the bits of their norm-based forms: farthest-point
-sampling runs on a (3, N) copy of the points with preallocated buffers,
-seven in-place ufunc calls per pick, and the cost matrix sums the squared
-differences per axis, in the left-to-right order that ``np.linalg.norm``
-reduces in. ``emd`` samples both clouds in lock step, as the two rows of
-one (3, 2, n) buffer: per pick, a scalar subtraction per coordinate row and
-cloud, the rest of the distance update once over both, and one ``argmax``
-along the rows.
+sampling runs on a (3, k, n) copy of k clouds with preallocated buffers, and
+the cost matrix sums the squared differences per axis, in the left-to-right
+order that ``np.linalg.norm`` reduces in. One FPS loop serves one cloud
+(``farthest_point_subsample``) and both of ``emd``'s clouds in lock step:
+per pick, a scalar subtraction per coordinate row and cloud, the rest of the
+distance update once over all clouds, and one ``argmax`` along the rows.
 
 scipy is imported where it is used, so that a process that never evaluates
 pays none of its import: ``scipy.spatial`` in ``chamfer`` and ``icp``,
@@ -27,6 +26,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Pose3D
+
+ICP_MAX_ITERS = 50
+ICP_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -129,30 +131,50 @@ def farthest_point_subsample(points: np.ndarray, count: int) -> np.ndarray:
     P = np.asarray(points, dtype=float)
     if count >= len(P):
         return P.copy()
-    # one row per axis, so that each pick is seven in-place ufunc calls on
-    # preallocated buffers
-    X = np.ascontiguousarray(P.T)
-    diff = np.empty_like(X)
-    dist = np.empty(len(P))
-    dmin = np.full(len(P), np.inf)
-    chosen = np.empty(count, dtype=int)
-    chosen[0] = _farthest_from_centroid(P)
-    for k in range(1, count):
-        np.subtract(X, X[:, chosen[k - 1], None], out=diff)
-        np.multiply(diff, diff, out=diff)
-        # the left-to-right sum of squares that np.linalg.norm reduces
-        np.add(diff[0], diff[1], out=dist)
-        np.add(dist, diff[2], out=dist)
-        np.sqrt(dist, out=dist)
-        np.minimum(dmin, dist, out=dmin)
-        chosen[k] = dmin.argmax()
-    return P[chosen]
+    return P[_farthest_points([P], count)[:, 0]]
 
 
 def _farthest_from_centroid(P: np.ndarray) -> int:
     """FPS's first pick: the point farthest from the centroid, lowest index
     on ties."""
     return int(np.argmax(np.linalg.norm(P - P.mean(axis=0), axis=1)))
+
+
+def _farthest_points(clouds, count: int) -> np.ndarray:
+    """The (count, k) FPS picks of k clouds, in one lock-step loop.
+
+    The clouds are the k rows of a (3, k, n) buffer, n the largest size; a
+    smaller cloud is padded with copies of its first point, whose distances
+    equal that point's and so never win ``argmax``'s lowest-index tie-break.
+    Each pick subtracts each cloud's last pick from its own coordinate rows
+    (a scalar subtraction per contiguous row runs faster than one broadcast
+    subtraction of a column), then squares, sums in the left-to-right order
+    that ``np.linalg.norm`` reduces in, roots and takes the minimum over all
+    clouds at once, and one ``argmax`` along the rows picks for all. Needs
+    ``1 <= count < len(P)`` for each cloud P."""
+    k = len(clouds)
+    n = max(len(P) for P in clouds)
+    X = np.empty((3, k, n))
+    for row, P in enumerate(clouds):
+        X[:, row, :len(P)] = P.T
+        X[:, row, len(P):] = P[0, :, None]
+    diff = np.empty_like(X)
+    dist = np.empty((k, n))
+    dmin = np.full((k, n), np.inf)
+    chosen = np.empty((count, k), dtype=np.intp)
+    chosen[0] = [_farthest_from_centroid(P) for P in clouds]
+    rows = [(row, X[axis, row], diff[axis, row]) for row in range(k) for axis in range(3)]
+    for c in range(1, count):
+        last = chosen[c - 1]
+        for row, x, d in rows:
+            np.subtract(x, x[last[row]], out=d)
+        np.multiply(diff, diff, out=diff)
+        np.add(diff[0], diff[1], out=dist)
+        np.add(dist, diff[2], out=dist)
+        np.sqrt(dist, out=dist)
+        np.minimum(dmin, dist, out=dmin)
+        dmin.argmax(axis=1, out=chosen[c])
+    return chosen
 
 
 def emd(A: np.ndarray, B: np.ndarray, subsample: int = 512) -> float:
@@ -163,55 +185,19 @@ def emd(A: np.ndarray, B: np.ndarray, subsample: int = 512) -> float:
     if len(A) == 0 or len(B) == 0:
         raise ValidationError("earth-mover distance of an empty point set")
     m = min(subsample, len(A), len(B))
-    if 1 <= m < min(len(A), len(B)):
-        Am, Bm = _farthest_point_pair(A, B, m)
-    else:  # a whole cloud is its own subsample; fewer than one point is rejected
-        Am, Bm = farthest_point_subsample(A, m), farthest_point_subsample(B, m)
-    cost = _distance_matrix(Am, Bm)
+    if m < 1:
+        raise ValidationError(f"a subsample needs at least one point, got {m}")
+    # a whole cloud is its own subsample; the others are sampled in lock step
+    clouds = [A, B]
+    sampled = [i for i, P in enumerate(clouds) if m < len(P)]
+    if sampled:
+        chosen = _farthest_points([clouds[i] for i in sampled], m)
+        for col, i in enumerate(sampled):
+            clouds[i] = clouds[i][chosen[:, col]]
+    cost = _distance_matrix(*clouds)
     from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
-
-
-def _farthest_point_pair(A: np.ndarray, B: np.ndarray, count: int):
-    """``farthest_point_subsample`` of A and of B, bit for bit, in one loop.
-
-    The clouds are the two rows of a (3, 2, n) buffer, n the larger size; the
-    smaller one is padded with copies of its first point, whose distances
-    equal that point's and so never win ``argmax``'s lowest-index tie-break.
-    Each pick subtracts each cloud's last pick from its own coordinate rows,
-    then squares, sums, roots and takes the minimum over both clouds at once,
-    and one ``argmax`` along the rows picks for both. Needs
-    ``1 <= count < min(NA, NB)``."""
-    n = max(len(A), len(B))
-    X = np.empty((3, 2, n))
-    for row, P in enumerate((A, B)):
-        X[:, row, :len(P)] = P.T
-        X[:, row, len(P):] = P[0, :, None]
-    diff = np.empty_like(X)
-    dist = np.empty((2, n))
-    dmin = np.full((2, n), np.inf)
-    chosen = np.empty((count, 2), dtype=np.intp)
-    chosen[0] = _farthest_from_centroid(A), _farthest_from_centroid(B)
-    # a scalar subtraction per contiguous row runs faster than one
-    # broadcast subtraction of a (3, 2, 1) column
-    (xa, xb), (ya, yb), (za, zb) = X
-    (dxa, dxb), (dya, dyb), (dza, dzb) = diff
-    for k in range(1, count):
-        i, j = chosen[k - 1]
-        np.subtract(xa, xa[i], out=dxa)
-        np.subtract(ya, ya[i], out=dya)
-        np.subtract(za, za[i], out=dza)
-        np.subtract(xb, xb[j], out=dxb)
-        np.subtract(yb, yb[j], out=dyb)
-        np.subtract(zb, zb[j], out=dzb)
-        np.multiply(diff, diff, out=diff)
-        np.add(diff[0], diff[1], out=dist)
-        np.add(dist, diff[2], out=dist)
-        np.sqrt(dist, out=dist)
-        np.minimum(dmin, dist, out=dmin)
-        dmin.argmax(axis=1, out=chosen[k])
-    return A[chosen[:, 0]], B[chosen[:, 1]]
 
 
 def _distance_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -236,9 +222,11 @@ class ICPResult:
     iterations: int
 
 
-def icp(A: np.ndarray, B: np.ndarray, max_iters: int = 50, tol: float = 1e-8) -> ICPResult:
+def icp(A: np.ndarray, B: np.ndarray) -> ICPResult:
     """Rigid alignment of A onto B by alternating nearest-neighbor
-    correspondence with closed-form rigid Procrustes."""
+    correspondence with closed-form rigid Procrustes, for at most
+    ``ICP_MAX_ITERS`` iterations, until the RMS gains less than ``ICP_RTOL``
+    of its previous value."""
     A = np.asarray(A, dtype=float).reshape(-1, 3)
     B = np.asarray(B, dtype=float).reshape(-1, 3)
     if len(A) < 3 or len(B) < 3:
@@ -249,7 +237,7 @@ def icp(A: np.ndarray, B: np.ndarray, max_iters: int = 50, tol: float = 1e-8) ->
     t = np.zeros(3)
     residuals = []
     it = 0
-    for it in range(1, max_iters + 1):
+    for it in range(1, ICP_MAX_ITERS + 1):
         moved = A @ R.T + t
         d, j = tree.query(moved)
         res = float(np.sqrt(np.mean(d ** 2)))
@@ -258,6 +246,6 @@ def icp(A: np.ndarray, B: np.ndarray, max_iters: int = 50, tol: float = 1e-8) ->
         R, t = fit.R, fit.t
         if len(residuals) >= 2:
             prev = residuals[-2]
-            if prev - res < tol * max(prev, 1e-300):
+            if prev - res < ICP_RTOL * max(prev, 1e-300):
                 break
     return ICPResult(R, t, residuals, it)

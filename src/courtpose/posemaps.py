@@ -30,6 +30,13 @@ CELL = Pose2D.CROP_SIZE // MAP_RES  # 4 px per heatmap cell
 SUPPORT_EPS = 1e-8
 _PROB_FLOOR = 1e-7
 
+# pose_loss weights: heatmap, location map, bone length, jump height, jump class
+W2D = 10.0
+W3D = 10.0
+WBL = 0.5
+WJHT = 0.4
+WJCLS = 0.2
+
 
 @dataclass(frozen=True)
 class HeatmapStack:
@@ -96,15 +103,6 @@ class JumpInfo:
     @property
     def probability(self) -> float:
         return float(self.score) if self.score is not None else float(self.airborne)
-
-
-@dataclass(frozen=True)
-class PoseLossWeights:
-    w2d: float = 10.0
-    w3d: float = 10.0
-    wbl: float = 0.5
-    wjht: float = 0.4
-    wjcls: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -198,7 +196,8 @@ def decode_location_maps(loc: LocationMapStack, heat: HeatmapStack) -> Pose3D:
 def pose_loss(pred: PoseMapTargets, gt: PoseMapTargets, edges, gt_bone_lengths):
     """Weighted sum of heatmap L1, location L1, bone-length L1, jump-height L1
     and binary cross-entropy on the jump class. L1 terms are means over
-    elements, weighted by ``PoseLossWeights()``. Returns (total, per-term dict)."""
+    elements, weighted by the module constants ``W2D``, ``W3D``, ``WBL``,
+    ``WJHT`` and ``WJCLS``. Returns (total, per-term dict)."""
     if pred.heatmaps.values.shape != gt.heatmaps.values.shape:
         raise ValidationError("heatmap shapes differ")
     if pred.location_maps.values.shape != gt.location_maps.values.shape:
@@ -215,10 +214,8 @@ def pose_loss(pred: PoseMapTargets, gt: PoseMapTargets, edges, gt_bone_lengths):
     p = float(np.clip(pred.jump.probability, _PROB_FLOOR, 1.0 - _PROB_FLOOR))
     y = 1.0 if gt.jump.airborne else 0.0
     ljcls = float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-    w = PoseLossWeights()
     terms = {"l2d": l2d, "l3d": l3d, "lbl": lbl, "ljht": ljht, "ljcls": ljcls}
-    total = (w.w2d * l2d + w.w3d * l3d + w.wbl * lbl
-             + w.wjht * ljht + w.wjcls * ljcls)
+    total = W2D * l2d + W3D * l3d + WBL * lbl + WJHT * ljht + WJCLS * ljcls
     return total, terms
 
 

@@ -33,7 +33,7 @@ import scipy.sparse as sp
 
 from . import blas
 from .errors import NumericalError, ValidationError
-from .lsq import lm_solve
+from .lsq import MAX_REJECTS, lm_solve
 from .mesh import BodyMesh
 from .model import (BoneTransforms, Frame, Pose3D, Skeleton, _fk_levels,
                     fk_global, forward_kinematics)
@@ -553,9 +553,10 @@ def fit_pose_to_keypoints(skeleton: Skeleton, target3d: Pose3D,
     p, rec = lm_solve(lambda q: obj.residuals(q, jacobian=True), cost,
                       matrix_to_axis_angle(init.rotations).ravel(),
                       lam=1e-4, lam_min=1e-12, tries=15, max_iters=FIT_MAX_ITERS,
-                      max_rejects=10, rtol=FIT_RTOL)
+                      rtol=FIT_RTOL)
     if rec.stop == "stalled":
-        raise NumericalError("fitting diverged: cost non-decreasing for 10 steps")
+        raise NumericalError(
+            f"fitting diverged: cost non-decreasing for {MAX_REJECTS} steps")
     bt = obj.transforms(p)
     pose = forward_kinematics(skeleton, bt)
     info = {

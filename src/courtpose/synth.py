@@ -39,6 +39,7 @@ EMD_SUBSAMPLE = 256  # points per side of the eval stage's EMD
 
 # the fixed scene distribution
 FOCAL_RANGE = (800.0, 3000.0)
+JUMP_RANGE = (0.0, 1.2)       # meters, lowest joint above the floor
 ELEVATION_RANGE = (5.0, 15.0)
 STANDOFF_RANGE = (8.0, 20.0)  # camera distance beyond the sideline
 POSE_ANGLE_STD = 0.12         # radians, per-joint randomization
@@ -48,9 +49,19 @@ CROP_MARGIN = 1.4             # crop side over the pose's projected extent
 @dataclass(frozen=True)
 class SceneConfig:
     image_size: tuple = (1280, 720)
-    jump_range: tuple = (0.0, 1.2)
     voxel_res: int = 22
     court: CourtConfig = field(default_factory=CourtConfig)
+
+    def __post_init__(self):
+        def positive_int(v):
+            return isinstance(v, (int, np.integer)) and v >= 1
+
+        if len(self.image_size) != 2 or not all(map(positive_int, self.image_size)):
+            raise ValidationError("scene config 'image_size' must be a positive integer "
+                                  f"width and height, got {self.image_size!r}")
+        if not positive_int(self.voxel_res):
+            raise ValidationError("scene config 'voxel_res' must be a positive integer, "
+                                  f"got {self.voxel_res!r}")
 
 
 @dataclass(frozen=True)
@@ -102,8 +113,8 @@ def build_rest_body(skeleton: Skeleton) -> BodyMesh:
     def seg(a, b):
         return pose[skeleton.index(a)], pose[skeleton.index(b)]
 
-    def caps(pairs, radius, part, **kw):
-        ms = [capsule(p0, p1, radius, part=part, **kw) for p0, p1 in pairs]
+    def caps(pairs, radius, part):
+        ms = [capsule(p0, p1, radius, part=part) for p0, p1 in pairs]
         offsets = np.cumsum([0] + [m.num_vertices for m in ms[:-1]])
         verts = np.concatenate([m.vertices for m in ms])
         faces = np.concatenate([m.faces + off for m, off in zip(ms, offsets)])
@@ -169,7 +180,7 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneBundle:
 
     # heights in (0, threshold] are not representable as consistent scenes
     # (the class gates them to ground), so grounded players sit exactly at 0
-    height = float(rng.uniform(*config.jump_range))
+    height = float(rng.uniform(*JUMP_RANGE))
     if height <= JumpInfo.JUMP_THRESHOLD:
         height = 0.0
     jump = JumpInfo.from_height(height)

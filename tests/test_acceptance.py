@@ -26,10 +26,9 @@ from courtpose.model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
                              rest_pose)
 from courtpose.composer import penetration_loss
 from courtpose.placement import place_player
-from courtpose.posemaps import (JumpInfo, PoseLossWeights, PoseMapTargets,
+from courtpose.posemaps import (W2D, W3D, WBL, WJCLS, WJHT, JumpInfo, PoseMapTargets,
                                 decode_heatmaps, decode_location_maps,
-                                encode_heatmaps, encode_location_maps,
-                                pose_loss)
+                                encode_heatmaps, encode_location_maps, pose_loss)
 from courtpose.primitives import capsule, tube
 from courtpose.skinning import (SkinningWeights, fit_pose_to_keypoints,
                                 heat_diffusion_weights, lbs)
@@ -79,7 +78,7 @@ def test_criterion_1_camera_recovery():
 def test_criterion_2_placement_round_trip():
     errs = []
     for seed in range(100):
-        b = synth_scene(seed, SceneConfig(jump_range=(0.0, 1.2)))
+        b = synth_scene(seed, SceneConfig())
         placed, _ = place_player(b.crop_camera, b.pose2d, b.pose_root, b.jump)
         j = int(np.argmin(b.pose_root.positions[:, 1]))
         errs.append(float(np.linalg.norm(placed.positions[j]
@@ -118,16 +117,16 @@ def test_criterion_3_codec_bounds():
     gt_bl = bone_lengths(decode_location_maps(loc, heat), edges)
     t = PoseMapTargets(heat, loc, JumpInfo.from_height(0.4))
     total, terms = pose_loss(t, t, edges, gt_bl)
-    w = PoseLossWeights()
+    w = (W2D, W3D, WBL, WJHT, WJCLS)
     zero_ok = (total <= 1e-6 and terms["l2d"] == 0 and terms["l3d"] == 0
                and terms["lbl"] == 0 and terms["ljht"] == 0)
-    weights_ok = (w.w2d, w.w3d, w.wbl, w.wjht, w.wjcls) == (10, 10, 0.5, 0.4, 0.2)
+    weights_ok = w == (10, 10, 0.5, 0.4, 0.2)
 
     ok = worst2d <= 2.0 and worst3d <= 1e-9 and zero_ok and weights_ok
     report(3, "codec bounds",
            ok, f"1000 poses: max 2D err {worst2d:.3f} px, max 3D err "
                f"{worst3d:.1e} m; zero-case loss {total:.1e}; "
-               f"weights {(w.w2d, w.w3d, w.wbl, w.wjht, w.wjcls)}")
+               f"weights {w}")
 
 
 def _rel_err(fd, an):

@@ -335,11 +335,11 @@ def nearest_triangles_by_chunk(points, vertices, faces, limit=None):
     return face, closest, dist2
 
 
-def detections_from(body, garment, query, band=COLLISION_BAND):
+def detections_from(body, garment, query):
     """The detector's hits from a banded query's result, with the normals
     of the hit faces formed for this call."""
     fi, q, d2 = query
-    near = np.flatnonzero(d2 < band * band)
+    near = np.flatnonzero(d2 < COLLISION_BAND * COLLISION_BAND)
     n = face_normals(garment.vertices, garment.faces[fi[near]])
     hit = np.vecdot(body.vertices[near] - q[near], n) > 0.0
     return near[hit], q[near[hit]], n[hit]

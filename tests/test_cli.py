@@ -212,6 +212,11 @@ def test_config_file_parsing(tmp_path):
     ("voxel_res = 16\nimage_width = 640\n", "image_width"),
     ("image_height = 360\n", "image_height"),
     ("voxel_res = fine\n", "voxel_res"),
+    # values that no scene can run with
+    ("image_width = -640\nimage_height = 720\n", "image_size"),
+    ("image_width = 0\nimage_height = 0\n", "image_size"),
+    ("voxel_res = 0\n", "voxel_res"),
+    ("voxel_res = -3\n", "voxel_res"),
 ])
 def test_config_key_synth_cannot_read_exit_code_2(tmp_path, capsys, text, key):
     cfg = tmp_path / "conf.txt"
@@ -247,6 +252,27 @@ def test_pipeline_cli_parallel_scenes(tmp_path):
     reports = run(2)
     assert len(reports) == 2
     assert reports == run(1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--scenes", "0"], ["--jobs", "0"], ["--jobs", "-2"],
+    ["--scenes", "2", "--jobs", "0"]])
+def test_pipeline_scene_and_job_counts_below_one_exit_code_2(tmp_path, capsys, argv):
+    out = tmp_path / "r.json"
+    assert main(["pipeline", "--seed", "40"] + argv + ["--out", str(out)]) == 2
+    assert f"{argv[-2]} must be at least 1, got {argv[-1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pipeline_scene_dir_with_a_one_part_rest_body_exit_code_2(tmp_path, capsys):
+    # a rest.obj of one part used to fail the skin stage with exit 3 on
+    # "'PartMesh' object has no attribute 'merged'"
+    out = tmp_path / "scene"
+    assert main(["synth", "--seed", "5", "--out", str(out)]) == 0
+    save_obj(out / "rest.obj", load_obj(out / "rest.obj").part("head"))
+    code = main(["pipeline", "--scene-dir", str(out), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "[skin] weight rows do not match body vertex count" in capsys.readouterr().err
 
 
 def test_degenerate_calibration_exit_code(tmp_path):

@@ -7,8 +7,8 @@ from courtpose import collision, composer
 from courtpose.collision import (COLLISION_BAND, CollisionReport, detect_collisions,
                                  nearest_triangle_bruteforce, nearest_triangles,
                                  point_triangle_closest)
-from courtpose.composer import (GARMENT_PAIRS, PenetrationWeights, minimize_lbfgs,
-                                penetration_loss, resolve_interpenetration)
+from courtpose.composer import (GARMENT_PAIRS, minimize_lbfgs, penetration_loss,
+                                resolve_interpenetration)
 from courtpose.errors import NumericalError, ValidationError
 from courtpose.mesh import BodyMesh, PartMesh, face_normals, mesh_edges
 from courtpose.primitives import capsule, tube
@@ -41,7 +41,7 @@ def test_concentric_spheres_detection():
     assert rep.count == just_out.num_vertices
 
 
-def test_detection_matches_bruteforce_on_scene():
+def test_detection_matches_bruteforce_on_scene(monkeypatch):
     scene = synth_scene(5000).posed_body
     for body_name, garment_name in GARMENT_PAIRS:
         body, garment = scene.part(body_name), scene.part(garment_name)
@@ -53,20 +53,21 @@ def test_detection_matches_bruteforce_on_scene():
         n = face_normals(garment.vertices, garment.faces)[fi]
         outside = np.vecdot(body.vertices - q, n) > 0.0
         # the default band flags 2 vertices on this scene, the wide one 67
-        for band in (collision.COLLISION_BAND, 0.3):
+        for band in (COLLISION_BAND, 0.3):
+            monkeypatch.setattr(collision, "COLLISION_BAND", band)
             hit = outside & (d2 < band * band)
-            rep = detect_collisions(body, garment, band=band)
+            rep = detect_collisions(body, garment)
             assert np.array_equal(rep.vertex_indices, np.nonzero(hit)[0])
             assert np.array_equal(rep.garment_points, q[hit])
             assert np.array_equal(rep.garment_normals, n[hit])
 
 
-def unbounded_detect(body, garment, band=COLLISION_BAND):
+def unbounded_detect(body, garment):
     """The detector without the distance limit: the nearest face of every
     body vertex, then the band test."""
     fi, q, d2 = nearest_triangles(body.vertices, garment.vertices, garment.faces)
     n = face_normals(garment.vertices, garment.faces[fi])
-    hit = (np.vecdot(body.vertices - q, n) > 0.0) & (d2 < band * band)
+    hit = (np.vecdot(body.vertices - q, n) > 0.0) & (d2 < COLLISION_BAND * COLLISION_BAND)
     return CollisionReport(np.nonzero(hit)[0], q[hit], n[hit])
 
 
@@ -75,9 +76,9 @@ def test_detection_matches_unbounded_detector_through_compose(monkeypatch):
     # 1018 still has hits after the budget runs out
     checked = []
 
-    def checking(body, garment, *args, **kwargs):
-        rep = detect_collisions(body, garment, *args, **kwargs)
-        ref = unbounded_detect(body, garment, *args, **kwargs)
+    def checking(body, garment):
+        rep = detect_collisions(body, garment)
+        ref = unbounded_detect(body, garment)
         assert np.array_equal(rep.vertex_indices, ref.vertex_indices)
         assert np.array_equal(rep.garment_points, ref.garment_points)
         assert np.array_equal(rep.garment_normals, ref.garment_normals)
@@ -231,7 +232,7 @@ def test_limit_excludes_points_at_exactly_the_limit():
     # a body vertex there sits outside the face (its normal is +z): only
     # the one inside the band collides
     body = PartMesh(pts, [[0, 1, 2]], "arms")
-    rep = detect_collisions(body, PartMesh(verts, faces, "shirt"), band=band)
+    rep = detect_collisions(body, PartMesh(verts, faces, "shirt"))
     assert rep.vertex_indices.tolist() == [0]
 
 
@@ -438,13 +439,15 @@ def test_penetration_loss_gradient_matches_finite_differences():
         assert abs(fd - grad[i, k]) / max(abs(fd), abs(grad[i, k]), 1e-9) < 1e-4
 
 
-def test_edge_term_first_order_in_uniform_scale():
+def test_edge_term_first_order_in_uniform_scale(monkeypatch):
     mesh = capsule((0, 0, 0), (0, 0.3, 0), 0.05, part="arms")
     Vs = mesh.vertices
     eps = 1e-3
     V = Vs * (1.0 + eps)
-    w = PenetrationWeights(w_data=0.0, w_lap=0.0, w_el=1.0)
-    loss, _ = penetration_loss(V, Vs, mesh, w)
+    # the edge term alone, at weight 1
+    for name, weight in (("W_DATA", 0.0), ("W_LAP", 0.0), ("W_EL", 1.0)):
+        monkeypatch.setattr(composer, name, weight)
+    loss, _ = penetration_loss(V, Vs, mesh)
     n_edges = len(mesh_edges(mesh.faces))
     # each edge ratio is exactly (1+eps), so the term is eps per edge
     assert loss == pytest.approx(n_edges * eps, rel=1e-9)
@@ -461,14 +464,15 @@ def test_zero_length_rest_edge_warns_and_is_excluded():
     assert np.all(np.isfinite(grad))
 
 
-def test_lbfgs_decreases_quadratic():
+def test_lbfgs_decreases_quadratic(monkeypatch):
     A = np.diag([1.0, 10.0, 100.0])
     b = np.array([1.0, -2.0, 3.0])
 
     def f(x):
         return 0.5 * x @ A @ x - b @ x, A @ x - b
 
-    x, hist = minimize_lbfgs(f, np.zeros(3), max_iters=50)
+    monkeypatch.setattr(composer, "INNER_ITERATIONS", 50)
+    x, hist = minimize_lbfgs(f, np.zeros(3))
     assert all(h2 <= h1 + 1e-15 for h1, h2 in zip(hist, hist[1:]))
     assert np.abs(x - np.linalg.solve(A, b)).max() < 1e-6
 
@@ -481,9 +485,10 @@ def _rosenbrock(x):
 
 
 @pytest.mark.parametrize("max_iters", [1, 5, 200])
-def test_lbfgs_history_contract(max_iters):
+def test_lbfgs_history_contract(monkeypatch, max_iters):
+    monkeypatch.setattr(composer, "INNER_ITERATIONS", max_iters)
     x0 = np.array([-1.2, 1.0])
-    x, hist = minimize_lbfgs(_rosenbrock, x0, max_iters=max_iters)
+    x, hist = minimize_lbfgs(_rosenbrock, x0)
     assert np.array_equal(x0, [-1.2, 1.0])
     assert hist[0] == _rosenbrock(x0)[0]
     assert 2 <= len(hist) <= max_iters + 1
@@ -496,10 +501,6 @@ def test_lbfgs_rejects_non_finite_start(bad):
     with pytest.raises(NumericalError):
         minimize_lbfgs(lambda x: (bad, np.zeros_like(x)), np.zeros(3))
 
-
-def test_lbfgs_rejects_empty_budget():
-    with pytest.raises(ValidationError):
-        minimize_lbfgs(_rosenbrock, np.zeros(2), max_iters=0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,13 @@ A = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 3.0],
               [0.5, -1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, -1.0]])
 B = np.array([1.0, -2.0, 0.5, 3.0, 0.0, 1.0])
 P0 = np.array([5.0, -3.0, 2.0])
-SOLVER = dict(lam=1e-4, lam_min=1e-12, tries=4, max_iters=50, max_rejects=3)
+SOLVER = dict(lam=1e-4, lam_min=1e-12, tries=4, max_iters=50)
+
+
+@pytest.fixture
+def three_rejects(monkeypatch):
+    """The SOLVER runs stall after 3 empty sweeps in a row."""
+    monkeypatch.setattr(lsq, "MAX_REJECTS", 3)
 
 
 def linear(p):
@@ -34,6 +40,7 @@ def uphill(residual_jacobian):
     return flipped
 
 
+@pytest.mark.usefixtures("three_rejects")
 def test_linear_problem_converges():
     p, rec = lsq.lm_solve(linear, linear_cost, P0, tol=1e-12, **SOLVER)
     assert rec.stop == "converged"
@@ -44,6 +51,7 @@ def test_linear_problem_converges():
     assert all(b <= a for a, b in zip(hist, hist[1:]))
 
 
+@pytest.mark.usefixtures("three_rejects")
 def test_uphill_jacobian_stalls_and_keeps_the_start():
     p, rec = lsq.lm_solve(uphill(linear), linear_cost, P0, **SOLVER)
     assert rec.stop == "stalled"
@@ -52,6 +60,7 @@ def test_uphill_jacobian_stalls_and_keeps_the_start():
     assert rec.cost_history == [linear_cost(P0)] * 4
 
 
+@pytest.mark.usefixtures("three_rejects")
 def test_non_finite_trial_cost_raises():
     def cost(p):
         return linear_cost(p) if np.array_equal(p, P0) else np.nan
@@ -60,6 +69,7 @@ def test_non_finite_trial_cost_raises():
         lsq.lm_solve(linear, cost, P0, **SOLVER)
 
 
+@pytest.mark.usefixtures("three_rejects")
 def test_zero_gradient_stops():
     exact = np.linalg.lstsq(A, B, rcond=None)[0]
     _, rec = lsq.lm_solve(lambda p: (A @ p - A @ exact, A),
@@ -114,8 +124,9 @@ def test_refinement_raises_when_the_solve_stalls(monkeypatch):
     flip_jacobians(monkeypatch, calibrate)
     # the default tolerance ends an uphill solve on a plateau after a sweep
     assert refine_camera_lines(pert, mask, court).stop == "plateau"
+    monkeypatch.setattr(calibrate, "REFINE_TOL", -np.inf)
     with pytest.raises(NumericalError, match="diverged"):
-        refine_camera_lines(pert, mask, court, tol=-np.inf)
+        refine_camera_lines(pert, mask, court)
 
 
 # -- the fields that the benchmark's traced run and the demos read ----------

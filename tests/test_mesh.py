@@ -92,6 +92,23 @@ def test_obj_round_trip(tmp_path):
         assert np.array_equal(a.faces, b.faces)
 
 
+@pytest.mark.parametrize("tagged", [True, False], ids=["tagged", "untagged"])
+def test_obj_round_trip_of_one_part_is_a_one_part_body(tmp_path, tagged):
+    # save_obj writes a lone PartMesh with its `# part:` tag; a plain OBJ
+    # without the tag reads as default_part
+    part = icosphere(0.5, 1, part="arms")
+    path = tmp_path / "arms.obj"
+    save_obj(path, part)
+    if not tagged:
+        path.write_text(path.read_text().replace("# part: arms\n", ""))
+    back = load_obj(path, default_part="arms")
+    assert isinstance(back, BodyMesh)
+    assert [p.part for p in back.parts] == ["arms"]
+    assert np.abs(back.parts[0].vertices - part.vertices).max() < 1e-6
+    assert np.array_equal(back.parts[0].faces, part.faces)
+    assert np.array_equal(back.merged()[0], back.parts[0].vertices)
+
+
 def test_with_vertices_inverts_merged():
     body = BodyMesh((icosphere(0.5, 1, part="head"), plane_grid(3, 3, part="shirt")))
     verts, _ = body.merged()

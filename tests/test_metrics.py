@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from courtpose.errors import ValidationError
-from courtpose.metrics import (_distance_matrix, _farthest_point_pair, chamfer, emd,
+from courtpose.metrics import (_distance_matrix, _farthest_points, chamfer, emd,
                                farthest_point_subsample, icp,
                                mpjpe, mpvpe, procrustes_align,
                                rotation_error_deg)
@@ -281,11 +281,13 @@ def test_lock_step_pair_matches_one_cloud_at_a_time(name):
                 np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 3 * 2.0 ** -28, 0.0],
                           [0.5, 0.5, 0.0]]), rng.normal(size=(40, 3)))}[name]()
     for count in (1, 2, 3, min(len(A), len(B)) - 1):
-        Am, Bm = _farthest_point_pair(A, B, count)
+        chosen = _farthest_points([A, B], count)
+        Am, Bm = A[chosen[:, 0]], B[chosen[:, 1]]
         assert np.array_equal(Am, farthest_point_subsample(A, count)), count
         assert np.array_equal(Bm, farthest_point_subsample(B, count)), count
-        Bm2, Am2 = _farthest_point_pair(B, A, count)
-        assert np.array_equal(Am2, Am) and np.array_equal(Bm2, Bm), count
+        assert np.array_equal(Am, farthest_point_subsample_oracle(A, count)), count
+        assert np.array_equal(Bm, farthest_point_subsample_oracle(B, count)), count
+        assert np.array_equal(_farthest_points([B, A], count), chosen[:, ::-1]), count
 
 
 @pytest.mark.parametrize("sizes", [(40, 40), (40, 25), (25, 40), (1, 30)])

@@ -5,9 +5,8 @@ import pytest
 
 from courtpose.errors import ValidationError
 from courtpose.model import Frame, Pose2D, Pose3D, bone_lengths
-from courtpose.posemaps import (CELL, MAP_RES, SUPPORT_EPS,
-                                HeatmapStack, JumpInfo, LocationMapStack,
-                                PoseLossWeights, PoseMapTargets,
+from courtpose.posemaps import (CELL, MAP_RES, SUPPORT_EPS, W2D, W3D, WBL, WJCLS, WJHT,
+                                HeatmapStack, JumpInfo, LocationMapStack, PoseMapTargets,
                                 decode_heatmaps, decode_location_maps,
                                 encode_heatmaps, encode_location_maps,
                                 load_heatmaps, load_location_maps, pose_loss,
@@ -142,8 +141,7 @@ def test_pose_loss_zero_case_and_defaults():
     assert terms["ljcls"] <= 1e-6
     assert total <= 1e-6
 
-    w = PoseLossWeights()
-    assert (w.w2d, w.w3d, w.wbl, w.wjht, w.wjcls) == (10.0, 10.0, 0.5, 0.4, 0.2)
+    assert (W2D, W3D, WBL, WJHT, WJCLS) == (10.0, 10.0, 0.5, 0.4, 0.2)
 
 
 def test_pose_loss_manual_toy_arithmetic():
@@ -172,9 +170,8 @@ def test_pose_loss_manual_toy_arithmetic():
     assert terms["lbl"] == pytest.approx(0.6, rel=1e-12)
     assert terms["ljht"] == pytest.approx(0.2, rel=1e-12)
     assert terms["ljcls"] == pytest.approx(-np.log(0.75), rel=1e-12)
-    w = PoseLossWeights()
-    manual = (w.w2d * terms["l2d"] + w.w3d * terms["l3d"] + w.wbl * terms["lbl"]
-              + w.wjht * terms["ljht"] + w.wjcls * terms["ljcls"])
+    manual = (W2D * terms["l2d"] + W3D * terms["l3d"] + WBL * terms["lbl"]
+              + WJHT * terms["ljht"] + WJCLS * terms["ljcls"])
     assert total == pytest.approx(manual, rel=1e-15)
 
 

@@ -507,8 +507,7 @@ def zero_start_fit(sk, target):
 
     p, rec = lm_solve(lambda q: obj.residuals(q, jacobian=True), cost,
                       np.zeros(obj.num_params), lam=1e-4, lam_min=1e-12, tries=15,
-                      max_iters=skinning.FIT_MAX_ITERS, max_rejects=10,
-                      rtol=skinning.FIT_RTOL)
+                      max_iters=skinning.FIT_MAX_ITERS, rtol=skinning.FIT_RTOL)
     return obj.transforms(p), rec
 
 

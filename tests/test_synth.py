@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from courtpose import synth
 from courtpose.camera import project
 from courtpose.errors import StageError
 from courtpose.placement import place_player
 from courtpose.posemaps import (decode_heatmaps, decode_location_maps,
                                 encode_heatmaps, encode_location_maps)
-from courtpose.synth import (SceneConfig, load_scene, run_pipeline, save_scene,
-                             synth_scene)
+from courtpose.synth import load_scene, run_pipeline, save_scene, synth_scene
 
 
 @pytest.fixture(scope="module")
@@ -36,9 +36,9 @@ def test_projection_invariant_exact(bundle):
     assert np.array_equal(reproj, bundle.pose2d.pixels)
 
 
-def test_zero_jump_range_grounded():
-    cfg = SceneConfig(jump_range=(0.0, 0.0))
-    b = synth_scene(3, cfg)
+def test_zero_jump_range_grounded(monkeypatch):
+    monkeypatch.setattr(synth, "JUMP_RANGE", (0.0, 0.0))
+    b = synth_scene(3)
     assert b.jump.height == 0.0
     assert not b.jump.airborne
     lowest = b.pose_world.positions[:, 1].min()

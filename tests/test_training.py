@@ -39,27 +39,28 @@ def test_empty_dataset_rejected(tiny_setup):
         train_toy([], params, ops, cfg)
 
 
-def test_zero_learning_rate_leaves_params_unchanged(tiny_setup):
+def test_zero_learning_rate_leaves_params_unchanged(tiny_setup, monkeypatch):
     cfg, ops, dataset = tiny_setup
     params = init_params(cfg, ops, 35, np.random.default_rng(1))
     before = {k: v.value.copy() for k, v in params.items()}
-    train_toy(dataset, params, ops, cfg,
-              TrainConfig(lr=0.0, weight_decay=0.0, max_steps=5, epochs=5))
+    monkeypatch.setattr(training, "WEIGHT_DECAY", 0.0)
+    train_toy(dataset, params, ops, cfg, TrainConfig(lr=0.0, max_steps=5, epochs=5))
     for k, v in params.items():
         assert np.array_equal(v.value, before[k])
 
 
-def test_loss_non_increasing_at_tiny_lr_full_batch(tiny_setup):
+def test_loss_non_increasing_at_tiny_lr_full_batch(tiny_setup, monkeypatch):
     """Descent-lemma style check: full-batch steps at lr 1e-5 with no
     momentum, dropout or weight decay cannot increase the loss."""
     cfg0, ops, dataset = tiny_setup
     cfg = NetConfig(spiral_length=cfg0.spiral_length, ds_factors=cfg0.ds_factors,
                     dropout=0.0)
     params = init_params(cfg, ops, 35, np.random.default_rng(2))
+    monkeypatch.setattr(training, "MOMENTUM", 0.0)
+    monkeypatch.setattr(training, "WEIGHT_DECAY", 0.0)
+    monkeypatch.setattr(training, "BATCH_SIZE", len(dataset))
     _, curve = train_toy(dataset, params, ops, cfg,
-                         TrainConfig(lr=1e-5, momentum=0.0, weight_decay=0.0,
-                                     batch_size=len(dataset), epochs=30,
-                                     max_steps=30))
+                         TrainConfig(lr=1e-5, epochs=30, max_steps=30))
     totals = [c["total"] for c in curve]
     assert all(b <= a + 1e-12 for a, b in zip(totals, totals[1:]))
 
@@ -129,8 +130,8 @@ def test_params_corrupt_tensor_header(tmp_path, tiny_setup, offset, patch, messa
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("batch_size", 0, "batch size"), ("epochs", 0, "epochs"),
-    ("max_steps", 0, "max steps"), ("lr", -1e-3, "learning rate")])
+    ("epochs", 0, "epochs"), ("max_steps", 0, "max steps"),
+    ("lr", -1e-3, "learning rate")])
 def test_train_config_rejects_settings_that_cannot_train(field, value, message):
     with pytest.raises(ValidationError, match=message):
         TrainConfig(**{field: value})
@@ -207,7 +208,8 @@ def test_step_makes_34_sparse_products_and_builds_no_transpose(tiny_setup, monke
                                                                 batch_size):
     cfg, ops, dataset = tiny_setup
     params = init_params(cfg, ops, 35, np.random.default_rng(10))
-    tc = TrainConfig(batch_size=batch_size, max_steps=1)
+    monkeypatch.setattr(training, "BATCH_SIZE", batch_size)
+    tc = TrainConfig(max_steps=1)
     train_toy(dataset, params, ops, cfg, tc)  # builds this batch size's operators
 
     calls = []
@@ -230,8 +232,8 @@ def test_train_toy_makes_one_forward_call_per_step(tiny_setup, monkeypatch):
     forward = training.tl_training_forward
     monkeypatch.setattr(training, "tl_training_forward",
                         lambda *a, **k: calls.append(len(a[0])) or forward(*a, **k))
-    _, curve = train_toy(dataset, params, ops, cfg,
-                         TrainConfig(batch_size=3, epochs=3, max_steps=5))
+    monkeypatch.setattr(training, "BATCH_SIZE", 3)
+    _, curve = train_toy(dataset, params, ops, cfg, TrainConfig(epochs=3, max_steps=5))
     assert len(curve) == 5
     assert calls == [3, 1, 3, 1, 3]
 
