@@ -74,10 +74,13 @@ def _parse_config_file(path):
 
 def _image_size(text):
     try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
-    except Exception:
-        raise ValidationError(f"bad --image-size {text!r}; expected WxH") from None
+        size = tuple(map(int, text.lower().split("x")))
+    except ValueError:
+        size = ()
+    if len(size) != 2 or min(size) < 1:
+        raise ValidationError(f"bad --image-size {text!r}; expected WxH, "
+                              "two positive integers")
+    return size
 
 
 def _scene_config(path, command):

@@ -324,21 +324,6 @@ def tl_training_forward(poses, rest_parts, posed_parts, params: dict, ops: PartO
             "V_from_gt": v_from_gt, "V_posed": posed}
 
 
-DEFAULT_WZ = 5.0
-DEFAULT_WMESH = 50.0
-
-
-def skin_loss(z_pred, z_gt, v_pred, v_posed,
-              w_z: float = DEFAULT_WZ, w_mesh: float = DEFAULT_WMESH) -> float:
-    """w_z * mean|Z_pred - Z_gt| + w_mesh * mean|V_pred - V_posed|."""
-    z_pred, z_gt = np.asarray(z_pred, float), np.asarray(z_gt, float)
-    v_pred, v_posed = np.asarray(v_pred, float), np.asarray(v_posed, float)
-    if z_pred.shape != z_gt.shape or v_pred.shape != v_posed.shape:
-        raise ValidationError("loss inputs must have matching shapes")
-    return float(w_z * np.mean(np.abs(z_pred - z_gt))
-                 + w_mesh * np.mean(np.abs(v_pred - v_posed)))
-
-
 # ---------------------------------------------------------------------------
 # Per-vertex identity offsets
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Deterministic spiral orderings around mesh vertices and the spiral
-convolution that consumes them.
+"""Deterministic spiral orderings around mesh vertices.
 
 Ordering rule (fixed, documented): the spiral starts at the vertex itself;
 its 1-ring follows counterclockwise around the vertex normal, starting from
@@ -114,23 +113,3 @@ def _spiral_sequence(v, adj, verts, normal, need):
         visited |= set(ring_sorted)
         frontier = ring_sorted
     return seq
-
-
-def spiral_conv(features: np.ndarray, spirals: SpiralIndices,
-                weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Gather each vertex's spiral, concatenate features, apply a linear map.
-
-    Padding entries gather zero features.
-    """
-    F = np.asarray(features, dtype=float)
-    W = np.asarray(weights, dtype=float)
-    b = np.asarray(bias, dtype=float)
-    n, cin = F.shape
-    s = spirals.length
-    if spirals.num_vertices != n:
-        raise ValidationError("spiral table does not match vertex count")
-    if W.shape[0] != s * cin:
-        raise ValidationError(f"weights expect {W.shape[0]} inputs, spiral gives {s * cin}")
-    if b.shape != (W.shape[1],):
-        raise ValidationError("bias shape mismatch")
-    return (spirals.gather @ F).reshape(n, s * cin) @ W + b

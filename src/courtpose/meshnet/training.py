@@ -16,8 +16,7 @@ import numpy as np
 
 from ..errors import NumericalError, ValidationError
 from . import autograd as ag
-from .network import (DEFAULT_WMESH, DEFAULT_WZ, NetConfig, PartOps, decode, mesh_encode,
-                      tl_training_forward)
+from .network import NetConfig, PartOps, decode, mesh_encode, tl_training_forward
 
 MAGIC = b"CPNETP1\x00"
 LR_DECAY = 0.99      # per epoch
@@ -25,6 +24,8 @@ MAX_GRAD_NORM = 5.0  # global-norm clip; keeps momentum stable
 WEIGHT_DECAY = 5e-5
 BATCH_SIZE = 16
 MOMENTUM = 0.9
+DEFAULT_WZ = 5.0      # weight of the code-consistency term
+DEFAULT_WMESH = 50.0  # weight of each mesh term
 
 
 @dataclass(frozen=True)

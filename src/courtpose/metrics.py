@@ -82,11 +82,7 @@ def _subset_positions(pose: Pose3D, subset) -> np.ndarray:
 
 def mpjpe(pred: Pose3D, gt: Pose3D, subset, procrustes: bool = False) -> float:
     """Mean per-joint position error over the subset, in millimeters."""
-    P = _subset_positions(pred, subset)
-    G = _subset_positions(gt, subset)
-    if procrustes:
-        P = procrustes_align(P, G, with_scale=True).aligned
-    return float(np.mean(np.linalg.norm(P - G, axis=1)) * 1000.0)
+    return mpvpe(_subset_positions(pred, subset), _subset_positions(gt, subset), procrustes)
 
 
 def mpvpe(pred_vertices: np.ndarray, gt_vertices: np.ndarray,

@@ -17,11 +17,10 @@ placement offset, since LBS commutes with a translation.
 The fit runs at batch width: ``swing_ik`` turns each depth level's
 single-child joints in one batched swing, the start's axis-angles come from
 one stacked ``matrix_to_axis_angle``, and the Jacobian forms cross products
-for the proper (descendant, ancestor) joint pairs only. What stays scalar is the
-Kabsch rotation of a joint with several children and the degenerate swings
-(a bone shorter than ``MIN_BONE``, a (near-)parallel pair), each through
-``_align``, and the depth-level loops of swing IK and FK. Every result
-equals the per-joint loops these replaced bit for bit.
+for the proper (descendant, ancestor) joint pairs only. What stays scalar is
+the rotation of a joint with several children (``_align``) and the
+depth-level loops of swing IK and FK. Every result equals the per-joint
+loops these replaced bit for bit.
 """
 from __future__ import annotations
 
@@ -97,6 +96,8 @@ def heat_diffusion_weights(mesh: BodyMesh, skeleton: Skeleton, rest_pose: Pose3D
     interior, trilinearly sampled at the vertices, top-4 pruned, renormalized."""
     if skeleton.num_joints != rest_pose.num_joints:
         raise ValidationError("skeleton and rest pose joint counts differ")
+    if voxel_res < 1:
+        raise ValidationError(f"voxel_res must be at least 1, got {voxel_res!r}")
     verts, faces = mesh.merged()
     if len(verts) == 0:
         raise ValidationError("empty mesh")
@@ -139,7 +140,7 @@ class _VoxelGrid:
     def __init__(self, verts, res):
         lo = verts.min(axis=0)
         extent = verts.max(axis=0) - lo
-        self.h = float(extent.max()) / max(res, 1)
+        self.h = float(extent.max()) / res
         if self.h <= 0:
             raise ValidationError("degenerate mesh bounding box")
         self.dims = tuple(int(np.ceil(e / self.h)) + 2 * GRID_PAD for e in extent)
@@ -409,14 +410,10 @@ def swing_ik(skeleton: Skeleton, target3d: Pose3D) -> BoneTransforms:
 
     One depth level at a time, each joint takes the rotation, in its parent's
     already-solved frame, that best aligns its children's rest offsets with
-    their target bones (``_align``): the minimal rotation for one child, the
-    Kabsch rotation for several. Leaves keep the identity, and the target
-    is root-relative, so every translation is zero.
-
-    A level's single-child joints take their minimal rotations in one batched
-    swing, with the arithmetic of the scalar ``_swing``; the joints with
-    several children, and the rows with a bone shorter than ``MIN_BONE`` or
-    a (near-)parallel pair, take the scalar ``_align``.
+    their target bones: the minimal rotation for one child, one batched
+    ``_swing_rows`` per level, and the Kabsch rotation for several
+    (``_align``). Leaves keep the identity, and the target is root-relative,
+    so every translation is zero.
     """
     _check_target(skeleton, target3d)
     J = skeleton.num_joints
@@ -437,9 +434,8 @@ def swing_ik(skeleton: Skeleton, target3d: Pose3D) -> BoneTransforms:
         c = only_kid[one]
         # target bones as rows, in the parent's frame: (R_par^T d)^T
         D = ((tgt[c] - tgt[one])[:, None, :] @ R_glob[parent[one]])[:, 0]
-        rot, ok = _swing_rows(skeleton.rest_offsets[c], D)
-        R_loc[one[ok]] = rot
-        for j in itertools.chain(idx[num_kids[idx] > 1], one[~ok]):
+        R_loc[one] = _swing_rows(skeleton.rest_offsets[c], D)
+        for j in idx[num_kids[idx] > 1]:
             R_loc[j] = _align(skeleton.rest_offsets[kids[j]],
                               (tgt[kids[j]] - tgt[j]) @ R_glob[parent[j]])
         R_glob[idx] = R_glob[parent[idx]] @ R_loc[idx]
@@ -447,22 +443,33 @@ def swing_ik(skeleton: Skeleton, target3d: Pose3D) -> BoneTransforms:
 
 
 def _swing_rows(A, D):
-    """``_swing`` of each row pair of A and D (n, 3), batched. Returns the
-    rotations of the rows it forms and the mask of those rows: the others
-    have a vector shorter than ``MIN_BONE`` or a swing axis below the
-    rounding of a unit vector, and are left to the scalar ``_align``."""
+    """Minimal rotations (n, 3, 3) taking the direction of each row of A onto
+    that of the same row of D (n, 3). A pair with a vector shorter than
+    ``MIN_BONE``, or parallel to within the rounding of a unit vector, keeps
+    the identity; an opposite one turns by pi about an axis perpendicular to
+    its row of A."""
     if len(A) == 0:  # a level without single-child joints
-        return np.empty((0, 3, 3)), np.zeros(0, dtype=bool)
-    ok = (np.linalg.norm(A, axis=1) > MIN_BONE) & (np.linalg.norm(D, axis=1) > MIN_BONE)
-    a = A[ok] / np.sqrt(_dots(A[ok], A[ok]))[:, None]
-    b = D[ok] / np.sqrt(_dots(D[ok], D[ok]))[:, None]
+        return np.empty((0, 3, 3))
+    R = np.broadcast_to(np.eye(3), (len(A), 3, 3)).copy()
+    long = (np.linalg.norm(A, axis=1) > MIN_BONE) & (np.linalg.norm(D, axis=1) > MIN_BONE)
+    a = A[long] / np.sqrt(_dots(A[long], A[long]))[:, None]
+    b = D[long] / np.sqrt(_dots(D[long], D[long]))[:, None]
     axis = np.cross(a, b)
-    angle = np.arctan2(np.sqrt(_dots(axis, axis)), _dots(a, b))
+    cos = _dots(a, b)
+    angle = np.arctan2(np.sqrt(_dots(axis, axis)), cos)
+    # drop the rounding along a, which the division below would magnify
+    # near pi, so that R a stays on b
     axis -= _dots(axis, a)[:, None] * a
     n = np.sqrt(_dots(axis, axis))
-    turn = n >= 1e-15
-    ok[ok] = turn
-    return axis_angle_to_matrix(axis[turn] / n[turn, None] * angle[turn, None]), ok
+    flat = n < 1e-15  # parallel or opposite to within the rounding of a unit vector
+    half = flat & (cos <= 0)
+    axis[half] = np.cross(a[half], np.eye(3)[np.argmin(np.abs(a[half]), axis=1)])
+    n[half] = np.sqrt(_dots(axis[half], axis[half]))
+    angle[half] = np.pi
+    turn = ~flat | half
+    R[np.flatnonzero(long)[turn]] = axis_angle_to_matrix(
+        axis[turn] / n[turn, None] * angle[turn, None])
+    return R
 
 
 def _align(A, D):
@@ -475,34 +482,15 @@ def _align(A, D):
     if len(A) == 0:
         return np.eye(3)
     if len(A) == 1:
-        return _swing(A[0], D[0])
+        return _swing_rows(A, D)[0]
     U, s, Vt = np.linalg.svd(A.T @ D)
     if s[1] <= COLLINEAR * s[0]:
-        return _swing(U[:, 0], Vt[0])
+        return _swing_rows(U[:, :1].T, Vt[:1])[0]
     # Kabsch: V U^T, with the last axis flipped if that is a reflection
     R = Vt.T @ U.T
     if np.linalg.det(R) < 0:
         R = Vt.T @ np.diag([1.0, 1.0, -1.0]) @ U.T
     return R
-
-
-def _swing(a, b):
-    """Minimal rotation taking the direction of a onto that of b; for
-    opposite directions, pi about an axis perpendicular to a."""
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
-    axis = np.cross(a, b)
-    angle = np.arctan2(np.linalg.norm(axis), a @ b)
-    # drop the rounding along a, which the division below would magnify
-    # near pi, so that R a stays on b
-    axis -= (axis @ a) * a
-    n = np.linalg.norm(axis)
-    if n < 1e-15:  # parallel or opposite to within the rounding of a unit vector
-        if a @ b > 0:
-            return np.eye(3)
-        axis = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
-        n, angle = np.linalg.norm(axis), np.pi
-    return axis_angle_to_matrix(axis / n * angle)
 
 
 def so3_right_jacobian(omega: np.ndarray) -> np.ndarray:

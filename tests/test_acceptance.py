@@ -18,7 +18,7 @@ from courtpose.metrics import chamfer, emd, icp, mpjpe, mpvpe, procrustes_align
 from courtpose.meshnet import (NetConfig, PartOps, init_identity_params,
                                init_params, identity_offsets_loss)
 from courtpose.meshnet import autograd as ag
-from courtpose.meshnet.network import tl_graph
+from courtpose.meshnet.network import _block_diagonal, _sc, tl_graph
 from courtpose.meshnet.spirals import build_spirals
 from courtpose.meshnet.training import TrainConfig, eval_mesh_term, train_toy
 from courtpose.model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
@@ -139,24 +139,21 @@ def test_criterion_4_gradient_checks():
     worst = {"spiral_conv": 0.0, "tl_forward": 0.0, "identity_offsets": 0.0,
              "penetration_loss": 0.0}
 
-    # spiral_conv: gather + matmul gradient vs central differences
+    # spiral_conv: the network's gather + matmul gradient vs central differences
     mesh = capsule((0, 0, 0), (0, 0.3, 0), 0.06, part="arms", n_seg=8,
                    cap_rings=2, shaft_rings=1)
-    sp = build_spirals(mesh, 6, 1)
+    gather = _block_diagonal(build_spirals(mesh, 6, 1).gather, 1)
     for _ in range(20):
         F = ag.Var(rng.normal(size=(mesh.num_vertices, 3)))
         W = ag.Var(rng.normal(size=(18, 4)))
         b = ag.Var(rng.normal(size=4))
-        gathered = ag.reshape(ag.sparse_mm(sp.gather, F), (mesh.num_vertices, -1))
-        out = sum_all(ag.add(ag.matmul(gathered, W), b))
+        out = sum_all(_sc(F, gather, W, b))
         for v in (F, W, b):
             v.zero_grad()
         ag.backward(out)
 
         def f():
-            g = ag.reshape(ag.sparse_mm(sp.gather, ag.Var(F.value)),
-                           (mesh.num_vertices, -1))
-            return float((g.value @ W.value + b.value).sum())
+            return float(_sc(ag.Var(F.value), gather, W, b).value.sum())
 
         for var in (F, W):
             idx = tuple(rng.integers(0, s) for s in var.value.shape)

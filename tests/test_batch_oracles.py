@@ -2,7 +2,8 @@
 encoder against the loops they replaced. Each loop stays here as the
 oracle, and every comparison is exact (``np.array_equal``):
 
-- ``swing_ik``: the per-joint loop, one ``_align`` per joint;
+- ``swing_ik``: the per-joint loop, one scalar ``align_one`` per joint,
+  and ``_swing_rows``: the scalar swing ``swing_one``, row by row;
 - the position Jacobian: the dense masked ``np.cross`` over all joint pairs;
 - ``matrix_to_axis_angle`` on a stack: the per-matrix function;
 - ``nearest_triangles``: one exact pass per cull chunk, and the detector
@@ -29,8 +30,8 @@ from courtpose.mesh import PartMesh, face_normals, mesh_edges, uniform_laplacian
 from courtpose.model import (BoneTransforms, Pose3D, Skeleton, _fk_levels,
                              forward_kinematics)
 from courtpose.posemaps import encode_heatmaps, encode_location_maps
-from courtpose.skinning import (KeypointObjective, _align, fit_pose_to_keypoints,
-                                so3_right_jacobian, swing_ik)
+from courtpose.skinning import (COLLINEAR, MIN_BONE, KeypointObjective, _swing_rows,
+                                fit_pose_to_keypoints, so3_right_jacobian, swing_ik)
 from courtpose.synth import synth_scene
 from courtpose.transforms import axis_angle_to_matrix, matrix_to_axis_angle, random_rotation
 from helpers import icosphere
@@ -52,8 +53,48 @@ def scene_targets(scenes):
 # Skin: swing IK, its axis-angles, the position Jacobian
 # ---------------------------------------------------------------------------
 
+def swing_one(a, b):
+    """Minimal rotation taking the direction of a onto that of b; for
+    opposite directions, pi about an axis perpendicular to a."""
+    a = a / np.linalg.norm(a)
+    b = b / np.linalg.norm(b)
+    axis = np.cross(a, b)
+    angle = np.arctan2(np.linalg.norm(axis), a @ b)
+    # drop the rounding along a, which the division below would magnify
+    # near pi, so that R a stays on b
+    axis -= (axis @ a) * a
+    n = np.linalg.norm(axis)
+    if n < 1e-15:  # parallel or opposite to within the rounding of a unit vector
+        if a @ b > 0:
+            return np.eye(3)
+        axis = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
+        n, angle = np.linalg.norm(axis), np.pi
+    return axis_angle_to_matrix(axis / n * angle)
+
+
+def align_one(A, D):
+    """Rotation R maximising sum_c d_c . R a_c over the rows of A and D,
+    skipping pairs shorter than ``MIN_BONE``. Where children are collinear,
+    only the rotation of their common axis is fixed, and R is the minimal
+    one; the identity when no pair is left."""
+    keep = (np.linalg.norm(A, axis=1) > MIN_BONE) & (np.linalg.norm(D, axis=1) > MIN_BONE)
+    A, D = A[keep], D[keep]
+    if len(A) == 0:
+        return np.eye(3)
+    if len(A) == 1:
+        return swing_one(A[0], D[0])
+    U, s, Vt = np.linalg.svd(A.T @ D)
+    if s[1] <= COLLINEAR * s[0]:
+        return swing_one(U[:, 0], Vt[0])
+    # Kabsch: V U^T, with the last axis flipped if that is a reflection
+    R = Vt.T @ U.T
+    if np.linalg.det(R) < 0:
+        R = Vt.T @ np.diag([1.0, 1.0, -1.0]) @ U.T
+    return R
+
+
 def swing_ik_loop(skeleton, target3d):
-    """``swing_ik`` one joint at a time, each through ``_align``."""
+    """``swing_ik`` one joint at a time, each through ``align_one``."""
     J = skeleton.num_joints
     tgt = target3d.positions
     kids = [[] for _ in range(J)]
@@ -64,7 +105,8 @@ def swing_ik_loop(skeleton, target3d):
     for j in itertools.chain([0], *skeleton._levels):
         R_par = R_glob[skeleton.parent[j]] if j else np.eye(3)
         if kids[j]:
-            R_loc[j] = _align(skeleton.rest_offsets[kids[j]], (tgt[kids[j]] - tgt[j]) @ R_par)
+            R_loc[j] = align_one(skeleton.rest_offsets[kids[j]],
+                                 (tgt[kids[j]] - tgt[j]) @ R_par)
         R_glob[j] = R_par @ R_loc[j]
     return BoneTransforms(R_loc, np.zeros((J, 3)))
 
@@ -117,8 +159,9 @@ def skeleton(parent, offsets):
 
 
 def degenerate_cases():
-    """(skeleton, target) pairs with the rows the batch leaves to ``_align``
-    or that sit at the edges of the swing's arithmetic."""
+    """(skeleton, target) pairs with rows at the edges of the swing's
+    arithmetic: short, parallel and opposite pairs, collinear children, and
+    a joint with one zero-length child beside a real one."""
     rng = np.random.default_rng(0)
     up = [0.0, 0.3, 0.0]
     # a root whose children are all leaves, so level 1 holds leaves only
@@ -130,6 +173,8 @@ def degenerate_cases():
     # joint 1 has two collinear children, joint 2 one child
     collinear = skeleton([-1, 0, 1, 1, 2],
                          [[0, 0, 0], up, [0, 0.2, 0], [0, -0.35, 0], [0.1, 0.1, 0]])
+    # joint 1 has a zero-length child and a real one, which takes its turn
+    fork = skeleton([-1, 0, 1, 1, 3], [[0, 0, 0], up, [0, 0, 0], [0.2, 0, 0], [0, 0.1, 0]])
     z = np.array([0.0, 0.0, 1.0])
     cases = []
     for sk, turns in [
@@ -137,6 +182,7 @@ def degenerate_cases():
         (chain, {3: np.pi, 4: np.pi - 1e-9, 5: 1e-10, 1: 1e-16}),
         (chain, {3: np.pi - 1e-7, 4: 1e-300, 5: np.pi}),
         (collinear, {1: 2.0, 2: np.pi}),
+        (fork, {1: 1.0, 3: np.pi}),
     ]:
         rots = np.broadcast_to(np.eye(3), (sk.num_joints, 3, 3)).copy()
         for j, angle in turns.items():
@@ -171,26 +217,82 @@ def test_swing_ik_matches_joint_loop_on_degenerate_trees():
         assert_swing_ik_matches_loop(sk, target)
 
 
-def test_degenerate_trees_reach_every_scalar_branch(monkeypatch):
-    # the cases above send rows down each path the batch does not take
+def swing_branch(a, d):
+    """The branch ``swing_one`` (through ``align_one``) takes on one pair."""
+    if np.linalg.norm(a) <= MIN_BONE or np.linalg.norm(d) <= MIN_BONE:
+        return "short bone"
+    a, d = a / np.linalg.norm(a), d / np.linalg.norm(d)
+    axis = np.cross(a, d)
+    axis -= (axis @ a) * a
+    if np.linalg.norm(axis) >= 1e-15:
+        return "turn"
+    return "parallel" if a @ d > 0 else "antiparallel"
+
+
+def test_degenerate_trees_reach_every_swing_branch(monkeypatch):
+    # the cases above send a single-child joint's row down each branch of
+    # the batched swing, and a joint with several children down each of
+    # ``_align``'s
     reasons = set()
+    align = skinning._align
+
+    def spying_swing_rows(A, D):
+        reasons.update(swing_branch(a, d) for a, d in zip(A, D))
+        return _swing_rows(A, D)
 
     def spying_align(A, D):
-        ok = (np.linalg.norm(A, axis=1) > skinning.MIN_BONE) & (
-            np.linalg.norm(D, axis=1) > skinning.MIN_BONE)
-        if ok.sum() == 0:
-            reasons.add("short bone")
-        elif ok.sum() > 1:
-            reasons.add("several children")
-        else:
-            a, d = A[ok][0], D[ok][0]
-            reasons.add("antiparallel" if a @ d < 0 else "parallel")
-        return _align(A, D)
+        keep = (np.linalg.norm(A, axis=1) > MIN_BONE) & (np.linalg.norm(D, axis=1) > MIN_BONE)
+        if keep.sum() == 1:
+            reasons.add("single remaining pair")
+        elif keep.sum() > 1:
+            s = np.linalg.svd(A[keep].T @ D[keep], compute_uv=False)
+            reasons.add("collinear" if s[1] <= COLLINEAR * s[0] else "several children")
+        with monkeypatch.context() as m:
+            m.setattr(skinning, "_swing_rows", _swing_rows)
+            return align(A, D)
 
+    monkeypatch.setattr(skinning, "_swing_rows", spying_swing_rows)
     monkeypatch.setattr(skinning, "_align", spying_align)
     for sk, target in degenerate_cases():
         swing_ik(sk, target)
-    assert reasons == {"short bone", "several children", "antiparallel", "parallel"}
+    assert reasons == {"turn", "short bone", "parallel", "antiparallel", "several children",
+                       "collinear", "single remaining pair"}
+
+
+def swing_pairs(rng, count):
+    """(A, D) row pairs of each kind the swing tells apart: random, opposite,
+    nearly opposite, parallel, nearly parallel, axis-aligned, short, zero."""
+    A = rng.normal(size=(count, 3)) * 10.0 ** rng.uniform(-3, 1, size=(count, 1))
+    axes = np.eye(3)[rng.integers(0, 3, size=count)] * rng.choice([-1.0, 1.0], (count, 1))
+    scale = rng.uniform(0.1, 3.0, size=(count, 1))
+    tiny = 10.0 ** rng.uniform(-17, -7, size=(count, 1)) * rng.normal(size=(count, 3))
+    kinds = [
+        (A, rng.normal(size=(count, 3))),
+        (A, -scale * A),
+        (A, -A + tiny),
+        (A, scale * A),
+        (A, A + tiny),
+        (axes, -scale * axes),
+        (axes, scale * axes),
+        (A, rng.normal(size=(count, 3)) * 1e-10),
+        (A * 1e-10, rng.normal(size=(count, 3))),
+        (A, np.zeros((count, 3))),
+        (np.zeros((count, 3)), A),
+    ]
+    return (np.concatenate([a for a, _ in kinds]), np.concatenate([d for _, d in kinds]))
+
+
+def test_swing_rows_match_the_scalar_swing_on_every_pair_kind():
+    A, D = swing_pairs(np.random.default_rng(6), 150)
+    got = _swing_rows(A, D)
+    for a, d, R in zip(A, D, got):
+        want = align_one(a[None], d[None])  # swing_one, or the identity if short
+        assert np.array_equal(R, want)
+        assert np.array_equal(_swing_rows(a[None], d[None])[0], want)
+    # every kind of branch is among the pairs
+    assert {swing_branch(a, d) for a, d in zip(A, D)} == {
+        "turn", "short bone", "parallel", "antiparallel"}
+    assert _swing_rows(A[:0], D[:0]).shape == (0, 3, 3)
 
 
 def near_identity_and_half_turns(rng):

@@ -68,6 +68,19 @@ def test_calibrate_cli_rejects_mask_of_wrong_size(tmp_path, bundle):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("size", ["0x720", "1280x0", "1280x-5", "-1280x720"])
+def test_calibrate_cli_rejects_an_image_size_that_is_not_positive(tmp_path, capsys, bundle,
+                                                                   size):
+    pts = [{"pixel": list(px), "court": list(w)} for px, w in bundle.correspondences]
+    write_json(tmp_path / "pts.json", pts)
+    out = tmp_path / "camera.json"
+    code = main(["calibrate", f"--image-size={size}", "--points", str(tmp_path / "pts.json"),
+                 "--out", str(out)])
+    assert code == 2
+    assert f"bad --image-size {size!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_place_cli(tmp_path, bundle):
     crop_cam = bundle.crop_camera
     write_json(tmp_path / "cam.json", camera_to_json(crop_cam))

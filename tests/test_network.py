@@ -7,7 +7,7 @@ from courtpose.errors import ValidationError
 from courtpose.mesh import BodyMesh
 from courtpose.meshnet import (NetConfig, PartOps, build_spirals, identity_offsets,
                                identity_offsets_loss, init_identity_params,
-                               init_params, skin_loss, tl_forward)
+                               init_params, tl_forward)
 from courtpose.meshnet import autograd as ag
 from courtpose.meshnet import network
 from courtpose.meshnet.network import (DECODER_DILATIONS, ENCODER_DILATIONS, decode,
@@ -243,21 +243,6 @@ def test_tl_forward_gradients_match_finite_differences(part_ops):
             fd = numeric_grad(f, var, idx)
             an = var.grad[idx]
             assert abs(fd - an) / max(abs(fd), abs(an), 1e-8) < 1e-4, name
-
-
-def test_skin_loss_zero_and_weights():
-    rng = np.random.default_rng(5)
-    z = rng.normal(size=32)
-    v = rng.normal(size=(10, 3))
-    assert skin_loss(z, z, v, v) == 0.0
-
-    # hand toy: 2 vertices, manual arithmetic
-    z1 = np.array([1.0, 2.0])
-    z2 = np.array([1.5, 1.0])
-    v1 = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    v2 = np.array([[0.5, 0.0, 0.0], [1.0, 0.0, 1.0]])
-    manual = 5.0 * (0.5 + 1.0) / 2 + 50.0 * (0.5 + 1.0) / 6
-    assert skin_loss(z1, z2, v1, v2) == pytest.approx(manual, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from courtpose.primitives import capsule
 from courtpose.lsq import lm_solve
 from courtpose.skinning import (MAX_INFLUENCES, KeypointObjective,
                                 SkinningWeights, _fill_holes, _nearest_bone,
-                                _sample_fields, _swing, _voxelize, _VoxelGrid,
+                                _sample_fields, _swing_rows, _voxelize, _VoxelGrid,
                                 bone_sources, fit_pose_to_keypoints,
                                 heat_diffusion_weights, lbs, so3_right_jacobian,
                                 swing_ik, weights_from_json)
@@ -110,6 +110,14 @@ def test_bone_outside_volume_error():
     body = BodyMesh((capsule((0, 0, 0), (0, 0.3, 0), 0.05, part="arms"),))
     with pytest.raises(ValidationError):
         heat_diffusion_weights(body, sk, world_rest(sk), voxel_res=12)
+
+
+@pytest.mark.parametrize("res", [0, -3])
+def test_heat_weights_reject_a_voxel_resolution_below_one(res):
+    sk = chain(2, 0.4)
+    body = BodyMesh((capsule((0, 0, 0), (0, 0.4, 0), 0.08, part="arms"),))
+    with pytest.raises(ValidationError, match=f"voxel_res must be at least 1, got {res}"):
+        heat_diffusion_weights(body, sk, world_rest(sk), voxel_res=res)
 
 
 def test_non_finite_vertex_never_reaches_heat_diffusion():
@@ -453,16 +461,21 @@ def test_swing_ik_antiparallel_bone_turns_by_pi():
     aa = matrix_to_axis_angle(start.rotations[0])
     assert abs(np.linalg.norm(aa) - np.pi) < 1e-12
     assert abs(aa @ sk.rest_offsets[1]) < 1e-12
-    # generic directions, exactly and nearly opposite
+    # generic directions, exactly and nearly opposite, in one batch
     rng = np.random.default_rng(5)
+    A, B = [], []
     for _ in range(20):
         a = rng.normal(size=3)
         for b in (-2.0 * a, -a + 1e-13 * rng.normal(size=3), -a + 1e-8 * rng.normal(size=3)):
-            R = _swing(a, b)
-            # a few units of rounding, however close to pi
-            eps = np.finfo(float).eps
-            assert np.abs(R @ a / np.linalg.norm(a) - b / np.linalg.norm(b)).max() < 8 * eps
-            assert np.abs(R @ R.T - np.eye(3)).max() < 16 * eps
+            A.append(a)
+            B.append(b)
+    A, B = np.array(A), np.array(B)
+    R = _swing_rows(A, B)
+    # a few units of rounding, however close to pi
+    eps = np.finfo(float).eps
+    Ra = (R @ A[:, :, None])[:, :, 0] / np.linalg.norm(A, axis=1)[:, None]
+    assert np.abs(Ra - B / np.linalg.norm(B, axis=1)[:, None]).max() < 8 * eps
+    assert np.abs(R @ R.transpose(0, 2, 1) - np.eye(3)).max() < 16 * eps
 
 
 def test_swing_ik_zero_length_bones_keep_the_identity():

@@ -3,8 +3,9 @@ import pytest
 
 from courtpose.errors import ValidationError
 from courtpose.mesh import PartMesh, adjacency_lists, vertex_normals
-from courtpose.meshnet import NetConfig, PartOps, build_spirals, spiral_conv
+from courtpose.meshnet import NetConfig, PartOps, build_spirals
 from courtpose.meshnet import autograd as ag
+from courtpose.meshnet.network import _block_diagonal, _sc
 from courtpose.meshnet.spirals import PAD, SpiralIndices
 from courtpose.primitives import tri_grid
 from courtpose.synth import canonical_body
@@ -72,24 +73,33 @@ def test_boundary_vertex_pads_short_spiral():
     assert PAD in row  # 3x3 patch cannot fill 12 entries from a corner
 
 
+def spiral_conv(F, sp, W, b):
+    """``network._sc`` on B stacked samples F (B, N, C) through the table's
+    block-diagonal gather pair; returns (B, N, C_out)."""
+    B, n, _ = F.shape
+    out = _sc(ag.Var(F.reshape(B * n, -1)), _block_diagonal(sp.gather, B),
+              ag.Var(W), ag.Var(b))
+    return out.value.reshape(B, n, -1)
+
+
 def test_spiral_conv_self_copy_identity():
     mesh, _ = hex_center()
     sp = build_spirals(mesh, 7, 1)
     rng = np.random.default_rng(0)
-    F = rng.normal(size=(mesh.num_vertices, 5))
     W = np.zeros((7 * 5, 5))
     W[:5, :5] = np.eye(5)
-    out = spiral_conv(F, sp, W, np.zeros(5))
-    assert np.array_equal(out, F)
+    for batch in (1, 3):
+        F = rng.normal(size=(batch, mesh.num_vertices, 5))
+        assert np.array_equal(spiral_conv(F, sp, W, np.zeros(5)), F)
 
 
 def test_spiral_conv_zero_weights_gives_bias():
     mesh, _ = hex_center()
     sp = build_spirals(mesh, 7, 1)
-    F = np.ones((mesh.num_vertices, 3))
     b = np.array([1.0, -2.0, 0.5, 7.0])
-    out = spiral_conv(F, sp, np.zeros((21, 4)), b)
-    assert np.allclose(out, np.tile(b, (mesh.num_vertices, 1)))
+    for batch in (1, 3):
+        out = spiral_conv(np.ones((batch, mesh.num_vertices, 3)), sp, np.zeros((21, 4)), b)
+        assert np.allclose(out, np.tile(b, (batch, mesh.num_vertices, 1)))
 
 
 def test_spiral_conv_matches_naive_loop_oracle():
@@ -97,26 +107,19 @@ def test_spiral_conv_matches_naive_loop_oracle():
     sp = build_spirals(mesh, 9, 2)
     rng = np.random.default_rng(1)
     cin, cout = 4, 6
-    F = rng.normal(size=(mesh.num_vertices, cin))
     W = rng.normal(size=(9 * cin, cout))
     b = rng.normal(size=cout)
-    out = spiral_conv(F, sp, W, b)
-
-    for v in range(mesh.num_vertices):
-        row = np.zeros(9 * cin)
-        for s, idx in enumerate(sp.indices[v]):
-            if idx >= 0:
-                row[s * cin:(s + 1) * cin] = F[idx]
-        expect = row @ W + b
-        assert np.abs(out[v] - expect).max() < 1e-12
-
-
-def test_spiral_conv_shape_validation():
-    mesh, _ = hex_center()
-    sp = build_spirals(mesh, 7, 1)
-    with pytest.raises(ValidationError):
-        spiral_conv(np.zeros((mesh.num_vertices, 3)), sp, np.zeros((10, 4)),
-                    np.zeros(4))
+    for batch in (1, 3):
+        F = rng.normal(size=(batch, mesh.num_vertices, cin))
+        out = spiral_conv(F, sp, W, b)
+        for k in range(batch):
+            for v in range(mesh.num_vertices):
+                row = np.zeros(9 * cin)
+                for s, idx in enumerate(sp.indices[v]):
+                    if idx >= 0:
+                        row[s * cin:(s + 1) * cin] = F[k, idx]
+                expect = row @ W + b
+                assert np.abs(out[k, v] - expect).max() < 1e-12
 
 
 # -- the gather matrix against the hand-written gather it replaced -----------

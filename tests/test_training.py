@@ -5,9 +5,9 @@ from courtpose.errors import ValidationError
 from courtpose.meshnet import (NetConfig, PartOps, init_params, load_params,
                                save_params, training)
 from courtpose.meshnet import autograd as ag
-from courtpose.meshnet.network import DEFAULT_WMESH, DEFAULT_WZ
-from courtpose.meshnet.training import (TrainConfig, eval_mesh_term, tl_loss,
-                                        tl_training_forward, train_toy)
+from courtpose.meshnet.training import (DEFAULT_WMESH, DEFAULT_WZ, TrainConfig,
+                                        eval_mesh_term, tl_loss, tl_training_forward,
+                                        train_toy)
 from courtpose.model import Pose3D, forward_kinematics
 from courtpose.primitives import capsule
 from courtpose.skinning import lbs
@@ -80,6 +80,32 @@ def test_short_training_reduces_loss_deterministically(tiny_setup):
     assert [c["total"] for c in curve1] == [c["total"] for c in curve2]
     for k in params1:
         assert np.array_equal(params1[k].value, params2[k].value)
+
+
+def test_tl_loss_zero_and_weights():
+    def loss(z_pred, z_gt, v_from_gt, v_from_pred, v_posed):
+        total, mesh = tl_loss({"Z_pred": ag.Var(z_pred), "Z_gt": ag.Var(z_gt),
+                               "V_from_gt": ag.Var(v_from_gt),
+                               "V_from_pred": ag.Var(v_from_pred),
+                               "V_posed": ag.Var(v_posed)})
+        return float(total.value), float(mesh.value)
+
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(1, 32))
+    v = rng.normal(size=(10, 3))
+    assert loss(z, z, v, v, v) == (0.0, 0.0)
+
+    # hand toy: 2 vertices, manual arithmetic
+    z1 = np.array([[1.0, 2.0]])
+    z2 = np.array([[1.5, 1.0]])
+    v1 = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    v2 = np.array([[0.5, 0.0, 0.0], [1.0, 0.0, 1.0]])
+    v3 = np.array([[0.5, 0.0, 0.75], [1.0, 0.0, 1.0]])
+    mesh = 50.0 * (0.5 + 1.0) / 6
+    manual = 5.0 * (0.5 + 1.0) / 2 + mesh + 50.0 * 0.75 / 6
+    total, got_mesh = loss(z1, z2, v1, v3, v2)
+    assert total == pytest.approx(manual, rel=1e-15)
+    assert got_mesh == pytest.approx(mesh, rel=1e-15)
 
 
 def test_eval_mesh_term_is_the_mean_gt_path_mesh_loss(tiny_setup):
