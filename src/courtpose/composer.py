@@ -48,9 +48,11 @@ GARMENT_PAIRS = (("arms", "shirt"), ("head", "shirt"), ("legs", "pants"))
 @dataclass(frozen=True)
 class PenetrationTerms:
     """The parts of the penetration loss fixed by the mesh and its anchor V*:
-    the Laplacian, the edges of nonzero rest length and those rest lengths."""
+    the Laplacian and its transpose, the edges of nonzero rest length and
+    those rest lengths."""
 
     laplacian: sp.csr_matrix
+    laplacian_t: sp.csc_matrix  # laplacian.T, built once for the gradient
     edges: np.ndarray  # (K, 2)
     rest: np.ndarray   # (K,)
 
@@ -64,7 +66,8 @@ def penetration_terms(mesh: PartMesh, V_star: np.ndarray) -> PenetrationTerms:
     if not np.all(ok):
         warnings.warn(f"{int(np.sum(~ok))} zero-length rest edges excluded "
                       "from the edge-length term")
-    return PenetrationTerms(uniform_laplacian(mesh), edges[ok], rest[ok])
+    L = uniform_laplacian(mesh)
+    return PenetrationTerms(L, L.T, edges[ok], rest[ok])
 
 
 def penetration_loss(V: np.ndarray, V_star: np.ndarray, mesh: PartMesh,
@@ -95,7 +98,7 @@ def penetration_loss(V: np.ndarray, V_star: np.ndarray, mesh: PartMesh,
     nl = float(np.linalg.norm(ld))
     loss += W_LAP * nl
     if nl > 1e-12:
-        grad += W_LAP * (L.T @ ld) / nl
+        grad += W_LAP * (terms.laplacian_t @ ld) / nl
 
     edges = terms.edges
     rest = terms.rest

@@ -1,8 +1,10 @@
 """Minimal reverse-mode autodiff over numpy arrays (float64).
 
-Just enough machinery for the toy mesh networks: dense matmul, fixed sparse
-operators (spiral gathers and mesh samplers), elementwise activations,
-dropout masks, concatenation and mean-L1 losses. Each op returns a Var whose
+Just enough machinery for the toy mesh networks: a dense layer
+(``linear``), a spiral conv (``gather_linear``: a fixed sparse gather, then a
+dense layer, as one node), fixed sparse operators (``sparse_mm``, for the
+mesh samplers), elementwise sums, scaling and activations, dropout masks,
+reshapes, concatenation and mean-L1 losses. Each op returns a Var whose
 ``grad_fn`` scatters the output gradient back to its parents; ``backward``
 runs the tape in reverse topological order.
 """
@@ -52,29 +54,46 @@ def _accum(v: Var, g: np.ndarray) -> None:
     v.grad = g if v.grad is None else v.grad + g
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, s in enumerate(shape):
-        if s == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def matmul(a: Var, b: Var) -> Var:
-    out = Var(a.value @ b.value, (a, b))
+def add(a: Var, b: Var) -> Var:
+    """Elementwise sum of two Vars of one shape."""
+    if a.shape != b.shape:
+        raise ValueError(f"add needs equal shapes, got {a.shape} and {b.shape}")
+    out = Var(a.value + b.value, (a, b))
     def grad_fn(g):
-        _accum(a, g @ b.value.T)
-        _accum(b, a.value.T @ g)
+        _accum(a, g)
+        _accum(b, g)
     out.grad_fn = grad_fn
     return out
 
 
-def add(a: Var, b: Var) -> Var:
-    out = Var(a.value + b.value, (a, b))
+def linear(x: Var, W: Var, b: Var) -> Var:
+    """Dense layer x @ W + b for (rows, nin) x, (nin, nout) W, (nout,) b."""
+    y = x.value @ W.value
+    y += b.value
+    out = Var(y, (x, W, b))
     def grad_fn(g):
-        _accum(a, _unbroadcast(g, a.value.shape))
-        _accum(b, _unbroadcast(g, b.value.shape))
+        _accum(x, g @ W.value.T)
+        _accum(W, x.value.T @ g)
+        _accum(b, g.sum(axis=0))
+    out.grad_fn = grad_fn
+    return out
+
+
+def gather_linear(M, MT, x: Var, W: Var, b: Var) -> Var:
+    """A dense layer on the rows of a fixed sparse gather, as one node.
+
+    ``M @ x`` stacks S gathered rows of the (rows, C) ``x`` per output row;
+    they are read as one (rows, S*C) row each, then times W plus b. ``MT`` is
+    ``M``'s transpose as a ready CSR matrix, so no backward pass builds it.
+    """
+    gathered = (M @ x.value).reshape(x.value.shape[0], -1)
+    y = gathered @ W.value
+    y += b.value
+    out = Var(y, (x, W, b))
+    def grad_fn(g):
+        _accum(x, MT @ (g @ W.value.T).reshape(-1, x.value.shape[1]))
+        _accum(W, gathered.T @ g)
+        _accum(b, g.sum(axis=0))
     out.grad_fn = grad_fn
     return out
 
@@ -92,11 +111,15 @@ def relu(a: Var) -> Var:
     return out
 
 
-def elu(a: Var, alpha: float = 1.0) -> Var:
-    pos = a.value > 0
+def elu(a: Var) -> Var:
+    """ELU with alpha 1: exp(min(a, 0)) - 1 + max(a, 0), summed in that
+    order so that a > 0 gives 0 + a = a exactly. Where a > 0 the exponential
+    is exactly 1, so the gradient is g * exp(min(a, 0)) everywhere."""
     ex = np.exp(np.minimum(a.value, 0.0))
-    out = Var(np.where(pos, a.value, alpha * (ex - 1.0)), (a,))
-    out.grad_fn = lambda g: _accum(a, g * np.where(pos, 1.0, alpha * ex))
+    y = ex - 1.0
+    y += np.maximum(a.value, 0.0)
+    out = Var(y, (a,))
+    out.grad_fn = lambda g: _accum(a, g * ex)
     return out
 
 

@@ -206,10 +206,9 @@ def check_params(params: dict, config: NetConfig, ops: PartOps, num_joints: int)
 
 
 def _sc(x, gather, W, b):
-    """Spiral conv of stacked (rows, C) features through a stacked gather."""
-    G, GT = gather
-    gathered = ag.reshape(ag.sparse_mm(G, x, GT), (x.shape[0], -1))
-    return ag.add(ag.matmul(gathered, W), b)
+    """Spiral conv of stacked (rows, C) features through a stacked gather
+    (a ``(G, G.T)`` pair), as one tape node."""
+    return ag.gather_linear(*gather, x, W, b)
 
 
 _POSE_DROPOUT_LAYERS = 4  # two residual blocks of two linear layers
@@ -224,18 +223,18 @@ def pose_encode(params, pose_flat: ag.Var, config: NetConfig,
         # are the same draws whatever batch it sits in
         draws = rng.random((pose_flat.shape[0], _POSE_DROPOUT_LAYERS, POSE_HIDDEN))
         masks = (draws < keep).astype(float) / keep
-    x = ag.add(ag.matmul(pose_flat, params["pose.lin_in.W"]), params["pose.lin_in.b"])
+    x = ag.linear(pose_flat, params["pose.lin_in.W"], params["pose.lin_in.b"])
     layer = 0
     for blk in ("pose.res1", "pose.res2"):
         y = x
         for sub in ("l1", "l2"):
-            y = ag.add(ag.matmul(y, params[f"{blk}.{sub}.W"]), params[f"{blk}.{sub}.b"])
+            y = ag.linear(y, params[f"{blk}.{sub}.W"], params[f"{blk}.{sub}.b"])
             y = ag.relu(y)
             if masks is not None:
                 y = ag.dropout(y, masks[:, layer])
             layer += 1
         x = ag.add(x, y)
-    return ag.add(ag.matmul(x, params["pose.lin_out.W"]), params["pose.lin_out.b"])
+    return ag.linear(x, params["pose.lin_out.W"], params["pose.lin_out.b"])
 
 
 def mesh_encode(params, prefix: str, verts: ag.Var, ops: PartOps,
@@ -250,14 +249,14 @@ def mesh_encode(params, prefix: str, verts: ag.Var, ops: PartOps,
         D, DT = stacked.down[k]
         x = ag.sparse_mm(D, x, DT)
     flat = ag.reshape(x, (batch, -1))
-    return ag.add(ag.matmul(flat, params[f"{prefix}.lin.W"]), params[f"{prefix}.lin.b"])
+    return ag.linear(flat, params[f"{prefix}.lin.W"], params[f"{prefix}.lin.b"])
 
 
 def decode(params, z: ag.Var, ops: PartOps, config: NetConfig) -> ag.Var:
     """(B, Z) codes -> (B*N, 3) stacked vertices."""
     batch = z.shape[0]
     stacked = ops.stacked(batch)
-    x = ag.add(ag.matmul(z, params["dec.lin.W"]), params["dec.lin.b"])
+    x = ag.linear(z, params["dec.lin.W"], params["dec.lin.b"])
     x = ag.reshape(x, (batch * ops.coarsest_vertices, ENCODER_CHANNELS[-1]))
     L = len(config.ds_factors)
     for k in range(L):
@@ -270,7 +269,7 @@ def decode(params, z: ag.Var, ops: PartOps, config: NetConfig) -> ag.Var:
 
 def fuse(params, z_pose: ag.Var, z_rest: ag.Var) -> ag.Var:
     zc = ag.concat([z_pose, z_rest], axis=1)
-    return ag.add(ag.matmul(zc, params["fuse.W"]), params["fuse.b"])
+    return ag.linear(zc, params["fuse.W"], params["fuse.b"])
 
 
 def tl_graph(pose_positions: np.ndarray, rest_vertices: np.ndarray, params: dict,
@@ -347,8 +346,8 @@ def identity_offsets_graph(template_vertices: np.ndarray, feature: np.ndarray,
     if params["id.l1.W"].shape[0] != 3 + feat.size:
         raise ValidationError("feature dimension does not match identity params")
     x = ag.Var(np.concatenate([verts, np.tile(feat, (len(verts), 1))], axis=1))
-    h = ag.relu(ag.add(ag.matmul(x, params["id.l1.W"]), params["id.l1.b"]))
-    off = ag.add(ag.matmul(h, params["id.l2.W"]), params["id.l2.b"])
+    h = ag.relu(ag.linear(x, params["id.l1.W"], params["id.l1.b"]))
+    off = ag.linear(h, params["id.l2.W"], params["id.l2.b"])
     return ag.add(ag.Var(verts), off)
 
 

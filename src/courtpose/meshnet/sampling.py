@@ -190,6 +190,15 @@ def _vertex_quadrics(verts, faces):
     return q
 
 
+def _normal(a, b, c):
+    """np.cross(b - a, c - a) for three points given as float lists, formed
+    from its components in np.cross's own order, so bit for bit the same; a
+    3-vector np.cross call costs tens of microseconds of Python-side work."""
+    u0, u1, u2 = b[0] - a[0], b[1] - a[1], b[2] - a[2]
+    v0, v1, v2 = c[0] - a[0], c[1] - a[1], c[2] - a[2]
+    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
+
+
 def _collapse_valid(u, v, verts, faces, face_alive, vert_faces):
     """Collapsing u into v must not create degenerate or flipped faces."""
     for fi in vert_faces[u]:
@@ -201,10 +210,8 @@ def _collapse_valid(u, v, verts, faces, face_alive, vert_faces):
         newf = [v if w == u else w for w in f]
         if len(set(newf)) < 3:
             return False
-        a, b, c = verts[f[0]], verts[f[1]], verts[f[2]]
-        na = np.cross(b - a, c - a)
-        a2, b2, c2 = verts[newf[0]], verts[newf[1]], verts[newf[2]]
-        nb = np.cross(b2 - a2, c2 - a2)
+        na = _normal(*verts[list(f)].tolist())
+        nb = _normal(*verts[newf].tolist())
         if np.linalg.norm(nb) < 2.0 * _AREA_EPS:
             return False
         if na @ nb <= 0.0:

@@ -16,7 +16,8 @@ import numpy as np
 
 from ..errors import NumericalError, ValidationError
 from . import autograd as ag
-from .network import NetConfig, PartOps, decode, mesh_encode, tl_training_forward
+from .network import (NetConfig, PartOps, check_params, decode, mesh_encode,
+                      tl_training_forward)
 
 MAGIC = b"CPNETP1\x00"
 LR_DECAY = 0.99      # per epoch
@@ -72,6 +73,7 @@ def train_toy(dataset, params: dict, ops: PartOps, config: NetConfig = NetConfig
     """
     if not dataset:
         raise ValidationError("training dataset is empty")
+    check_params(params, config, ops, dataset[0][0].num_joints)
     rng = np.random.default_rng(train_cfg.seed)
     velocity = {k: np.zeros_like(v.value) for k, v in params.items()}
     curve = []
@@ -112,6 +114,9 @@ def eval_mesh_term(dataset, params: dict, ops: PartOps,
     """Mean Z_gt-path mesh loss over a dataset (no dropout), weighted by
     ``DEFAULT_WMESH`` as in training. Only the ground-truth encoder and the
     decoder run: the pose path does not reach this term."""
+    if not dataset:
+        raise ValidationError("evaluation dataset is empty")
+    check_params(params, config, ops, dataset[0][0].num_joints)
     total = 0.0
     for _, _, posed_part in dataset:
         z_gt = mesh_encode(params, "enc_gt", ag.Var(posed_part.vertices), ops, config)

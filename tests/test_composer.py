@@ -464,6 +464,25 @@ def test_zero_length_rest_edge_warns_and_is_excluded():
     assert np.all(np.isfinite(grad))
 
 
+def test_penetration_loss_uses_the_kept_transpose(monkeypatch):
+    """The Laplacian's transpose is built once, with the terms: an
+    evaluation on given terms builds none."""
+    rng = np.random.default_rng(2)
+    mesh = capsule((0, 0, 0), (0, 0.3, 0), 0.05, part="arms")
+    Vs = mesh.vertices
+    V = Vs + rng.normal(scale=0.004, size=Vs.shape)
+    want = penetration_loss(V, Vs, mesh)
+    terms = composer.penetration_terms(mesh, Vs)
+    transposes = []
+    csr = type(terms.laplacian)
+    transpose = csr.transpose
+    monkeypatch.setattr(csr, "transpose",
+                        lambda *a, **k: transposes.append(a) or transpose(*a, **k))
+    loss, grad = penetration_loss(V, Vs, mesh, terms=terms)
+    assert transposes == []
+    assert loss == want[0] and np.array_equal(grad, want[1])
+
+
 def test_lbfgs_decreases_quadratic(monkeypatch):
     A = np.diag([1.0, 10.0, 100.0])
     b = np.array([1.0, -2.0, 3.0])

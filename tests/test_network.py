@@ -134,7 +134,7 @@ def test_autograd_elementary_ops():
     a = ag.Var(rng.normal(size=(4, 3)))
     b = ag.Var(rng.normal(size=(3, 5)))
     c = ag.Var(rng.normal(size=5))
-    out = sum_all(ag.elu(ag.add(ag.matmul(a, b), c)))
+    out = sum_all(ag.elu(ag.linear(a, b, c)))
     ag.backward(out)
 
     def f():

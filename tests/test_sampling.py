@@ -260,3 +260,18 @@ def test_kept_collapse_costs_match_uncached_on_tri_grids(factor):
     # rests on the tie-breaking vertex ids and versions
     for rows, cols in ((5, 6), (8, 9), (12, 11)):
         assert_sampling_matches_uncached(tri_grid(rows, cols), factor)
+
+
+def test_face_normal_equals_np_cross_bit_for_bit():
+    """``_normal`` forms np.cross(b - a, c - a) from components: the same
+    bits as np.cross on random, scaled, degenerate and signed-zero triangles."""
+    rng = np.random.default_rng(3)
+    tris = [rng.normal(scale=s, size=(3, 3)) for s in (1e-9, 1e-3, 1.0, 1e3)
+            for _ in range(500)]
+    tris += [np.zeros((3, 3)), -np.zeros((3, 3)), np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0.0]]),
+             np.array([[1, 1, 1], [1, 1, 1], [1, 2, 3.0]]), np.array([[0, -0.0, 0], [1, 0, -0.0],
+                                                                      [0, 1, 0.0]])]
+    for a, b, c in tris:
+        got = sampling._normal(a.tolist(), b.tolist(), c.tolist())
+        want = np.cross(b - a, c - a)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))

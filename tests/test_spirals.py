@@ -198,3 +198,19 @@ def test_spiral_length_and_dilation_are_integers_of_at_least_one(length, dilatio
     value = length if bad == "length" else dilation
     with pytest.raises(ValidationError, match=f"spiral {bad} .* got {value!r}"):
         build_spirals(tri_grid(3, 3), length, dilation)
+
+
+def test_tangent_basis_second_axis_is_np_cross_bit_for_bit():
+    """The second tangent axis, formed from components, is np.cross(n, e1)
+    of the normalised normal and the first axis, bit for bit."""
+    from courtpose.meshnet.spirals import _tangent_basis
+    rng = np.random.default_rng(4)
+    normals = [rng.normal(size=3) for _ in range(2000)]
+    normals += [np.eye(3)[k] * s for k in range(3) for s in (1.0, -1.0)]
+    normals += [np.zeros(3), np.array([1.0, 1e-10, 0.0]), np.array([-0.0, 0.0, -1.0])]
+    for normal in normals:
+        e1, e2 = _tangent_basis(normal)
+        n = normal / np.linalg.norm(normal) if np.linalg.norm(normal) >= 1e-12 \
+            else np.array([0.0, 0.0, 1.0])
+        want = np.cross(n, e1)
+        assert np.array_equal(e2, want) and np.array_equal(np.signbit(e2), np.signbit(want))

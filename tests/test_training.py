@@ -39,6 +39,28 @@ def test_empty_dataset_rejected(tiny_setup):
         train_toy([], params, ops, cfg)
 
 
+def test_eval_mesh_term_rejects_an_empty_dataset(tiny_setup):
+    cfg, ops, _ = tiny_setup
+    params = init_params(cfg, ops, 35, np.random.default_rng(0))
+    with pytest.raises(ValidationError, match="empty"):
+        eval_mesh_term([], params, ops, cfg)
+
+
+@pytest.mark.parametrize("joints, drop, message", [
+    (20, None, r"parameter pose\.lin_in\.W has shape \(60, 64\), expected \(105, 64\)"),
+    (35, "fuse.b", r"parameter fuse\.b is missing"),
+])
+def test_training_entry_points_name_the_parameter_that_does_not_fit(
+        tiny_setup, joints, drop, message):
+    cfg, ops, dataset = tiny_setup
+    params = init_params(cfg, ops, joints, np.random.default_rng(0))
+    params.pop(drop, None)
+    for run in (lambda: train_toy(dataset, params, ops, cfg, TrainConfig(max_steps=1)),
+                lambda: eval_mesh_term(dataset, params, ops, cfg)):
+        with pytest.raises(ValidationError, match=message):
+            run()
+
+
 def test_zero_learning_rate_leaves_params_unchanged(tiny_setup, monkeypatch):
     cfg, ops, dataset = tiny_setup
     params = init_params(cfg, ops, 35, np.random.default_rng(1))
@@ -232,22 +254,27 @@ def test_batched_step_matches_per_sample_loop(tiny_setup, batch_size):
 @pytest.mark.parametrize("batch_size", [1, 3, 4])
 def test_step_makes_34_sparse_products_and_builds_no_transpose(tiny_setup, monkeypatch,
                                                                 batch_size):
+    """16 sampler products (sparse_mm) and 18 spiral convs, each one node
+    holding its gather product (gather_linear), per step."""
     cfg, ops, dataset = tiny_setup
     params = init_params(cfg, ops, 35, np.random.default_rng(10))
     monkeypatch.setattr(training, "BATCH_SIZE", batch_size)
     tc = TrainConfig(max_steps=1)
     train_toy(dataset, params, ops, cfg, tc)  # builds this batch size's operators
 
-    calls = []
+    calls, convs = [], []
     sparse_mm = ag.sparse_mm
     monkeypatch.setattr(ag, "sparse_mm", lambda *a: calls.append(a) or sparse_mm(*a))
+    gather_linear = ag.gather_linear
+    monkeypatch.setattr(ag, "gather_linear",
+                        lambda *a: convs.append(a) or gather_linear(*a))
     transposes = []
     csr = type(ops.spirals_final.gather)
     transpose = csr.transpose
     monkeypatch.setattr(csr, "transpose",
                         lambda *a, **k: transposes.append(a) or transpose(*a, **k))
     train_toy(dataset, params, ops, cfg, tc)
-    assert len(calls) == 34
+    assert (len(calls), len(convs)) == (16, 18)
     assert transposes == []
 
 
