@@ -8,7 +8,7 @@ import numpy as np
 
 from courtpose import (BoneTransforms, Frame, Skeleton, bone_lengths,
                        forward_kinematics, rest_pose)
-from courtpose.transforms import random_rotation
+from courtpose.transforms import axis_angle_to_matrix
 
 skeleton = Skeleton.canonical()
 print(f"canonical rig: {skeleton.num_joints} joints, root = {skeleton.joint_names[0]}")
@@ -18,7 +18,7 @@ print(f"rest pose: head at y={rest.positions[skeleton.index('head')][1]:.2f} m, 
       f"toes at y={rest.positions[skeleton.index('toe_l')][1]:.2f} m")
 
 rng = np.random.default_rng(0)
-rots = np.stack([random_rotation(rng, 0.25) for _ in range(skeleton.num_joints)])
+rots = axis_angle_to_matrix(rng.normal(scale=0.15, size=(skeleton.num_joints, 3)))
 posed = forward_kinematics(skeleton, BoneTransforms(rots, np.zeros((skeleton.num_joints, 3))))
 print(f"random pose: pelvis stays at {posed.positions[0]}, "
       f"wrist_r moved to {np.round(posed.positions[skeleton.index('wrist_r')], 3)}")

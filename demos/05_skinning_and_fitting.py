@@ -11,7 +11,7 @@ from courtpose import (BodyMesh, BoneTransforms, Frame, Skeleton,
                        fit_pose_to_keypoints, forward_kinematics,
                        heat_diffusion_weights, lbs, swing_ik)
 from courtpose.primitives import capsule
-from courtpose.transforms import axis_angle_to_matrix, random_rotation
+from courtpose.transforms import axis_angle_to_matrix
 
 sk = Skeleton(["root", "mid", "tip"], [-1, 0, 1],
               [[0, 0, 0], [0, 0.3, 0], [0, 0.3, 0]])
@@ -37,7 +37,7 @@ print(f"bending the middle joint 40 degrees swings the capsule sideways: "
 sk6 = Skeleton([f"j{i}" for i in range(6)], [-1, 0, 1, 2, 3, 4],
                [[0, 0, 0]] + [[0, 0.25, 0]] * 5)
 rng = np.random.default_rng(0)
-true = np.stack([random_rotation(rng, 0.25) for _ in range(6)])
+true = axis_angle_to_matrix(rng.normal(scale=0.15, size=(6, 3)))
 target = forward_kinematics(sk6, BoneTransforms(true, np.zeros((6, 3))))
 shaken = np.stack([
     axis_angle_to_matrix(rng.normal(scale=np.deg2rad(5) / np.sqrt(3), size=3)) @ R

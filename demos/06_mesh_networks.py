@@ -10,16 +10,12 @@ import numpy as np
 from courtpose.meshnet import (NetConfig, PartOps, build_spirals, init_params,
                                tl_forward)
 from courtpose.meshnet.training import TrainConfig, eval_mesh_term, train_toy
-from courtpose.primitives import tri_grid
 from courtpose.toydata import toy_part_dataset
 
-grid = tri_grid(7, 7)
-sp = build_spirals(grid, length=7, dilation=1)
-center = 3 * 7 + 3
-print(f"spiral at a hex-grid interior vertex: {sp.indices[center].tolist()} "
-      "(itself + its 6 neighbors, counterclockwise)")
-
 dataset, ops, cfg = toy_part_dataset(seed=0, count=12)
+sp = build_spirals(dataset[0][1], length=7, dilation=1)
+print(f"spiral at head vertex 40: {sp.indices[40].tolist()} "
+      "(itself + its 6 neighbors, counterclockwise)")
 print(f"part pyramid: {[m.num_vertices for m in ops.meshes]} vertices per level")
 
 rng = np.random.default_rng(0)

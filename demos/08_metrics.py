@@ -9,12 +9,12 @@ import numpy as np
 
 from courtpose import (chamfer, emd, icp, mpjpe, mpvpe, procrustes_align,
                        Pose3D, Skeleton, lsp14_indices)
-from courtpose.transforms import axis_angle_to_matrix, random_rotation
+from courtpose.transforms import axis_angle_to_matrix
 
 rng = np.random.default_rng(0)
 
 X = rng.normal(size=(14, 3))
-R, t, s = random_rotation(rng), rng.normal(size=3), 1.3
+R, t, s = axis_angle_to_matrix(rng.normal(size=3)), rng.normal(size=3), 1.3
 fit = procrustes_align(X, s * X @ R.T + t, with_scale=True)
 print(f"procrustes recovers a constructed similarity: scale err "
       f"{abs(fit.scale - s):.1e}, rotation err {np.abs(fit.R - R).max():.1e}")

@@ -4,9 +4,9 @@ Just enough machinery for the toy mesh networks: a dense layer
 (``linear``), a spiral conv (``gather_linear``: a fixed sparse gather, then a
 dense layer, as one node), fixed sparse operators (``sparse_mm``, for the
 mesh samplers), elementwise sums, scaling and activations, dropout masks,
-reshapes, concatenation and mean-L1 losses. Each op returns a Var whose
-``grad_fn`` scatters the output gradient back to its parents; ``backward``
-runs the tape in reverse topological order.
+reshapes, row gathers (``take_rows``), concatenation and mean-L1 losses.
+Each op returns a Var whose ``grad_fn`` scatters the output gradient back to
+its parents; ``backward`` runs the tape in reverse topological order.
 """
 from __future__ import annotations
 
@@ -133,6 +133,19 @@ def dropout(a: Var, mask: np.ndarray) -> Var:
 def reshape(a: Var, shape) -> Var:
     out = Var(a.value.reshape(shape), (a,))
     out.grad_fn = lambda g: _accum(a, g.reshape(a.value.shape))
+    return out
+
+
+def take_rows(a: Var, index) -> Var:
+    """Rows ``a[index]``, repeats allowed. The backward sums each row's
+    copies into a zero gradient of ``a``'s shape, in index order."""
+    index = np.asarray(index, dtype=np.intp)
+    out = Var(a.value[index], (a,))
+    def grad_fn(g):
+        ga = np.zeros_like(a.value)
+        np.add.at(ga, index, g)
+        _accum(a, ga)
+    out.grad_fn = grad_fn
     return out
 
 

@@ -12,7 +12,10 @@ Features of a batch of B samples are stacked sample-major: vertex features
 are (B*N, C) with sample b on rows b*N .. b*N + N-1, codes are (B, Z) and
 flattened poses (B, 3J). Each fixed mesh operator M then acts as its
 block-diagonal copy kron(I_B, M), so one forward and one backward pass cover
-the whole batch; a single sample is the case B = 1.
+the whole batch; a single sample is the case B = 1. The rest encoder runs
+once per distinct rest part in the batch, not once per sample: a player's
+part is trained on many poses, so a batch holds U <= B distinct rest parts,
+often one, and each sample takes its part's code.
 
 All math is float64 and flows through the local autograd tape so analytic
 gradients are available for every parameter.
@@ -190,7 +193,8 @@ def init_params(config: NetConfig, ops: PartOps, num_joints: int,
 
 def check_params(params: dict, config: NetConfig, ops: PartOps, num_joints: int) -> None:
     """Raise ValidationError naming the first tensor of ``params`` that does
-    not fit ``param_shapes(config, ops, num_joints)``."""
+    not fit ``param_shapes(config, ops, num_joints)`` or holds a NaN or an
+    infinity."""
     expected = param_shapes(config, ops, num_joints)
     for name, shape in expected.items():
         if name not in params:
@@ -200,6 +204,8 @@ def check_params(params: dict, config: NetConfig, ops: PartOps, num_joints: int)
                 f"parameter {name} has shape {params[name].shape}, expected {shape} "
                 f"for a {num_joints}-joint pose and a "
                 f"{ops.meshes[0].num_vertices}-vertex part")
+        if not np.isfinite(params[name].value).all():
+            raise ValidationError(f"parameter {name} has non-finite entries")
     extra = sorted(set(params) - set(expected))
     if extra:
         raise ValidationError(f"unexpected parameter {extra[0]}")
@@ -277,12 +283,19 @@ def tl_graph(pose_positions: np.ndarray, rest_vertices: np.ndarray, params: dict
     """Autograd graph of the test-time path: returns (Z_pred, V_pred) Vars.
 
     Takes one sample, a (J, 3) pose and (N, 3) rest vertices, or B stacked
-    ones, (B, J, 3) poses and (B*N, 3) rest vertices."""
-    rest = ag.Var(np.asarray(rest_vertices, dtype=float))
-    batch = rest.shape[0] // ops.meshes[0].num_vertices
+    ones, (B, J, 3) poses and (B*N, 3) rest vertices. The rest encoder runs
+    once per distinct rest part: samples whose (N, 3) blocks have the same
+    bytes share one code, taken back to their rows by ``ag.take_rows``."""
+    n = ops.meshes[0].num_vertices
+    blocks = np.asarray(rest_vertices, dtype=float).reshape(-1, n, 3)
+    batch = len(blocks)
+    rows = {}  # block bytes -> row of its code, in order of first occurrence
+    index = [rows.setdefault(block.tobytes(), len(rows)) for block in blocks]
+    distinct = blocks[np.unique(index, return_index=True)[1]]
     pose_flat = ag.Var(np.asarray(pose_positions, dtype=float).reshape(batch, -1))
     z_pose = pose_encode(params, pose_flat, config, training, rng)
-    z_rest = mesh_encode(params, "enc_rest", rest, ops, config)
+    z_codes = mesh_encode(params, "enc_rest", ag.Var(distinct.reshape(-1, 3)), ops, config)
+    z_rest = ag.take_rows(z_codes, index)
     z_pred = fuse(params, z_pose, z_rest)
     v_pred = decode(params, z_pred, ops, config)
     return z_pred, v_pred

@@ -1,4 +1,4 @@
-"""Procedural body and demo geometry: capsules, tubes and triangle grids.
+"""Procedural body and demo geometry: capsules and tubes.
 
 Everything returns a PartMesh with outward-facing (CCW) winding.
 """
@@ -92,25 +92,3 @@ def tube(p0, p1, radius: float, n_seg: int = 12, n_rings: int = 4,
     R = _frame_from_axis(p1 - p0)
     return PartMesh(verts @ R.T + p0, faces, part)
 
-
-def tri_grid(rows: int, cols: int, spacing: float = 1.0, part: str = "shirt") -> PartMesh:
-    """Equilateral-triangle lattice in the z=0 plane (interior valence 6)."""
-    verts = []
-    for r in range(rows):
-        for c in range(cols):
-            verts.append(((c + 0.5 * (r % 2)) * spacing,
-                          r * spacing * np.sqrt(3.0) / 2.0, 0.0))
-    faces = []
-    for r in range(rows - 1):
-        for c in range(cols - 1):
-            a = r * cols + c
-            b = a + 1
-            d = (r + 1) * cols + c
-            e = d + 1
-            if r % 2 == 0:
-                faces.append((a, b, d))
-                faces.append((b, e, d))
-            else:
-                faces.append((a, b, e))
-                faces.append((a, e, d))
-    return PartMesh(np.asarray(verts, dtype=float), np.asarray(faces, dtype=int), part)

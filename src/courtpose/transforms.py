@@ -93,13 +93,6 @@ def nearest_rotation(M: np.ndarray) -> np.ndarray:
     return R
 
 
-def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.ndarray:
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    angle = rng.uniform(-max_angle, max_angle)
-    return axis_angle_to_matrix(axis * angle)
-
-
 def look_at_rotation(eye: np.ndarray, target: np.ndarray, up=(0.0, 1.0, 0.0)) -> np.ndarray:
     """World-to-camera rotation of a camera at `eye` looking at `target`.
 

@@ -1,11 +1,13 @@
-"""Test-only helpers that the library itself never calls: an icosphere and a
-square grid for geometry tests, a sparse JSON writer for skinning weights
-(the CLI only reads them) and a sum-to-scalar op for autograd losses."""
+"""Test-only helpers that the library itself never calls: an icosphere, a
+square grid and a triangle lattice for geometry tests, a random rotation, a
+sparse JSON writer for skinning weights (the CLI only reads them) and a
+sum-to-scalar op for autograd losses."""
 import numpy as np
 
 from courtpose.mesh import PartMesh
 from courtpose.meshnet import autograd as ag
 from courtpose.skinning import SkinningWeights
+from courtpose.transforms import axis_angle_to_matrix
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -65,6 +67,36 @@ def plane_grid(nx: int, ny: int, spacing: float = 1.0, part: str = "shirt") -> P
             faces.append((a, b, b + 1))
             faces.append((a, b + 1, a + 1))
     return PartMesh(verts, np.asarray(faces, dtype=int), part)
+
+
+def tri_grid(rows: int, cols: int, spacing: float = 1.0, part: str = "shirt") -> PartMesh:
+    """Equilateral-triangle lattice in the z=0 plane (interior valence 6)."""
+    verts = []
+    for r in range(rows):
+        for c in range(cols):
+            verts.append(((c + 0.5 * (r % 2)) * spacing,
+                          r * spacing * np.sqrt(3.0) / 2.0, 0.0))
+    faces = []
+    for r in range(rows - 1):
+        for c in range(cols - 1):
+            a = r * cols + c
+            b = a + 1
+            d = (r + 1) * cols + c
+            e = d + 1
+            if r % 2 == 0:
+                faces.append((a, b, d))
+                faces.append((b, e, d))
+            else:
+                faces.append((a, b, e))
+                faces.append((a, e, d))
+    return PartMesh(np.asarray(verts, dtype=float), np.asarray(faces, dtype=int), part)
+
+
+def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.ndarray:
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.uniform(-max_angle, max_angle)
+    return axis_angle_to_matrix(axis * angle)
 
 
 def weights_to_json(w: SkinningWeights) -> dict:

@@ -35,8 +35,8 @@ from courtpose.skinning import (SkinningWeights, fit_pose_to_keypoints,
 from courtpose.synth import (SceneConfig, court_landmark_reprojection,
                              run_pipeline, synth_scene)
 from courtpose.toydata import toy_part_dataset
-from courtpose.transforms import axis_angle_to_matrix, look_at_rotation, random_rotation
-from helpers import sum_all
+from courtpose.transforms import axis_angle_to_matrix, look_at_rotation
+from helpers import random_rotation, sum_all
 
 SIZE = (1280, 720)
 

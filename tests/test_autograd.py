@@ -4,7 +4,7 @@
 was ``sparse_mm`` + ``reshape`` + ``matmul`` + ``add``, and ``elu`` picked its
 value and slope with ``np.where``. Those ops live on here as oracles, and
 every value and gradient must equal theirs bit for bit, sign of zero and NaN
-included.
+included. ``take_rows`` is held to a loop over its index the same way.
 """
 import numpy as np
 import pytest
@@ -64,6 +64,18 @@ def linear_oracle(x, W, b):
 def gather_linear_oracle(M, MT, x, W, b):
     gathered = ag.reshape(ag.sparse_mm(M, x, MT), (x.shape[0], -1))
     return add_oracle(matmul_oracle(gathered, W), b)
+
+
+def take_rows_oracle(a, index):
+    """``take_rows`` as a loop over the index, one row at a time."""
+    out = ag.Var(np.stack([a.value[i] for i in index]), (a,))
+    def grad_fn(g):
+        ga = np.zeros_like(a.value)
+        for k, i in enumerate(index):
+            ga[i] += g[k]
+        ag._accum(a, ga)
+    out.grad_fn = grad_fn
+    return out
 
 
 # -- helpers -----------------------------------------------------------------
@@ -164,6 +176,27 @@ def test_spiral_conv_node_matches_the_separate_nodes_bit_for_bit(batch):
             assert_op_matches(lambda x, W, b: _sc(x, gather, W, b),
                               lambda x, W, b: gather_linear_oracle(*gather, x, W, b),
                               [x, W, b], rng.normal(size=(rows, cout)))
+
+
+@pytest.mark.parametrize("index", [[0, 2, 0, 0, 2], [3, 1, 0, 2], [0, 1, 2, 3],
+                                   [1] * 6, [2]],
+                         ids=["repeated", "permuted", "identity", "one row", "single"])
+def test_take_rows_matches_the_row_loop_bit_for_bit(index):
+    rng = np.random.default_rng(50 + len(index))
+    a = rng.normal(size=(4, 32))
+    a[1, :len(SPECIAL)] = SPECIAL
+    for upstream in (rng.normal(size=(len(index), 32)), np.full((len(index), 32), -0.0),
+                     np.resize(SPECIAL[::-1], (len(index), 32))):
+        assert_op_matches(lambda a: ag.take_rows(a, index),
+                          lambda a: take_rows_oracle(a, index), [a], upstream)
+
+
+def test_take_rows_leaves_untaken_rows_a_zero_gradient():
+    a = ag.Var(np.arange(12.0).reshape(4, 3))
+    out = ag.take_rows(a, [2, 2])
+    ag.backward(sum_all(out))
+    assert np.array_equal(out.value, [[6.0, 7.0, 8.0]] * 2)
+    assert np.array_equal(a.grad, [[0.0] * 3, [0.0] * 3, [2.0] * 3, [0.0] * 3])
 
 
 def test_add_rejects_unequal_shapes():

@@ -33,8 +33,8 @@ from courtpose.posemaps import encode_heatmaps, encode_location_maps
 from courtpose.skinning import (COLLINEAR, MIN_BONE, KeypointObjective, _swing_rows,
                                 fit_pose_to_keypoints, so3_right_jacobian, swing_ik)
 from courtpose.synth import synth_scene
-from courtpose.transforms import axis_angle_to_matrix, matrix_to_axis_angle, random_rotation
-from helpers import icosphere
+from courtpose.transforms import axis_angle_to_matrix, matrix_to_axis_angle
+from helpers import icosphere, random_rotation
 
 PIPELINE_SEEDS = [*range(5000, 5008), *range(6000, 6008), *range(1000, 1020)]
 

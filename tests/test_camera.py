@@ -6,7 +6,8 @@ import pytest
 from courtpose.camera import (Camera, camera_from_json, camera_to_json,
                               pixel_ray, project, project_with_depth)
 from courtpose.errors import BehindCameraError, ValidationError
-from courtpose.transforms import look_at_rotation, random_rotation
+from courtpose.transforms import look_at_rotation
+from helpers import random_rotation
 
 
 def simple_camera(f=1000.0):

@@ -477,3 +477,19 @@ def test_infer_part_params_that_do_not_fit_exit_code_2(tmp_path, capsys, json_in
     for bad_argv in (short_pose, joints20):
         assert main(bad_argv) == 2
         assert "pose.lin_in.W" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_infer_part_non_finite_params_exit_code_2(tmp_path, capsys, json_inputs, value):
+    # a NaN used to flow through tl_forward into an OBJ of nan vertices, exit 0
+    from courtpose.meshnet import load_params, save_params
+
+    params = load_params(json_inputs / "params.bin")
+    params["enc_rest.sc1.W"].value[2, 5] = value
+    save_params(tmp_path / "bad.bin", params)
+    argv = [arg.format(inputs=json_inputs, tmp=tmp_path)
+            for arg in _JSON_COMMANDS["infer-part"]]
+    argv[argv.index("--params") + 1] = str(tmp_path / "bad.bin")
+    assert main(["infer-part"] + argv) == 2
+    assert "enc_rest.sc1.W has non-finite entries" in capsys.readouterr().err
+    assert not (tmp_path / "out.obj").exists()

@@ -8,8 +8,8 @@ from courtpose.court import make_court_model
 from courtpose.errors import NumericalError
 from courtpose.model import BoneTransforms, Skeleton, forward_kinematics
 from courtpose.skinning import KeypointObjective, fit_pose_to_keypoints
-from courtpose.transforms import (axis_angle_to_matrix, look_at_rotation,
-                                  random_rotation)
+from courtpose.transforms import axis_angle_to_matrix, look_at_rotation
+from helpers import random_rotation
 
 A = np.array([[2.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 3.0],
               [0.5, -1.0, 0.0], [0.0, 2.0, 1.0], [1.0, 0.0, -1.0]])

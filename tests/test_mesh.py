@@ -5,8 +5,7 @@ from courtpose.errors import ValidationError
 from courtpose.mesh import (BodyMesh, PartMesh, adjacency_lists, load_obj,
                             mesh_edges, save_obj, uniform_laplacian,
                             vertex_normals)
-from courtpose.primitives import tri_grid
-from helpers import icosphere, plane_grid
+from helpers import icosphere, plane_grid, tri_grid
 
 
 def test_vertex_normals_sphere_radial_within_2_degrees():

@@ -10,7 +10,8 @@ from courtpose.metrics import (_distance_matrix, _farthest_points, chamfer, emd,
                                mpjpe, mpvpe, procrustes_align,
                                rotation_error_deg)
 from courtpose.model import Frame, Pose3D
-from courtpose.transforms import axis_angle_to_matrix, random_rotation
+from courtpose.transforms import axis_angle_to_matrix
+from helpers import random_rotation
 
 
 def rigid(rng):

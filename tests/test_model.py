@@ -9,7 +9,8 @@ from courtpose.model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
                              lsp14_indices, pose3d_from_json, pose3d_to_json,
                              rest_pose, skeleton_from_json, skeleton_to_json,
                              transforms_from_json, transforms_to_json)
-from courtpose.transforms import axis_angle_to_matrix, random_rotation
+from courtpose.transforms import axis_angle_to_matrix
+from helpers import random_rotation
 
 
 def chain_skeleton(offsets):

@@ -13,9 +13,9 @@ from courtpose.meshnet import network
 from courtpose.meshnet.network import (DECODER_DILATIONS, ENCODER_DILATIONS, decode,
                                        tl_graph)
 from courtpose.model import Pose3D
-from courtpose.primitives import capsule, tri_grid
+from courtpose.primitives import capsule
 from courtpose.synth import SceneConfig, canonical_body
-from helpers import sum_all
+from helpers import sum_all, tri_grid
 
 CFG = NetConfig()
 
@@ -208,7 +208,10 @@ def test_tl_forward_rejects_params_for_another_joint_count(part_ops, pose_joints
     (lambda p: p.update({"dec.sc3.W": ag.Var(np.zeros((5, 5)))}), "dec.sc3.W"),
     (lambda p: p.pop("fuse.b"), "fuse.b"),
     (lambda p: p.update({"extra.W": ag.Var(np.zeros(1))}), "extra.W"),
-], ids=["misshapen", "missing", "unexpected"])
+    (lambda p: p.update({"enc_rest.sc2.W": ag.Var(p["enc_rest.sc2.W"].value * np.nan)}),
+     "enc_rest.sc2.W"),
+    (lambda p: p.update({"dec.lin.b": ag.Var(p["dec.lin.b"].value - np.inf)}), "dec.lin.b"),
+], ids=["misshapen", "missing", "unexpected", "nan", "infinite"])
 def test_tl_forward_names_the_tensor_that_does_not_fit(part_ops, edit, name):
     mesh, ops = part_ops
     rng = np.random.default_rng(12)
@@ -243,6 +246,81 @@ def test_tl_forward_gradients_match_finite_differences(part_ops):
             fd = numeric_grad(f, var, idx)
             an = var.grad[idx]
             assert abs(fd - an) / max(abs(fd), abs(an), 1e-8) < 1e-4, name
+
+
+def tl_graph_full_stack(pose_positions, rest_vertices, params, ops, config,
+                        training=False, rng=None):
+    """The oracle ``tl_graph``: the rest encoder runs on every sample's own
+    copy of its rest part, shared or not."""
+    rest = ag.Var(np.asarray(rest_vertices, dtype=float))
+    batch = rest.shape[0] // ops.meshes[0].num_vertices
+    pose_flat = ag.Var(np.asarray(pose_positions, dtype=float).reshape(batch, -1))
+    z_pose = network.pose_encode(params, pose_flat, config, training, rng)
+    z_rest = network.mesh_encode(params, "enc_rest", rest, ops, config)
+    z_pred = network.fuse(params, z_pose, z_rest)
+    return z_pred, decode(params, z_pred, ops, config)
+
+
+def graph_and_grads(graph, poses, rests, params, ops, seed):
+    """Values of (Z_pred, V_pred) and every parameter's gradient under fixed
+    random upstream gradients, with dropout on."""
+    rng = np.random.default_rng(seed)
+    z, v = graph(np.stack([p.positions for p in poses]),
+                 np.concatenate([r.vertices for r in rests]), params, ops, CFG,
+                 training=True, rng=rng)
+    upstream = np.random.default_rng(seed + 1)
+    loss = ag.add_scalars([sum_all(ag.dropout(z, upstream.normal(size=z.shape))),
+                           sum_all(ag.dropout(v, upstream.normal(size=v.shape)))])
+    for p in params.values():
+        p.zero_grad()
+    ag.backward(loss)
+    return z.value, v.value, {k: p.grad for k, p in params.items()}, rng.random()
+
+
+def jittered(mesh, rng):
+    return mesh.with_vertices(mesh.vertices + rng.normal(scale=1e-3, size=mesh.vertices.shape))
+
+
+def test_distinct_rest_parts_give_the_full_stack_bit_for_bit(part_ops):
+    """With every rest part distinct, the rest encoder runs on the whole
+    stack as before: values, gradients and dropout draws are equal."""
+    mesh, ops = part_ops
+    rng = np.random.default_rng(13)
+    params = init_params(CFG, ops, 35, rng)
+    poses = [random_pose(rng) for _ in range(5)]
+    rests = [mesh] + [jittered(mesh, rng) for _ in range(4)]
+    z, v, grads, draw = graph_and_grads(tl_graph, poses, rests, params, ops, 14)
+    z_ref, v_ref, grads_ref, draw_ref = graph_and_grads(tl_graph_full_stack, poses, rests,
+                                                        params, ops, 14)
+    assert np.array_equal(z, z_ref) and np.array_equal(v, v_ref) and draw == draw_ref
+    assert grads["enc_rest.sc0.W"] is not None and grads["enc_gt.sc0.W"] is None
+    for k, g in grads.items():
+        assert (g is None) == (grads_ref[k] is None), k
+        assert g is None or np.array_equal(g, grads_ref[k]), k
+
+
+def test_rest_encoder_runs_once_per_distinct_rest_part(part_ops, monkeypatch):
+    """[r1, r2, r1, r1, r2]: the rest encoder's first spiral conv sees r1's
+    rows, then r2's (the step against the per-sample loop is in
+    test_training)."""
+    mesh, ops = part_ops
+    rng = np.random.default_rng(15)
+    params = init_params(CFG, ops, 35, rng)
+    poses = [random_pose(rng) for _ in range(5)]
+    r1, r2 = mesh, jittered(mesh, rng)
+    rests = [r1, r2, r1, r1, r2]
+    rows = []
+    gather_linear = ag.gather_linear
+
+    def recording(M, MT, x, W, b):
+        if W is params["enc_rest.sc0.W"]:
+            rows.append(x.value.copy())
+        return gather_linear(M, MT, x, W, b)
+
+    monkeypatch.setattr(ag, "gather_linear", recording)
+    graph_and_grads(tl_graph, poses, rests, params, ops, 16)
+    assert len(rows) == 1
+    assert np.array_equal(rows[0], np.concatenate([r1.vertices, r2.vertices]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from courtpose.mesh import PartMesh
 from courtpose.meshnet import NetConfig, build_sampling
 from courtpose.meshnet import sampling
 from courtpose.meshnet.sampling import _AREA_EPS, _collapse_valid, _neighbors
-from courtpose.primitives import capsule, tri_grid
+from courtpose.primitives import capsule
 from courtpose.synth import SceneConfig, canonical_body
-from helpers import icosphere, plane_grid
+from helpers import icosphere, plane_grid, tri_grid
 
 
 def test_factor_one_is_identity():

@@ -20,9 +20,8 @@ from courtpose.skinning import (MAX_INFLUENCES, KeypointObjective,
                                 swing_ik, weights_from_json)
 from courtpose.synth import (SceneConfig, build_rest_body, canonical_body,
                              random_pose_transforms)
-from courtpose.transforms import (axis_angle_to_matrix, matrix_to_axis_angle,
-                                  random_rotation)
-from helpers import weights_to_json
+from courtpose.transforms import axis_angle_to_matrix, matrix_to_axis_angle
+from helpers import random_rotation, weights_to_json
 
 
 def chain(n, step=0.3):

@@ -7,10 +7,9 @@ from courtpose.meshnet import NetConfig, PartOps, build_spirals
 from courtpose.meshnet import autograd as ag
 from courtpose.meshnet.network import _block_diagonal, _sc
 from courtpose.meshnet.spirals import PAD, SpiralIndices
-from courtpose.primitives import tri_grid
 from courtpose.synth import canonical_body
 from courtpose.toydata import TOY_PART
-from helpers import icosphere, sum_all
+from helpers import icosphere, sum_all, tri_grid
 
 
 def hex_center(grid_rows=7, grid_cols=7):

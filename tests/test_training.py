@@ -61,6 +61,17 @@ def test_training_entry_points_name_the_parameter_that_does_not_fit(
             run()
 
 
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_training_entry_points_reject_non_finite_parameters(tiny_setup, value):
+    cfg, ops, dataset = tiny_setup
+    params = init_params(cfg, ops, 35, np.random.default_rng(0))
+    params["enc_gt.sc1.b"].value[-1] = value
+    for run in (lambda: train_toy(dataset, params, ops, cfg, TrainConfig(max_steps=1)),
+                lambda: eval_mesh_term(dataset, params, ops, cfg)):
+        with pytest.raises(ValidationError, match=r"enc_gt\.sc1\.b has non-finite"):
+            run()
+
+
 def test_zero_learning_rate_leaves_params_unchanged(tiny_setup, monkeypatch):
     cfg, ops, dataset = tiny_setup
     params = init_params(cfg, ops, 35, np.random.default_rng(1))
@@ -249,6 +260,48 @@ def test_batched_step_matches_per_sample_loop(tiny_setup, batch_size):
         # from cancelling terms carries their rounding, not its own size's
         np.testing.assert_allclose(g, ref_grads[k], rtol=1e-12,
                                    atol=1e-12 * np.abs(ref_grads[k]).max(), err_msg=k)
+
+
+def test_batch_of_two_interleaved_rest_parts_matches_per_sample_loop(tiny_setup):
+    """Rest parts [r1, r2, r1, r1, r2]: the rest encoder runs on two parts,
+    and the step still equals the per-sample loop."""
+    cfg, ops, dataset = tiny_setup
+    rng = np.random.default_rng(17)
+    r1 = dataset[0][1]
+    r2 = r1.with_vertices(r1.vertices + rng.normal(scale=0.01, size=r1.vertices.shape))
+    batch = [(pose, rest, posed) for (pose, _, posed), rest
+             in zip(dataset + dataset[:1], [r1, r2, r1, r1, r2])]
+    params = init_params(cfg, ops, 35, np.random.default_rng(18))
+    ref_total, ref_mesh, ref_grads, ref_next = run_step(per_sample_step, batch, params,
+                                                        ops, cfg, seed=19)
+    total, mesh, grads, next_draw = run_step(batched_step, batch, params, ops, cfg, seed=19)
+    assert total == pytest.approx(ref_total, rel=1e-12, abs=0)
+    assert mesh == pytest.approx(ref_mesh, rel=1e-12, abs=0)
+    assert next_draw == ref_next
+    for k, g in grads.items():
+        np.testing.assert_allclose(g, ref_grads[k], rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref_grads[k]).max(), err_msg=k)
+
+
+def test_toy_batch_encodes_its_one_rest_part_once(monkeypatch):
+    """The toy dataset shares one rest part: on a 16-sample batch the rest
+    encoder's first spiral conv sees the part's N rows, the posed-part
+    encoder's 16 N."""
+    dataset, ops, cfg = toy_part_dataset(seed=0, count=16)
+    params = init_params(cfg, ops, 35, np.random.default_rng(0))
+    rows = {}
+    gather_linear = ag.gather_linear
+
+    def recording(M, MT, x, W, b):
+        for enc in ("enc_rest", "enc_gt"):
+            if W is params[f"{enc}.sc0.W"]:
+                rows[enc] = x.shape[0]
+        return gather_linear(M, MT, x, W, b)
+
+    monkeypatch.setattr(ag, "gather_linear", recording)
+    tl_training_forward(*zip(*dataset), params, ops, cfg, rng=np.random.default_rng(1))
+    n = ops.meshes[0].num_vertices
+    assert rows == {"enc_rest": n, "enc_gt": 16 * n}
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 4])

@@ -4,7 +4,8 @@ import pytest
 from courtpose.errors import ValidationError
 from courtpose.transforms import (axis_angle_to_matrix, look_at_rotation,
                                   matrix_to_axis_angle, nearest_rotation,
-                                  random_rotation, rotation_defect, skew)
+                                  rotation_defect, skew)
+from helpers import random_rotation
 
 
 def test_axis_angle_round_trip():
