@@ -14,7 +14,7 @@ from .calibrate import (LineMask, load_pgm, rasterize_court_lines,
                         refine_camera_lines, save_pgm, solve_pnp_planar)
 from .posemaps import (HeatmapStack, JumpInfo, LocationMapStack,
                        PoseMapTargets, decode_heatmaps, decode_location_maps,
-                       encode_heatmaps, encode_location_maps, pose_loss)
+                       encode_heatmaps, encode_location_maps)
 from .placement import lowest_joint, place_player, solve_depth_for_height
 from .skinning import (SkinningWeights, fit_pose_to_keypoints,
                        heat_diffusion_weights, lbs, swing_ik)
@@ -40,7 +40,7 @@ __all__ = [
     "save_pgm", "solve_pnp_planar",
     "HeatmapStack", "JumpInfo", "LocationMapStack", "PoseMapTargets",
     "decode_heatmaps", "decode_location_maps", "encode_heatmaps",
-    "encode_location_maps", "pose_loss",
+    "encode_location_maps",
     "lowest_joint", "place_player", "solve_depth_for_height",
     "SkinningWeights", "fit_pose_to_keypoints",
     "heat_diffusion_weights", "lbs", "swing_ik",

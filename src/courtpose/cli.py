@@ -151,7 +151,7 @@ def cmd_place(args, scene_config):
 def cmd_codec(args, scene_config):
     pose2d = load_json_record(args.pose2d, pose2d_from_json)
     pose3d = load_json_record(args.pose3d, pose3d_from_json)
-    heat = encode_heatmaps(pose2d, sigma=args.sigma)
+    heat = encode_heatmaps(pose2d)
     loc = encode_location_maps(pose3d, heat)
     os.makedirs(args.out_dir, exist_ok=True)
     save_heatmaps(os.path.join(args.out_dir, "heatmaps.bin"), heat)
@@ -249,6 +249,9 @@ def cmd_eval(args, scene_config):
         fit = icp(pv, gv)
         pv = pv @ fit.R.T + fit.t
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not wanted:
+        raise ValidationError(f"--metrics {args.metrics!r} names no metric "
+                              "(expected cd, emd, mpvpe)")
     out = {}
     for m in wanted:
         if m == "cd":
@@ -328,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("codec", help="round-trip JSON poses through the map codecs")
     p.add_argument("--pose2d", required=True)
     p.add_argument("--pose3d", required=True)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(fn=cmd_codec)
 

@@ -1,14 +1,11 @@
 from .spirals import SpiralIndices, build_spirals
 from .sampling import SamplingOperator, build_sampling
-from .network import (NetConfig, PartOps, init_params, tl_forward,
-                      tl_training_forward, identity_offsets,
-                      identity_offsets_loss, init_identity_params)
+from .network import NetConfig, PartOps, init_params, tl_forward, tl_training_forward
 from .training import TrainConfig, train_toy, save_params, load_params
 
 __all__ = [
     "SpiralIndices", "build_spirals",
     "SamplingOperator", "build_sampling",
     "NetConfig", "PartOps", "init_params", "tl_forward", "tl_training_forward",
-    "identity_offsets", "identity_offsets_loss", "init_identity_params",
     "TrainConfig", "train_toy", "save_params", "load_params",
 ]

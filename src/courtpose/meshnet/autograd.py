@@ -163,15 +163,11 @@ def concat(vars_, axis: int = 0) -> Var:
     return out
 
 
-def sparse_mm(M, a: Var, MT=None) -> Var:
-    """Fixed sparse matrix times a Var: out = M @ a.
-
-    ``MT`` is ``M``'s transpose as a ready CSR matrix; callers that apply
-    the same operator on every step pass it so that no backward pass
-    builds ``M.T``.
-    """
+def sparse_mm(M, a: Var, MT) -> Var:
+    """Fixed sparse matrix times a Var: out = M @ a. ``MT`` is ``M``'s
+    transpose as a ready CSR matrix, so that no backward pass builds ``M.T``."""
     out = Var(M @ a.value, (a,))
-    out.grad_fn = lambda g: _accum(a, (M.T if MT is None else MT) @ g)
+    out.grad_fn = lambda g: _accum(a, MT @ g)
     return out
 
 

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import ValidationError
-from ..mesh import BodyMesh, PartMesh
+from ..mesh import PartMesh
 from ..model import Pose3D
 from . import autograd as ag
 from .sampling import SamplingOperator, build_sampling, check_sampling_factor
@@ -335,53 +335,3 @@ def tl_training_forward(poses, rest_parts, posed_parts, params: dict, ops: PartO
     return {"Z_pred": z_pred, "Z_gt": z_gt, "V_from_pred": v_from_pred,
             "V_from_gt": v_from_gt, "V_posed": posed}
 
-
-# ---------------------------------------------------------------------------
-# Per-vertex identity offsets
-# ---------------------------------------------------------------------------
-
-IDENTITY_HIDDEN = 32  # width of the identity-offset MLP's hidden layer
-
-
-def init_identity_params(feature_dim: int, rng: np.random.Generator) -> dict:
-    return {
-        "id.l1.W": ag.Var(_glorot(rng, 3 + feature_dim, IDENTITY_HIDDEN)),
-        "id.l1.b": ag.Var(np.zeros(IDENTITY_HIDDEN)),
-        "id.l2.W": ag.Var(_glorot(rng, IDENTITY_HIDDEN, 3)),
-        "id.l2.b": ag.Var(np.zeros(3)),
-    }
-
-
-def identity_offsets_graph(template_vertices: np.ndarray, feature: np.ndarray,
-                           params: dict) -> ag.Var:
-    verts = np.asarray(template_vertices, dtype=float)
-    feat = np.asarray(feature, dtype=float).ravel()
-    if params["id.l1.W"].shape[0] != 3 + feat.size:
-        raise ValidationError("feature dimension does not match identity params")
-    x = ag.Var(np.concatenate([verts, np.tile(feat, (len(verts), 1))], axis=1))
-    h = ag.relu(ag.linear(x, params["id.l1.W"], params["id.l1.b"]))
-    off = ag.linear(h, params["id.l2.W"], params["id.l2.b"])
-    return ag.add(ag.Var(verts), off)
-
-
-def identity_offsets(template: BodyMesh, feature: np.ndarray, params: dict) -> BodyMesh:
-    """Template deformed by per-vertex offsets predicted from [vertex; feature]."""
-    verts, _ = template.merged()
-    return template.with_vertices(identity_offsets_graph(verts, feature, params).value)
-
-
-def identity_offsets_loss(template: BodyMesh, feature: np.ndarray, params: dict,
-                          target: BodyMesh):
-    """L1 loss against a target body and its analytic parameter gradients."""
-    verts, _ = template.merged()
-    tgt, _ = target.merged()
-    if tgt.shape != verts.shape:
-        raise ValidationError("target and template vertex counts differ")
-    pred = identity_offsets_graph(verts, feature, params)
-    loss = ag.l1_mean(pred, ag.Var(tgt))
-    for v in params.values():
-        v.zero_grad()
-    ag.backward(loss)
-    grads = {k: (v.grad.copy() if v.grad is not None else np.zeros_like(v.value))
-             for k, v in params.items()}
-    return float(loss.value), grads

@@ -43,6 +43,8 @@ class TrainConfig:
             raise ValidationError(f"max steps must be >= 1, got {self.max_steps}")
         if not self.lr >= 0:
             raise ValidationError(f"learning rate must be >= 0, got {self.lr}")
+        if self.seed < 0:
+            raise ValidationError(f"a training seed must be >= 0, got {self.seed}")
 
 
 def tl_loss(out: dict):

@@ -309,7 +309,10 @@ def pose2d_to_json(p: Pose2D) -> dict:
 
 
 def pose2d_from_json(d: dict) -> Pose2D:
-    return Pose2D(np.asarray(d["pixels"], dtype=float), np.asarray(d["visibility"], dtype=bool))
+    vis = d["visibility"]
+    if not (isinstance(vis, list) and all(isinstance(v, bool) for v in vis)):
+        raise ValidationError(f"pose2d visibility must be a list of JSON booleans, got {vis!r}")
+    return Pose2D(np.asarray(d["pixels"], dtype=float), np.asarray(vis, dtype=bool))
 
 
 def transforms_to_json(t: BoneTransforms) -> dict:

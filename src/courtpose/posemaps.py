@@ -1,17 +1,17 @@
-"""Heatmap / XYZ-location-map codecs and the pose training loss.
+"""Heatmap / XYZ-location-map codecs: the targets a pose network regresses.
 
 Encoding follows the training-target recipe: crop pixels divide by 4 onto a
-64x64 grid, an unnormalized Gaussian (peak 1.0) is stamped at the joint
-cell, and the location map carries the joint's root-relative XYZ on the
-support of the heatmap stack it is given, so one stamping serves both maps.
-Decoding takes the per-map argmax (row-major first on ties) and maps cells
-back through the cell center, ``4*c + 2``; both decoders share that argmax.
+64x64 grid, a Gaussian of peak 1.0 and width ``SIGMA`` cells is stamped at
+the joint cell, and the location map carries the joint's root-relative XYZ
+on the support of the heatmap stack it is given, so one stamping serves both
+maps. Decoding takes the per-map argmax (row-major first on ties) and maps
+cells back through the cell center, ``4*c + 2``; both decoders share it.
 
 Gaussian values below 1e-8 are truncated to zero so "support" is a finite,
 well-defined cell set. The Gaussian depends only on the integer offset from
 the joint cell, so every map is a slice of one thresholded (127, 127) kernel,
-computed once per ``sigma``: the encoder evaluates no ``exp`` of its own, and
-its bytes equal those of a map stamped joint by joint.
+computed once: the encoder evaluates no ``exp`` of its own, and its bytes
+equal those of a map stamped joint by joint.
 """
 from __future__ import annotations
 
@@ -23,19 +23,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
-from .model import Frame, Pose2D, Pose3D, bone_lengths
+from .model import Frame, Pose2D, Pose3D
 
 MAP_RES = 64
 CELL = Pose2D.CROP_SIZE // MAP_RES  # 4 px per heatmap cell
 SUPPORT_EPS = 1e-8
-_PROB_FLOOR = 1e-7
-
-# pose_loss weights: heatmap, location map, bone length, jump height, jump class
-W2D = 10.0
-W3D = 10.0
-WBL = 0.5
-WJHT = 0.4
-WJCLS = 0.2
+SIGMA = 1.0  # the Gaussian's standard deviation, in cells
 
 
 @dataclass(frozen=True)
@@ -83,12 +76,10 @@ class LocationMapStack:
 
 @dataclass(frozen=True)
 class JumpInfo:
-    """Binary airborne class and jump height; ``score`` optionally carries a
-    classifier probability for loss computation."""
+    """Binary airborne class and jump height."""
 
     airborne: bool
     height: float
-    score: float | None = None
 
     JUMP_THRESHOLD = 0.1  # meters; strictly greater counts as airborne
 
@@ -100,10 +91,6 @@ class JumpInfo:
     def from_height(height: float) -> "JumpInfo":
         return JumpInfo(airborne=bool(height > JumpInfo.JUMP_THRESHOLD), height=float(height))
 
-    @property
-    def probability(self) -> float:
-        return float(self.score) if self.score is not None else float(self.airborne)
-
 
 @dataclass(frozen=True)
 class PoseMapTargets:
@@ -114,15 +101,13 @@ class PoseMapTargets:
     jump: JumpInfo
 
 
-def encode_heatmaps(pose: Pose2D, sigma: float = 1.0) -> HeatmapStack:
+def encode_heatmaps(pose: Pose2D) -> HeatmapStack:
     """Per-joint 64x64 Gaussians; invisible joints map to all-zero maps.
 
     Visible joints outside the crop are clamped to the border cell and
     flagged in the returned stack's ``clamped`` array. A visible joint needs
     a finite pixel; an invisible one may carry none (NaN).
     """
-    if sigma <= 0:
-        raise ValidationError("sigma must be positive")
     vis = pose.visibility
     bad = np.flatnonzero(vis & ~np.isfinite(pose.pixels).all(axis=1))
     if bad.size:
@@ -131,21 +116,19 @@ def encode_heatmaps(pose: Pose2D, sigma: float = 1.0) -> HeatmapStack:
                               f"{tuple(pose.pixels[j].tolist())} is not finite")
     cells = np.clip(np.floor(pose.pixels[vis] / CELL), 0, MAP_RES - 1).astype(int)
     maps = np.zeros((pose.num_joints, MAP_RES, MAP_RES))
-    maps[vis] = _kernel_windows(float(sigma))[MAP_RES - 1 - cells[:, 1],
-                                              MAP_RES - 1 - cells[:, 0]]
+    maps[vis] = _kernel_windows()[MAP_RES - 1 - cells[:, 1], MAP_RES - 1 - cells[:, 0]]
     return HeatmapStack(maps, clamped=~pose.in_crop())
 
 
-@functools.lru_cache(maxsize=8)
-def _kernel_windows(sigma: float) -> np.ndarray:
+@functools.cache
+def _kernel_windows() -> np.ndarray:
     """Every cell's map at once: a read-only (64, 64, 64, 64) view whose
     ``[63 - cy, 63 - cx]`` is the thresholded Gaussian centred on cell
     (cy, cx). It slides over one (127, 127) kernel of the integer cell
     offsets -63..63, so each value is the ``exp`` of the same exact integer
     squared distance that a map stamped on its own would compute."""
     offsets = np.arange(1 - MAP_RES, MAP_RES, dtype=float)
-    kernel = np.exp(-(offsets[None, :] ** 2 + offsets[:, None] ** 2)
-                    / (2.0 * sigma * sigma))
+    kernel = np.exp(-(offsets[None, :] ** 2 + offsets[:, None] ** 2) / (2.0 * SIGMA * SIGMA))
     kernel[kernel < SUPPORT_EPS] = 0.0
     kernel.setflags(write=False)
     return sliding_window_view(kernel, (MAP_RES, MAP_RES))
@@ -191,32 +174,6 @@ def decode_location_maps(loc: LocationMapStack, heat: HeatmapStack) -> Pose3D:
     rows, cols, found = _peak_cells(heat)
     xyz = loc.values[np.arange(heat.num_joints), :, rows, cols]
     return Pose3D(np.where(found[:, None], xyz, 0.0), frame=Frame.ROOT_RELATIVE)
-
-
-def pose_loss(pred: PoseMapTargets, gt: PoseMapTargets, edges, gt_bone_lengths):
-    """Weighted sum of heatmap L1, location L1, bone-length L1, jump-height L1
-    and binary cross-entropy on the jump class. L1 terms are means over
-    elements, weighted by the module constants ``W2D``, ``W3D``, ``WBL``,
-    ``WJHT`` and ``WJCLS``. Returns (total, per-term dict)."""
-    if pred.heatmaps.values.shape != gt.heatmaps.values.shape:
-        raise ValidationError("heatmap shapes differ")
-    if pred.location_maps.values.shape != gt.location_maps.values.shape:
-        raise ValidationError("location map shapes differ")
-    gt_bl = np.asarray(gt_bone_lengths, dtype=float)
-    l2d = float(np.mean(np.abs(pred.heatmaps.values - gt.heatmaps.values)))
-    l3d = float(np.mean(np.abs(pred.location_maps.values - gt.location_maps.values)))
-    decoded = decode_location_maps(pred.location_maps, pred.heatmaps)
-    bl = bone_lengths(decoded, edges)
-    if bl.shape != gt_bl.shape:
-        raise ValidationError("bone length vector shape mismatch")
-    lbl = float(np.mean(np.abs(bl - gt_bl))) if bl.size else 0.0
-    ljht = float(abs(pred.jump.height - gt.jump.height))
-    p = float(np.clip(pred.jump.probability, _PROB_FLOOR, 1.0 - _PROB_FLOOR))
-    y = 1.0 if gt.jump.airborne else 0.0
-    ljcls = float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-    terms = {"l2d": l2d, "l3d": l3d, "lbl": lbl, "ljht": ljht, "ljcls": ljcls}
-    total = W2D * l2d + W3D * l3d + WBL * lbl + WJHT * ljht + WJCLS * ljcls
-    return total, terms
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +223,10 @@ def _load_stack(path):
 
 
 def jump_to_json(j: JumpInfo) -> dict:
-    d = {"airborne": bool(j.airborne), "height": float(j.height)}
-    if j.score is not None:
-        d["score"] = float(j.score)
-    return d
+    return {"airborne": bool(j.airborne), "height": float(j.height)}
 
 
 def jump_from_json(d: dict) -> JumpInfo:
-    return JumpInfo(bool(d["airborne"]), float(d["height"]), d.get("score"))
+    if not isinstance(d["airborne"], bool):
+        raise ValidationError(f"jump airborne must be JSON true or false, got {d['airborne']!r}")
+    return JumpInfo(d["airborne"], float(d["height"]))

@@ -171,6 +171,8 @@ def random_pose_transforms(skeleton: Skeleton, rng: np.random.Generator) -> Bone
 
 
 def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneBundle:
+    if seed < 0:
+        raise ValidationError(f"a scene seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     court = make_court_model(config.court)
     skeleton, rest_body, weights = canonical_body(config.voxel_res)

@@ -19,6 +19,8 @@ def toy_part_dataset(seed: int = 0, count: int = 50):
     triplets in the root-relative frame; `ops` is the part's operator pyramid."""
     if count < 1:
         raise ValidationError(f"a toy dataset needs at least one sample, got {count}")
+    if seed < 0:
+        raise ValidationError(f"a toy dataset seed must be >= 0, got {seed}")
     skeleton, rest_body, weights = canonical_body(SceneConfig().voxel_res)
     rest_part = rest_body.part(TOY_PART)
     # LBS is per vertex, so the part is skinned alone, with its weight rows

@@ -164,6 +164,17 @@ def test_eval_cli(tmp_path, bundle):
     assert rep["mpvpe_mm"] < 1e-6
 
 
+@pytest.mark.parametrize("metrics", [",", "", " , "])
+def test_eval_no_metric_exit_code_2(tmp_path, capsys, metrics):
+    save_obj(tmp_path / "a.obj", icosphere(1.0, 1, part="head"))
+    out = tmp_path / "m.json"
+    code = main(["eval", "--pred", str(tmp_path / "a.obj"), "--gt", str(tmp_path / "a.obj"),
+                 "--metrics", metrics, "--out", str(out)])
+    assert code == 2
+    assert "names no metric (expected cd, emd, mpvpe)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_non_finite_vertex_exit_code_2(tmp_path):
     save_obj(tmp_path / "gt.obj", icosphere(1.0, 1, part="head"))
     (tmp_path / "nan.obj").write_text("v nan 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
@@ -200,6 +211,17 @@ def test_train_toy_settings_that_cannot_train_exit_code_2(tmp_path, capsys, flag
     assert main(argv) == 2
     assert "got 0" in capsys.readouterr().err
     assert not (tmp_path / "params.bin").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--seed", "-1"], ["pipeline", "--seed", "-3"],
+    ["pipeline", "--seed", "-3", "--scenes", "2", "--jobs", "2"],
+    ["train-toy", "--seed", "-1", "--count", "2", "--steps", "1"]])
+def test_negative_seed_exit_code_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"must be >= 0, got {argv[2]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_exit_code_2(tmp_path):
@@ -405,6 +427,31 @@ def test_malformed_json_record_exit_code_2(tmp_path, capsys, json_inputs, comman
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(bad) in err and "not a valid record" in err
+
+
+_NOT_A_BOOLEAN = {"--jump": "jump airborne must be JSON true or false",
+                  "--pose2d": "pose2d visibility must be a list of JSON booleans"}
+
+
+@pytest.mark.parametrize("flag,record", [
+    ("--jump", {"airborne": "false", "height": 0.5}),
+    ("--jump", {"airborne": 0, "height": 0.0}),
+    ("--jump", {"airborne": None, "height": 0.0}),
+    ("--pose2d", {"pixels": [[0.0, 0.0], [1.0, 1.0]], "visibility": ["true", "false"]}),
+    ("--pose2d", {"pixels": [[0.0, 0.0], [1.0, 1.0]], "visibility": [1, 0]}),
+    ("--pose2d", {"pixels": [[0.0, 0.0]], "visibility": True}),
+])
+def test_place_json_boolean_that_is_not_a_boolean_exit_code_2(tmp_path, capsys, json_inputs,
+                                                              flag, record):
+    argv = ["place"] + [arg.format(inputs=json_inputs, tmp=tmp_path)
+                        for arg in _JSON_COMMANDS["place"]]
+    bad = tmp_path / "bad.json"
+    write_json(bad, record)
+    argv[argv.index(flag) + 1] = str(bad)
+    out = tmp_path / "world.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert _NOT_A_BOOLEAN[flag] in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_malformed_scene_json_exit_code_2(tmp_path, capsys):

@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 
 from courtpose.errors import ValidationError
-from courtpose.mesh import BodyMesh
-from courtpose.meshnet import (NetConfig, PartOps, build_spirals, identity_offsets,
-                               identity_offsets_loss, init_identity_params,
-                               init_params, tl_forward)
+from courtpose.meshnet import NetConfig, PartOps, build_spirals, init_params, tl_forward
 from courtpose.meshnet import autograd as ag
 from courtpose.meshnet import network
 from courtpose.meshnet.network import (DECODER_DILATIONS, ENCODER_DILATIONS, decode,
@@ -322,54 +319,3 @@ def test_rest_encoder_runs_once_per_distinct_rest_part(part_ops, monkeypatch):
     assert len(rows) == 1
     assert np.array_equal(rows[0], np.concatenate([r1.vertices, r2.vertices]))
 
-
-# ---------------------------------------------------------------------------
-# identity offsets
-# ---------------------------------------------------------------------------
-
-def test_identity_offsets_zero_params_is_template():
-    rng = np.random.default_rng(7)
-    template = BodyMesh((capsule((0, 0, 0), (0, 0.4, 0), 0.08, part="arms"),))
-    params = init_identity_params(8, rng)
-    zeros = {k: ag.Var(np.zeros_like(v.value)) for k, v in params.items()}
-    out = identity_offsets(template, rng.normal(size=8), zeros)
-    assert np.array_equal(out.merged()[0], template.merged()[0])
-
-
-def test_identity_offsets_self_loss_zero():
-    rng = np.random.default_rng(8)
-    template = BodyMesh((capsule((0, 0, 0), (0, 0.4, 0), 0.08, part="arms"),))
-    params = init_identity_params(4, rng)
-    feature = rng.normal(size=4)
-    deformed = identity_offsets(template, feature, params)
-    loss, _ = identity_offsets_loss(template, feature, params, deformed)
-    assert loss == 0.0
-
-
-def test_identity_offsets_gradients():
-    rng = np.random.default_rng(9)
-    template = BodyMesh((capsule((0, 0, 0), (0, 0.3, 0), 0.06, part="arms"),))
-    params = init_identity_params(6, rng)
-    feature = rng.normal(size=6)
-    target = BodyMesh(tuple(
-        p.with_vertices(p.vertices + rng.normal(scale=0.01, size=p.vertices.shape))
-        for p in template.parts))
-    _, grads = identity_offsets_loss(template, feature, params, target)
-
-    def f():
-        loss, _ = identity_offsets_loss(template, feature, params, target)
-        return loss
-
-    for name, var in params.items():
-        idx = tuple(rng.integers(0, s) for s in var.value.shape)
-        fd = numeric_grad(f, var, idx)
-        an = grads[name][idx]
-        assert abs(fd - an) / max(abs(fd), abs(an), 1e-8) < 1e-4, name
-
-
-def test_identity_offsets_feature_dim_check():
-    rng = np.random.default_rng(10)
-    template = BodyMesh((capsule((0, 0, 0), (0, 0.3, 0), 0.06, part="arms"),))
-    params = init_identity_params(6, rng)
-    with pytest.raises(ValidationError):
-        identity_offsets(template, rng.normal(size=3), params)

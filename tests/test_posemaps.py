@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from courtpose.errors import ValidationError
-from courtpose.model import Frame, Pose2D, Pose3D, bone_lengths
-from courtpose.posemaps import (CELL, MAP_RES, SUPPORT_EPS, W2D, W3D, WBL, WJCLS, WJHT,
-                                HeatmapStack, JumpInfo, LocationMapStack, PoseMapTargets,
-                                decode_heatmaps, decode_location_maps,
+from courtpose.model import Frame, Pose2D, Pose3D
+from courtpose.posemaps import (CELL, MAP_RES, SIGMA, SUPPORT_EPS, HeatmapStack, JumpInfo,
+                                LocationMapStack, decode_heatmaps, decode_location_maps,
                                 encode_heatmaps, encode_location_maps,
-                                load_heatmaps, load_location_maps, pose_loss,
+                                load_heatmaps, load_location_maps,
                                 save_heatmaps, save_location_maps)
 from courtpose.synth import synth_scene
 
@@ -48,7 +47,7 @@ def test_invisible_joint_gives_zero_map():
 def test_example_130_70_argmax_and_gaussian_values():
     pix = np.zeros((J, 2))
     pix[:] = (130.0, 70.0)
-    heat = encode_heatmaps(full_pose2d(pix), sigma=1.0)
+    heat = encode_heatmaps(full_pose2d(pix))
     r, c = divmod(int(np.argmax(heat.values[0])), 64)
     assert (c, r) == (32, 17)
     m = heat.values[0]
@@ -127,80 +126,6 @@ def test_jump_gating_strict_threshold():
     assert airborne == [False, False, True]
 
 
-def test_pose_loss_zero_case_and_defaults():
-    rng = np.random.default_rng(4)
-    p2, p3 = random_pose_pair(rng)
-    heat = encode_heatmaps(p2)
-    loc = encode_location_maps(p3, heat)
-    edges = [(0, 1), (1, 2), (2, 3)]
-    gt_bl = bone_lengths(decode_location_maps(loc, heat), edges)
-    t = PoseMapTargets(heat, loc, JumpInfo.from_height(0.5))
-    total, terms = pose_loss(t, t, edges, gt_bl)
-    for k in ("l2d", "l3d", "lbl", "ljht"):
-        assert terms[k] == 0.0
-    assert terms["ljcls"] <= 1e-6
-    assert total <= 1e-6
-
-    assert (W2D, W3D, WBL, WJHT, WJCLS) == (10.0, 10.0, 0.5, 0.4, 0.2)
-
-
-def test_pose_loss_manual_toy_arithmetic():
-    """Hand-built 2-joint toy checked against spreadsheet-style sums."""
-    R = 64
-    heat_gt = np.zeros((2, R, R))
-    heat_gt[0, 10, 10] = 1.0
-    heat_gt[1, 20, 20] = 1.0
-    heat_pred = heat_gt.copy()
-    heat_pred[0, 10, 10] = 0.5  # |diff| sums to 0.5 over 2*64*64 cells
-    loc_gt = np.zeros((2, 3, R, R))
-    loc_gt[1, 0, 20, 20] = 2.0
-    loc_pred = loc_gt.copy()
-    loc_pred[1, 0, 20, 20] = 1.4  # |diff| sums to 0.6 over 2*3*64*64
-
-    gt = PoseMapTargets(HeatmapStack(heat_gt), LocationMapStack(loc_gt),
-                        JumpInfo(True, 0.5, score=1.0))
-    pred = PoseMapTargets(HeatmapStack(heat_pred), LocationMapStack(loc_pred),
-                          JumpInfo(True, 0.3, score=0.75))
-    edges = [(0, 1)]
-    # pred decodes: j0 at argmax (10,10) -> (0,0,0); j1 -> (1.4,0,0); length 1.4
-    gt_bl = np.array([2.0])
-    total, terms = pose_loss(pred, gt, edges, gt_bl)
-    assert terms["l2d"] == pytest.approx(0.5 / (2 * R * R), rel=1e-12)
-    assert terms["l3d"] == pytest.approx(0.6 / (2 * 3 * R * R), rel=1e-12)
-    assert terms["lbl"] == pytest.approx(0.6, rel=1e-12)
-    assert terms["ljht"] == pytest.approx(0.2, rel=1e-12)
-    assert terms["ljcls"] == pytest.approx(-np.log(0.75), rel=1e-12)
-    manual = (W2D * terms["l2d"] + W3D * terms["l3d"] + WBL * terms["lbl"]
-              + WJHT * terms["ljht"] + WJCLS * terms["ljcls"])
-    assert total == pytest.approx(manual, rel=1e-15)
-
-
-def test_pose_loss_l1_terms_symmetric():
-    rng = np.random.default_rng(5)
-    p2a, p3a = random_pose_pair(rng)
-    p2b, p3b = random_pose_pair(rng)
-    ha, hb = encode_heatmaps(p2a), encode_heatmaps(p2b)
-    ta = PoseMapTargets(ha, encode_location_maps(p3a, ha), JumpInfo(True, 0.5, score=0.8))
-    tb = PoseMapTargets(hb, encode_location_maps(p3b, hb), JumpInfo(True, 0.5, score=0.8))
-    edges = [(0, 1), (3, 4)]
-    bl_a = bone_lengths(decode_location_maps(ta.location_maps, ta.heatmaps), edges)
-    bl_b = bone_lengths(decode_location_maps(tb.location_maps, tb.heatmaps), edges)
-    _, t_ab = pose_loss(ta, tb, edges, bl_b)
-    _, t_ba = pose_loss(tb, ta, edges, bl_a)
-    assert t_ab["l2d"] == t_ba["l2d"]
-    assert t_ab["l3d"] == t_ba["l3d"]
-
-
-def test_probability_clamp():
-    heat = HeatmapStack(np.zeros((2, 64, 64)))
-    loc = LocationMapStack(np.zeros((2, 3, 64, 64)))
-    gt = PoseMapTargets(heat, loc, JumpInfo(True, 0.0))
-    pred = PoseMapTargets(heat, loc, JumpInfo(True, 0.0, score=0.0))  # clamped to 1e-7
-    total, terms = pose_loss(pred, gt, [], np.zeros(0))
-    assert np.isfinite(terms["ljcls"])
-    assert terms["ljcls"] == pytest.approx(-np.log(1e-7), rel=1e-9)
-
-
 def test_binary_stack_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     p2, p3 = random_pose_pair(rng)
@@ -230,7 +155,7 @@ def test_jump_height_validation():
 # the per-joint loops the array codec replaced, kept as its oracle
 # ---------------------------------------------------------------------------
 
-def loop_encode_heatmaps(pose, sigma):
+def loop_encode_heatmaps(pose):
     maps = np.zeros((pose.num_joints, MAP_RES, MAP_RES))
     clamped = np.zeros(pose.num_joints, dtype=bool)
     grid = np.arange(MAP_RES, dtype=float)
@@ -243,14 +168,14 @@ def loop_encode_heatmaps(pose, sigma):
         cx = int(np.clip(np.floor(x / CELL), 0, MAP_RES - 1))
         cy = int(np.clip(np.floor(y / CELL), 0, MAP_RES - 1))
         g = np.exp(-((grid[None, :] - cx) ** 2 + (grid[:, None] - cy) ** 2)
-                   / (2.0 * sigma * sigma))
+                   / (2.0 * SIGMA * SIGMA))
         g[g < SUPPORT_EPS] = 0.0
         maps[j] = g
     return maps, clamped
 
 
-def loop_encode_location_maps(pose3d, pose2d, sigma):
-    heat, _ = loop_encode_heatmaps(pose2d, sigma)
+def loop_encode_location_maps(pose3d, pose2d):
+    heat, _ = loop_encode_heatmaps(pose2d)
     loc = np.zeros((pose3d.num_joints, 3, MAP_RES, MAP_RES))
     for j in range(pose3d.num_joints):
         support = heat[j] > 0.0
@@ -288,15 +213,14 @@ def _oracle_cases():
         yield f"random{k}", Pose2D(pix, vis), Pose3D(pos)
 
 
-@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 3.7])
-def test_array_codec_matches_loop_oracle_bytes(sigma):
+def test_array_codec_matches_loop_oracle_bytes():
     for name, p2, p3 in _oracle_cases():
-        heat = encode_heatmaps(p2, sigma)
+        heat = encode_heatmaps(p2)
         loc = encode_location_maps(p3, heat)
-        maps, clamped = loop_encode_heatmaps(p2, sigma)
+        maps, clamped = loop_encode_heatmaps(p2)
         assert heat.values.tobytes() == maps.tobytes(), name
         assert heat.clamped.tobytes() == clamped.tobytes(), name
-        assert loc.values.tobytes() == loop_encode_location_maps(p3, p2, sigma).tobytes(), name
+        assert loc.values.tobytes() == loop_encode_location_maps(p3, p2).tobytes(), name
         pixels, vis, xyz = loop_decode(maps, loc.values)
         d2, d3 = decode_heatmaps(heat), decode_location_maps(loc, heat)
         assert d2.pixels.tobytes() == pixels.tobytes(), name
@@ -346,9 +270,9 @@ def test_invisible_nan_pixels_encode_to_zero_maps_without_warnings():
     vis[[2, 9, 11]] = False
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        heat = encode_heatmaps(Pose2D(pix, vis), sigma=2.0)
+        heat = encode_heatmaps(Pose2D(pix, vis))
     assert not heat.values[[2, 9, 11]].any()
     assert heat.values[[0, 5]].max() == 1.0
     assert not heat.clamped.any()
-    assert heat.values.tobytes() == loop_encode_heatmaps(Pose2D(pix, vis), 2.0)[0].tobytes()
+    assert heat.values.tobytes() == loop_encode_heatmaps(Pose2D(pix, vis))[0].tobytes()
 

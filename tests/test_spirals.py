@@ -163,7 +163,8 @@ def test_gather_matrix_equals_hand_written_gather(gather_tables):
         F0 = rng.normal(size=(n, c))
         upstream = rng.normal(size=(n, sp.length * c))  # dL/d(gathered)
         grads, values = [], []
-        for gather in (lambda F: ag.reshape(ag.sparse_mm(sp.gather, F), (n, -1)),
+        GT = sp.gather.T.tocsr()
+        for gather in (lambda F: ag.reshape(ag.sparse_mm(sp.gather, F, GT), (n, -1)),
                        lambda F: spiral_gather_oracle(F, sp.indices)):
             F = ag.Var(F0.copy())
             g = gather(F)
