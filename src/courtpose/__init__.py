@@ -9,7 +9,7 @@ from .model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
 from .mesh import (BodyMesh, PART_NAMES, PartMesh, load_obj, mesh_edges,
                    save_obj, uniform_laplacian, vertex_normals)
 from .camera import Camera, pixel_ray, project
-from .court import CourtConfig, CourtModel, make_court_model
+from .court import CourtModel, make_court_model
 from .calibrate import (LineMask, load_pgm, rasterize_court_lines,
                         refine_camera_lines, save_pgm, solve_pnp_planar)
 from .posemaps import (HeatmapStack, JumpInfo, LocationMapStack,
@@ -20,9 +20,8 @@ from .skinning import (SkinningWeights, fit_pose_to_keypoints,
                        heat_diffusion_weights, lbs, swing_ik)
 from .collision import CollisionReport, detect_collisions
 from .composer import penetration_loss, resolve_interpenetration
-from .metrics import (ICPResult, ProcrustesResult, chamfer, emd,
-                      farthest_point_subsample, icp, mpjpe, mpvpe,
-                      procrustes_align, rotation_error_deg)
+from .metrics import (ICPResult, ProcrustesResult, chamfer, emd, icp, mpjpe,
+                      mpvpe, procrustes_align, rotation_error_deg)
 from .synth import SceneBundle, SceneConfig, run_pipeline, synth_scene
 
 __version__ = "0.1.0"
@@ -35,7 +34,7 @@ __all__ = [
     "BodyMesh", "PART_NAMES", "PartMesh", "load_obj", "mesh_edges", "save_obj",
     "uniform_laplacian", "vertex_normals",
     "Camera", "pixel_ray", "project",
-    "CourtConfig", "CourtModel", "make_court_model",
+    "CourtModel", "make_court_model",
     "LineMask", "load_pgm", "rasterize_court_lines", "refine_camera_lines",
     "save_pgm", "solve_pnp_planar",
     "HeatmapStack", "JumpInfo", "LocationMapStack", "PoseMapTargets",
@@ -46,8 +45,7 @@ __all__ = [
     "heat_diffusion_weights", "lbs", "swing_ik",
     "CollisionReport", "detect_collisions",
     "penetration_loss", "resolve_interpenetration",
-    "ICPResult", "ProcrustesResult", "chamfer", "emd",
-    "farthest_point_subsample", "icp", "mpjpe", "mpvpe", "procrustes_align",
-    "rotation_error_deg",
+    "ICPResult", "ProcrustesResult", "chamfer", "emd", "icp", "mpjpe", "mpvpe",
+    "procrustes_align", "rotation_error_deg",
     "SceneBundle", "SceneConfig", "run_pipeline", "synth_scene",
 ]

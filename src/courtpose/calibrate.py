@@ -456,8 +456,7 @@ def refine_camera_lines(init: Camera, mask: LineMask, court: CourtModel) -> Refi
     if initial_cost <= 0.0:
         return RefineResult(init, initial_cost, initial_cost, 1, "done")
     p, rec = lm_solve(residual_jacobian, lambda q: cost(q, hinge=0.0), p, lam=1e-3,
-                      lam_min=1e-10, tries=12, max_iters=REFINE_MAX_ITERS, tol=REFINE_TOL,
-                      gtol=1e-14)
+                      lam_min=1e-10, tries=12, max_iters=REFINE_MAX_ITERS, tol=REFINE_TOL)
     if rec.stop == "stalled":
         raise NumericalError("refinement diverged: cost increased for "
                              f"{MAX_REJECTS} consecutive damped steps")

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BehindCameraError, ValidationError
+from .model import json_number, json_numbers
 from .transforms import rotation_defect
 
 
@@ -85,6 +86,6 @@ def camera_to_json(c: Camera) -> dict:
 
 
 def camera_from_json(d: dict) -> Camera:
-    return Camera(float(d["f"]), float(d["px"]), float(d["py"]),
-                  np.asarray(d["R"], dtype=float).reshape(3, 3),
-                  np.asarray(d["T"], dtype=float))
+    f, px, py = (json_number(d[k], f"camera {k}") for k in ("f", "px", "py"))
+    return Camera(f, px, py, json_numbers(d["R"], "camera R").reshape(3, 3),
+                  json_numbers(d["T"], "camera T"))

@@ -1,8 +1,8 @@
 """Command-line front door.
 
 Subcommands: synth, calibrate, place, codec, skin, compose, train-toy,
-infer-part, eval, pipeline. A `key = value` config file (--config) sets the
-scene's voxel_res and image_width/image_height, for synth and pipeline only.
+infer-part, eval, pipeline. synth and pipeline take the frame size as
+--image-size WxH, as calibrate does.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -23,9 +23,9 @@ from .court import make_court_model
 from .errors import NumericalError, StageError, ValidationError
 from .mesh import BodyMesh, PART_NAMES, load_obj, save_obj
 from .metrics import chamfer, emd, icp, mpvpe
-from .model import (Skeleton, load_json_record, pose2d_from_json, pose2d_to_json,
-                    pose3d_from_json, pose3d_to_json, skeleton_from_json,
-                    transforms_from_json)
+from .model import (Skeleton, json_numbers, load_json_record, pose2d_from_json,
+                    pose2d_to_json, pose3d_from_json, pose3d_to_json,
+                    skeleton_from_json, transforms_from_json)
 from .placement import place_player
 from .posemaps import (decode_heatmaps, decode_location_maps, encode_heatmaps,
                        encode_location_maps, jump_from_json, load_heatmaps,
@@ -37,8 +37,9 @@ from .synth import (SceneConfig, canonical_body, load_scene, run_pipeline, save_
 
 def _correspondences_from_json(points):
     """[{pixel, court}, ...] -> (pixel xy, court point) pairs."""
-    pixels = np.asarray([p["pixel"] for p in points], dtype=float).reshape(len(points), 2)
-    court = np.asarray([p["court"] for p in points], dtype=float).reshape(len(points), -1)
+    pixels = json_numbers([p["pixel"] for p in points], "correspondence pixel")
+    court = json_numbers([p["court"] for p in points], "correspondence court point")
+    pixels, court = pixels.reshape(len(points), 2), court.reshape(len(points), -1)
     return list(zip(pixels, court))
 
 
@@ -49,27 +50,6 @@ def _write_json(path, payload):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _parse_config_file(path):
-    """TOML-style `key = value` lines; '#' comments; numbers parsed."""
-    out = {}
-    try:
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValidationError(f"bad config line: {raw.strip()!r}")
-                key, val = (x.strip() for x in line.split("=", 1))
-                try:
-                    out[key] = json.loads(val)
-                except json.JSONDecodeError:
-                    out[key] = val.strip("\"'")
-    except OSError as e:
-        raise ValidationError(f"cannot read config {path}: {e}") from e
-    return out
 
 
 def _image_size(text):
@@ -83,42 +63,21 @@ def _image_size(text):
     return size
 
 
-def _scene_config(path, command):
-    """The SceneConfig that the --config file ``path`` sets: voxel_res and the
-    pair image_width/image_height, read by synth and pipeline only. Any other
-    key, a key given to another command, a lone width or height, or a value
-    that is not an integer is a ValidationError naming the key."""
-    cfg = _parse_config_file(path) if path else {}
-    for key, val in cfg.items():
-        if key not in ("voxel_res", "image_width", "image_height"):
-            raise ValidationError(f"unknown config key {key!r}; expected voxel_res, "
-                                  "image_width or image_height")
-        if command not in ("synth", "pipeline"):
-            raise ValidationError(f"config key {key!r} is read only by synth and pipeline")
-        if key != "voxel_res" and ("image_width" in cfg) != ("image_height" in cfg):
-            raise ValidationError(f"config key {key!r} needs its pair: set both "
-                                  "image_width and image_height")
-        try:
-            cfg[key] = int(val)
-        except (TypeError, ValueError):
-            raise ValidationError(f"config key {key!r} must be an integer, "
-                                  f"got {val!r}") from None
-    kwargs = {}
-    if "voxel_res" in cfg:
-        kwargs["voxel_res"] = cfg["voxel_res"]
-    if "image_width" in cfg:
-        kwargs["image_size"] = (cfg["image_width"], cfg["image_height"])
-    return SceneConfig(**kwargs)
+def _scene_config(args):
+    """The SceneConfig of synth's and pipeline's optional --image-size."""
+    if args.image_size is None:
+        return SceneConfig()
+    return SceneConfig(_image_size(args.image_size))
 
 
-def cmd_synth(args, scene_config):
-    bundle = synth_scene(args.seed, scene_config)
+def cmd_synth(args):
+    bundle = synth_scene(args.seed, _scene_config(args))
     save_scene(bundle, args.out)
     print(f"scene {args.seed} written to {args.out}")
     return 0
 
 
-def cmd_calibrate(args, scene_config):
+def cmd_calibrate(args):
     size = _image_size(args.image_size)
     corrs = load_json_record(args.points, _correspondences_from_json)
     cam, rms = solve_pnp_planar(corrs, size, focal=args.focal)
@@ -137,7 +96,7 @@ def cmd_calibrate(args, scene_config):
     return 0
 
 
-def cmd_place(args, scene_config):
+def cmd_place(args):
     camera = load_json_record(args.camera, camera_from_json)
     pose2d = load_json_record(args.pose2d, pose2d_from_json)
     pose3d = load_json_record(args.pose3d, pose3d_from_json)
@@ -148,7 +107,7 @@ def cmd_place(args, scene_config):
     return 0
 
 
-def cmd_codec(args, scene_config):
+def cmd_codec(args):
     pose2d = load_json_record(args.pose2d, pose2d_from_json)
     pose3d = load_json_record(args.pose3d, pose3d_from_json)
     heat = encode_heatmaps(pose2d)
@@ -172,7 +131,7 @@ def cmd_codec(args, scene_config):
     return 0
 
 
-def cmd_skin(args, scene_config):
+def cmd_skin(args):
     rest = load_obj(args.rest)
     weights = load_json_record(args.weights, weights_from_json)
     transforms = load_json_record(args.pose, transforms_from_json)
@@ -184,7 +143,7 @@ def cmd_skin(args, scene_config):
     return 0
 
 
-def cmd_compose(args, scene_config):
+def cmd_compose(args):
     parts = []
     for name in PART_NAMES:
         path = os.path.join(args.parts, f"{name}.obj")
@@ -202,7 +161,7 @@ def cmd_compose(args, scene_config):
     return 0
 
 
-def cmd_train_toy(args, scene_config):
+def cmd_train_toy(args):
     from .meshnet import init_params, save_params
     from .meshnet.training import TrainConfig, eval_mesh_term, train_toy
     from .toydata import toy_part_dataset
@@ -221,11 +180,11 @@ def cmd_train_toy(args, scene_config):
     return 0
 
 
-def cmd_infer_part(args, scene_config):
+def cmd_infer_part(args):
     from .meshnet import NetConfig, PartOps, load_params, tl_forward
     from .toydata import TOY_PART
 
-    _, rest_body, _ = canonical_body(SceneConfig().voxel_res)
+    _, rest_body, _ = canonical_body(SceneConfig.voxel_res)
     config = NetConfig()
     ops = PartOps.build(rest_body.part(TOY_PART), config)
     params = load_params(args.params)
@@ -242,7 +201,7 @@ def cmd_infer_part(args, scene_config):
     return 0
 
 
-def cmd_eval(args, scene_config):
+def cmd_eval(args):
     pv, _ = load_obj(args.pred).merged()
     gv, _ = load_obj(args.gt).merged()
     if args.icp:
@@ -275,12 +234,13 @@ def _pipeline_one(seed_and_cfg):
         return run_pipeline(synth_scene(seed, config))
 
 
-def cmd_pipeline(args, scene_config):
+def cmd_pipeline(args):
     for flag, val in (("--scenes", args.scenes), ("--jobs", args.jobs)):
         if val < 1:
             raise ValidationError(f"{flag} must be at least 1, got {val}")
+    scene_config = _scene_config(args)
     if args.scene_dir:
-        reports = [run_pipeline(load_scene(args.scene_dir, scene_config))]
+        reports = [run_pipeline(load_scene(args.scene_dir))]
     elif args.jobs > 1:
         # stages stay sequential; only independent scenes run in parallel
         import multiprocessing
@@ -289,10 +249,11 @@ def cmd_pipeline(args, scene_config):
         # fork, so that they inherit it instead of each doing it at once
         import scipy.optimize  # noqa: F401 - compose and eval use them
         import scipy.spatial  # noqa: F401
-        canonical_body(scene_config.voxel_res)
+        canonical_body(SceneConfig.voxel_res)
+        # imap raises the first failure in seed order, not the first to arrive
         with multiprocessing.Pool(args.jobs) as pool:
-            reports = pool.map(_pipeline_one,
-                               [(args.seed + k, scene_config) for k in range(args.scenes)])
+            reports = list(pool.imap(_pipeline_one, [(args.seed + k, scene_config)
+                                                     for k in range(args.scenes)]))
     else:
         reports = [run_pipeline(synth_scene(args.seed + k, scene_config))
                    for k in range(args.scenes)]
@@ -303,12 +264,11 @@ def cmd_pipeline(args, scene_config):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="courtpose",
                                  description="Court-aware player reconstruction toolkit")
-    ap.add_argument("--config", help="key = value scene config file (voxel_res, "
-                    "image_width, image_height) for synth and pipeline")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene bundle")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--image-size", help="frame size WxH (default 1280x720)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_synth)
 
@@ -376,7 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1,
                    help="process this many scenes in parallel")
-    p.add_argument("--scene-dir", help="run on a saved scene instead")
+    # a saved scene carries its own frame size
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--image-size", help="frame size WxH (default 1280x720)")
+    source.add_argument("--scene-dir", help="run on a saved scene instead")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_pipeline)
     return ap
@@ -389,7 +352,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.fn(args, _scene_config(args.config, args.command))
+        return args.fn(args)
     except StageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e.cause, ValidationError) else 3

@@ -1,9 +1,9 @@
 """Planar basketball-court model: line segments and circular arcs on y = 0.
 
-The default preset follows official pro-court geometry (28.65 m x 15.24 m
+The court follows official pro-court geometry (28.65 m x 15.24 m
 playing surface, 1.8288 m circle radii, 7.24 m three-point arc meeting
-straight segments 0.9144 m in from the sidelines). All feature dimensions sit
-in CourtConfig, so scaled or non-standard courts are plain config edits.
+straight segments 0.9144 m in from the sidelines). Broadcast frames always
+show this one court, so its dimensions are module constants.
 
 Court coordinates: x runs along the court length, z across the width, y up.
 The origin is the center of the court; a 2D primitive point (u, v) lifts to
@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+LENGTH = 28.65                   # baseline to baseline
+WIDTH = 15.24                    # sideline to sideline
+CENTER_CIRCLE_RADIUS = 1.8288
+THREE_POINT_RADIUS = 7.24
+THREE_POINT_SIDE_INSET = 0.9144  # straight segment distance from sideline
+HOOP_FROM_BASELINE = 1.6002
+KEY_WIDTH = 4.8768
+KEY_DEPTH = 5.7912               # baseline to free-throw line
+FT_CIRCLE_RADIUS = 1.8288
 
 
 @dataclass(frozen=True)
@@ -59,25 +67,6 @@ class Arc2D:
 
 
 @dataclass(frozen=True)
-class CourtConfig:
-    length: float = 28.65            # baseline to baseline
-    width: float = 15.24             # sideline to sideline
-    center_circle_radius: float = 1.8288
-    three_point_radius: float = 7.24
-    three_point_side_inset: float = 0.9144   # straight segment distance from sideline
-    hoop_from_baseline: float = 1.6002
-    key_width: float = 4.8768
-    key_depth: float = 5.7912        # baseline to free-throw line
-    ft_circle_radius: float = 1.8288
-
-    def scaled(self, s: float) -> "CourtConfig":
-        return CourtConfig(*(getattr(self, f) * s for f in (
-            "length", "width", "center_circle_radius", "three_point_radius",
-            "three_point_side_inset", "hoop_from_baseline", "key_width",
-            "key_depth", "ft_circle_radius")))
-
-
-@dataclass(frozen=True)
 class CourtModel:
     primitives: tuple   # LineSegment2D / Arc2D on the y=0 plane
     length: float
@@ -113,13 +102,10 @@ def lift_to_plane(uv: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_court_model(config: CourtConfig = CourtConfig()) -> CourtModel:
+def make_court_model() -> CourtModel:
     """Build the primitive list: boundary, center line + circle, three-point
     arcs, free-throw boxes with circles."""
-    c = config
-    if c.length <= 0 or c.width <= 0:
-        raise ValidationError("court dimensions must be positive")
-    L2, W2 = c.length / 2.0, c.width / 2.0
+    L2, W2 = LENGTH / 2.0, WIDTH / 2.0
     prims = [
         # boundary rectangle
         LineSegment2D((-L2, -W2), (L2, -W2)),
@@ -128,30 +114,30 @@ def make_court_model(config: CourtConfig = CourtConfig()) -> CourtModel:
         LineSegment2D((-L2, W2), (-L2, -W2)),
         # center line and circle
         LineSegment2D((0.0, -W2), (0.0, W2)),
-        Arc2D((0.0, 0.0), c.center_circle_radius, 0.0, 2.0 * np.pi),
+        Arc2D((0.0, 0.0), CENTER_CIRCLE_RADIUS, 0.0, 2.0 * np.pi),
     ]
     for side in (-1.0, 1.0):
         # side = -1: hoop near x = -L/2, side = +1: mirrored
-        hoop_u = side * (L2 - c.hoop_from_baseline)
+        hoop_u = side * (L2 - HOOP_FROM_BASELINE)
         # three-point straight segments run from the baseline to the arc
-        v_in = W2 - c.three_point_side_inset
-        du = np.sqrt(max(c.three_point_radius ** 2 - v_in ** 2, 0.0))
+        v_in = W2 - THREE_POINT_SIDE_INSET
+        du = np.sqrt(max(THREE_POINT_RADIUS ** 2 - v_in ** 2, 0.0))
         for sv in (-1.0, 1.0):
             prims.append(LineSegment2D((side * L2, sv * v_in),
                                        (hoop_u - side * du, sv * v_in)))
         # arc spans between the two straight segments, opening to mid-court
         a = np.arctan2(v_in, -side * du)
         if side < 0:
-            prims.append(Arc2D((hoop_u, 0.0), c.three_point_radius, -a, a))
+            prims.append(Arc2D((hoop_u, 0.0), THREE_POINT_RADIUS, -a, a))
         else:
-            prims.append(Arc2D((hoop_u, 0.0), c.three_point_radius, a, 2.0 * np.pi - a))
+            prims.append(Arc2D((hoop_u, 0.0), THREE_POINT_RADIUS, a, 2.0 * np.pi - a))
         # free-throw box (the key) and circle
-        ft_u = side * (L2 - c.key_depth)
-        k2 = c.key_width / 2.0
+        ft_u = side * (L2 - KEY_DEPTH)
+        k2 = KEY_WIDTH / 2.0
         prims += [
             LineSegment2D((side * L2, -k2), (ft_u, -k2)),
             LineSegment2D((side * L2, k2), (ft_u, k2)),
             LineSegment2D((ft_u, -k2), (ft_u, k2)),
-            Arc2D((ft_u, 0.0), c.ft_circle_radius, 0.0, 2.0 * np.pi),
+            Arc2D((ft_u, 0.0), FT_CIRCLE_RADIUS, 0.0, 2.0 * np.pi),
         ]
-    return CourtModel(tuple(prims), c.length, c.width)
+    return CourtModel(tuple(prims), LENGTH, WIDTH)

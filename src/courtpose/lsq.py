@@ -24,7 +24,7 @@ class LMRecord:
     sweep; the outer-loop entries, including one that stopped before its
     sweep; the accepted and rejected sweeps; and the stop reason: "converged"
     (an accepted step gained less than the tolerance), "plateau" (a sweep
-    accepted nothing, its best step within ``tol``), "gradient", "stalled"
+    accepted nothing, its best step within ``tol``), "stalled"
     (``MAX_REJECTS`` empty sweeps in a row) or "max_iters"."""
 
     cost_history: list
@@ -35,13 +35,13 @@ class LMRecord:
 
 
 def lm_solve(residual_jacobian, cost, p, *, lam, lam_min, tries, max_iters,
-             tol=None, rtol=None, gtol=None):
+             tol=None, rtol=None):
     """Minimize ``cost`` from ``p``; returns (p, LMRecord).
 
     ``residual_jacobian(p)`` gives (r, J). A step is accepted when its cost
     is lower. An accepted step that gains less than ``tol`` or
-    ``rtol * max(cost, 1)`` ends the solve, and so does ``|J^T r| < gtol``.
-    Raises NumericalError on a non-finite cost.
+    ``rtol * max(cost, 1)`` ends the solve. Raises NumericalError on a
+    non-finite cost.
     """
     cur = cost(p)
     if not np.isfinite(cur):
@@ -53,9 +53,6 @@ def lm_solve(residual_jacobian, cost, p, *, lam, lam_min, tries, max_iters,
         r, J = residual_jacobian(p)
         JtJ = J.T @ J
         g = J.T @ r
-        if gtol is not None and np.abs(g).max() < gtol:
-            rec.stop = "gradient"
-            break
         damping = np.diag(np.maximum(np.diag(JtJ), 1e-12))
         best, step = np.inf, None
         for _ in range(tries):

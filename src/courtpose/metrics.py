@@ -5,10 +5,10 @@ farthest-point subsamples.
 EMD's two kernels keep the bits of their norm-based forms: farthest-point
 sampling runs on a (3, k, n) copy of k clouds with preallocated buffers, and
 the cost matrix sums the squared differences per axis, in the left-to-right
-order that ``np.linalg.norm`` reduces in. One FPS loop serves one cloud
-(``farthest_point_subsample``) and both of ``emd``'s clouds in lock step:
-per pick, a scalar subtraction per coordinate row and cloud, the rest of the
-distance update once over all clouds, and one ``argmax`` along the rows.
+order that ``np.linalg.norm`` reduces in. One FPS loop serves both of
+``emd``'s clouds in lock step: per pick, a scalar subtraction per coordinate
+row and cloud, the rest of the distance update once over all clouds, and one
+``argmax`` along the rows.
 
 scipy is imported where it is used, so that a process that never evaluates
 pays none of its import: ``scipy.spatial`` in ``chamfer`` and ``icp``,
@@ -117,17 +117,6 @@ def chamfer(A: np.ndarray, B: np.ndarray) -> float:
     da, _ = cKDTree(B).query(A)
     db, _ = cKDTree(A).query(B)
     return 1000.0 * float(np.mean(da ** 2) + np.mean(db ** 2))
-
-
-def farthest_point_subsample(points: np.ndarray, count: int) -> np.ndarray:
-    """Deterministic FPS: start at the point farthest from the centroid
-    (lowest index on ties), then greedily maximize the min distance."""
-    if count < 1:
-        raise ValidationError(f"a subsample needs at least one point, got {count}")
-    P = np.asarray(points, dtype=float)
-    if count >= len(P):
-        return P.copy()
-    return P[_farthest_points([P], count)[:, 0]]
 
 
 def _farthest_from_centroid(P: np.ndarray) -> int:

@@ -262,8 +262,9 @@ def bone_lengths(pose: Pose3D, edges) -> np.ndarray:
 
 def load_json_record(path, from_json):
     """Read the JSON record in ``path`` and decode it with ``from_json``. An
-    unreadable file, invalid JSON or a record with missing keys or bad
-    shapes is a ValidationError naming the file."""
+    unreadable file, invalid JSON, or a record with missing keys, bad shapes
+    or values that ``from_json`` rejects is a ValidationError naming the
+    file."""
     try:
         with open(path) as fh:
             record = json.load(fh)
@@ -273,8 +274,35 @@ def load_json_record(path, from_json):
         raise ValidationError(f"{path} is not valid JSON: {e}") from e
     try:
         return from_json(record)
+    except ValidationError as e:
+        raise ValidationError(f"{path} is not a valid record: {e}") from e
     except (LookupError, TypeError, ValueError) as e:
         raise ValidationError(f"{path} is not a valid record: {e!r}") from e
+
+
+def json_number(value, what: str, kind=float):
+    """``value`` as a ``kind``, float or int, when it is a JSON number (an
+    integer for int). Anything else is a ValidationError naming ``what``:
+    ``float`` and numpy would read the JSON true as 1 and "3" as 3."""
+    integer = kind is int
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ValidationError(f"{what} must be a JSON {'integer' if integer else 'number'}, "
+                              f"got {value!r}")
+    return kind(value)
+
+
+def json_numbers(values, what: str, kind=float) -> np.ndarray:
+    """A ``kind`` array of ``values``, JSON numbers in lists nested to any
+    depth, each of them checked by ``json_number``."""
+    def check(v):
+        if isinstance(v, list):
+            for x in v:
+                check(x)
+        else:
+            json_number(v, what, kind)
+
+    check(values)
+    return np.asarray(values, dtype=kind)
 
 
 def skeleton_to_json(s: Skeleton) -> dict:
@@ -291,8 +319,8 @@ def skeleton_from_json(d: dict) -> Skeleton:
     joints = d["joints"]
     return Skeleton(
         joint_names=[j["name"] for j in joints],
-        parent=[j["parent"] for j in joints],
-        rest_offsets=[j["offset"] for j in joints],
+        parent=json_numbers([j["parent"] for j in joints], "skeleton parent", int),
+        rest_offsets=json_numbers([j["offset"] for j in joints], "skeleton offset"),
     )
 
 
@@ -301,7 +329,7 @@ def pose3d_to_json(p: Pose3D) -> dict:
 
 
 def pose3d_from_json(d: dict) -> Pose3D:
-    return Pose3D(np.asarray(d["positions"], dtype=float), frame=Frame(d["frame"]))
+    return Pose3D(json_numbers(d["positions"], "pose3d positions"), frame=Frame(d["frame"]))
 
 
 def pose2d_to_json(p: Pose2D) -> dict:
@@ -312,7 +340,7 @@ def pose2d_from_json(d: dict) -> Pose2D:
     vis = d["visibility"]
     if not (isinstance(vis, list) and all(isinstance(v, bool) for v in vis)):
         raise ValidationError(f"pose2d visibility must be a list of JSON booleans, got {vis!r}")
-    return Pose2D(np.asarray(d["pixels"], dtype=float), np.asarray(vis, dtype=bool))
+    return Pose2D(json_numbers(d["pixels"], "pose2d pixels"), np.asarray(vis, dtype=bool))
 
 
 def transforms_to_json(t: BoneTransforms) -> dict:
@@ -323,5 +351,5 @@ def transforms_to_json(t: BoneTransforms) -> dict:
 
 
 def transforms_from_json(d: dict) -> BoneTransforms:
-    R = np.asarray(d["rotations"], dtype=float).reshape(-1, 3, 3)
-    return BoneTransforms(R, np.asarray(d["translations"], dtype=float))
+    R = json_numbers(d["rotations"], "transform rotations").reshape(-1, 3, 3)
+    return BoneTransforms(R, json_numbers(d["translations"], "transform translations"))

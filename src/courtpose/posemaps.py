@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
-from .model import Frame, Pose2D, Pose3D
+from .model import Frame, Pose2D, Pose3D, json_number
 
 MAP_RES = 64
 CELL = Pose2D.CROP_SIZE // MAP_RES  # 4 px per heatmap cell
@@ -229,4 +229,4 @@ def jump_to_json(j: JumpInfo) -> dict:
 def jump_from_json(d: dict) -> JumpInfo:
     if not isinstance(d["airborne"], bool):
         raise ValidationError(f"jump airborne must be JSON true or false, got {d['airborne']!r}")
-    return JumpInfo(d["airborne"], float(d["height"]))
+    return JumpInfo(d["airborne"], json_number(d["height"], "jump height"))

@@ -35,7 +35,7 @@ from .errors import NumericalError, ValidationError
 from .lsq import MAX_REJECTS, lm_solve
 from .mesh import BodyMesh
 from .model import (BoneTransforms, Frame, Pose3D, Skeleton, _fk_levels,
-                    fk_global, forward_kinematics)
+                    fk_global, forward_kinematics, json_numbers)
 from .transforms import axis_angle_to_matrix, matrix_to_axis_angle, skew
 
 MAX_INFLUENCES = 4
@@ -68,8 +68,9 @@ class SkinningWeights:
 
 
 def weights_from_json(d: dict) -> SkinningWeights:
-    W = np.zeros(tuple(d["shape"]))
-    W[np.asarray(d["rows"], int), np.asarray(d["cols"], int)] = d["values"]
+    W = np.zeros(tuple(json_numbers(d["shape"], "weights shape", int)))
+    W[json_numbers(d["rows"], "weights rows", int),
+      json_numbers(d["cols"], "weights cols", int)] = json_numbers(d["values"], "weights values")
     return SkinningWeights(W)
 
 

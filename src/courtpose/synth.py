@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .calibrate import (LineMask, load_pgm, rasterize_court_lines,
 from .camera import (Camera, camera_from_json, camera_to_json, project,
                      project_with_depth)
 from .composer import resolve_interpenetration
-from .court import CourtConfig, CourtModel, make_court_model
+from .court import CourtModel, make_court_model
 from .errors import StageError, ValidationError
 from .mesh import BodyMesh, PartMesh, load_obj, save_obj
 from .metrics import chamfer, emd, mpvpe, rotation_error_deg
@@ -49,8 +50,7 @@ CROP_MARGIN = 1.4             # crop side over the pose's projected extent
 @dataclass(frozen=True)
 class SceneConfig:
     image_size: tuple = (1280, 720)
-    voxel_res: int = 22
-    court: CourtConfig = field(default_factory=CourtConfig)
+    voxel_res: ClassVar[int] = 22  # the canonical body's voxel grid resolution
 
     def __post_init__(self):
         def positive_int(v):
@@ -59,9 +59,6 @@ class SceneConfig:
         if len(self.image_size) != 2 or not all(map(positive_int, self.image_size)):
             raise ValidationError("scene config 'image_size' must be a positive integer "
                                   f"width and height, got {self.image_size!r}")
-        if not positive_int(self.voxel_res):
-            raise ValidationError("scene config 'voxel_res' must be a positive integer, "
-                                  f"got {self.voxel_res!r}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ class SceneBundle:
             raise ValidationError("line mask size does not match the frame")
 
 
-# the rest body and its diffusion weights depend only on the config resolution
+# the rest body and its diffusion weights depend only on the voxel resolution
 _BODY_CACHE: dict = {}
 
 
@@ -174,7 +171,7 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneBundle:
     if seed < 0:
         raise ValidationError(f"a scene seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    court = make_court_model(config.court)
+    court = make_court_model()
     skeleton, rest_body, weights = canonical_body(config.voxel_res)
 
     transforms = random_pose_transforms(skeleton, rng)
@@ -409,17 +406,16 @@ def save_scene(bundle: SceneBundle, outdir) -> None:
     save_obj(p("posed.obj"), bundle.posed_body)
 
 
-def load_scene(scenedir, config: SceneConfig = SceneConfig()) -> SceneBundle:
+def load_scene(scenedir) -> SceneBundle:
     import os
     rest = load_obj(os.path.join(scenedir, "rest.obj"))
     posed = load_obj(os.path.join(scenedir, "posed.obj"))
     line_mask = load_pgm(os.path.join(scenedir, "mask.pgm"))
 
     def from_json(d):
-        cfg = SceneConfig(image_size=tuple(d["image_size"]), court=config.court,
-                          voxel_res=config.voxel_res)
         return SceneBundle(
-            seed=d["seed"], config=cfg, court=make_court_model(cfg.court),
+            seed=d["seed"], config=SceneConfig(tuple(d["image_size"])),
+            court=make_court_model(),
             camera=camera_from_json(d["camera"]),
             crop_origin=tuple(d["crop_origin"]), crop_scale=d["crop_scale"],
             skeleton=skeleton_from_json(d["skeleton"]),

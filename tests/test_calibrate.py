@@ -8,7 +8,8 @@ from courtpose.calibrate import (LineDistance, LineMask, _near_kept, load_pgm,
                                  rasterize_court_lines, refine_camera_lines,
                                  save_pgm, solve_pnp_planar)
 from courtpose.camera import Camera, project, project_with_depth
-from courtpose.court import CourtConfig, CourtModel, lift_to_plane, make_court_model
+from courtpose.court import (Arc2D, CourtModel, LineSegment2D, lift_to_plane,
+                             make_court_model)
 from courtpose.errors import (DegenerateGeometryError, NumericalError,
                               ValidationError)
 from courtpose.synth import synth_scene
@@ -148,13 +149,25 @@ def test_rasterize_matches_primitive_loop_on_scenes():
                                                             b.config.image_size)), seed
 
 
+def scaled_court(court, s):
+    """``court`` with every coordinate and length times ``s``."""
+    def scale(p):
+        if isinstance(p, LineSegment2D):
+            return LineSegment2D(tuple(s * np.asarray(p.p0)), tuple(s * np.asarray(p.p1)))
+        return Arc2D(tuple(s * np.asarray(p.center)), s * p.radius, p.angle_start,
+                     p.angle_end)
+
+    return CourtModel(tuple(map(scale, court.primitives)), s * court.length,
+                      s * court.width)
+
+
 def test_rasterize_matches_primitive_loop_partly_behind_camera():
     # standing on the court facing a baseline: the other half of the court,
     # and parts of the centre circle and of the long lines, lie behind
     eye = np.array([2.0, 1.7, 0.5])
     R = look_at_rotation(eye, np.array([14.0, 0.0, 0.0]))
     cam = Camera(900.0, SIZE[0] / 2, SIZE[1] / 2, R, -R @ eye)
-    for court in (make_court_model(), make_court_model(CourtConfig().scaled(0.5))):
+    for court in (make_court_model(), scaled_court(make_court_model(), 0.5)):
         got = rasterize_court_lines(cam, court, SIZE).pixels
         assert got.any()
         assert np.array_equal(got, rasterize_primitive_loop(cam, court, SIZE))

@@ -4,13 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from courtpose.calibrate import LineMask, save_pgm
+from courtpose.calibrate import LineMask, load_pgm, save_pgm
 from courtpose.camera import camera_to_json, project
 from courtpose.cli import main
 from courtpose.mesh import BodyMesh, load_obj, save_obj
 from courtpose.model import pose2d_to_json, pose3d_to_json, transforms_to_json
 from courtpose.posemaps import jump_to_json
-from courtpose.synth import synth_scene
+from courtpose.synth import SceneConfig, run_pipeline, synth_scene
 from helpers import icosphere, weights_to_json
 
 
@@ -232,44 +232,46 @@ def test_missing_file_exit_code_2(tmp_path):
     assert code == 2
 
 
-def test_config_file_parsing(tmp_path):
-    cfg = tmp_path / "conf.txt"
-    cfg.write_text("voxel_res = 16\n# comment\nimage_width = 640\nimage_height = 360\n")
+def test_synth_image_size(tmp_path):
     out = tmp_path / "scene"
-    code = main(["--config", str(cfg), "synth", "--seed", "1", "--out", str(out)])
+    code = main(["synth", "--seed", "1", "--image-size", "640x360", "--out", str(out)])
     assert code == 0
     meta = json.loads((out / "scene.json").read_text())
     assert meta["image_size"] == [640, 360]
+    assert load_pgm(out / "mask.pgm").size == (640, 360)
 
 
-@pytest.mark.parametrize("text, key", [
-    ("voxel_res = 16\nvoxel_size = 0.1\n", "voxel_size"),
-    ("voxel_res = 16\nimage_width = 640\n", "image_width"),
-    ("image_height = 360\n", "image_height"),
-    ("voxel_res = fine\n", "voxel_res"),
-    # values that no scene can run with
-    ("image_width = -640\nimage_height = 720\n", "image_size"),
-    ("image_width = 0\nimage_height = 0\n", "image_size"),
-    ("voxel_res = 0\n", "voxel_res"),
-    ("voxel_res = -3\n", "voxel_res"),
-])
-def test_config_key_synth_cannot_read_exit_code_2(tmp_path, capsys, text, key):
-    cfg = tmp_path / "conf.txt"
-    cfg.write_text(text)
-    out = tmp_path / "scene"
-    assert main(["--config", str(cfg), "synth", "--seed", "1", "--out", str(out)]) == 2
-    assert repr(key) in capsys.readouterr().err
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_pipeline_image_size(tmp_path, jobs):
+    report = tmp_path / "r.json"
+    code = main(["pipeline", "--seed", "3023", "--scenes", "2", "--jobs", jobs,
+                 "--image-size", "640x360", "--out", str(report)])
+    assert code == 0
+    got = json.loads(report.read_text())
+    want = [run_pipeline(synth_scene(seed, SceneConfig((640, 360))))
+            for seed in (3023, 3024)]
+    for r in got + want:
+        for stage in r["stages"].values():
+            del stage["seconds"]
+    assert got == json.loads(json.dumps(want))
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+@pytest.mark.parametrize("size", ["-640x720", "0x0", "640", "fine"])
+def test_bad_image_size_exit_code_2(tmp_path, capsys, command, size):
+    # a negative width would read as an option after a separate --image-size
+    out = tmp_path / "out"
+    code = main([command, "--seed", "1", f"--image-size={size}", "--out", str(out)])
+    assert code == 2
+    assert f"bad --image-size {size!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_config_for_a_command_that_reads_none_exit_code_2(tmp_path, capsys):
-    cfg = tmp_path / "conf.txt"
-    cfg.write_text("voxel_res = 16\n")
-    code = main(["--config", str(cfg), "eval", "--pred", str(tmp_path / "a.obj"),
-                 "--gt", str(tmp_path / "b.obj")])
+def test_pipeline_image_size_with_a_scene_dir_exit_code_2(tmp_path, capsys):
+    # a saved scene carries its own frame size
+    code = main(["pipeline", "--scene-dir", str(tmp_path), "--image-size", "640x360"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "'voxel_res' is read only by synth and pipeline" in err
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_pipeline_cli_parallel_scenes(tmp_path):
@@ -429,6 +431,20 @@ def test_malformed_json_record_exit_code_2(tmp_path, capsys, json_inputs, comman
     assert str(bad) in err and "not a valid record" in err
 
 
+def place_with(tmp_path, capsys, json_inputs, flag, record):
+    """Run place with ``record`` as the file of ``flag``; it must exit 2 and
+    write nothing. Returns stderr."""
+    argv = ["place"] + [arg.format(inputs=json_inputs, tmp=tmp_path)
+                        for arg in _JSON_COMMANDS["place"]]
+    bad = tmp_path / "bad.json"
+    write_json(bad, record)
+    argv[argv.index(flag) + 1] = str(bad)
+    out = tmp_path / "world.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
 _NOT_A_BOOLEAN = {"--jump": "jump airborne must be JSON true or false",
                   "--pose2d": "pose2d visibility must be a list of JSON booleans"}
 
@@ -443,15 +459,58 @@ _NOT_A_BOOLEAN = {"--jump": "jump airborne must be JSON true or false",
 ])
 def test_place_json_boolean_that_is_not_a_boolean_exit_code_2(tmp_path, capsys, json_inputs,
                                                               flag, record):
-    argv = ["place"] + [arg.format(inputs=json_inputs, tmp=tmp_path)
-                        for arg in _JSON_COMMANDS["place"]]
-    bad = tmp_path / "bad.json"
-    write_json(bad, record)
-    argv[argv.index(flag) + 1] = str(bad)
-    out = tmp_path / "world.json"
-    assert main(argv + ["--out", str(out)]) == 2
-    assert _NOT_A_BOOLEAN[flag] in capsys.readouterr().err
-    assert not out.exists()
+    err = place_with(tmp_path, capsys, json_inputs, flag, record)
+    assert f"{tmp_path / 'bad.json'} is not a valid record: {_NOT_A_BOOLEAN[flag]}" in err
+
+
+@pytest.mark.parametrize("flag,record,message", [
+    ("--jump", {"airborne": True, "height": True}, "jump height must be a JSON number, got True"),
+    ("--jump", {"airborne": True, "height": "0.5"}, "jump height must be a JSON number, got '0.5'"),
+    ("--pose2d", {"pixels": [[True, "3"]], "visibility": [True]},
+     "pose2d pixels must be a JSON number"),
+])
+def test_place_json_number_that_is_not_a_number_exit_code_2(tmp_path, capsys, json_inputs,
+                                                            flag, record, message):
+    # float() and numpy read true as 1 and "0.5" as 0.5
+    err = place_with(tmp_path, capsys, json_inputs, flag, record)
+    assert f"{tmp_path / 'bad.json'} is not a valid record: {message}" in err
+
+
+@pytest.mark.parametrize("bad", [True, "1"])
+@pytest.mark.parametrize("command,flag,path,kind", [
+    ("calibrate", "--points", (0, "pixel", 1), "number"),
+    ("calibrate", "--points", (2, "court", 0), "number"),
+    ("place", "--camera", ("f",), "number"),
+    ("place", "--camera", ("py",), "number"),
+    ("place", "--camera", ("R", 4), "number"),
+    ("place", "--camera", ("T", 2), "number"),
+    ("place", "--pose3d", ("positions", 3, 1), "number"),
+    ("skin", "--weights", ("values", 0), "number"),
+    ("skin", "--weights", ("rows", 0), "integer"),
+    ("skin", "--weights", ("shape", 1), "integer"),
+    ("skin", "--pose", ("rotations", 1, 0), "number"),
+    ("skin", "--pose", ("translations", 0, 2), "number"),
+    ("skin", "--skeleton", ("joints", 1, "offset", 1), "number"),
+    ("skin", "--skeleton", ("joints", 1, "parent"), "integer"),
+])
+def test_json_number_that_is_not_a_number_exit_code_2(tmp_path, capsys, json_inputs, command,
+                                                      flag, path, kind, bad):
+    argv = [command] + [arg.format(inputs=json_inputs, tmp=tmp_path)
+                        for arg in _JSON_COMMANDS[command]]
+    good = argv[argv.index(flag) + 1]
+    with open(good) as fh:
+        record = json.load(fh)
+    leaf = record
+    for key in path[:-1]:
+        leaf = leaf[key]
+    leaf[path[-1]] = bad
+    bad_file = tmp_path / "bad.json"
+    write_json(bad_file, record)
+    argv[argv.index(flag) + 1] = str(bad_file)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad_file} is not a valid record: " in err
+    assert f"must be a JSON {kind}, got {bad!r}" in err
 
 
 def test_pipeline_malformed_scene_json_exit_code_2(tmp_path, capsys):

@@ -69,15 +69,6 @@ def test_non_finite_trial_cost_raises():
         lsq.lm_solve(linear, cost, P0, **SOLVER)
 
 
-@pytest.mark.usefixtures("three_rejects")
-def test_zero_gradient_stops():
-    exact = np.linalg.lstsq(A, B, rcond=None)[0]
-    _, rec = lsq.lm_solve(lambda p: (A @ p - A @ exact, A),
-                          lambda p: float(np.sum((A @ p - A @ exact) ** 2)),
-                          exact, gtol=1e-14, **SOLVER)
-    assert rec.stop == "gradient" and rec.iterations == 1
-
-
 def flip_jacobians(monkeypatch, module):
     solve = lsq.lm_solve
     monkeypatch.setattr(module, "lm_solve",

@@ -5,10 +5,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from courtpose.errors import ValidationError
-from courtpose.metrics import (_distance_matrix, _farthest_points, chamfer, emd,
-                               farthest_point_subsample, icp,
-                               mpjpe, mpvpe, procrustes_align,
-                               rotation_error_deg)
+from courtpose.metrics import (_distance_matrix, _farthest_points, chamfer, emd, icp,
+                               mpjpe, mpvpe, procrustes_align, rotation_error_deg)
 from courtpose.model import Frame, Pose3D
 from courtpose.transforms import axis_angle_to_matrix
 from helpers import random_rotation
@@ -264,8 +262,8 @@ def test_farthest_point_subsample_matches_norm_loop(name):
          # 1.0, so the second pick is a tie only after the square root
          "root tie": lambda: np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                                        [1.0, 3 * 2.0 ** -28, 0.0]])}[name]()
-    for count in (1, 2, 64, 255):
-        got = farthest_point_subsample(P, count)
+    for count in (c for c in (1, 2, 64, 255) if c < len(P)):
+        got = P[_farthest_points([P], count)[:, 0]]
         assert np.array_equal(got, farthest_point_subsample_oracle(P, count)), count
         assert np.array_equal(got, farthest_point_subsample_axis_loop(P, count)), count
 
@@ -284,8 +282,8 @@ def test_lock_step_pair_matches_one_cloud_at_a_time(name):
     for count in (1, 2, 3, min(len(A), len(B)) - 1):
         chosen = _farthest_points([A, B], count)
         Am, Bm = A[chosen[:, 0]], B[chosen[:, 1]]
-        assert np.array_equal(Am, farthest_point_subsample(A, count)), count
-        assert np.array_equal(Bm, farthest_point_subsample(B, count)), count
+        assert np.array_equal(chosen[:, :1], _farthest_points([A], count)), count
+        assert np.array_equal(chosen[:, 1:], _farthest_points([B], count)), count
         assert np.array_equal(Am, farthest_point_subsample_oracle(A, count)), count
         assert np.array_equal(Bm, farthest_point_subsample_oracle(B, count)), count
         assert np.array_equal(_farthest_points([B, A], count), chosen[:, ::-1]), count
@@ -333,7 +331,7 @@ def test_emd_matches_norm_oracle(seed):
 def test_farthest_point_subsample_spreads():
     rng = np.random.default_rng(14)
     P = rng.normal(size=(200, 3))
-    S = farthest_point_subsample(P, 20)
+    S = P[_farthest_points([P], 20)[:, 0]]
     assert S.shape == (20, 3)
     assert len(np.unique(S, axis=0)) == 20
 
@@ -342,8 +340,6 @@ def test_farthest_point_subsample_spreads():
 def test_subsample_of_fewer_than_one_point_rejected(count):
     P = np.random.default_rng(15).normal(size=(10, 3))
     with pytest.raises(ValidationError, match=f"got {count}"):
-        farthest_point_subsample(P, count)
-    with pytest.raises(ValidationError):
         emd(P, P, subsample=count)
 
 
