@@ -128,11 +128,17 @@ def solve_pnp_planar(correspondences, image_size, focal: float | None = None):
     recovered from the plane-to-image homography's orthogonality constraints
     (pass ``focal`` to pin it instead - required for fronto-parallel views
     where f is unobservable). Returns (Camera, rms reprojection error in px).
+    Non-finite correspondences, or a ``focal`` that is not finite and > 0,
+    are a ValidationError.
     """
     pix = np.asarray([c[0] for c in correspondences], dtype=float).reshape(-1, 2)
     wrd = np.asarray([c[1] for c in correspondences], dtype=float)
     if len(pix) < 4:
         raise ValidationError("planar PnP needs at least 4 correspondences")
+    if not (np.all(np.isfinite(pix)) and np.all(np.isfinite(wrd))):
+        raise ValidationError("planar PnP needs finite correspondences")
+    if focal is not None and not (np.isfinite(focal) and focal > 0):
+        raise ValidationError(f"focal length must be finite and > 0, got {focal!r}")
     if wrd.shape[1] == 3:
         if np.abs(wrd[:, 1]).max() > 1e-9:
             raise ValidationError("court points must lie on the y=0 plane")

@@ -108,15 +108,41 @@ def rotation_error_deg(R_pred: np.ndarray, R_gt: np.ndarray) -> np.ndarray:
 
 
 def chamfer(A: np.ndarray, B: np.ndarray) -> float:
-    """Symmetric mean squared nearest-neighbor distance, scaled by 1000."""
+    """Symmetric mean squared nearest-neighbor distance, scaled by 1000.
+
+    When A and B have equal sizes, pairing A_i with B_i bounds every
+    nearest-neighbor distance, in either direction, by the largest
+    ``|A_i - B_i|``; both k-d queries stop at that bound, padded by 1e-6 of
+    it plus 1e-12 m, far above the few ulps by which the pairing's distances
+    and the tree's can differ. A point that the bounded query leaves
+    unanswered (distance inf) is queried again without the bound, and all
+    points are queried without it when the sizes differ. The trees
+    split at sliding midpoints instead of medians (``balanced_tree=False``),
+    which builds them in about half the time. Neither the bound nor the
+    tree's shape changes how the distance of a pair is computed, so each
+    distance is the unbounded query's on a median-split tree, to the bit.
+    """
     A = np.asarray(A, dtype=float).reshape(-1, 3)
     B = np.asarray(B, dtype=float).reshape(-1, 3)
     if len(A) == 0 or len(B) == 0:
         raise ValidationError("chamfer distance of an empty point set")
     from scipy.spatial import cKDTree
-    da, _ = cKDTree(B).query(A)
-    db, _ = cKDTree(A).query(B)
+    bound = np.inf
+    if len(A) == len(B):
+        d = A - B
+        bound = np.sqrt(np.max(np.vecdot(d, d))) * (1 + 1e-6) + 1e-12
+    da = _nearest_distances(cKDTree(B, balanced_tree=False), A, bound)
+    db = _nearest_distances(cKDTree(A, balanced_tree=False), B, bound)
     return 1000.0 * float(np.mean(da ** 2) + np.mean(db ** 2))
+
+
+def _nearest_distances(tree, points, bound):
+    """``tree.query(points)``'s distances, searched within ``bound`` first."""
+    d, _ = tree.query(points, distance_upper_bound=bound)
+    miss = np.flatnonzero(np.isinf(d))
+    if len(miss):
+        d[miss], _ = tree.query(points[miss])
+    return d
 
 
 def _farthest_from_centroid(P: np.ndarray) -> int:

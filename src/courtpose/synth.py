@@ -25,9 +25,10 @@ from .errors import StageError, ValidationError
 from .mesh import BodyMesh, PartMesh, load_obj, save_obj
 from .metrics import chamfer, emd, mpvpe, rotation_error_deg
 from .model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
-                    forward_kinematics, load_json_record, pose2d_from_json, pose2d_to_json,
-                    pose3d_from_json, pose3d_to_json, rest_pose, skeleton_from_json,
-                    skeleton_to_json, transforms_from_json, transforms_to_json)
+                    forward_kinematics, json_number, json_numbers, load_json_record,
+                    pose2d_from_json, pose2d_to_json, pose3d_from_json, pose3d_to_json,
+                    rest_pose, skeleton_from_json, skeleton_to_json, transforms_from_json,
+                    transforms_to_json)
 from .placement import place_player
 from .posemaps import (JumpInfo, decode_heatmaps, decode_location_maps,
                        encode_heatmaps, encode_location_maps, jump_from_json,
@@ -407,17 +408,31 @@ def save_scene(bundle: SceneBundle, outdir) -> None:
 
 
 def load_scene(scenedir) -> SceneBundle:
+    """The scene that ``save_scene`` wrote to ``scenedir``. A field of
+    scene.json that is not a JSON number of the right kind (the seed, an
+    integer >= 0, and the frame size are integers) or shape is a
+    ValidationError naming the file."""
     import os
     rest = load_obj(os.path.join(scenedir, "rest.obj"))
     posed = load_obj(os.path.join(scenedir, "posed.obj"))
     line_mask = load_pgm(os.path.join(scenedir, "mask.pgm"))
 
     def from_json(d):
+        seed = json_number(d["seed"], "scene seed", int)
+        if seed < 0:
+            raise ValidationError(f"scene seed must be >= 0, got {seed}")
+        corrs = d["correspondences"]
+        pixels = json_numbers([px for px, _ in corrs], "scene correspondence pixel")
+        court = json_numbers([w for _, w in corrs], "scene correspondence court point")
         return SceneBundle(
-            seed=d["seed"], config=SceneConfig(tuple(d["image_size"])),
+            seed=seed,
+            config=SceneConfig(tuple(json_numbers(d["image_size"], "scene image_size",
+                                                  int).tolist())),
             court=make_court_model(),
             camera=camera_from_json(d["camera"]),
-            crop_origin=tuple(d["crop_origin"]), crop_scale=d["crop_scale"],
+            crop_origin=tuple(json_numbers(d["crop_origin"], "scene crop_origin")
+                              .reshape(2).tolist()),
+            crop_scale=json_number(d["crop_scale"], "scene crop_scale"),
             skeleton=skeleton_from_json(d["skeleton"]),
             transforms=transforms_from_json(d["transforms"]),
             pose_root=pose3d_from_json(d["pose_root"]),
@@ -425,7 +440,8 @@ def load_scene(scenedir) -> SceneBundle:
             pose2d=pose2d_from_json(d["pose2d"]),
             jump=jump_from_json(d["jump"]),
             rest_body=rest, posed_body=posed, line_mask=line_mask,
-            correspondences=tuple((tuple(px), tuple(w)) for px, w in d["correspondences"]),
+            correspondences=tuple(zip(map(tuple, pixels.reshape(len(corrs), 2).tolist()),
+                                      map(tuple, court.reshape(len(corrs), 3).tolist()))),
         )
 
     return load_json_record(os.path.join(scenedir, "scene.json"), from_json)

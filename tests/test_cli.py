@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -312,6 +313,35 @@ def test_pipeline_scene_dir_with_a_one_part_rest_body_exit_code_2(tmp_path, caps
     assert "[skin] weight rows do not match body vertex count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("focal", ["nan", "inf", "0", "-1400"])
+def test_calibrate_focal_that_is_not_finite_and_positive_exit_code_2(tmp_path, capsys, bundle,
+                                                                     focal):
+    # --focal nan used to exit 1 on numpy's "SVD did not converge"
+    pts = [{"pixel": list(px), "court": list(w)} for px, w in bundle.correspondences]
+    write_json(tmp_path / "pts.json", pts)
+    out = tmp_path / "camera.json"
+    code = main(["calibrate", "--image-size", "1280x720", "--points", str(tmp_path / "pts.json"),
+                 f"--focal={focal}", "--out", str(out)])
+    assert code == 2
+    assert f"focal length must be finite and > 0, got {float(focal)!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, k", [("pixel", 0), ("pixel", 1), ("court", 2)])
+def test_calibrate_non_finite_correspondence_exit_code_2(tmp_path, capsys, bundle, field, k):
+    # Python's json reads NaN, and a NaN pixel used to exit 1 on numpy's
+    # "SVD did not converge"
+    pts = [{"pixel": list(px), "court": list(w)} for px, w in bundle.correspondences]
+    pts[2][field][k] = float("nan")
+    write_json(tmp_path / "pts.json", pts)
+    out = tmp_path / "camera.json"
+    code = main(["calibrate", "--image-size", "1280x720", "--points", str(tmp_path / "pts.json"),
+                 "--out", str(out)])
+    assert code == 2
+    assert "planar PnP needs finite correspondences" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_degenerate_calibration_exit_code(tmp_path):
     pts = [{"pixel": [10.0 * i, 5.0], "court": [float(i), 0.0]} for i in range(4)]
     write_json(tmp_path / "pts.json", pts)
@@ -522,6 +552,53 @@ def test_pipeline_malformed_scene_json_exit_code_2(tmp_path, capsys):
     code = main(["pipeline", "--scene-dir", str(out), "--out", str(tmp_path / "r.json")])
     assert code == 2
     assert str(out / "scene.json") in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def scene_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("saved") / "scene"
+    assert main(["synth", "--seed", "5", "--out", str(out)]) == 0
+    return out
+
+
+def _bad_correspondence(k, j, bad):
+    def edit(corrs):
+        corrs[0][k][j] = bad
+        return corrs
+    return edit
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("seed", True, "scene seed must be a JSON integer, got True"),
+    ("seed", 5.0, "scene seed must be a JSON integer, got 5.0"),
+    ("seed", -1, "scene seed must be >= 0, got -1"),
+    ("image_size", [True, 720], "scene image_size must be a JSON integer, got True"),
+    ("image_size", [1280.0, 720], "scene image_size must be a JSON integer, got 1280.0"),
+    ("crop_scale", "2", "scene crop_scale must be a JSON number, got '2'"),
+    ("crop_origin", [0.0, "1"], "scene crop_origin must be a JSON number, got '1'"),
+    ("crop_origin", [0.0, 1.0, 2.0], "cannot reshape"),
+    ("correspondences", _bad_correspondence(0, 1, "3"),
+     "scene correspondence pixel must be a JSON number, got '3'"),
+    ("correspondences", _bad_correspondence(1, 2, False),
+     "scene correspondence court point must be a JSON number, got False"),
+], ids=["seed_true", "seed_float", "seed_negative", "image_size_true", "image_size_float",
+        "crop_scale_string", "crop_origin_string", "crop_origin_three", "pixel_string",
+        "court_false"])
+def test_pipeline_scene_dir_field_that_is_not_a_number_exit_code_2(
+        tmp_path, capsys, scene_dir, field, bad, message):
+    # "seed": true with a string crop_scale used to end the place stage with
+    # exit 3 on "can't multiply sequence by non-int of type 'float'"
+    out = tmp_path / "scene"
+    shutil.copytree(scene_dir, out)
+    scene = json.loads((out / "scene.json").read_text())
+    scene[field] = bad(scene[field]) if callable(bad) else bad
+    write_json(out / "scene.json", scene)
+    report = tmp_path / "r.json"
+    assert main(["pipeline", "--scene-dir", str(out), "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'scene.json'} is not a valid record: " in err
+    assert message in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("where", ["header", "name", "payload"])

@@ -180,10 +180,69 @@ def _scaled_case(scale):
     return build
 
 
+def _plane_case(scale):
+    # points in the plane z = 0, 1e-5 to 0.1 off the origin, whose nearest
+    # corner is (0, 0, -1); large faces parallel to them at z = 1 - 1e-9 ...
+    # 1 + 1e-3 keep their bounding spheres in reach, so only their plane
+    # offsets, around the bound that corner sets, decide the plane cut (the
+    # one at z = 1 ties with the corner for the origin); faces in the plane
+    # z = 0, far off sideways, have no offset at all
+    def build(rng):
+        verts = [[0.0, 0, -1], [0.3, 0, -1.2], [0, 0.3, -1.2]]
+        faces = [[0, 1, 2]]
+        for h in (1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-7, 1 + 1e-6, 1 + 1e-5, 1 + 1e-3):
+            faces.append(len(verts) + np.arange(3))
+            verts += [[-10.0, -10, h], [10.0, -10, h], [0.0, 10, h]]
+        for x in (1.5, -1.5):
+            faces.append(len(verts) + np.arange(3))
+            verts += [[x, -3.0, 0], [x, 3.0, 0], [x * 8 / 3, 0.0, 0]]
+        side = rng.uniform(-1, 1, (30, 2)) * 10.0 ** rng.uniform(-5, -1, (30, 1))
+        pts = np.concatenate([[[0.0, 0, 0]], np.column_stack([side, np.zeros(30)])])
+        return pts * scale, np.array(verts) * scale, np.array(faces)
+    return build
+
+
+def _thin_face_case(rng):
+    # needles: for |ab x ac| down to 1e-16 |ab| |ac|, the rounded edges turn
+    # the computed normal by up to a tenth of a radian. Each point sits 1 cm
+    # off its needle's middle, along the needle's true normal, and a
+    # triangle has a corner only just farther away, which sets the bound; a
+    # plane cut trusting the needle's normal would drop the nearest face
+    verts, faces, pts = [], [], []
+    for x in range(0, 400, 10):
+        a = rng.uniform(-1, 1, 3) + [x, 0, 0]
+        e = rng.normal(size=3)
+        e /= np.linalg.norm(e)
+        b = a + e * rng.uniform(0.5, 2)
+        side = np.cross(e, rng.normal(size=3))
+        side /= np.linalg.norm(side)
+        up = np.cross(e, side)
+        p = a + (b - a) * rng.uniform(0.2, 0.8) + 0.01 * up
+        w = p - 0.01 * (1 + 10.0 ** rng.uniform(-6, -2)) * up
+        faces += [len(verts) + np.arange(3), len(verts) + np.arange(3, 6)]
+        verts += [a, b, (a + b) / 2 + side * 10.0 ** rng.uniform(-16, -14),
+                  w, w - 0.3 * up + 0.01 * side, w - 0.3 * up - 0.05 * side]
+        pts.append(p)
+    return np.array(pts), np.array(verts), np.array(faces)
+
+
+def _band_edge_case(rng):
+    # a point a few ulps inside the collision band above each tilted
+    # triangle: its offset from the plane and its exact-pass distance round
+    # apart, and the plane cut's margin must keep every face that the exact
+    # pass finds within the band
+    verts = rng.normal(scale=0.3, size=(60, 3, 3)) + np.arange(60)[:, None, None] * [10.0, 0, 0]
+    verts, faces = verts.reshape(-1, 3), np.arange(180).reshape(-1, 3)
+    z = COLLISION_BAND * (1 - rng.integers(1, 4, size=(60, 1)) * 2.0 ** -52)
+    return verts[faces].mean(axis=1) + z * face_normals(verts, faces), verts, faces
+
+
 @pytest.mark.parametrize("build", [
     _unreferenced_vertex_case, _zero_area_case, _far_case,
-    _scaled_case(1e-3), _scaled_case(1e3)],
-    ids=["unreferenced_vertex", "zero_area_face", "far_points", "scale_1e-3", "scale_1e3"])
+    _scaled_case(1e-3), _scaled_case(1e3),
+    _plane_case(1e-3), _plane_case(1.0), _plane_case(1e3), _thin_face_case, _band_edge_case],
+    ids=["unreferenced_vertex", "zero_area_face", "far_points", "scale_1e-3", "scale_1e3",
+         "plane_bound_1e-3", "plane_bound_1", "plane_bound_1e3", "thin_face", "band_edge"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_culled_query_matches_bruteforce_exactly(monkeypatch, build, seed):
     pts, verts, faces = build(np.random.default_rng(seed))
@@ -205,6 +264,28 @@ def test_cull_bound_ignores_unreferenced_vertices(monkeypatch):
     monkeypatch.setattr(collision, "_closest_points", counting)
     nearest_triangles(pts, verts, faces)
     assert sum(pairs) < 0.25 * len(pts) * len(faces)
+
+
+def test_plane_cut_leaves_fewer_pairs_than_the_sphere_cull(monkeypatch):
+    # scene 5000, legs against pants in the band: the sphere cull keeps
+    # 6,978 pairs, of which the plane cut leaves 2,325 to the exact pass
+    scene = synth_scene(5000).posed_body
+    pairs, closest = [], []
+    make_pairs, closest_points = collision._pairs, collision._closest_points
+
+    def counting_pairs(keep):
+        pi, fi = make_pairs(keep)
+        pairs.append(len(pi))
+        return pi, fi
+
+    def counting(p, *face_arrays):
+        closest.append(len(p))
+        return closest_points(p, *face_arrays)
+
+    monkeypatch.setattr(collision, "_pairs", counting_pairs)
+    monkeypatch.setattr(collision, "_closest_points", counting)
+    detect_collisions(scene.part("legs"), scene.part("pants"))
+    assert 0 < sum(closest) < 0.5 * sum(pairs)
 
 
 def test_nan_query_point_rejected():

@@ -3,11 +3,14 @@ import itertools
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial import cKDTree
 
+from courtpose import synth
 from courtpose.errors import ValidationError
 from courtpose.metrics import (_distance_matrix, _farthest_points, chamfer, emd, icp,
                                mpjpe, mpvpe, procrustes_align, rotation_error_deg)
 from courtpose.model import Frame, Pose3D
+from courtpose.synth import run_pipeline, synth_scene
 from courtpose.transforms import axis_angle_to_matrix
 from helpers import random_rotation
 
@@ -163,6 +166,57 @@ def test_chamfer_symmetric_and_rigid_invariant():
     R, t = rigid(rng)
     assert chamfer(A @ R.T + t, B @ R.T + t) == pytest.approx(
         chamfer(A, B), rel=1e-9)
+
+
+def chamfer_oracle(A, B):
+    """``chamfer`` from two unbounded k-d queries."""
+    da, _ = cKDTree(B).query(A)
+    db, _ = cKDTree(A).query(B)
+    return 1000.0 * float(np.mean(da ** 2) + np.mean(db ** 2))
+
+
+def test_chamfer_equals_unbounded_queries_on_pipeline_bodies(monkeypatch):
+    # the predicted and true bodies of eval, equal in size, so the pairing
+    # bound applies
+    sizes = []
+
+    def checking(A, B):
+        got = chamfer(A, B)
+        assert got == chamfer_oracle(A, B)
+        sizes.append((len(A), len(B)))
+        return got
+
+    monkeypatch.setattr(synth, "chamfer", checking)
+    for seed in range(5000, 5008):
+        run_pipeline(synth_scene(seed))
+    assert len(sizes) == 8 and all(a == b for a, b in sizes)
+
+
+def _paired_cloud(rng, case):
+    A = rng.normal(size=(300, 3))
+    B = A + rng.normal(scale=0.02, size=A.shape)
+    if case == "unequal_sizes":
+        B = B[:250]
+    elif case == "duplicated_points":
+        A[100:200] = A[:100]
+        B[150:] = B[0]
+    elif case == "one_far_outlier":
+        B[17] += 1e3
+    elif case == "every_pair_at_the_bound":
+        # a grid shifted by less than half its spacing: each point's nearest
+        # neighbour is its partner, at the pairing bound itself
+        A = np.stack(np.meshgrid(*[np.arange(7.0)] * 3), axis=-1).reshape(-1, 3)
+        B = A + [0.1, 0.2, 0.3]
+    return A, B
+
+
+@pytest.mark.parametrize("case", ["unequal_sizes", "duplicated_points", "one_far_outlier",
+                                  "every_pair_at_the_bound"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chamfer_equals_unbounded_queries(case, seed):
+    A, B = _paired_cloud(np.random.default_rng(seed), case)
+    assert chamfer(A, B) == chamfer_oracle(A, B)
+    assert chamfer(B, A) == chamfer_oracle(B, A)
 
 
 def test_chamfer_empty_rejected():
