@@ -27,7 +27,7 @@ from .model import (Skeleton, json_numbers, load_json_record, pose2d_from_json,
                     pose2d_to_json, pose3d_from_json, pose3d_to_json,
                     skeleton_from_json, transforms_from_json)
 from .placement import place_player
-from .posemaps import (decode_heatmaps, decode_location_maps, encode_heatmaps,
+from .posemaps import (codec_errors, decode_heatmaps, decode_location_maps, encode_heatmaps,
                        encode_location_maps, jump_from_json, load_heatmaps,
                        load_location_maps, save_heatmaps, save_location_maps)
 from .skinning import lbs, weights_from_json
@@ -120,9 +120,7 @@ def cmd_codec(args):
     p2 = decode_heatmaps(heat2)
     p3 = decode_location_maps(loc2, heat2)
     report = {
-        "max_2d_err_px": float(np.abs(p2.pixels[pose2d.visibility]
-                                      - pose2d.pixels[pose2d.visibility]).max(initial=0.0)),
-        "max_3d_err_m": float(np.abs(p3.positions - pose3d.positions).max()),
+        **codec_errors(pose2d, pose3d, p2, p3),
         "pose2d_decoded": pose2d_to_json(p2),
         "pose3d_decoded": pose3d_to_json(p3),
     }

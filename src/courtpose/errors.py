@@ -28,3 +28,7 @@ class StageError(CourtposeError):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        # a --jobs worker sends its failure to the parent as a pickle
+        return StageError, (self.stage, self.cause)

@@ -176,6 +176,14 @@ def decode_location_maps(loc: LocationMapStack, heat: HeatmapStack) -> Pose3D:
     return Pose3D(np.where(found[:, None], xyz, 0.0), frame=Frame.ROOT_RELATIVE)
 
 
+def codec_errors(pose2d: Pose2D, pose3d: Pose3D, decoded2d: Pose2D, decoded3d: Pose3D) -> dict:
+    """Largest round-trip error: pixels over visible joints (0 if none), meters over all."""
+    vis = pose2d.visibility
+    return {"max_2d_err_px": float(np.abs(decoded2d.pixels[vis]
+                                          - pose2d.pixels[vis]).max(initial=0.0)),
+            "max_3d_err_m": float(np.abs(decoded3d.positions - pose3d.positions).max())}
+
+
 # ---------------------------------------------------------------------------
 # Binary stack format: 8-byte header (uint32 joint count, uint32 resolution)
 # followed by little-endian float32 data.

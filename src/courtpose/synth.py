@@ -3,6 +3,10 @@ randomly posed capsule-bodied player with ground-truth poses, jump state,
 line mask and calibration correspondences. Every pipeline stage can be
 exercised end-to-end against the bundled ground truth.
 
+``run_pipeline`` is ``evaluate(reconstruct(observe(bundle)), bundle)``:
+``reconstruct`` reads only the ``Observation``, whose ``Leaks`` name the
+truth it still reads, and ``evaluate`` compares the result with the rest.
+
 All randomness flows through one seeded 64-bit generator; the same seed
 yields a bit-identical bundle.
 """
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -30,9 +35,9 @@ from .model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
                     rest_pose, skeleton_from_json, skeleton_to_json, transforms_from_json,
                     transforms_to_json)
 from .placement import place_player
-from .posemaps import (JumpInfo, decode_heatmaps, decode_location_maps,
-                       encode_heatmaps, encode_location_maps, jump_from_json,
-                       jump_to_json)
+from .posemaps import (JumpInfo, PoseMapTargets, codec_errors, decode_heatmaps,
+                       decode_location_maps, encode_heatmaps, encode_location_maps,
+                       jump_from_json, jump_to_json)
 from .primitives import capsule, tube
 from .skinning import fit_pose_to_keypoints, heat_diffusion_weights, lbs
 from .transforms import axis_angle_to_matrix, look_at_rotation
@@ -288,95 +293,128 @@ def court_landmark_reprojection(cam_est: Camera, cam_gt: Camera,
 # End-to-end pipeline
 # ---------------------------------------------------------------------------
 
-def run_pipeline(bundle: SceneBundle) -> dict:
-    """calibrate -> codec -> place -> skin -> compose -> eval, against the
-    bundle's ground truth. Raises StageError with the failing stage's tag.
+@dataclass(frozen=True)
+class Leaks:
+    """The ground truth the chain still reads where the paper's has a
+    network's output: placement's 2D pose, skinning's rest body and skeleton."""
+    pose2d: Pose2D
+    rest_body: BodyMesh
+    skeleton: Skeleton
 
-    Each stage returns its report fields and the object the next stages
-    take (the refined camera, the decoded pose, the posed and the composed
-    body), so nothing is rebuilt from the report's JSON."""
-    report = {"seed": bundle.seed, "stages": {}}
-    skeleton = bundle.skeleton
-    _, _, weights = canonical_body(bundle.config.voxel_res)
 
-    def stage(name, fn):
-        t0 = time.perf_counter()
-        try:
-            fields, value = fn()
-        except Exception as e:
-            raise StageError(name, e) from e
-        fields["seconds"] = round(time.perf_counter() - t0, 4)
-        report["stages"][name] = fields
-        return value
+@dataclass(frozen=True)
+class Observation:
+    """What the chain reads of a scene: the frame's inputs, the person crop,
+    the maps and jump class of a perfect pose network, and the leaks."""
+    image_size: tuple
+    line_mask: LineMask
+    correspondences: tuple
+    crop_origin: tuple
+    crop_scale: float
+    maps: PoseMapTargets
+    leaks: Leaks
 
-    def s_calibrate():
-        cam0, pnp_rms = solve_pnp_planar(bundle.correspondences, bundle.config.image_size)
-        ref = refine_camera_lines(cam0, bundle.line_mask, bundle.court)
-        reproj = court_landmark_reprojection(ref.camera, bundle.camera,
-                                             bundle.court, bundle.config.image_size)
-        return {"pnp_rms_px": pnp_rms, "initial_cost": ref.initial_cost,
-                "final_cost": ref.final_cost, "landmark_reproj_px": reproj,
-                "refine_iterations": ref.iterations, "refine_stop": ref.stop,
-                "camera": camera_to_json(ref.camera)}, ref.camera
 
-    cam_est = stage("calibrate", s_calibrate)
+@dataclass(frozen=True)
+class Reconstruction:
+    camera: Camera              # refined full-frame camera
+    pose2d: Pose2D              # decoded, crop coordinates
+    pose3d: Pose3D              # decoded, root-relative
+    placed: Pose3D              # world frame
+    transforms: BoneTransforms  # fitted to the decoded pose
+    body: BodyMesh              # composed, root frame
+    stages: dict                # stage -> the report fields measured without truth
 
-    def s_codec():
-        heat = encode_heatmaps(bundle.pose2d)
-        loc = encode_location_maps(bundle.pose_root, heat)
-        p2 = decode_heatmaps(heat)
-        p3 = decode_location_maps(loc, heat)
-        err2 = float(np.abs(p2.pixels - bundle.pose2d.pixels).max())
-        err3 = float(np.abs(p3.positions - bundle.pose_root.positions).max())
-        return {"max_2d_err_px": err2, "max_3d_err_m": err3,
-                "pose2d": pose2d_to_json(p2), "pose3d": pose3d_to_json(p3)}, p3
 
-    pose3d_dec = stage("codec", s_codec)
+@contextmanager
+def _stage(stages: dict, name: str, at: int = 0):
+    """Fields of stage ``name`` that the with block fills, put at key
+    position ``at`` of those it has. The block's time adds to the stage's
+    ``seconds``; its error is a StageError tagged ``name``."""
+    fields, t0 = {}, time.perf_counter()
+    try:
+        yield fields
+    except Exception as e:
+        raise StageError(name, e) from e
+    had = list(stages.get(name, {}).items())
+    fields = stages[name] = dict(had[:at] + list(fields.items()) + had[at:])
+    fields["seconds"] = round(fields.get("seconds", 0.0) + time.perf_counter() - t0, 4)
 
-    def s_place():
-        crop_est = cam_est.cropped(bundle.crop_origin, bundle.crop_scale)
-        placed, offset = place_player(crop_est, bundle.pose2d, pose3d_dec, bundle.jump)
+
+def observe(bundle: SceneBundle) -> Observation:
+    """The input of ``reconstruct``; its pose maps encode the true poses."""
+    heat = encode_heatmaps(bundle.pose2d)
+    maps = PoseMapTargets(heat, encode_location_maps(bundle.pose_root, heat), bundle.jump)
+    return Observation(bundle.config.image_size, bundle.line_mask, bundle.correspondences,
+                       bundle.crop_origin, bundle.crop_scale, maps,
+                       Leaks(bundle.pose2d, bundle.rest_body, bundle.skeleton))
+
+
+def reconstruct(obs: Observation) -> Reconstruction:
+    """calibrate -> codec (decode) -> place -> skin -> compose on ``obs``
+    alone. Raises StageError with the failing stage's tag."""
+    stages = {}
+    _, _, weights = canonical_body(SceneConfig.voxel_res)
+    with _stage(stages, "calibrate") as fields:
+        cam0, pnp_rms = solve_pnp_planar(obs.correspondences, obs.image_size)
+        ref = refine_camera_lines(cam0, obs.line_mask, make_court_model())
+        fields.update(pnp_rms_px=pnp_rms, initial_cost=ref.initial_cost,
+                      final_cost=ref.final_cost, refine_iterations=ref.iterations,
+                      refine_stop=ref.stop, camera=camera_to_json(ref.camera))
+    with _stage(stages, "codec") as fields:
+        pose2d = decode_heatmaps(obs.maps.heatmaps)
+        pose3d = decode_location_maps(obs.maps.location_maps, obs.maps.heatmaps)
+        fields.update(pose2d=pose2d_to_json(pose2d), pose3d=pose3d_to_json(pose3d))
+    with _stage(stages, "place") as fields:
+        crop_cam = ref.camera.cropped(obs.crop_origin, obs.crop_scale)
+        placed, offset = place_player(crop_cam, obs.leaks.pose2d, pose3d, obs.maps.jump)
+        fields.update(offset=offset.tolist(), pose_world=pose3d_to_json(placed))
+    with _stage(stages, "skin") as fields:
+        fitted, info = fit_pose_to_keypoints(obs.leaks.skeleton, pose3d)
+        posed = lbs(obs.leaks.rest_body, weights, fitted, obs.leaks.skeleton)
+        fields.update(fit_joint_residual_m=float(np.mean(info["joint_residuals"])),
+                      final_cost=info["final_cost"],
+                      fit_iterations=len(info["cost_history"]) - 1, fit_stop=info["stop"])
+    with _stage(stages, "compose") as fields:
+        body, rep = resolve_interpenetration(posed)
+        fields.update(residual_collisions=rep["residual_collisions"],
+                      outer_iterations=len(rep["iterations"]))
+    return Reconstruction(ref.camera, pose2d, pose3d, placed, fitted, body, stages)
+
+
+def evaluate(recon: Reconstruction, bundle: SceneBundle) -> dict:
+    """The report of ``recon``: its stage fields with the comparisons
+    against the bundle's truth, and the eval stage's mesh metrics."""
+    stages = dict(recon.stages)
+    with _stage(stages, "calibrate", at=3) as fields:
+        fields["landmark_reproj_px"] = court_landmark_reprojection(
+            recon.camera, bundle.camera, bundle.court, bundle.config.image_size)
+    with _stage(stages, "codec") as fields:
+        fields.update(codec_errors(bundle.pose2d, bundle.pose_root, recon.pose2d, recon.pose3d))
+    with _stage(stages, "place") as fields:
         j = int(np.argmin(bundle.pose_root.positions[:, 1]))
-        err = float(np.linalg.norm(placed.positions[j] - bundle.pose_world.positions[j]))
-        return {"lowest_joint_err_m": err, "offset": offset.tolist(),
-                "pose_world": pose3d_to_json(placed)}, None
-
-    stage("place", s_place)
-
-    def s_skin():
-        fitted, info = fit_pose_to_keypoints(skeleton, pose3d_dec)
-        posed = lbs(bundle.rest_body, weights, fitted, skeleton)
-        return {"fit_joint_residual_m": float(np.mean(info["joint_residuals"])),
-                "final_cost": info["final_cost"],
-                "fit_iterations": len(info["cost_history"]) - 1,
-                "fit_stop": info["stop"]}, (fitted, posed)
-
-    fitted, posed_fit = stage("skin", s_skin)
-
-    def s_compose():
-        combined, rep = resolve_interpenetration(posed_fit)
-        return {"residual_collisions": rep["residual_collisions"],
-                "outer_iterations": len(rep["iterations"])}, combined
-
-    body_final = stage("compose", s_compose)
-
-    def s_eval():
-        pred, _ = body_final.merged()
+        fields["lowest_joint_err_m"] = float(np.linalg.norm(
+            recon.placed.positions[j] - bundle.pose_world.positions[j]))
+    with _stage(stages, "eval") as fields:
+        pred, _ = recon.body.merged()
         gt, _ = bundle.posed_body.merged()
         # compare in the root frame: strip the ground-truth world offset
-        true_off = bundle.pose_world.positions[0] - bundle.pose_root.positions[0]
-        gt_root = gt - true_off
-        return {"mpvpe_mm": mpvpe(pred, gt_root),
-                "mpvpe_pa_mm": mpvpe(pred, gt_root, procrustes=True),
-                "chamfer": chamfer(pred, gt_root),
-                "emd": emd(pred, gt_root, subsample=EMD_SUBSAMPLE),
-                # joint positions carry no twist about a bone and no leaf
-                # rotation: this error is a floor the fit cannot remove
-                "rot_err_deg_mean": float(np.mean(rotation_error_deg(
-                    fitted.rotations, bundle.transforms.rotations)))}, None
+        gt_root = gt - (bundle.pose_world.positions[0] - bundle.pose_root.positions[0])
+        fields.update(mpvpe_mm=mpvpe(pred, gt_root),
+                      mpvpe_pa_mm=mpvpe(pred, gt_root, procrustes=True),
+                      chamfer=chamfer(pred, gt_root),
+                      emd=emd(pred, gt_root, subsample=EMD_SUBSAMPLE),
+                      # joint positions carry no twist about a bone and no leaf
+                      # rotation: this error is a floor the fit cannot remove
+                      rot_err_deg_mean=float(np.mean(rotation_error_deg(
+                          recon.transforms.rotations, bundle.transforms.rotations))))
+    return {"seed": bundle.seed, "stages": stages}
 
-    stage("eval", s_eval)
-    return report
+
+def run_pipeline(bundle: SceneBundle) -> dict:
+    """calibrate -> codec -> place -> skin -> compose -> eval on ``bundle``.
+    Raises StageError with the failing stage's tag."""
+    return evaluate(reconstruct(observe(bundle)), bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +449,9 @@ def load_scene(scenedir) -> SceneBundle:
     """The scene that ``save_scene`` wrote to ``scenedir``. A field of
     scene.json that is not a JSON number of the right kind (the seed, an
     integer >= 0, and the frame size are integers) or shape is a
-    ValidationError naming the file."""
+    ValidationError naming the file; a scene that breaks a SceneBundle
+    invariant, such as a mask of another frame size, is one naming the
+    directory."""
     import os
     rest = load_obj(os.path.join(scenedir, "rest.obj"))
     posed = load_obj(os.path.join(scenedir, "posed.obj"))
@@ -444,4 +484,9 @@ def load_scene(scenedir) -> SceneBundle:
                                       map(tuple, court.reshape(len(corrs), 3).tolist()))),
         )
 
-    return load_json_record(os.path.join(scenedir, "scene.json"), from_json)
+    bundle = load_json_record(os.path.join(scenedir, "scene.json"), from_json)
+    try:
+        bundle.validate()
+    except ValidationError as e:
+        raise ValidationError(f"scene {scenedir}: {e}") from e
+    return bundle

@@ -1,10 +1,13 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import courtpose
 from courtpose.calibrate import LineMask, load_pgm, save_pgm
 from courtpose.camera import camera_to_json, project
 from courtpose.cli import main
@@ -290,6 +293,30 @@ def test_pipeline_cli_parallel_scenes(tmp_path):
     reports = run(2)
     assert len(reports) == 2
     assert reports == run(1)
+
+
+def test_pipeline_jobs_with_a_failing_scene_exit_code_2():
+    # a StageError that did not pickle killed the pool's result thread, and
+    # the run hung; a subprocess with a timeout fails on a hang instead
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(courtpose.__file__))}
+    out = subprocess.run([sys.executable, "-m", "courtpose.cli", "pipeline", "--scenes", "2",
+                          "--jobs", "2", "--image-size", "8x8"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 2
+    assert "[calibrate] line mask is empty" in out.stderr
+
+
+def test_pipeline_scene_dir_with_a_mask_of_another_frame_exit_code_2(tmp_path, capsys):
+    # a 1280x720 mask in a 640x360 scene used to run to exit 0 on a camera
+    # refined against the wrong frame
+    small, full = tmp_path / "small", tmp_path / "full"
+    assert main(["synth", "--seed", "5", "--image-size", "640x360", "--out", str(small)]) == 0
+    assert main(["synth", "--seed", "5", "--out", str(full)]) == 0
+    shutil.copy(full / "mask.pgm", small / "mask.pgm")
+    report = tmp_path / "r.json"
+    assert main(["pipeline", "--scene-dir", str(small), "--out", str(report)]) == 2
+    assert f"scene {small}: line mask size does not match the frame" in capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("argv", [

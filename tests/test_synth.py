@@ -1,13 +1,18 @@
+import dataclasses
+import json
+import pickle
+
 import numpy as np
 import pytest
 
 from courtpose import synth
 from courtpose.camera import project
-from courtpose.errors import StageError
+from courtpose.errors import StageError, ValidationError
 from courtpose.placement import place_player
 from courtpose.posemaps import (decode_heatmaps, decode_location_maps,
                                 encode_heatmaps, encode_location_maps)
-from courtpose.synth import load_scene, run_pipeline, save_scene, synth_scene
+from courtpose.synth import (Leaks, SceneBundle, evaluate, load_scene, observe, reconstruct,
+                             run_pipeline, save_scene, synth_scene)
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +129,47 @@ def test_pipeline_stage_error_is_tagged(bundle, monkeypatch):
     with pytest.raises(StageError) as exc:
         run_pipeline(bundle)
     assert exc.value.stage == "calibrate"
+
+
+def test_stage_error_pickles_with_its_stage_and_cause():
+    # a --jobs worker hands its failure to the parent as a pickle
+    back = pickle.loads(pickle.dumps(StageError("calibrate", ValidationError("empty mask"))))
+    assert back.stage == "calibrate"
+    assert type(back.cause) is ValidationError
+    assert str(back) == "[calibrate] empty mask"
+
+
+def test_leaks_are_the_named_truth():
+    assert [f.name for f in dataclasses.fields(Leaks)] == ["pose2d", "rest_body", "skeleton"]
+
+
+def test_reconstruct_reads_no_bundle(bundle, monkeypatch):
+    obs = observe(bundle)
+
+    def no_truth(self, name):
+        raise AssertionError(f"reconstruct read SceneBundle.{name}")
+
+    monkeypatch.setattr(SceneBundle, "__getattribute__", no_truth)
+    recon = reconstruct(obs)
+    monkeypatch.undo()
+    assert list(recon.stages) == ["calibrate", "codec", "place", "skin", "compose"]
+    report = evaluate(recon, bundle)
+    want = run_pipeline(bundle)
+    for r in (report, want):
+        for fields in r["stages"].values():
+            del fields["seconds"]
+    assert json.dumps(report) == json.dumps(want)
+
+
+@pytest.mark.parametrize("fn, stage", [("court_landmark_reprojection", "calibrate"),
+                                       ("codec_errors", "codec"), ("mpvpe", "eval")])
+def test_evaluate_error_keeps_its_stage_tag(bundle, monkeypatch, fn, stage):
+    recon = reconstruct(observe(bundle))
+
+    def boom(*a, **k):
+        raise ValueError("forced failure")
+
+    monkeypatch.setattr(synth, fn, boom)
+    with pytest.raises(StageError) as exc:
+        evaluate(recon, bundle)
+    assert exc.value.stage == stage
