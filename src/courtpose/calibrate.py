@@ -29,7 +29,7 @@ from .camera import Camera, project_with_depth
 from .court import Arc2D, CourtModel, lift_to_plane
 from .errors import DegenerateGeometryError, NumericalError, ValidationError
 from .lsq import MAX_REJECTS, lm_solve
-from .transforms import axis_angle_to_matrix, nearest_rotation
+from .transforms import axis_angle_to_matrix, cross, nearest_rotation
 
 HINGE_PX = 1.0
 REFINE_MAX_ITERS = 100
@@ -182,7 +182,7 @@ def solve_pnp_planar(correspondences, image_size, focal: float | None = None):
     z0 = r1 * uv[0, 0] + r3 * uv[0, 1] + t
     if z0[2] < 0:
         r1, r3, t = -r1, -r3, -t
-    r2 = np.cross(r3, r1)
+    r2 = cross(r3, r1)
     R = nearest_rotation(np.column_stack([r1, r2, r3]))
     cam = Camera(float(focal), px, py, R, t)
 

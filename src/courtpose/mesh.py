@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
+from .transforms import cross
 
 PART_NAMES = ("head", "arms", "shirt", "pants", "legs", "shoes")
 
@@ -101,13 +102,13 @@ class BodyMesh:
 def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     a = vertices[faces[:, 1]] - vertices[faces[:, 0]]
     b = vertices[faces[:, 2]] - vertices[faces[:, 0]]
-    return 0.5 * np.linalg.norm(np.cross(a, b), axis=1)
+    return 0.5 * np.linalg.norm(cross(a, b), axis=1)
 
 
 def face_normals(vertices: np.ndarray, faces: np.ndarray, normalize: bool = True) -> np.ndarray:
     a = vertices[faces[:, 1]] - vertices[faces[:, 0]]
     b = vertices[faces[:, 2]] - vertices[faces[:, 0]]
-    n = np.cross(a, b)
+    n = cross(a, b)
     if normalize:
         ln = np.linalg.norm(n, axis=1, keepdims=True)
         n = np.divide(n, ln, out=np.zeros_like(n), where=ln > 0)

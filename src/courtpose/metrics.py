@@ -2,17 +2,16 @@
 distance (x1000, squared convention) and exact earth-mover distance on
 farthest-point subsamples.
 
-EMD's two kernels keep the bits of their norm-based forms: farthest-point
-sampling runs on a (3, k, n) copy of k clouds with preallocated buffers, and
-the cost matrix sums the squared differences per axis, in the left-to-right
-order that ``np.linalg.norm`` reduces in. One FPS loop serves both of
-``emd``'s clouds in lock step: per pick, a scalar subtraction per coordinate
-row and cloud, the rest of the distance update once over all clouds, and one
-``argmax`` along the rows.
+EMD's two kernels, the farthest-point rows and the cost matrix, are scipy's
+``cdist``. Its Euclidean metric sums the three squared differences left to
+right and takes the root, the arithmetic ``np.linalg.norm`` does on three
+coordinates, so both keep the bits of their norm-based forms. Every point
+set these metrics read is checked to be a finite (N, 3) array first.
 
 scipy is imported where it is used, so that a process that never evaluates
 pays none of its import: ``scipy.spatial`` in ``chamfer`` and ``icp``,
-``scipy.optimize`` in ``emd``.
+``scipy.optimize`` in ``emd``, whose ``scipy.spatial.distance`` import costs
+nothing more, as ``scipy.optimize`` loads it.
 
 Every accelerated implementation here has a brute-force oracle in the test
 suite (quadratic scans, permutation enumeration, random-restart alignment,
@@ -31,6 +30,22 @@ ICP_MAX_ITERS = 50
 ICP_RTOL = 1e-8
 
 
+def _point_set(X, what: str, at_least: int = 1) -> np.ndarray:
+    """X as a finite (N, 3) float array with N >= ``at_least``, or a
+    ``ValidationError`` that names the metric ``what``."""
+    try:
+        X = np.asarray(X, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(f"{what} needs numeric points: {e}") from None
+    if X.ndim != 2 or X.shape[1] != 3:
+        raise ValidationError(f"{what} needs (N, 3) point sets, got shape {X.shape}")
+    if len(X) < at_least:
+        raise ValidationError(f"{what} needs at least {at_least} points per set, got {len(X)}")
+    if not np.isfinite(X).all():
+        raise ValidationError(f"{what} needs finite points")
+    return X
+
+
 @dataclass(frozen=True)
 class ProcrustesResult:
     scale: float
@@ -47,10 +62,10 @@ def procrustes_align(X: np.ndarray, Y: np.ndarray, with_scale: bool = True) -> P
     A reflection guard keeps R a proper rotation; rank-deficient point sets
     set the ``degenerate`` flag.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape or X.ndim != 2 or X.shape[1] != 3 or len(X) < 3:
-        raise ValidationError("procrustes needs matching (K>=3, 3) point sets")
+    X = _point_set(X, "procrustes", at_least=3)
+    Y = _point_set(Y, "procrustes", at_least=3)
+    if X.shape != Y.shape:
+        raise ValidationError("procrustes needs matching point sets")
     mx, my = X.mean(axis=0), Y.mean(axis=0)
     Xc, Yc = X - mx, Y - my
     cov = Yc.T @ Xc / len(X)
@@ -88,8 +103,8 @@ def mpjpe(pred: Pose3D, gt: Pose3D, subset, procrustes: bool = False) -> float:
 def mpvpe(pred_vertices: np.ndarray, gt_vertices: np.ndarray,
           procrustes: bool = False) -> float:
     """Mean per-vertex position error (one-to-one correspondence), mm."""
-    P = np.asarray(pred_vertices, dtype=float)
-    G = np.asarray(gt_vertices, dtype=float)
+    P = _point_set(pred_vertices, "MPVPE")
+    G = _point_set(gt_vertices, "MPVPE")
     if P.shape != G.shape:
         raise ValidationError("vertex counts differ; MPVPE needs correspondence")
     if procrustes:
@@ -122,10 +137,8 @@ def chamfer(A: np.ndarray, B: np.ndarray) -> float:
     tree's shape changes how the distance of a pair is computed, so each
     distance is the unbounded query's on a median-split tree, to the bit.
     """
-    A = np.asarray(A, dtype=float).reshape(-1, 3)
-    B = np.asarray(B, dtype=float).reshape(-1, 3)
-    if len(A) == 0 or len(B) == 0:
-        raise ValidationError("chamfer distance of an empty point set")
+    A = _point_set(A, "chamfer distance")
+    B = _point_set(B, "chamfer distance")
     from scipy.spatial import cKDTree
     bound = np.inf
     if len(A) == len(B):
@@ -145,84 +158,40 @@ def _nearest_distances(tree, points, bound):
     return d
 
 
-def _farthest_from_centroid(P: np.ndarray) -> int:
-    """FPS's first pick: the point farthest from the centroid, lowest index
-    on ties."""
-    return int(np.argmax(np.linalg.norm(P - P.mean(axis=0), axis=1)))
-
-
-def _farthest_points(clouds, count: int) -> np.ndarray:
-    """The (count, k) FPS picks of k clouds, in one lock-step loop.
-
-    The clouds are the k rows of a (3, k, n) buffer, n the largest size; a
-    smaller cloud is padded with copies of its first point, whose distances
-    equal that point's and so never win ``argmax``'s lowest-index tie-break.
-    Each pick subtracts each cloud's last pick from its own coordinate rows
-    (a scalar subtraction per contiguous row runs faster than one broadcast
-    subtraction of a column), then squares, sums in the left-to-right order
-    that ``np.linalg.norm`` reduces in, roots and takes the minimum over all
-    clouds at once, and one ``argmax`` along the rows picks for all. Needs
-    ``1 <= count < len(P)`` for each cloud P."""
-    k = len(clouds)
-    n = max(len(P) for P in clouds)
-    X = np.empty((3, k, n))
-    for row, P in enumerate(clouds):
-        X[:, row, :len(P)] = P.T
-        X[:, row, len(P):] = P[0, :, None]
-    diff = np.empty_like(X)
-    dist = np.empty((k, n))
-    dmin = np.full((k, n), np.inf)
-    chosen = np.empty((count, k), dtype=np.intp)
-    chosen[0] = [_farthest_from_centroid(P) for P in clouds]
-    rows = [(row, X[axis, row], diff[axis, row]) for row in range(k) for axis in range(3)]
+def _farthest_points(P: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` farthest-point picks of P: the point farthest from
+    the centroid, then each time the point farthest from all picks so far,
+    lowest index on ties. Each pick's distances are one ``cdist`` row into a
+    preallocated buffer, folded into the running minimum in place."""
+    from scipy.spatial.distance import cdist
+    chosen = np.empty(count, dtype=np.intp)
+    row = cdist(P.mean(axis=0)[None], P)
+    i = chosen[0] = row.argmax()
+    dmin = np.full(len(P), np.inf)
     for c in range(1, count):
-        last = chosen[c - 1]
-        for row, x, d in rows:
-            np.subtract(x, x[last[row]], out=d)
-        np.multiply(diff, diff, out=diff)
-        np.add(diff[0], diff[1], out=dist)
-        np.add(dist, diff[2], out=dist)
-        np.sqrt(dist, out=dist)
-        np.minimum(dmin, dist, out=dmin)
-        dmin.argmax(axis=1, out=chosen[c])
+        cdist(P[i:i + 1], P, out=row)
+        np.minimum(dmin, row[0], out=dmin)
+        i = chosen[c] = dmin.argmax()
     return chosen
 
 
 def emd(A: np.ndarray, B: np.ndarray, subsample: int = 512) -> float:
     """Mean matched distance of the exact min-cost perfect matching between
-    equal-size farthest-point subsamples (shortest augmenting path)."""
-    A = np.asarray(A, dtype=float).reshape(-1, 3)
-    B = np.asarray(B, dtype=float).reshape(-1, 3)
-    if len(A) == 0 or len(B) == 0:
-        raise ValidationError("earth-mover distance of an empty point set")
+    equal-size farthest-point subsamples (shortest augmenting path); a cloud
+    no larger than the subsample is its own."""
+    A = _point_set(A, "earth-mover distance")
+    B = _point_set(B, "earth-mover distance")
+    if isinstance(subsample, bool) or not isinstance(subsample, (int, np.integer)):
+        raise ValidationError(f"a subsample size is an integer, got {subsample!r}")
     m = min(subsample, len(A), len(B))
     if m < 1:
         raise ValidationError(f"a subsample needs at least one point, got {m}")
-    # a whole cloud is its own subsample; the others are sampled in lock step
-    clouds = [A, B]
-    sampled = [i for i, P in enumerate(clouds) if m < len(P)]
-    if sampled:
-        chosen = _farthest_points([clouds[i] for i in sampled], m)
-        for col, i in enumerate(sampled):
-            clouds[i] = clouds[i][chosen[:, col]]
-    cost = _distance_matrix(*clouds)
+    A, B = (P[_farthest_points(P, m)] if m < len(P) else P for P in (A, B))
     from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
+    cost = cdist(A, B)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())
-
-
-def _distance_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of A and B, bit for bit as
-    ``np.linalg.norm(A[:, None] - B[None], axis=2)``: the squares are summed
-    per axis in the left-to-right order that the norm reduces in."""
-    cost = np.subtract.outer(A[:, 0], B[:, 0])
-    np.multiply(cost, cost, out=cost)
-    diff = np.empty_like(cost)
-    for k in (1, 2):
-        np.subtract.outer(A[:, k], B[:, k], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add(cost, diff, out=cost)
-    return np.sqrt(cost, out=cost)
 
 
 @dataclass(frozen=True)
@@ -238,10 +207,8 @@ def icp(A: np.ndarray, B: np.ndarray) -> ICPResult:
     correspondence with closed-form rigid Procrustes, for at most
     ``ICP_MAX_ITERS`` iterations, until the RMS gains less than ``ICP_RTOL``
     of its previous value."""
-    A = np.asarray(A, dtype=float).reshape(-1, 3)
-    B = np.asarray(B, dtype=float).reshape(-1, 3)
-    if len(A) < 3 or len(B) < 3:
-        raise ValidationError("ICP needs at least 3 points per set")
+    A = _point_set(A, "ICP", at_least=3)
+    B = _point_set(B, "ICP", at_least=3)
     from scipy.spatial import cKDTree
     tree = cKDTree(B)
     R = np.eye(3)

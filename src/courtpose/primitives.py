@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .mesh import PartMesh
+from .transforms import cross
 
 
 def _frame_from_axis(axis: np.ndarray) -> np.ndarray:
@@ -18,9 +19,9 @@ def _frame_from_axis(axis: np.ndarray) -> np.ndarray:
         raise ValidationError("degenerate axis")
     z = z / n
     pick = np.array([1.0, 0.0, 0.0]) if abs(z[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    x = np.cross(pick, z)
+    x = cross(pick, z)
     x /= np.linalg.norm(x)
-    y = np.cross(z, x)
+    y = cross(z, x)
     return np.stack([x, y, z], axis=1)
 
 

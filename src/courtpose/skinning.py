@@ -36,7 +36,7 @@ from .lsq import MAX_REJECTS, lm_solve
 from .mesh import BodyMesh
 from .model import (BoneTransforms, Frame, Pose3D, Skeleton, _fk_levels,
                     fk_global, forward_kinematics, json_numbers)
-from .transforms import axis_angle_to_matrix, matrix_to_axis_angle, skew
+from .transforms import axis_angle_to_matrix, cross, matrix_to_axis_angle, skew
 
 MAX_INFLUENCES = 4
 
@@ -393,7 +393,7 @@ class KeypointObjective:
         M = R_glob @ so3_right_jacobian(om)
         # -[p_i - p_j]x m = m x (p_i - p_j), for each column m of M_j:
         # C[pair, k] is the column of omega_j[k]
-        C = np.cross(M.transpose(0, 2, 1)[j], (pos[i] - pos[j])[:, None, :])
+        C = cross(M.transpose(0, 2, 1)[j], (pos[i] - pos[j])[:, None, :])
         jac = np.zeros((J, 3, self.num_params))
         jac[i[:, None], :, self._cols] = C
         return jac
@@ -455,7 +455,7 @@ def _swing_rows(A, D):
     long = (np.linalg.norm(A, axis=1) > MIN_BONE) & (np.linalg.norm(D, axis=1) > MIN_BONE)
     a = A[long] / np.sqrt(_dots(A[long], A[long]))[:, None]
     b = D[long] / np.sqrt(_dots(D[long], D[long]))[:, None]
-    axis = np.cross(a, b)
+    axis = cross(a, b)
     cos = _dots(a, b)
     angle = np.arctan2(np.sqrt(_dots(axis, axis)), cos)
     # drop the rounding along a, which the division below would magnify
@@ -464,7 +464,7 @@ def _swing_rows(A, D):
     n = np.sqrt(_dots(axis, axis))
     flat = n < 1e-15  # parallel or opposite to within the rounding of a unit vector
     half = flat & (cos <= 0)
-    axis[half] = np.cross(a[half], np.eye(3)[np.argmin(np.abs(a[half]), axis=1)])
+    axis[half] = cross(a[half], np.eye(3)[np.argmin(np.abs(a[half]), axis=1)])
     n[half] = np.sqrt(_dots(axis[half], axis[half]))
     angle[half] = np.pi
     turn = ~flat | half

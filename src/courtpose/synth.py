@@ -40,7 +40,7 @@ from .posemaps import (JumpInfo, PoseMapTargets, codec_errors, decode_heatmaps,
                        jump_from_json, jump_to_json)
 from .primitives import capsule, tube
 from .skinning import fit_pose_to_keypoints, heat_diffusion_weights, lbs
-from .transforms import axis_angle_to_matrix, look_at_rotation
+from .transforms import axis_angle_to_matrix, cross, look_at_rotation
 
 EMD_SUBSAMPLE = 256  # points per side of the eval stage's EMD
 
@@ -256,7 +256,7 @@ def _pick_correspondences(camera: Camera, court: CourtModel, image_size):
         for i in range(len(sel)):
             for j in range(i + 1, len(sel)):
                 a, b = pts[sel[i]], pts[sel[j]]
-                area = np.linalg.norm(np.cross(b - a, pts[c] - a))
+                area = np.linalg.norm(cross(b - a, pts[c] - a))
                 if area < 1e-6:
                     return False
         return True

@@ -1,4 +1,5 @@
-"""Small rigid-transform toolbox: rotation checks, axis-angle, look-at."""
+"""Small rigid-transform toolbox: rotation checks, axis-angle, cross products,
+look-at."""
 from __future__ import annotations
 
 import numpy as np
@@ -69,6 +70,21 @@ def _near_identity_or_half_turn(R, cos, theta, v):
     return axis * np.arctan2(np.linalg.norm(v) / 2.0, cos)
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross(a, b)`` for (..., 3) arrays, broadcast over the leading
+    axes, bit for bit: the components are formed as np.cross forms them,
+    ``a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0``, product by product,
+    without np.cross's axis handling, which costs more than the arithmetic
+    on the small arrays here."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape[-1:] != (3,) or b.shape[-1:] != (3,):
+        raise ValidationError(f"cross needs (..., 3) arrays, got shapes {a.shape} and {b.shape}")
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrices, skew(v) @ w == np.cross(v, w):
     (3,) -> (3, 3), or (N, 3) -> (N, 3, 3)."""
@@ -105,11 +121,11 @@ def look_at_rotation(eye: np.ndarray, target: np.ndarray, up=(0.0, 1.0, 0.0)) ->
         raise ValidationError("look-at target coincides with eye")
     fwd = fwd / n
     upv = np.asarray(up, dtype=float)
-    right = np.cross(fwd, upv)
+    right = cross(fwd, upv)
     rn = np.linalg.norm(right)
     if rn < 1e-9:
         raise ValidationError("look-at direction parallel to up vector")
     right /= rn
     # y axis points down so that image rows grow downward
-    down = np.cross(fwd, right)
+    down = cross(fwd, right)
     return np.stack([right, down, fwd], axis=0)

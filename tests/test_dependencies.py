@@ -58,6 +58,17 @@ def test_cli_pipeline_and_toy_data_do_not_import_scipy_optimize_or_spatial():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_np_cross_outside_meshnet():
+    # transforms.cross forms the same bits without np.cross's axis handling;
+    # meshnet's per-face loops keep their scalar forms on Python floats
+    calls = [f"{path.relative_to(SRC)}:{node.lineno}"
+             for path in sorted(SRC.rglob("*.py")) if "meshnet" not in path.parts
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "cross"
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    assert calls == []
+
+
 def test_every_exported_name_resolves():
     # a name deleted from the package but left in __all__ breaks
     # `from courtpose import *` with an AttributeError

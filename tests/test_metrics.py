@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
+from scipy.spatial import distance as scipy_distance
 
 from courtpose import synth
 from courtpose.errors import ValidationError
-from courtpose.metrics import (_distance_matrix, _farthest_points, chamfer, emd, icp,
-                               mpjpe, mpvpe, procrustes_align, rotation_error_deg)
+from courtpose.metrics import (_farthest_points, chamfer, emd, icp, mpjpe, mpvpe,
+                               procrustes_align, rotation_error_deg)
 from courtpose.model import Frame, Pose3D
 from courtpose.synth import run_pipeline, synth_scene
 from courtpose.transforms import axis_angle_to_matrix
@@ -317,14 +318,15 @@ def test_farthest_point_subsample_matches_norm_loop(name):
          "root tie": lambda: np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                                        [1.0, 3 * 2.0 ** -28, 0.0]])}[name]()
     for count in (c for c in (1, 2, 64, 255) if c < len(P)):
-        got = P[_farthest_points([P], count)[:, 0]]
+        got = P[_farthest_points(P, count)]
         assert np.array_equal(got, farthest_point_subsample_oracle(P, count)), count
         assert np.array_equal(got, farthest_point_subsample_axis_loop(P, count)), count
 
 
 @pytest.mark.parametrize("name", ["normal 3000 / 700", "grid 12^3 / skewed 500",
                                   "root tie / normal 40"])
-def test_lock_step_pair_matches_one_cloud_at_a_time(name):
+def test_emd_of_unequal_clouds_matches_oracle(name):
+    # both clouds sampled, from different sizes, ties and scales
     rng = np.random.default_rng(22)
     A, B = {"normal 3000 / 700": lambda: (rng.normal(size=(3000, 3)),
                                           rng.normal(size=(700, 3)) + 2.0),
@@ -334,13 +336,8 @@ def test_lock_step_pair_matches_one_cloud_at_a_time(name):
                 np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 3 * 2.0 ** -28, 0.0],
                           [0.5, 0.5, 0.0]]), rng.normal(size=(40, 3)))}[name]()
     for count in (1, 2, 3, min(len(A), len(B)) - 1):
-        chosen = _farthest_points([A, B], count)
-        Am, Bm = A[chosen[:, 0]], B[chosen[:, 1]]
-        assert np.array_equal(chosen[:, :1], _farthest_points([A], count)), count
-        assert np.array_equal(chosen[:, 1:], _farthest_points([B], count)), count
-        assert np.array_equal(Am, farthest_point_subsample_oracle(A, count)), count
-        assert np.array_equal(Bm, farthest_point_subsample_oracle(B, count)), count
-        assert np.array_equal(_farthest_points([B, A], count), chosen[:, ::-1]), count
+        assert emd(A, B, subsample=count) == emd_oracle(A, B, count), count
+        assert emd(B, A, subsample=count) == emd_oracle(B, A, count), count
 
 
 @pytest.mark.parametrize("sizes", [(40, 40), (40, 25), (25, 40), (1, 30)])
@@ -364,13 +361,24 @@ def emd_oracle(A, B, subsample):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_distance_matrix_matches_broadcast_norm(seed):
+    # EMD's cost matrix is scipy's cdist: a scipy release that changes its
+    # arithmetic fails here
     rng = np.random.default_rng(seed)
     scale = [1.0, 1e-3, 1e3, 7.0][seed]
     A = rng.normal(size=(200, 3)) * scale + rng.normal(size=3)
     B = rng.normal(size=(150, 3)) * scale
     B[:5] = A[:5]  # zero distances
-    assert np.array_equal(_distance_matrix(A, B),
+    assert np.array_equal(scipy_distance.cdist(A, B),
                           np.linalg.norm(A[:, None, :] - B[None, :, :], axis=2))
+
+
+def test_cdist_rows_match_farthest_point_norm_rows():
+    # FPS's rows are cdist from one point, or from the centroid, to a cloud
+    rng = np.random.default_rng(4)
+    P = rng.normal(size=(2000, 3)) * [3.0, 0.5, 1e-3] + 7.0
+    for q in (P.mean(axis=0), *P):
+        assert np.array_equal(scipy_distance.cdist(q[None], P)[0],
+                              np.linalg.norm(P - q, axis=1))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -382,10 +390,48 @@ def test_emd_matches_norm_oracle(seed):
         assert emd(A, B, subsample=subsample) == emd_oracle(A, B, subsample)
 
 
+def test_emd_equals_oracle_on_pipeline_bodies(monkeypatch):
+    # eval's predicted and true bodies, both sampled to EMD_SUBSAMPLE points
+    sizes = []
+
+    def checking(A, B, subsample):
+        got = emd(A, B, subsample=subsample)
+        assert got == emd_oracle(A, B, subsample)
+        sizes.append((len(A), len(B), subsample))
+        return got
+
+    monkeypatch.setattr(synth, "emd", checking)
+    for seed in range(5000, 5008):
+        run_pipeline(synth_scene(seed))
+    assert len(sizes) == 8 and all(min(a, b) > m for a, b, m in sizes)
+
+
+@pytest.mark.parametrize("sizes, subsample, calls", [
+    ((700, 650), 32, 2 * 32 + 1),  # both sampled: a start row and 31 pick rows each
+    ((40, 25), 512, 25 + 1),       # only the larger cloud is sampled
+    ((30, 30), 512, 1),            # neither: the cost matrix alone
+], ids=["both sampled", "one sampled", "none sampled"])
+def test_emd_makes_one_distance_row_per_pick(monkeypatch, sizes, subsample, calls):
+    rng = np.random.default_rng(23)
+    A, B = rng.normal(size=(sizes[0], 3)), rng.normal(size=(sizes[1], 3))
+    cdist, shapes = scipy_distance.cdist, []
+
+    def counting(XA, XB, *args, **kwargs):
+        shapes.append((len(XA), len(XB)))
+        return cdist(XA, XB, *args, **kwargs)
+
+    monkeypatch.setattr(scipy_distance, "cdist", counting)
+    emd(A, B, subsample=subsample)
+    assert len(shapes) == calls
+    m = min(subsample, *sizes)
+    assert shapes[-1] == (m, m)
+    assert all(rows == 1 for rows, _ in shapes[:-1])
+
+
 def test_farthest_point_subsample_spreads():
     rng = np.random.default_rng(14)
     P = rng.normal(size=(200, 3))
-    S = P[_farthest_points([P], 20)[:, 0]]
+    S = P[_farthest_points(P, 20)]
     assert S.shape == (20, 3)
     assert len(np.unique(S, axis=0)) == 20
 
@@ -395,6 +441,48 @@ def test_subsample_of_fewer_than_one_point_rejected(count):
     P = np.random.default_rng(15).normal(size=(10, 3))
     with pytest.raises(ValidationError, match=f"got {count}"):
         emd(P, P, subsample=count)
+
+
+@pytest.mark.parametrize("subsample", [2.5, True, "8", None])
+def test_subsample_that_is_not_an_integer_rejected(subsample):
+    P = np.random.default_rng(15).normal(size=(10, 3))
+    with pytest.raises(ValidationError, match="subsample size is an integer"):
+        emd(P, P, subsample=subsample)
+
+
+# ---------------------------------------------------------------------------
+# Point-set checks
+# ---------------------------------------------------------------------------
+
+POINT_METRICS = {"mpvpe": (mpvpe, "MPVPE"), "chamfer": (chamfer, "chamfer distance"),
+                 "emd": (emd, "earth-mover distance"), "icp": (icp, "ICP"),
+                 "procrustes_align": (procrustes_align, "procrustes")}
+
+
+def _with_point(P, value):
+    P[7, 1] = value
+    return P
+
+
+BAD_POINT_SETS = {
+    # 24 numbers that reshape(-1, 3) used to read as 8 points
+    "(4, 6) array": lambda P: P[:8].reshape(4, 6),
+    "(40, 2) array": lambda P: P[:, :2],
+    "NaN point": lambda P: _with_point(P, np.nan),
+    "inf point": lambda P: _with_point(P, -np.inf),
+    "text": lambda P: [["x", "y", "z"]] * len(P),
+}
+
+
+@pytest.mark.parametrize("case", BAD_POINT_SETS)
+@pytest.mark.parametrize("name", POINT_METRICS)
+def test_bad_point_set_rejected_naming_the_metric(name, case):
+    metric, what = POINT_METRICS[name]
+    P = np.random.default_rng(41).normal(size=(40, 3))
+    bad = BAD_POINT_SETS[case](P.copy())
+    for args in ((bad, P), (P, bad)):
+        with pytest.raises(ValidationError, match=what):
+            metric(*args)
 
 
 # ---------------------------------------------------------------------------

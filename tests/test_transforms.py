@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from courtpose.errors import ValidationError
-from courtpose.transforms import (axis_angle_to_matrix, look_at_rotation,
+from courtpose.transforms import (axis_angle_to_matrix, cross, look_at_rotation,
                                   matrix_to_axis_angle, nearest_rotation,
                                   rotation_defect, skew)
 from helpers import random_rotation
@@ -81,6 +81,36 @@ def test_skew_matches_cross_product():
     for bad in (np.zeros(4), np.zeros((2, 2)), np.zeros((2, 2, 3))):
         with pytest.raises(ValidationError):
             skew(bad)
+
+
+def _special_values(rng, n):
+    """Rows mixing ordinary numbers with +-0, +-inf, NaN and subnormals."""
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                     2.2e-308, 1.0, -1.0, 1e300, -3.5])
+    X = rng.normal(size=(n, 3))
+    mask = rng.random((n, 3)) < 0.5
+    X[mask] = rng.choice(pool, size=mask.sum())
+    return X
+
+
+@pytest.mark.parametrize("shapes", [((3,), (3,)), ((500, 3), (500, 3)), ((3,), (40, 3)),
+                                    ((161, 3, 3), (161, 1, 3)), ((7, 1, 3), (1, 5, 3))],
+                         ids=["vectors", "rows", "vector x rows", "jacobian", "outer"])
+def test_cross_equals_np_cross_bit_for_bit(shapes):
+    rng = np.random.default_rng(sum(map(len, shapes)))
+    a, b = (_special_values(rng, int(np.prod(s[:-1]))).reshape(s) for s in shapes)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = cross(a, b), np.cross(a, b)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_cross_rejects_non_3_vectors():
+    with pytest.raises(ValidationError):
+        cross(np.zeros(2), np.zeros(3))
+    with pytest.raises(ValidationError):
+        cross(np.zeros((4, 3)), np.zeros((3, 4)))
 
 
 def test_axis_angle_round_trip_near_pi():
