@@ -52,20 +52,18 @@ class Camera:
 
 
 def project(camera: Camera, world) -> np.ndarray:
-    """Project world point(s) to pixels; raises if any point has z_c <= 0."""
+    """``project_with_depth``'s pixels of world point(s); raises if any
+    point has z_c <= 0."""
     pts = np.asarray(world, dtype=float)
-    single = pts.ndim == 1
-    cam = camera.to_camera(pts.reshape(-1, 3))
-    z = cam[:, 2]
+    uv, z = project_with_depth(camera, pts)
     if np.any(z <= 0):
         raise BehindCameraError(f"{int(np.sum(z <= 0))} point(s) at or behind the camera plane")
-    uv = cam[:, :2] / z[:, None] * camera.f + np.array([camera.px, camera.py])
-    return uv[0] if single else uv
+    return uv[0] if pts.ndim == 1 else uv
 
 
 def project_with_depth(camera: Camera, world):
-    """Like project but returns (pixels, z_c) and keeps behind-camera points
-    (caller filters on z_c > 0)."""
+    """(pixels, z_c) of world points (N, 3), behind-camera points included
+    (the caller filters on z_c > 0); a |z_c| below 1e-12 divides as 1e-12."""
     pts = np.asarray(world, dtype=float).reshape(-1, 3)
     cam = camera.to_camera(pts)
     z = cam[:, 2]

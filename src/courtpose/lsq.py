@@ -20,9 +20,9 @@ MAX_REJECTS = 10  # empty sweeps in a row that stall a solve
 
 @dataclass
 class LMRecord:
-    """How a solve went: the start cost, then the cost after each completed
-    sweep; the outer-loop entries, including one that stopped before its
-    sweep; the accepted and rejected sweeps; and the stop reason: "converged"
+    """How a solve went: the start cost, then the cost after each
+    iteration's sweep, so ``iterations == len(cost_history) - 1``; the
+    accepted and rejected sweeps; and the stop reason: "converged"
     (an accepted step gained less than the tolerance), "plateau" (a sweep
     accepted nothing, its best step within ``tol``), "stalled"
     (``MAX_REJECTS`` empty sweeps in a row) or "max_iters"."""

@@ -80,12 +80,7 @@ class BodyMesh:
 
     def merged(self):
         """Single (vertices, faces) pair with per-part index offsets applied."""
-        vs, fs, off = [], [], 0
-        for p in self.parts:
-            vs.append(p.vertices)
-            fs.append(p.faces + off)
-            off += p.num_vertices
-        return np.concatenate(vs, axis=0), np.concatenate(fs, axis=0)
+        return stack_meshes(self.parts)
 
     def with_parts(self, parts) -> "BodyMesh":
         return BodyMesh(tuple(parts))
@@ -97,6 +92,17 @@ class BodyMesh:
         ends = np.cumsum([p.num_vertices for p in self.parts])[:-1]
         return self.with_parts(map(PartMesh.with_vertices, self.parts,
                                    np.split(vertices, ends)))
+
+
+def stack_meshes(meshes):
+    """(vertices, faces) of the meshes as one: their vertices in order, and
+    each one's faces shifted by the vertex count of those before it."""
+    vs, fs, off = [], [], 0
+    for m in meshes:
+        vs.append(m.vertices)
+        fs.append(m.faces + off)
+        off += m.num_vertices
+    return np.concatenate(vs, axis=0), np.concatenate(fs, axis=0)
 
 
 def face_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:

@@ -42,14 +42,14 @@ DECODER_CHANNELS = (64, 32, 16, 16, 3)
 ENCODER_DILATIONS = (2, 2, 1, 1)
 DECODER_DILATIONS = (1, 1, 2, 2, 2)
 POSE_HIDDEN = 64  # width of the pose encoder's residual blocks
+LATENT = 32       # width of the pose and mesh codes
+DROPOUT = 0.5     # drop probability of the pose encoder's hidden units in training
 
 
 @dataclass(frozen=True)
 class NetConfig:
     spiral_length: int = 9
     ds_factors: tuple = (2, 2, 2, 1)
-    latent: int = 32
-    dropout: float = 0.5
 
     def __post_init__(self):
         if len(self.ds_factors) != len(ENCODER_CHANNELS):
@@ -57,8 +57,6 @@ class NetConfig:
                                   f"({len(ENCODER_CHANNELS)}), got {len(self.ds_factors)}")
         for f in self.ds_factors:
             check_sampling_factor(f)
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValidationError(f"dropout must lie in [0, 1), got {self.dropout!r}")
 
 
 class StackedOps(NamedTuple):
@@ -152,7 +150,7 @@ def _glorot(rng, fan_in, fan_out):
 def param_shapes(config: NetConfig, ops: PartOps, num_joints: int) -> dict:
     """Parameter layout (name -> shape), in initialisation order, of the TL
     network for one body part driven by a ``num_joints``-joint pose."""
-    S, Z, h = config.spiral_length, config.latent, POSE_HIDDEN
+    S, Z, h = config.spiral_length, LATENT, POSE_HIDDEN
     p = {}
 
     def lin(name, nin, nout):
@@ -220,11 +218,10 @@ def _sc(x, gather, W, b):
 _POSE_DROPOUT_LAYERS = 4  # two residual blocks of two linear layers
 
 
-def pose_encode(params, pose_flat: ag.Var, config: NetConfig,
-                training: bool = False, rng=None) -> ag.Var:
+def pose_encode(params, pose_flat: ag.Var, training: bool = False, rng=None) -> ag.Var:
     masks = None
-    if training and config.dropout > 0:
-        keep = 1.0 - config.dropout
+    if training and DROPOUT > 0:
+        keep = 1.0 - DROPOUT
         # drawn sample by sample, then layer by layer: one sample's masks
         # are the same draws whatever batch it sits in
         draws = rng.random((pose_flat.shape[0], _POSE_DROPOUT_LAYERS, POSE_HIDDEN))
@@ -293,7 +290,7 @@ def tl_graph(pose_positions: np.ndarray, rest_vertices: np.ndarray, params: dict
     index = [rows.setdefault(block.tobytes(), len(rows)) for block in blocks]
     distinct = blocks[np.unique(index, return_index=True)[1]]
     pose_flat = ag.Var(np.asarray(pose_positions, dtype=float).reshape(batch, -1))
-    z_pose = pose_encode(params, pose_flat, config, training, rng)
+    z_pose = pose_encode(params, pose_flat, training, rng)
     z_codes = mesh_encode(params, "enc_rest", ag.Var(distinct.reshape(-1, 3)), ops, config)
     z_rest = ag.take_rows(z_codes, index)
     z_pred = fuse(params, z_pose, z_rest)

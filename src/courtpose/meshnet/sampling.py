@@ -4,7 +4,8 @@ Down-sampling removes vertices by greedy edge collapse in ascending quadric
 error (collapses that would invalidate faces are skipped). D selects the
 surviving vertices; U returns removed vertices through the barycentric
 coordinates of their projection onto the nearest kept triangle, so D @ U is
-the identity on coarse vertex features.
+the identity on coarse vertex features. The quadrics and the collapse check
+take their face normals from ``mesh.face_normals``.
 
 A collapse cost reads only its two vertices' quadrics and the target's
 position, which never moves, so each cost is computed once and kept until a
@@ -24,7 +25,7 @@ import scipy.sparse as sp
 
 from ..collision import nearest_triangles, point_triangle_closest
 from ..errors import ValidationError
-from ..mesh import PartMesh
+from ..mesh import PartMesh, face_normals
 
 _AREA_EPS = 1e-12
 
@@ -176,9 +177,8 @@ def _neighbors(v, faces, vert_faces):
 
 def _vertex_quadrics(verts, faces):
     q = np.zeros((len(verts), 4, 4))
-    corners = verts[faces[:, 0]]
-    normals = np.cross(verts[faces[:, 1]] - corners, verts[faces[:, 2]] - corners)
-    for f, a, nrm in zip(faces, corners, normals):
+    normals = face_normals(verts, faces, normalize=False)
+    for f, a, nrm in zip(faces, verts[faces[:, 0]], normals):
         area = 0.5 * np.linalg.norm(nrm)
         if area < _AREA_EPS:
             continue
@@ -190,30 +190,16 @@ def _vertex_quadrics(verts, faces):
     return q
 
 
-def _normal(a, b, c):
-    """np.cross(b - a, c - a) for three points given as float lists, formed
-    from its components in np.cross's own order, so bit for bit the same; a
-    3-vector np.cross call costs tens of microseconds of Python-side work."""
-    u0, u1, u2 = b[0] - a[0], b[1] - a[1], b[2] - a[2]
-    v0, v1, v2 = c[0] - a[0], c[1] - a[1], c[2] - a[2]
-    return np.array([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0])
-
-
 def _collapse_valid(u, v, verts, faces, face_alive, vert_faces):
-    """Collapsing u into v must not create degenerate or flipped faces."""
-    for fi in vert_faces[u]:
-        if not face_alive[fi]:
-            continue
-        f = faces[fi]
-        if v in f:
-            continue  # this face dies with the edge
-        newf = [v if w == u else w for w in f]
-        if len(set(newf)) < 3:
-            return False
-        na = _normal(*verts[list(f)].tolist())
-        nb = _normal(*verts[newf].tolist())
-        if np.linalg.norm(nb) < 2.0 * _AREA_EPS:
-            return False
-        if na @ nb <= 0.0:
-            return False
-    return True
+    """Collapsing u into v must not create degenerate or flipped faces: each
+    of u's surviving faces keeps three distinct corners, a normal at least
+    ``2 * _AREA_EPS`` long, and a positive dot product with its old normal."""
+    old = [faces[fi] for fi in vert_faces[u] if face_alive[fi] and v not in faces[fi]]
+    new = [[v if w == u else w for w in f] for f in old]
+    if any(len(set(f)) < 3 for f in new):
+        return False
+    normals = face_normals(verts, np.array(old + new, dtype=int).reshape(-1, 3),
+                           normalize=False)
+    na, nb = normals[:len(old)], normals[len(old):]
+    return not (np.any(np.sqrt(np.vecdot(nb, nb)) < 2.0 * _AREA_EPS)
+                or np.any(np.vecdot(na, nb) <= 0.0))

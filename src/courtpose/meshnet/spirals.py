@@ -80,7 +80,9 @@ def _tangent_basis(normal: np.ndarray):
         e1 = axis - (axis @ n) * n
         if np.linalg.norm(e1) > 1e-8:
             e1 /= np.linalg.norm(e1)
-            # np.cross(n, e1) from its components, in np.cross's own order
+            # np.cross(n, e1) from its components, in np.cross's own order:
+            # for one 3-vector per call, transforms.cross's array handling
+            # would cost more than the arithmetic
             (n0, n1, n2), (a0, a1, a2) = n.tolist(), e1.tolist()
             return e1, np.array([n1 * a2 - n2 * a1, n2 * a0 - n0 * a2, n0 * a1 - n1 * a0])
     raise AssertionError("unreachable: +X and +Y cannot both be parallel to n")

@@ -168,7 +168,7 @@ def _voxelize(grid, verts, faces):
     occ[grid.cells_of(verts)] = True
     a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
     ab, ac = b - a, c - a
-    longest = np.sqrt(np.maximum(_dots(ab, ab), _dots(ac, ac)))
+    longest = np.sqrt(np.maximum(np.vecdot(ab, ab), np.vecdot(ac, ac)))
     n1 = np.maximum(2, np.ceil(longest / (grid.h / 2.0)).astype(int) + 1)
     for n in np.unique(n1):
         t = np.linspace(0.0, 1.0, n)
@@ -202,11 +202,6 @@ def _fill_holes(occ):
         if np.array_equal(grown, outside):
             return ~outside
         outside = grown
-
-
-def _dots(x, y):
-    # row-wise x . y, bit for bit as np.dot (and np.linalg.norm) on vectors
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def _bone_voxels(grid, occ, segs):
@@ -275,12 +270,12 @@ def _nearest_bone(points, seg_lists):
     owner = np.array([k for k, segs in enumerate(seg_lists) for _ in segs])
     a = np.array([a for segs in seg_lists for a, _ in segs], dtype=float)
     ab = np.array([b for segs in seg_lists for _, b in segs], dtype=float) - a
-    denom = _dots(ab, ab)
+    denom = np.vecdot(ab, ab)
     point = denom < 1e-18
-    t = np.clip(_dots(points[:, None, :] - a, ab) / np.where(point, 1.0, denom), 0.0, 1.0)
+    t = np.clip(np.vecdot(points[:, None, :] - a, ab) / np.where(point, 1.0, denom), 0.0, 1.0)
     t[:, point] = 0.0
     off = points[:, None, :] - (a + t[:, :, None] * ab)
-    return owner[np.argmin(np.sqrt(_dots(off, off)), axis=1)]
+    return owner[np.argmin(np.sqrt(np.vecdot(off, off)), axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -453,19 +448,19 @@ def _swing_rows(A, D):
         return np.empty((0, 3, 3))
     R = np.broadcast_to(np.eye(3), (len(A), 3, 3)).copy()
     long = (np.linalg.norm(A, axis=1) > MIN_BONE) & (np.linalg.norm(D, axis=1) > MIN_BONE)
-    a = A[long] / np.sqrt(_dots(A[long], A[long]))[:, None]
-    b = D[long] / np.sqrt(_dots(D[long], D[long]))[:, None]
+    a = A[long] / np.sqrt(np.vecdot(A[long], A[long]))[:, None]
+    b = D[long] / np.sqrt(np.vecdot(D[long], D[long]))[:, None]
     axis = cross(a, b)
-    cos = _dots(a, b)
-    angle = np.arctan2(np.sqrt(_dots(axis, axis)), cos)
+    cos = np.vecdot(a, b)
+    angle = np.arctan2(np.sqrt(np.vecdot(axis, axis)), cos)
     # drop the rounding along a, which the division below would magnify
     # near pi, so that R a stays on b
-    axis -= _dots(axis, a)[:, None] * a
-    n = np.sqrt(_dots(axis, axis))
+    axis -= np.vecdot(axis, a)[:, None] * a
+    n = np.sqrt(np.vecdot(axis, axis))
     flat = n < 1e-15  # parallel or opposite to within the rounding of a unit vector
     half = flat & (cos <= 0)
     axis[half] = cross(a[half], np.eye(3)[np.argmin(np.abs(a[half]), axis=1)])
-    n[half] = np.sqrt(_dots(axis[half], axis[half]))
+    n[half] = np.sqrt(np.vecdot(axis[half], axis[half]))
     angle[half] = np.pi
     turn = ~flat | half
     R[np.flatnonzero(long)[turn]] = axis_angle_to_matrix(

@@ -5,7 +5,8 @@ exercised end-to-end against the bundled ground truth.
 
 ``run_pipeline`` is ``evaluate(reconstruct(observe(bundle)), bundle)``:
 ``reconstruct`` reads only the ``Observation``, whose ``Leaks`` name the
-truth it still reads, and ``evaluate`` compares the result with the rest.
+truth it still reads, and poses one player model, ``canonical_body``, for
+every player; ``evaluate`` compares the result with the rest of the truth.
 
 All randomness flows through one seeded 64-bit generator; the same seed
 yields a bit-identical bundle.
@@ -27,7 +28,7 @@ from .camera import (Camera, camera_from_json, camera_to_json, project,
 from .composer import resolve_interpenetration
 from .court import CourtModel, make_court_model
 from .errors import StageError, ValidationError
-from .mesh import BodyMesh, PartMesh, load_obj, save_obj
+from .mesh import BodyMesh, PartMesh, load_obj, save_obj, stack_meshes
 from .metrics import chamfer, emd, mpvpe, rotation_error_deg
 from .model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
                     forward_kinematics, json_number, json_numbers, load_json_record,
@@ -103,6 +104,11 @@ class SceneBundle:
         w, h = self.config.image_size
         if self.line_mask.size != (w, h):
             raise ValidationError("line mask size does not match the frame")
+        rest, posed = self.rest_body.parts, self.posed_body.parts
+        if len(rest) != len(posed) or not all(
+                r.part == p.part and np.array_equal(r.faces, p.faces)
+                for r, p in zip(rest, posed)):
+            raise ValidationError("bundle rest and posed bodies differ in their parts or faces")
 
 
 # the rest body and its diffusion weights depend only on the voxel resolution
@@ -117,11 +123,8 @@ def build_rest_body(skeleton: Skeleton) -> BodyMesh:
         return pose[skeleton.index(a)], pose[skeleton.index(b)]
 
     def caps(pairs, radius, part):
-        ms = [capsule(p0, p1, radius, part=part) for p0, p1 in pairs]
-        offsets = np.cumsum([0] + [m.num_vertices for m in ms[:-1]])
-        verts = np.concatenate([m.vertices for m in ms])
-        faces = np.concatenate([m.faces + off for m, off in zip(ms, offsets)])
-        return PartMesh(verts, faces, part)
+        return PartMesh(*stack_meshes([capsule(p0, p1, radius, part=part)
+                                       for p0, p1 in pairs]), part)
 
     neck, head = seg("neck", "head")
     up = head - neck
@@ -133,19 +136,13 @@ def build_rest_body(skeleton: Skeleton) -> BodyMesh:
         return tube(s - 0.04 * u, s + 0.62 * (e - s), 0.065, n_seg=8,
                     n_rings=4, part="shirt")
 
-    torso = capsule(pelvis, neck + 1.4 * up, 0.20, part="shirt")
-    sv_l, sv_r = sleeve("shoulder_l", "elbow_l"), sleeve("shoulder_r", "elbow_r")
-    shirt_verts = np.concatenate([torso.vertices, sv_l.vertices, sv_r.vertices])
-    shirt_faces = np.concatenate([
-        torso.faces,
-        sv_l.faces + torso.num_vertices,
-        sv_r.faces + torso.num_vertices + sv_l.num_vertices,
-    ])
+    shirt = [capsule(pelvis, neck + 1.4 * up, 0.20, part="shirt"),
+             sleeve("shoulder_l", "elbow_l"), sleeve("shoulder_r", "elbow_r")]
     parts = [
         caps([(neck + 0.4 * up, head + 0.6 * up)], 0.10, "head"),
         caps([seg("shoulder_l", "elbow_l"), seg("elbow_l", "wrist_l"),
               seg("shoulder_r", "elbow_r"), seg("elbow_r", "wrist_r")], 0.042, "arms"),
-        PartMesh(shirt_verts, shirt_faces, "shirt"),
+        PartMesh(*stack_meshes(shirt), "shirt"),
         caps([seg("hip_l", "knee_l"), seg("hip_r", "knee_r")], 0.085, "pants"),
         caps([seg("hip_l", "knee_l"), seg("knee_l", "ankle_l"),
               seg("hip_r", "knee_r"), seg("knee_r", "ankle_r")], 0.055, "legs"),
@@ -296,10 +293,8 @@ def court_landmark_reprojection(cam_est: Camera, cam_gt: Camera,
 @dataclass(frozen=True)
 class Leaks:
     """The ground truth the chain still reads where the paper's has a
-    network's output: placement's 2D pose, skinning's rest body and skeleton."""
+    network's output: placement's 2D pose."""
     pose2d: Pose2D
-    rest_body: BodyMesh
-    skeleton: Skeleton
 
 
 @dataclass(frozen=True)
@@ -327,18 +322,17 @@ class Reconstruction:
 
 
 @contextmanager
-def _stage(stages: dict, name: str, at: int = 0):
-    """Fields of stage ``name`` that the with block fills, put at key
-    position ``at`` of those it has. The block's time adds to the stage's
-    ``seconds``; its error is a StageError tagged ``name``."""
+def _stage(stages: dict, name: str):
+    """Fields of stage ``name`` that the with block fills, after those it
+    has. The block's time adds to the stage's ``seconds``, its last field;
+    its error is a StageError tagged ``name``."""
     fields, t0 = {}, time.perf_counter()
     try:
         yield fields
     except Exception as e:
         raise StageError(name, e) from e
-    had = list(stages.get(name, {}).items())
-    fields = stages[name] = dict(had[:at] + list(fields.items()) + had[at:])
-    fields["seconds"] = round(fields.get("seconds", 0.0) + time.perf_counter() - t0, 4)
+    fields = stages[name] = {**stages.get(name, {}), **fields}
+    fields["seconds"] = round(fields.pop("seconds", 0.0) + time.perf_counter() - t0, 4)
 
 
 def observe(bundle: SceneBundle) -> Observation:
@@ -346,15 +340,15 @@ def observe(bundle: SceneBundle) -> Observation:
     heat = encode_heatmaps(bundle.pose2d)
     maps = PoseMapTargets(heat, encode_location_maps(bundle.pose_root, heat), bundle.jump)
     return Observation(bundle.config.image_size, bundle.line_mask, bundle.correspondences,
-                       bundle.crop_origin, bundle.crop_scale, maps,
-                       Leaks(bundle.pose2d, bundle.rest_body, bundle.skeleton))
+                       bundle.crop_origin, bundle.crop_scale, maps, Leaks(bundle.pose2d))
 
 
 def reconstruct(obs: Observation) -> Reconstruction:
     """calibrate -> codec (decode) -> place -> skin -> compose on ``obs``
-    alone. Raises StageError with the failing stage's tag."""
+    alone; skin fits and poses ``canonical_body``'s skeleton, rest body and
+    weights. Raises StageError with the failing stage's tag."""
     stages = {}
-    _, _, weights = canonical_body(SceneConfig.voxel_res)
+    skeleton, rest_body, weights = canonical_body(SceneConfig.voxel_res)
     with _stage(stages, "calibrate") as fields:
         cam0, pnp_rms = solve_pnp_planar(obs.correspondences, obs.image_size)
         ref = refine_camera_lines(cam0, obs.line_mask, make_court_model())
@@ -370,8 +364,8 @@ def reconstruct(obs: Observation) -> Reconstruction:
         placed, offset = place_player(crop_cam, obs.leaks.pose2d, pose3d, obs.maps.jump)
         fields.update(offset=offset.tolist(), pose_world=pose3d_to_json(placed))
     with _stage(stages, "skin") as fields:
-        fitted, info = fit_pose_to_keypoints(obs.leaks.skeleton, pose3d)
-        posed = lbs(obs.leaks.rest_body, weights, fitted, obs.leaks.skeleton)
+        fitted, info = fit_pose_to_keypoints(skeleton, pose3d)
+        posed = lbs(rest_body, weights, fitted, skeleton)
         fields.update(fit_joint_residual_m=float(np.mean(info["joint_residuals"])),
                       final_cost=info["final_cost"],
                       fit_iterations=len(info["cost_history"]) - 1, fit_stop=info["stop"])
@@ -386,7 +380,7 @@ def evaluate(recon: Reconstruction, bundle: SceneBundle) -> dict:
     """The report of ``recon``: its stage fields with the comparisons
     against the bundle's truth, and the eval stage's mesh metrics."""
     stages = dict(recon.stages)
-    with _stage(stages, "calibrate", at=3) as fields:
+    with _stage(stages, "calibrate") as fields:
         fields["landmark_reproj_px"] = court_landmark_reprojection(
             recon.camera, bundle.camera, bundle.court, bundle.config.image_size)
     with _stage(stages, "codec") as fields:

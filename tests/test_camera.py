@@ -58,6 +58,29 @@ def test_behind_camera_raises():
     assert z[0] < 0
 
 
+def test_project_is_project_with_depth_in_front_of_the_camera():
+    cam = simple_camera()
+    rng = np.random.default_rng(4)
+    local = np.column_stack([rng.normal(size=(200, 2)), np.logspace(-6, 1.6, 200)])
+    pts = cam.to_world(local)
+    uv, z = project_with_depth(cam, pts)
+    assert z.min() > 0
+    assert np.array_equal(project(cam, pts), uv)
+    for p, want in zip(pts[:20], uv):
+        got = project(cam, p)
+        assert got.shape == (2,) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, -1e-12, -3.0])
+def test_project_raises_at_or_behind_the_camera_plane(z):
+    # at the origin with the identity rotation, a point's z_c is its z exactly
+    cam = Camera(1000.0, 320.0, 240.0, np.eye(3), np.zeros(3))
+    with pytest.raises(BehindCameraError, match="1 point"):
+        project(cam, [0.5, 0.5, z])
+    with pytest.raises(BehindCameraError, match="1 point"):
+        project(cam, [[0.5, 0.5, 2.0], [0.5, 0.5, z]])
+
+
 def test_pixel_ray_inverts_projection():
     cam = simple_camera()
     w = np.array([0.4, 1.2, 2.5])

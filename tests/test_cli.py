@@ -331,13 +331,16 @@ def test_pipeline_scene_and_job_counts_below_one_exit_code_2(tmp_path, capsys, a
 
 def test_pipeline_scene_dir_with_a_one_part_rest_body_exit_code_2(tmp_path, capsys):
     # a rest.obj of one part used to fail the skin stage with exit 3 on
-    # "'PartMesh' object has no attribute 'merged'"
+    # "'PartMesh' object has no attribute 'merged'"; the skin stage poses
+    # the canonical body, and the load refuses a rest body whose parts are
+    # not the posed body's
     out = tmp_path / "scene"
     assert main(["synth", "--seed", "5", "--out", str(out)]) == 0
     save_obj(out / "rest.obj", load_obj(out / "rest.obj").part("head"))
     code = main(["pipeline", "--scene-dir", str(out), "--out", str(tmp_path / "r.json")])
     assert code == 2
-    assert "[skin] weight rows do not match body vertex count" in capsys.readouterr().err
+    assert (f"scene {out}: bundle rest and posed bodies differ in their parts or faces"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("focal", ["nan", "inf", "0", "-1400"])

@@ -59,10 +59,12 @@ def test_cli_pipeline_and_toy_data_do_not_import_scipy_optimize_or_spatial():
 
 
 def test_no_np_cross_outside_meshnet():
-    # transforms.cross forms the same bits without np.cross's axis handling;
-    # meshnet's per-face loops keep their scalar forms on Python floats
+    # transforms.cross forms the same bits without np.cross's axis handling,
+    # in meshnet as elsewhere: sampling's face normals come from
+    # mesh.face_normals, and only spirals' one 3-vector per call keeps its
+    # scalar form on Python floats
     calls = [f"{path.relative_to(SRC)}:{node.lineno}"
-             for path in sorted(SRC.rglob("*.py")) if "meshnet" not in path.parts
+             for path in sorted(SRC.rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "cross"
              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]

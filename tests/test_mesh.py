@@ -3,7 +3,7 @@ import pytest
 
 from courtpose.errors import ValidationError
 from courtpose.mesh import (BodyMesh, PartMesh, adjacency_lists, load_obj,
-                            mesh_edges, save_obj, uniform_laplacian,
+                            mesh_edges, save_obj, stack_meshes, uniform_laplacian,
                             vertex_normals)
 from helpers import icosphere, plane_grid, tri_grid
 
@@ -106,6 +106,16 @@ def test_obj_round_trip_of_one_part_is_a_one_part_body(tmp_path, tagged):
     assert np.abs(back.parts[0].vertices - part.vertices).max() < 1e-6
     assert np.array_equal(back.parts[0].faces, part.faces)
     assert np.array_equal(back.merged()[0], back.parts[0].vertices)
+
+
+def test_stack_meshes_shifts_faces_by_the_vertices_before_them():
+    meshes = [icosphere(0.5, 1, part="head"), plane_grid(3, 3), tri_grid(2, 3)]
+    verts, faces = stack_meshes(meshes)
+    starts = np.cumsum([0] + [m.num_vertices for m in meshes])
+    assert np.array_equal(verts, np.concatenate([m.vertices for m in meshes]))
+    for m, lo, hi in zip(meshes, starts, np.cumsum([m.num_faces for m in meshes])):
+        assert np.array_equal(faces[hi - m.num_faces:hi], m.faces + lo)
+    assert len(faces) == sum(m.num_faces for m in meshes)
 
 
 def test_with_vertices_inverts_merged():

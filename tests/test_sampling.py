@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from courtpose.collision import (nearest_triangle_bruteforce, nearest_triangles,
                                  point_triangle_closest)
 from courtpose.errors import ValidationError
-from courtpose.mesh import PartMesh
+from courtpose.mesh import PartMesh, face_normals, mesh_edges
 from courtpose.meshnet import NetConfig, build_sampling
 from courtpose.meshnet import sampling
 from courtpose.meshnet.sampling import _AREA_EPS, _collapse_valid, _neighbors
@@ -131,6 +131,28 @@ def vertex_quadrics_loop(verts, faces):
     return q
 
 
+def collapse_valid_loop(u, v, verts, faces, face_alive, vert_faces):
+    """The collapse check with one np.cross pair per face of u."""
+    for fi in vert_faces[u]:
+        if not face_alive[fi]:
+            continue
+        f = faces[fi]
+        if v in f:
+            continue  # this face dies with the edge
+        newf = [v if w == u else w for w in f]
+        if len(set(newf)) < 3:
+            return False
+        a, b, c = verts[list(f)]
+        na = np.cross(b - a, c - a)
+        a, b, c = verts[newf]
+        nb = np.cross(b - a, c - a)
+        if np.linalg.norm(nb) < 2.0 * _AREA_EPS:
+            return False
+        if na @ nb <= 0.0:
+            return False
+    return True
+
+
 def build_sampling_uncached(mesh, factor):
     """``build_sampling`` as it was before the collapse costs were kept: every
     push computes its cost from the current quadrics."""
@@ -172,7 +194,7 @@ def build_sampling_uncached(mesh, factor):
             continue
         if v not in _neighbors(u, faces, vert_faces):
             continue
-        if not _collapse_valid(u, v, verts, faces, face_alive, vert_faces):
+        if not collapse_valid_loop(u, v, verts, faces, face_alive, vert_faces):
             continue
         dying = sum(1 for fi in vert_faces[u] if v in faces[fi])
         if alive_faces - dying < 1:
@@ -263,15 +285,54 @@ def test_kept_collapse_costs_match_uncached_on_tri_grids(factor):
 
 
 def test_face_normal_equals_np_cross_bit_for_bit():
-    """``_normal`` forms np.cross(b - a, c - a) from components: the same
-    bits as np.cross on random, scaled, degenerate and signed-zero triangles."""
+    """``face_normals(..., normalize=False)``, which the quadrics and the
+    collapse check read, is np.cross(b - a, c - a): the same bits on random,
+    scaled, degenerate and signed-zero triangles."""
     rng = np.random.default_rng(3)
     tris = [rng.normal(scale=s, size=(3, 3)) for s in (1e-9, 1e-3, 1.0, 1e3)
             for _ in range(500)]
     tris += [np.zeros((3, 3)), -np.zeros((3, 3)), np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0.0]]),
              np.array([[1, 1, 1], [1, 1, 1], [1, 2, 3.0]]), np.array([[0, -0.0, 0], [1, 0, -0.0],
                                                                       [0, 1, 0.0]])]
-    for a, b, c in tris:
-        got = sampling._normal(a.tolist(), b.tolist(), c.tolist())
-        want = np.cross(b - a, c - a)
-        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    verts = np.concatenate(tris)
+    got = face_normals(verts, np.arange(len(verts)).reshape(-1, 3), normalize=False)
+    want = np.array([np.cross(b - a, c - a) for a, b, c in tris])
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_collapse_check_matches_the_per_face_loop_on_every_head_candidate(monkeypatch):
+    """Every collapse the decimation of the head's pyramid weighs gets the
+    per-face loop's verdict."""
+    verdicts = []
+
+    def checked(*args):
+        got = _collapse_valid(*args)
+        assert got is collapse_valid_loop(*args)
+        verdicts.append(got)
+        return got
+
+    monkeypatch.setattr(sampling, "_collapse_valid", checked)
+    mesh = canonical_body(SceneConfig().voxel_res)[1].part("head")
+    for factor in NetConfig().ds_factors:
+        mesh = build_sampling(mesh, factor).coarse
+    assert len(verdicts) == 72
+
+
+@pytest.mark.parametrize("mesh", [tri_grid(6, 7), icosphere(1.0, 2)], ids=["grid", "sphere"])
+def test_collapse_check_matches_the_per_face_loop_on_jittered_meshes(mesh):
+    """Both ways of every edge of a jittered mesh, where some collapses
+    flip a face: the per-face loop's verdict on each."""
+    verts = mesh.vertices + np.random.default_rng(0).normal(scale=0.3, size=mesh.vertices.shape)
+    faces = [tuple(f) for f in mesh.faces]
+    vert_faces = [set() for _ in verts]
+    for fi, f in enumerate(faces):
+        for w in f:
+            vert_faces[w].add(fi)
+    verdicts = set()
+    for u, v in mesh_edges(mesh.faces).tolist():
+        for args in ((u, v), (v, u)):
+            args += (verts, faces, [True] * len(faces), vert_faces)
+            got = _collapse_valid(*args)
+            assert got is collapse_valid_loop(*args)
+            verdicts.add(got)
+    assert verdicts == {True, False}

@@ -8,6 +8,7 @@ import pytest
 from courtpose import synth
 from courtpose.camera import project
 from courtpose.errors import StageError, ValidationError
+from courtpose.mesh import BodyMesh, PartMesh
 from courtpose.placement import place_player
 from courtpose.posemaps import (decode_heatmaps, decode_location_maps,
                                 encode_heatmaps, encode_location_maps)
@@ -67,6 +68,21 @@ def test_posed_body_parts_match_rest_topology(bundle):
     for rest_p, posed_p in zip(bundle.rest_body.parts, bundle.posed_body.parts):
         assert rest_p.part == posed_p.part
         assert np.array_equal(rest_p.faces, posed_p.faces)
+
+
+@pytest.mark.parametrize("change", ["drop a part", "swap two parts", "turn a face"])
+def test_validate_refuses_rest_and_posed_bodies_of_other_topology(bundle, change):
+    parts = list(bundle.rest_body.parts)
+    if change == "drop a part":
+        del parts[0]
+    elif change == "swap two parts":
+        parts[0], parts[1] = parts[1], parts[0]
+    else:
+        head = parts[0]
+        parts[0] = PartMesh(head.vertices, head.faces[:, ::-1], head.part)
+    changed = dataclasses.replace(bundle, rest_body=BodyMesh(tuple(parts)))
+    with pytest.raises(ValidationError, match="rest and posed bodies differ"):
+        changed.validate()
 
 
 def test_scene_save_load_round_trip(tmp_path, bundle):
@@ -140,7 +156,7 @@ def test_stage_error_pickles_with_its_stage_and_cause():
 
 
 def test_leaks_are_the_named_truth():
-    assert [f.name for f in dataclasses.fields(Leaks)] == ["pose2d", "rest_body", "skeleton"]
+    assert [f.name for f in dataclasses.fields(Leaks)] == ["pose2d"]
 
 
 def test_reconstruct_reads_no_bundle(bundle, monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from courtpose.errors import ValidationError
-from courtpose.meshnet import (NetConfig, PartOps, init_params, load_params,
+from courtpose.meshnet import (NetConfig, PartOps, init_params, load_params, network,
                                save_params, training)
 from courtpose.meshnet import autograd as ag
 from courtpose.meshnet.training import (DEFAULT_WMESH, DEFAULT_WZ, TrainConfig,
@@ -85,10 +85,9 @@ def test_zero_learning_rate_leaves_params_unchanged(tiny_setup, monkeypatch):
 def test_loss_non_increasing_at_tiny_lr_full_batch(tiny_setup, monkeypatch):
     """Descent-lemma style check: full-batch steps at lr 1e-5 with no
     momentum, dropout or weight decay cannot increase the loss."""
-    cfg0, ops, dataset = tiny_setup
-    cfg = NetConfig(spiral_length=cfg0.spiral_length, ds_factors=cfg0.ds_factors,
-                    dropout=0.0)
+    cfg, ops, dataset = tiny_setup
     params = init_params(cfg, ops, 35, np.random.default_rng(2))
+    monkeypatch.setattr(network, "DROPOUT", 0.0)
     monkeypatch.setattr(training, "MOMENTUM", 0.0)
     monkeypatch.setattr(training, "WEIGHT_DECAY", 0.0)
     monkeypatch.setattr(training, "BATCH_SIZE", len(dataset))
@@ -238,7 +237,7 @@ def test_batched_step_matches_per_sample_loop(tiny_setup, batch_size):
     """A 16-sample batch and a final 2-sample one, with dropout on and rest
     and posed targets mixed: same loss, mesh term, gradients and rng draws."""
     cfg, ops, dataset = tiny_setup
-    assert cfg.dropout > 0
+    assert network.DROPOUT > 0
     rng = np.random.default_rng(7)
     batch = []
     for i in range(batch_size):
