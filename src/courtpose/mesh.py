@@ -42,7 +42,7 @@ class PartMesh:
             raise ValidationError(f"unknown part {self.part!r}; expected one of {PART_NAMES}")
         if self.faces.size:
             if self.faces.min() < 0 or self.faces.max() >= len(self.vertices):
-                raise ValidationError("face index out of range")
+                raise ValidationError(f"a face of part {self.part!r} indexes a vertex outside it")
 
     @property
     def num_vertices(self) -> int:
@@ -209,9 +209,11 @@ def load_obj(path, default_part: str = "shirt"):
     part is ``default_part``).
 
     Returns a BodyMesh with one part per `# part:` section, so a single-part
-    file gives a one-part body. Faces with area below 1e-12 are rejected.
+    file gives a one-part body. Geometry before the first tag, a face on
+    vertices outside its section or of area below 1e-12, and an unknown or
+    repeated part are ValidationErrors naming the file.
     """
-    sections = []  # (part, first_vertex_index)
+    sections = []  # (part, vertex count, face count) at each tag
     verts, faces = [], []
     try:
         fh = open(path)
@@ -222,7 +224,7 @@ def load_obj(path, default_part: str = "shirt"):
             line = line.strip()
             try:
                 if line.startswith("# part:"):
-                    sections.append((line.split(":", 1)[1].strip(), len(verts)))
+                    sections.append((line.split(":", 1)[1].strip(), len(verts), len(faces)))
                 elif line.startswith("v "):
                     xyz = [float(x) for x in line.split()[1:4]]
                     if len(xyz) != 3:
@@ -237,23 +239,22 @@ def load_obj(path, default_part: str = "shirt"):
                 raise ValidationError(f"OBJ file {path}, line {lineno}: {e}") from e
     if not verts:
         raise ValidationError(f"OBJ file {path} has no vertices")
+    if not sections:
+        sections = [(default_part, 0, 0)]
+    elif sections[0][1:] != (0, 0):
+        raise ValidationError(f"OBJ file {path} has {sections[0][1]} vertices and "
+                              f"{sections[0][2]} faces before its first '# part:' tag")
     verts = np.asarray(verts, dtype=float)
     faces = np.asarray(faces, dtype=int).reshape(-1, 3)
-    if faces.size:
-        if faces.min() < 0 or faces.max() >= len(verts):
-            raise ValidationError(f"OBJ file {path} has face indices outside "
-                                  f"1..{len(verts)}")
-        bad = np.nonzero(face_areas(verts, faces) < _DEGENERATE_AREA)[0]
-        if bad.size:
-            raise ValidationError(f"degenerate (zero-area) faces at rows {bad[:8].tolist()}")
-    if not sections:
-        sections = [(default_part, 0)]
-    bounds = [s[1] for s in sections] + [len(verts)]
-    parts = []
-    for k, (name, lo) in enumerate(sections):
-        hi = bounds[k + 1]
-        pv = verts[lo:hi]
-        mask = np.all((faces >= lo) & (faces < hi), axis=1) if faces.size else np.zeros(0, bool)
-        pf = faces[mask] - lo
-        parts.append(PartMesh(pv, pf, name))
-    return BodyMesh(tuple(parts))
+    ends = [s[1:] for s in sections[1:]] + [(len(verts), len(faces))]
+    try:
+        # one part per section: its vertices, and its faces on those alone
+        body = BodyMesh(tuple(PartMesh(verts[v0:v1], faces[f0:f1] - v0, name)
+                              for (name, v0, f0), (v1, f1) in zip(sections, ends)))
+    except ValidationError as e:
+        raise ValidationError(f"OBJ file {path}: {e}") from e
+    bad = np.nonzero(face_areas(verts, faces) < _DEGENERATE_AREA)[0]
+    if bad.size:
+        raise ValidationError(f"OBJ file {path} has degenerate (zero-area) faces "
+                              f"at rows {bad[:8].tolist()}")
+    return body

@@ -14,6 +14,7 @@ yields a bit-identical bundle.
 from __future__ import annotations
 
 import json
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -70,6 +71,7 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class SceneBundle:
+    """A scene's truth; its posed body has ``canonical_body``'s parts and faces."""
     seed: int
     config: SceneConfig
     court: CourtModel
@@ -82,7 +84,6 @@ class SceneBundle:
     pose_world: Pose3D
     pose2d: Pose2D                 # crop coordinates
     jump: JumpInfo
-    rest_body: BodyMesh
     posed_body: BodyMesh           # world frame
     line_mask: LineMask
     correspondences: tuple         # ((pixel xy), (world xyz)) pairs
@@ -104,14 +105,14 @@ class SceneBundle:
         w, h = self.config.image_size
         if self.line_mask.size != (w, h):
             raise ValidationError("line mask size does not match the frame")
-        rest, posed = self.rest_body.parts, self.posed_body.parts
+        rest, posed = canonical_body(self.config.voxel_res)[1].parts, self.posed_body.parts
         if len(rest) != len(posed) or not all(
                 r.part == p.part and np.array_equal(r.faces, p.faces)
                 for r, p in zip(rest, posed)):
-            raise ValidationError("bundle rest and posed bodies differ in their parts or faces")
+            raise ValidationError("posed body differs from the player model in its parts or faces")
 
 
-# the rest body and its diffusion weights depend only on the voxel resolution
+# the player model depends only on the voxel resolution; validate reads it too
 _BODY_CACHE: dict = {}
 
 
@@ -223,7 +224,7 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneBundle:
 
     bundle = SceneBundle(seed, config, court, cam, origin, scale, skeleton,
                          transforms, pose_root, pose_world, pose2d, jump,
-                         rest_body, posed_body, mask, corrs)
+                         posed_body, mask, corrs)
     bundle.validate()
     return bundle
 
@@ -416,7 +417,6 @@ def run_pipeline(bundle: SceneBundle) -> dict:
 # ---------------------------------------------------------------------------
 
 def save_scene(bundle: SceneBundle, outdir) -> None:
-    import os
     os.makedirs(outdir, exist_ok=True)
     p = lambda name: os.path.join(outdir, name)
     with open(p("scene.json"), "w") as fh:
@@ -435,19 +435,17 @@ def save_scene(bundle: SceneBundle, outdir) -> None:
             "correspondences": [[list(px), list(w)] for px, w in bundle.correspondences],
         }, fh, indent=1)
     save_pgm(p("mask.pgm"), bundle.line_mask)
-    save_obj(p("rest.obj"), bundle.rest_body)
     save_obj(p("posed.obj"), bundle.posed_body)
 
 
 def load_scene(scenedir) -> SceneBundle:
-    """The scene that ``save_scene`` wrote to ``scenedir``. A field of
-    scene.json that is not a JSON number of the right kind (the seed, an
-    integer >= 0, and the frame size are integers) or shape is a
-    ValidationError naming the file; a scene that breaks a SceneBundle
-    invariant, such as a mask of another frame size, is one naming the
+    """The scene that ``save_scene`` wrote to ``scenedir`` (a rest.obj of an
+    older scene is not read). A field of scene.json that is not a JSON
+    number of the right kind (the seed, an integer >= 0, and the frame size
+    are integers) or shape is a ValidationError naming the file; a scene
+    that breaks a SceneBundle invariant, such as a mask of another frame
+    size or a posed body of other parts than the model's, is one naming the
     directory."""
-    import os
-    rest = load_obj(os.path.join(scenedir, "rest.obj"))
     posed = load_obj(os.path.join(scenedir, "posed.obj"))
     line_mask = load_pgm(os.path.join(scenedir, "mask.pgm"))
 
@@ -473,7 +471,7 @@ def load_scene(scenedir) -> SceneBundle:
             pose_world=pose3d_from_json(d["pose_world"]),
             pose2d=pose2d_from_json(d["pose2d"]),
             jump=jump_from_json(d["jump"]),
-            rest_body=rest, posed_body=posed, line_mask=line_mask,
+            posed_body=posed, line_mask=line_mask,
             correspondences=tuple(zip(map(tuple, pixels.reshape(len(corrs), 2).tolist()),
                                       map(tuple, court.reshape(len(corrs), 3).tolist()))),
         )

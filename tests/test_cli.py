@@ -329,18 +329,32 @@ def test_pipeline_scene_and_job_counts_below_one_exit_code_2(tmp_path, capsys, a
     assert not out.exists()
 
 
-def test_pipeline_scene_dir_with_a_one_part_rest_body_exit_code_2(tmp_path, capsys):
-    # a rest.obj of one part used to fail the skin stage with exit 3 on
-    # "'PartMesh' object has no attribute 'merged'"; the skin stage poses
-    # the canonical body, and the load refuses a rest body whose parts are
-    # not the posed body's
+def test_pipeline_scene_dir_with_a_one_part_posed_body_exit_code_2(tmp_path, capsys):
+    # the load refuses a posed body whose parts are not the player model's,
+    # which would otherwise fail only at eval
     out = tmp_path / "scene"
     assert main(["synth", "--seed", "5", "--out", str(out)]) == 0
-    save_obj(out / "rest.obj", load_obj(out / "rest.obj").part("head"))
+    save_obj(out / "posed.obj", load_obj(out / "posed.obj").part("head"))
     code = main(["pipeline", "--scene-dir", str(out), "--out", str(tmp_path / "r.json")])
     assert code == 2
-    assert (f"scene {out}: bundle rest and posed bodies differ in their parts or faces"
+    assert (f"scene {out}: posed body differs from the player model in its parts or faces"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text, why", [
+    ("# part: hat\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "unknown part 'hat'"),
+    ("# part: head\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+     "# part: head\nv 0 0 1\nv 1 0 1\nv 0 1 1\nf 4 5 6\n", "duplicate part names"),
+], ids=["unknown", "repeated"])
+def test_eval_obj_with_a_bad_part_tag_names_the_file_exit_code_2(tmp_path, capsys, text, why):
+    save_obj(tmp_path / "gt.obj", icosphere(1.0, 1, part="head"))
+    (tmp_path / "pred.obj").write_text(text)
+    code = main(["eval", "--pred", str(tmp_path / "pred.obj"),
+                 "--gt", str(tmp_path / "gt.obj"), "--out", str(tmp_path / "m.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"OBJ file {tmp_path / 'pred.obj'}: " in err and why in err
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("focal", ["nan", "inf", "0", "-1400"])

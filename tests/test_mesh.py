@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,27 @@ def test_obj_rejects_degenerate_faces(tmp_path):
     path = tmp_path / "bad.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 2 0 0\nf 1 2 3\n")
     with pytest.raises(ValidationError):
+        load_obj(path)
+
+
+def test_obj_face_across_two_part_sections_names_the_file(tmp_path):
+    # the face 3 4 5 used to be dropped: 3 faces loaded as 2
+    path = tmp_path / "split.obj"
+    path.write_text("# part: head\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+                    "# part: shirt\nv 0 0 1\nv 1 0 1\nv 0 1 1\nf 4 5 6\nf 3 4 5\n")
+    msg = f"OBJ file {path}: a face of part 'shirt' indexes a vertex outside it"
+    with pytest.raises(ValidationError, match=re.escape(msg)):
+        load_obj(path)
+
+
+def test_obj_geometry_before_the_first_part_tag_names_the_file(tmp_path):
+    # the untagged head of a tagged file used to be dropped: 6 vertices and
+    # 2 faces loaded as 3 and 1
+    path = tmp_path / "untagged_head.obj"
+    path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+                    "# part: shirt\nv 0 0 1\nv 1 0 1\nv 0 1 1\nf 4 5 6\n")
+    msg = f"OBJ file {path} has 3 vertices and 1 faces before its first '# part:' tag"
+    with pytest.raises(ValidationError, match=re.escape(msg)):
         load_obj(path)
 
 

@@ -65,14 +65,18 @@ def test_bundle_codec_round_trip_bound(bundle):
 
 
 def test_posed_body_parts_match_rest_topology(bundle):
-    for rest_p, posed_p in zip(bundle.rest_body.parts, bundle.posed_body.parts):
+    # the scene keeps no rest body: the posed one has the player model's
+    _, rest, _ = synth.canonical_body(bundle.config.voxel_res)
+    assert len(rest.parts) == len(bundle.posed_body.parts)
+    for rest_p, posed_p in zip(rest.parts, bundle.posed_body.parts):
         assert rest_p.part == posed_p.part
         assert np.array_equal(rest_p.faces, posed_p.faces)
 
 
 @pytest.mark.parametrize("change", ["drop a part", "swap two parts", "turn a face"])
 def test_validate_refuses_rest_and_posed_bodies_of_other_topology(bundle, change):
-    parts = list(bundle.rest_body.parts)
+    # the posed body against the player model's rest body
+    parts = list(bundle.posed_body.parts)
     if change == "drop a part":
         del parts[0]
     elif change == "swap two parts":
@@ -80,8 +84,8 @@ def test_validate_refuses_rest_and_posed_bodies_of_other_topology(bundle, change
     else:
         head = parts[0]
         parts[0] = PartMesh(head.vertices, head.faces[:, ::-1], head.part)
-    changed = dataclasses.replace(bundle, rest_body=BodyMesh(tuple(parts)))
-    with pytest.raises(ValidationError, match="rest and posed bodies differ"):
+    changed = dataclasses.replace(bundle, posed_body=BodyMesh(tuple(parts)))
+    with pytest.raises(ValidationError, match="posed body differs from the player model"):
         changed.validate()
 
 
@@ -94,6 +98,20 @@ def test_scene_save_load_round_trip(tmp_path, bundle):
     assert np.abs(back.posed_body.merged()[0]
                   - bundle.posed_body.merged()[0]).max() < 1e-6
     assert back.camera.f == bundle.camera.f
+
+
+def test_save_scene_writes_the_truth_and_no_player_model(tmp_path, bundle):
+    save_scene(bundle, tmp_path / "scene")
+    assert sorted(p.name for p in (tmp_path / "scene").iterdir()) == [
+        "mask.pgm", "posed.obj", "scene.json"]
+
+
+def test_load_scene_ignores_the_rest_obj_of_an_older_scene(tmp_path, bundle):
+    scene = tmp_path / "scene"
+    save_scene(bundle, scene)
+    before = pickle.dumps(load_scene(scene))
+    (scene / "rest.obj").write_text("v not a number\n")
+    assert pickle.dumps(load_scene(scene)) == before
 
 
 def test_run_pipeline_stages_and_thresholds(bundle):
