@@ -2,9 +2,9 @@
 
 Scene generation gives ground truth for every stage: the camera is recovered
 from the court lines, poses round-trip through the map codec, the player is
-placed on (or above) the floor, bone transforms are fitted to the decoded
-keypoints, the capsule body is skinned and composed, and the result is
-scored against the ground-truth mesh.
+placed on (or above) the floor from the decoded 2D pose, bone transforms are
+fitted to the decoded keypoints, the capsule body is skinned and composed,
+and the result is scored against the ground-truth mesh in the world frame.
 """
 import json
 

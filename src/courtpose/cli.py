@@ -233,13 +233,19 @@ def _pipeline_one(seed_and_cfg):
 
 
 def cmd_pipeline(args):
-    for flag, val in (("--scenes", args.scenes), ("--jobs", args.jobs)):
+    # --seed, --scenes and --jobs set no attribute unless given (SUPPRESS)
+    given = {k: v for k, v in vars(args).items() if k in ("seed", "scenes", "jobs")}
+    if args.scene_dir and given:
+        raise ValidationError(f"{', '.join('--' + k for k in given)} cannot go with "
+                              "--scene-dir, which runs the one scene saved there")
+    seed, scenes, jobs = given.get("seed", 0), given.get("scenes", 1), given.get("jobs", 1)
+    for flag, val in (("--scenes", scenes), ("--jobs", jobs)):
         if val < 1:
             raise ValidationError(f"{flag} must be at least 1, got {val}")
     scene_config = _scene_config(args)
     if args.scene_dir:
         reports = [run_pipeline(load_scene(args.scene_dir))]
-    elif args.jobs > 1:
+    elif jobs > 1:
         # stages stay sequential; only independent scenes run in parallel
         import multiprocessing
 
@@ -249,12 +255,11 @@ def cmd_pipeline(args):
         import scipy.spatial  # noqa: F401
         canonical_body(SceneConfig.voxel_res)
         # imap raises the first failure in seed order, not the first to arrive
-        with multiprocessing.Pool(args.jobs) as pool:
-            reports = list(pool.imap(_pipeline_one, [(args.seed + k, scene_config)
-                                                     for k in range(args.scenes)]))
+        with multiprocessing.Pool(jobs) as pool:
+            reports = list(pool.imap(_pipeline_one, [(seed + k, scene_config)
+                                                     for k in range(scenes)]))
     else:
-        reports = [run_pipeline(synth_scene(args.seed + k, scene_config))
-                   for k in range(args.scenes)]
+        reports = [run_pipeline(synth_scene(seed + k, scene_config)) for k in range(scenes)]
     _write_json(args.out, reports if len(reports) > 1 else reports[0])
     return 0
 
@@ -330,10 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("pipeline", help="full synthetic reconstruction run")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scenes", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="process this many scenes in parallel")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="first seed (default 0)")
+    p.add_argument("--scenes", type=int, default=argparse.SUPPRESS, help="scene count (default 1)")
+    p.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
+                   help="process this many scenes in parallel (default 1)")
     # a saved scene carries its own frame size
     source = p.add_mutually_exclusive_group()
     source.add_argument("--image-size", help="frame size WxH (default 1280x720)")

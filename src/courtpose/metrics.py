@@ -210,7 +210,7 @@ def icp(A: np.ndarray, B: np.ndarray) -> ICPResult:
     A = _point_set(A, "ICP", at_least=3)
     B = _point_set(B, "ICP", at_least=3)
     from scipy.spatial import cKDTree
-    tree = cKDTree(B)
+    tree = cKDTree(B, balanced_tree=False)
     R = np.eye(3)
     t = np.zeros(3)
     residuals = []

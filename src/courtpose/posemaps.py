@@ -1,26 +1,25 @@
 """Heatmap / XYZ-location-map codecs: the targets a pose network regresses.
 
 Encoding follows the training-target recipe: crop pixels divide by 4 onto a
-64x64 grid, a Gaussian of peak 1.0 and width ``SIGMA`` cells is stamped at
-the joint cell, and the location map carries the joint's root-relative XYZ
-on the support of the heatmap stack it is given, so one stamping serves both
-maps. Decoding takes the per-map argmax (row-major first on ties) and maps
-cells back through the cell center, ``4*c + 2``; both decoders share it.
+64x64 grid, where a Gaussian of width ``SIGMA`` cells is sampled around the
+joint's sub-cell centre ``p / 4 - 0.5`` (clipped to the grid's outer edges),
+one factor per axis, and the location map carries the joint's root-relative
+XYZ on the support of the heatmap stack it is given. Decoding takes the
+per-map argmax cell (row-major first on ties), which both decoders share;
+the heatmap decoder then refines it per axis as DARK does (Zhang et al.,
+CVPR 2020): the log of a Gaussian of known width is a parabola of known
+curvature, so two log-values fix its vertex, which is clipped into the
+argmax cell. An encoded pixel decodes to itself up to rounding.
 
 Gaussian values below 1e-8 are truncated to zero so "support" is a finite,
-well-defined cell set. The Gaussian depends only on the integer offset from
-the joint cell, so every map is a slice of one thresholded (127, 127) kernel,
-computed once: the encoder evaluates no ``exp`` of its own, and its bytes
-equal those of a map stamped joint by joint.
+well-defined cell set.
 """
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .model import Frame, Pose2D, Pose3D, json_number
@@ -39,8 +38,8 @@ class HeatmapStack:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         v = self.values
-        if v.ndim != 3 or v.shape[1] != v.shape[2]:
-            raise ValidationError("heatmaps must be (J, R, R)")
+        if v.ndim != 3 or v.shape[1] != v.shape[2] or v.shape[1] < 3:
+            raise ValidationError("heatmaps must be (J, R, R) with R >= 3")
         if not np.all(np.isfinite(v)) or v.min() < 0 or v.max() > 1.0 + 1e-12:
             raise ValidationError("heatmap values must be finite and in [0, 1]")
 
@@ -104,7 +103,7 @@ class PoseMapTargets:
 def encode_heatmaps(pose: Pose2D) -> HeatmapStack:
     """Per-joint 64x64 Gaussians; invisible joints map to all-zero maps.
 
-    Visible joints outside the crop are clamped to the border cell and
+    Visible joints outside the crop are clamped to the crop's edge and
     flagged in the returned stack's ``clamped`` array. A visible joint needs
     a finite pixel; an invisible one may carry none (NaN).
     """
@@ -114,24 +113,13 @@ def encode_heatmaps(pose: Pose2D) -> HeatmapStack:
         j = int(bad[0])
         raise ValidationError(f"joint {j} is visible but its pixel "
                               f"{tuple(pose.pixels[j].tolist())} is not finite")
-    cells = np.clip(np.floor(pose.pixels[vis] / CELL), 0, MAP_RES - 1).astype(int)
-    maps = np.zeros((pose.num_joints, MAP_RES, MAP_RES))
-    maps[vis] = _kernel_windows()[MAP_RES - 1 - cells[:, 1], MAP_RES - 1 - cells[:, 0]]
+    # all joints at once; an invisible one gets a zero Gaussian per axis
+    centres = np.clip(np.where(vis[:, None], pose.pixels, 0.0) / CELL - 0.5, -0.5, MAP_RES - 0.5)
+    g = np.exp(-(np.arange(MAP_RES) - centres[..., None]) ** 2 / (2.0 * SIGMA * SIGMA))
+    g *= vis[:, None, None]
+    maps = g[:, 1, :, None] * g[:, 0, None, :]
+    maps[maps < SUPPORT_EPS] = 0.0
     return HeatmapStack(maps, clamped=~pose.in_crop())
-
-
-@functools.cache
-def _kernel_windows() -> np.ndarray:
-    """Every cell's map at once: a read-only (64, 64, 64, 64) view whose
-    ``[63 - cy, 63 - cx]`` is the thresholded Gaussian centred on cell
-    (cy, cx). It slides over one (127, 127) kernel of the integer cell
-    offsets -63..63, so each value is the ``exp`` of the same exact integer
-    squared distance that a map stamped on its own would compute."""
-    offsets = np.arange(1 - MAP_RES, MAP_RES, dtype=float)
-    kernel = np.exp(-(offsets[None, :] ** 2 + offsets[:, None] ** 2) / (2.0 * SIGMA * SIGMA))
-    kernel[kernel < SUPPORT_EPS] = 0.0
-    kernel.setflags(write=False)
-    return sliding_window_view(kernel, (MAP_RES, MAP_RES))
 
 
 def _peak_cells(heat: HeatmapStack):
@@ -144,11 +132,25 @@ def _peak_cells(heat: HeatmapStack):
     return rows, cols, found
 
 
+def _vertex(lines: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per line, the vertex of the parabola through the logs of cells
+    ``lo`` and ``lo + 2`` around the argmax cell ``k``, clipped into cell
+    ``k``; a non-finite vertex (a zero sample) falls back to ``k``."""
+    lo = np.clip(k - 1, 0, lines.shape[1] - 3)
+    j = np.arange(len(k))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mu = lo + 1 + SIGMA * SIGMA * (np.log(lines[j, lo + 2]) - np.log(lines[j, lo])) / 2
+    return np.clip(np.where(np.isfinite(mu), mu, k), k - 0.5, k + 0.5)
+
+
 def decode_heatmaps(maps: HeatmapStack) -> Pose2D:
-    """Argmax cell back to crop pixels at cell centers; all-zero -> invisible."""
+    """Each map's sub-cell Gaussian centre in crop pixels; all-zero -> invisible."""
     rows, cols, found = _peak_cells(maps)
-    centers = CELL * np.stack([cols, rows], axis=1) + CELL // 2
-    return Pose2D(np.where(found[:, None], centers, 0), found)
+    j = np.arange(maps.num_joints)
+    x = _vertex(maps.values[j, rows, :], cols)
+    y = _vertex(maps.values[j, :, cols], rows)
+    pixels = CELL * (np.stack([x, y], axis=1) + 0.5)
+    return Pose2D(np.where(found[:, None], pixels, 0), found)
 
 
 def encode_location_maps(pose3d: Pose3D, heat: HeatmapStack) -> LocationMapStack:

@@ -4,9 +4,10 @@ line mask and calibration correspondences. Every pipeline stage can be
 exercised end-to-end against the bundled ground truth.
 
 ``run_pipeline`` is ``evaluate(reconstruct(observe(bundle)), bundle)``:
-``reconstruct`` reads only the ``Observation``, whose ``Leaks`` name the
-truth it still reads, and poses one player model, ``canonical_body``, for
-every player; ``evaluate`` compares the result with the rest of the truth.
+``reconstruct`` reads only the ``Observation``, places the player on the 2D
+pose it decodes from the maps, and poses one player model,
+``canonical_body``, for every player; ``evaluate`` compares the result with
+the truth in the world frame.
 
 All randomness flows through one seeded 64-bit generator; the same seed
 yields a bit-identical bundle.
@@ -292,23 +293,15 @@ def court_landmark_reprojection(cam_est: Camera, cam_gt: Camera,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Leaks:
-    """The ground truth the chain still reads where the paper's has a
-    network's output: placement's 2D pose."""
-    pose2d: Pose2D
-
-
-@dataclass(frozen=True)
 class Observation:
     """What the chain reads of a scene: the frame's inputs, the person crop,
-    the maps and jump class of a perfect pose network, and the leaks."""
+    and the maps and jump class of a perfect pose network."""
     image_size: tuple
     line_mask: LineMask
     correspondences: tuple
     crop_origin: tuple
     crop_scale: float
     maps: PoseMapTargets
-    leaks: Leaks
 
 
 @dataclass(frozen=True)
@@ -317,6 +310,7 @@ class Reconstruction:
     pose2d: Pose2D              # decoded, crop coordinates
     pose3d: Pose3D              # decoded, root-relative
     placed: Pose3D              # world frame
+    offset: np.ndarray          # the placement's world translation
     transforms: BoneTransforms  # fitted to the decoded pose
     body: BodyMesh              # composed, root frame
     stages: dict                # stage -> the report fields measured without truth
@@ -341,7 +335,7 @@ def observe(bundle: SceneBundle) -> Observation:
     heat = encode_heatmaps(bundle.pose2d)
     maps = PoseMapTargets(heat, encode_location_maps(bundle.pose_root, heat), bundle.jump)
     return Observation(bundle.config.image_size, bundle.line_mask, bundle.correspondences,
-                       bundle.crop_origin, bundle.crop_scale, maps, Leaks(bundle.pose2d))
+                       bundle.crop_origin, bundle.crop_scale, maps)
 
 
 def reconstruct(obs: Observation) -> Reconstruction:
@@ -362,7 +356,7 @@ def reconstruct(obs: Observation) -> Reconstruction:
         fields.update(pose2d=pose2d_to_json(pose2d), pose3d=pose3d_to_json(pose3d))
     with _stage(stages, "place") as fields:
         crop_cam = ref.camera.cropped(obs.crop_origin, obs.crop_scale)
-        placed, offset = place_player(crop_cam, obs.leaks.pose2d, pose3d, obs.maps.jump)
+        placed, offset = place_player(crop_cam, pose2d, pose3d, obs.maps.jump)
         fields.update(offset=offset.tolist(), pose_world=pose3d_to_json(placed))
     with _stage(stages, "skin") as fields:
         fitted, info = fit_pose_to_keypoints(skeleton, pose3d)
@@ -374,7 +368,7 @@ def reconstruct(obs: Observation) -> Reconstruction:
         body, rep = resolve_interpenetration(posed)
         fields.update(residual_collisions=rep["residual_collisions"],
                       outer_iterations=len(rep["iterations"]))
-    return Reconstruction(ref.camera, pose2d, pose3d, placed, fitted, body, stages)
+    return Reconstruction(ref.camera, pose2d, pose3d, placed, offset, fitted, body, stages)
 
 
 def evaluate(recon: Reconstruction, bundle: SceneBundle) -> dict:
@@ -391,14 +385,12 @@ def evaluate(recon: Reconstruction, bundle: SceneBundle) -> dict:
         fields["lowest_joint_err_m"] = float(np.linalg.norm(
             recon.placed.positions[j] - bundle.pose_world.positions[j]))
     with _stage(stages, "eval") as fields:
-        pred, _ = recon.body.merged()
+        pred = recon.body.merged()[0] + recon.offset  # to the world frame
         gt, _ = bundle.posed_body.merged()
-        # compare in the root frame: strip the ground-truth world offset
-        gt_root = gt - (bundle.pose_world.positions[0] - bundle.pose_root.positions[0])
-        fields.update(mpvpe_mm=mpvpe(pred, gt_root),
-                      mpvpe_pa_mm=mpvpe(pred, gt_root, procrustes=True),
-                      chamfer=chamfer(pred, gt_root),
-                      emd=emd(pred, gt_root, subsample=EMD_SUBSAMPLE),
+        fields.update(mpvpe_mm=mpvpe(pred, gt),
+                      mpvpe_pa_mm=mpvpe(pred, gt, procrustes=True),
+                      chamfer=chamfer(pred, gt),
+                      emd=emd(pred, gt, subsample=EMD_SUBSAMPLE),
                       # joint positions carry no twist about a bone and no leaf
                       # rotation: this error is a floor the fit cannot remove
                       rot_err_deg_mean=float(np.mean(rotation_error_deg(

@@ -103,9 +103,9 @@ def test_criterion_3_codec_bounds():
         worst2d = max(worst2d, float(np.abs(d2.pixels - pix).max()))
         worst3d = max(worst3d, float(np.abs(d3.positions - pos).max()))
 
-    ok = worst2d <= 2.0 and worst3d <= 1e-9
+    ok = worst2d <= 1e-9 and worst3d <= 1e-9
     report(3, "codec bounds",
-           ok, f"1000 poses: max 2D err {worst2d:.3f} px, max 3D err "
+           ok, f"1000 poses: max 2D err {worst2d:.1e} px, max 3D err "
                f"{worst3d:.1e} m")
 
 
@@ -351,7 +351,7 @@ def test_criterion_9_end_to_end():
         st = rep["stages"]
         joint_ok &= st["calibrate"]["final_cost"] <= st["calibrate"]["initial_cost"]
         joint_ok &= st["calibrate"]["landmark_reproj_px"] < 0.5
-        joint_ok &= st["codec"]["max_2d_err_px"] <= 2.0
+        joint_ok &= st["codec"]["max_2d_err_px"] <= 1e-9
         joint_ok &= st["codec"]["max_3d_err_m"] <= 1e-9
         joint_ok &= st["place"]["lowest_joint_err_m"] < 1e-3
         # the fit from its swing-IK start converges on every scene (mean

@@ -110,7 +110,7 @@ def test_codec_cli(tmp_path, bundle):
                  "--out-dir", str(tmp_path / "maps")])
     assert code == 0
     rep = json.loads((tmp_path / "maps" / "codec_report.json").read_text())
-    assert rep["max_2d_err_px"] <= 2.0
+    assert rep["max_2d_err_px"] < 1e-5  # through the float32 stack files
     assert rep["max_3d_err_m"] <= 1e-6
     assert (tmp_path / "maps" / "heatmaps.bin").exists()
 
@@ -276,6 +276,18 @@ def test_pipeline_image_size_with_a_scene_dir_exit_code_2(tmp_path, capsys):
     code = main(["pipeline", "--scene-dir", str(tmp_path), "--image-size", "640x360"])
     assert code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--seed", "3"], ["--scenes", "2"], ["--jobs", "2"],
+                                   ["--seed", "0", "--jobs", "1"]])
+def test_pipeline_scene_counts_with_a_scene_dir_exit_code_2(tmp_path, capsys, flags):
+    # a saved scene is the one scene run: these flags used to be ignored
+    out = tmp_path / "r.json"
+    code = main(["pipeline", "--scene-dir", str(tmp_path)] + flags + ["--out", str(out)])
+    assert code == 2
+    named = ", ".join(flags[::2])
+    assert f"{named} cannot go with --scene-dir" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_cli_parallel_scenes(tmp_path):

@@ -27,11 +27,15 @@ def random_pose_pair(rng):
 
 
 def test_center_pixel_maps_to_center_cell():
+    # pixel 128 is the edge between cells 31 and 32: the Gaussian's centre
+    # sits there, the tie goes to the first cell, and it decodes exactly
     pix = np.full((J, 2), 128.0)
     heat = encode_heatmaps(full_pose2d(pix))
     for j in range(J):
         r, c = divmod(int(np.argmax(heat.values[j])), 64)
-        assert (r, c) == (32, 32)
+        assert (r, c) == (31, 31)
+        assert heat.values[j, 31, 31] == heat.values[j, 32, 32]
+    assert np.all(decode_heatmaps(heat).pixels == 128.0)
 
 
 def test_invisible_joint_gives_zero_map():
@@ -77,6 +81,30 @@ def test_round_trip_error_bounded_by_half_cell():
         dec = decode_heatmaps(encode_heatmaps(p2))
         worst = max(worst, np.abs(dec.pixels - p2.pixels).max())
     assert worst <= 2.0
+
+
+def test_round_trip_exact_on_random_and_edge_coordinates():
+    # 4000 pixels: 2000 anywhere in the crop, 1000 in the first or last
+    # cell of each axis, 1000 within half a pixel of either edge
+    rng = np.random.default_rng(9)
+    side = rng.random((2000, 2)) < 0.5
+    edge_cells = np.where(side[:1000], rng.uniform(0, CELL, (1000, 2)),
+                          rng.uniform(256 - CELL, 256, (1000, 2)))
+    edges = np.where(side[1000:], rng.uniform(0, 0.5, (1000, 2)),
+                     rng.uniform(255.5, 256, (1000, 2)))
+    pix = np.vstack([rng.uniform(0, 256, (2000, 2)), edge_cells, edges])
+    worst = 0.0
+    for chunk in np.split(pix, 40):
+        p2 = full_pose2d(chunk)
+        assert p2.in_crop().all()
+        worst = max(worst, np.abs(decode_heatmaps(encode_heatmaps(p2)).pixels - chunk).max())
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("res", [1, 2])
+def test_heatmaps_need_three_cells_a_side(res):
+    with pytest.raises(ValidationError, match="R >= 3"):
+        HeatmapStack(np.ones((J, res, res)))
 
 
 def test_location_maps_constant_fill_and_pelvis_zero():
@@ -159,16 +187,18 @@ def loop_encode_heatmaps(pose):
     maps = np.zeros((pose.num_joints, MAP_RES, MAP_RES))
     clamped = np.zeros(pose.num_joints, dtype=bool)
     grid = np.arange(MAP_RES, dtype=float)
+
+    def gaussian(p):
+        centre = min(max(p / CELL - 0.5, -0.5), MAP_RES - 0.5)
+        return np.exp(-(grid - centre) ** 2 / (2.0 * SIGMA * SIGMA))
+
     for j in range(pose.num_joints):
         if not pose.visibility[j]:
             continue
         x, y = pose.pixels[j]
         if not (0 <= x < Pose2D.CROP_SIZE and 0 <= y < Pose2D.CROP_SIZE):
             clamped[j] = True
-        cx = int(np.clip(np.floor(x / CELL), 0, MAP_RES - 1))
-        cy = int(np.clip(np.floor(y / CELL), 0, MAP_RES - 1))
-        g = np.exp(-((grid[None, :] - cx) ** 2 + (grid[:, None] - cy) ** 2)
-                   / (2.0 * SIGMA * SIGMA))
+        g = gaussian(y)[:, None] * gaussian(x)[None, :]
         g[g < SUPPORT_EPS] = 0.0
         maps[j] = g
     return maps, clamped
@@ -185,16 +215,24 @@ def loop_encode_location_maps(pose3d, pose2d):
 
 
 def loop_decode(heat, loc):
+    """Each map's argmax cell (x, y), its visibility and its XYZ."""
     J, R = heat.shape[0], heat.shape[1]
-    pixels, vis, xyz = np.zeros((J, 2)), np.zeros(J, dtype=bool), np.zeros((J, 3))
+    cells, vis, xyz = np.zeros((J, 2), dtype=int), np.zeros(J, dtype=bool), np.zeros((J, 3))
     for j in range(J):
         if heat[j].max() <= 0.0:
             continue
         cy, cx = divmod(int(np.argmax(heat[j])), R)
-        pixels[j] = (CELL * cx + CELL // 2, CELL * cy + CELL // 2)
+        cells[j] = (cx, cy)
         vis[j] = True
         xyz[j] = loc[j, :, cy, cx]
-    return pixels, vis, xyz
+    return cells, vis, xyz
+
+
+def assert_in_cells(pixels, cells, vis):
+    """Visible joints decode inside their argmax cell, invisible ones to 0."""
+    assert np.all(np.isfinite(pixels))
+    assert np.all((CELL * cells[vis] <= pixels[vis]) & (pixels[vis] <= CELL * (cells[vis] + 1)))
+    assert np.all(pixels[~vis] == 0.0)
 
 
 def _oracle_cases():
@@ -221,10 +259,13 @@ def test_array_codec_matches_loop_oracle_bytes():
         assert heat.values.tobytes() == maps.tobytes(), name
         assert heat.clamped.tobytes() == clamped.tobytes(), name
         assert loc.values.tobytes() == loop_encode_location_maps(p3, p2).tobytes(), name
-        pixels, vis, xyz = loop_decode(maps, loc.values)
+        cells, vis, xyz = loop_decode(maps, loc.values)
         d2, d3 = decode_heatmaps(heat), decode_location_maps(loc, heat)
-        assert d2.pixels.tobytes() == pixels.tobytes(), name
+        assert_in_cells(d2.pixels, cells, vis)
         assert d2.visibility.tobytes() == vis.tobytes(), name
+        # a joint outside the crop decodes to the crop's edge it was clamped to
+        want = np.clip(p2.pixels[vis], 0, Pose2D.CROP_SIZE)
+        assert np.abs(d2.pixels[vis] - want).max(initial=0.0) <= 1e-12, name
         assert d3.positions.tobytes() == xyz.tobytes(), name
 
 
@@ -235,11 +276,11 @@ def test_array_decode_matches_loop_oracle_on_ties():
     heat[rng.random(J) < 0.3] = 0.0
     loc = rng.normal(size=(J, 3, 16, 16))
     loc[0] = 0.0  # the root-relative pelvis
-    pixels, vis, xyz = loop_decode(heat, loc)
+    cells, vis, xyz = loop_decode(heat, loc)
     stack = HeatmapStack(heat)
     d2 = decode_heatmaps(stack)
     d3 = decode_location_maps(LocationMapStack(loc), stack)
-    assert d2.pixels.tobytes() == pixels.tobytes()
+    assert_in_cells(d2.pixels, cells, vis)
     assert d2.visibility.tobytes() == vis.tobytes()
     assert d3.positions.tobytes() == xyz.tobytes()
 
@@ -272,7 +313,8 @@ def test_invisible_nan_pixels_encode_to_zero_maps_without_warnings():
         warnings.simplefilter("error")
         heat = encode_heatmaps(Pose2D(pix, vis))
     assert not heat.values[[2, 9, 11]].any()
-    assert heat.values[[0, 5]].max() == 1.0
+    # pixel 100 is a cell edge: the peak cells sit half a cell off the centre
+    assert heat.values[[0, 5]].max() == np.exp(-0.125) * np.exp(-0.125)
     assert not heat.clamped.any()
     assert heat.values.tobytes() == loop_encode_heatmaps(Pose2D(pix, vis))[0].tobytes()
 

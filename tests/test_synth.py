@@ -9,11 +9,12 @@ from courtpose import synth
 from courtpose.camera import project
 from courtpose.errors import StageError, ValidationError
 from courtpose.mesh import BodyMesh, PartMesh
+from courtpose.model import Pose2D
 from courtpose.placement import place_player
 from courtpose.posemaps import (decode_heatmaps, decode_location_maps,
                                 encode_heatmaps, encode_location_maps)
-from courtpose.synth import (Leaks, SceneBundle, evaluate, load_scene, observe, reconstruct,
-                             run_pipeline, save_scene, synth_scene)
+from courtpose.synth import (Observation, SceneBundle, evaluate, load_scene, observe,
+                             reconstruct, run_pipeline, save_scene, synth_scene)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ def test_bundle_codec_round_trip_bound(bundle):
     loc = encode_location_maps(bundle.pose_root, heat)
     p2 = decode_heatmaps(heat)
     p3 = decode_location_maps(loc, heat)
-    assert np.abs(p2.pixels - bundle.pose2d.pixels).max() <= 2.0
+    assert np.abs(p2.pixels - bundle.pose2d.pixels).max() <= 1e-9
     assert np.abs(p3.positions - bundle.pose_root.positions).max() <= 1e-9
 
 
@@ -120,7 +121,7 @@ def test_run_pipeline_stages_and_thresholds(bundle):
     assert list(stages) == ["calibrate", "codec", "place", "skin", "compose", "eval"]
     assert stages["calibrate"]["final_cost"] <= stages["calibrate"]["initial_cost"]
     assert stages["calibrate"]["landmark_reproj_px"] < 0.5
-    assert stages["codec"]["max_2d_err_px"] <= 2.0
+    assert stages["codec"]["max_2d_err_px"] <= 1e-9
     assert stages["codec"]["max_3d_err_m"] <= 1e-9
     assert stages["place"]["lowest_joint_err_m"] < 1e-3
     assert stages["eval"]["mpvpe_mm"] < 100.0
@@ -173,8 +174,23 @@ def test_stage_error_pickles_with_its_stage_and_cause():
     assert str(back) == "[calibrate] empty mask"
 
 
-def test_leaks_are_the_named_truth():
-    assert [f.name for f in dataclasses.fields(Leaks)] == ["pose2d"]
+def test_observation_holds_only_the_six_inputs():
+    assert [f.name for f in dataclasses.fields(Observation)] == [
+        "image_size", "line_mask", "correspondences", "crop_origin", "crop_scale", "maps"]
+
+
+def test_place_reads_the_decoded_pose(bundle, monkeypatch):
+    obs = observe(bundle)
+    offset = reconstruct(obs).offset
+
+    def shifted(heat):
+        pose = decode_heatmaps(heat)
+        return Pose2D(pose.pixels + [1.0, 0.0], pose.visibility)
+
+    monkeypatch.setattr(synth, "decode_heatmaps", shifted)
+    recon = reconstruct(obs)
+    assert np.array_equal(recon.stages["place"]["offset"], recon.offset)
+    assert np.abs(recon.offset - offset).max() > 1e-3
 
 
 def test_reconstruct_reads_no_bundle(bundle, monkeypatch):
