@@ -29,8 +29,12 @@ class Camera:
         object.__setattr__(self, "T", np.asarray(self.T, dtype=float).reshape(3))
         if not (np.isfinite(self.f) and self.f > 0):
             raise ValidationError("focal length must be positive")
+        # before the defect: the determinant of a non-finite R warns
+        for name in ("px", "py", "R", "T"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"camera {name} must be finite")
         d = rotation_defect(self.R)
-        if d > 1e-9:
+        if not d <= 1e-9:
             raise ValidationError(f"camera rotation not orthonormal within 1e-9 (defect {d:.3g})")
 
     @property

@@ -1,7 +1,7 @@
 """Deterministic synthetic scenes: a broadcast-style camera over a court, a
-randomly posed capsule-bodied player with ground-truth poses, jump state,
-line mask and calibration correspondences. Every pipeline stage can be
-exercised end-to-end against the bundled ground truth.
+randomly posed capsule-bodied player (bone transforms and a world offset),
+its jump state, line mask and calibration correspondences. The true poses and
+posed body derive from these draws; every stage is checked against them.
 
 ``run_pipeline`` is ``evaluate(reconstruct(observe(bundle)), bundle)``:
 ``reconstruct`` reads only the ``Observation``, places the player on the 2D
@@ -19,6 +19,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -30,13 +31,11 @@ from .camera import (Camera, camera_from_json, camera_to_json, project,
 from .composer import resolve_interpenetration
 from .court import CourtModel, make_court_model
 from .errors import StageError, ValidationError
-from .mesh import BodyMesh, PartMesh, load_obj, save_obj, stack_meshes
+from .mesh import BodyMesh, PartMesh, stack_meshes
 from .metrics import chamfer, emd, mpvpe, rotation_error_deg
-from .model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton,
-                    forward_kinematics, json_number, json_numbers, load_json_record,
-                    pose2d_from_json, pose2d_to_json, pose3d_from_json, pose3d_to_json,
-                    rest_pose, skeleton_from_json, skeleton_to_json, transforms_from_json,
-                    transforms_to_json)
+from .model import (BoneTransforms, Frame, Pose2D, Pose3D, Skeleton, forward_kinematics,
+                    json_number, json_numbers, load_json_record, pose2d_to_json,
+                    pose3d_to_json, rest_pose, transforms_from_json, transforms_to_json)
 from .placement import place_player
 from .posemaps import (JumpInfo, PoseMapTargets, codec_errors, decode_heatmaps,
                        decode_location_maps, encode_heatmaps, encode_location_maps,
@@ -72,33 +71,56 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class SceneBundle:
-    """A scene's truth; its posed body has ``canonical_body``'s parts and faces."""
+    """A scene's draws and observations. Its poses and posed body are views
+    derived from them once, on first read, by ``synth_scene``'s expressions;
+    its skeleton and court are the player model's and the one court."""
     seed: int
     config: SceneConfig
-    court: CourtModel
     camera: Camera                 # full-frame broadcast camera
     crop_origin: tuple             # person crop window in the full frame
     crop_scale: float
-    skeleton: Skeleton
-    transforms: BoneTransforms
-    pose_root: Pose3D              # root-relative
-    pose_world: Pose3D
-    pose2d: Pose2D                 # crop coordinates
+    transforms: BoneTransforms     # on canonical_body's skeleton
+    offset: np.ndarray             # (3,) world translation of pose_root
     jump: JumpInfo
-    posed_body: BodyMesh           # world frame
     line_mask: LineMask
     correspondences: tuple         # ((pixel xy), (world xyz)) pairs
+
+    @property
+    def skeleton(self) -> Skeleton:
+        return canonical_body(self.config.voxel_res)[0]
+
+    @property
+    def court(self) -> CourtModel:
+        return make_court_model()
 
     @property
     def crop_camera(self) -> Camera:
         return self.camera.cropped(self.crop_origin, self.crop_scale)
 
+    @cached_property
+    def pose_root(self) -> Pose3D:
+        return forward_kinematics(self.skeleton, self.transforms)
+
+    @cached_property
+    def pose_world(self) -> Pose3D:
+        return self.pose_root.translated(self.offset)
+
+    @cached_property
+    def pose2d(self) -> Pose2D:
+        """Crop coordinates, every joint visible."""
+        return Pose2D(project(self.crop_camera, self.pose_world.positions),
+                      np.ones(self.skeleton.num_joints, dtype=bool))
+
+    @cached_property
+    def posed_body(self) -> BodyMesh:
+        """The player model posed by LBS, in the world frame."""
+        _, rest_body, weights = canonical_body(self.config.voxel_res)
+        posed_root = lbs(rest_body, weights, self.transforms, self.skeleton)
+        return posed_root.with_parts(
+            [p.with_vertices(p.vertices + self.offset) for p in posed_root.parts])
+
     def validate(self) -> None:
-        if self.skeleton.num_joints != 35:
-            raise ValidationError("bundle skeleton must be the full 35-joint rig")
-        reproj = project(self.crop_camera, self.pose_world.positions)
-        if not np.array_equal(reproj, self.pose2d.pixels):
-            raise ValidationError("bundle invariant broken: pose2d != project(camera, pose3d)")
+        """The invariants that the draws do not fix, checked on a loaded scene."""
         if not np.all(self.pose2d.in_crop()):
             raise ValidationError("bundle pose2d leaves the crop")
         if self.jump.airborne != (self.jump.height > JumpInfo.JUMP_THRESHOLD):
@@ -106,14 +128,9 @@ class SceneBundle:
         w, h = self.config.image_size
         if self.line_mask.size != (w, h):
             raise ValidationError("line mask size does not match the frame")
-        rest, posed = canonical_body(self.config.voxel_res)[1].parts, self.posed_body.parts
-        if len(rest) != len(posed) or not all(
-                r.part == p.part and np.array_equal(r.faces, p.faces)
-                for r, p in zip(rest, posed)):
-            raise ValidationError("posed body differs from the player model in its parts or faces")
 
 
-# the player model depends only on the voxel resolution; validate reads it too
+# the player model depends only on the voxel resolution
 _BODY_CACHE: dict = {}
 
 
@@ -177,7 +194,7 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneBundle:
         raise ValidationError(f"a scene seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     court = make_court_model()
-    skeleton, rest_body, weights = canonical_body(config.voxel_res)
+    skeleton = canonical_body(config.voxel_res)[0]
 
     transforms = random_pose_transforms(skeleton, rng)
     pose_root = forward_kinematics(skeleton, transforms)
@@ -212,22 +229,11 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneBundle:
     center = (lo + hi) / 2.0
     origin = (float(center[0] - side / 2.0), float(center[1] - side / 2.0))
     scale = Pose2D.CROP_SIZE / side
-    crop_cam = cam.cropped(origin, scale)
-    pose2d = Pose2D(project(crop_cam, pose_world.positions),
-                    np.ones(skeleton.num_joints, dtype=bool))
-
-    posed_root = lbs(rest_body, weights, transforms, skeleton)
-    posed_body = posed_root.with_parts(
-        [p.with_vertices(p.vertices + offset) for p in posed_root.parts])
 
     mask = rasterize_court_lines(cam, court, config.image_size)
     corrs = _pick_correspondences(cam, court, config.image_size)
-
-    bundle = SceneBundle(seed, config, court, cam, origin, scale, skeleton,
-                         transforms, pose_root, pose_world, pose2d, jump,
-                         posed_body, mask, corrs)
-    bundle.validate()
-    return bundle
+    return SceneBundle(seed, config, cam, origin, scale, transforms, offset, jump,
+                       mask, corrs)
 
 
 def _in_frame(camera: Camera, pts: np.ndarray, image_size):
@@ -409,36 +415,32 @@ def run_pipeline(bundle: SceneBundle) -> dict:
 # ---------------------------------------------------------------------------
 
 def save_scene(bundle: SceneBundle, outdir) -> None:
+    """Write the scene's draws to ``outdir``: ``scene.json`` and ``mask.pgm``."""
     os.makedirs(outdir, exist_ok=True)
-    p = lambda name: os.path.join(outdir, name)
-    with open(p("scene.json"), "w") as fh:
+    with open(os.path.join(outdir, "scene.json"), "w") as fh:
         json.dump({
             "seed": bundle.seed,
             "image_size": list(bundle.config.image_size),
             "crop_origin": list(bundle.crop_origin),
             "crop_scale": bundle.crop_scale,
             "camera": camera_to_json(bundle.camera),
-            "skeleton": skeleton_to_json(bundle.skeleton),
             "transforms": transforms_to_json(bundle.transforms),
-            "pose_root": pose3d_to_json(bundle.pose_root),
-            "pose_world": pose3d_to_json(bundle.pose_world),
-            "pose2d": pose2d_to_json(bundle.pose2d),
+            "offset": bundle.offset.tolist(),
             "jump": jump_to_json(bundle.jump),
             "correspondences": [[list(px), list(w)] for px, w in bundle.correspondences],
         }, fh, indent=1)
-    save_pgm(p("mask.pgm"), bundle.line_mask)
-    save_obj(p("posed.obj"), bundle.posed_body)
+    save_pgm(os.path.join(outdir, "mask.pgm"), bundle.line_mask)
 
 
 def load_scene(scenedir) -> SceneBundle:
-    """The scene that ``save_scene`` wrote to ``scenedir`` (a rest.obj of an
-    older scene is not read). A field of scene.json that is not a JSON
-    number of the right kind (the seed, an integer >= 0, and the frame size
-    are integers) or shape is a ValidationError naming the file; a scene
-    that breaks a SceneBundle invariant, such as a mask of another frame
-    size or a posed body of other parts than the model's, is one naming the
-    directory."""
-    posed = load_obj(os.path.join(scenedir, "posed.obj"))
+    """The scene that ``save_scene`` wrote to ``scenedir``; any other file
+    there, such as an older scene's rest.obj or posed.obj, is not read. A
+    missing field of scene.json, or one that is not a JSON number of the
+    right kind (the seed, an integer >= 0, and the frame size are integers)
+    or shape, is a ValidationError naming the file; a scene that breaks a
+    SceneBundle invariant, such as a mask of another frame size or
+    transforms of another joint count than the player model's, is one naming
+    the directory."""
     line_mask = load_pgm(os.path.join(scenedir, "mask.pgm"))
 
     def from_json(d):
@@ -452,18 +454,14 @@ def load_scene(scenedir) -> SceneBundle:
             seed=seed,
             config=SceneConfig(tuple(json_numbers(d["image_size"], "scene image_size",
                                                   int).tolist())),
-            court=make_court_model(),
             camera=camera_from_json(d["camera"]),
             crop_origin=tuple(json_numbers(d["crop_origin"], "scene crop_origin")
                               .reshape(2).tolist()),
             crop_scale=json_number(d["crop_scale"], "scene crop_scale"),
-            skeleton=skeleton_from_json(d["skeleton"]),
             transforms=transforms_from_json(d["transforms"]),
-            pose_root=pose3d_from_json(d["pose_root"]),
-            pose_world=pose3d_from_json(d["pose_world"]),
-            pose2d=pose2d_from_json(d["pose2d"]),
+            offset=json_numbers(d["offset"], "scene offset").reshape(3),
             jump=jump_from_json(d["jump"]),
-            posed_body=posed, line_mask=line_mask,
+            line_mask=line_mask,
             correspondences=tuple(zip(map(tuple, pixels.reshape(len(corrs), 2).tolist()),
                                       map(tuple, court.reshape(len(corrs), 3).tolist()))),
         )

@@ -1,13 +1,16 @@
 """Test-only helpers that the library itself never calls: an icosphere, a
 square grid and a triangle lattice for geometry tests, a random rotation, a
-sparse JSON writer for skinning weights (the CLI only reads them) and a
-sum-to-scalar op for autograd losses."""
+sparse JSON writer for skinning weights (the CLI only reads them), a
+sum-to-scalar op for autograd losses, and the seeds of the pipeline scenes."""
 import numpy as np
 
 from courtpose.mesh import PartMesh
 from courtpose.meshnet import autograd as ag
 from courtpose.skinning import SkinningWeights
 from courtpose.transforms import axis_angle_to_matrix
+
+# the bench scenes, the held-out scenes and twenty more
+PIPELINE_SEEDS = [*range(5000, 5008), *range(6000, 6008), *range(1000, 1020)]
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 

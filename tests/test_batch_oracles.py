@@ -34,9 +34,7 @@ from courtpose.skinning import (COLLINEAR, MIN_BONE, KeypointObjective, _swing_r
                                 fit_pose_to_keypoints, so3_right_jacobian, swing_ik)
 from courtpose.synth import synth_scene
 from courtpose.transforms import axis_angle_to_matrix, matrix_to_axis_angle
-from helpers import icosphere, random_rotation
-
-PIPELINE_SEEDS = [*range(5000, 5008), *range(6000, 6008), *range(1000, 1020)]
+from helpers import PIPELINE_SEEDS, icosphere, random_rotation
 
 
 @pytest.fixture(scope="module")

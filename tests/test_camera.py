@@ -105,6 +105,18 @@ def test_camera_validation():
         Camera(100.0, 0, 0, np.eye(3) * 1.1, np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["f", "px", "py", "R", "T"])
+def test_camera_refuses_a_non_finite_field(field, bad):
+    # a NaN R used to pass, since a NaN defect is not > 1e-9
+    good = {"f": 1000.0, "px": 320.0, "py": 240.0, "R": np.eye(3), "T": np.zeros(3)}
+    value = np.array(good[field], dtype=float)
+    value.flat[value.size // 2] = bad
+    message = "focal length" if field == "f" else f"camera {field} must be finite"
+    with pytest.raises(ValidationError, match=message):
+        Camera(**{**good, field: value if value.ndim else float(value)})
+
+
 def test_camera_json_round_trip():
     cam = simple_camera(1234.5)
     back = camera_from_json(json.loads(json.dumps(camera_to_json(cam))))

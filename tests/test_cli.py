@@ -341,18 +341,6 @@ def test_pipeline_scene_and_job_counts_below_one_exit_code_2(tmp_path, capsys, a
     assert not out.exists()
 
 
-def test_pipeline_scene_dir_with_a_one_part_posed_body_exit_code_2(tmp_path, capsys):
-    # the load refuses a posed body whose parts are not the player model's,
-    # which would otherwise fail only at eval
-    out = tmp_path / "scene"
-    assert main(["synth", "--seed", "5", "--out", str(out)]) == 0
-    save_obj(out / "posed.obj", load_obj(out / "posed.obj").part("head"))
-    code = main(["pipeline", "--scene-dir", str(out), "--out", str(tmp_path / "r.json")])
-    assert code == 2
-    assert (f"scene {out}: posed body differs from the player model in its parts or faces"
-            in capsys.readouterr().err)
-
-
 @pytest.mark.parametrize("text, why", [
     ("# part: hat\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "unknown part 'hat'"),
     ("# part: head\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
@@ -531,6 +519,28 @@ def place_with(tmp_path, capsys, json_inputs, flag, record):
     return capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, index", [("T", 1), ("R", 4)])
+def test_place_camera_that_is_not_finite_names_the_file_exit_code_2(tmp_path, json_inputs,
+                                                                    field, index):
+    # a NaN T used to fail at placement, naming no file, and a NaN R passed
+    # the rotation check and, under PYTHONWARNINGS=error, exited 1 on the
+    # determinant's RuntimeWarning
+    camera = json.loads((json_inputs / "cam.json").read_text())
+    camera[field][index] = float("nan")
+    bad = tmp_path / "cam.json"
+    write_json(bad, camera)
+    argv = [arg.format(inputs=json_inputs, tmp=tmp_path) for arg in _JSON_COMMANDS["place"]]
+    argv[argv.index("--camera") + 1] = str(bad)
+    env = {**os.environ, "PYTHONWARNINGS": "error",
+           "PYTHONPATH": os.path.dirname(os.path.dirname(courtpose.__file__))}
+    out = subprocess.run([sys.executable, "-m", "courtpose.cli", "place", *argv,
+                          "--out", str(tmp_path / "world.json")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 2, out.stderr
+    assert f"{bad} is not a valid record: camera {field} must be finite" in out.stderr
+    assert not (tmp_path / "world.json").exists()
+
+
 _NOT_A_BOOLEAN = {"--jump": "jump airborne must be JSON true or false",
                   "--pose2d": "pose2d visibility must be a list of JSON booleans"}
 
@@ -615,6 +625,35 @@ def scene_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("saved") / "scene"
     assert main(["synth", "--seed", "5", "--out", str(out)]) == 0
     return out
+
+
+def test_pipeline_scene_dir_without_an_offset_exit_code_2(tmp_path, capsys, scene_dir):
+    # a scene saved before the offset was stored holds its poses instead
+    out = tmp_path / "scene"
+    shutil.copytree(scene_dir, out)
+    scene = json.loads((out / "scene.json").read_text())
+    del scene["offset"]
+    write_json(out / "scene.json", scene)
+    report = tmp_path / "r.json"
+    assert main(["pipeline", "--scene-dir", str(out), "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'scene.json'} is not a valid record: KeyError('offset')" in err
+    assert not report.exists()
+
+
+def test_pipeline_scene_dir_with_transforms_of_ten_joints_exit_code_2(tmp_path, capsys,
+                                                                     scene_dir):
+    out = tmp_path / "scene"
+    shutil.copytree(scene_dir, out)
+    scene = json.loads((out / "scene.json").read_text())
+    for key in ("rotations", "translations"):
+        scene["transforms"][key] = scene["transforms"][key][:10]
+    write_json(out / "scene.json", scene)
+    report = tmp_path / "r.json"
+    assert main(["pipeline", "--scene-dir", str(out), "--out", str(report)]) == 2
+    assert (f"scene {out}: transform count 10 does not match joint count 35"
+            in capsys.readouterr().err)
+    assert not report.exists()
 
 
 def _bad_correspondence(k, j, bad):

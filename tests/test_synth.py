@@ -8,13 +8,13 @@ import pytest
 from courtpose import synth
 from courtpose.camera import project
 from courtpose.errors import StageError, ValidationError
-from courtpose.mesh import BodyMesh, PartMesh
 from courtpose.model import Pose2D
 from courtpose.placement import place_player
 from courtpose.posemaps import (decode_heatmaps, decode_location_maps,
                                 encode_heatmaps, encode_location_maps)
 from courtpose.synth import (Observation, SceneBundle, evaluate, load_scene, observe,
                              reconstruct, run_pipeline, save_scene, synth_scene)
+from helpers import PIPELINE_SEEDS
 
 
 @pytest.fixture(scope="module")
@@ -74,44 +74,49 @@ def test_posed_body_parts_match_rest_topology(bundle):
         assert np.array_equal(rest_p.faces, posed_p.faces)
 
 
-@pytest.mark.parametrize("change", ["drop a part", "swap two parts", "turn a face"])
-def test_validate_refuses_rest_and_posed_bodies_of_other_topology(bundle, change):
-    # the posed body against the player model's rest body
-    parts = list(bundle.posed_body.parts)
-    if change == "drop a part":
-        del parts[0]
-    elif change == "swap two parts":
-        parts[0], parts[1] = parts[1], parts[0]
-    else:
-        head = parts[0]
-        parts[0] = PartMesh(head.vertices, head.faces[:, ::-1], head.part)
-    changed = dataclasses.replace(bundle, posed_body=BodyMesh(tuple(parts)))
-    with pytest.raises(ValidationError, match="posed body differs from the player model"):
-        changed.validate()
+def test_every_pipeline_bundle_passes_validate():
+    # synth_scene no longer validates what it builds; load_scene does
+    for seed in PIPELINE_SEEDS:
+        synth_scene(seed).validate()
 
 
-def test_scene_save_load_round_trip(tmp_path, bundle):
+def test_scene_save_load_round_trip(tmp_path):
+    # the views derive from exact JSON floats, bit for bit
+    for seed in range(5000, 5008):
+        bundle = synth_scene(seed)
+        save_scene(bundle, tmp_path / str(seed))
+        back = load_scene(tmp_path / str(seed))
+        assert back.seed == bundle.seed
+        assert back.camera.f == bundle.camera.f
+        assert np.array_equal(back.line_mask.pixels, bundle.line_mask.pixels)
+        for view in ("pose_root", "pose_world"):
+            assert np.array_equal(getattr(back, view).positions,
+                                  getattr(bundle, view).positions), (seed, view)
+        assert np.array_equal(back.pose2d.pixels, bundle.pose2d.pixels), seed
+        assert np.array_equal(back.pose2d.visibility, bundle.pose2d.visibility), seed
+        assert np.array_equal(back.posed_body.merged()[0], bundle.posed_body.merged()[0]), seed
+
+
+def test_saved_scene_runs_as_the_synthesized_one(tmp_path, bundle):
     save_scene(bundle, tmp_path / "scene")
-    back = load_scene(tmp_path / "scene")
-    assert back.seed == bundle.seed
-    assert np.allclose(back.pose_world.positions, bundle.pose_world.positions)
-    assert np.array_equal(back.line_mask.pixels, bundle.line_mask.pixels)
-    assert np.abs(back.posed_body.merged()[0]
-                  - bundle.posed_body.merged()[0]).max() < 1e-6
-    assert back.camera.f == bundle.camera.f
+    reports = [run_pipeline(load_scene(tmp_path / "scene")), run_pipeline(bundle)]
+    for r in reports:
+        for fields in r["stages"].values():
+            del fields["seconds"]
+    assert json.dumps(reports[0]) == json.dumps(reports[1])
 
 
 def test_save_scene_writes_the_truth_and_no_player_model(tmp_path, bundle):
     save_scene(bundle, tmp_path / "scene")
-    assert sorted(p.name for p in (tmp_path / "scene").iterdir()) == [
-        "mask.pgm", "posed.obj", "scene.json"]
+    assert sorted(p.name for p in (tmp_path / "scene").iterdir()) == ["mask.pgm", "scene.json"]
 
 
 def test_load_scene_ignores_the_rest_obj_of_an_older_scene(tmp_path, bundle):
     scene = tmp_path / "scene"
     save_scene(bundle, scene)
     before = pickle.dumps(load_scene(scene))
-    (scene / "rest.obj").write_text("v not a number\n")
+    for name in ("rest.obj", "posed.obj"):
+        (scene / name).write_text("v not a number\n")
     assert pickle.dumps(load_scene(scene)) == before
 
 
