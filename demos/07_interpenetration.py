@@ -3,11 +3,14 @@
 An arm cylinder pokes 5 mm through a sleeve; the detect-push-optimize loop
 moves the colliding vertices inside and relaxes their neighborhood under
 data + Laplacian + edge-length terms. Pinned vertices never move during the
-inner solves and the far field keeps its edge lengths.
+inner solves and the far field keeps its edge lengths. The detector asks the
+garment's FaceTable, the one nearest-triangle query object, for the nearest
+sleeve face of each arm vertex within its 5 cm band; compose builds that
+table once per garment and reuses it on every pass.
 """
 import numpy as np
 
-from courtpose import BodyMesh, detect_collisions, resolve_interpenetration
+from courtpose import BodyMesh, FaceTable, detect_collisions, resolve_interpenetration
 from courtpose.mesh import mesh_edges
 from courtpose.primitives import capsule, tube
 
@@ -16,7 +19,7 @@ body = capsule((0, 0, 0), (0, 0.3, 0), 0.055, n_seg=12, cap_rings=3,
                shaft_rings=6, part="arms")
 scene = BodyMesh((body, garment))
 
-initial = detect_collisions(body, garment)
+initial = detect_collisions(body, FaceTable(garment.vertices, garment.faces))
 print(f"arm pokes 5 mm through the sleeve: {initial.count} colliding vertices")
 
 resolved, report = resolve_interpenetration(scene)

@@ -18,7 +18,7 @@ from .posemaps import (HeatmapStack, JumpInfo, LocationMapStack,
 from .placement import lowest_joint, place_player, solve_depth_for_height
 from .skinning import (SkinningWeights, fit_pose_to_keypoints,
                        heat_diffusion_weights, lbs, swing_ik)
-from .collision import CollisionReport, detect_collisions
+from .collision import CollisionReport, FaceTable, detect_collisions
 from .composer import penetration_loss, resolve_interpenetration
 from .metrics import (ICPResult, ProcrustesResult, chamfer, emd, icp, mpjpe,
                       mpvpe, procrustes_align, rotation_error_deg)
@@ -43,7 +43,7 @@ __all__ = [
     "lowest_joint", "place_player", "solve_depth_for_height",
     "SkinningWeights", "fit_pose_to_keypoints",
     "heat_diffusion_weights", "lbs", "swing_ik",
-    "CollisionReport", "detect_collisions",
+    "CollisionReport", "FaceTable", "detect_collisions",
     "penetration_loss", "resolve_interpenetration",
     "ICPResult", "ProcrustesResult", "chamfer", "emd", "icp", "mpjpe", "mpvpe",
     "procrustes_align", "rotation_error_deg",

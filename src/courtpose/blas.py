@@ -8,6 +8,16 @@ scheduled, so it is slower and its time erratic: under
 ``courtpose pipeline --jobs 2`` on a two-vCPU Xeon virtual machine the skin
 stage took 0.4-0.9 s per scene, against 0.05 s in one process.
 
+A ``--jobs`` run pins the count in the parent before the workers fork, and
+``single_thread`` calls no setter for a library already on one thread: a
+forked child that calls the setter, even to the count it has, starts
+OpenBLAS's thread pool again. Without both, each of two workers on the
+two-vCPU machine above started one thread per library, its first of
+scenes 5000-5007 took 0.09-0.19 s of wall time, against 0.02-0.06 s for
+its later scenes, and the two used 0.50-0.66 s of CPU; with them a worker
+starts none, its first scene takes 0.05-0.07 s and the two use 0.34-0.40 s
+(6 runs each).
+
 Only OpenBLAS builds that export their thread-count functions are handled
 (numpy's and scipy's wheels do). With another BLAS, or where the loaded
 libraries cannot be listed, ``single_thread`` does nothing.
@@ -56,13 +66,14 @@ def _controls() -> tuple:
 @contextmanager
 def single_thread():
     """Run the block on one OpenBLAS thread; the previous counts come back
-    after it. The count is process-wide, not per Python thread."""
-    controls = _controls()
-    before = [get() for get, _ in controls]
-    for _, set_ in controls:
+    after it. The count is process-wide, not per Python thread. A library
+    already on one thread is left alone: in a forked child the setter starts
+    OpenBLAS's thread pool again, even when it sets the count it has."""
+    changed = [(set_, n) for get, set_ in _controls() if (n := get()) != 1]
+    for set_, _ in changed:
         set_(1)
     try:
         yield
     finally:
-        for (_, set_), n in zip(controls, before):
+        for set_, n in changed:
             set_(n)

@@ -226,7 +226,8 @@ def cmd_eval(args):
 
 def _pipeline_one(seed_and_cfg):
     # the --jobs workers share the cores, so a BLAS call split over threads
-    # would wait for the other workers (see ``blas``)
+    # would wait for the other workers (see ``blas``); a forked worker
+    # inherits the parent's pin and sets nothing, a spawned one pins here
     seed, config = seed_and_cfg
     with blas.single_thread():
         return run_pipeline(synth_scene(seed, config))
@@ -254,8 +255,9 @@ def cmd_pipeline(args):
         import scipy.optimize  # noqa: F401 - compose and eval use them
         import scipy.spatial  # noqa: F401
         canonical_body(SceneConfig.voxel_res)
+        # the workers fork from one BLAS thread, so that they start none;
         # imap raises the first failure in seed order, not the first to arrive
-        with multiprocessing.Pool(jobs) as pool:
+        with blas.single_thread(), multiprocessing.Pool(jobs) as pool:
             reports = list(pool.imap(_pipeline_one, [(seed + k, scene_config)
                                                      for k in range(scenes)]))
     else:

@@ -1,17 +1,17 @@
 """Nearest-point-on-mesh queries and the garment collision detector.
 
-``nearest_triangles`` answers many query points at once. A conservative
+``FaceTable(vertices, faces).nearest`` answers many query points at once; a
+mesh that never moves keeps one table over all its queries. A conservative
 bounding-sphere cull, run in cache-sized chunks of points x faces, drops
 the point-face pairs that cannot be nearest, a plane cut drops those of the
 rest whose face plane lies beyond the point's bound (a point is at least as
 far from a triangle as from its plane; Ericson, Real-Time Collision
 Detection, 2005, ch. 5), and the exact region tests run once on the pairs
 left, then once more on the points that need the all-faces fallback: each
-pair's faces come from one packed (F, 18) table (``FaceTable``, which a mesh
-that never moves keeps), each pair's Voronoi region is classified once and
-only that region's closest point is formed, and each point keeps the first
-of its pairs at the minimum distance (``np.minimum.reduceat``), which is its
-lowest face on ties.
+pair's faces come from the table's packed (F, 18) rows, each pair's Voronoi
+region is classified once and only that region's closest point is formed,
+and each point keeps the first of its pairs at the minimum distance
+(``np.minimum.reduceat``), which is its lowest face on ties.
 ``nearest_triangle_bruteforce`` is its one-point reference: face, closest
 point and squared distance are bit-identical, ties included. Given a
 distance limit, the query also drops every face beyond it and answers only
@@ -21,12 +21,12 @@ A body vertex collides with a garment when it sits OUTSIDE the garment
 surface (positive signed offset along the nearest triangle's outward normal)
 and within a proximity band of it. Garments are open shells, so parity-based
 inside/outside tests are undefined; the sign-plus-band predicate is the
-documented stand-in, isolated here for replacement. The detector needs the
-nearest face of in-band vertices only, so it passes the band as the limit:
-on the bench scenes (5000-5007) 1.4% of the point-face pairs reach the exact
-pass then, against 4.2% without it (4.5% and 7.6% without the plane cut).
-Only the one-point reference ``point_triangle_closest`` and the chunk loop
-of the cull stay in Python.
+documented stand-in, isolated here for replacement. The detector takes the
+garment's ``FaceTable`` and needs the nearest face of in-band vertices only,
+so it passes the band as the limit: on the bench scenes (5000-5007) 1.4% of
+the point-face pairs reach the exact pass then, against 4.2% without it
+(4.5% and 7.6% without the plane cut). Only the one-point reference
+``point_triangle_closest`` and the chunk loop of the cull stay in Python.
 """
 from __future__ import annotations
 
@@ -142,13 +142,61 @@ class FaceTable:
         n = np.where(thin[:, None], 0.0, self.normals)
         self.plane = np.column_stack([n, np.vecdot(a, n)])
 
+    @property
+    def num_faces(self) -> int:
+        return len(self.table)
+
     def nearest(self, points, limit=None):
-        """``nearest_triangles`` of ``points`` against this mesh."""
+        """Exact nearest triangle of each of ``points`` against this mesh.
+
+        Returns (face index (n,), closest point (n, 3), squared distance (n,)).
+        Every result equals ``nearest_triangle_bruteforce`` bit for bit; ties
+        go to the lowest face index.
+
+        With a distance ``limit``, only the points whose squared distance is
+        below ``limit ** 2`` are answered so; every other point gets face -1, a
+        NaN closest point and an infinite distance.
+
+        Faces are first culled per point, in chunks of at most
+        ``QUERY_CHUNK_PAIRS`` point-face pairs: the nearest vertex that some
+        face references bounds the point's distance to the mesh from above, and
+        so does the limit; a face whose bounding sphere lies beyond that bound
+        cannot be the answer. Of the kept pairs of all chunks, a pair whose
+        squared offset from the face's plane, ``(p.n - a.n)`` squared with n
+        the unit normal and a a corner, exceeds the point's padded bound is
+        dropped too: a point is at least as far from a triangle as from its
+        plane. The pairs left then run the region tests of
+        ``point_triangle_closest`` in one pass, with the same expressions in
+        the same order. A point whose best kept distance exceeds its vertex
+        bound while that bound is below the limit (a degenerate face gives no
+        finite distance) is answered against all faces instead, in one more
+        pass over all such points.
+
+        Both cuts drop a pair only when its computed distance must exceed the
+        point's bound, so a dropped pair could never have been a point's answer
+        and every result is the one without the cuts, bit for bit. Their
+        margins, ``_CULL_REL`` relative and ``_CULL_ABS`` meters absolute, sit
+        orders of magnitude above the rounding they cover, which is a few ulps
+        of the magnitudes involved. For the plane cut the bound's square root
+        is padded by ``_CULL_REL`` of itself, of ``|p|`` and of the largest
+        bounding-sphere diameter of the faces, plus ``_CULL_ABS``. That covers
+        (a) the rounding of the offset: ``p.n`` and ``a.n`` round by a few ulps
+        of ``|p|`` and ``|a|``, where ``|a|`` is at most ``|p|`` plus the bound
+        plus that diameter for a pair the sphere cull kept; and the normal's
+        direction, formed from rounded edges, is off by at most about 4 ulps /
+        ``_CULL_REL``, some 1e-9 rad, since a thinner face
+        (``|ab x ac| < _CULL_REL |ab| |ac|``) gets the zero normal and is
+        never cut, which moves the offset by at most 1e-9 of ``|p - a|``,
+        itself at most the pair's distance plus that diameter. And it covers
+        (b) the exact pass: its closest point lies within rounding of the
+        magnitudes ``|p|`` and ``|a|`` of a point of the triangle, and its
+        squared distance rounds by a few ulps. A NaN offset is never cut.
+        """
         points = np.asarray(points, dtype=float).reshape(-1, 3)
         if not np.all(np.isfinite(points)):
             raise ValidationError("query points must be finite")
         limit2 = np.inf if limit is None else float(limit) ** 2
-        F = len(self.table)
+        F = self.num_faces
         upper = np.empty(len(points))
         kept = [(np.zeros(0, dtype=int),) * 2]  # (point, face) pairs; none for no points
         step = max(1, QUERY_CHUNK_PAIRS // F)
@@ -181,7 +229,7 @@ class FaceTable:
         # the plane cut: a face is at least as far from a point as its plane,
         # so a pair whose plane offset exceeds the point's bound cannot be
         # the answer; `bound` pads that bound for the rounding of the offset
-        # and of the exact pass (see nearest_triangles)
+        # and of the exact pass (see the docstring)
         bound = np.add((1 + _CULL_REL) * np.sqrt(np.minimum(upper, limit2)),
                        _CULL_REL * (np.sqrt(np.vecdot(points, points))
                                     + 2.0 * self.radius.max()) + _CULL_ABS)
@@ -213,53 +261,6 @@ class FaceTable:
             raise ValidationError("no finite nearest triangle for some query point")
         return face, closest, dist2
 
-
-def nearest_triangles(points, vertices, faces, limit=None):
-    """Batched exact nearest-triangle query.
-
-    Returns (face index (n,), closest point (n, 3), squared distance (n,)).
-    Every result equals ``nearest_triangle_bruteforce`` bit for bit; ties go
-    to the lowest face index.
-
-    With a distance ``limit``, only the points whose squared distance is
-    below ``limit ** 2`` are answered so; every other point gets face -1, a
-    NaN closest point and an infinite distance.
-
-    Faces are first culled per point, in chunks of at most
-    ``QUERY_CHUNK_PAIRS`` point-face pairs: the nearest vertex that some face
-    references bounds the point's distance to the mesh from above, and so
-    does the limit; a face whose bounding sphere lies beyond that bound
-    cannot be the answer. Of the kept pairs of all chunks, a pair whose
-    squared offset from the face's plane, ``(p.n - a.n)`` squared with n the
-    unit normal and a a corner, exceeds the point's padded bound is dropped
-    too: a point is at least as far from a triangle as from its plane. The
-    pairs left then run the region tests of ``point_triangle_closest`` in
-    one pass, with the same expressions in the same order. A point whose
-    best kept distance exceeds its vertex bound while that bound is below
-    the limit (a degenerate face gives no finite distance) is answered
-    against all faces instead, in one more pass over all such points.
-
-    Both cuts drop a pair only when its computed distance must exceed the
-    point's bound, so a dropped pair could never have been a point's answer
-    and every result is the one without the cuts, bit for bit. Their
-    margins, ``_CULL_REL`` relative and ``_CULL_ABS`` meters absolute, sit
-    orders of magnitude above the rounding they cover, which is a few ulps
-    of the magnitudes involved. For the plane cut the bound's square root
-    is padded by ``_CULL_REL`` of itself, of ``|p|`` and of the largest
-    bounding-sphere diameter of the faces, plus ``_CULL_ABS``. That covers
-    (a) the rounding of the offset: ``p.n`` and ``a.n`` round by a few ulps
-    of ``|p|`` and ``|a|``, where ``|a|`` is at most ``|p|`` plus the bound
-    plus that diameter for a pair the sphere cull kept; and the normal's
-    direction, formed from rounded edges, is off by at most about 4 ulps /
-    ``_CULL_REL``, some 1e-9 rad, since a thinner face
-    (``|ab x ac| < _CULL_REL |ab| |ac|``) gets the zero normal and is never
-    cut, which moves the offset by at most 1e-9 of ``|p - a|``, itself at
-    most the pair's distance plus that diameter. And it covers (b) the
-    exact pass: its closest point lies within rounding of the magnitudes
-    ``|p|`` and ``|a|`` of a point of the triangle, and its squared distance
-    rounds by a few ulps. A NaN offset is never cut.
-    """
-    return FaceTable(vertices, faces).nearest(points, limit)
 
 
 def _pairs(keep):
@@ -369,28 +370,11 @@ class CollisionReport:
         return len(self.vertex_indices)
 
 
-@dataclass(frozen=True)
-class IndexedMesh(PartMesh):
-    """A part mesh with its ``FaceTable``, formed once, for a mesh that is
-    queried many times and never moves, such as compose's garments."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.num_faces == 0:
-            raise ValidationError(f"{self.part} mesh has no faces")
-        object.__setattr__(self, "table", FaceTable(self.vertices, self.faces))
-
-
-def detect_collisions(body: PartMesh, garment: PartMesh) -> CollisionReport:
-    """Flag body vertices outside the garment shell within ``COLLISION_BAND``
-    meters. An ``IndexedMesh`` garment brings its face table; any other is
-    indexed for this call."""
-    if garment.num_faces == 0:
-        raise ValidationError("garment mesh has no faces")
-    table = (garment.table if isinstance(garment, IndexedMesh)
-             else FaceTable(garment.vertices, garment.faces))
-    fi, q, d2 = table.nearest(body.vertices, limit=COLLISION_BAND)
+def detect_collisions(body: PartMesh, garment: FaceTable) -> CollisionReport:
+    """Flag body vertices outside the garment shell, given by its face table,
+    within ``COLLISION_BAND`` meters."""
+    fi, q, d2 = garment.nearest(body.vertices, limit=COLLISION_BAND)
     near = np.flatnonzero(d2 < COLLISION_BAND * COLLISION_BAND)
-    n = table.normals[fi[near]]
+    n = garment.normals[fi[near]]
     hit = np.vecdot(body.vertices[near] - q[near], n) > 0.0
     return CollisionReport(near[hit], q[near[hit]], n[hit])

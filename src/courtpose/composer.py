@@ -11,8 +11,8 @@ push only when the budget runs out. Garments never move, so a pass detects
 again only the (body, garment) pairs whose body part was pushed and relaxed
 since that pair's last detection; every other pair keeps its last report.
 
-What each pass can share is built once per call: each garment becomes an
-``IndexedMesh`` (face table, bounding spheres, face normals) for all its
+What each pass can share is built once per call: each garment's
+``FaceTable`` (packed faces, bounding spheres, face normals) serves all its
 detections, and each relaxed body part's ``PenetrationTerms`` (Laplacian,
 edges, rest lengths) serve all its relaxations. The push, the loss and the
 L-BFGS-B iterations stay per body part.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .collision import IndexedMesh, detect_collisions
+from .collision import FaceTable, detect_collisions
 from .errors import NumericalError, ValidationError
 from .mesh import BodyMesh, PartMesh, mesh_edges, uniform_laplacian, vertex_normals
 
@@ -154,8 +154,11 @@ def resolve_interpenetration(parts: BodyMesh):
     meshes = {p.part: p for p in parts.parts}
     pairs = [(b, g) for b, g in GARMENT_PAIRS if b in meshes and g in meshes]
     # garments never move: each one's face table serves all its detections
-    garments = {g: IndexedMesh(meshes[g].vertices, meshes[g].faces, g)
-                for g in {g for _, g in pairs}}
+    garments = {}
+    for g in {g for _, g in pairs}:
+        if meshes[g].num_faces == 0:
+            raise ValidationError(f"{g} mesh has no faces")
+        garments[g] = FaceTable(meshes[g].vertices, meshes[g].faces)
     terms = {}  # body part -> penetration_terms, built on its first collision
     report = {"iterations": [], "residual_collisions": 0, "pairs": pairs}
     detected = {}  # pair -> its CollisionReport, until its body part moves

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ..collision import nearest_triangles, point_triangle_closest
+from ..collision import FaceTable, point_triangle_closest
 from ..errors import ValidationError
 from ..mesh import PartMesh, face_normals
 
@@ -147,8 +147,7 @@ def build_sampling(mesh: PartMesh, factor: float) -> SamplingOperator:
     if dropped.size:
         if len(coarse_faces) == 0:
             raise ValidationError("decimation removed every face")
-        nearest[dropped] = nearest_triangles(verts[dropped], coarse.vertices,
-                                             coarse_faces)[0]
+        nearest[dropped] = FaceTable(coarse.vertices, coarse_faces).nearest(verts[dropped])[0]
     rows, cols, vals = [], [], []
     for i in range(n):
         if alive[i]:

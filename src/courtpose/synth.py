@@ -437,16 +437,24 @@ def load_scene(scenedir) -> SceneBundle:
     there, such as an older scene's rest.obj or posed.obj, is not read. A
     missing field of scene.json, or one that is not a JSON number of the
     right kind (the seed, an integer >= 0, and the frame size are integers)
-    or shape, is a ValidationError naming the file; a scene that breaks a
-    SceneBundle invariant, such as a mask of another frame size or
-    transforms of another joint count than the player model's, is one naming
-    the directory."""
+    or shape, or a non-finite crop or offset, is a ValidationError naming the
+    file and the field; a scene that breaks a SceneBundle invariant, such as
+    a mask of another frame size or transforms of another joint count than
+    the player model's, is one naming the directory."""
     line_mask = load_pgm(os.path.join(scenedir, "mask.pgm"))
 
     def from_json(d):
         seed = json_number(d["seed"], "scene seed", int)
         if seed < 0:
             raise ValidationError(f"scene seed must be >= 0, got {seed}")
+        # JSON numbers include NaN, which would fail only later, unnamed
+        crop_origin = json_numbers(d["crop_origin"], "scene crop_origin").reshape(2)
+        crop_scale = json_number(d["crop_scale"], "scene crop_scale")
+        offset = json_numbers(d["offset"], "scene offset").reshape(3)
+        for name, value in (("crop_origin", crop_origin), ("crop_scale", crop_scale),
+                            ("offset", offset)):
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(f"scene {name} must be finite, got {value}")
         corrs = d["correspondences"]
         pixels = json_numbers([px for px, _ in corrs], "scene correspondence pixel")
         court = json_numbers([w for _, w in corrs], "scene correspondence court point")
@@ -455,11 +463,10 @@ def load_scene(scenedir) -> SceneBundle:
             config=SceneConfig(tuple(json_numbers(d["image_size"], "scene image_size",
                                                   int).tolist())),
             camera=camera_from_json(d["camera"]),
-            crop_origin=tuple(json_numbers(d["crop_origin"], "scene crop_origin")
-                              .reshape(2).tolist()),
-            crop_scale=json_number(d["crop_scale"], "scene crop_scale"),
+            crop_origin=tuple(crop_origin.tolist()),
+            crop_scale=crop_scale,
             transforms=transforms_from_json(d["transforms"]),
-            offset=json_numbers(d["offset"], "scene offset").reshape(3),
+            offset=offset,
             jump=jump_from_json(d["jump"]),
             line_mask=line_mask,
             correspondences=tuple(zip(map(tuple, pixels.reshape(len(corrs), 2).tolist()),

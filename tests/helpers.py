@@ -1,9 +1,11 @@
 """Test-only helpers that the library itself never calls: an icosphere, a
-square grid and a triangle lattice for geometry tests, a random rotation, a
-sparse JSON writer for skinning weights (the CLI only reads them), a
-sum-to-scalar op for autograd losses, and the seeds of the pipeline scenes."""
+square grid and a triangle lattice for geometry tests, a part mesh's face
+table, a random rotation, a sparse JSON writer for skinning weights (the CLI
+only reads them), a sum-to-scalar op for autograd losses, and the seeds of
+the pipeline scenes."""
 import numpy as np
 
+from courtpose.collision import FaceTable
 from courtpose.mesh import PartMesh
 from courtpose.meshnet import autograd as ag
 from courtpose.skinning import SkinningWeights
@@ -93,6 +95,11 @@ def tri_grid(rows: int, cols: int, spacing: float = 1.0, part: str = "shirt") ->
                 faces.append((a, b, e))
                 faces.append((a, e, d))
     return PartMesh(np.asarray(verts, dtype=float), np.asarray(faces, dtype=int), part)
+
+
+def face_table(mesh: PartMesh) -> FaceTable:
+    """The nearest-triangle query object of ``mesh``, such as a garment."""
+    return FaceTable(mesh.vertices, mesh.faces)
 
 
 def random_rotation(rng: np.random.Generator, max_angle: float = np.pi) -> np.ndarray:

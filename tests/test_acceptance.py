@@ -33,7 +33,7 @@ from courtpose.synth import (SceneConfig, court_landmark_reprojection,
                              run_pipeline, synth_scene)
 from courtpose.toydata import toy_part_dataset
 from courtpose.transforms import axis_angle_to_matrix, look_at_rotation
-from helpers import random_rotation, sum_all
+from helpers import face_table, random_rotation, sum_all
 
 SIZE = (1280, 720)
 
@@ -223,7 +223,7 @@ def test_criterion_6_composer():
         body = capsule((0, 0, 0), (0, 0.3, 0), 0.05 + delta, n_seg=12,
                        cap_rings=3, shaft_rings=6, part="arms")
         scene = BodyMesh((body, garment))
-        rep0 = detect_collisions(body, garment)
+        rep0 = detect_collisions(body, face_table(garment))
         out, rep = resolve_interpenetration(scene)
         resolved.append(rep["residual_collisions"] == 0
                         and len(rep["iterations"]) <= 10)

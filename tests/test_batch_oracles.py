@@ -6,7 +6,7 @@ oracle, and every comparison is exact (``np.array_equal``):
   and ``_swing_rows``: the scalar swing ``swing_one``, row by row;
 - the position Jacobian: the dense masked ``np.cross`` over all joint pairs;
 - ``matrix_to_axis_angle`` on a stack: the per-matrix function;
-- ``nearest_triangles``: one exact pass per cull chunk, and the detector
+- ``FaceTable.nearest``: one exact pass per cull chunk, and the detector
   that formed its face normals per call;
 - ``mesh_edges``: ``np.unique(axis=0)`` of the sorted edge rows;
 - ``uniform_laplacian``: per-vertex neighbour sets through a COO matrix;
@@ -23,8 +23,7 @@ import pytest
 import scipy.sparse as sp
 
 from courtpose import collision, skinning
-from courtpose.collision import (COLLISION_BAND, IndexedMesh, detect_collisions,
-                                 nearest_triangles)
+from courtpose.collision import COLLISION_BAND, FaceTable, detect_collisions
 from courtpose.composer import GARMENT_PAIRS
 from courtpose.mesh import PartMesh, face_normals, mesh_edges, uniform_laplacian
 from courtpose.model import (BoneTransforms, Pose3D, Skeleton, _fk_levels,
@@ -387,7 +386,7 @@ def test_linearizing_at_the_last_evaluated_step_runs_no_second_fk(monkeypatch, s
 # ---------------------------------------------------------------------------
 
 def nearest_triangles_by_chunk(points, vertices, faces, limit=None):
-    """``nearest_triangles`` with one exact pass per cull chunk, the
+    """``FaceTable.nearest`` with one exact pass per cull chunk, the
     all-faces fallback run chunk by chunk."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     faces = np.asarray(faces, dtype=int).reshape(-1, 3)
@@ -451,7 +450,7 @@ def assert_query_matches_chunks(monkeypatch, points, vertices, faces):
         monkeypatch.setattr(collision, "QUERY_CHUNK_PAIRS", chunk_pairs)
         for limit in (None, COLLISION_BAND):
             with np.errstate(invalid="ignore"):  # degenerate faces divide 0 by 0
-                got = nearest_triangles(points, vertices, faces, limit=limit)
+                got = FaceTable(vertices, faces).nearest(points, limit=limit)
                 want = nearest_triangles_by_chunk(points, vertices, faces, limit=limit)
             for x, y in zip(got, want):
                 assert np.array_equal(x, y, equal_nan=True)
@@ -460,18 +459,21 @@ def assert_query_matches_chunks(monkeypatch, points, vertices, faces):
 def test_one_exact_pass_matches_chunk_by_chunk_on_pipeline_scenes(monkeypatch, scenes):
     for k, b in enumerate(scenes):
         body = b.posed_body
+        tables = {g: FaceTable(body.part(g).vertices, body.part(g).faces)
+                  for _, g in GARMENT_PAIRS}
         for body_name, garment_name in GARMENT_PAIRS:
             part, garment = body.part(body_name), body.part(garment_name)
             gv, gf = garment.vertices, garment.faces
             if k < 3:
                 assert_query_matches_chunks(monkeypatch, part.vertices, gv, gf)
-            # compose's query, and its detections with and without a kept table
+            # compose's query, and its detections from one table reused
+            # across calls and from a fresh table per call
             want = nearest_triangles_by_chunk(part.vertices, gv, gf, limit=COLLISION_BAND)
-            got = nearest_triangles(part.vertices, gv, gf, limit=COLLISION_BAND)
+            got = tables[garment_name].nearest(part.vertices, limit=COLLISION_BAND)
             assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(got, want))
             hits = detections_from(part, garment, want)
-            for g in (garment, IndexedMesh(gv, gf, garment_name)):
-                rep = detect_collisions(part, g)
+            for table in (tables[garment_name], FaceTable(gv, gf)):
+                rep = detect_collisions(part, table)
                 for x, y in zip((rep.vertex_indices, rep.garment_points,
                                  rep.garment_normals), hits):
                     assert np.array_equal(x, y)

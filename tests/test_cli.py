@@ -696,6 +696,36 @@ def test_pipeline_scene_dir_field_that_is_not_a_number_exit_code_2(
     assert not report.exists()
 
 
+def _nan_at(k):
+    def edit(values):
+        values[k] = float("nan")
+        return values
+    return edit
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("crop_origin", _nan_at(1)),
+    ("crop_scale", lambda _: float("nan")),
+    ("offset", _nan_at(2)),
+], ids=["crop_origin", "crop_scale", "offset"])
+def test_pipeline_scene_dir_field_that_is_not_finite_exit_code_2(
+        tmp_path, capsys, scene_dir, field, bad):
+    # JSON NaN is a JSON number: it used to fail only in validate, as
+    # "pose positions must be finite" or "focal length must be positive",
+    # naming neither the file nor the field
+    out = tmp_path / "scene"
+    shutil.copytree(scene_dir, out)
+    scene = json.loads((out / "scene.json").read_text())
+    scene[field] = bad(scene[field])
+    write_json(out / "scene.json", scene)
+    report = tmp_path / "r.json"
+    assert main(["pipeline", "--scene-dir", str(out), "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'scene.json'} is not a valid record: " in err
+    assert f"scene {field} must be finite, got " in err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("where", ["header", "name", "payload"])
 def test_infer_part_truncated_params_exit_code_2(tmp_path, capsys, json_inputs, where):
     data = (json_inputs / "params.bin").read_bytes()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from courtpose import collision, composer
-from courtpose.collision import (COLLISION_BAND, CollisionReport, detect_collisions,
-                                 nearest_triangle_bruteforce, nearest_triangles,
+from courtpose.collision import (COLLISION_BAND, CollisionReport, FaceTable,
+                                 detect_collisions, nearest_triangle_bruteforce,
                                  point_triangle_closest)
 from courtpose.composer import (GARMENT_PAIRS, minimize_lbfgs, penetration_loss,
                                 resolve_interpenetration)
@@ -13,7 +13,7 @@ from courtpose.errors import NumericalError, ValidationError
 from courtpose.mesh import BodyMesh, PartMesh, face_normals, mesh_edges
 from courtpose.primitives import capsule, tube
 from courtpose.synth import synth_scene
-from helpers import icosphere, plane_grid
+from helpers import face_table, icosphere, plane_grid
 
 
 def sleeve_scene(delta):
@@ -31,7 +31,7 @@ def sleeve_scene(delta):
 # ---------------------------------------------------------------------------
 
 def test_concentric_spheres_detection():
-    garment = icosphere(1.0, 3, part="shirt")
+    garment = face_table(icosphere(1.0, 3, part="shirt"))
     inside = icosphere(0.8, 2, part="arms")
     assert detect_collisions(inside, garment).count == 0
     far_out = icosphere(1.2, 2, part="arms")  # outside but beyond the 5 cm band
@@ -56,16 +56,22 @@ def test_detection_matches_bruteforce_on_scene(monkeypatch):
         for band in (COLLISION_BAND, 0.3):
             monkeypatch.setattr(collision, "COLLISION_BAND", band)
             hit = outside & (d2 < band * band)
-            rep = detect_collisions(body, garment)
+            rep = detect_collisions(body, face_table(garment))
             assert np.array_equal(rep.vertex_indices, np.nonzero(hit)[0])
             assert np.array_equal(rep.garment_points, q[hit])
             assert np.array_equal(rep.garment_normals, n[hit])
 
 
+def garment_of(scene, table):
+    """The garment part of ``scene`` whose faces ``table`` packs."""
+    return next(p for p in scene.parts if p.part in {g for _, g in GARMENT_PAIRS}
+                and np.array_equal(table.table[:, :9], p.vertices[p.faces].reshape(-1, 9)))
+
+
 def unbounded_detect(body, garment):
     """The detector without the distance limit: the nearest face of every
     body vertex, then the band test."""
-    fi, q, d2 = nearest_triangles(body.vertices, garment.vertices, garment.faces)
+    fi, q, d2 = face_table(garment).nearest(body.vertices)
     n = face_normals(garment.vertices, garment.faces[fi])
     hit = (np.vecdot(body.vertices - q, n) > 0.0) & (d2 < COLLISION_BAND * COLLISION_BAND)
     return CollisionReport(np.nonzero(hit)[0], q[hit], n[hit])
@@ -78,7 +84,7 @@ def test_detection_matches_unbounded_detector_through_compose(monkeypatch):
 
     def checking(body, garment):
         rep = detect_collisions(body, garment)
-        ref = unbounded_detect(body, garment)
+        ref = unbounded_detect(body, garment_of(scene, garment))
         assert np.array_equal(rep.vertex_indices, ref.vertex_indices)
         assert np.array_equal(rep.garment_points, ref.garment_points)
         assert np.array_equal(rep.garment_normals, ref.garment_normals)
@@ -88,17 +94,17 @@ def test_detection_matches_unbounded_detector_through_compose(monkeypatch):
     monkeypatch.setattr(composer, "detect_collisions", checking)
     residual = {}
     for seed in range(1000, 1020):
-        _, rep = resolve_interpenetration(synth_scene(seed).posed_body)
+        scene = synth_scene(seed).posed_body
+        _, rep = resolve_interpenetration(scene)
         residual[seed] = rep["residual_collisions"]
     assert residual[1018] > 0
     assert len(checked) > 3 * 20 and sum(checked) > 0
 
 
 def test_empty_garment_rejected():
-    body = icosphere(1.0, 1, part="arms")
-    with pytest.raises(ValidationError):
-        detect_collisions(body, PartMesh(np.zeros((3, 3)), np.zeros((0, 3), int),
-                                         "shirt"))
+    # a garment without faces has no face table to detect against
+    with pytest.raises(ValidationError, match="mesh has no faces"):
+        FaceTable(np.zeros((3, 3)), np.zeros((0, 3), int))
 
 
 def test_compose_names_an_empty_garment():
@@ -121,7 +127,7 @@ def _assert_matches_bruteforce(monkeypatch, pts, verts, faces):
     for chunk_pairs in (collision.QUERY_CHUNK_PAIRS, 7 * len(faces)):
         monkeypatch.setattr(collision, "QUERY_CHUNK_PAIRS", chunk_pairs)
         for limit in limits:
-            fv, qv, dv = nearest_triangles(pts, verts, faces, limit=limit)
+            fv, qv, dv = FaceTable(verts, faces).nearest(pts, limit=limit)
             for k, (fb, qb, db) in enumerate(expected):
                 if limit is None or db < limit * limit:
                     assert fb == fv[k]
@@ -262,7 +268,7 @@ def test_cull_bound_ignores_unreferenced_vertices(monkeypatch):
         return closest_points(p, *face_arrays)
 
     monkeypatch.setattr(collision, "_closest_points", counting)
-    nearest_triangles(pts, verts, faces)
+    FaceTable(verts, faces).nearest(pts)
     assert sum(pairs) < 0.25 * len(pts) * len(faces)
 
 
@@ -270,6 +276,7 @@ def test_plane_cut_leaves_fewer_pairs_than_the_sphere_cull(monkeypatch):
     # scene 5000, legs against pants in the band: the sphere cull keeps
     # 6,978 pairs, of which the plane cut leaves 2,325 to the exact pass
     scene = synth_scene(5000).posed_body
+    pants = face_table(scene.part("pants"))
     pairs, closest = [], []
     make_pairs, closest_points = collision._pairs, collision._closest_points
 
@@ -284,7 +291,7 @@ def test_plane_cut_leaves_fewer_pairs_than_the_sphere_cull(monkeypatch):
 
     monkeypatch.setattr(collision, "_pairs", counting_pairs)
     monkeypatch.setattr(collision, "_closest_points", counting)
-    detect_collisions(scene.part("legs"), scene.part("pants"))
+    detect_collisions(scene.part("legs"), pants)
     assert 0 < sum(closest) < 0.5 * sum(pairs)
 
 
@@ -293,7 +300,7 @@ def test_nan_query_point_rejected():
     pts = np.array([[0.0, 0.0, 2.0], [np.nan, 0.0, 0.0]])
     for limit in (None, COLLISION_BAND):
         with pytest.raises(ValidationError):
-            nearest_triangles(pts, m.vertices, m.faces, limit=limit)
+            face_table(m).nearest(pts, limit=limit)
 
 
 def test_limit_excludes_points_at_exactly_the_limit():
@@ -305,7 +312,7 @@ def test_limit_excludes_points_at_exactly_the_limit():
     band = COLLISION_BAND
     z = np.array([np.nextafter(band, 0.0), band, np.nextafter(band, 1.0)])
     pts = np.column_stack([np.zeros(3), np.zeros(3), z])
-    fv, qv, dv = nearest_triangles(pts, verts, faces, limit=band)
+    fv, qv, dv = FaceTable(verts, faces).nearest(pts, limit=band)
     assert dv[1] == np.inf and fv[1] == -1
     assert dv[2] == np.inf and fv[2] == -1
     assert dv[0] == z[0] * z[0] < band * band and fv[0] == 0
@@ -313,7 +320,7 @@ def test_limit_excludes_points_at_exactly_the_limit():
     # a body vertex there sits outside the face (its normal is +z): only
     # the one inside the band collides
     body = PartMesh(pts, [[0, 1, 2]], "arms")
-    rep = detect_collisions(body, PartMesh(verts, faces, "shirt"))
+    rep = detect_collisions(body, FaceTable(verts, faces))
     assert rep.vertex_indices.tolist() == [0]
 
 
@@ -329,10 +336,11 @@ def test_limit_caps_the_cull_and_skips_the_full_scan(monkeypatch):
         return closest_points(p, *face_arrays)
 
     monkeypatch.setattr(collision, "_closest_points", counting)
-    face, _, dist2 = nearest_triangles(pts, verts, faces, limit=COLLISION_BAND)
+    table = FaceTable(verts, faces)
+    face, _, dist2 = table.nearest(pts, limit=COLLISION_BAND)
     assert np.all(face == -1) and np.all(dist2 == np.inf)
     assert sum(pairs) == 0
-    nearest_triangles(pts, verts, faces)
+    table.nearest(pts)
     assert sum(pairs) > 0
 
 
@@ -349,7 +357,7 @@ def test_batched_query_tie_on_shared_edge_goes_to_lowest_face(apex):
         q0, _ = point_triangle_closest(p[0], *verts[faces[0]])
         q1, _ = point_triangle_closest(p[0], *verts[faces[1]])
         assert np.sum((p[0] - q0) ** 2) == np.sum((p[0] - q1) ** 2)
-        fv, qv, dv = nearest_triangles(p, verts, faces, limit=limit)
+        fv, qv, dv = FaceTable(verts, faces).nearest(p, limit=limit)
         fb, qb, db = nearest_triangle_bruteforce(p[0], verts, faces)
         assert fv[0] == fb == 0
         assert dv[0] == db
@@ -363,7 +371,7 @@ def test_batched_query_tie_on_shared_vertex_goes_to_lowest_face(seed):
     rot, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
     verts = m.vertices @ rot + [0.3, -0.2, 0.1]
     for faces, limit in itertools.product((m.faces, m.faces[::-1]), (None, COLLISION_BAND)):
-        fv, qv, dv = nearest_triangles(verts, verts, faces, limit=limit)
+        fv, qv, dv = FaceTable(verts, faces).nearest(verts, limit=limit)
         for k, p in enumerate(verts):
             fb, qb, db = nearest_triangle_bruteforce(p, verts, faces)
             assert fv[k] == fb == np.nonzero((faces == k).any(axis=1))[0].min()
@@ -622,7 +630,7 @@ def test_no_initial_collisions_is_identity():
 def test_sleeve_scene_resolves(delta):
     scene = sleeve_scene(delta)
     body0 = scene.part("arms")
-    rep0 = detect_collisions(body0, scene.part("shirt"))
+    rep0 = detect_collisions(body0, face_table(scene.part("shirt")))
     assert rep0.count > 0
     out, rep = resolve_interpenetration(scene)
     assert rep["residual_collisions"] == 0
@@ -656,13 +664,13 @@ def test_inner_losses_non_increasing():
             assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
-def _count_detections(monkeypatch):
-    """Route the composer's detections through a counter; returns the list
-    that gets one entry per call."""
+def _count_detections(monkeypatch, scene):
+    """Route the composer's detections on ``scene`` through a counter;
+    returns the list that gets one entry per call."""
     calls = []
 
     def counting(body, garment, *args, **kwargs):
-        calls.append((body.part, garment.part))
+        calls.append((body.part, garment_of(scene, garment).part))
         return detect_collisions(body, garment, *args, **kwargs)
 
     monkeypatch.setattr(composer, "detect_collisions", counting)
@@ -670,7 +678,8 @@ def _count_detections(monkeypatch):
 
 
 def _fresh_residual(body, pairs):
-    return sum(detect_collisions(body.part(b), body.part(g)).count for b, g in pairs)
+    return sum(detect_collisions(body.part(b), face_table(body.part(g))).count
+               for b, g in pairs)
 
 
 def _moved_pair_detections(rep):
@@ -688,7 +697,7 @@ def _moved_pair_detections(rep):
                          ids=["sleeve", "scene5000"])
 def test_converged_run_detects_once_per_iteration(monkeypatch, build):
     scene = build()
-    calls = _count_detections(monkeypatch)
+    calls = _count_detections(monkeypatch, scene)
     out, rep = resolve_interpenetration(scene)
     assert rep["residual_collisions"] == 0
     assert len(rep["iterations"]) >= 2
@@ -705,7 +714,7 @@ def test_second_pass_detects_only_the_moved_pair(monkeypatch):
 
     def recording(body, garment, *args, **kwargs):
         rep = detect_collisions(body, garment, *args, **kwargs)
-        seen.append(((body.part, garment.part), rep.count))
+        seen.append(((body.part, garment_of(scene, garment).part), rep.count))
         return rep
 
     monkeypatch.setattr(composer, "detect_collisions", recording)
@@ -718,15 +727,16 @@ def test_second_pass_detects_only_the_moved_pair(monkeypatch):
     # the counts carried over for the unmoved pairs equal a fresh detection
     for body_name, garment_name in pairs[0], pairs[2]:
         assert np.array_equal(out.part(body_name).vertices, scene.part(body_name).vertices)
-        fresh = detect_collisions(out.part(body_name), out.part(garment_name))
+        fresh = detect_collisions(out.part(body_name), face_table(out.part(garment_name)))
         assert fresh.count == first[body_name, garment_name] == 0
     assert rep["residual_collisions"] == _fresh_residual(out, pairs) == seen[3][1]
 
 
 def test_exhausted_budget_counts_residual_in_one_extra_pass(monkeypatch):
     monkeypatch.setattr(composer, "OUTER_ITERATIONS", 1)
-    calls = _count_detections(monkeypatch)
-    out, rep = resolve_interpenetration(sleeve_scene(0.012))  # needs two rounds
+    scene = sleeve_scene(0.012)  # needs two rounds
+    calls = _count_detections(monkeypatch, scene)
+    out, rep = resolve_interpenetration(scene)
     assert len(rep["iterations"]) == 1
     assert rep["residual_collisions"] > 0
     assert calls == _moved_pair_detections(rep) == rep["pairs"] * 2

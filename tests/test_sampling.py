@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from courtpose.collision import (nearest_triangle_bruteforce, nearest_triangles,
+from courtpose.collision import (FaceTable, nearest_triangle_bruteforce,
                                  point_triangle_closest)
 from courtpose.errors import ValidationError
 from courtpose.mesh import PartMesh, face_normals, mesh_edges
@@ -233,8 +233,7 @@ def build_sampling_uncached(mesh, factor):
     dropped = np.nonzero(~alive)[0]
     nearest = np.zeros(n, dtype=int)
     if dropped.size:
-        nearest[dropped] = nearest_triangles(verts[dropped], coarse.vertices,
-                                             coarse_faces)[0]
+        nearest[dropped] = FaceTable(coarse.vertices, coarse_faces).nearest(verts[dropped])[0]
     rows, cols, vals = [], [], []
     for i in range(n):
         if alive[i]:
