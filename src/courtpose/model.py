@@ -125,6 +125,12 @@ class BoneTransforms:
             raise ValidationError("rotations must be (J, 3, 3)")
         if self.translations.shape != (self.rotations.shape[0], 3):
             raise ValidationError("translations must be (J, 3)")
+        # before the defect: the determinant of a non-finite rotation warns
+        for name in ("rotations", "translations"):
+            finite = np.isfinite(getattr(self, name)).reshape(self.num_joints, -1)
+            bad = np.flatnonzero(~finite.all(axis=1))
+            if bad.size:
+                raise ValidationError(f"transform {name} must be finite, joint {bad[0]} is not")
         d = rotation_defect(self.rotations)
         bad = np.flatnonzero(~np.isfinite(d) | (d > 1e-9))
         if bad.size:

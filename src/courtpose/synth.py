@@ -1,7 +1,7 @@
-"""Deterministic synthetic scenes: a broadcast-style camera over a court, a
-randomly posed capsule-bodied player (bone transforms and a world offset),
-its jump state, line mask and calibration correspondences. The true poses and
-posed body derive from these draws; every stage is checked against them.
+"""Deterministic synthetic scenes: a broadcast-style camera over a court and
+a randomly posed capsule-bodied player (bone transforms, world offset, jump
+state). The true poses and posed body, the person crop, and the frame's line
+mask and landmark correspondences derive from these draws.
 
 ``run_pipeline`` is ``evaluate(reconstruct(observe(bundle)), bundle)``:
 ``reconstruct`` reads only the ``Observation``, places the player on the 2D
@@ -24,8 +24,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .calibrate import (LineMask, load_pgm, rasterize_court_lines,
-                        refine_camera_lines, save_pgm, solve_pnp_planar)
+from .calibrate import (LineMask, rasterize_court_lines, refine_camera_lines,
+                        solve_pnp_planar)
 from .camera import (Camera, camera_from_json, camera_to_json, project,
                      project_with_depth)
 from .composer import resolve_interpenetration
@@ -71,19 +71,16 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class SceneBundle:
-    """A scene's draws and observations. Its poses and posed body are views
-    derived from them once, on first read, by ``synth_scene``'s expressions;
-    its skeleton and court are the player model's and the one court."""
+    """A scene's draws, all that ``synth_scene`` samples. Its poses, posed
+    body, person crop, line mask and correspondences are views derived from
+    them once, on first read; its skeleton and court are the player model's
+    and the one court."""
     seed: int
     config: SceneConfig
     camera: Camera                 # full-frame broadcast camera
-    crop_origin: tuple             # person crop window in the full frame
-    crop_scale: float
     transforms: BoneTransforms     # on canonical_body's skeleton
     offset: np.ndarray             # (3,) world translation of pose_root
     jump: JumpInfo
-    line_mask: LineMask
-    correspondences: tuple         # ((pixel xy), (world xyz)) pairs
 
     @property
     def skeleton(self) -> Skeleton:
@@ -106,6 +103,29 @@ class SceneBundle:
         return self.pose_root.translated(self.offset)
 
     @cached_property
+    def _crop(self) -> tuple:
+        """(origin, scale) of the person crop: a square CROP_MARGIN times the
+        side of the pose's projected extent, centred on it."""
+        uv_full = project(self.camera, self.pose_world.positions)
+        lo, hi = uv_full.min(axis=0), uv_full.max(axis=0)
+        side = float(max(hi[0] - lo[0], hi[1] - lo[1], 8.0)) * CROP_MARGIN
+        center = (lo + hi) / 2.0
+        origin = (float(center[0] - side / 2.0), float(center[1] - side / 2.0))
+        return origin, Pose2D.CROP_SIZE / side
+
+    crop_origin = property(lambda self: self._crop[0])  # crop window corner in the frame
+    crop_scale = property(lambda self: self._crop[1])   # crop pixels per frame pixel
+
+    @cached_property
+    def line_mask(self) -> LineMask:
+        return rasterize_court_lines(self.camera, self.court, self.config.image_size)
+
+    @cached_property
+    def correspondences(self) -> tuple:
+        """((pixel xy), (world xyz)) pairs of four court landmarks."""
+        return _pick_correspondences(self.camera, self.court, self.config.image_size)
+
+    @cached_property
     def pose2d(self) -> Pose2D:
         """Crop coordinates, every joint visible."""
         return Pose2D(project(self.crop_camera, self.pose_world.positions),
@@ -121,13 +141,9 @@ class SceneBundle:
 
     def validate(self) -> None:
         """The invariants that the draws do not fix, checked on a loaded scene."""
-        if not np.all(self.pose2d.in_crop()):
-            raise ValidationError("bundle pose2d leaves the crop")
+        self.pose_root  # forward kinematics refuses another joint count
         if self.jump.airborne != (self.jump.height > JumpInfo.JUMP_THRESHOLD):
             raise ValidationError("bundle jump class does not match the 0.1 m rule")
-        w, h = self.config.image_size
-        if self.line_mask.size != (w, h):
-            raise ValidationError("line mask size does not match the frame")
 
 
 # the player model depends only on the voxel resolution
@@ -209,7 +225,6 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneBundle:
     pz = float(rng.uniform(-court.width * 0.33, court.width * 0.33))
     min_y = pose_root.positions[:, 1].min()
     offset = np.array([px, height - min_y, pz])
-    pose_world = pose_root.translated(offset)
 
     eye = np.array([
         px + rng.uniform(-8.0, 8.0),
@@ -222,18 +237,7 @@ def synth_scene(seed: int, config: SceneConfig = SceneConfig()) -> SceneBundle:
                  config.image_size[0] / 2.0, config.image_size[1] / 2.0,
                  R, -R @ eye)
 
-    uv_full = project(cam, pose_world.positions)
-    lo = uv_full.min(axis=0)
-    hi = uv_full.max(axis=0)
-    side = float(max(hi[0] - lo[0], hi[1] - lo[1], 8.0)) * CROP_MARGIN
-    center = (lo + hi) / 2.0
-    origin = (float(center[0] - side / 2.0), float(center[1] - side / 2.0))
-    scale = Pose2D.CROP_SIZE / side
-
-    mask = rasterize_court_lines(cam, court, config.image_size)
-    corrs = _pick_correspondences(cam, court, config.image_size)
-    return SceneBundle(seed, config, cam, origin, scale, transforms, offset, jump,
-                       mask, corrs)
+    return SceneBundle(seed, config, cam, transforms, offset, jump)
 
 
 def _in_frame(camera: Camera, pts: np.ndarray, image_size):
@@ -415,62 +419,44 @@ def run_pipeline(bundle: SceneBundle) -> dict:
 # ---------------------------------------------------------------------------
 
 def save_scene(bundle: SceneBundle, outdir) -> None:
-    """Write the scene's draws to ``outdir``: ``scene.json`` and ``mask.pgm``."""
+    """Write the scene's draws to ``outdir/scene.json``."""
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "scene.json"), "w") as fh:
         json.dump({
             "seed": bundle.seed,
             "image_size": list(bundle.config.image_size),
-            "crop_origin": list(bundle.crop_origin),
-            "crop_scale": bundle.crop_scale,
             "camera": camera_to_json(bundle.camera),
             "transforms": transforms_to_json(bundle.transforms),
             "offset": bundle.offset.tolist(),
             "jump": jump_to_json(bundle.jump),
-            "correspondences": [[list(px), list(w)] for px, w in bundle.correspondences],
         }, fh, indent=1)
-    save_pgm(os.path.join(outdir, "mask.pgm"), bundle.line_mask)
 
 
 def load_scene(scenedir) -> SceneBundle:
-    """The scene that ``save_scene`` wrote to ``scenedir``; any other file
-    there, such as an older scene's rest.obj or posed.obj, is not read. A
-    missing field of scene.json, or one that is not a JSON number of the
-    right kind (the seed, an integer >= 0, and the frame size are integers)
-    or shape, or a non-finite crop or offset, is a ValidationError naming the
-    file and the field; a scene that breaks a SceneBundle invariant, such as
-    a mask of another frame size or transforms of another joint count than
-    the player model's, is one naming the directory."""
-    line_mask = load_pgm(os.path.join(scenedir, "mask.pgm"))
-
+    """The scene that ``save_scene`` wrote to ``scenedir``; any other file or
+    key there, such as an older scene's mask.pgm, rest.obj or posed.obj, or
+    its crop and correspondences, is not read. A missing field of
+    scene.json, or one that is not a JSON number of the right kind (the
+    seed, an integer >= 0, and the frame size are integers), shape or
+    finiteness, is a ValidationError naming the file and the field; a scene
+    that breaks a SceneBundle invariant, such as transforms of another joint
+    count than the player model's, is one naming the directory."""
     def from_json(d):
         seed = json_number(d["seed"], "scene seed", int)
         if seed < 0:
             raise ValidationError(f"scene seed must be >= 0, got {seed}")
         # JSON numbers include NaN, which would fail only later, unnamed
-        crop_origin = json_numbers(d["crop_origin"], "scene crop_origin").reshape(2)
-        crop_scale = json_number(d["crop_scale"], "scene crop_scale")
         offset = json_numbers(d["offset"], "scene offset").reshape(3)
-        for name, value in (("crop_origin", crop_origin), ("crop_scale", crop_scale),
-                            ("offset", offset)):
-            if not np.all(np.isfinite(value)):
-                raise ValidationError(f"scene {name} must be finite, got {value}")
-        corrs = d["correspondences"]
-        pixels = json_numbers([px for px, _ in corrs], "scene correspondence pixel")
-        court = json_numbers([w for _, w in corrs], "scene correspondence court point")
+        if not np.all(np.isfinite(offset)):
+            raise ValidationError(f"scene offset must be finite, got {offset}")
         return SceneBundle(
             seed=seed,
             config=SceneConfig(tuple(json_numbers(d["image_size"], "scene image_size",
                                                   int).tolist())),
             camera=camera_from_json(d["camera"]),
-            crop_origin=tuple(crop_origin.tolist()),
-            crop_scale=crop_scale,
             transforms=transforms_from_json(d["transforms"]),
             offset=offset,
             jump=jump_from_json(d["jump"]),
-            line_mask=line_mask,
-            correspondences=tuple(zip(map(tuple, pixels.reshape(len(corrs), 2).tolist()),
-                                      map(tuple, court.reshape(len(corrs), 3).tolist()))),
         )
 
     bundle = load_json_record(os.path.join(scenedir, "scene.json"), from_json)

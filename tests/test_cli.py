@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 import courtpose
-from courtpose.calibrate import LineMask, load_pgm, save_pgm
+from courtpose.calibrate import LineMask, save_pgm
 from courtpose.camera import camera_to_json, project
 from courtpose.cli import main
 from courtpose.mesh import BodyMesh, load_obj, save_obj
 from courtpose.model import pose2d_to_json, pose3d_to_json, transforms_to_json
 from courtpose.posemaps import jump_to_json
-from courtpose.synth import SceneConfig, run_pipeline, synth_scene
+from courtpose.synth import SceneConfig, load_scene, run_pipeline, synth_scene
 from helpers import icosphere, weights_to_json
 
 
@@ -31,8 +31,8 @@ def write_json(path, payload):
 def test_synth_and_pipeline_cli(tmp_path, capsys):
     out = tmp_path / "scene"
     assert main(["synth", "--seed", "5", "--out", str(out)]) == 0
-    assert (out / "scene.json").exists()
-    assert (out / "mask.pgm").exists()
+    # a scene is its draws: the line mask is a view of its camera
+    assert sorted(p.name for p in out.iterdir()) == ["scene.json"]
     report = tmp_path / "report.json"
     assert main(["pipeline", "--scene-dir", str(out), "--out", str(report)]) == 0
     rep = json.loads(report.read_text())
@@ -242,7 +242,7 @@ def test_synth_image_size(tmp_path):
     assert code == 0
     meta = json.loads((out / "scene.json").read_text())
     assert meta["image_size"] == [640, 360]
-    assert load_pgm(out / "mask.pgm").size == (640, 360)
+    assert load_scene(out).line_mask.size == (640, 360)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -316,19 +316,6 @@ def test_pipeline_jobs_with_a_failing_scene_exit_code_2():
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 2
     assert "[calibrate] line mask is empty" in out.stderr
-
-
-def test_pipeline_scene_dir_with_a_mask_of_another_frame_exit_code_2(tmp_path, capsys):
-    # a 1280x720 mask in a 640x360 scene used to run to exit 0 on a camera
-    # refined against the wrong frame
-    small, full = tmp_path / "small", tmp_path / "full"
-    assert main(["synth", "--seed", "5", "--image-size", "640x360", "--out", str(small)]) == 0
-    assert main(["synth", "--seed", "5", "--out", str(full)]) == 0
-    shutil.copy(full / "mask.pgm", small / "mask.pgm")
-    report = tmp_path / "r.json"
-    assert main(["pipeline", "--scene-dir", str(small), "--out", str(report)]) == 2
-    assert f"scene {small}: line mask size does not match the frame" in capsys.readouterr().err
-    assert not report.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -656,33 +643,16 @@ def test_pipeline_scene_dir_with_transforms_of_ten_joints_exit_code_2(tmp_path, 
     assert not report.exists()
 
 
-def _bad_correspondence(k, j, bad):
-    def edit(corrs):
-        corrs[0][k][j] = bad
-        return corrs
-    return edit
-
-
 @pytest.mark.parametrize("field, bad, message", [
     ("seed", True, "scene seed must be a JSON integer, got True"),
     ("seed", 5.0, "scene seed must be a JSON integer, got 5.0"),
     ("seed", -1, "scene seed must be >= 0, got -1"),
     ("image_size", [True, 720], "scene image_size must be a JSON integer, got True"),
     ("image_size", [1280.0, 720], "scene image_size must be a JSON integer, got 1280.0"),
-    ("crop_scale", "2", "scene crop_scale must be a JSON number, got '2'"),
-    ("crop_origin", [0.0, "1"], "scene crop_origin must be a JSON number, got '1'"),
-    ("crop_origin", [0.0, 1.0, 2.0], "cannot reshape"),
-    ("correspondences", _bad_correspondence(0, 1, "3"),
-     "scene correspondence pixel must be a JSON number, got '3'"),
-    ("correspondences", _bad_correspondence(1, 2, False),
-     "scene correspondence court point must be a JSON number, got False"),
-], ids=["seed_true", "seed_float", "seed_negative", "image_size_true", "image_size_float",
-        "crop_scale_string", "crop_origin_string", "crop_origin_three", "pixel_string",
-        "court_false"])
+], ids=["seed_true", "seed_float", "seed_negative", "image_size_true", "image_size_float"])
 def test_pipeline_scene_dir_field_that_is_not_a_number_exit_code_2(
         tmp_path, capsys, scene_dir, field, bad, message):
-    # "seed": true with a string crop_scale used to end the place stage with
-    # exit 3 on "can't multiply sequence by non-int of type 'float'"
+    # "image_size": [true, 720] used to load as a (True, 720) frame
     out = tmp_path / "scene"
     shutil.copytree(scene_dir, out)
     scene = json.loads((out / "scene.json").read_text())
@@ -704,15 +674,12 @@ def _nan_at(k):
 
 
 @pytest.mark.parametrize("field, bad", [
-    ("crop_origin", _nan_at(1)),
-    ("crop_scale", lambda _: float("nan")),
     ("offset", _nan_at(2)),
-], ids=["crop_origin", "crop_scale", "offset"])
+], ids=["offset"])
 def test_pipeline_scene_dir_field_that_is_not_finite_exit_code_2(
         tmp_path, capsys, scene_dir, field, bad):
     # JSON NaN is a JSON number: it used to fail only in validate, as
-    # "pose positions must be finite" or "focal length must be positive",
-    # naming neither the file nor the field
+    # "pose positions must be finite", naming neither the file nor the field
     out = tmp_path / "scene"
     shutil.copytree(scene_dir, out)
     scene = json.loads((out / "scene.json").read_text())
@@ -723,6 +690,25 @@ def test_pipeline_scene_dir_field_that_is_not_finite_exit_code_2(
     err = capsys.readouterr().err
     assert f"{out / 'scene.json'} is not a valid record: " in err
     assert f"scene {field} must be finite, got " in err
+    assert not report.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", ["rotations", "translations"])
+def test_pipeline_scene_dir_transform_that_is_not_finite_exit_code_2(
+        tmp_path, capsys, scene_dir, key):
+    # a NaN rotation made the defect's determinant warn (exit 1 when warnings
+    # are errors), and a NaN translation failed as "pose positions must be
+    # finite"; neither named the file or the field
+    out = tmp_path / "scene"
+    shutil.copytree(scene_dir, out)
+    scene = json.loads((out / "scene.json").read_text())
+    scene["transforms"][key][3][1] = float("nan")
+    write_json(out / "scene.json", scene)
+    report = tmp_path / "r.json"
+    assert main(["pipeline", "--scene-dir", str(out), "--out", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'scene.json'} is not a valid record: transform {key} must be finite" in err
     assert not report.exists()
 
 

@@ -123,10 +123,14 @@ def test_rotation_checks_name_the_first_bad_joint():
     R[6] *= 1.0 + 1e-3
     with pytest.raises(ValidationError, match=r"^rotation 4 not orthonormal within 1e-9"):
         BoneTransforms(R, np.zeros((9, 3)))
+    # a non-finite one is refused before the defect, whose determinant warns
     R[4] = R[6] = np.nan
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(ValidationError, match=r"^rotation 4 .*\(defect nan\)"):
+    with pytest.raises(ValidationError, match=r"^transform rotations must be finite, joint 4 "):
         BoneTransforms(R, np.zeros((9, 3)))
+    T = np.zeros((9, 3))
+    T[2, 1] = np.inf
+    with pytest.raises(ValidationError, match=r"^transform translations must be finite, joint 2 "):
+        BoneTransforms(np.broadcast_to(np.eye(3), (9, 3, 3)), T)
 
 
 def test_fk_global_checks_every_joint_at_1e_6():

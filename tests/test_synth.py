@@ -88,7 +88,10 @@ def test_scene_save_load_round_trip(tmp_path):
         back = load_scene(tmp_path / str(seed))
         assert back.seed == bundle.seed
         assert back.camera.f == bundle.camera.f
-        assert np.array_equal(back.line_mask.pixels, bundle.line_mask.pixels)
+        assert (back.crop_origin, back.crop_scale) == (bundle.crop_origin,
+                                                       bundle.crop_scale), seed
+        assert np.array_equal(back.line_mask.pixels, bundle.line_mask.pixels), seed
+        assert back.correspondences == bundle.correspondences, seed
         for view in ("pose_root", "pose_world"):
             assert np.array_equal(getattr(back, view).positions,
                                   getattr(bundle, view).positions), (seed, view)
@@ -108,7 +111,14 @@ def test_saved_scene_runs_as_the_synthesized_one(tmp_path, bundle):
 
 def test_save_scene_writes_the_truth_and_no_player_model(tmp_path, bundle):
     save_scene(bundle, tmp_path / "scene")
-    assert sorted(p.name for p in (tmp_path / "scene").iterdir()) == ["mask.pgm", "scene.json"]
+    assert sorted(p.name for p in (tmp_path / "scene").iterdir()) == ["scene.json"]
+    scene = json.loads((tmp_path / "scene" / "scene.json").read_text())
+    assert list(scene) == ["seed", "image_size", "camera", "transforms", "offset", "jump"]
+
+
+def test_scene_bundle_holds_only_its_draws():
+    assert [f.name for f in dataclasses.fields(SceneBundle)] == [
+        "seed", "config", "camera", "transforms", "offset", "jump"]
 
 
 def test_load_scene_ignores_the_rest_obj_of_an_older_scene(tmp_path, bundle):
@@ -118,6 +128,24 @@ def test_load_scene_ignores_the_rest_obj_of_an_older_scene(tmp_path, bundle):
     for name in ("rest.obj", "posed.obj"):
         (scene / name).write_text("v not a number\n")
     assert pickle.dumps(load_scene(scene)) == before
+
+
+def test_load_scene_ignores_the_mask_crop_and_correspondences_of_an_older_scene(
+        tmp_path, bundle):
+    # they are views of the camera and the pose: a stale copy is not read
+    scene = tmp_path / "scene"
+    save_scene(bundle, scene)
+    want = run_pipeline(load_scene(scene))
+    (scene / "mask.pgm").write_bytes(b"P5\n2 2\n255\nnot a mask")
+    record = json.loads((scene / "scene.json").read_text())
+    record.update(crop_origin=[0.0, "1"], crop_scale=float("nan"),
+                  correspondences=[[[1.0, 2.0], [False, 0.0, 0.0]]])
+    (scene / "scene.json").write_text(json.dumps(record))
+    got = run_pipeline(load_scene(scene))
+    for r in (got, want):
+        for fields in r["stages"].values():
+            del fields["seconds"]
+    assert json.dumps(got) == json.dumps(want)
 
 
 def test_run_pipeline_stages_and_thresholds(bundle):
