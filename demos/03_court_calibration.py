@@ -1,17 +1,17 @@
 """Camera from the court: planar PnP + line-mask refinement.
 
 Synthesizes a broadcast camera over the court, rasterizes the court lines
-into a mask, recovers the camera from four landmark correspondences, then
-refines against the exact distance to the mask's nearest line pixel. A
-deliberately perturbed start shows the refinement pulling the camera back
-onto the lines.
+into a mask, recovers the camera by planar PnP on every court landmark the
+frame shows, then refines against the exact distance to the mask's nearest
+line pixel. A deliberately perturbed start shows the refinement pulling the
+camera back onto the lines.
 """
 import numpy as np
 
 from courtpose import Camera, make_court_model
 from courtpose.calibrate import (rasterize_court_lines, refine_camera_lines,
                                  solve_pnp_planar)
-from courtpose.synth import _pick_correspondences, court_landmark_reprojection
+from courtpose.synth import _visible_landmarks, court_landmark_reprojection
 from courtpose.transforms import axis_angle_to_matrix, look_at_rotation
 
 SIZE = (1280, 720)
@@ -25,9 +25,9 @@ camera = Camera(1500.0, SIZE[0] / 2, SIZE[1] / 2, R, -R @ eye)
 mask = rasterize_court_lines(camera, court, SIZE)
 print(f"rasterized mask: {int(mask.pixels.sum())} line pixels")
 
-corrs = _pick_correspondences(camera, court, SIZE)
+corrs = _visible_landmarks(camera, court, SIZE)
 est, rms = solve_pnp_planar(corrs, SIZE)
-print(f"planar PnP: reprojection rms {rms:.2e} px, focal {est.f:.1f} "
+print(f"planar PnP on {len(corrs)} in-frame landmarks: reprojection rms {rms:.2e} px, focal {est.f:.1f} "
       f"(truth {camera.f:.1f})")
 
 axis = np.array([0.3, 1.0, -0.2])

@@ -12,6 +12,7 @@ the 3D point (u, 0, v).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -77,21 +78,30 @@ class CourtModel:
         pts = np.concatenate([p.sample(spacing) for p in self.primitives], axis=0)
         return lift_to_plane(pts)
 
+    @cached_property
     def landmarks3d(self) -> np.ndarray:
-        """Deterministic named court points: corners, center, key corners.
+        """Named court points, (K, 3) read-only: the corners, the centre, the
+        ends of every line segment, each arc's two ends and midpoint, and the
+        centre circle's quarter points.
 
-        Used as calibration correspondences and as the reprojection-error
-        evaluation set.
+        Calibration's correspondences are the landmarks a frame shows; the
+        same set is the reprojection-error evaluation set.
         """
         L2, W2 = self.length / 2.0, self.width / 2.0
         pts = [(-L2, -W2), (-L2, W2), (L2, W2), (L2, -W2), (0.0, 0.0),
                (0.0, -W2), (0.0, W2)]
-        for seg in self.primitives:
-            if isinstance(seg, LineSegment2D):
-                pts.append(tuple(seg.p0))
-                pts.append(tuple(seg.p1))
+        r = CENTER_CIRCLE_RADIUS
+        pts += [(r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r)]
+        for p in self.primitives:
+            if isinstance(p, LineSegment2D):
+                pts += [p.p0, p.p1]
+            else:
+                a0, a1 = p.angle_start, p.angle_end
+                pts += map(tuple, p.points(np.array([a0, (a0 + a1) / 2.0, a1])))
         uniq = sorted(set((round(u, 9), round(v, 9)) for u, v in pts))
-        return lift_to_plane(np.asarray(uniq, dtype=float))
+        out = lift_to_plane(np.asarray(uniq, dtype=float))
+        out.flags.writeable = False
+        return out
 
 
 def lift_to_plane(uv: np.ndarray) -> np.ndarray:
@@ -102,8 +112,9 @@ def lift_to_plane(uv: np.ndarray) -> np.ndarray:
     return out
 
 
+@cache
 def make_court_model() -> CourtModel:
-    """Build the primitive list: boundary, center line + circle, three-point
+    """The one court, built once: boundary, center line + circle, three-point
     arcs, free-throw boxes with circles."""
     L2, W2 = LENGTH / 2.0, WIDTH / 2.0
     prims = [

@@ -1,7 +1,8 @@
 """Deterministic synthetic scenes: a broadcast-style camera over a court and
 a randomly posed capsule-bodied player (bone transforms, world offset, jump
 state). The true poses and posed body, the person crop, and the frame's line
-mask and landmark correspondences derive from these draws.
+mask and landmark correspondences (every court landmark the frame shows,
+with its exact pixel) derive from these draws.
 
 ``run_pipeline`` is ``evaluate(reconstruct(observe(bundle)), bundle)``:
 ``reconstruct`` reads only the ``Observation``, places the player on the 2D
@@ -42,7 +43,7 @@ from .posemaps import (JumpInfo, PoseMapTargets, codec_errors, decode_heatmaps,
                        jump_from_json, jump_to_json)
 from .primitives import capsule, tube
 from .skinning import fit_pose_to_keypoints, heat_diffusion_weights, lbs
-from .transforms import axis_angle_to_matrix, cross, look_at_rotation
+from .transforms import axis_angle_to_matrix, look_at_rotation
 
 EMD_SUBSAMPLE = 256  # points per side of the eval stage's EMD
 
@@ -122,8 +123,9 @@ class SceneBundle:
 
     @cached_property
     def correspondences(self) -> tuple:
-        """((pixel xy), (world xyz)) pairs of four court landmarks."""
-        return _pick_correspondences(self.camera, self.court, self.config.image_size)
+        """((pixel xy), (world xyz)) pairs of every court landmark in the
+        frame; calibration's PnP reads them all."""
+        return _visible_landmarks(self.camera, self.court, self.config.image_size)
 
     @cached_property
     def pose2d(self) -> Pose2D:
@@ -249,48 +251,18 @@ def _in_frame(camera: Camera, pts: np.ndarray, image_size):
     return uv, ok
 
 
-def _pick_correspondences(camera: Camera, court: CourtModel, image_size):
-    """Four well-spread in-frame court landmarks with their exact pixels.
-
-    No three selected court points may be collinear, otherwise the planar
-    PnP homography is rank deficient.
-    """
-    pts = court.landmarks3d()
+def _visible_landmarks(camera: Camera, court: CourtModel, image_size) -> tuple:
+    """((pixel xy), (world xyz)) of every court landmark in the frame, with
+    its exact pixel: what a court detector reports."""
+    pts = court.landmarks3d
     uv, ok = _in_frame(camera, pts, image_size)
-    cand = np.nonzero(ok)[0]
-    if len(cand) < 4:
-        cand = np.arange(len(pts))  # fall back to any landmarks; PnP is happy
-
-    def keeps_general_position(sel, c):
-        for i in range(len(sel)):
-            for j in range(i + 1, len(sel)):
-                a, b = pts[sel[i]], pts[sel[j]]
-                area = np.linalg.norm(cross(b - a, pts[c] - a))
-                if area < 1e-6:
-                    return False
-        return True
-
-    sel = [int(cand[np.argmax(np.linalg.norm(uv[cand] - uv[cand].mean(axis=0), axis=1))])]
-    while len(sel) < 4:
-        dmin = np.min(
-            [np.linalg.norm(uv[cand] - uv[s], axis=1) for s in sel], axis=0)
-        order = np.argsort(-dmin, kind="stable")
-        pick = None
-        for k in order:
-            c = int(cand[k])
-            if c not in sel and keeps_general_position(sel, c):
-                pick = c
-                break
-        if pick is None:
-            raise ValidationError("cannot pick four court landmarks in general position")
-        sel.append(pick)
-    return tuple((tuple(project(camera, pts[i])), tuple(pts[i])) for i in sel)
+    return tuple((tuple(uv[i]), tuple(pts[i])) for i in np.nonzero(ok)[0])
 
 
 def court_landmark_reprojection(cam_est: Camera, cam_gt: Camera,
                                 court: CourtModel, image_size) -> float:
     """Mean pixel error of estimated vs true projections of in-frame landmarks."""
-    pts = court.landmarks3d()
+    pts = court.landmarks3d
     uv_gt, ok = _in_frame(cam_gt, pts, image_size)
     if not ok.any():
         raise ValidationError("no court landmarks visible in frame")

@@ -54,12 +54,12 @@ def test_criterion_1_camera_recovery():
     court = make_court_model()
     rng = np.random.default_rng(100)
     errs, times = [], []
-    from courtpose.synth import _pick_correspondences
+    from courtpose.synth import _visible_landmarks
     for _ in range(100):
         cam = broadcast_camera(rng)
         t0 = time.perf_counter()
         mask = rasterize_court_lines(cam, court, SIZE)
-        corrs = _pick_correspondences(cam, court, SIZE)
+        corrs = _visible_landmarks(cam, court, SIZE)
         init, _ = solve_pnp_planar(corrs, SIZE)
         ref = refine_camera_lines(init, mask, court)
         times.append(time.perf_counter() - t0)

@@ -400,10 +400,10 @@ def test_refine_recovers_perturbed_camera():
     assert err < 0.5
 
 
-# From these noisy PnP starts the refinement locks onto the wrong line
-# alignment: known defects of ROADMAP item 3 (a wider basin), kept in the
-# block so that a fix shows. Never drop them.
-WRONG_BASIN_SCENES = {3023, 3028}
+# Noisy PnP starts from which the refinement locks onto the wrong line
+# alignment. With every in-frame landmark in PnP there are none; a scene
+# that misses again is a defect to list here, not a tolerance to widen.
+WRONG_BASIN_SCENES = set()
 
 
 def test_refine_from_noisy_pnp_starts():

@@ -315,7 +315,7 @@ def test_pipeline_jobs_with_a_failing_scene_exit_code_2():
                           "--jobs", "2", "--image-size", "8x8"],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 2
-    assert "[calibrate] line mask is empty" in out.stderr
+    assert "[calibrate] planar PnP needs at least 4 correspondences" in out.stderr
 
 
 @pytest.mark.parametrize("argv", [

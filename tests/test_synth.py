@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from courtpose import synth
-from courtpose.camera import project
+from courtpose.camera import Camera, project
 from courtpose.errors import StageError, ValidationError
 from courtpose.model import Pose2D
 from courtpose.placement import place_player
 from courtpose.posemaps import (decode_heatmaps, decode_location_maps,
                                 encode_heatmaps, encode_location_maps)
-from courtpose.synth import (Observation, SceneBundle, evaluate, load_scene, observe,
-                             reconstruct, run_pipeline, save_scene, synth_scene)
+from courtpose.synth import (Observation, SceneBundle, SceneConfig, evaluate, load_scene,
+                             observe, reconstruct, run_pipeline, save_scene, synth_scene)
 from helpers import PIPELINE_SEEDS
 
 
@@ -78,6 +78,48 @@ def test_every_pipeline_bundle_passes_validate():
     # synth_scene no longer validates what it builds; load_scene does
     for seed in PIPELINE_SEEDS:
         synth_scene(seed).validate()
+
+
+def test_correspondences_lie_in_the_frame():
+    # a court detector reports only what the frame shows
+    for seed in PIPELINE_SEEDS:
+        b = synth_scene(seed)
+        W, H = b.config.image_size
+        pix = np.array([px for px, _ in b.correspondences])
+        world = np.array([w for _, w in b.correspondences])
+        assert np.all((pix >= 0) & (pix < [W, H])), seed
+        assert np.array_equal(pix, project(b.camera, world)), seed
+
+
+def test_every_scene_shows_four_landmarks():
+    # planar PnP needs four; over the pipeline scenes, 3000-3039 and
+    # 30000-30149 the frame shows at least six
+    seeds = [*PIPELINE_SEEDS, *range(3000, 3040), *range(30000, 30150)]
+    few = {}
+    for seed in seeds:
+        b = synth_scene(seed)
+        pix = np.array([px for px, _ in b.correspondences])
+        shown = int(np.sum(np.all((pix >= 0) & (pix < b.config.image_size), axis=1)))
+        if shown < 4:
+            few[seed] = shown
+    assert few == {}
+
+
+def test_half_size_frame_gives_the_same_reconstruction():
+    # halving the frame, the focal length and the principal point, with the
+    # same draws, halves every pixel: the chain must not see the difference
+    for seed in range(5000, 5008):
+        full = synth_scene(seed)
+        cam = full.camera
+        half = dataclasses.replace(full, config=SceneConfig((640, 360)), camera=Camera(
+            cam.f / 2, cam.px / 2, cam.py / 2, cam.R, cam.T))
+        assert len(half.correspondences) == len(full.correspondences), seed
+        got, want = (run_pipeline(b)["stages"] for b in (half, full))
+        assert got["calibrate"]["refine_stop"] == "done", seed
+        assert got["codec"]["pose2d"] == want["codec"]["pose2d"], seed
+        for stage, field in (("place", "lowest_joint_err_m"), ("eval", "mpvpe_mm"),
+                             ("compose", "residual_collisions")):
+            assert got[stage][field] == want[stage][field], (seed, field)
 
 
 def test_scene_save_load_round_trip(tmp_path):
